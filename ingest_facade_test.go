@@ -45,9 +45,9 @@ func TestIngestFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := w.Metrics()
-	if m.IngestQueued != n || m.IngestCompacted != n || m.IngestPending != 0 {
-		t.Fatalf("ingest counters: queued=%d compacted=%d pending=%d, want %d/%d/0",
-			m.IngestQueued, m.IngestCompacted, m.IngestPending, n, n)
+	if m.IngestQueued != n || m.IngestCompacted != n || m.IngestRejected != 0 || m.IngestPending != 0 {
+		t.Fatalf("ingest counters: queued=%d compacted=%d rejected=%d pending=%d, want %d/%d/0/0",
+			m.IngestQueued, m.IngestCompacted, m.IngestRejected, m.IngestPending, n, n)
 	}
 	// Every ingested day is inside the already-reduced region at NOW.
 	if m.IngestLate != n {

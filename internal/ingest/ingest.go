@@ -190,7 +190,9 @@ func (c *Compactor) loop() {
 	}
 }
 
-// foldNow drains and folds one batch, recording the first failure.
+// foldNow drains and folds one batch, recording the first failure. A
+// batch whose fold fails is not re-queued: the fold callback owns its
+// accounting (the warehouse counts it in IngestRejected).
 func (c *Compactor) foldNow() {
 	rows := c.buf.Drain()
 	if len(rows) == 0 {

@@ -23,16 +23,17 @@ type Metrics struct {
 	RowsMerged   Counter // in-place cell merges (row already present)
 
 	// Clock and synchronization.
-	Advances      Counter   // clock advances
-	Syncs         Counter   // synchronization rounds
-	SyncSkips     Counter   // cubes skipped by the zone-map untouched check
-	SyncScanned   Counter   // rows visited by sync mover scans
-	RowsFolded    Counter   // rows migrated to a coarser subcube or deleted
-	FactsDeleted  Counter   // user facts physically removed by delete actions
-	Compactions   Counter   // store compactions reclaiming tombstones
-	SpecRebuilds  Counter   // ApplySpec layout rebuilds
-	SyncDuration  Histogram // wall time per synchronization round
-	QueryDuration Histogram // wall time per cube-set query evaluation
+	Advances         Counter   // clock advances
+	Syncs            Counter   // synchronization rounds
+	SyncsIncremental Counter   // cube-set synchronizations that probed only the rows inserted since the last one
+	SyncSkips        Counter   // cubes skipped by the zone-map untouched check
+	SyncScanned      Counter   // rows visited by sync mover scans
+	RowsFolded       Counter   // rows migrated to a coarser subcube or deleted
+	FactsDeleted     Counter   // user facts physically removed by delete actions
+	Compactions      Counter   // store compactions reclaiming tombstones
+	SpecRebuilds     Counter   // ApplySpec layout rebuilds
+	SyncDuration     Histogram // wall time per synchronization round
+	QueryDuration    Histogram // wall time per cube-set query evaluation
 
 	// Compiled evaluation (specexec).
 	ProgramCompiles    Counter // spec→bitset program compilations
@@ -59,6 +60,7 @@ type Metrics struct {
 	IngestQueued       Counter   // facts appended to the delta buffer
 	IngestCompacted    Counter   // buffered facts folded into the subcube DAG
 	IngestLate         Counter   // compacted facts landing inside an already-reduced region
+	IngestRejected     Counter   // drained facts whose fold failed: queued = compacted + rejected + pending
 	IngestPending      Gauge     // facts waiting in the delta buffer, refreshed on snapshot
 	CompactionDuration Histogram // wall time per delta-fold compaction
 
@@ -102,14 +104,15 @@ type MetricsSnapshot struct {
 	RowsAppended int64
 	RowsMerged   int64
 
-	Advances     int64
-	Syncs        int64
-	SyncSkips    int64
-	SyncScanned  int64
-	RowsFolded   int64
-	FactsDeleted int64
-	Compactions  int64
-	SpecRebuilds int64
+	Advances         int64
+	Syncs            int64
+	SyncsIncremental int64
+	SyncSkips        int64
+	SyncScanned      int64
+	RowsFolded       int64
+	FactsDeleted     int64
+	Compactions      int64
+	SpecRebuilds     int64
 
 	ProgramCompiles    int64
 	ProgramCacheHits   int64
@@ -132,6 +135,7 @@ type MetricsSnapshot struct {
 	IngestQueued    int64
 	IngestCompacted int64
 	IngestLate      int64
+	IngestRejected  int64
 	IngestPending   int64
 
 	SnapshotPublishes  int64
@@ -159,14 +163,15 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		RowsAppended: m.RowsAppended.Load(),
 		RowsMerged:   m.RowsMerged.Load(),
 
-		Advances:     m.Advances.Load(),
-		Syncs:        m.Syncs.Load(),
-		SyncSkips:    m.SyncSkips.Load(),
-		SyncScanned:  m.SyncScanned.Load(),
-		RowsFolded:   m.RowsFolded.Load(),
-		FactsDeleted: m.FactsDeleted.Load(),
-		Compactions:  m.Compactions.Load(),
-		SpecRebuilds: m.SpecRebuilds.Load(),
+		Advances:         m.Advances.Load(),
+		Syncs:            m.Syncs.Load(),
+		SyncsIncremental: m.SyncsIncremental.Load(),
+		SyncSkips:        m.SyncSkips.Load(),
+		SyncScanned:      m.SyncScanned.Load(),
+		RowsFolded:       m.RowsFolded.Load(),
+		FactsDeleted:     m.FactsDeleted.Load(),
+		Compactions:      m.Compactions.Load(),
+		SpecRebuilds:     m.SpecRebuilds.Load(),
 
 		ProgramCompiles:    m.ProgramCompiles.Load(),
 		ProgramCacheHits:   m.ProgramCacheHits.Load(),
@@ -189,6 +194,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		IngestQueued:    m.IngestQueued.Load(),
 		IngestCompacted: m.IngestCompacted.Load(),
 		IngestLate:      m.IngestLate.Load(),
+		IngestRejected:  m.IngestRejected.Load(),
 		IngestPending:   m.IngestPending.Load(),
 
 		SnapshotPublishes:  m.SnapshotPublishes.Load(),
@@ -220,6 +226,7 @@ func (s MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
 	d.RowsMerged -= prev.RowsMerged
 	d.Advances -= prev.Advances
 	d.Syncs -= prev.Syncs
+	d.SyncsIncremental -= prev.SyncsIncremental
 	d.SyncSkips -= prev.SyncSkips
 	d.SyncScanned -= prev.SyncScanned
 	d.RowsFolded -= prev.RowsFolded
@@ -242,6 +249,7 @@ func (s MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
 	d.IngestQueued -= prev.IngestQueued
 	d.IngestCompacted -= prev.IngestCompacted
 	d.IngestLate -= prev.IngestLate
+	d.IngestRejected -= prev.IngestRejected
 	d.SnapshotPublishes -= prev.SnapshotPublishes
 	d.SnapshotDrainWaits -= prev.SnapshotDrainWaits
 	d.SnapshotRebuilds -= prev.SnapshotRebuilds
@@ -260,6 +268,7 @@ func (s MetricsSnapshot) String() string {
 	row(&b, "ingest queued", s.IngestQueued)
 	row(&b, "ingest compacted", s.IngestCompacted)
 	row(&b, "ingest late facts", s.IngestLate)
+	row(&b, "ingest rejected", s.IngestRejected)
 	row(&b, "ingest pending", s.IngestPending)
 	padLabel(&b, "compaction latency")
 	b.WriteString(s.CompactionDuration.String())
@@ -268,6 +277,7 @@ func (s MetricsSnapshot) String() string {
 	b.WriteString("synchronization:\n")
 	row(&b, "clock advances", s.Advances)
 	row(&b, "sync rounds", s.Syncs)
+	row(&b, "sync rounds (delta only)", s.SyncsIncremental)
 	row(&b, "cubes skipped (zone map)", s.SyncSkips)
 	row(&b, "rows scanned", s.SyncScanned)
 	row(&b, "rows folded", s.RowsFolded)

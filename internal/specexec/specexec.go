@@ -23,6 +23,8 @@
 package specexec
 
 import (
+	"slices"
+
 	"dimred/internal/caltime"
 	"dimred/internal/mdm"
 	"dimred/internal/spec"
@@ -249,6 +251,44 @@ func (p *Program) pinDisjunct(a *spec.Action, di int, pd *progDisjunct, t caltim
 
 // Day returns the evaluation day the router is pinned to.
 func (r *Router) Day() caltime.Day { return r.t }
+
+// DomainComplete reports whether the program's bitset domain still
+// covers every value of every dimension: no value was added since
+// compilation, so no cell can take the interpreted fallback and the
+// pinned masks are the router's whole verdict table.
+func (r *Router) DomainComplete() bool {
+	for i, d := range r.p.env.Schema.Dims {
+		if d.NumValues() != r.p.nVals[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// SameVerdicts reports whether r and o — two day-pinnings of one
+// program — hold word-for-word equal masks, and hence give every
+// in-domain cell the same Satisfied, DeletedBy and AggLevelInto
+// answers. Routers of different programs are never the same. The
+// comparison is conservative: masks that differ only on values no cell
+// can carry still report false.
+func (r *Router) SameVerdicts(o *Router) bool {
+	if r.p != o.p {
+		return false
+	}
+	for k := range r.acts {
+		for di := range r.acts[k].disjuncts {
+			// Same program: never flags, mask counts and mask dimensions
+			// agree by construction; only the day-pinned bits can differ.
+			rm, om := r.acts[k].disjuncts[di].masks, o.acts[k].disjuncts[di].masks
+			for i := range rm {
+				if !slices.Equal(rm[i].bits, om[i].bits) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
 
 // inDomain reports whether every cell value lies inside the bitset
 // domain recorded at compile time. Values added afterwards route the

@@ -272,3 +272,75 @@ func TestProgramAccounting(t *testing.T) {
 		t.Fatalf("BitsetBytes() = %d, want > 0 for a spec with a plain URL test", prog.BitsetBytes())
 	}
 }
+
+// TestRouterSameVerdicts pins the day-router equivalence the
+// incremental Sync rests on: month- and quarter-unit NOW bounds pin the
+// same masks on every day of a month and different ones across a month
+// boundary, a day-unit bound differs from one day to the next, and
+// routers of two programs are never the same.
+func TestRouterSameVerdicts(t *testing.T) {
+	_, env := buildClickEnv(t)
+	monthly, err := spec.New(env,
+		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, env),
+		spec.MustCompileString("q", `aggregate [Time.quarter, URL.domain_grp] where URL.domain_grp = ".com" and Time.quarter <= NOW - 1 quarter`, env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := specexec.Compile(monthly)
+	mid := prog.At(caltime.Date(2000, 5, 10))
+	for _, c := range []struct {
+		name string
+		at   caltime.Day
+		want bool
+	}{
+		{"same day", caltime.Date(2000, 5, 10), true},
+		{"next day", caltime.Date(2000, 5, 11), true},
+		{"first and last of the month", caltime.Date(2000, 5, 31), true},
+		{"month boundary", caltime.Date(2000, 6, 1), false},
+		{"quarter boundary", caltime.Date(2000, 7, 1), false},
+	} {
+		o := prog.At(c.at)
+		if got := mid.SameVerdicts(o); got != c.want {
+			t.Errorf("%s: SameVerdicts = %v, want %v", c.name, got, c.want)
+		}
+		if got := o.SameVerdicts(mid); got != c.want {
+			t.Errorf("%s (reversed): SameVerdicts = %v, want %v", c.name, got, c.want)
+		}
+	}
+	if other := specexec.Compile(monthly).At(caltime.Date(2000, 5, 10)); mid.SameVerdicts(other) {
+		t.Error("routers of two programs reported the same verdicts")
+	}
+
+	daily, err := spec.New(env,
+		spec.MustCompileString("d", `aggregate [Time.day, URL.domain] where Time.day <= NOW - 30 days`, env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dprog := specexec.Compile(daily)
+	if dprog.At(caltime.Date(2000, 5, 10)).SameVerdicts(dprog.At(caltime.Date(2000, 5, 11))) {
+		t.Error("day-unit bound: consecutive days reported the same verdicts")
+	}
+}
+
+// TestRouterDomainComplete: the domain is complete until a dimension
+// value is added after compilation; a fresh compile covers it again.
+func TestRouterDomainComplete(t *testing.T) {
+	obj, env := buildClickEnv(t)
+	s, err := spec.New(env,
+		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := caltime.Date(2000, 9, 1)
+	r := specexec.Compile(s).At(at)
+	if !r.DomainComplete() {
+		t.Fatal("freshly compiled program reports an incomplete domain")
+	}
+	obj.Time.EnsureDay(caltime.Date(2005, 6, 1))
+	if r.DomainComplete() {
+		t.Fatal("domain still complete after a day was added post-compile")
+	}
+	if !specexec.Compile(s).At(at).DomainComplete() {
+		t.Fatal("recompiled program does not cover the grown domain")
+	}
+}

@@ -80,7 +80,7 @@ func TestViewOfEvalAllocationProfile(t *testing.T) {
 	if eval.router == nil {
 		t.Fatal("default cell evaluator is not on the compiled path")
 	}
-	mo, scanned, err := cs.viewOf(cs.cubes[0], eval)
+	mo, scanned, err := cs.viewOf(cs.cubes[0], &eval)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,23 @@ type CubeSet struct {
 	// interpretation and serial apply). The differential tests and the
 	// before/after benchmarks flip it; production leaves it false.
 	interpret bool
+	// pending lists, ascending, the bottom-cube rows Insert appended since
+	// the last synchronization. While tracking holds, every live row not
+	// in pending is at AggLevel(cell, lastSync), so a Sync whose router
+	// gives lastSync's verdicts need only probe these rows. A merge into
+	// an existing row adds no entry: that row is already listed or was
+	// already at its level.
+	pending []storage.RowID
+	// tracking is false whenever pending may be incomplete — never
+	// synchronized, rows restored from a snapshot, a list dropped for
+	// length, a synchronization that failed mid-apply — and the next Sync
+	// scans every touched cube.
+	tracking bool
 }
+
+// pendingMax is the pending length from which Insert checks whether the
+// list still beats a scan of the bottom cube.
+const pendingMax = 1024
 
 // SetInterpreted selects the interpreted evaluation path (true) or the
 // compiled specexec path (false, the default) for Sync, ApplySpec and
@@ -140,6 +156,8 @@ func (cs *CubeSet) Clone() *CubeSet {
 		deletedBase: cs.deletedBase,
 		met:         cs.met,
 		interpret:   cs.interpret,
+		pending:     append([]storage.RowID(nil), cs.pending...),
+		tracking:    cs.tracking,
 	}
 	c2.cache = specexec.NewCache(cs.met)
 	for _, c := range cs.cubes {
@@ -283,7 +301,47 @@ func (cs *CubeSet) Insert(refs []mdm.ValueID, meas []float64) error {
 			init[j] = 1
 		}
 	}
-	return cs.mergeInto(bottom, refs, init, 1)
+	rows := bottom.store.Rows()
+	if err := cs.mergeInto(bottom, refs, init, 1); err != nil {
+		return err
+	}
+	if cs.tracking && bottom.store.Rows() > rows {
+		cs.pending = append(cs.pending, storage.RowID(rows))
+		// A list this long saves nothing over the scan it replaces, and a
+		// bulk load must not retain a row id per fact.
+		if n := len(cs.pending); n >= pendingMax && n*4 > bottom.store.Live() {
+			cs.pending, cs.tracking = nil, false
+		}
+	}
+	return nil
+}
+
+// Late reports whether a bottom-granularity fact with these refs would
+// land inside an already-reduced region: as of the last synchronization
+// the specification deletes its cell or aggregates it above the bottom
+// granularity. A never-synchronized set has no reduced region, and refs
+// that are not a bottom cell are not late — Insert reports them.
+func (cs *CubeSet) Late(refs []mdm.ValueID) bool {
+	schema := cs.env.Schema
+	bottom := cs.cubes[0].gran
+	if !cs.synced || len(refs) != len(bottom) {
+		return false
+	}
+	for i, d := range schema.Dims {
+		if d.CategoryOf(refs[i]) != bottom[i] {
+			return false
+		}
+	}
+	e := cs.newCellEval(cs.sp, cs.lastSync)
+	late := e.deletedBy(refs) != nil
+	if !late {
+		var buf [8]mdm.CategoryID
+		level := append(mdm.Granularity(buf[:0]), bottom...)
+		e.aggLevelInto(refs, level, nil)
+		late = !schema.GranEq(level, bottom)
+	}
+	cs.met.ProgramProbes.Add(e.probes)
+	return late
 }
 
 // InsertMO bulk-loads every fact of a bottom-granularity MO.
@@ -332,8 +390,8 @@ type cellEval struct {
 	probes int64
 }
 
-func (cs *CubeSet) newCellEval(sp *spec.Spec, t caltime.Day) *cellEval {
-	e := &cellEval{sp: sp, t: t}
+func (cs *CubeSet) newCellEval(sp *spec.Spec, t caltime.Day) cellEval {
+	e := cellEval{sp: sp, t: t}
 	if !cs.interpret {
 		e.router = cs.cache.RouterAt(sp, t)
 	}
@@ -420,11 +478,47 @@ func (cs *CubeSet) extendZoneMap(c *Cube, refs []mdm.ValueID) {
 // one goroutine per cube; SetInterpreted(true) selects the per-row
 // interpreted evaluation with a serial apply phase. Both return the
 // number of migrated rows and produce identical cube contents.
+//
+// Where deltaOnly allows, the compiled path probes only the rows
+// inserted since the last synchronization: the same movers, in the same
+// order, as its full scan. The interpreted path always scans in full
+// and stays the oracle.
 func (cs *CubeSet) Sync(t caltime.Day) (int, error) {
+	run := cs.syncCompiled
 	if cs.interpret {
-		return cs.syncInterpreted(t)
+		run = cs.syncInterpreted
 	}
-	return cs.syncCompiled(t)
+	moved, err := run(t)
+	if err != nil {
+		// The apply phase may have stopped anywhere.
+		cs.pending, cs.tracking = nil, false
+		return moved, err
+	}
+	cs.markSynced(t)
+	return moved, nil
+}
+
+// markSynced records that every live row is at AggLevel(cell, t). The
+// pending list's backing array is released, not truncated: after a bulk
+// load it may hold a row id per fact.
+func (cs *CubeSet) markSynced(t caltime.Day) {
+	cs.lastSync, cs.synced = t, true
+	cs.pending, cs.tracking = nil, true
+}
+
+// deltaOnly reports whether a compiled Sync at t, probing with router,
+// may visit only the pending rows. Every other live row is at
+// AggLevel(cell, lastSync) (tracking); it stays there if no cell can
+// take the interpreted fallback (the domain is complete) and the
+// day-pinned masks at t are lastSync's — equal cells have equal levels,
+// and the default aggregates are distributive, so nothing else can
+// move. Month- and quarter-unit NOW bounds pin equal masks on every day
+// of a month; a day-unit bound differs daily and takes the full scan.
+func (cs *CubeSet) deltaOnly(t caltime.Day, router *specexec.Router) bool {
+	if !cs.tracking || !router.DomainComplete() {
+		return false
+	}
+	return t == cs.lastSync || cs.cache.RouterAt(cs.sp, cs.lastSync).SameVerdicts(router)
 }
 
 // syncInterpreted is the uncompiled synchronization: a parallel
@@ -511,7 +605,6 @@ func (cs *CubeSet) syncInterpreted(t caltime.Day) (int, error) {
 			cs.compact(c)
 		}
 	}
-	cs.lastSync, cs.synced = t, true
 	cs.met.RowsFolded.Add(int64(moved))
 	return moved, nil
 }
@@ -566,6 +659,10 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 	nMeas := len(schema.Measures)
 
 	router := cs.cache.RouterAt(cs.sp, t)
+	delta := cs.deltaOnly(t, router)
+	if delta {
+		cs.met.SyncsIncremental.Inc()
+	}
 
 	// Destination lookup by packed granularity, falling back to the
 	// string-keyed byGran map above 8 dimensions.
@@ -582,6 +679,9 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 	movers := make([]cubeMovers, len(cs.cubes))
 	var wg sync.WaitGroup
 	for ci, c := range cs.cubes {
+		if delta && ci > 0 {
+			continue // only bottom rows are pending
+		}
 		if cs.cubeUntouchedAt(c, t) {
 			cs.met.SyncSkips.Inc()
 			continue
@@ -591,7 +691,7 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 			defer wg.Done()
 			cell := make([]mdm.ValueID, nDims)
 			level := make(mdm.Granularity, nDims)
-			c.store.Scan(func(r storage.RowID) bool {
+			probe := func(r storage.RowID) bool {
 				m.scanned++
 				c.store.Refs(r, cell)
 				m.probes++
@@ -632,7 +732,16 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 				m.dsts = append(m.dsts, int32(dst.id))
 				m.base = append(m.base, c.store.Base(r))
 				return true
-			})
+			}
+			if !delta {
+				c.store.Scan(probe)
+				return
+			}
+			for _, r := range cs.pending {
+				if !probe(r) {
+					return
+				}
+			}
 		}(&movers[ci], c)
 	}
 	wg.Wait()
@@ -648,7 +757,6 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 		moved += len(m.delRows) + len(m.rows)
 	}
 	if moved == 0 {
-		cs.lastSync, cs.synced = t, true
 		return 0, nil
 	}
 
@@ -714,7 +822,6 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 	}
 	cs.deletedBase += deleted
 	cs.met.FactsDeleted.Add(deleted)
-	cs.lastSync, cs.synced = t, true
 	cs.met.RowsFolded.Add(int64(moved))
 	return moved, nil
 }
@@ -782,7 +889,7 @@ func (cs *CubeSet) ApplySpec(sp *spec.Spec, t caltime.Day) error {
 	cs.cubes = next.cubes
 	cs.byGran = next.byGran
 	cs.deletedBase += next.deletedBase
-	cs.lastSync, cs.synced = t, true
+	cs.markSynced(t)
 	return nil
 }
 
@@ -806,14 +913,17 @@ func (cs *CubeSet) RestoreRow(refs []mdm.ValueID, meas []float64, base int64) er
 	if !ok {
 		return fmt.Errorf("subcube: RestoreRow: no cube at granularity %s", schema.GranString(gran))
 	}
+	cs.pending, cs.tracking = nil, false
 	return cs.mergeInto(c, refs, meas, base)
 }
 
 // RestoreSyncState re-applies snapshot bookkeeping: the last
-// synchronization time and the deleted-fact count.
+// synchronization time and the deleted-fact count. Restored rows are
+// taken on trust, so the next Sync scans every touched cube.
 func (cs *CubeSet) RestoreSyncState(lastSync caltime.Day, synced bool, deleted int64) {
 	cs.lastSync, cs.synced = lastSync, synced
 	cs.deletedBase = deleted
+	cs.pending, cs.tracking = nil, false
 }
 
 // TotalRows returns the number of live rows across all cubes.

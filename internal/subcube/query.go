@@ -119,7 +119,7 @@ func (cs *CubeSet) EvaluateTraced(q Query, t caltime.Day, tr *obs.Trace) (*mdm.M
 	// Unsynchronized queries rebuild each cube's view per row; compile
 	// the specification once and share the day-pinned router across the
 	// per-cube goroutines (each carries its own probe counter).
-	var baseEval *cellEval
+	var baseEval cellEval
 	if !synced {
 		baseEval = cs.newCellEval(cs.sp, t)
 	}

@@ -92,7 +92,8 @@ func (w *Warehouse) StopIngest() error {
 }
 
 // FlushIngest synchronously drains the delta buffer and folds the batch
-// into the warehouse. Concurrent with a running compactor this is safe:
+// into the warehouse; a batch whose fold fails is dropped and counted in
+// IngestRejected. Concurrent with a running compactor this is safe:
 // Drain hands out disjoint batches and the folds serialize on the
 // writer lock (the fold is commutative — distributive merges — so the
 // interleaving order cannot change the result).
@@ -113,7 +114,14 @@ func (w *Warehouse) compactDeltas(rows []ingest.Row) error {
 	start := clk.Now()
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	late := w.countLateLocked(rows)
+	// Late is judged against the pre-fold state: the reduced regions as
+	// of the last synchronization.
+	var late int64
+	for _, r := range rows {
+		if w.working.Late(r.Refs) {
+			late++
+		}
+	}
 	err := w.syncWithLocked(func(cs *subcube.CubeSet) error {
 		for _, r := range rows {
 			if err := cs.Insert(r.Refs, r.Meas); err != nil {
@@ -122,49 +130,18 @@ func (w *Warehouse) compactDeltas(rows []ingest.Row) error {
 		}
 		return nil
 	})
+	n := int64(len(rows))
 	if err != nil {
+		// The batch is already drained: count it, so a lost batch shows
+		// as queued = compacted + rejected + pending rather than as a
+		// counter pair that never meets again.
+		w.met.IngestRejected.Add(n)
 		return err
 	}
-	n := int64(len(rows))
 	w.loaded.Add(n)
 	w.met.FactsLoaded.Add(n)
 	w.met.IngestCompacted.Add(n)
 	w.met.IngestLate.Add(late)
 	w.met.CompactionDuration.Observe(clk.Since(start))
 	return nil
-}
-
-// countLateLocked counts the batch rows whose day already sits inside a
-// reduced region: the warehouse has synchronized, and as of that last
-// synchronization the specification either aggregates the fact's cell
-// above the bottom or deletes it outright.
-func (w *Warehouse) countLateLocked(rows []ingest.Row) int64 {
-	var late int64
-	for _, r := range rows {
-		if w.lateLocked(r.Refs) {
-			late++
-		}
-	}
-	return late
-}
-
-// lateLocked reports whether a bottom-granularity fact with the given
-// refs would land inside an already-reduced region: Cell(f, t) at the
-// last synchronization time is above the bottom granularity (or the
-// fact is deleted there). Never-synchronized warehouses have no reduced
-// region. Invalid refs are not late — the insert path reports them.
-func (w *Warehouse) lateLocked(refs []mdm.ValueID) bool {
-	ts, ok := w.working.LastSync()
-	if !ok {
-		return false
-	}
-	if w.validateFact(refs, make([]float64, len(w.env.Schema.Measures))) != nil {
-		return false
-	}
-	sp := w.working.Spec()
-	if sp.DeletedBy(refs, ts) != nil {
-		return true
-	}
-	gran, _ := sp.AggLevel(refs, ts)
-	return !w.env.Schema.GranEq(gran, w.env.Schema.BottomGranularity())
 }

@@ -430,7 +430,7 @@ func (w *Warehouse) Load(refs []mdm.ValueID, meas []float64) error {
 		return cs.Insert(refs, meas)
 	}
 	var err error
-	if w.lateLocked(refs) {
+	if w.working.Late(refs) {
 		err = w.syncWithLocked(op)
 	} else {
 		err = w.commitLocked(op)

@@ -81,7 +81,8 @@ func TestMetricsFacade(t *testing.T) {
 		t.Errorf("query metrics wrong: queries=%d latency n=%d", m.Queries, m.QueryDuration.Count)
 	}
 	for _, want := range []string{"facts loaded", "rows folded", "query latency", "fact bytes",
-		"view hits", "view misses", "view builds", "view bytes"} {
+		"view hits", "view misses", "view builds", "view bytes",
+		"sync rounds (delta only)", "ingest rejected"} {
 		if !strings.Contains(m.String(), want) {
 			t.Errorf("Metrics rendering missing %q", want)
 		}
