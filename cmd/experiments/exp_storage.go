@@ -10,7 +10,6 @@ import (
 	"dimred/internal/core"
 	"dimred/internal/mdm"
 	"dimred/internal/query"
-	"dimred/internal/sched"
 	"dimred/internal/spec"
 	"dimred/internal/storage"
 	"dimred/internal/subcube"
@@ -215,9 +214,22 @@ func runS4(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sc := sched.New(sp)
-	u, _ := sc.Unit()
+	u, _ := sp.SignificantPeriod()
 	fmt.Fprintf(w, "significant period: one %s (paper Section 7.2)\n", u)
+	// advance synchronizes once per significant period: on the first
+	// call, then whenever t has left the period of the last sync.
+	var last caltime.Day
+	syncs, moved := 0, 0
+	advance := func(t caltime.Day) error {
+		if syncs > 0 && caltime.PeriodOf(last, u) == caltime.PeriodOf(t, u) {
+			return nil
+		}
+		m, err := cs.Sync(t)
+		last = t
+		syncs++
+		moved += m
+		return err
+	}
 	start := time.Now()
 	loaded := 0
 	for i, r := range rows {
@@ -227,23 +239,17 @@ func runS4(w io.Writer) error {
 		loaded++
 		// Bulk boundaries every 30 days of stream: advance + sync.
 		if (i+1)%(30*300) == 0 {
-			d := r[0].([]mdm.ValueID)[0]
-			_ = d
-			if sc.AdvanceTo(caltime.Date(2000, 1, 1) + caltime.Day((i+1)/300)) {
-				if err := sched.SyncNow(sc, cs); err != nil {
-					return err
-				}
+			if err := advance(caltime.Date(2000, 1, 1) + caltime.Day((i+1)/300)); err != nil {
+				return err
 			}
 		}
 	}
-	if sc.AdvanceTo(caltime.Date(2001, 1, 2)) {
-		if err := sched.SyncNow(sc, cs); err != nil {
-			return err
-		}
+	if err := advance(caltime.Date(2001, 1, 2)); err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 	fmt.Fprintf(w, "loaded %d facts with %d synchronizations (%d rows migrated) in %v\n",
-		loaded, sc.Syncs, sc.Moved, elapsed)
+		loaded, syncs, moved, elapsed)
 	fmt.Fprintf(w, "throughput: %.0f facts/sec including synchronization\n",
 		float64(loaded)/elapsed.Seconds())
 	return nil

@@ -50,32 +50,8 @@ var experiments = []experiment{
 func main() {
 	exp := flag.String("exp", "", "run a single experiment by id (e.g. E06)")
 	list := flag.Bool("list", false, "list experiments")
-	bench := flag.String("bench", "", "run the compiled-vs-interpreted benchmark suite and write JSON to the given path (- for stdout)")
-	qps := flag.String("qps", "", "run the contention read-QPS benchmark (locked vs snapshot read path) and write JSON to the given path (- for stdout)")
-	benchdiff := flag.String("benchdiff", "", "compare two benchmark artifacts (OLD.json,NEW.json) and fail on a speedup regression")
 	flag.Parse()
 
-	if *bench != "" {
-		if err := runBenchSuite(*bench); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *qps != "" {
-		if err := runQPSBench(*qps); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: qps: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchdiff != "" {
-		if err := runBenchDiff(*benchdiff); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: benchdiff: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *list {
 		for _, e := range experiments {
 			fmt.Printf("%-4s %s\n", e.id, e.title)

@@ -261,7 +261,8 @@ type (
 	// counters, gauges and latency histograms (Warehouse.Metrics).
 	Metrics = obs.MetricsSnapshot
 	// QueryTrace is a per-query execution trace: subcubes consulted or
-	// pruned, rows scanned versus kept, per-stage durations
+	// pruned, rows scanned versus kept, per-stage durations — or, for a
+	// view-served answer, one "views.Answer" stage and no cube entries
 	// (Warehouse.QueryTraced).
 	QueryTrace = obs.Trace
 	// CubeQueryTrace is one subcube's entry in a QueryTrace.

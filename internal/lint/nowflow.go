@@ -8,15 +8,15 @@ import (
 
 // DefaultNowflowRestricted lists the packages (by path suffix) whose
 // evaluation-time plumbing the nowflow analyzer polices: the
-// specification semantics, the synchronization scheduler and the
-// physical subcube engine. These are the places where a caltime.Day
-// is *the* NOW of Definitions 2–4 and must be threaded explicitly.
+// specification semantics and the physical subcube engine. These are
+// the places where a caltime.Day is *the* NOW of Definitions 2–4 and
+// must be threaded explicitly.
 var DefaultNowflowRestricted = []string{
 	"internal/spec",
 	"internal/specexec",
-	"internal/sched",
 	"internal/subcube",
 	"internal/views",
+	"internal/warehouse",
 	"internal/ingest",
 }
 
@@ -43,7 +43,7 @@ var DefaultNowflowRestricted = []string{
 //   - a call argument of type caltime.Day bound to a callee parameter
 //     named t or now;
 //   - an assignment of a tainted value to a Day-typed struct field
-//     (persisted evaluation state such as Scheduler.now).
+//     (persisted evaluation state such as Warehouse.now).
 func NewNowflow(restricted []string) *Analyzer {
 	a := &Analyzer{
 		Name: "nowflow",

@@ -20,7 +20,6 @@ var DefaultWallclockRestricted = []string{
 	"internal/query",
 	"internal/prover",
 	"internal/caltime",
-	"internal/sched",
 	"internal/subcube",
 	"internal/views",
 	"internal/warehouse",

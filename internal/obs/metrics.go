@@ -6,7 +6,7 @@ import (
 )
 
 // Metrics is the engine-wide metric set, shared by the warehouse
-// facade, the scheduler and the subcube engine. One instance is created
+// facade and the subcube engine. One instance is created
 // per CubeSet and survives specification rebuilds, so counters are
 // cumulative over the warehouse's lifetime. All fields are safe for
 // concurrent use.

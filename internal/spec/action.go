@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 
 	"dimred/internal/caltime"
 	"dimred/internal/expr"
@@ -371,8 +372,8 @@ func (a *Action) TimeHullAt(t caltime.Day) (lo, hi caltime.Day, bounded bool) {
 }
 
 // NowUnits appends the calendar units of every NOW-relative time
-// constraint in the action to dst; the synchronization scheduler derives
-// the "significant time period" of Section 7.2 from these.
+// constraint in the action to dst; SignificantPeriod derives the
+// "significant time period" of Section 7.2 from these.
 func (a *Action) NowUnits(dst []caltime.Unit) []caltime.Unit {
 	for _, d := range a.disjuncts {
 		for _, t := range d.tests {
@@ -388,6 +389,29 @@ func (a *Action) NowUnits(dst []caltime.Unit) []caltime.Unit {
 		}
 	}
 	return dst
+}
+
+// SignificantPeriod derives the synchronization period of Section 7.2
+// from the specification: the second-lowest calendar unit among its
+// NOW-relative constraints (the lowest when only one unit occurs). ok is
+// false when no action is NOW-relative, in which case time alone never
+// un-synchronizes the cubes.
+func (s *Spec) SignificantPeriod() (unit caltime.Unit, ok bool) {
+	var units []caltime.Unit
+	for _, a := range s.actions {
+		units = a.NowUnits(units)
+	}
+	// Unit constants are ordered by period length: day < week < month <
+	// quarter < year.
+	slices.Sort(units)
+	units = slices.Compact(units)
+	switch len(units) {
+	case 0:
+		return 0, false
+	case 1:
+		return units[0], true
+	}
+	return units[1], true
 }
 
 // LessEq reports a1 <=_V a2 (Eq. 3): a2 aggregates at least as high in

@@ -160,8 +160,8 @@ func TestActionAccessors(t *testing.T) {
 	if a.String() == "" || a.Name() != "a1" {
 		t.Error("String/Name")
 	}
-	// a1 has two NOW-relative month bounds; both report their unit (the
-	// scheduler de-duplicates).
+	// a1 has two NOW-relative month bounds; both report their unit
+	// (SignificantPeriod de-duplicates).
 	units := a.NowUnits(nil)
 	if len(units) == 0 {
 		t.Error("NowUnits empty")
@@ -180,6 +180,42 @@ func TestActionAccessors(t *testing.T) {
 	}
 	if s.Env() != env {
 		t.Error("Spec.Env")
+	}
+}
+
+func TestSignificantPeriod(t *testing.T) {
+	_, env := paperEnv(t)
+	for _, tc := range []struct {
+		name    string
+		actions []string
+		want    caltime.Unit
+		ok      bool
+	}{
+		// The paper's example: NOW at month and quarter granularity →
+		// synchronize once per quarter.
+		{"month and quarter", []string{srcA1, srcA2}, caltime.UnitQuarter, true},
+		// A single NOW unit gives that unit.
+		{"month only", []string{srcA7}, caltime.UnitMonth, true},
+		// Three units: the second-lowest, however the actions are ordered.
+		{"year, month, quarter", []string{
+			`aggregate [Time.year, URL.domain] where URL.domain_grp = ".com" and Time.year <= NOW - 3 years`,
+			srcA1, srcA2,
+		}, caltime.UnitQuarter, true},
+		// No NOW usage: time passage never un-synchronizes.
+		{"fixed", []string{srcA8}, 0, false},
+		{"empty", nil, 0, false},
+	} {
+		var actions []*Action
+		for i, src := range tc.actions {
+			actions = append(actions, MustCompileString([]string{"x1", "x2", "x3"}[i], src, env))
+		}
+		s, err := New(env, actions...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if u, ok := s.SignificantPeriod(); ok != tc.ok || u != tc.want {
+			t.Errorf("%s: period = %v, %v; want %v, %v", tc.name, u, ok, tc.want, tc.ok)
+		}
 	}
 }
 

@@ -125,8 +125,8 @@ const pendingMax = 1024
 // the flag exists so tests can prove it and benchmarks can price it.
 func (cs *CubeSet) SetInterpreted(v bool) { cs.interpret = v }
 
-// Metrics returns the cube set's metric set; the scheduler and the
-// warehouse facade record into the same instance.
+// Metrics returns the cube set's metric set; the warehouse facade
+// records into the same instance.
 func (cs *CubeSet) Metrics() *obs.Metrics { return cs.met }
 
 // SetMetrics redirects the cube set's instrumentation (including its

@@ -35,7 +35,7 @@ func TestSyncScansOnlyTheDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Month-unit bounds only, so the month is the scheduler's significant
+	// Month-unit bounds only, so the month is the significant
 	// period and AdvanceTo itself synchronizes on 1 June.
 	w, err := Open(env,
 		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, env),
@@ -46,17 +46,7 @@ func TestSyncScansOnlyTheDelta(t *testing.T) {
 	if err := w.AdvanceTo(today); err != nil {
 		t.Fatal(err)
 	}
-	err = w.LoadBatch(func(load func([]mdm.ValueID, []float64) error) error {
-		for f := 0; f < obj.MO.Len(); f++ {
-			if err := load(obj.MO.Refs(mdm.FactID(f)), obj.MO.Measures(mdm.FactID(f))); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	loadMO(t, w, obj.MO)
 	if live := w.Metrics().LiveRows; live < 20000 {
 		t.Fatalf("set-up left %d live rows, the gate wants at least 20000", live)
 	}

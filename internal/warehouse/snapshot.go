@@ -249,7 +249,7 @@ func Load(in io.Reader) (*Warehouse, *LoadedDims, error) {
 	// restored rows inside the same commit, so the first published
 	// snapshot already serves them.
 	w.wmu.Lock()
-	w.sched.Restore(caltime.Day(sf.Now), sf.Synced)
+	w.now, w.synced = caltime.Day(sf.Now), sf.Synced
 	for k, n := range sf.Shapes {
 		w.shapes.Add(k, n)
 	}

@@ -71,6 +71,28 @@ func TestWarehouseViewServing(t *testing.T) {
 		t.Fatalf("view-served queries still ran %d base evaluations", after.Queries)
 	}
 
+	// A traced query runs the plan the untraced one runs: the same
+	// view hit, the same answer, one views.Answer stage and no cube scan.
+	for i, src := range viewShapeQueries {
+		before := w.Metrics()
+		mo, tr, err := w.QueryTraced(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mo.DumpCells() != viewAnswers[i] {
+			t.Errorf("query %q: traced answer differs from untraced", src)
+		}
+		if d := w.Metrics().Sub(before); d.ViewHits != 1 || d.Queries != 0 {
+			t.Errorf("query %q: traced run counted %d view hits, %d base evaluations", src, d.ViewHits, d.Queries)
+		}
+		if len(tr.Stages) != 1 || tr.Stages[0].Name != "views.Answer" || len(tr.Cubes) != 0 || tr.RowsScanned() != 0 {
+			t.Errorf("query %q: trace does not report a view hit:\n%s", src, tr)
+		}
+		if tr.ResultCells != mo.Len() || tr.Query != src || tr.At != w.Now().String() || !tr.Synced {
+			t.Errorf("query %q: trace header wrong:\n%s", src, tr)
+		}
+	}
+
 	w.DisableViews()
 	if n, bytes := w.ViewStats(); n != 0 || bytes != 0 {
 		t.Fatalf("views survived DisableViews: count=%d bytes=%d", n, bytes)

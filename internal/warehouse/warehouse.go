@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dimred/internal/caltime"
 	"dimred/internal/ingest"
@@ -18,7 +19,6 @@ import (
 	"dimred/internal/obs"
 	"dimred/internal/query"
 	"dimred/internal/relstore"
-	"dimred/internal/sched"
 	"dimred/internal/spec"
 	"dimred/internal/storage"
 	"dimred/internal/subcube"
@@ -26,7 +26,7 @@ import (
 )
 
 // Warehouse combines a reduction specification, its subcube realization
-// and the synchronization scheduler behind a single API.
+// and the synchronization schedule behind a single API.
 //
 // A Warehouse is safe for concurrent use, with a lock-free read path:
 // it keeps two cube-set sides and publishes one of them, together with
@@ -42,8 +42,8 @@ import (
 // next working side.
 type Warehouse struct {
 	env *spec.Env
-	// met is the engine metric set, shared with both cube-set sides and
-	// the scheduler so every layer records into one instance. discard
+	// met is the engine metric set, shared with both cube-set sides so
+	// every layer records into one instance. discard
 	// absorbs the replay of an already-counted operation on the retired
 	// side, keeping counters single-counted.
 	met     *obs.Metrics
@@ -73,8 +73,16 @@ type Warehouse struct {
 	wmu sync.Mutex
 	// working is the unpublished side the next operation applies to.
 	working *subcube.CubeSet
-	sched   *sched.Scheduler
 	seq     int64 // snapshot sequence, surfaced as SnapshotEpoch
+	// now is the warehouse clock and synced whether any synchronization
+	// has run. unit is the specification's significant period (Section
+	// 7.2), re-derived by every commit that changes the specification;
+	// timed is false while no action is NOW-relative, when time alone
+	// never un-synchronizes the cubes.
+	now    caltime.Day
+	synced bool
+	unit   caltime.Unit
+	timed  bool
 	// viewsOn enables materialized rollup views; vcfg bounds them.
 	// Both only steer what sync-carrying commits build — the read path
 	// learns about views exclusively through the published snapshot.
@@ -123,9 +131,9 @@ func Open(env *spec.Env, actions ...*spec.Action) (*Warehouse, error) {
 		met:     cs.Metrics(),
 		discard: obs.NewMetrics(),
 		epoch:   obs.NewEpoch(),
-		sched:   sched.New(sp),
 		buf:     ingest.NewBuffer(ingest.DefaultShards),
 	}
+	w.unit, w.timed = sp.SignificantPeriod()
 	w.working = cs.Clone()
 	w.cur.Store(&snapshot{cubes: cs, side: 0, seq: 0, gen: cs.Spec().Generation()})
 	return w, nil
@@ -209,7 +217,7 @@ func (w *Warehouse) publishWorkingLocked(vs *views.Set) *snapshot {
 	w.seq++
 	w.cur.Store(&snapshot{
 		cubes: w.working,
-		now:   w.sched.Now(),
+		now:   w.now,
 		side:  1 - old.side,
 		seq:   w.seq,
 		views: vs,
@@ -239,7 +247,7 @@ func (w *Warehouse) publishClockLocked() {
 	w.seq++
 	w.cur.Store(&snapshot{
 		cubes: old.cubes,
-		now:   w.sched.Now(),
+		now:   w.now,
 		side:  old.side,
 		seq:   w.seq,
 		views: old.views,
@@ -274,14 +282,14 @@ func (w *Warehouse) buildViewsLocked() *views.Set {
 	}
 	//dimred:allow snapalias the working side is off the published read path under wmu; the metrics redirect keeps view builds out of the query counters
 	w.working.SetMetrics(w.discard)
-	set := views.Build(w.env, w.working, picked, w.sched.Now(), w.vcfg, w.met)
+	set := views.Build(w.env, w.working, picked, w.now, w.vcfg, w.met)
 	//dimred:allow snapalias the working side is off the published read path under wmu; this restores the real metric set after the build
 	w.working.SetMetrics(w.met)
 	return set
 }
 
 // syncLocked runs one timed synchronization round through the
-// left-right protocol and reports it to the scheduler.
+// left-right protocol.
 func (w *Warehouse) syncLocked() error { return w.syncWithLocked(nil) }
 
 // syncWithLocked is syncLocked with an optional preparatory operation
@@ -291,8 +299,7 @@ func (w *Warehouse) syncLocked() error { return w.syncWithLocked(nil) }
 func (w *Warehouse) syncWithLocked(prep func(cs *subcube.CubeSet) error) error {
 	clk := w.met.Clock()
 	start := clk.Now()
-	t := w.sched.Now()
-	var moved int
+	t := w.now
 	// Sync-carrying commits are where views refresh: the cube set is
 	// synchronized at the commit's clock, so the materialized rollups
 	// and the published snapshot agree on NOW and spec generation.
@@ -302,8 +309,7 @@ func (w *Warehouse) syncWithLocked(prep func(cs *subcube.CubeSet) error) error {
 				return err
 			}
 		}
-		m, err := cs.Sync(t)
-		moved = m
+		_, err := cs.Sync(t)
 		return err
 	}, true)
 	if err != nil {
@@ -311,7 +317,7 @@ func (w *Warehouse) syncWithLocked(prep func(cs *subcube.CubeSet) error) error {
 	}
 	w.met.Syncs.Inc()
 	w.met.SyncDuration.Observe(clk.Since(start))
-	w.sched.NoteSync(moved)
+	w.synced = true
 	return nil
 }
 
@@ -331,23 +337,33 @@ func (w *Warehouse) Cubes() *subcube.CubeSet { return w.cur.Load().cubes }
 // Now returns the warehouse clock.
 func (w *Warehouse) Now() caltime.Day { return w.cur.Load().now }
 
-// AdvanceTo moves the clock to t; the scheduler synchronizes the
-// subcubes when a significant period boundary has been crossed, and a
+// AdvanceTo moves the clock to t (the clock never runs backwards) and
+// synchronizes the subcubes when the move crosses a significant-period
+// boundary. Section 7.2: subcubes get un-synchronized only when time
+// passes or data is bulk-loaded, and it suffices to synchronize on every
+// bulk load and "at least once per significant time period, the
+// second-lowest granularity at which the NOW-variable is used in an
+// action" — then a fact is never more than one parent-child generation
+// out of place, which the un-synchronized query strategy relies on. A
 // clock-only advance republishes the snapshot so queries evaluate NOW
 // at the new clock.
 func (w *Warehouse) AdvanceTo(t caltime.Day) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	w.met.Advances.Inc()
-	if w.sched.AdvanceTo(t) {
-		return w.syncLocked()
+	if t >= w.now {
+		prev := w.now
+		w.now = t
+		if w.timed && !(w.synced && caltime.PeriodOf(prev, w.unit) == caltime.PeriodOf(t, w.unit)) {
+			return w.syncLocked()
+		}
 	}
 	w.publishClockLocked()
 	return nil
 }
 
 // Sync forces a synchronization round at the current clock, outside the
-// scheduler's significant-period cadence.
+// significant-period cadence.
 func (w *Warehouse) Sync() error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
@@ -500,12 +516,7 @@ func (w *Warehouse) Query(src string) (*mdm.MO, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, p := w.pin()
-	defer p.Unpin()
-	if mo, ok := w.viewAnswer(s, q, s.now); ok {
-		return mo, nil
-	}
-	return s.cubes.Evaluate(q, s.now)
+	return w.query(q, nil, nil)
 }
 
 // QueryWith evaluates a query with explicit selection and aggregation
@@ -516,22 +527,60 @@ func (w *Warehouse) QueryWith(src string, sel query.Approach, agg query.AggAppro
 		return nil, err
 	}
 	q.Sel, q.Agg = sel, agg
-	s, p := w.pin()
-	defer p.Unpin()
-	if mo, ok := w.viewAnswer(s, q, s.now); ok {
-		return mo, nil
-	}
-	return s.cubes.Evaluate(q, s.now)
+	return w.query(q, nil, nil)
 }
 
 // QueryAt evaluates a prepared query at an explicit time.
 func (w *Warehouse) QueryAt(q subcube.Query, t caltime.Day) (*mdm.MO, error) {
+	return w.query(q, &t, nil)
+}
+
+// QueryTraced evaluates a query like Query and additionally returns an
+// execution trace of the plan Query runs: either the view that served
+// it, or which subcubes were consulted or zone-map-pruned, rows scanned
+// versus kept per cube, and per-stage durations.
+func (w *Warehouse) QueryTraced(src string) (*mdm.MO, *obs.Trace, error) {
+	q, err := subcube.ParseQuery(src, w.env)
+	if err != nil {
+		return nil, nil, err
+	}
+	return w.queryTraced(src, q, nil)
+}
+
+// QueryAtTraced evaluates a prepared query at an explicit time with an
+// execution trace.
+func (w *Warehouse) QueryAtTraced(q subcube.Query, t caltime.Day) (*mdm.MO, *obs.Trace, error) {
+	return w.queryTraced("", q, &t)
+}
+
+func (w *Warehouse) queryTraced(src string, q subcube.Query, at *caltime.Day) (*mdm.MO, *obs.Trace, error) {
+	tr := &obs.Trace{Query: src}
+	mo, err := w.query(q, at, tr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return mo, tr, nil
+}
+
+// query is the one read path behind every Query* method: pin the
+// published snapshot, answer from its materialized views when a fresh
+// one rolls up to the target, otherwise evaluate the base subcubes. A
+// nil at evaluates at the pinned snapshot's own clock; a non-nil tr is
+// filled with what the evaluation did.
+func (w *Warehouse) query(q subcube.Query, at *caltime.Day, tr *obs.Trace) (*mdm.MO, error) {
 	s, p := w.pin()
 	defer p.Unpin()
-	if mo, ok := w.viewAnswer(s, q, t); ok {
+	t := s.now
+	if at != nil {
+		t = *at
+	}
+	if tr != nil {
+		tr.At = t.String()
+	}
+	if mo, ok := w.viewAnswer(s, q, t, tr); ok {
 		return mo, nil
 	}
-	return s.cubes.Evaluate(q, t)
+	return s.cubes.EvaluateTraced(q, t, tr)
 }
 
 // viewAnswer tries to answer q from the snapshot's materialized views:
@@ -541,8 +590,9 @@ func (w *Warehouse) QueryAt(q subcube.Query, t caltime.Day) (*mdm.MO, error) {
 // answer instead). Every view-eligible query records its shape into
 // the selector's trace, hit or miss; misses are counted only while a
 // view set is published, so a views-off warehouse pays one map probe
-// and nothing else.
-func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, t caltime.Day) (*mdm.MO, bool) {
+// and nothing else. A hit fills tr (when non-nil) with a single
+// "views.Answer" stage and no cube entries: no subcube was scanned.
+func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, t caltime.Day, tr *obs.Trace) (*mdm.MO, bool) {
 	if !q.ViewEligible() || len(q.Target) != w.env.Schema.NumDims() {
 		return nil, false
 	}
@@ -550,43 +600,24 @@ func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, t caltime.Day) (*md
 	if s.views == nil {
 		return nil, false
 	}
+	var start time.Time
+	if tr != nil {
+		start = w.met.Clock().Now()
+	}
 	mo, ok := s.views.Answer(w.env.Schema, q, t, s.gen)
 	if !ok {
 		w.met.ViewMisses.Inc()
 		return nil, false
 	}
 	w.met.ViewHits.Inc()
+	if tr != nil {
+		last, synced := s.cubes.LastSync()
+		tr.Synced = synced && last == t
+		tr.Total = w.met.Clock().Since(start)
+		tr.AddStage("views.Answer", tr.Total)
+		tr.ResultCells = mo.Len()
+	}
 	return mo, true
-}
-
-// QueryTraced evaluates a query like Query and additionally returns an
-// execution trace: which subcubes were consulted or zone-map-pruned,
-// rows scanned versus kept per cube, and per-stage durations.
-func (w *Warehouse) QueryTraced(src string) (*mdm.MO, *obs.Trace, error) {
-	q, err := subcube.ParseQuery(src, w.env)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, p := w.pin()
-	defer p.Unpin()
-	return queryTraced(s, src, q, s.now)
-}
-
-// QueryAtTraced evaluates a prepared query at an explicit time with an
-// execution trace.
-func (w *Warehouse) QueryAtTraced(q subcube.Query, t caltime.Day) (*mdm.MO, *obs.Trace, error) {
-	s, p := w.pin()
-	defer p.Unpin()
-	return queryTraced(s, "", q, t)
-}
-
-func queryTraced(s *snapshot, src string, q subcube.Query, t caltime.Day) (*mdm.MO, *obs.Trace, error) {
-	tr := &obs.Trace{Query: src, At: t.String()}
-	mo, err := s.cubes.EvaluateTraced(q, t, tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return mo, tr, nil
 }
 
 // InsertActions extends the specification (Definition 3) and rebuilds
@@ -595,8 +626,8 @@ func queryTraced(s *snapshot, src string, q subcube.Query, t caltime.Day) (*mdm.
 func (w *Warehouse) InsertActions(actions ...*spec.Action) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	t := w.sched.Now()
-	return w.commitLocked(func(cs *subcube.CubeSet) error {
+	t := w.now
+	return w.commitSpecLocked(func(cs *subcube.CubeSet) error {
 		sp := cs.Spec()
 		if err := sp.Insert(actions...); err != nil {
 			return err
@@ -605,14 +636,24 @@ func (w *Warehouse) InsertActions(actions ...*spec.Action) error {
 	})
 }
 
+// commitSpecLocked commits a specification change and re-derives the
+// significant period from the specification the commit left in place
+// (unchanged when op failed), so the synchronization cadence follows the
+// actions that are live now rather than the ones Open saw.
+func (w *Warehouse) commitSpecLocked(op func(cs *subcube.CubeSet) error) error {
+	err := w.commitLocked(op)
+	w.unit, w.timed = w.working.Spec().SignificantPeriod()
+	return err
+}
+
 // DeleteActions removes actions (Definition 4: all or none, and only if
 // no removed action is responsible for any current row's level) and
 // rebuilds the subcube layout.
 func (w *Warehouse) DeleteActions(names ...string) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	t := w.sched.Now()
-	return w.commitLocked(func(cs *subcube.CubeSet) error {
+	t := w.now
+	return w.commitSpecLocked(func(cs *subcube.CubeSet) error {
 		// Materialize the current facts so the responsibility check of
 		// Definition 4 sees the warehouse state.
 		mo, err := materialize(w.env, cs)
