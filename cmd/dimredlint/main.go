@@ -3,29 +3,23 @@
 // invariantcall, errwrap, the dataflow-powered purity, nowflow and
 // lockfield passes, the interprocedural snapalias, clonecheck,
 // lockorder, gospawn and publishcheck passes built on the module call
-// graph, and the unknowndirective hygiene pass) together with stdlib
-// reimplementations of the x/tools nilness and shadow passes over the
-// module, and exits non-zero when any finding survives //dimred:allow
-// suppression. Analyzers execute concurrently on a bounded worker
-// pool; output order is identical to a serial run.
+// graph, and the unknowndirective hygiene pass) over the module, and
+// exits non-zero when any finding survives //dimred:allow suppression.
 //
 // Usage:
 //
-//	dimredlint [-only a,b] [-list] [-json] [-audit] [-stats file] [packages...]
+//	dimredlint [-C dir] [-only a,b] [-list] [-audit] [packages...]
 //
-// Packages default to ./... relative to the current directory. -json
-// emits one JSON object per finding (file, line, col, analyzer,
-// message) for machine consumers such as the CI problem matcher.
-// -audit lists every reasoned escape hatch in the tree — //dimred:allow
-// suppressions plus //dimred:detached (gospawn) and //dimred:replay
-// (publishcheck) directives — with its mandatory reason instead of
-// running the analyzers. -stats writes a JSON array of per-analyzer
-// wall time and finding counts to the given file after a run. Exit
-// status: 0 clean, 1 findings, 2 usage or load failure.
+// Packages default to ./... relative to the current directory. Findings
+// print one per line as file:line:col: message [analyzer], the form the
+// CI problem matcher parses. -audit lists every reasoned escape hatch in
+// the tree — //dimred:allow suppressions plus //dimred:detached
+// (gospawn) and //dimred:replay (publishcheck) directives — with its
+// mandatory reason instead of running the analyzers. Exit status: 0
+// clean, 1 findings, 2 usage or load failure.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -45,9 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list the bundled analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as JSON, one object per line")
 	audit := fs.Bool("audit", false, "list every suppression escape (allow/detached/replay) with its reason and exit")
-	statsPath := fs.String("stats", "", "write per-analyzer wall-time and finding counts as JSON to this file")
 	dir := fs.String("C", ".", "directory to run in (the module to analyze)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -93,103 +85,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *audit {
 		allows := lint.AuditEscapes(units)
-		if *jsonOut {
-			enc := json.NewEncoder(stdout)
-			for _, al := range allows {
-				if err := enc.Encode(jsonAllow{
-					File:     relName(al.Pos.Filename),
-					Line:     al.Pos.Line,
-					Analyzer: al.Analyzer,
-					Reason:   al.Reason,
-				}); err != nil {
-					fmt.Fprintf(stderr, "dimredlint: %v\n", err)
-					return 2
-				}
-			}
-		} else {
-			for _, al := range allows {
-				fmt.Fprintf(stdout, "%s:%d: %s: %s\n", relName(al.Pos.Filename), al.Pos.Line, al.Analyzer, al.Reason)
-			}
+		for _, al := range allows {
+			fmt.Fprintf(stdout, "%s:%d: %s: %s\n", relName(al.Pos.Filename), al.Pos.Line, al.Analyzer, al.Reason)
 		}
 		fmt.Fprintf(stderr, "dimredlint: %d suppression(s)\n", len(allows))
 		return 0
 	}
 
-	diags, stats := lint.RunStats(units, analyzers)
-	if *statsPath != "" {
-		if err := writeStats(*statsPath, stats); err != nil {
-			fmt.Fprintf(stderr, "dimredlint: %v\n", err)
-			return 2
-		}
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		for _, d := range diags {
-			if err := enc.Encode(jsonFinding{
-				File:     relName(d.Pos.Filename),
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			}); err != nil {
-				fmt.Fprintf(stderr, "dimredlint: %v\n", err)
-				return 2
-			}
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintf(stdout, "%s:%d:%d: %s [%s]\n", relName(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
-		}
+	diags := lint.Run(units, analyzers)
+	for _, d := range diags {
+		fmt.Fprintf(stdout, "%s:%d:%d: %s [%s]\n", relName(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "dimredlint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-// writeStats renders per-analyzer statistics as one JSON array, the
-// shape the CI lint job turns into its step summary table.
-func writeStats(path string, stats []lint.AnalyzerStat) error {
-	rows := make([]jsonStat, len(stats))
-	for i, s := range stats {
-		rows[i] = jsonStat{
-			Analyzer:   s.Name,
-			Millis:     s.Elapsed.Seconds() * 1000,
-			Findings:   s.Findings,
-			Suppressed: s.Suppressed,
-		}
-	}
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// jsonStat is one -stats row.
-type jsonStat struct {
-	Analyzer   string  `json:"analyzer"`
-	Millis     float64 `json:"millis"`
-	Findings   int     `json:"findings"`
-	Suppressed int     `json:"suppressed"`
-}
-
-// jsonFinding is the stable machine-readable finding shape; the GitHub
-// problem matcher in .github/problem-matchers/dimredlint.json parses
-// the plain-text form, CI archives this one.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// jsonAllow is the machine-readable -audit entry.
-type jsonAllow struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Analyzer string `json:"analyzer"`
-	Reason   string `json:"reason"`
 }

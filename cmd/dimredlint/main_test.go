@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -87,7 +86,7 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d from -list", code)
 	}
-	for _, name := range []string{"wallclock", "atomicfield", "invariantcall", "errwrap", "purity", "nowflow", "lockfield", "snapalias", "clonecheck", "lockorder", "gospawn", "publishcheck", "unknowndirective", "nilness", "shadow"} {
+	for _, name := range []string{"wallclock", "atomicfield", "invariantcall", "errwrap", "purity", "nowflow", "lockfield", "snapalias", "clonecheck", "lockorder", "gospawn", "publishcheck", "unknowndirective"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}
@@ -101,45 +100,6 @@ func TestRunOnlyFilter(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "unknown analyzer") {
 		t.Errorf("stderr missing diagnostic: %s", errOut.String())
-	}
-}
-
-func TestRunJSON(t *testing.T) {
-	dir := scratchModule(t, map[string]string{
-		"internal/core/core.go": `package core
-
-import "time"
-
-func Stamp() time.Time { return time.Now() }
-`,
-	})
-	var out, errOut strings.Builder
-	code := run([]string{"-C", dir, "-json", "./..."}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errOut.String())
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("want exactly 1 JSON finding, got %d:\n%s", len(lines), out.String())
-	}
-	var f struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &f); err != nil {
-		t.Fatalf("invalid JSON line %q: %v", lines[0], err)
-	}
-	if f.Analyzer != "wallclock" {
-		t.Errorf("analyzer = %q, want wallclock", f.Analyzer)
-	}
-	if !strings.HasSuffix(f.File, "core.go") || f.Line == 0 || f.Col == 0 {
-		t.Errorf("bad position %s:%d:%d", f.File, f.Line, f.Col)
-	}
-	if !strings.Contains(f.Message, "time.Now") {
-		t.Errorf("message %q missing time.Now", f.Message)
 	}
 }
 
@@ -167,61 +127,20 @@ func Stamp() time.Time {
 	if !strings.Contains(errOut.String(), "1 suppression(s)") {
 		t.Errorf("stderr missing count: %s", errOut.String())
 	}
-
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-C", dir, "-audit", "-json", "./..."}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d from -audit -json", code)
-	}
-	var al struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Analyzer string `json:"analyzer"`
-		Reason   string `json:"reason"`
-	}
-	if err := json.Unmarshal([]byte(strings.TrimSpace(out.String())), &al); err != nil {
-		t.Fatalf("invalid -audit -json output %q: %v", out.String(), err)
-	}
-	if al.Analyzer != "wallclock" || al.Reason != "ingest timestamps carry real arrival time" {
-		t.Errorf("bad audit entry: %+v", al)
-	}
 }
 
 // BenchmarkLintRepo measures a full analyzer sweep over the module,
 // with loading (go list + parse + typecheck) paid once outside the
-// loop. CI's bench smoke runs it for one iteration, so an analyzer
-// that panics or pathologically slows on the real tree fails there.
+// loop; each iteration rebuilds the module facts (call graph, escape
+// summaries, lock facts, directive tables). CI's bench smoke runs it
+// for one iteration, so an analyzer that panics or pathologically slows
+// on the real tree fails there.
 func BenchmarkLintRepo(b *testing.B) {
 	units, err := lint.Load(repoRoot(b), "./...")
 	if err != nil {
 		b.Fatal(err)
 	}
 	analyzers := lint.All()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if diags := lint.Run(units, analyzers); len(diags) != 0 {
-			b.Fatalf("unexpected findings: %d", len(diags))
-		}
-	}
-}
-
-// BenchmarkLintRepoInterprocedural isolates the call-graph-powered
-// passes (purity, snapalias, clonecheck, and the concurrency wall of
-// lockorder, gospawn and publishcheck): each iteration rebuilds the
-// module-wide call graph and runs the bottom-up summary fixpoints, so
-// the benchmark prices the interprocedural layer alone against the
-// full-suite number above. The shared substrates (call graph, escape
-// summaries, lock facts) are memoized within one Run, so the six
-// passes price their own analyses, not six rebuilds of the graph.
-func BenchmarkLintRepoInterprocedural(b *testing.B) {
-	units, err := lint.Load(repoRoot(b), "./...")
-	if err != nil {
-		b.Fatal(err)
-	}
-	analyzers := []*lint.Analyzer{
-		lint.NewPurity(), lint.NewSnapAlias(), lint.NewCloneCheck(),
-		lint.NewLockOrder(), lint.NewGoSpawn(), lint.NewPublishCheck(),
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if diags := lint.Run(units, analyzers); len(diags) != 0 {
@@ -240,10 +159,9 @@ func TestRepoSuppressionBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module; skipped in -short mode")
 	}
-	var out, errOut strings.Builder
-	code := run([]string{"-C", repoRoot(t), "-audit", "-json", "./..."}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d from -audit -json\nstderr:\n%s", code, errOut.String())
+	units, err := lint.Load(repoRoot(t), "./...")
+	if err != nil {
+		t.Fatal(err)
 	}
 	budget := map[string]int{
 		// internal/spec/env.go: synthetic canonical window is not an
@@ -267,21 +185,9 @@ func TestRepoSuppressionBudget(t *testing.T) {
 		"gospawn": 1,
 	}
 	got := map[string]int{}
-	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
-		if line == "" {
-			continue
-		}
-		var al struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Analyzer string `json:"analyzer"`
-			Reason   string `json:"reason"`
-		}
-		if err := json.Unmarshal([]byte(line), &al); err != nil {
-			t.Fatalf("invalid -audit -json line %q: %v", line, err)
-		}
+	for _, al := range lint.AuditEscapes(units) {
 		if strings.TrimSpace(al.Reason) == "" {
-			t.Errorf("%s:%d: %s escape without a reason", al.File, al.Line, al.Analyzer)
+			t.Errorf("%s:%d: %s escape without a reason", al.Pos.Filename, al.Pos.Line, al.Analyzer)
 		}
 		got[al.Analyzer]++
 	}

@@ -278,10 +278,9 @@ type (
 	// invalidated, never served stale, across loads, clock advances and
 	// specification updates.
 	ViewConfig = views.Config
-	// IngestConfig tunes the streaming-ingest delta buffer
-	// (Warehouse.StartIngest): Shards is the append-buffer shard count,
-	// MinBatch the compactor's group-commit threshold; the zero value
-	// applies the package defaults. Ingested facts are absorbed without
+	// IngestConfig tunes the streaming-ingest compactor
+	// (Warehouse.StartIngest): MinBatch is its group-commit threshold;
+	// the zero value applies the package default. Ingested facts are absorbed without
 	// blocking the served snapshot and folded into the subcube DAG by a
 	// background compactor; a fact arriving after its region was reduced
 	// lands at its cell's granularity immediately, exactly as if it had

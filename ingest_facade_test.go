@@ -30,7 +30,7 @@ func TestIngestFacade(t *testing.T) {
 	if err := w.AdvanceTo(dimred.Date(2000, 6, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.StartIngest(dimred.IngestConfig{Shards: 2, MinBatch: 1}); err != nil {
+	if err := w.StartIngest(dimred.IngestConfig{MinBatch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	const n = 40

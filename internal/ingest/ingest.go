@@ -27,12 +27,8 @@ type Row struct {
 	Meas []float64
 }
 
-// Config bounds a Buffer/Compactor pair.
+// Config tunes a Compactor.
 type Config struct {
-	// Shards is the number of independent append shards; more shards
-	// mean less contention between concurrent producers. Zero or
-	// negative selects the default.
-	Shards int
 	// MinBatch is the minimum number of buffered facts before the
 	// compactor folds (the final fold on Stop drains regardless). Zero
 	// or negative selects the default of 1 — fold as soon as anything
@@ -41,14 +37,12 @@ type Config struct {
 	MinBatch int
 }
 
-// DefaultShards is the shard count used when Config.Shards is unset.
+// DefaultShards is the shard count NewBuffer uses when given none: more
+// shards mean less contention between concurrent producers.
 const DefaultShards = 8
 
 // WithDefaults returns cfg with unset fields replaced by defaults.
 func (cfg Config) WithDefaults() Config {
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
 	if cfg.MinBatch <= 0 {
 		cfg.MinBatch = 1
 	}

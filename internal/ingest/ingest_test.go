@@ -182,11 +182,11 @@ func TestCompactorReportsFirstFoldError(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.WithDefaults()
-	if cfg.Shards != DefaultShards || cfg.MinBatch != 1 {
+	if cfg.MinBatch != 1 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
-	cfg = Config{Shards: 3, MinBatch: 7}.WithDefaults()
-	if cfg.Shards != 3 || cfg.MinBatch != 7 {
+	cfg = Config{MinBatch: 7}.WithDefaults()
+	if cfg.MinBatch != 7 {
 		t.Fatalf("explicit config overwritten: %+v", cfg)
 	}
 }

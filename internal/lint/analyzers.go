@@ -5,11 +5,8 @@ package lint
 // (the dataflow-powered purity/nowflow/lockfield trio among them), the
 // interprocedural call-graph passes (snapalias, clonecheck, and the
 // concurrency-soundness wall of lockorder, gospawn and publishcheck),
-// the directive hygiene pass (unknowndirective, fed every bundled
-// analyzer name so it can validate //dimred:allow targets), plus the
-// stdlib reimplementations of the x/tools nilness and shadow vet
-// passes (the module deliberately carries no external dependencies, so
-// the x/tools originals cannot be vendored).
+// and the directive hygiene pass (unknowndirective, fed every bundled
+// analyzer name so it can validate //dimred:allow targets).
 func All() []*Analyzer {
 	as := []*Analyzer{
 		NewWallclock(DefaultWallclockRestricted),
@@ -24,8 +21,6 @@ func All() []*Analyzer {
 		NewLockOrder(),
 		NewGoSpawn(),
 		NewPublishCheck(),
-		NewNilness(),
-		NewShadow(),
 	}
 	names := make([]string, 0, len(as)+1)
 	for _, a := range as {

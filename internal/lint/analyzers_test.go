@@ -227,92 +227,3 @@ func Wrap(err error) error {
 `,
 	})
 }
-
-func TestShadow(t *testing.T) {
-	linttest.Run(t, []*lint.Analyzer{lint.NewShadow()}, map[string]string{
-		"internal/s/s.go": `package s
-
-func Shadowed() int {
-	x := 1
-	if x > 0 {
-		x := 2 // want "declaration of \"x\" shadows declaration"
-		_ = x
-	}
-	return x
-}
-
-func ErrIdiomExempt() error {
-	var err error
-	if err := probe(); err != nil {
-		return err
-	}
-	return err
-}
-
-func DifferentTypeDeliberate() int {
-	x := 1
-	{
-		x := "two different things"
-		_ = x
-	}
-	return x
-}
-
-func OuterDeadAfter() {
-	y := 1
-	_ = y
-	{
-		y := 2
-		_ = y
-	}
-}
-
-func probe() error { return nil }
-`,
-	})
-}
-
-func TestNilness(t *testing.T) {
-	linttest.Run(t, []*lint.Analyzer{lint.NewNilness()}, map[string]string{
-		"internal/n/n.go": `package n
-
-type T struct{ F int }
-
-func Deref(p *T) int {
-	if p == nil {
-		return p.F // want "field or method access on p, which is nil here"
-	}
-	return p.F
-}
-
-func ElseArm(f func()) {
-	if f != nil {
-		f()
-	} else {
-		f() // want "call of f, which is a nil function here"
-	}
-}
-
-func Index(s []int) int {
-	if nil == s {
-		return s[0] // want "index of s, which is nil here"
-	}
-	return s[0]
-}
-
-func ReassignedFirst(p *T) int {
-	if p == nil {
-		p = &T{}
-		return p.F
-	}
-	return p.F
-}
-
-func Interface(v interface{ M() }) {
-	if v == nil {
-		v.M() // want "method call on v, which is a nil interface here"
-	}
-}
-`,
-	})
-}

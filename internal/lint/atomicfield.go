@@ -28,7 +28,8 @@ func NewAtomicField() *Analyzer {
 		Name: "atomicfield",
 		Doc:  "fields accessed via sync/atomic must be accessed atomically everywhere",
 	}
-	a.RunModule = func(units []*Unit) []Diagnostic {
+	a.RunModule = func(m *Module) []Diagnostic {
+		units := m.Units
 		// Phase 1: collect every classic field that some sync/atomic
 		// call targets, module-wide.
 		classic := map[string]bool{}

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"sync"
 )
 
 // This file builds the module-wide call graph the interprocedural
@@ -43,10 +42,7 @@ type CallGraph struct {
 // BuildCallGraph constructs the call graph over every function declared
 // in the loaded units.
 func BuildCallGraph(units []*Unit) *CallGraph {
-	modulePkgs := map[string]bool{}
-	for _, u := range units {
-		modulePkgs[u.Path] = true
-	}
+	pkgs := modulePkgs(units)
 
 	cg := &CallGraph{Nodes: map[string]*CGNode{}}
 	for _, u := range units {
@@ -61,7 +57,7 @@ func BuildCallGraph(units []*Unit) *CallGraph {
 					continue
 				}
 				node := &CGNode{Unit: u, Decl: fd, Fn: fn}
-				node.Calls = referencedFuncs(u.Info, fd.Body, modulePkgs)
+				node.Calls = referencedFuncs(u.Info, fd.Body, pkgs)
 				cg.Nodes[fn.FullName()] = node
 			}
 		}
@@ -71,34 +67,6 @@ func BuildCallGraph(units []*Unit) *CallGraph {
 	}
 	sort.Strings(cg.keys)
 	return cg
-}
-
-// Six analyzers (purity, snapalias, clonecheck, lockorder, gospawn,
-// publishcheck) walk the same graph, and the parallel runner may ask
-// for it concurrently, so one lint run builds it once. Units are never
-// mutated after Load, which makes memoization sound; the cache keys on
-// the leading unit (unique per Load) and remembers only the latest
-// module, so scratch test modules do not accumulate.
-var cgCache struct {
-	mu    sync.Mutex
-	key   *Unit
-	graph *CallGraph
-}
-
-// moduleCallGraph returns the (memoized) call graph for a loaded unit
-// set.
-func moduleCallGraph(units []*Unit) *CallGraph {
-	if len(units) == 0 {
-		return &CallGraph{Nodes: map[string]*CGNode{}}
-	}
-	cgCache.mu.Lock()
-	defer cgCache.mu.Unlock()
-	if cgCache.key == units[0] {
-		return cgCache.graph
-	}
-	g := BuildCallGraph(units)
-	cgCache.key, cgCache.graph = units[0], g
-	return g
 }
 
 // referencedFuncs collects the FullNames of module-internal functions a
@@ -132,34 +100,44 @@ func referencedFuncs(info *types.Info, body *ast.BlockStmt, modulePkgs map[strin
 // earlier one, so summaries computed in emission order see their
 // callees' summaries already final (mutually recursive functions share
 // a component and iterate to a joint fixpoint). The order is
-// deterministic: Tarjan's algorithm, roots visited in sorted key order.
+// deterministic: roots are visited in sorted key order.
 func (cg *CallGraph) SCCs() [][]string {
+	return tarjanSCCs(cg.keys, func(v string) []string {
+		var succ []string
+		for _, w := range cg.Nodes[v].Calls {
+			if _, isNode := cg.Nodes[w]; isNode { // else external or dynamic: no summary to order
+				succ = append(succ, w)
+			}
+		}
+		return succ
+	})
+}
+
+// tarjanSCCs returns the strongly connected components of the graph
+// over nodes in reverse topological order (every edge out of a
+// component lands in an earlier one), each component sorted. Roots are
+// visited in the order given and successors in the order succ returns
+// them, so sorted inputs make the result deterministic.
+func tarjanSCCs(nodes []string, succ func(string) []string) [][]string {
 	index := map[string]int{}
 	low := map[string]int{}
 	onStack := map[string]bool{}
 	var stack []string
 	var sccs [][]string
-	next := 0
 
 	var strongconnect func(v string)
 	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
+		index[v] = len(index)
+		low[v] = index[v]
 		stack = append(stack, v)
 		onStack[v] = true
 
-		for _, w := range cg.Nodes[v].Calls {
-			if _, isNode := cg.Nodes[w]; !isNode {
-				continue // external or dynamic: no summary to order
-			}
+		for _, w := range succ(v) {
 			if _, visited := index[w]; !visited {
 				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
 			}
 		}
 
@@ -179,9 +157,9 @@ func (cg *CallGraph) SCCs() [][]string {
 		}
 	}
 
-	for _, k := range cg.keys {
-		if _, visited := index[k]; !visited {
-			strongconnect(k)
+	for _, v := range nodes {
+		if _, visited := index[v]; !visited {
+			strongconnect(v)
 		}
 	}
 	return sccs

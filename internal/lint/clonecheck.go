@@ -41,12 +41,8 @@ func NewCloneCheck() *Analyzer {
 		Doc: "every field of a struct built inside a Clone method must be cloned, copied " +
 			"by reference-free value, or annotated " + SharedDirective + " with a reason",
 	}
-	a.RunModule = func(units []*Unit) []Diagnostic {
-		modulePkgs := map[string]bool{}
-		for _, u := range units {
-			modulePkgs[u.Path] = true
-		}
-		shared := collectSharedFields(units)
+	a.RunModule = func(m *Module) []Diagnostic {
+		shared := m.dirs.shared
 
 		var ds []Diagnostic
 		var sharedKeys []string
@@ -61,18 +57,10 @@ func NewCloneCheck() *Analyzer {
 			}
 		}
 
-		for _, u := range units {
-			for _, f := range u.Files {
-				for _, decl := range f.Decls {
-					fd, ok := decl.(*ast.FuncDecl)
-					if !ok || fd.Body == nil || fd.Recv == nil {
-						continue
-					}
-					if fd.Name.Name != "Clone" && fd.Name.Name != "clone" {
-						continue
-					}
-					ds = append(ds, checkCloneBody(u, fd, modulePkgs, shared)...)
-				}
+		for _, key := range m.graph.keys {
+			node := m.graph.Nodes[key]
+			if fd := node.Decl; fd.Recv != nil && (fd.Name.Name == "Clone" || fd.Name.Name == "clone") {
+				ds = append(ds, checkCloneBody(node.Unit, fd, m.pkgs, shared)...)
 			}
 		}
 		return ds

@@ -189,6 +189,35 @@ func Fixed() bool { return at(caltime.Day(7)) }
 	})
 }
 
+// TestNowflowDeferDup: a sink inside a defer is visited in its own
+// block and again in the spliced defers block; Run reports it once.
+func TestNowflowDeferDup(t *testing.T) {
+	diags := linttest.Diagnostics(t, []*lint.Analyzer{lint.NewNowflow(lint.DefaultNowflowRestricted)}, map[string]string{
+		"internal/caltime/caltime.go": `package caltime
+
+type Day int32
+
+func Date(y, m, d int) Day { return Day(y*366 + m*31 + d) }
+`,
+		"internal/spec/s.go": `package spec
+
+import "lintfix/internal/caltime"
+
+func Eval(t caltime.Day) {}
+
+func Bad() {
+	defer Eval(caltime.Date(2020, 1, 2))
+}
+`,
+	})
+	for _, d := range diags {
+		t.Logf("%s", d)
+	}
+	if len(diags) != 1 {
+		t.Fatalf("got %d diagnostics, want 1", len(diags))
+	}
+}
+
 func TestLockField(t *testing.T) {
 	linttest.Run(t, []*lint.Analyzer{lint.NewLockField()}, map[string]string{
 		"internal/warehouse/wh.go": `package warehouse

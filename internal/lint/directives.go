@@ -4,8 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
+	"unicode"
 )
+
+const directivePrefix = "//dimred:"
 
 // SharedDirective marks a struct field that a Clone deliberately shares
 // between the original and the copy instead of deep-copying, with a
@@ -18,7 +22,7 @@ import (
 // reviewed claim that the shared object is safe to reach from both
 // sides of a publish boundary (e.g. it is internally synchronized, or
 // frozen by construction).
-const SharedDirective = "//dimred:shared"
+const SharedDirective = directivePrefix + "shared"
 
 // DetachedDirective marks a go statement whose goroutine intentionally
 // has no join or termination edge, with a mandatory reason:
@@ -28,7 +32,7 @@ const SharedDirective = "//dimred:shared"
 // on the go statement's line or the line directly above it. gospawn
 // accepts the annotation in place of a provable sync.WaitGroup pair or
 // channel close.
-const DetachedDirective = "//dimred:detached"
+const DetachedDirective = directivePrefix + "detached"
 
 // ReplayDirective marks a function as part of the epoch protocol's
 // drain-then-replay side, with a mandatory reason:
@@ -38,7 +42,7 @@ const DetachedDirective = "//dimred:detached"
 // as a full line of the function's doc comment. publishcheck exempts
 // such functions from the no-writes-after-publish rule; they redirect
 // retired state under the writer lock after readers have drained.
-const ReplayDirective = "//dimred:replay"
+const ReplayDirective = directivePrefix + "replay"
 
 // directiveContext classifies the syntactic positions where a
 // //dimred: directive takes effect.
@@ -58,15 +62,16 @@ type directiveSpec struct {
 	wantsAnalyzer bool   // first argument must name a registered analyzer
 	wantsReason   bool   // mandatory free-text reason
 	reasonOwner   string // analyzer that reports a missing reason itself ("" = unknowndirective does)
+	escapes       string // analyzer whose check a reasoned use waives, for the audit ("" = none)
 	contexts      []directiveContext
 	where         string // human description of the required position
 }
 
-// knownDirectives is the registry every //dimred: comment is validated
-// against. A directive missing from this table is a typo, and a typo'd
-// directive is a silent soundness hole — the analyzer it was meant to
-// configure never sees it — so unknowndirective makes any unregistered
-// or malformed //dimred: comment a blocking finding.
+// knownDirectives is the registry every //dimred: comment is parsed and
+// validated against. A directive missing from this table is a typo, and
+// a typo'd directive is a silent soundness hole — the analyzer it was
+// meant to configure never sees it — so unknowndirective makes any
+// unregistered or malformed //dimred: comment a blocking finding.
 var knownDirectives = []directiveSpec{
 	{name: "allow", wantsAnalyzer: true, wantsReason: true,
 		contexts: []directiveContext{ctxAnyLine},
@@ -80,10 +85,10 @@ var knownDirectives = []directiveSpec{
 	{name: "shared", wantsReason: true, reasonOwner: "clonecheck",
 		contexts: []directiveContext{ctxFieldDoc},
 		where:    "a struct field's doc or line comment"},
-	{name: "detached", wantsReason: true,
+	{name: "detached", wantsReason: true, escapes: "gospawn",
 		contexts: []directiveContext{ctxGoStmt},
 		where:    "a go statement's line or the line directly above it"},
-	{name: "replay", wantsReason: true,
+	{name: "replay", wantsReason: true, escapes: "publishcheck",
 		contexts: []directiveContext{ctxFuncDoc},
 		where:    "a function's doc comment"},
 }
@@ -97,80 +102,111 @@ func directiveByName(name string) *directiveSpec {
 	return nil
 }
 
-// collectReplayFuncs returns the //dimred:replay-annotated functions of
-// the loaded units, keyed by types.Func.FullName, with their reasons.
-// A reasonless replay directive confers nothing (and is itself an
-// unknowndirective finding).
-func collectReplayFuncs(units []*Unit) map[string]string {
-	replay := map[string]string{}
+// directive is one //dimred:<name> comment together with the syntactic
+// position it occupies. It is the single parse every consumer reads:
+// the per-analyzer tables below, the allow lookup, the audit and
+// unknowndirective's validation.
+type directive struct {
+	unit    *Unit
+	comment *ast.Comment
+	name    string
+	args    string         // text after the name, space-trimmed
+	spec    *directiveSpec // nil when the name is not in the registry
+	// ctx is the most specific position the comment occupies: a struct
+	// type's, named struct field's or function's doc, else a go
+	// statement's line (or the line above one), else a plain line.
+	ctx directiveContext
+	// owner is the declaration a doc or line comment belongs to (a
+	// field's doc and trailing comment share one); its comment group
+	// otherwise.
+	owner ast.Node
+	typ   *ast.TypeSpec // the struct type, for ctxStructDoc and ctxFieldDoc
+}
+
+func (d *directive) pos() token.Position { return d.unit.Fset.Position(d.comment.Pos()) }
+
+// inContext reports whether the directive sits where it takes effect.
+func (d *directive) inContext() bool {
+	for _, ctx := range d.spec.contexts {
+		if ctx == ctxAnyLine || ctx == d.ctx {
+			return true
+		}
+	}
+	return false
+}
+
+// parseDirectives returns every //dimred: comment of the loaded units
+// in source order.
+func parseDirectives(units []*Unit) []directive {
+	var out []directive
 	for _, u := range units {
 		for _, f := range u.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Doc == nil {
-					continue
+			placed := map[*ast.Comment]directive{}
+			mark := func(cg *ast.CommentGroup, ctx directiveContext, owner ast.Node, typ *ast.TypeSpec) {
+				if cg == nil {
+					return
 				}
-				for _, c := range fd.Doc.List {
-					rest, ok := strings.CutPrefix(c.Text, ReplayDirective+" ")
-					if !ok || strings.TrimSpace(rest) == "" {
-						continue
-					}
-					if fn, ok := u.Info.Defs[fd.Name].(*types.Func); ok {
-						replay[fn.FullName()] = strings.TrimSpace(rest)
+				for _, c := range cg.List {
+					placed[c] = directive{ctx: ctx, owner: owner, typ: typ}
+				}
+			}
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					mark(d.Doc, ctxFuncDoc, d, nil)
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						ts, ok := s.(*ast.TypeSpec)
+						if !ok {
+							continue
+						}
+						st, isStruct := ts.Type.(*ast.StructType)
+						if !isStruct {
+							continue
+						}
+						mark(ts.Doc, ctxStructDoc, ts, ts)
+						if ts.Doc == nil && len(d.Specs) == 1 {
+							mark(d.Doc, ctxStructDoc, ts, ts)
+						}
+						for _, field := range st.Fields.List {
+							mark(field.Doc, ctxFieldDoc, field, ts)
+							mark(field.Comment, ctxFieldDoc, field, ts)
+						}
 					}
 				}
 			}
-		}
-	}
-	return replay
-}
-
-// detachedReasons maps source lines carrying a reasoned
-// //dimred:detached directive, per file, so gospawn can match them to
-// go statements on the same or the following line.
-func detachedReasons(u *Unit, f *ast.File) map[int]string {
-	out := map[int]string{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, DetachedDirective+" ")
-			if !ok || strings.TrimSpace(rest) == "" {
-				continue
-			}
-			out[u.Fset.Position(c.Pos()).Line] = strings.TrimSpace(rest)
-		}
-	}
-	return out
-}
-
-// collectImmutableTypes returns the //dimred:immutable-marked struct
-// types of the loaded units, keyed like owners (pkg.Type). The
-// directive must be a full line of the type's doc comment.
-func collectImmutableTypes(units []*Unit) map[string]bool {
-	immutable := map[string]bool{}
-	for _, u := range units {
-		for _, f := range u.Files {
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
-					continue
+			goLines := map[int]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					goLines[u.Fset.Position(g.Pos()).Line] = true
 				}
-				for _, s := range gd.Specs {
-					ts, ok := s.(*ast.TypeSpec)
+				return true
+			})
+
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					rest, ok := strings.CutPrefix(c.Text, directivePrefix)
 					if !ok {
 						continue
 					}
-					doc := ts.Doc
-					if doc == nil && len(gd.Specs) == 1 {
-						doc = gd.Doc
+					d := placed[c]
+					d.unit, d.comment, d.name = u, c, rest
+					if i := strings.IndexFunc(rest, unicode.IsSpace); i >= 0 {
+						d.name, d.args = rest[:i], strings.TrimSpace(rest[i:])
 					}
-					if docHasDirective(doc, ImmutableDirective) {
-						immutable[u.Pkg.Path()+"."+ts.Name.Name] = true
+					d.spec = directiveByName(d.name)
+					if d.owner == nil {
+						d.owner = cg
+						if line := d.pos().Line; goLines[line] || goLines[line+1] {
+							d.ctx = ctxGoStmt
+						}
 					}
+					out = append(out, d)
 				}
 			}
 		}
 	}
-	return immutable
+	return out
 }
 
 // sharedField is one //dimred:shared-annotated struct field.
@@ -180,59 +216,128 @@ type sharedField struct {
 	reason string // "" when the mandatory reason is missing
 }
 
-// collectSharedFields returns the //dimred:shared-annotated struct
-// fields of the loaded units, keyed pkg.Type.field. The directive sits
-// in the field's doc comment or trailing line comment.
-func collectSharedFields(units []*Unit) map[string]sharedField {
-	shared := map[string]sharedField{}
-	for _, u := range units {
-		for _, f := range u.Files {
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
-					continue
-				}
-				for _, s := range gd.Specs {
-					ts, ok := s.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					owner := u.Pkg.Path() + "." + ts.Name.Name
-					for _, field := range st.Fields.List {
-						reason, ok := sharedDirectiveOf(field)
-						if !ok {
-							continue
-						}
-						for _, name := range field.Names {
-							shared[owner+"."+name.Name] = sharedField{
-								unit: u, pos: name.Pos(), reason: reason,
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return shared
+// lineKey names one source line.
+type lineKey struct {
+	file string
+	line int
 }
 
-// sharedDirectiveOf extracts a //dimred:shared directive's reason from
-// a struct field's doc or line comment.
-func sharedDirectiveOf(field *ast.Field) (reason string, ok bool) {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
+// allowKey names one analyzer's findings on one source line.
+type allowKey struct {
+	file     string
+	line     int
+	analyzer string
+}
+
+// directiveTable is what the well-placed directives of a module
+// configure, keyed the way each consuming analyzer looks them up. A
+// misplaced or malformed directive lands in no table: it configures
+// nothing, and unknowndirective reports it.
+type directiveTable struct {
+	all       []directive
+	immutable map[string]bool        // pkg.Type
+	shared    map[string]sharedField // pkg.Type.field
+	aggregate map[*ast.FuncDecl]bool
+	replay    map[string]string  // types.Func.FullName → reason
+	detached  map[lineKey]string // the directive's own line → reason
+	// allowed holds the lines a reasoned //dimred:allow silences: its own
+	// and the one below, so it can sit at the end of the offending line or
+	// on its own line above it.
+	allowed map[allowKey]bool
+}
+
+func newDirectiveTable(units []*Unit) *directiveTable {
+	t := &directiveTable{
+		all:       parseDirectives(units),
+		immutable: map[string]bool{},
+		shared:    map[string]sharedField{},
+		aggregate: map[*ast.FuncDecl]bool{},
+		replay:    map[string]string{},
+		detached:  map[lineKey]string{},
+		allowed:   map[allowKey]bool{},
+	}
+	for i := range t.all {
+		d := &t.all[i]
+		if d.spec == nil || !d.inContext() {
 			continue
 		}
-		for _, c := range cg.List {
-			if c.Text != SharedDirective && !strings.HasPrefix(c.Text, SharedDirective+" ") {
-				continue
+		if !d.spec.wantsReason && d.args != "" {
+			continue // trailing text disables a no-argument directive
+		}
+		switch d.name {
+		case "allow":
+			if analyzer, reason := d.escape(); reason != "" {
+				p := d.pos()
+				t.allowed[allowKey{p.Filename, p.Line, analyzer}] = true
+				t.allowed[allowKey{p.Filename, p.Line + 1, analyzer}] = true
 			}
-			return strings.TrimSpace(strings.TrimPrefix(c.Text, SharedDirective)), true
+		case "immutable":
+			t.immutable[d.unit.Pkg.Path()+"."+d.typ.Name.Name] = true
+		case "aggregate":
+			t.aggregate[d.owner.(*ast.FuncDecl)] = true
+		case "replay":
+			if fn, ok := d.unit.Info.Defs[d.owner.(*ast.FuncDecl).Name].(*types.Func); ok && d.args != "" {
+				t.replay[fn.FullName()] = d.args
+			}
+		case "detached":
+			if d.args != "" {
+				p := d.pos()
+				t.detached[lineKey{p.Filename, p.Line}] = d.args
+			}
+		case "shared":
+			for _, name := range d.owner.(*ast.Field).Names {
+				key := d.unit.Pkg.Path() + "." + d.typ.Name.Name + "." + name.Name
+				if _, dup := t.shared[key]; !dup {
+					t.shared[key] = sharedField{unit: d.unit, pos: name.Pos(), reason: d.args}
+				}
+			}
 		}
 	}
-	return "", false
+	return t
+}
+
+// Allow is one reasoned escape hatch found in the source tree, for the
+// suppression audit (dimredlint -audit).
+type Allow struct {
+	Pos      token.Position
+	Analyzer string
+	Reason   string
+}
+
+// AuditEscapes returns every reasoned escape hatch in the loaded units,
+// sorted by position: //dimred:allow suppressions, plus the directives
+// the registry marks as waiving one analyzer's check (//dimred:detached
+// for gospawn's join proof, //dimred:replay for publishcheck's
+// post-publish writes), each attributed to the analyzer it silences.
+// Only allows suppress by line — the analyzers interpret the other two
+// themselves — but all are the same kind of reviewed decision, so the
+// suppression budget counts them together. A reason is mandatory: an
+// escape without one confers nothing and is not listed.
+func AuditEscapes(units []*Unit) []Allow {
+	var out []Allow
+	for _, d := range parseDirectives(units) {
+		if d.spec == nil {
+			continue
+		}
+		if analyzer, reason := d.escape(); analyzer != "" && reason != "" {
+			out = append(out, Allow{Pos: d.pos(), Analyzer: analyzer, Reason: reason})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i].Pos, out[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Line < b.Line
+	})
+	return out
+}
+
+// escape reads the directive as an escape hatch: the analyzer it
+// silences and the reason given ("" when it is not one).
+func (d *directive) escape() (analyzer, reason string) {
+	if fields := strings.Fields(d.args); d.spec.wantsAnalyzer && len(fields) > 0 {
+		return fields[0], strings.Join(fields[1:], " ")
+	}
+	return d.spec.escapes, d.args
 }

@@ -47,12 +47,11 @@ func TestDirectiveRegistry(t *testing.T) {
 	// The constants the consuming analyzers match with must round-trip
 	// through the registry, or the two views of "known" drift apart.
 	for directive, name := range map[string]string{
-		ImmutableDirective:             "immutable",
-		SharedDirective:                "shared",
-		AggregateDirective:             "aggregate",
-		DetachedDirective:              "detached",
-		ReplayDirective:                "replay",
-		strings.TrimSpace(allowPrefix): "allow",
+		ImmutableDirective: "immutable",
+		SharedDirective:    "shared",
+		AggregateDirective: "aggregate",
+		DetachedDirective:  "detached",
+		ReplayDirective:    "replay",
 	} {
 		if directive != directivePrefix+name {
 			t.Errorf("directive constant %q does not match registry name %q", directive, name)
@@ -64,11 +63,5 @@ func TestDirectiveRegistry(t *testing.T) {
 
 	if directiveByName("immutible") != nil {
 		t.Error("directiveByName accepted a misspelling")
-	}
-	if s := closestDirective("immutible"); s != "immutable" {
-		t.Errorf("closestDirective(immutible) = %q, want immutable", s)
-	}
-	if s := closestDirective("zzzzz"); s != "" {
-		t.Errorf("closestDirective(zzzzz) = %q, want no suggestion", s)
 	}
 }

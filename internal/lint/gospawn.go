@@ -40,20 +40,10 @@ func NewGoSpawn() *Analyzer {
 			"channel close or result receive) or a reasoned " + DetachedDirective + "; goroutines " +
 			"must not capture snapshot-derived references or guarded fields without their guard",
 	}
-	a.RunModule = func(units []*Unit) []Diagnostic {
-		immutable := collectImmutableTypes(units)
-		shared := collectSharedFields(units)
-		cg := moduleCallGraph(units)
-		var summaries map[string]*escapeSummary
-		if len(immutable) > 0 {
-			summaries = escapeSummariesFor(units, immutable, shared)
-		}
-		lf := collectLockFacts(units)
-
+	a.RunModule = func(m *Module) []Diagnostic {
 		var ds []Diagnostic
-		for _, key := range cg.keys {
-			c := &goSpawnCheck{node: cg.Nodes[key], immutable: immutable,
-				shared: shared, summaries: summaries, lf: lf}
+		for _, key := range m.graph.keys {
+			c := &goSpawnCheck{node: m.graph.Nodes[key], m: m}
 			ds = append(ds, c.check()...)
 		}
 		return ds
@@ -62,11 +52,8 @@ func NewGoSpawn() *Analyzer {
 }
 
 type goSpawnCheck struct {
-	node      *CGNode
-	immutable map[string]bool
-	shared    map[string]sharedField
-	summaries map[string]*escapeSummary
-	lf        *lockFacts
+	node *CGNode
+	m    *Module
 
 	fa    *snapAnalysis
 	diags []Diagnostic
@@ -90,13 +77,10 @@ func (c *goSpawnCheck) check() []Diagnostic {
 	if file == nil {
 		return nil
 	}
-	detached := detachedReasons(u, file)
 	parents := parentMap(file)
-	if c.summaries != nil {
-		c.fa = newSnapAnalysis(c.node, c.immutable, c.shared, c.summaries)
-		c.fa.seedParams()
-		for c.fa.propagate() {
-		}
+	c.fa = newSnapAnalysis(c.node, c.m.dirs.immutable, c.m.dirs.shared, c.m.immutSums)
+	c.fa.seedParams()
+	for c.fa.propagate() {
 	}
 
 	for _, g := range goStmts {
@@ -105,11 +89,8 @@ func (c *goSpawnCheck) check() []Diagnostic {
 		if lit != nil {
 			c.checkGuards(lit, parents)
 		}
-		line := u.Fset.Position(g.Pos()).Line
-		if _, ok := detached[line]; ok {
-			continue
-		}
-		if _, ok := detached[line-1]; ok {
+		at, detached := u.Fset.Position(g.Pos()), c.m.dirs.detached
+		if detached[lineKey{at.Filename, at.Line}] != "" || detached[lineKey{at.Filename, at.Line - 1}] != "" {
 			continue
 		}
 		if lit == nil || !c.joined(decl, g, lit) {
@@ -126,9 +107,6 @@ func (c *goSpawnCheck) check() []Diagnostic {
 // boundary: arguments and the bound receiver at the go call, and free
 // variables the literal captures.
 func (c *goSpawnCheck) checkHandoff(g *ast.GoStmt, lit *ast.FuncLit) {
-	if c.fa == nil {
-		return
-	}
 	u := c.node.Unit
 	handed := func(e ast.Expr) {
 		if o := c.fa.exprOrigins(e); o.immut {
@@ -175,29 +153,14 @@ func (c *goSpawnCheck) checkHandoff(g *ast.GoStmt, lit *ast.FuncLit) {
 // field to hold its guard inside the body.
 func (c *goSpawnCheck) checkGuards(lit *ast.FuncLit, parents map[ast.Node]ast.Node) {
 	u := c.node.Unit
-	la := &lockAnalysis{u: u, body: lit.Body, parents: parents, ownerMutexes: c.lf.ownerMutexes}
+	la := &lockAnalysis{u: u, body: lit.Body, parents: parents, ownerMutexes: c.m.locks.ownerMutexes}
 	la.run()
 	for _, acc := range la.accesses {
-		gs := c.lf.guards[acc.key]
-		if len(gs) == 0 || acc.exempt {
-			continue
-		}
-		need, verb := lockRead, "read"
-		if acc.write {
-			need, verb = lockWrite, "write"
-		}
-		held := false
-		for lock := range gs {
-			if acc.locks[lock] >= need {
-				held = true
-				break
-			}
-		}
-		if !held {
+		if gs := c.m.locks.guards[acc.key]; !acc.exempt && !acc.holdsOneOf(gs) {
 			c.diags = append(c.diags, u.Diag(acc.pos,
 				"%s of field %s inside a goroutine without holding %s, which guards it elsewhere "+
 					"in the module; locks held at the spawn site do not extend into the asynchronous body",
-				verb, acc.key, guardNames(gs, acc.owner)))
+				acc.verb(), acc.key, guardNames(gs, acc.owner)))
 		}
 	}
 }

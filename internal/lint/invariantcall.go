@@ -64,11 +64,7 @@ func NewInvariantCall(cfg InvariantConfig) *Analyzer {
 		Name: "invariantcall",
 		Doc:  "exported mutators of the spec action set must invoke the NonCrossing/Growing checkers and bump the spec generation",
 	}
-	a.RunModule = func(units []*Unit) []Diagnostic {
-		modulePkgs := map[string]bool{}
-		for _, u := range units {
-			modulePkgs[u.Path] = true
-		}
+	a.RunModule = func(m *Module) []Diagnostic {
 		checkerSet := map[string]bool{}
 		for _, c := range cfg.Checkers {
 			checkerSet[c] = true
@@ -78,43 +74,33 @@ func NewInvariantCall(cfg InvariantConfig) *Analyzer {
 		}
 
 		facts := map[string]*funcFacts{}
-		for _, u := range units {
-			for _, f := range u.Files {
-				for _, decl := range f.Decls {
-					fd, ok := decl.(*ast.FuncDecl)
-					if !ok || fd.Body == nil {
-						continue
-					}
-					fn, ok := u.Info.Defs[fd.Name].(*types.Func)
-					if !ok {
-						continue
-					}
-					ff := &funcFacts{checks: map[string]bool{}, pos: fd, unit: u}
-					ast.Inspect(fd.Body, func(n ast.Node) bool {
-						switch n := n.(type) {
-						case *ast.AssignStmt:
-							for _, lhs := range n.Lhs {
-								if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && isGuardedField(u.Info, sel, cfg) {
-									ff.writesField = true
-								}
-							}
-						case *ast.CallExpr:
-							callee := calleeFunc(u.Info, n)
-							if callee == nil || callee.Pkg() == nil {
-								return true
-							}
-							if checkerSet[callee.Name()] && pathMatches(callee.Pkg().Path(), []string{cfg.SpecPkg}) {
-								ff.checks[callee.Name()] = true
-							}
-							if modulePkgs[callee.Pkg().Path()] {
-								ff.calls = append(ff.calls, callee.FullName())
-							}
+		for _, key := range m.graph.keys {
+			node := m.graph.Nodes[key]
+			u, fd := node.Unit, node.Decl
+			ff := &funcFacts{checks: map[string]bool{}, pos: fd, unit: u}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && isGuardedField(u.Info, sel, cfg) {
+							ff.writesField = true
 						}
+					}
+				case *ast.CallExpr:
+					callee := calleeFunc(u.Info, n)
+					if callee == nil || callee.Pkg() == nil {
 						return true
-					})
-					facts[fn.FullName()] = ff
+					}
+					if checkerSet[callee.Name()] && pathMatches(callee.Pkg().Path(), []string{cfg.SpecPkg}) {
+						ff.checks[callee.Name()] = true
+					}
+					if m.pkgs[callee.Pkg().Path()] {
+						ff.calls = append(ff.calls, callee.FullName())
+					}
 				}
-			}
+				return true
+			})
+			facts[key] = ff
 		}
 
 		reaches := newReachability(facts)

@@ -49,6 +49,12 @@
 //     annotated //dimred:shared with a reason — a forgotten field
 //     aliases state across the left-right publish boundary.
 //
+// Three more reuse the same graph, summaries and lockset facts for the
+// concurrency protocol (lockorder: the lock-acquisition graph is
+// acyclic; gospawn: every goroutine joins and is handed no published
+// state; publishcheck: no write follows an atomic.Pointer publish), and
+// unknowndirective validates the //dimred: directives themselves.
+//
 // Findings can be suppressed in source with a comment on the offending
 // line or the line directly above it:
 //
@@ -61,11 +67,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 )
 
 // Diagnostic is one finding: a position, the analyzer that produced it
@@ -81,98 +84,77 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzer is one static-analysis pass. Exactly one of Run (invoked
-// once per package) or RunModule (invoked once with every loaded
-// package, for cross-package invariants) is set.
+// once per package) or RunModule (invoked once with the module-wide
+// facts, for cross-package invariants) is set.
 type Analyzer struct {
 	Name string
 	Doc  string
 	// Run analyzes a single package.
 	Run func(u *Unit) []Diagnostic
 	// RunModule analyzes the whole loaded package set at once.
-	RunModule func(us []*Unit) []Diagnostic
+	RunModule func(m *Module) []Diagnostic
 }
 
-// Run executes the analyzers over the loaded units, drops findings
-// suppressed by //dimred:allow comments, deduplicates identical
-// findings (the CFG splices deferred calls into a dedicated defers
-// block, so a sink inside a defer is visited twice), and returns the
-// rest sorted by position.
+// Module is the loaded package set plus the facts more than one
+// module-level analyzer reads, built once per Run: the call graph, the
+// directive tables, the lockset evidence, and the escape summaries for
+// the two marked sets in use.
+type Module struct {
+	Units []*Unit
+	pkgs  map[string]bool // import paths of the loaded units
+	graph *CallGraph
+	dirs  *directiveTable
+	locks *lockFacts
+	// writeSums are the escape summaries over the empty marked set: pure
+	// which-parameters-may-this-write facts. immutSums mark the
+	// //dimred:immutable types, which diverts writes into marked state
+	// away from writesParam and into findings.
+	writeSums, immutSums map[string]*escapeSummary
+}
+
+func newModule(units []*Unit) *Module {
+	m := &Module{Units: units, pkgs: modulePkgs(units), graph: BuildCallGraph(units), dirs: newDirectiveTable(units)}
+	m.locks = collectLockFacts(m)
+	m.writeSums = computeEscapeSummaries(m.graph, nil, m.dirs.shared)
+	m.immutSums = m.writeSums
+	if len(m.dirs.immutable) > 0 {
+		m.immutSums = computeEscapeSummaries(m.graph, m.dirs.immutable, m.dirs.shared)
+	}
+	return m
+}
+
+func modulePkgs(units []*Unit) map[string]bool {
+	pkgs := map[string]bool{}
+	for _, u := range units {
+		pkgs[u.Path] = true
+	}
+	return pkgs
+}
+
+// Run executes the analyzers over the loaded units one after another,
+// drops findings suppressed by //dimred:allow comments, deduplicates
+// identical findings (the CFG splices deferred calls into a dedicated
+// defers block, so a sink inside a defer is visited twice), and returns
+// the rest sorted by position.
 func Run(units []*Unit, analyzers []*Analyzer) []Diagnostic {
-	ds, _ := RunStats(units, analyzers)
-	return ds
-}
-
-// AnalyzerStat records one analyzer's contribution to a run: its wall
-// time and how many unique findings it produced, split into survivors
-// and //dimred:allow-suppressed.
-type AnalyzerStat struct {
-	Name       string
-	Elapsed    time.Duration
-	Findings   int // unique findings surviving suppression
-	Suppressed int // unique findings silenced by //dimred:allow
-}
-
-// RunStats is Run with per-analyzer statistics. The analyzers execute
-// concurrently on a worker pool bounded by GOMAXPROCS — safe because
-// units are read-only after Load and the shared interprocedural
-// substrates (call graph, escape summaries, lock facts) are memoized
-// behind mutexes — while results are collected per analyzer and folded
-// in declaration order, so the output is byte-identical to a serial
-// run.
-func RunStats(units []*Unit, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerStat) {
-	allows := collectAllows(units)
-	results := make([][]Diagnostic, len(analyzers))
-	stats := make([]AnalyzerStat, len(analyzers))
-
-	workers := min(len(analyzers), runtime.GOMAXPROCS(0))
-	if workers < 1 {
-		workers = 1
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				a := analyzers[i]
-				start := time.Now()
-				var ds []Diagnostic
-				if a.RunModule != nil {
-					ds = a.RunModule(units)
-				} else {
-					for _, u := range units {
-						ds = append(ds, a.Run(u)...)
-					}
-				}
-				for j := range ds {
-					ds[j].Analyzer = a.Name
-				}
-				results[i] = ds
-				stats[i] = AnalyzerStat{Name: a.Name, Elapsed: time.Since(start)}
-			}
-		}()
-	}
-	for i := range analyzers {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
+	m := newModule(units)
 	seen := map[Diagnostic]bool{}
 	var kept []Diagnostic
-	for i, ds := range results {
+	for _, a := range analyzers {
+		var ds []Diagnostic
+		if a.RunModule != nil {
+			ds = a.RunModule(m)
+		} else {
+			for _, u := range units {
+				ds = append(ds, a.Run(u)...)
+			}
+		}
 		for _, d := range ds {
-			if seen[d] {
-				continue
+			d.Analyzer = a.Name
+			if !seen[d] && !m.dirs.allowed[allowKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}] {
+				kept = append(kept, d)
 			}
 			seen[d] = true
-			if allows.covers(d) {
-				stats[i].Suppressed++
-				continue
-			}
-			stats[i].Findings++
-			kept = append(kept, d)
 		}
 	}
 	sort.Slice(kept, func(i, j int) bool {
@@ -188,132 +170,7 @@ func RunStats(units []*Unit, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerSta
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return kept, stats
-}
-
-// allowSet records, per file and line, which analyzers an in-source
-// //dimred:allow comment silences.
-type allowSet map[string]map[int]map[string]bool
-
-const allowPrefix = "//dimred:allow "
-
-// Allow is one //dimred:allow directive found in the source tree, for
-// the suppression audit (dimredlint -audit).
-type Allow struct {
-	Pos      token.Position
-	Analyzer string
-	Reason   string
-}
-
-// Audit returns every well-formed //dimred:allow directive in the
-// loaded units, sorted by position. It is the basis of the
-// suppression audit: each entry is a finding someone chose to silence,
-// with the mandatory reason on record.
-func Audit(units []*Unit) []Allow {
-	var out []Allow
-	for _, u := range units {
-		for _, f := range u.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					rest, ok := strings.CutPrefix(c.Text, allowPrefix)
-					if !ok {
-						continue
-					}
-					fields := strings.Fields(rest)
-					if len(fields) < 2 {
-						continue // a reason is mandatory
-					}
-					out = append(out, Allow{
-						Pos:      u.Fset.Position(c.Pos()),
-						Analyzer: fields[0],
-						Reason:   strings.Join(fields[1:], " "),
-					})
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		return a.Pos.Line < b.Pos.Line
-	})
-	return out
-}
-
-// AuditEscapes widens the audit to every reasoned escape hatch in the
-// tree: //dimred:allow suppressions plus the analyzer-specific
-// //dimred:detached (gospawn waives its join proof) and //dimred:replay
-// (publishcheck waives post-publish writes) directives, each attributed
-// to the analyzer it silences. Unlike plain allows these directives
-// never suppress by line — the analyzers interpret them themselves —
-// but they are the same kind of reviewed decision, so the suppression
-// budget counts them.
-func AuditEscapes(units []*Unit) []Allow {
-	out := Audit(units)
-	escapes := []struct{ directive, analyzer string }{
-		{DetachedDirective, "gospawn"},
-		{ReplayDirective, "publishcheck"},
-	}
-	for _, u := range units {
-		for _, f := range u.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					for _, e := range escapes {
-						rest, ok := strings.CutPrefix(c.Text, e.directive)
-						if !ok || rest == "" || strings.TrimSpace(rest) == "" {
-							continue
-						}
-						if rest[0] != ' ' && rest[0] != '\t' {
-							continue // a longer directive name, not this one
-						}
-						out = append(out, Allow{
-							Pos:      u.Fset.Position(c.Pos()),
-							Analyzer: e.analyzer,
-							Reason:   strings.TrimSpace(rest),
-						})
-					}
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		return a.Pos.Line < b.Pos.Line
-	})
-	return out
-}
-
-// collectAllows reduces the audit view to the per-line suppression
-// lookup Run uses. A directive silences findings on its own line and
-// on the line below (so it can sit either at the end of the offending
-// line or on its own line above it).
-func collectAllows(units []*Unit) allowSet {
-	set := allowSet{}
-	for _, al := range Audit(units) {
-		byLine := set[al.Pos.Filename]
-		if byLine == nil {
-			byLine = map[int]map[string]bool{}
-			set[al.Pos.Filename] = byLine
-		}
-		if byLine[al.Pos.Line] == nil {
-			byLine[al.Pos.Line] = map[string]bool{}
-		}
-		byLine[al.Pos.Line][al.Analyzer] = true
-	}
-	return set
-}
-
-func (s allowSet) covers(d Diagnostic) bool {
-	byLine := s[d.Pos.Filename]
-	if byLine == nil {
-		return false
-	}
-	return byLine[d.Pos.Line][d.Analyzer] || byLine[d.Pos.Line-1][d.Analyzer]
+	return kept
 }
 
 // pathMatches reports whether a package import path is, or ends with,

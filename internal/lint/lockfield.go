@@ -6,7 +6,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // ImmutableDirective marks a struct type whose instances are published
@@ -16,7 +15,7 @@ import (
 // object is not provably a fresh, unshared allocation — mutating a
 // published instance would race with readers that pinned it without
 // taking any lock.
-const ImmutableDirective = "//dimred:immutable"
+const ImmutableDirective = directivePrefix + "immutable"
 
 // NewLockField builds the lockfield analyzer: mutex-discipline
 // checking for the engine's shared state, closing the gap atomicfield
@@ -57,9 +56,8 @@ func NewLockField() *Analyzer {
 		Doc: "a struct field written under a sync.Mutex/RWMutex Lock must be accessed " +
 			"under that lock everywhere (reads may hold RLock)",
 	}
-	a.RunModule = func(units []*Unit) []Diagnostic {
-		immutable := collectImmutableTypes(units)
-		lf := collectLockFacts(units)
+	a.RunModule = func(m *Module) []Diagnostic {
+		immutable, lf := m.dirs.immutable, m.locks
 		accesses, guards := lf.accesses, lf.guards
 
 		// Every non-exempt access to a guarded field must
@@ -75,27 +73,10 @@ func NewLockField() *Analyzer {
 			}
 		}
 		for _, a := range accesses {
-			gs := guards[a.key]
-			if len(gs) == 0 || a.exempt {
-				continue
-			}
-			need := lockRead
-			verb := "read"
-			if a.write {
-				need = lockWrite
-				verb = "write"
-			}
-			ok := false
-			for lock := range gs {
-				if a.locks[lock] >= need {
-					ok = true
-					break
-				}
-			}
-			if !ok {
+			if gs := guards[a.key]; !a.exempt && !a.holdsOneOf(gs) {
 				ds = append(ds, a.unit.Diag(a.pos,
 					"%s of field %s without holding %s, which guards it elsewhere in the module",
-					verb, a.key, guardNames(gs, a.owner)))
+					a.verb(), a.key, guardNames(gs, a.owner)))
 			}
 		}
 		for _, c := range lf.lockedCalls {
@@ -163,8 +144,7 @@ func lockSetEqual(a, b lockSet) bool {
 // lockFacts is the module-wide lockset evidence three analyzers share:
 // lockfield consumes the field accesses and inferred guards, lockorder
 // the acquisition and held-call events, gospawn the guards (a goroutine
-// body must hold a guarded field's guard itself). Computed once per
-// module; the cache mirrors cgCache.
+// body must hold a guarded field's guard itself).
 type lockFacts struct {
 	ownerMutexes map[string][]string
 	accesses     []lockAccess
@@ -174,29 +154,11 @@ type lockFacts struct {
 	guards       map[string]map[string]bool
 }
 
-var lockFactsCache struct {
-	mu    sync.Mutex
-	key   *Unit
-	facts *lockFacts
-}
-
 // collectLockFacts runs the per-function lockset dataflow over every
-// declaration in the module and memoizes the result.
-func collectLockFacts(units []*Unit) *lockFacts {
-	if len(units) == 0 {
-		return &lockFacts{guards: map[string]map[string]bool{}}
-	}
-	lockFactsCache.mu.Lock()
-	defer lockFactsCache.mu.Unlock()
-	if lockFactsCache.key == units[0] {
-		return lockFactsCache.facts
-	}
-	modulePkgs := map[string]bool{}
-	for _, u := range units {
-		modulePkgs[u.Path] = true
-	}
-	lf := &lockFacts{ownerMutexes: collectOwnerMutexes(units)}
-	for _, u := range units {
+// declaration in the module.
+func collectLockFacts(m *Module) *lockFacts {
+	lf := &lockFacts{ownerMutexes: collectOwnerMutexes(m.Units)}
+	for _, u := range m.Units {
 		for _, f := range u.Files {
 			parents := parentMap(f)
 			for _, decl := range f.Decls {
@@ -205,7 +167,7 @@ func collectLockFacts(units []*Unit) *lockFacts {
 					continue
 				}
 				la := &lockAnalysis{u: u, fd: fd, body: fd.Body, parents: parents,
-					ownerMutexes: lf.ownerMutexes, modulePkgs: modulePkgs}
+					ownerMutexes: lf.ownerMutexes, modulePkgs: m.pkgs}
 				la.run()
 				lf.accesses = append(lf.accesses, la.accesses...)
 				lf.lockedCalls = append(lf.lockedCalls, la.lockedCalls...)
@@ -215,7 +177,6 @@ func collectLockFacts(units []*Unit) *lockFacts {
 		}
 	}
 	lf.guards = inferGuards(lf.accesses)
-	lockFactsCache.key, lockFactsCache.facts = units[0], lf
 	return lf
 }
 
@@ -275,6 +236,29 @@ type lockAccess struct {
 	write  bool
 	exempt bool // base object freshly allocated in this function
 	locks  lockSet
+}
+
+func (a lockAccess) verb() string {
+	if a.write {
+		return "write"
+	}
+	return "read"
+}
+
+// holdsOneOf reports whether the access holds one of the guards at the
+// strength it needs (write strength for writes, at least read strength
+// for reads). An unguarded field needs nothing.
+func (a lockAccess) holdsOneOf(guards map[string]bool) bool {
+	need := lockRead
+	if a.write {
+		need = lockWrite
+	}
+	for lock := range guards {
+		if a.locks[lock] >= need {
+			return true
+		}
+	}
+	return len(guards) == 0
 }
 
 // lockedCall is a call to a *Locked-suffixed method.
@@ -702,18 +686,4 @@ func shortOwner(owner string) string {
 		return owner[i+1:]
 	}
 	return owner
-}
-
-// docHasDirective reports whether a doc comment contains the directive
-// as a full comment line.
-func docHasDirective(doc *ast.CommentGroup, directive string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.TrimSpace(c.Text) == directive {
-			return true
-		}
-	}
-	return false
 }

@@ -39,12 +39,12 @@ func NewLockOrder() *Analyzer {
 		Doc: "the may-hold-while-acquiring relation over mutex fields must stay acyclic; " +
 			"a cycle is a deadlock concurrent goroutines can reach",
 	}
-	a.RunModule = func(units []*Unit) []Diagnostic {
-		lf := collectLockFacts(units)
+	a.RunModule = func(m *Module) []Diagnostic {
+		lf := m.locks
 		if len(lf.acquires) == 0 && len(lf.heldCalls) == 0 {
 			return nil
 		}
-		may := mayAcquireSets(moduleCallGraph(units))
+		may := mayAcquireSets(m.graph)
 
 		// The acquisition graph, with the earliest witness per edge.
 		type edgeInfo struct {
@@ -151,71 +151,31 @@ func mayAcquireSets(cg *CallGraph) map[string]map[string]bool {
 	return may
 }
 
-// lockSCCs runs Tarjan over the acquisition graph, returning each
-// strongly connected component sorted internally, components ordered by
-// their smallest lock key.
+// lockSCCs returns the acquisition graph's strongly connected
+// components, each sorted internally, ordered by their smallest lock
+// key (components are disjoint, so the visiting order cannot show).
 func lockSCCs[E any](edges map[string]map[string]*E) [][]string {
-	nodeSet := map[string]bool{}
-	succ := map[string][]string{}
-	for from, tos := range edges {
-		nodeSet[from] = true
-		for to := range tos {
-			nodeSet[to] = true
-			succ[from] = append(succ[from], to)
-		}
-	}
+	seen := map[string]bool{}
 	var nodes []string
-	for n := range nodeSet {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, ss := range succ {
-		sort.Strings(ss)
-	}
-
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var sccs [][]string
-	next := 0
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range succ[v] {
-			if _, visited := index[w]; !visited {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			sort.Strings(scc)
-			sccs = append(sccs, scc)
+	add := func(k string) {
+		if !seen[k] {
+			seen[k] = true
+			nodes = append(nodes, k)
 		}
 	}
-	for _, n := range nodes {
-		if _, visited := index[n]; !visited {
-			strongconnect(n)
+	for from, tos := range edges {
+		add(from)
+		for to := range tos {
+			add(to)
 		}
 	}
+	sccs := tarjanSCCs(nodes, func(v string) []string {
+		var succ []string
+		for to := range edges[v] {
+			succ = append(succ, to)
+		}
+		return succ
+	})
 	sort.Slice(sccs, func(i, j int) bool { return sccs[i][0] < sccs[j][0] })
 	return sccs
 }

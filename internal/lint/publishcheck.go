@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -19,17 +18,20 @@ import (
 // annotated //dimred:replay with a reason (the sanctioned
 // replay-into-standby path of the left-right protocol).
 //
-// Two complementary views decide what "published state" means at a
-// write site. The value handed to the publish call is tracked by
-// variable identity, closed over the declaration's bindings — this
-// catches the freshly built value a publisher must stop touching the
-// moment it stores it. And any value derived from a type that is
-// published anywhere in the module (the atomic.Pointer element types)
-// is tracked by the same origin analysis snapalias uses — this catches
-// the retired snapshot a commit path keeps writing after the swap, the
-// exact pattern the replay annotation exists for. Derivation stops at
-// //dimred:shared fields, whose objects are reviewed as safe to mutate
-// while shared.
+// "Published state" at a write site is decided by the origin analysis
+// snapalias uses, with two sources of the published mark. Any value
+// derived from a type that is published anywhere in the module (the
+// atomic.Pointer element types) carries it — this catches the retired
+// snapshot a commit path keeps writing after the swap, the exact
+// pattern the replay annotation exists for. And the variable each
+// publish argument of the declaration is rooted at is seeded with it
+// before propagation, so every binding that aliases the value handed to
+// the publish call carries it too — this catches the freshly built
+// value a publisher must stop touching the moment it stores it.
+// Derivation stops at //dimred:shared fields, whose objects are
+// reviewed as safe to mutate while shared, and values of reference-free
+// types carry no origin, so the published address of a local struct of
+// scalars is not followed.
 //
 // Flow sensitivity comes from the CFG: a may-published fact is solved
 // forward (OR at merges), a publish takes effect strictly after its own
@@ -45,8 +47,8 @@ func NewPublishCheck() *Analyzer {
 		Doc: "after a value is stored into an atomic.Pointer, no path may write into it except " +
 			"functions annotated " + ReplayDirective + "; readers hold published values lock-free",
 	}
-	a.RunModule = func(units []*Unit) []Diagnostic {
-		cg := moduleCallGraph(units)
+	a.RunModule = func(m *Module) []Diagnostic {
+		cg := m.graph
 
 		// Which types get published, and which functions publish
 		// directly.
@@ -87,24 +89,18 @@ func NewPublishCheck() *Analyzer {
 			}
 		}
 
-		shared := collectSharedFields(units)
-		// Summaries over an empty marked set: pure which-parameters-may-
-		// this-write facts, with no type-derived offense short-circuit
-		// (a marked set diverts marked writes away from writesParam).
-		summaries := escapeSummariesFor(units, nil, shared)
-		replay := collectReplayFuncs(units)
-
 		var ds []Diagnostic
 		for _, key := range cg.keys {
 			if !mayPublish[key] {
 				continue
 			}
-			if replay[key] != "" {
+			if m.dirs.replay[key] != "" {
 				continue // reasoned replay path: exempt end to end
 			}
-			c := &publishCheck{node: cg.Nodes[key], shared: shared,
-				summaries: summaries, replay: replay,
-				publishedTypes: publishedTypes, mayPublish: mayPublish}
+			c := &publishCheck{node: cg.Nodes[key], m: m, mayPublish: mayPublish}
+			// The summaries are over the empty marked set: a marked set
+			// would divert marked writes away from writesParam.
+			c.fa = newSnapAnalysis(c.node, publishedTypes, m.dirs.shared, m.writeSums)
 			ds = append(ds, c.check()...)
 		}
 		return ds
@@ -113,95 +109,41 @@ func NewPublishCheck() *Analyzer {
 }
 
 type publishCheck struct {
-	node           *CGNode
-	shared         map[string]sharedField
-	summaries      map[string]*escapeSummary
-	replay         map[string]string
-	publishedTypes map[string]bool
-	mayPublish     map[string]bool
+	node       *CGNode
+	m          *Module
+	mayPublish map[string]bool
 
-	fa      *snapAnalysis
-	aliased map[*types.Var]bool
-	diags   []Diagnostic
+	fa    *snapAnalysis
+	diags []Diagnostic
 }
 
 func (c *publishCheck) check() []Diagnostic {
 	decl := c.node.Decl
 
-	// Origin view: values derived from a published type, via the same
-	// machinery snapalias uses, with the published types as the marked
-	// set.
-	c.fa = newSnapAnalysis(c.node, c.publishedTypes, c.shared, c.summaries)
+	// Origins: parameters and published types as snapalias seeds them,
+	// plus the root variable of each value this declaration publishes.
 	c.fa.seedParams()
-	for c.fa.propagate() {
-	}
-
-	// Identity view: the declaration's own publish arguments, closed
-	// over its bindings.
-	roots := map[*types.Var]bool{}
-	typeName := ""
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if val, tn, _, ok := atomicPublish(c.node.Unit.Info, call); ok {
-			typeName = tn
-			if v := c.rootVar(val); v != nil {
-				roots[v] = true
+		if call, ok := n.(*ast.CallExpr); ok {
+			if val, tn, _, ok := atomicPublish(c.node.Unit.Info, call); ok {
+				c.fa.seedRoot(val, origin{immut: true, immutType: tn})
 			}
 		}
 		return true
 	})
-	c.propagateAliases(roots)
+	for c.fa.propagate() {
+	}
 
 	// Each body (the declaration's and every literal's) is its own CFG;
 	// check the ones that can complete a publish.
-	c.checkBody(decl.Body, typeName)
+	c.checkBody(decl.Body)
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
-			c.checkBody(lit.Body, typeName)
+			c.checkBody(lit.Body)
 		}
 		return true
 	})
 	return c.diags
-}
-
-// propagateAliases closes the published roots over the declaration's
-// simple bindings: a variable bound from an expression rooted at a
-// published value aliases it.
-func (c *publishCheck) propagateAliases(roots map[*types.Var]bool) {
-	c.aliased = roots
-	for changed := true; changed; {
-		changed = false
-		bind := func(lhs ast.Expr, rhs ast.Expr) {
-			v := c.identVar(lhs)
-			if v == nil || c.aliased[v] {
-				return
-			}
-			if r := c.rootVar(rhs); r != nil && c.aliased[r] {
-				c.aliased[v] = true
-				changed = true
-			}
-		}
-		ast.Inspect(c.node.Decl.Body, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.AssignStmt:
-				if len(st.Lhs) == len(st.Rhs) {
-					for i, lhs := range st.Lhs {
-						bind(lhs, st.Rhs[i])
-					}
-				}
-			case *ast.ValueSpec:
-				if len(st.Names) == len(st.Values) {
-					for i, name := range st.Names {
-						bind(name, st.Values[i])
-					}
-				}
-			}
-			return true
-		})
-	}
 }
 
 // nodePublishes reports whether executing one CFG node can complete a
@@ -230,7 +172,7 @@ func (c *publishCheck) nodePublishes(n ast.Node) bool {
 // becomes effective strictly after its statement; deferred calls are
 // interpreted in the defers block, where every completed publish on
 // the path is visible.
-func (c *publishCheck) checkBody(body *ast.BlockStmt, typeName string) {
+func (c *publishCheck) checkBody(body *ast.BlockStmt) {
 	g := BuildCFG(body)
 	in := Solve(g, Problem[bool]{
 		Dir:   Forward,
@@ -256,12 +198,12 @@ func (c *publishCheck) checkBody(body *ast.BlockStmt, typeName string) {
 		for _, n := range b.Nodes {
 			if ds, isDefer := n.(*ast.DeferStmt); isDefer {
 				if b.Kind == "defers" && f {
-					c.scanWrites(ds.Call, typeName)
+					c.scanWrites(ds.Call)
 				}
 				continue // inline defers run at exit, in the defers block
 			}
 			if f {
-				c.scanWrites(n, typeName)
+				c.scanWrites(n)
 			}
 			if c.nodePublishes(n) {
 				f = true
@@ -270,142 +212,26 @@ func (c *publishCheck) checkBody(body *ast.BlockStmt, typeName string) {
 	}
 }
 
-// published decides whether an expression reaches published state —
-// by identity (an alias of a value this declaration publishes) or by
-// origin (derived from a type the module publishes) — and returns the
-// type name to report.
-func (c *publishCheck) published(e ast.Expr, typeName string) (string, bool) {
-	if o := c.fa.exprOrigins(e); o.immut {
-		return o.immutType, true
-	}
-	if v := c.rootVar(e); v != nil && c.aliased[v] {
-		return typeName, true
-	}
-	return "", false
-}
-
-// scanWrites reports writes into published state within one CFG node:
-// direct stores through selector/index/deref, inc/dec, mutating
-// builtins, and calls whose escape summary writes a published argument
-// (unless the callee is the annotated replay path).
-func (c *publishCheck) scanWrites(n ast.Node, typeName string) {
-	u := c.node.Unit
-	checkTarget := func(pos token.Pos, e ast.Expr) {
-		if tn, hit := c.published(e, typeName); hit {
-			c.diags = append(c.diags, u.Diag(pos,
-				"write into a %s value after its atomic.Pointer publish; lock-free readers may "+
-					"already hold it, and only %s functions may replay into published state",
-				tn, ReplayDirective))
+// scanWrites reports the writes into published state within one CFG
+// node. A call into the annotated replay path is sanctioned.
+func (c *publishCheck) scanWrites(n ast.Node) {
+	forEachWrite(c.node.Unit.Info, n, c.m.writeSums, inspectNoFuncLit, func(w writeSite) {
+		o := c.fa.exprOrigins(w.target)
+		if !o.immut || (w.callee != nil && c.m.dirs.replay[w.callee.FullName()] != "") {
+			return
 		}
-	}
-	inspectNoFuncLit(n, func(m ast.Node) bool {
-		switch x := m.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				switch t := ast.Unparen(lhs).(type) {
-				case *ast.SelectorExpr:
-					if sel := u.Info.Selections[t]; sel != nil && sel.Kind() == types.FieldVal {
-						checkTarget(t.Pos(), t.X)
-					}
-				case *ast.IndexExpr:
-					checkTarget(t.Pos(), t.X)
-				case *ast.StarExpr:
-					checkTarget(t.Pos(), t.X)
-				}
-			}
-		case *ast.IncDecStmt:
-			switch t := ast.Unparen(x.X).(type) {
-			case *ast.SelectorExpr:
-				checkTarget(t.Pos(), t.X)
-			case *ast.IndexExpr:
-				checkTarget(t.Pos(), t.X)
-			case *ast.StarExpr:
-				checkTarget(t.Pos(), t.X)
-			}
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-				if b, ok := u.Info.Uses[id].(*types.Builtin); ok {
-					switch b.Name() {
-					case "append", "copy", "delete", "clear":
-						if len(x.Args) > 0 {
-							checkTarget(x.Pos(), x.Args[0])
-						}
-					}
-					return true
-				}
-			}
-			fn := calleeFunc(u.Info, x)
-			if fn == nil {
-				return true
-			}
-			s := c.summaries[fn.FullName()]
-			if s == nil || s.writesParam == 0 || c.replay[fn.FullName()] != "" {
-				return true
-			}
-			for bit := 0; bit < 64 && s.writesParam>>bit != 0; bit++ {
-				if s.writesParam&(1<<bit) == 0 {
-					continue
-				}
-				for _, arg := range callBitExprs(x, fn, bit) {
-					if tn, hit := c.published(arg, typeName); hit {
-						c.diags = append(c.diags, u.Diag(x.Pos(),
-							"call to %s mutates a %s value after its atomic.Pointer publish; "+
-								"annotate the callee '%s <reason>' if it is the sanctioned replay path",
-							fn.Name(), tn, ReplayDirective))
-					}
-				}
-			}
+		if w.kind == writeCall {
+			c.diags = append(c.diags, c.node.Unit.Diag(w.pos,
+				"call to %s mutates a %s value after its atomic.Pointer publish; "+
+					"annotate the callee '%s <reason>' if it is the sanctioned replay path",
+				w.op, o.immutType, ReplayDirective))
+			return
 		}
-		return true
+		c.diags = append(c.diags, c.node.Unit.Diag(w.pos,
+			"write into a %s value after its atomic.Pointer publish; lock-free readers may "+
+				"already hold it, and only %s functions may replay into published state",
+			o.immutType, ReplayDirective))
 	})
-}
-
-// rootVar chases an expression to the variable its referent is reached
-// through (nil when untracked). Derivation stops at //dimred:shared
-// fields: their objects are reviewed as safe to mutate while shared.
-func (c *publishCheck) rootVar(e ast.Expr) *types.Var {
-	info := c.node.Unit.Info
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return c.identVar(x)
-	case *ast.SelectorExpr:
-		if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
-			if _, key, ok := fieldOwnerKey(info, x); ok {
-				if _, isShared := c.shared[key]; isShared {
-					return nil
-				}
-			}
-			return c.rootVar(x.X)
-		}
-	case *ast.StarExpr:
-		return c.rootVar(x.X)
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			return c.rootVar(x.X)
-		}
-	case *ast.IndexExpr:
-		return c.rootVar(x.X)
-	case *ast.SliceExpr:
-		return c.rootVar(x.X)
-	case *ast.TypeAssertExpr:
-		return c.rootVar(x.X)
-	}
-	return nil
-}
-
-func (c *publishCheck) identVar(e ast.Expr) *types.Var {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	info := c.node.Unit.Info
-	if v, ok := info.Uses[id].(*types.Var); ok {
-		return v
-	}
-	if v, ok := info.Defs[id].(*types.Var); ok {
-		return v
-	}
-	return nil
 }
 
 // atomicPublish classifies a call as an atomic.Pointer publish and

@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // AggregateDirective marks a function as a distributive default
@@ -28,7 +27,7 @@ import (
 // and referenced method/function values, so a sort.Slice comparator or
 // a stored callback no longer hides an impurity. Dynamic dispatch
 // through interfaces remains invisible, matching invariantcall.
-const AggregateDirective = "//dimred:aggregate"
+const AggregateDirective = directivePrefix + "aggregate"
 
 // purityFacts is what the purity analyzer records per function.
 type purityFacts struct {
@@ -51,14 +50,15 @@ func NewPurity() *Analyzer {
 		Doc: "functions marked " + AggregateDirective + " (distributive aggregates, Def. 6) must not " +
 			"write package state, read the clock, or range over maps — transitively",
 	}
-	a.RunModule = func(units []*Unit) []Diagnostic {
-		cg := moduleCallGraph(units)
+	a.RunModule = func(m *Module) []Diagnostic {
+		cg := m.graph
 
 		facts := map[string]*purityFacts{}
 		var roots []string
 		for _, key := range cg.keys {
 			node := cg.Nodes[key]
 			pf := collectPurityFacts(node.Unit, node.Decl)
+			pf.marked = m.dirs.aggregate[node.Decl]
 			facts[key] = pf
 			if pf.marked {
 				roots = append(roots, key)
@@ -111,20 +111,6 @@ func NewPurity() *Analyzer {
 	return a
 }
 
-// hasDirective reports whether a function declaration's doc comment
-// carries the given marker directive.
-func hasDirective(fd *ast.FuncDecl, directive string) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if c.Text == directive || strings.HasPrefix(c.Text, directive+" ") {
-			return true
-		}
-	}
-	return false
-}
-
 // collectPurityFacts gathers one function's purity offenses. Function
 // literals are scanned as part of their enclosing declaration — the
 // call graph attributes a closure's calls to the function that builds
@@ -132,7 +118,7 @@ func hasDirective(fd *ast.FuncDecl, directive string) bool {
 // check (*p = x against reaching definitions) stays limited to the
 // declaration's own body: the CFG does not model closure control flow.
 func collectPurityFacts(u *Unit, fd *ast.FuncDecl) *purityFacts {
-	pf := &purityFacts{unit: u, decl: fd, marked: hasDirective(fd, AggregateDirective)}
+	pf := &purityFacts{unit: u, decl: fd}
 
 	// Reaching definitions are built on demand, only when the body
 	// contains a write through a pointer dereference.

@@ -1,13 +1,9 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
-	"strings"
-	"sync"
 )
 
 // snapalias is the interprocedural escape analysis behind the epoch-
@@ -84,19 +80,14 @@ func NewSnapAlias() *Analyzer {
 		Doc: "references derived from " + ImmutableDirective + " values (returns, parameters, " +
 			"closures) must never reach a write; published snapshots are read by lock-free pinned readers",
 	}
-	a.RunModule = func(units []*Unit) []Diagnostic {
-		immutable := collectImmutableTypes(units)
-		if len(immutable) == 0 {
+	a.RunModule = func(m *Module) []Diagnostic {
+		if len(m.dirs.immutable) == 0 {
 			return nil
 		}
-		shared := collectSharedFields(units)
-		cg := moduleCallGraph(units)
-		summaries := escapeSummariesFor(units, immutable, shared)
-
 		// Reporting pass with the final summaries.
 		var ds []Diagnostic
-		for _, key := range cg.keys {
-			fa := newSnapAnalysis(cg.Nodes[key], immutable, shared, summaries)
+		for _, key := range m.graph.keys {
+			fa := newSnapAnalysis(m.graph.Nodes[key], m.dirs.immutable, m.dirs.shared, m.immutSums)
 			fa.report = true
 			fa.run()
 			ds = append(ds, fa.diags...)
@@ -108,9 +99,9 @@ func NewSnapAlias() *Analyzer {
 
 // computeEscapeSummaries runs the bottom-up summary fixpoint: callee
 // SCCs first, each SCC iterated until its summaries stop growing. The
-// marked set decides what "derives from published state" means —
-// snapalias marks the //dimred:immutable types, publishcheck the types
-// stored into an atomic.Pointer.
+// marked set decides what "derives from published state" means: the
+// //dimred:immutable types for snapalias and gospawn, nothing for the
+// pure writes-parameter facts publishcheck reads.
 func computeEscapeSummaries(cg *CallGraph, marked map[string]bool, shared map[string]sharedField) map[string]*escapeSummary {
 	summaries := map[string]*escapeSummary{}
 	for _, scc := range cg.SCCs() {
@@ -129,45 +120,6 @@ func computeEscapeSummaries(cg *CallGraph, marked map[string]bool, shared map[st
 	return summaries
 }
 
-// escapeSummariesFor memoizes computeEscapeSummaries per (module,
-// marked set): snapalias and gospawn share the //dimred:immutable set,
-// so the fixpoint runs once for both even when the analyzers run
-// concurrently.
-var sumCache struct {
-	mu       sync.Mutex
-	key      *Unit
-	byMarked map[string]map[string]*escapeSummary
-}
-
-func escapeSummariesFor(units []*Unit, marked map[string]bool, shared map[string]sharedField) map[string]*escapeSummary {
-	if len(units) == 0 {
-		return map[string]*escapeSummary{}
-	}
-	cg := moduleCallGraph(units)
-	mk := markedKey(marked)
-	sumCache.mu.Lock()
-	defer sumCache.mu.Unlock()
-	if sumCache.key != units[0] {
-		sumCache.key = units[0]
-		sumCache.byMarked = map[string]map[string]*escapeSummary{}
-	}
-	if s, ok := sumCache.byMarked[mk]; ok {
-		return s
-	}
-	s := computeEscapeSummaries(cg, marked, shared)
-	sumCache.byMarked[mk] = s
-	return s
-}
-
-func markedKey(marked map[string]bool) string {
-	keys := make([]string, 0, len(marked))
-	for k := range marked {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ",")
-}
-
 // snapAnalysis analyzes one function declaration.
 type snapAnalysis struct {
 	u         *Unit
@@ -176,10 +128,6 @@ type snapAnalysis struct {
 	shared    map[string]sharedField
 	summaries map[string]*escapeSummary
 	report    bool
-	// onWrite, when set, observes every marked-derived write instead of
-	// emitting the default snapalias diagnostic (publishcheck renders
-	// its own messages and applies its own flow-sensitivity).
-	onWrite func(pos token.Pos, o origin, kind writeKind, opName string)
 
 	state map[*types.Var]origin
 	sum   escapeSummary
@@ -201,7 +149,7 @@ func (fa *snapAnalysis) run() escapeSummary {
 	fa.seedParams()
 	for fa.propagate() {
 	}
-	fa.scanWrites()
+	forEachWrite(fa.u.Info, fa.decl.Body, fa.summaries, ast.Inspect, fa.recordWrite)
 	fa.scanReturns()
 	return fa.sum
 }
@@ -233,6 +181,44 @@ func (fa *snapAnalysis) seedParams() {
 	}
 	seedList(fa.decl.Recv)
 	seedList(fa.decl.Type.Params)
+}
+
+// seedRoot merges o into the variable e's referent is reached through:
+// the identifier at the bottom of its selector, index, slice,
+// dereference, address-of and type-assertion chain, if there is one.
+// Like derivation, the chase stops at a //dimred:shared field.
+func (fa *snapAnalysis) seedRoot(e ast.Expr, o origin) {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if _, key, ok := fieldOwnerKey(fa.u.Info, x); ok {
+				if _, isShared := fa.shared[key]; isShared {
+					return
+				}
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			if x.Op != token.AND {
+				return
+			}
+			e = x.X
+		case *ast.TypeAssertExpr:
+			e = x.X
+		case *ast.Ident:
+			if v := fa.varOf(x); v != nil {
+				fa.state[v] = fa.state[v].or(o)
+			}
+			return
+		default:
+			return
+		}
+	}
 }
 
 // propagate applies every assignment-like binding in the body once
@@ -295,108 +281,9 @@ func (fa *snapAnalysis) propagate() bool {
 	return changed
 }
 
-// scanWrites finds every write in the body (function literals included)
-// and classifies it: an offense when the written value derives from a
-// marked type, a writes-parameter summary bit when it derives from a
-// parameter.
-func (fa *snapAnalysis) scanWrites() {
-	// Selector identifiers consumed as call targets are calls, not
-	// method values.
-	calledSels := map[*ast.Ident]bool{}
-	ast.Inspect(fa.decl.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				calledSels[sel.Sel] = true
-			}
-		}
-		return true
-	})
-
-	ast.Inspect(fa.decl.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				fa.checkLValue(lhs)
-			}
-		case *ast.IncDecStmt:
-			fa.checkLValue(x.X)
-		case *ast.CallExpr:
-			fa.checkCall(x)
-		case *ast.SelectorExpr:
-			// A method value binds its receiver; if the method writes
-			// through it, the binding is as good as the write.
-			if calledSels[x.Sel] {
-				return true
-			}
-			sel := fa.u.Info.Selections[x]
-			if sel == nil || sel.Kind() != types.MethodVal {
-				return true
-			}
-			fn, ok := fa.u.Info.Uses[x.Sel].(*types.Func)
-			if !ok {
-				return true
-			}
-			if s := fa.summaries[fn.FullName()]; s != nil && s.writesParam&1 != 0 {
-				fa.recordWrite(x.Pos(), fa.exprOrigins(x.X), writeMethodValue, fn.Name())
-			}
-		}
-		return true
-	})
-}
-
-// checkLValue treats an assignment target that reaches through a
-// selector, index or dereference as a write to the container object.
-// A plain identifier target only rebinds a variable.
-func (fa *snapAnalysis) checkLValue(lhs ast.Expr) {
-	switch x := ast.Unparen(lhs).(type) {
-	case *ast.SelectorExpr:
-		if sel := fa.u.Info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
-			fa.recordWrite(x.Pos(), fa.exprOrigins(x.X), writeDirect, "")
-		}
-	case *ast.IndexExpr:
-		fa.recordWrite(x.Pos(), fa.exprOrigins(x.X), writeDirect, "")
-	case *ast.StarExpr:
-		fa.recordWrite(x.Pos(), fa.exprOrigins(x.X), writeDirect, "")
-	}
-}
-
-// checkCall applies callee write effects at a call site: mutating
-// builtins write their first argument, and a summarized callee's
-// writes-parameter bits map back to the receiver and argument
-// expressions supplied here.
-func (fa *snapAnalysis) checkCall(call *ast.CallExpr) {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := fa.u.Info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "append", "copy", "delete", "clear":
-				if len(call.Args) > 0 {
-					fa.recordWrite(call.Pos(), fa.exprOrigins(call.Args[0]), writeBuiltin, b.Name())
-				}
-			}
-			return
-		}
-	}
-	fn := calleeFunc(fa.u.Info, call)
-	if fn == nil {
-		return
-	}
-	s := fa.summaries[fn.FullName()]
-	if s == nil || s.writesParam == 0 {
-		return
-	}
-	for bit := 0; bit < 64; bit++ {
-		if s.writesParam&(1<<bit) == 0 {
-			continue
-		}
-		for _, arg := range callBitExprs(call, fn, bit) {
-			fa.recordWrite(call.Pos(), fa.exprOrigins(arg), writeCall, fn.Name())
-		}
-	}
-}
-
-// writeKind classifies how a marked-derived value is mutated, so the
-// two consumers of the write scan (snapalias, publishcheck) can render
-// kind-appropriate messages.
+// writeKind classifies how a value is mutated, so the consumers of the
+// write walk (snapalias, publishcheck) can render kind-appropriate
+// messages.
 type writeKind int
 
 const (
@@ -406,35 +293,119 @@ const (
 	writeMethodValue                  // method value bound to a receiver its method writes
 )
 
-// writeMessage renders one marked-derived write for diagnostics.
-func writeMessage(kind writeKind, opName, directive, typeName string) string {
-	switch kind {
-	case writeBuiltin:
-		return fmt.Sprintf("%s on a value derived from %s type %s", opName, directive, typeName)
-	case writeCall:
-		return fmt.Sprintf("call to %s mutates a value derived from %s type %s", opName, directive, typeName)
-	case writeMethodValue:
-		return fmt.Sprintf("method value %s may write through a value derived from %s type %s", opName, directive, typeName)
-	default:
-		return fmt.Sprintf("write through a value derived from %s type %s", directive, typeName)
-	}
+// writeSite is one syntactic write: target is the expression whose
+// referent is mutated (the container of an assigned element, a mutating
+// builtin's first argument, the argument or receiver a callee writes
+// through).
+type writeSite struct {
+	pos    token.Pos
+	target ast.Expr
+	kind   writeKind
+	op     string      // builtin, callee or method name; "" for writeDirect
+	callee *types.Func // for writeCall and writeMethodValue
 }
 
-// recordWrite classifies one write given the written value's origins:
-// an offense when it derives from a marked type, a writes-parameter
-// summary bit when it derives from a parameter.
-func (fa *snapAnalysis) recordWrite(pos token.Pos, o origin, kind writeKind, opName string) {
-	if o.immut {
-		if fa.onWrite != nil {
-			fa.onWrite(pos, o, kind, opName)
-		} else if fa.report {
-			fa.diags = append(fa.diags, fa.u.Diag(pos,
-				"%s; published instances are read by lock-free pinned readers",
-				writeMessage(kind, opName, ImmutableDirective, o.immutType)))
+// forEachWrite reports every write site under root, walking it with
+// inspect (ast.Inspect to include function literals, inspectNoFuncLit
+// to stay within one body's control flow). An assignment or inc/dec
+// target that reaches through a selector, index or dereference writes
+// the container object (a plain identifier target only rebinds a
+// variable); append, copy, delete and clear write their first argument;
+// a summarized callee's writes-parameter bits map back to the receiver
+// and argument expressions supplied at the call; and a method value
+// binds its receiver, so if the method writes through it the binding is
+// as good as the write.
+func forEachWrite(info *types.Info, root ast.Node, summaries map[string]*escapeSummary,
+	inspect func(ast.Node, func(ast.Node) bool), emit func(writeSite)) {
+	lvalue := func(lhs ast.Expr) {
+		switch x := ast.Unparen(lhs).(type) {
+		case *ast.SelectorExpr:
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+				emit(writeSite{pos: x.Pos(), target: x.X})
+			}
+		case *ast.IndexExpr:
+			emit(writeSite{pos: x.Pos(), target: x.X})
+		case *ast.StarExpr:
+			emit(writeSite{pos: x.Pos(), target: x.X})
 		}
+	}
+	// Selectors consumed as call targets are calls, not method values;
+	// the walk meets a call before its target.
+	called := map[*ast.SelectorExpr]bool{}
+	inspect(root, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				lvalue(lhs)
+			}
+		case *ast.IncDecStmt:
+			lvalue(x.X)
+		case *ast.CallExpr:
+			switch fun := ast.Unparen(x.Fun).(type) {
+			case *ast.SelectorExpr:
+				called[fun] = true
+			case *ast.Ident:
+				if b, ok := info.Uses[fun].(*types.Builtin); ok {
+					switch b.Name() {
+					case "append", "copy", "delete", "clear":
+						if len(x.Args) > 0 {
+							emit(writeSite{pos: x.Pos(), target: x.Args[0], kind: writeBuiltin, op: b.Name()})
+						}
+					}
+					return true
+				}
+			}
+			fn := calleeFunc(info, x)
+			if fn == nil {
+				return true
+			}
+			s := summaries[fn.FullName()]
+			for bit := 0; s != nil && s.writesParam>>bit != 0; bit++ {
+				if s.writesParam&(1<<bit) == 0 {
+					continue
+				}
+				for _, arg := range callBitExprs(x, fn, bit) {
+					emit(writeSite{pos: x.Pos(), target: arg, kind: writeCall, op: fn.Name(), callee: fn})
+				}
+			}
+		case *ast.SelectorExpr:
+			if sel := info.Selections[x]; called[x] || sel == nil || sel.Kind() != types.MethodVal {
+				return true
+			}
+			if fn, ok := info.Uses[x.Sel].(*types.Func); ok {
+				if s := summaries[fn.FullName()]; s != nil && s.writesParam&1 != 0 {
+					emit(writeSite{pos: x.Pos(), target: x.X, kind: writeMethodValue, op: fn.Name(), callee: fn})
+				}
+			}
+		}
+		return true
+	})
+}
+
+// recordWrite classifies one write by the written value's origins: an
+// offense when it derives from a marked type, a writes-parameter
+// summary bit when it derives from a parameter.
+func (fa *snapAnalysis) recordWrite(w writeSite) {
+	o := fa.exprOrigins(w.target)
+	if !o.immut {
+		fa.sum.writesParam |= o.params
 		return
 	}
-	fa.sum.writesParam |= o.params
+	if !fa.report {
+		return
+	}
+	what := "write through"
+	switch w.kind {
+	case writeBuiltin:
+		what = w.op + " on"
+	case writeCall:
+		what = "call to " + w.op + " mutates"
+	case writeMethodValue:
+		what = "method value " + w.op + " may write through"
+	}
+	fa.diags = append(fa.diags, fa.u.Diag(w.pos,
+		"%s a value derived from %s type %s; published instances are read by lock-free pinned readers",
+		what, ImmutableDirective, o.immutType))
 }
 
 // scanReturns folds return-value origins into the summary. Returns

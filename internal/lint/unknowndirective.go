@@ -3,18 +3,17 @@ package lint
 import (
 	"go/ast"
 	"strings"
-	"unicode"
 )
 
 // NewUnknownDirective builds the unknowndirective analyzer: every
 // comment beginning with "//dimred:" must name a directive from the
 // registry in directives.go, sit on a node kind where that directive
 // has meaning, carry well-formed arguments, and not repeat a directive
-// already attached to the same declaration. The analyzers consuming
-// directives all match exact prefixes, so a misspelled or misplaced
-// one is silently ignored — the annotation the author relied on simply
-// never takes effect. This analyzer turns that silent hole into a
-// blocking finding.
+// already attached to the same declaration. The directive tables the
+// analyzers read hold only well-placed registry entries, so a
+// misspelled or misplaced one is silently ignored — the annotation the
+// author relied on simply never takes effect. This analyzer turns that
+// silent hole into a blocking finding.
 //
 // analyzerNames is the set of valid first arguments of an allow
 // directive; All() passes the bundle's own names.
@@ -28,220 +27,62 @@ func NewUnknownDirective(analyzerNames []string) *Analyzer {
 		Doc: "every dimred directive comment must be registered, well-placed and " +
 			"well-formed; a typo'd directive silently disables the check it configures",
 	}
-	a.Run = func(u *Unit) []Diagnostic {
+	a.RunModule = func(m *Module) []Diagnostic {
 		var ds []Diagnostic
-		for _, f := range u.Files {
-			dc := &directiveChecker{u: u, f: f, analyzers: names}
-			dc.classify()
-			dc.check()
-			ds = append(ds, dc.diags...)
+		diag := func(d *directive, format string, args ...any) {
+			ds = append(ds, d.unit.Diag(d.comment.Pos(), format, args...))
+		}
+		// seen tracks directives per attachment point — the owning
+		// declaration for doc/line comments (a field's doc and trailing
+		// comment share one), the comment group otherwise.
+		seen := map[ast.Node]map[string]bool{}
+		for i := range m.dirs.all {
+			d := &m.dirs.all[i]
+			if d.name == "" {
+				diag(d, "empty dimred directive; expected //dimred:<name>")
+				continue
+			}
+			if d.spec == nil {
+				diag(d, "unknown directive //dimred:%s", d.name)
+				continue
+			}
+			if seen[d.owner] == nil {
+				seen[d.owner] = map[string]bool{}
+			}
+			if seen[d.owner][d.name] {
+				diag(d, "duplicate //dimred:%s on one declaration; the analyzers read the first, so a second is dead weight or a conflict", d.name)
+			}
+			seen[d.owner][d.name] = true
+
+			if !d.inContext() {
+				diag(d, "//dimred:%s has no effect here; it must be %s", d.name, d.spec.where)
+			}
+			fields := strings.Fields(d.args)
+			switch {
+			case d.spec.wantsAnalyzer:
+				if len(fields) == 0 {
+					diag(d, "//dimred:%s suppresses nothing without '<analyzer> <reason>'", d.name)
+					continue
+				}
+				if !names[fields[0]] {
+					diag(d, "//dimred:%s names unknown analyzer %q", d.name, fields[0])
+				}
+				if len(fields) < 2 {
+					diag(d, "//dimred:%s %s is missing the mandatory reason", d.name, fields[0])
+				}
+			case d.spec.wantsReason:
+				// A directive whose reason is policed by its consuming analyzer
+				// (shared → clonecheck) is not double-reported here.
+				if d.spec.reasonOwner == "" && len(fields) == 0 {
+					diag(d, "//dimred:%s is missing the mandatory reason", d.name)
+				}
+			default:
+				if len(fields) > 0 {
+					diag(d, "//dimred:%s takes no argument; trailing text disables the exact-match directive", d.name)
+				}
+			}
 		}
 		return ds
 	}
 	return a
-}
-
-const directivePrefix = "//dimred:"
-
-type directiveChecker struct {
-	u         *Unit
-	f         *ast.File
-	analyzers map[string]bool
-
-	ctx     map[*ast.Comment]directiveContext
-	attach  map[*ast.Comment]ast.Node // declaration a doc/line comment belongs to
-	goLines map[int]bool
-	diags   []Diagnostic
-}
-
-// classify maps each comment to the most specific syntactic position it
-// occupies: struct-type doc, named-struct field doc/line comment, or
-// function doc. Everything else stays a plain line. Go-statement lines
-// are collected separately, since the detached directive attaches by
-// line, not by comment group.
-func (dc *directiveChecker) classify() {
-	dc.ctx = map[*ast.Comment]directiveContext{}
-	dc.attach = map[*ast.Comment]ast.Node{}
-	dc.goLines = map[int]bool{}
-
-	mark := func(cg *ast.CommentGroup, ctx directiveContext, owner ast.Node) {
-		if cg == nil {
-			return
-		}
-		for _, c := range cg.List {
-			dc.ctx[c] = ctx
-			dc.attach[c] = owner
-		}
-	}
-	for _, decl := range dc.f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			mark(d.Doc, ctxFuncDoc, d)
-		case *ast.GenDecl:
-			for _, s := range d.Specs {
-				ts, ok := s.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, isStruct := ts.Type.(*ast.StructType)
-				if !isStruct {
-					continue
-				}
-				mark(ts.Doc, ctxStructDoc, ts)
-				if ts.Doc == nil && len(d.Specs) == 1 {
-					mark(d.Doc, ctxStructDoc, ts)
-				}
-				for _, field := range st.Fields.List {
-					mark(field.Doc, ctxFieldDoc, field)
-					mark(field.Comment, ctxFieldDoc, field)
-				}
-			}
-		}
-	}
-	ast.Inspect(dc.f, func(n ast.Node) bool {
-		if g, ok := n.(*ast.GoStmt); ok {
-			dc.goLines[dc.u.Fset.Position(g.Pos()).Line] = true
-		}
-		return true
-	})
-}
-
-func (dc *directiveChecker) check() {
-	// seen tracks directives per attachment point — the owning
-	// declaration for doc/line comments (a field's doc and trailing
-	// comment share one), the comment group otherwise.
-	seen := map[ast.Node]map[string]bool{}
-	for _, cg := range dc.f.Comments {
-		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, directivePrefix)
-			if !ok {
-				continue
-			}
-			name, args := splitDirective(rest)
-			if name == "" {
-				dc.diag(c, "empty dimred directive; expected //dimred:<name>")
-				continue
-			}
-			spec := directiveByName(name)
-			if spec == nil {
-				msg := "unknown directive //dimred:" + name
-				if s := closestDirective(name); s != "" {
-					msg += "; did you mean //dimred:" + s + "?"
-				}
-				dc.diag(c, "%s", msg)
-				continue
-			}
-
-			owner := dc.attach[c]
-			if owner == nil {
-				owner = cg
-			}
-			if seen[owner] == nil {
-				seen[owner] = map[string]bool{}
-			}
-			if seen[owner][name] {
-				dc.diag(c, "duplicate //dimred:%s on one declaration; the analyzers read the first, so a second is dead weight or a conflict", name)
-			}
-			seen[owner][name] = true
-
-			if !dc.contextOK(c, spec) {
-				dc.diag(c, "//dimred:%s has no effect here; it must be %s", name, spec.where)
-			}
-			dc.checkArgs(c, spec, args)
-		}
-	}
-}
-
-// contextOK reports whether the comment sits where the directive takes
-// effect: its classified position, a go-statement line for ctxGoStmt,
-// or anywhere for ctxAnyLine.
-func (dc *directiveChecker) contextOK(c *ast.Comment, spec *directiveSpec) bool {
-	line := dc.u.Fset.Position(c.Pos()).Line
-	for _, ctx := range spec.contexts {
-		switch ctx {
-		case ctxAnyLine:
-			return true
-		case ctxGoStmt:
-			if dc.goLines[line] || dc.goLines[line+1] {
-				return true
-			}
-		default:
-			if dc.ctx[c] == ctx {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (dc *directiveChecker) checkArgs(c *ast.Comment, spec *directiveSpec, args string) {
-	fields := strings.Fields(args)
-	switch {
-	case spec.wantsAnalyzer:
-		if len(fields) == 0 {
-			dc.diag(c, "//dimred:%s suppresses nothing without '<analyzer> <reason>'", spec.name)
-			return
-		}
-		if !dc.analyzers[fields[0]] {
-			dc.diag(c, "//dimred:%s names unknown analyzer %q", spec.name, fields[0])
-		}
-		if len(fields) < 2 {
-			dc.diag(c, "//dimred:%s %s is missing the mandatory reason", spec.name, fields[0])
-		}
-	case spec.wantsReason:
-		// A directive whose reason is policed by its consuming analyzer
-		// (shared → clonecheck) is not double-reported here.
-		if spec.reasonOwner == "" && len(fields) == 0 {
-			dc.diag(c, "//dimred:%s is missing the mandatory reason", spec.name)
-		}
-	default:
-		if len(fields) > 0 {
-			dc.diag(c, "//dimred:%s takes no argument; trailing text disables the exact-match directive", spec.name)
-		}
-	}
-}
-
-func (dc *directiveChecker) diag(c *ast.Comment, format string, args ...any) {
-	dc.diags = append(dc.diags, dc.u.Diag(c.Pos(), format, args...))
-}
-
-// splitDirective cuts "name rest..." at the first whitespace rune.
-func splitDirective(rest string) (name, args string) {
-	i := strings.IndexFunc(rest, unicode.IsSpace)
-	if i < 0 {
-		return rest, ""
-	}
-	return rest[:i], rest[i:]
-}
-
-// closestDirective suggests a registered directive within Levenshtein
-// distance 2 of the misspelling, or "".
-func closestDirective(name string) string {
-	best, bestDist := "", 3
-	for _, spec := range knownDirectives {
-		if d := editDistance(name, spec.name); d < bestDist {
-			best, bestDist = spec.name, d
-		}
-	}
-	return best
-}
-
-func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min(prev[j]+1, min(cur[j-1]+1, prev[j-1]+cost))
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
 }

@@ -5,6 +5,7 @@ import (
 
 	"dimred/internal/caltime"
 	"dimred/internal/mdm"
+	"dimred/internal/relstore"
 	"dimred/internal/spec"
 	"dimred/internal/workload"
 )
@@ -124,7 +125,11 @@ func TestLifecycleWithPeriodicBulkLoads(t *testing.T) {
 	}
 
 	// The star export carries the mixed-granularity state.
-	star, err := w.ExportStar()
+	mo, err := w.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	star, err := relstore.BuildStar(mo)
 	if err != nil {
 		t.Fatal(err)
 	}

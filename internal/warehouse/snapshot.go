@@ -220,7 +220,11 @@ func Load(in io.Reader) (*Warehouse, *LoadedDims, error) {
 	}
 	var tm spec.TimeModel
 	if sf.TimeDimName != "" {
-		td, err := dims.TimeDimFrom(loaded.ByName[sf.TimeDimName])
+		d, ok := loaded.ByName[sf.TimeDimName]
+		if !ok {
+			return nil, nil, fmt.Errorf("warehouse: Load: time dimension %q is not among the snapshot's dimensions", sf.TimeDimName)
+		}
+		td, err := dims.TimeDimFrom(d)
 		if err != nil {
 			return nil, nil, fmt.Errorf("warehouse: Load: %w", err)
 		}
@@ -264,6 +268,9 @@ func Load(in io.Reader) (*Warehouse, *LoadedDims, error) {
 				return fmt.Errorf("warehouse: Load: row arity mismatch")
 			}
 			for i, v := range r.Refs {
+				if v < 0 || int(v) >= dimensions[i].NumValues() {
+					return fmt.Errorf("warehouse: Load: row references value %d outside dimension %s", v, dimensions[i].Name())
+				}
 				refs[i] = mdm.ValueID(v)
 			}
 			if err := cs.RestoreRow(refs, r.Meas, r.Base); err != nil {
@@ -300,7 +307,7 @@ func restoreDimension(sd snapDimension) (*mdm.Dimension, error) {
 	}
 	for i, sc := range sd.Categories {
 		for _, a := range sc.Anc {
-			if int(a) >= len(ids) {
+			if a < 0 || int(a) >= len(ids) {
 				return nil, fmt.Errorf("warehouse: Load: bad ancestor category in dimension %s", sd.Name)
 			}
 			if err := d.Contains(ids[i], ids[a]); err != nil {

@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -196,6 +197,43 @@ func TestSnapshotLoadErrors(t *testing.T) {
 	}
 	if _, _, err := Load(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
+	}
+
+	// A well-formed gob whose contents are corrupt must be refused with
+	// an error, never by panicking the loader.
+	w, obj := openClickWarehouse(t)
+	if err := w.AdvanceTo(caltime.Date(2000, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	loadStream(t, w, obj, workload.ClickConfig{Seed: 17, Start: caltime.Date(2000, 1, 1), Days: 3, ClicksPerDay: 4})
+	var good bytes.Buffer
+	if err := w.Save(&good); err != nil {
+		t.Fatal(err)
+	}
+	for name, tamper := range map[string]func(sf *snapshotFile){
+		"negative ancestor category": func(sf *snapshotFile) {
+			c := &sf.Dimensions[0].Categories[0]
+			c.Anc = append(c.Anc, -1)
+		},
+		"negative row ref":           func(sf *snapshotFile) { sf.Rows[0].Refs[0] = -1 },
+		"row ref past the dimension": func(sf *snapshotFile) { sf.Rows[0].Refs[1] = 1 << 30 },
+		"unknown time dimension":     func(sf *snapshotFile) { sf.TimeDimName = "NoSuchDim" },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var sf snapshotFile
+			if err := gob.NewDecoder(bytes.NewReader(good.Bytes())).Decode(&sf); err != nil {
+				t.Fatal(err)
+			}
+			tamper(&sf)
+			var bad bytes.Buffer
+			if err := gob.NewEncoder(&bad).Encode(sf); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := Load(&bad)
+			if err == nil || !strings.HasPrefix(err.Error(), "warehouse: Load: ") {
+				t.Errorf("Load = %v, want a warehouse: Load: error", err)
+			}
+		})
 	}
 }
 

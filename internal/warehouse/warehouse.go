@@ -18,7 +18,6 @@ import (
 	"dimred/internal/mdm"
 	"dimred/internal/obs"
 	"dimred/internal/query"
-	"dimred/internal/relstore"
 	"dimred/internal/spec"
 	"dimred/internal/storage"
 	"dimred/internal/subcube"
@@ -694,19 +693,14 @@ func (w *Warehouse) Explain(refs []mdm.ValueID) string {
 	return s.cubes.Spec().Explain(refs, s.now)
 }
 
-// ExportStar materializes the warehouse's current contents — rows of
-// every subcube, at their mixed granularities — as a relational star
-// schema (Section 7's "standard data warehouse technology"): one
-// denormalized dimension table per dimension and one fact table whose
-// rows reference dimension values at whatever level they live at.
-func (w *Warehouse) ExportStar() (*relstore.Star, error) {
+// Materialize returns the warehouse's current contents — rows of every
+// subcube, at their mixed granularities — as one multidimensional
+// object, read off a pinned snapshot. It is what an export consumes:
+// relstore.BuildStar turns it into Section 7's relational star schema.
+func (w *Warehouse) Materialize() (*mdm.MO, error) {
 	s, p := w.pin()
 	defer p.Unpin()
-	mo, err := materialize(w.env, s.cubes)
-	if err != nil {
-		return nil, err
-	}
-	return relstore.BuildStar(mo)
+	return materialize(w.env, s.cubes)
 }
 
 // CubeStat describes one subcube in Stats.
