@@ -21,6 +21,7 @@ import (
 	"dimred/internal/spec"
 	"dimred/internal/storage"
 	"dimred/internal/subcube"
+	"dimred/internal/warehouse"
 	"dimred/internal/workload"
 )
 
@@ -353,6 +354,46 @@ func BenchmarkS4_BulkLoadAndSync(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(rows)), "facts/op")
+}
+
+// BenchmarkBulkLoadFold is the paper's bulk-load discipline at the
+// warehouse: LoadBatch of a generated click stream on its first day,
+// then the AdvanceTo that folds it. Each of the two commits moves more
+// rows than it leaves, so each is applied once and the other side
+// cloned (reclones/op) — the arm of the commit protocol the small
+// commits of every other benchmark never take.
+func BenchmarkBulkLoadFold(b *testing.B) {
+	obj, env := benchClicks(b, 180, 200)
+	actions := benchClickSpec(b, env).Actions()
+	var reclones int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := warehouse.Open(env, actions...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := w.AdvanceTo(caltime.Date(2000, 1, 1)); err != nil {
+			b.Fatal(err)
+		}
+		err = w.LoadBatch(func(load func([]mdm.ValueID, []float64) error) error {
+			for f := 0; f < obj.MO.Len(); f++ {
+				if err := load(obj.MO.Refs(mdm.FactID(f)), obj.MO.Measures(mdm.FactID(f))); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := w.AdvanceTo(caltime.Date(2000, 10, 1)); err != nil {
+			b.Fatal(err)
+		}
+		reclones += w.Metrics().SnapshotReclones
+	}
+	b.ReportMetric(float64(obj.MO.Len()), "facts/op")
+	b.ReportMetric(float64(reclones)/float64(b.N), "reclones/op")
 }
 
 // --- P-series: compiled specexec programs vs interpreted evaluation ---

@@ -68,6 +68,7 @@ type Metrics struct {
 	SnapshotPublishes  Counter // snapshots published by writers (including clock-only refreshes)
 	SnapshotDrainWaits Counter // publishes that had to wait for pinned readers to drain
 	SnapshotRebuilds   Counter // sides rebuilt from a full clone after a failed operation
+	SnapshotReclones   Counter // commits applied once: the retired side dropped for a clone of the published one
 	SnapshotEpoch      Gauge   // sequence number of the currently published snapshot
 	SnapshotsRetained  Gauge   // retired snapshots awaiting reader drain and replay
 
@@ -141,6 +142,7 @@ type MetricsSnapshot struct {
 	SnapshotPublishes  int64
 	SnapshotDrainWaits int64
 	SnapshotRebuilds   int64
+	SnapshotReclones   int64
 	SnapshotEpoch      int64
 	SnapshotsRetained  int64
 
@@ -200,6 +202,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		SnapshotPublishes:  m.SnapshotPublishes.Load(),
 		SnapshotDrainWaits: m.SnapshotDrainWaits.Load(),
 		SnapshotRebuilds:   m.SnapshotRebuilds.Load(),
+		SnapshotReclones:   m.SnapshotReclones.Load(),
 		SnapshotEpoch:      m.SnapshotEpoch.Load(),
 		SnapshotsRetained:  m.SnapshotsRetained.Load(),
 
@@ -253,6 +256,7 @@ func (s MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
 	d.SnapshotPublishes -= prev.SnapshotPublishes
 	d.SnapshotDrainWaits -= prev.SnapshotDrainWaits
 	d.SnapshotRebuilds -= prev.SnapshotRebuilds
+	d.SnapshotReclones -= prev.SnapshotReclones
 	return d
 }
 
@@ -298,6 +302,7 @@ func (s MetricsSnapshot) String() string {
 	row(&b, "publishes", s.SnapshotPublishes)
 	row(&b, "drain waits", s.SnapshotDrainWaits)
 	row(&b, "side rebuilds", s.SnapshotRebuilds)
+	row(&b, "side reclones", s.SnapshotReclones)
 	row(&b, "epoch", s.SnapshotEpoch)
 	row(&b, "retained", s.SnapshotsRetained)
 

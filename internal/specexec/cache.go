@@ -57,6 +57,35 @@ func NewCache(met *obs.Metrics) *Cache { return &Cache{met: met} }
 // cache is off the published read path.
 func (c *Cache) SetMetrics(m *obs.Metrics) { c.met = m }
 
+// Clone returns a cache for to, a Spec.Clone of from, that starts with
+// what c holds for from: the compiled program and its day-pinned routers,
+// re-bound to to. A program depends only on the action set, which a
+// specification clone shares, so the copy is exact and the first lookup
+// through it is a hit — a cube set cloned between two commits does not
+// compile or pin again. When c holds nothing current for from the clone
+// starts empty. Clone only reads c and may run beside lookups.
+func (c *Cache) Clone(from, to *spec.Spec) *Cache {
+	c2 := NewCache(c.met)
+	old := c.cur.Load()
+	if old == nil || old.sp != from || old.gen != to.Generation() {
+		return c2
+	}
+	c2.cur.Store(old.rebound(to))
+	return c2
+}
+
+// rebound returns the entry as the cache of sp, a Spec.Clone of e.sp at
+// e's generation, would hold it: program and routers cloned onto sp.
+func (e *cacheEntry) rebound(sp *spec.Spec) *cacheEntry {
+	e2 := &cacheEntry{sp: sp, gen: e.gen, prog: e.prog.clone(sp)}
+	for i := 0; i < routerSlots; i++ {
+		if r := e.routers[i].Load(); r != nil {
+			e2.routers[i].Store(r.clone(e2.prog))
+		}
+	}
+	return e2
+}
+
 // entryFor returns the cache entry for the specification's current
 // generation, compiling and publishing a fresh program on miss.
 func (c *Cache) entryFor(sp *spec.Spec) *cacheEntry {

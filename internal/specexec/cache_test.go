@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dimred/internal/caltime"
+	"dimred/internal/mdm"
 	"dimred/internal/obs"
 	"dimred/internal/spec"
 	"dimred/internal/specexec"
@@ -136,6 +137,81 @@ func TestCacheRouterDay(t *testing.T) {
 	}
 	if r4.Day() != d {
 		t.Fatalf("post-mutation router pinned day %v, want %v", r4.Day(), d)
+	}
+}
+
+// TestCacheCloneCarriesProgram: the cache cloned for a Spec.Clone starts
+// with the program and pinned routers of the original, bound to the
+// clone — no compile, no re-pin, the same verdicts — and shares nothing
+// a mutation of either specification can reach. A cache that holds
+// nothing current for the cloned specification clones empty.
+func TestCacheCloneCarriesProgram(t *testing.T) {
+	s, del := cacheSpec(t)
+	met := obs.NewMetrics()
+	c := specexec.NewCache(met)
+	d := caltime.Date(2000, 9, 1)
+	r := c.RouterAt(s, d)
+
+	s2 := s.Clone()
+	c2 := c.Clone(s, s2)
+	before := met.Snapshot()
+	p2 := c2.ProgramFor(s2)
+	r2 := c2.RouterAt(s2, d)
+	if delta := met.Snapshot().Sub(before); delta.ProgramCompiles != 0 || delta.ProgramCacheMisses != 0 || delta.RouterCacheHits != 1 {
+		t.Fatalf("first lookups through the clone: compiles=%d misses=%d router hits=%d, want 0/0/1",
+			delta.ProgramCompiles, delta.ProgramCacheMisses, delta.RouterCacheHits)
+	}
+	if p2 == c.ProgramFor(s) || p2.Spec() != s2 || r2 == r {
+		t.Fatal("the clone serves the original's program or router instead of ones bound to the cloned specification")
+	}
+	if !r2.SameVerdicts(c2.RouterAt(s2, d+1)) || r2.SameVerdicts(r) {
+		t.Fatal("cloned routers must compare among themselves and never with the original's")
+	}
+	cell := make([]mdm.ValueID, len(s.Env().Schema.Dims))
+	lvA, lvB := make(mdm.Granularity, len(cell)), make(mdm.Granularity, len(cell))
+	r.AggLevelInto(cell, lvA, nil)
+	r2.AggLevelInto(cell, lvB, nil)
+	if !s.Env().Schema.GranEq(lvA, lvB) {
+		t.Fatalf("cloned router levels %v, original %v", lvB, lvA)
+	}
+
+	// Mutating the original recompiles the original's cache only.
+	if err := s.Insert(del); err != nil {
+		t.Fatal(err)
+	}
+	before = met.Snapshot()
+	if c2.ProgramFor(s2) != p2 || c.ProgramFor(s) == nil {
+		t.Fatal("mutating the original specification disturbed the clone's cache")
+	}
+	if delta := met.Snapshot().Sub(before); delta.ProgramCompiles != 1 {
+		t.Fatalf("compiles after mutating the original = %d, want 1 (the original's)", delta.ProgramCompiles)
+	}
+
+	// Nothing to carry: a cache that is empty, or holds the program of
+	// another specification — here one at the very generation of the
+	// clone, which a generation check alone would take for a hit —
+	// clones cold.
+	other, err := spec.New(s.Env(), del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3 := s2.Clone()
+	if other.Generation() != s3.Generation() {
+		t.Fatalf("fixture: generations %d and %d differ", other.Generation(), s3.Generation())
+	}
+	foreign := specexec.NewCache(met)
+	foreign.ProgramFor(other)
+	for name, cold := range map[string]*specexec.Cache{
+		"empty cache":   specexec.NewCache(met).Clone(s2, s3),
+		"foreign cache": foreign.Clone(s2, s3),
+	} {
+		before = met.Snapshot()
+		if p := cold.ProgramFor(s3); p.Spec() != s3 {
+			t.Errorf("%s: served a program of another specification", name)
+		}
+		if delta := met.Snapshot().Sub(before); delta.ProgramCompiles != 1 {
+			t.Errorf("%s: compiles = %d on first lookup, want 1", name, delta.ProgramCompiles)
+		}
 	}
 }
 

@@ -85,11 +85,22 @@ type progAction struct {
 // unsynchronized query, and costs one verdict per (test, dimension
 // value) instead of one per (test, row).
 type Program struct {
-	sp    *spec.Spec
-	env   *spec.Env
-	acts  []progAction
+	sp *spec.Spec
+	//dimred:shared the schema environment is frozen after construction
+	env *spec.Env
+	//dimred:shared compiled actions and their masks are immutable after Compile; a clone differs only in the specification it falls back to
+	acts []progAction
+	//dimred:shared written once by Compile
 	nVals []int // per dimension: domain size at compile time
 	bytes int64 // bitset bytes held by the compile-time masks
+}
+
+// clone returns the program re-bound to sp, a Spec.Clone of the
+// specification it was compiled from: the same action set, so the same
+// masks, but out-of-domain cells fall back to sp — the original may be
+// mutated by a writer the clone's readers know nothing of.
+func (p *Program) clone(sp *spec.Spec) *Program {
+	return &Program{sp: sp, env: p.env, acts: p.acts, nVals: p.nVals, bytes: p.bytes}
 }
 
 // Compile builds the program for the specification's current action
@@ -179,9 +190,15 @@ type routerAction struct {
 // window is resolved to a concrete bitset. Routers are immutable and
 // safe for concurrent use; the probe methods allocate nothing.
 type Router struct {
-	p    *Program
-	t    caltime.Day
+	p *Program
+	t caltime.Day
+	//dimred:shared day-pinned masks are immutable after At
 	acts []routerAction
+}
+
+// clone returns the router re-bound to p, a clone of its program.
+func (r *Router) clone(p *Program) *Router {
+	return &Router{p: p, t: r.t, acts: r.acts}
 }
 
 // At resolves the program at evaluation day t: each time test becomes

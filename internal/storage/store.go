@@ -190,7 +190,10 @@ func (s *Store) Scan(fn func(r RowID) bool) {
 
 // Compact removes tombstoned rows, invalidating all previously issued
 // RowIDs. It returns a mapping from old to new ids (mdm.NoValue-like -1
-// for deleted rows) so indexes can be rebuilt.
+// for deleted rows) so indexes can be rebuilt. When the survivors fill a
+// quarter of the allocated slots or less, the columns move to right-sized
+// arrays: a reduction that folds a bulk load away must hand the memory
+// back, not keep it as capacity.
 func (s *Store) Compact() []RowID {
 	remap := make([]RowID, len(s.base))
 	w := 0
@@ -211,19 +214,27 @@ func (s *Store) Compact() []RowID {
 		}
 		w++
 	}
+	shrink := w*4 <= cap(s.base)
 	for i := range s.refs {
-		s.refs[i] = s.refs[i][:w]
+		s.refs[i] = cut(s.refs[i], w, shrink)
 	}
 	for j := range s.meas {
-		s.meas[j] = s.meas[j][:w]
+		s.meas[j] = cut(s.meas[j], w, shrink)
 	}
-	s.base = s.base[:w]
-	s.dead = s.dead[:w]
-	for r := range s.dead {
-		s.dead[r] = false
-	}
+	s.base = cut(s.base, w, shrink)
+	s.dead = cut(s.dead, w, shrink)
+	clear(s.dead)
 	s.nDead = 0
 	return remap
+}
+
+// cut returns the first w entries of col, copied to an array of exactly
+// that size when shrink is set.
+func cut[T any](col []T, w int, shrink bool) []T {
+	if !shrink {
+		return col[:w]
+	}
+	return append(make([]T, 0, w), col[:w]...)
 }
 
 // DimensionBytes models the storage of a dimension table: per value, its

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -194,5 +195,73 @@ func TestMOBytes(t *testing.T) {
 	}
 	if MOBytes(mo) != 4+8+8 {
 		t.Errorf("MOBytes = %d", MOBytes(mo))
+	}
+}
+
+// TestCompactReturnsMemory: a compaction that leaves a quarter of the
+// allocated slots or fewer moves the columns to right-sized arrays; one
+// that leaves more keeps the arrays. Row ids and the remap are the same
+// either way.
+func TestCompactReturnsMemory(t *testing.T) {
+	fill := func(n int) *Store {
+		s := newTestStore()
+		for i := 0; i < n; i++ {
+			if _, err := s.Append([]mdm.ValueID{mdm.ValueID(i), mdm.ValueID(2 * i)}, []float64{float64(i), 1, 2}, int64(i+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	caps := func(s *Store) []int {
+		return []int{cap(s.base), cap(s.dead), cap(s.refs[0]), cap(s.refs[1]), cap(s.meas[0]), cap(s.meas[1]), cap(s.meas[2])}
+	}
+	const n = 4096
+	for _, tc := range []struct {
+		name   string
+		keep   int // every keep-th row survives
+		shrunk bool
+	}{
+		{"folded away", 16, true},
+		{"half left", 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := fill(n)
+			before := caps(s)
+			for i := 0; i < n; i++ {
+				if i%tc.keep != 0 {
+					s.Delete(RowID(i))
+				}
+			}
+			live := s.Live()
+			remap := s.Compact()
+			if s.Rows() != live || s.Dead() != 0 {
+				t.Fatalf("after compact rows=%d dead=%d, want %d/0", s.Rows(), s.Dead(), live)
+			}
+			for old, id := range remap {
+				switch {
+				case old%tc.keep != 0:
+					if id != -1 {
+						t.Fatalf("dead row %d remapped to %d", old, id)
+					}
+				case int(id) != old/tc.keep:
+					t.Fatalf("row %d remapped to %d, want %d", old, id, old/tc.keep)
+				case s.Ref(id, 0) != mdm.ValueID(old) || s.Ref(id, 1) != mdm.ValueID(2*old) ||
+					s.Measure(id, 0) != float64(old) || s.Base(id) != int64(old+1) || !s.Alive(id):
+					t.Fatalf("row %d -> %d lost its data", old, id)
+				}
+			}
+			after := caps(s)
+			if tc.shrunk && slices.Max(after) > 2*live {
+				t.Errorf("capacities %v after folding %d rows to %d, want at most %d", after, n, live, 2*live)
+			}
+			if !tc.shrunk && !slices.Equal(after, before) {
+				t.Errorf("capacities moved %v -> %v with %d of %d rows left", before, after, live, n)
+			}
+			// The compacted store keeps working as a store.
+			id, err := s.Append([]mdm.ValueID{7, 8}, []float64{1, 2, 3}, 1)
+			if err != nil || int(id) != live || !s.Alive(id) {
+				t.Fatalf("Append after compact: id=%d err=%v", id, err)
+			}
+		})
 	}
 }

@@ -1,0 +1,231 @@
+package subcube
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"dimred/internal/caltime"
+	"dimred/internal/mdm"
+	"dimred/internal/spec"
+	"dimred/internal/storage"
+	"dimred/internal/workload"
+)
+
+// TestCellIndexRemapShrinks: a remap that leaves a quarter of the
+// compacted slots or fewer moves the entries to new maps (a Go map keeps
+// its buckets otherwise); one that leaves more rewrites them in place.
+// Either way every surviving cell resolves to its new row and no
+// reclaimed cell resolves at all — through both the packed and the
+// string-keyed map.
+func TestCellIndexRemapShrinks(t *testing.T) {
+	const n = 4096
+	// Three dimensions pack 21 bits per value; a wider value takes the
+	// string map.
+	cell := func(i int, wide bool) []mdm.ValueID {
+		if wide {
+			return []mdm.ValueID{mdm.ValueID(1<<21 + i), 1, 2}
+		}
+		return []mdm.ValueID{mdm.ValueID(i), 1, 2}
+	}
+	for _, tc := range []struct {
+		name   string
+		keep   int
+		shrunk bool
+	}{
+		{"folded away", 16, true},
+		{"half left", 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := newCellIndex(3)
+			// Rows alternate between the two maps; reclaimed rows have left
+			// the index already, as Sync's deletes leave it.
+			remap := make([]storage.RowID, n)
+			live := 0
+			for i := range remap {
+				remap[i] = -1
+				if i%tc.keep == 0 {
+					ix.put(cell(i, i%(2*tc.keep) == 0), storage.RowID(i))
+					remap[i] = storage.RowID(live)
+					live++
+				}
+			}
+			if len(ix.packed) == 0 || len(ix.str) == 0 {
+				t.Fatalf("set-up routed %d cells packed and %d by string, want both", len(ix.packed), len(ix.str))
+			}
+			packed, str := reflect.ValueOf(ix.packed).Pointer(), reflect.ValueOf(ix.str).Pointer()
+			ix.applyRemap(remap)
+			moved := reflect.ValueOf(ix.packed).Pointer() != packed && reflect.ValueOf(ix.str).Pointer() != str
+			kept := reflect.ValueOf(ix.packed).Pointer() == packed && reflect.ValueOf(ix.str).Pointer() == str
+			if tc.shrunk && !moved || !tc.shrunk && !kept {
+				t.Errorf("%d of %d slots left: maps moved=%v kept=%v", live, n, moved, kept)
+			}
+			if got := len(ix.packed) + len(ix.str); got != live {
+				t.Fatalf("%d entries after the remap, want %d", got, live)
+			}
+			for i := 0; i < n; i++ {
+				for _, wide := range []bool{false, true} {
+					r, ok := ix.get(cell(i, wide))
+					want := i%tc.keep == 0 && wide == (i%(2*tc.keep) == 0)
+					if ok != want || ok && r != remap[i] {
+						t.Fatalf("cell %d (wide=%v) resolves to %d, %v; want %d, %v", i, wide, r, ok, remap[i], want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// retainedHeap returns the live heap after a full collection.
+func retainedHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestReductionReturnsMemory: after a bulk load is folded away, the cube
+// set holds what its rows need, not what the load needed. The yardstick
+// is its own Clone, whose columns and maps are sized to the rows by
+// construction: folding in place may keep at most twice that.
+func TestReductionReturnsMemory(t *testing.T) {
+	obj, err := workload.BuildClickMO(workload.ClickConfig{
+		Seed: 3, Start: caltime.Date(2000, 1, 1), Days: 150,
+		ClicksPerDay: 400, Domains: 200, URLsPerDomain: 10, ZipfS: 1.01,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := spec.New(env,
+		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, env))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	base := retainedHeap()
+	cs, err := New(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.InsertMO(obj.MO); err != nil {
+		t.Fatal(err)
+	}
+	loaded := cs.TotalRows()
+	if _, err := cs.Sync(caltime.Date(2000, 12, 1)); err != nil {
+		t.Fatal(err)
+	}
+	left := cs.TotalRows()
+	if left*8 > loaded {
+		t.Fatalf("the fold left %d of %d rows, the test wants a reduction of 8x or more", left, loaded)
+	}
+	folded := retainedHeap() - base
+	cl := cs.Clone()
+	cloned := retainedHeap() - base - folded
+
+	const slack = 64 << 10 // collector bookkeeping, the shared metric set
+	if folded > 2*cloned+slack {
+		t.Errorf("%d rows folded to %d hold %d bytes (%d a row); a clone of them holds %d (%d a row)",
+			loaded, left, folded, folded/int64(left), cloned, cloned/int64(left))
+	}
+
+	// The compacted cubes still resolve every row through their index.
+	refs := make([]mdm.ValueID, env.Schema.NumDims())
+	for _, c := range cs.Cubes() {
+		c.store.Scan(func(r storage.RowID) bool {
+			if got, ok := c.index.get(c.store.Refs(r, refs)); !ok || got != r {
+				t.Fatalf("K%d row %d: index resolves its cell to %d, %v", c.ID(), r, got, ok)
+			}
+			return true
+		})
+	}
+	if a, b := dumpCubes(cs, false), dumpCubes(cl, false); a != b {
+		t.Fatal("clone differs from the compacted cube set")
+	}
+	runtime.KeepAlive(obj)
+}
+
+// TestCloneStartsWarm: a clone takes the compiled program and the pinned
+// routers with it, re-bound to its own specification — it neither
+// compiles nor pins before its first Sync, that Sync is still delta-only,
+// and nothing in it refers to the original's specification, which the
+// original's owner is free to mutate.
+func TestCloneStartsWarm(t *testing.T) {
+	p := newLockstepPool(t)
+	s, err := spec.New(p.env,
+		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, p.env),
+		spec.MustCompileString("q", `aggregate [Time.quarter, URL.domain_grp] where Time.quarter <= NOW - 4 quarters`, p.env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := New(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	today := caltime.Date(2000, 9, 14)
+	for d := p.first; d <= today; d += 3 {
+		for u := range p.urls {
+			if err := cs.Insert([]mdm.ValueID{p.days[d-p.first], p.urls[u]}, []float64{1, 2, 3, 4}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := cs.Sync(today); err != nil {
+		t.Fatal(err)
+	}
+
+	before := cs.Metrics().Snapshot()
+	cl := cs.Clone()
+	fact := []mdm.ValueID{p.days[today-p.first], p.urls[0]}
+	for _, side := range []*CubeSet{cl, cs} {
+		if err := side.Insert(fact, []float64{1, 5, 5, 5}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := side.Sync(today); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := cs.Metrics().Snapshot().Sub(before)
+	if d.ProgramCompiles != 0 || d.ProgramCacheMisses != 0 {
+		t.Errorf("across a clone: compiles=%d cache misses=%d, want 0/0", d.ProgramCompiles, d.ProgramCacheMisses)
+	}
+	if d.SyncsIncremental != 2 || d.SyncScanned != 2 {
+		t.Errorf("one fact on each side: incremental syncs=%d scanned=%d, want 2/2", d.SyncsIncremental, d.SyncScanned)
+	}
+	if d.RouterCacheHits < 2 {
+		t.Errorf("router cache hits = %d, want the pinned router reused on both sides", d.RouterCacheHits)
+	}
+	if a, b := dumpCubes(cs, false), dumpCubes(cl, false); a != b {
+		t.Fatal("original and clone diverged over the same insert and sync")
+	}
+	if got := cl.cache.ProgramFor(cl.sp).Spec(); got != cl.sp {
+		t.Fatal("the clone's program falls back to a specification that is not the clone's")
+	}
+	if r := cl.cache.RouterAt(cl.sp, today); !r.SameVerdicts(cl.cache.RouterAt(cl.sp, today+1)) {
+		t.Fatal("routers of the cloned program do not compare")
+	}
+
+	// A specification change on the original recompiles there and leaves
+	// the clone's cache alone.
+	extra := spec.MustCompileString("y", `aggregate [Time.year, URL.domain_grp] where Time.year <= NOW - 3 years`, p.env)
+	if err := cs.sp.Insert(extra); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.ApplySpec(cs.sp, today); err != nil {
+		t.Fatal(err)
+	}
+	before = cs.Metrics().Snapshot()
+	if _, err := cl.Sync(today); err != nil {
+		t.Fatal(err)
+	}
+	if d := cs.Metrics().Snapshot().Sub(before); d.ProgramCompiles != 0 {
+		t.Errorf("the clone recompiled (%d) after the original's specification changed", d.ProgramCompiles)
+	}
+	if len(cl.sp.Actions()) != 2 || len(cl.Cubes()) != 3 {
+		t.Errorf("the clone has %d actions and %d cubes after the original's change, want 2 and 3", len(cl.sp.Actions()), len(cl.Cubes()))
+	}
+}

@@ -141,11 +141,13 @@ func (cs *CubeSet) SetMetrics(m *obs.Metrics) {
 
 // Clone returns a deep copy of the cube set: an independent
 // specification clone (sharing the immutable actions), independent
-// stores and cell indexes, and a fresh empty program cache recording
-// into the same metric set. Cube IDs, row IDs and sync state carry
-// over, so a deterministic operation applied to both the original and
-// the clone leaves them in identical states. Clone only reads the
-// receiver and may run concurrently with queries against it.
+// stores and cell indexes, and a program cache of its own that starts
+// with the receiver's compiled program and pinned routers re-bound to
+// the cloned specification, recording into the same metric set. Cube
+// IDs, row IDs and sync state carry over, so a deterministic operation
+// applied to both the original and the clone leaves them in identical
+// states. Clone only reads the receiver and may run concurrently with
+// queries against it.
 func (cs *CubeSet) Clone() *CubeSet {
 	c2 := &CubeSet{
 		sp:          cs.sp.Clone(),
@@ -159,7 +161,7 @@ func (cs *CubeSet) Clone() *CubeSet {
 		pending:     append([]storage.RowID(nil), cs.pending...),
 		tracking:    cs.tracking,
 	}
-	c2.cache = specexec.NewCache(cs.met)
+	c2.cache = cs.cache.Clone(cs.sp, c2.sp)
 	for _, c := range cs.cubes {
 		nc := &Cube{
 			id:          c.id,

@@ -1,6 +1,8 @@
 package subcube
 
 import (
+	"maps"
+
 	"dimred/internal/mdm"
 	"dimred/internal/storage"
 )
@@ -85,34 +87,34 @@ func (ix *cellIndex) del(cell []mdm.ValueID) {
 // clone returns an independent copy of the index (the scratch buffer
 // is not shared: the clone starts with a nil buf and grows its own).
 func (ix *cellIndex) clone() *cellIndex {
-	c := &cellIndex{width: ix.width, packed: make(map[uint64]storage.RowID, len(ix.packed)), buf: nil}
-	for k, r := range ix.packed {
-		c.packed[k] = r
-	}
-	if ix.str != nil {
-		c.str = make(map[string]storage.RowID, len(ix.str))
-		for k, r := range ix.str {
-			c.str[k] = r
-		}
-	}
-	return c
+	return &cellIndex{width: ix.width, packed: maps.Clone(ix.packed), str: maps.Clone(ix.str), buf: nil}
 }
 
 // applyRemap rewrites every entry through the row remapping returned
-// by Store.Compact, dropping entries whose rows were reclaimed.
+// by Store.Compact, dropping entries whose rows were reclaimed. A Go map
+// never gives buckets back, so when the entries are a quarter of the
+// compacted slots or fewer — the rule Store.Compact shrinks its columns
+// by — they move to right-sized maps instead.
 func (ix *cellIndex) applyRemap(remap []storage.RowID) {
-	for k, r := range ix.packed {
-		if nr := remap[r]; nr < 0 {
-			delete(ix.packed, k)
-		} else {
-			ix.packed[k] = nr
+	shrink := (len(ix.packed)+len(ix.str))*4 <= len(remap)
+	ix.packed = remapped(ix.packed, remap, shrink)
+	ix.str = remapped(ix.str, remap, shrink)
+}
+
+func remapped[K comparable](m map[K]storage.RowID, remap []storage.RowID, shrink bool) map[K]storage.RowID {
+	if m == nil {
+		return nil
+	}
+	out := m
+	if shrink {
+		out = make(map[K]storage.RowID, len(m))
+	}
+	for k, r := range m {
+		if nr := remap[r]; nr >= 0 {
+			out[k] = nr
+		} else if !shrink {
+			delete(m, k)
 		}
 	}
-	for k, r := range ix.str {
-		if nr := remap[r]; nr < 0 {
-			delete(ix.str, k)
-		} else {
-			ix.str[k] = nr
-		}
-	}
+	return out
 }

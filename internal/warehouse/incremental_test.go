@@ -6,19 +6,23 @@ import (
 	"dimred/internal/caltime"
 	"dimred/internal/ingest"
 	"dimred/internal/mdm"
+	"dimred/internal/obs"
 	"dimred/internal/spec"
 	"dimred/internal/workload"
 )
 
-// TestSyncScansOnlyTheDelta is ROADMAP item 2's counter gate for the
-// base cubes: on a synchronized warehouse of 20 k+ live rows a same-day
-// group commit scans no more rows than it carries, a late single-fact
-// Load scans exactly its own row, a later day of the same month is still
-// delta-only, and a month-boundary advance — the router's verdicts
-// change — scans every touched cube as before.
-func TestSyncScansOnlyTheDelta(t *testing.T) {
-	start := caltime.Date(2000, 1, 1)
-	today := caltime.Date(2000, 5, 29)
+// The delta gates stand on five months of clicks, 20 k+ live rows once
+// loaded and synchronized on 29 May.
+var (
+	deltaGateStart = caltime.Date(2000, 1, 1)
+	deltaGateToday = caltime.Date(2000, 5, 29)
+)
+
+// openDeltaGateWarehouse generates the gates' click stream and opens an
+// empty warehouse on its last day; the caller bulk-loads obj.MO.
+func openDeltaGateWarehouse(t *testing.T) (*Warehouse, *workload.ClickObject) {
+	t.Helper()
+	start, today := deltaGateStart, deltaGateToday
 	obj, err := workload.BuildClickMO(workload.ClickConfig{
 		Seed: 5, Start: start, Days: int(today-start) + 1,
 		ClicksPerDay: 800, Domains: 200, URLsPerDomain: 10, ZipfS: 1.01,
@@ -26,7 +30,7 @@ func TestSyncScansOnlyTheDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every day the test will stand on exists before the program is
+	// Every day the tests will stand on exists before the program is
 	// compiled, as it would in a warehouse whose calendar is preloaded.
 	for d := today; d <= caltime.Date(2000, 6, 2); d++ {
 		obj.Time.EnsureDay(d)
@@ -46,36 +50,48 @@ func TestSyncScansOnlyTheDelta(t *testing.T) {
 	if err := w.AdvanceTo(today); err != nil {
 		t.Fatal(err)
 	}
+	return w, obj
+}
+
+// flush64 ingests 64 facts on the warehouse's current day and returns the
+// counter delta of the FlushIngest that folds them.
+func flush64(t *testing.T, w *Warehouse, obj *workload.ClickObject) obs.MetricsSnapshot {
+	t.Helper()
+	dv, ok := obj.Time.DayValue(w.Now())
+	if !ok {
+		t.Fatalf("day %v not preloaded", w.Now())
+	}
+	urls := obj.URL.Dimension.ValuesIn(w.Env().Schema.BottomGranularity()[1])
+	for i := 0; i < 64; i++ {
+		if err := w.Ingest([]mdm.ValueID{dv, urls[(i*37)%len(urls)]}, []float64{1, 5, 2, 9}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := w.Metrics()
+	if err := w.FlushIngest(); err != nil {
+		t.Fatal(err)
+	}
+	return w.Metrics().Sub(before)
+}
+
+// TestSyncScansOnlyTheDelta is ROADMAP item 2's counter gate for the
+// base cubes: on a synchronized warehouse of 20 k+ live rows a same-day
+// group commit scans no more rows than it carries, a late single-fact
+// Load scans exactly its own row, a later day of the same month is still
+// delta-only, and a month-boundary advance — the router's verdicts
+// change — scans every touched cube as before.
+func TestSyncScansOnlyTheDelta(t *testing.T) {
+	w, obj := openDeltaGateWarehouse(t)
+	start, today := deltaGateStart, deltaGateToday
 	loadMO(t, w, obj.MO)
 	if live := w.Metrics().LiveRows; live < 20000 {
 		t.Fatalf("set-up left %d live rows, the gate wants at least 20000", live)
 	}
+	urls := obj.URL.Dimension.ValuesIn(w.Env().Schema.BottomGranularity()[1])
 
-	// onTime sends 64 facts on the warehouse's current day and returns
-	// the counter delta of the flush that folds them.
-	urls := obj.URL.Dimension.ValuesIn(env.Schema.BottomGranularity()[1])
-	onTime := func() (d struct{ scanned, syncs, delta, late int64 }) {
-		t.Helper()
-		dv, ok := obj.Time.DayValue(w.Now())
-		if !ok {
-			t.Fatalf("day %v not preloaded", w.Now())
-		}
-		for i := 0; i < 64; i++ {
-			if err := w.Ingest([]mdm.ValueID{dv, urls[(i*37)%len(urls)]}, []float64{1, 5, 2, 9}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		before := w.Metrics()
-		if err := w.FlushIngest(); err != nil {
-			t.Fatal(err)
-		}
-		m := w.Metrics().Sub(before)
-		d.scanned, d.syncs, d.delta, d.late = m.SyncScanned, m.Syncs, m.SyncsIncremental, m.IngestLate
-		return d
-	}
-	if d := onTime(); d.syncs != 1 || d.delta != 1 || d.scanned > 64 || d.late != 0 {
+	if d := flush64(t, w, obj); d.Syncs != 1 || d.SyncsIncremental != 1 || d.SyncScanned > 64 || d.IngestLate != 0 {
 		t.Fatalf("same-day flush of 64 on-time facts: syncs=%d incremental=%d scanned=%d late=%d, want 1/1/<=64/0",
-			d.syncs, d.delta, d.scanned, d.late)
+			d.Syncs, d.SyncsIncremental, d.SyncScanned, d.IngestLate)
 	}
 
 	// A late single-fact Load: one row inserted, one row scanned, one folded.
@@ -93,8 +109,8 @@ func TestSyncScansOnlyTheDelta(t *testing.T) {
 	if err := w.AdvanceTo(today + 1); err != nil {
 		t.Fatal(err)
 	}
-	if d := onTime(); d.syncs != 1 || d.delta != 1 || d.scanned > 64 {
-		t.Fatalf("next-day flush: syncs=%d incremental=%d scanned=%d, want 1/1/<=64", d.syncs, d.delta, d.scanned)
+	if d := flush64(t, w, obj); d.Syncs != 1 || d.SyncsIncremental != 1 || d.SyncScanned > 64 {
+		t.Fatalf("next-day flush: syncs=%d incremental=%d scanned=%d, want 1/1/<=64", d.Syncs, d.SyncsIncremental, d.SyncScanned)
 	}
 
 	// 1 June: April leaves the bottom cube, and only a full scan finds it.
@@ -108,8 +124,8 @@ func TestSyncScansOnlyTheDelta(t *testing.T) {
 		t.Fatalf("month-boundary advance: syncs=%d incremental=%d scanned=%d (bottom cube %d) folded=%d, want a full scan that folds April",
 			d.Syncs, d.SyncsIncremental, d.SyncScanned, bottom, d.RowsFolded)
 	}
-	if d := onTime(); d.delta != 1 || d.scanned > 64 {
-		t.Fatalf("flush after the boundary: incremental=%d scanned=%d, want 1/<=64", d.delta, d.scanned)
+	if d := flush64(t, w, obj); d.SyncsIncremental != 1 || d.SyncScanned > 64 {
+		t.Fatalf("flush after the boundary: incremental=%d scanned=%d, want 1/<=64", d.SyncsIncremental, d.SyncScanned)
 	}
 }
 

@@ -122,13 +122,13 @@ func (w *Warehouse) compactDeltas(rows []ingest.Row) error {
 			late++
 		}
 	}
-	err := w.syncWithLocked(func(cs *subcube.CubeSet) error {
+	err := w.syncWithLocked(func(cs *subcube.CubeSet) (int, error) {
 		for _, r := range rows {
 			if err := cs.Insert(r.Refs, r.Meas); err != nil {
-				return err
+				return 0, err
 			}
 		}
-		return nil
+		return len(rows), nil
 	})
 	n := int64(len(rows))
 	if err != nil {

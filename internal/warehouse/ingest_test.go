@@ -293,6 +293,92 @@ func TestLoadBatchEmptyPublishesNothing(t *testing.T) {
 	}
 }
 
+// TestLoadBatchBadRowPublishesNothing: the batch is staged in two flat
+// buffers, and a row that fails validation still publishes nothing —
+// whether it has the wrong shape (refused while staging, even when the
+// callback drops the error), sits above the bottom granularity (refused
+// by the first side's Insert) or the callback itself gives up half way.
+// The warehouse answers and counts as before, and the next good batch
+// goes through.
+func TestLoadBatchBadRowPublishesNothing(t *testing.T) {
+	w, obj := openClickWarehouse(t)
+	start := caltime.Date(2000, 1, 1)
+	if err := w.AdvanceTo(start + 20); err != nil {
+		t.Fatal(err)
+	}
+	refs, meas := stressRows(t, obj, 40, start)
+	month, ok := obj.Time.PeriodValue(caltime.PeriodOf(start, caltime.UnitMonth))
+	if !ok {
+		t.Fatal("January 2000 has no month value")
+	}
+	type row struct {
+		refs []mdm.ValueID
+		meas []float64
+	}
+	boom := fmt.Errorf("boom")
+	for _, tc := range []struct {
+		name string
+		bad  row   // staged as row 5 of 10
+		drop bool  // the callback ignores load's error
+		fail error // the callback returns this after row 5 instead
+	}{
+		{name: "short refs", bad: row{refs[5][:1], meas[5]}},
+		{name: "short refs, error dropped", bad: row{refs[5][:1], meas[5]}, drop: true},
+		{name: "long measures", bad: row{refs[5], append(append([]float64(nil), meas[5]...), 1)}, drop: true},
+		{name: "month-level value", bad: row{[]mdm.ValueID{month, refs[5][1]}, meas[5]}},
+		{name: "callback error", bad: row{refs[5], meas[5]}, fail: boom},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := w.Metrics()
+			cells := sideCells(t, w.env, w.Cubes())
+			err := w.LoadBatch(func(load func([]mdm.ValueID, []float64) error) error {
+				for i := 0; i < 10; i++ {
+					r := row{refs[i], meas[i]}
+					if i == 5 {
+						r = tc.bad
+					}
+					if err := load(r.refs, r.meas); err != nil && !tc.drop {
+						return err
+					}
+					if i == 5 && tc.fail != nil {
+						return tc.fail
+					}
+				}
+				return nil
+			})
+			if err == nil || tc.fail != nil && err != tc.fail {
+				t.Fatalf("LoadBatch = %v, want the batch refused", err)
+			}
+			d := w.Metrics().Sub(before)
+			if d.SnapshotPublishes != 0 || d.FactsLoaded != 0 || d.Syncs != 0 || d.SnapshotReclones != 0 || d.SnapshotRebuilds != 0 {
+				t.Fatalf("refused batch churned: publishes=%d facts=%d syncs=%d reclones=%d rebuilds=%d",
+					d.SnapshotPublishes, d.FactsLoaded, d.Syncs, d.SnapshotReclones, d.SnapshotRebuilds)
+			}
+			if got := sideCells(t, w.env, w.Cubes()); got != cells {
+				t.Fatalf("refused batch changed the published cells:\n%s\nwere:\n%s", got, cells)
+			}
+			sidesLevel(t, w, "after the refused batch")
+
+			// A good batch straight after lands whole.
+			err = w.LoadBatch(func(load func([]mdm.ValueID, []float64) error) error {
+				for i := 10; i < 20; i++ {
+					if err := load(refs[i], meas[i]); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := w.Metrics().Sub(before); d.FactsLoaded != 10 || d.SnapshotPublishes != 1 {
+				t.Fatalf("good batch after a refused one: facts=%d publishes=%d, want 10/1", d.FactsLoaded, d.SnapshotPublishes)
+			}
+			sidesLevel(t, w, "after the good batch")
+		})
+	}
+}
+
 func TestIngestValidatesEagerly(t *testing.T) {
 	w, obj := openClickWarehouse(t)
 	if err := w.Ingest([]mdm.ValueID{1}, []float64{1, 2, 3, 4}); err == nil {

@@ -261,24 +261,24 @@ func Load(in io.Reader) (*Warehouse, *LoadedDims, error) {
 	if sf.ViewsOn {
 		w.vcfg = views.Config{MaxBytes: sf.ViewMaxBytes, MaxViews: sf.ViewMaxViews}
 	}
-	err = w.commitWithViewsLocked(func(cs *subcube.CubeSet) error {
+	err = w.commitWithViewsLocked(func(cs *subcube.CubeSet) (int, error) {
 		refs := make([]mdm.ValueID, len(dimensions))
 		for _, r := range sf.Rows {
 			if len(r.Refs) != len(refs) {
-				return fmt.Errorf("warehouse: Load: row arity mismatch")
+				return 0, fmt.Errorf("warehouse: Load: row arity mismatch")
 			}
 			for i, v := range r.Refs {
 				if v < 0 || int(v) >= dimensions[i].NumValues() {
-					return fmt.Errorf("warehouse: Load: row references value %d outside dimension %s", v, dimensions[i].Name())
+					return 0, fmt.Errorf("warehouse: Load: row references value %d outside dimension %s", v, dimensions[i].Name())
 				}
 				refs[i] = mdm.ValueID(v)
 			}
 			if err := cs.RestoreRow(refs, r.Meas, r.Base); err != nil {
-				return err
+				return 0, err
 			}
 		}
 		cs.RestoreSyncState(caltime.Day(sf.LastSync), sf.Synced, sf.Deleted)
-		return nil
+		return len(sf.Rows), nil
 	}, sf.ViewsOn)
 	w.wmu.Unlock()
 	if err != nil {

@@ -35,10 +35,12 @@ import (
 // half-applied specification or a mid-synchronization cube. Writers
 // (loads, clock advances, specification updates) serialize on wmu,
 // apply each operation to the unpublished working side, publish it with
-// one pointer swap, wait for readers pinned to the retired side to
-// drain, and then replay the same deterministic operation on the
-// retired side so the two sides converge — the retired side becomes the
-// next working side.
+// one pointer swap, and then bring the other side level one of two
+// ways: wait for readers pinned to the retired side to drain and replay
+// the same deterministic operation on it, or — when the operation moved
+// enough rows that a second application would cost more than a copy of
+// its result (recloneRule) — drop the retired side and clone the
+// published one.
 type Warehouse struct {
 	env *spec.Env
 	// met is the engine metric set, shared with both cube-set sides so
@@ -72,6 +74,10 @@ type Warehouse struct {
 	wmu sync.Mutex
 	// working is the unpublished side the next operation applies to.
 	working *subcube.CubeSet
+	// reclone picks, per commit, between replaying on the retired side
+	// and cloning the published one. It is recloneRule except in tests,
+	// which force either arm to show the choice is pure cost.
+	reclone func(applied, left int) bool
 	seq     int64 // snapshot sequence, surfaced as SnapshotEpoch
 	// now is the warehouse clock and synced whether any synchronization
 	// has run. unit is the specification's significant period (Section
@@ -131,6 +137,7 @@ func Open(env *spec.Env, actions ...*spec.Action) (*Warehouse, error) {
 		discard: obs.NewMetrics(),
 		epoch:   obs.NewEpoch(),
 		buf:     ingest.NewBuffer(ingest.DefaultShards),
+		reclone: recloneRule,
 	}
 	w.unit, w.timed = sp.SignificantPeriod()
 	w.working = cs.Clone()
@@ -155,13 +162,34 @@ func (w *Warehouse) pin() (*snapshot, *obs.Pin) {
 	}
 }
 
+// commitOp is one deterministic mutation of a cube set. It reports how
+// many rows it inserted or moved — what applying it a second time would
+// have to do again.
+type commitOp func(cs *subcube.CubeSet) (applied int, err error)
+
+// recloneFactor is the one constant of the apply-once rule, the ratio of
+// two per-layer costs the repo benchmark prints: applying an inserted
+// fact again costs about 300 ns (subcube.insert_ns_per_fact), cloning the
+// result 50-75 ns per row it leaves (subcube.clone_ms over the live rows;
+// storage.clone_us_per_krow is the columns' share) — 4 to 6. A folded row
+// replays for about half an insert, so a fold-only commit just past the
+// threshold pays slightly more for the copy than a replay would have
+// cost; DESIGN.md section 11 has the numbers.
+const recloneFactor = 4
+
+// recloneRule reports whether a commit that applied that many rows and
+// left that many live is cheaper to copy than to apply again.
+func recloneRule(applied, left int) bool {
+	return applied > 0 && applied*recloneFactor >= left
+}
+
 // commitLocked runs one deterministic mutation through the left-right
 // protocol. Plain mutating commits publish without views: any views
 // the previous snapshot held are invalidated by dropping them from the
 // new one (the mutation may have changed the facts or the
 // specification generation they summarize), and the next sync-carrying
 // commit rebuilds them.
-func (w *Warehouse) commitLocked(op func(cs *subcube.CubeSet) error) error {
+func (w *Warehouse) commitLocked(op commitOp) error {
 	return w.commitWithViewsLocked(op, false)
 }
 
@@ -169,17 +197,21 @@ func (w *Warehouse) commitLocked(op func(cs *subcube.CubeSet) error) error {
 // left-right protocol: apply to the working side, optionally
 // materialize the selected rollup views from the post-op working side
 // (so the published snapshot and its views are one atomic unit —
-// readers never observe a half-built view), publish, drain readers off
-// the retired side, replay on the retired side (with instrumentation
-// redirected to the discard metric set, so the operation is counted
-// once), and adopt the retired side as the next working side. An error
-// from the first application publishes nothing and rebuilds the working
-// side from a clone of the published one, restoring the two-side
-// invariant.
+// readers never observe a half-built view), publish, and level the
+// other side. Small commits drain readers off the retired side, replay
+// on it (with instrumentation redirected to the discard metric set, so
+// the operation is counted once) and adopt it as the next working side.
+// A commit the reclone rule picks is applied once: the retired side is
+// dropped where it stands — readers still pinned to it finish on it,
+// nobody writes it again, so nothing drains — and the next working side
+// is a clone of the published one. An error from the first application
+// publishes nothing and rebuilds the working side from a clone of the
+// published one, restoring the two-side invariant.
 //
 //dimred:replay the retired side is drained of readers before the replay writes; this is the left-right protocol's sanctioned second application
-func (w *Warehouse) commitWithViewsLocked(op func(cs *subcube.CubeSet) error, refresh bool) error {
-	if err := op(w.working); err != nil {
+func (w *Warehouse) commitWithViewsLocked(op commitOp, refresh bool) error {
+	applied, err := op(w.working)
+	if err != nil {
 		w.rebuildWorkingLocked()
 		return err
 	}
@@ -188,10 +220,16 @@ func (w *Warehouse) commitWithViewsLocked(op func(cs *subcube.CubeSet) error, re
 		vs = w.buildViewsLocked()
 	}
 	retired := w.publishWorkingLocked(vs)
+	if w.reclone(applied, w.working.TotalRows()) {
+		w.met.SnapshotReclones.Inc()
+		w.rebuildWorkingLocked()
+		return nil
+	}
+	w.drainLocked(retired)
 	rcs := retired.cubes
 	//dimred:allow snapalias the retired side is drained of readers before replay; the metrics redirect is the replay protocol
 	rcs.SetMetrics(w.discard)
-	err := op(rcs)
+	_, err = op(rcs)
 	//dimred:allow snapalias the retired side is drained of readers before replay; the metrics redirect is the replay protocol
 	rcs.SetMetrics(w.met)
 	if err != nil {
@@ -208,9 +246,8 @@ func (w *Warehouse) commitWithViewsLocked(op func(cs *subcube.CubeSet) error, re
 
 // publishWorkingLocked swaps the working side in as the published
 // snapshot — together with the view set vs materialized from it (nil
-// invalidates any previously published views) — and waits for readers
-// pinned to the previously published side to drain. It returns the
-// retired snapshot, whose cube set the caller now owns exclusively.
+// invalidates any previously published views) — and returns the retired
+// snapshot, which readers may still be pinned to.
 func (w *Warehouse) publishWorkingLocked(vs *views.Set) *snapshot {
 	old := w.cur.Load()
 	w.seq++
@@ -225,12 +262,20 @@ func (w *Warehouse) publishWorkingLocked(vs *views.Set) *snapshot {
 	w.met.SnapshotPublishes.Inc()
 	w.met.SnapshotEpoch.Set(w.seq)
 	w.met.ViewBytes.Set(vs.Bytes())
+	return old
+}
+
+// drainLocked waits for readers pinned to the retired snapshot's side
+// to finish; afterwards the caller owns its cube set exclusively. A side
+// dropped by an earlier reclone may still have readers pinned to it:
+// they only lengthen the wait, since a drain covers every pin on the
+// side.
+func (w *Warehouse) drainLocked(retired *snapshot) {
 	w.met.SnapshotsRetained.Set(1)
-	if w.epoch.Drain(old.side) {
+	if w.epoch.Drain(retired.side) {
 		w.met.SnapshotDrainWaits.Inc()
 	}
 	w.met.SnapshotsRetained.Set(0)
-	return old
 }
 
 // publishClockLocked republishes the current cube set with an updated
@@ -257,8 +302,8 @@ func (w *Warehouse) publishClockLocked() {
 }
 
 // rebuildWorkingLocked discards the working side and reclones it from
-// the published snapshot, after a failed operation left it (or could
-// have left it) diverged.
+// the published snapshot: after a failed operation left it (or could
+// have left it) diverged, and after a commit too big to apply twice.
 func (w *Warehouse) rebuildWorkingLocked() {
 	w.working = w.cur.Load().cubes.Clone()
 }
@@ -295,21 +340,23 @@ func (w *Warehouse) syncLocked() error { return w.syncWithLocked(nil) }
 // folded into the same commit: prep's mutations and the synchronization
 // that folds them publish as one snapshot, so readers never observe the
 // intermediate (e.g. a bulk-loaded but not yet reduced) state.
-func (w *Warehouse) syncWithLocked(prep func(cs *subcube.CubeSet) error) error {
+func (w *Warehouse) syncWithLocked(prep commitOp) error {
 	clk := w.met.Clock()
 	start := clk.Now()
 	t := w.now
 	// Sync-carrying commits are where views refresh: the cube set is
 	// synchronized at the commit's clock, so the materialized rollups
 	// and the published snapshot agree on NOW and spec generation.
-	err := w.commitWithViewsLocked(func(cs *subcube.CubeSet) error {
+	err := w.commitWithViewsLocked(func(cs *subcube.CubeSet) (int, error) {
+		applied := 0
 		if prep != nil {
-			if err := prep(cs); err != nil {
-				return err
+			var err error
+			if applied, err = prep(cs); err != nil {
+				return 0, err
 			}
 		}
-		_, err := cs.Sync(t)
-		return err
+		moved, err := cs.Sync(t)
+		return applied + moved, err
 	}, true)
 	if err != nil {
 		return err
@@ -407,7 +454,7 @@ func (w *Warehouse) RefreshViews() error {
 // noopOp commits nothing: the left-right protocol still publishes a
 // fresh snapshot, which is how view enable/refresh/disable reach
 // readers without a cube mutation.
-func noopOp(*subcube.CubeSet) error { return nil }
+func noopOp(*subcube.CubeSet) (int, error) { return 0, nil }
 
 // ViewStats reports the published view set: how many views are live
 // and the modeled bytes they retain.
@@ -425,9 +472,9 @@ func (w *Warehouse) SetInterpreted(v bool) {
 	// The flag is read by lock-free queries, so it flips through the
 	// same publish-and-drain protocol as any other mutation. The op
 	// cannot fail.
-	_ = w.commitLocked(func(cs *subcube.CubeSet) error {
+	_ = w.commitLocked(func(cs *subcube.CubeSet) (int, error) {
 		cs.SetInterpreted(v)
-		return nil
+		return 0, nil
 	})
 }
 
@@ -441,8 +488,8 @@ func (w *Warehouse) SetInterpreted(v bool) {
 func (w *Warehouse) Load(refs []mdm.ValueID, meas []float64) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	op := func(cs *subcube.CubeSet) error {
-		return cs.Insert(refs, meas)
+	op := func(cs *subcube.CubeSet) (int, error) {
+		return 1, cs.Insert(refs, meas)
 	}
 	var err error
 	if w.working.Late(refs) {
@@ -466,44 +513,58 @@ func (w *Warehouse) Load(refs []mdm.ValueID, meas []float64) error {
 func (w *Warehouse) LoadBatch(rows func(load func(refs []mdm.ValueID, meas []float64) error) error) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	// Buffer the callback's rows: the commit applies the batch to both
-	// sides, and user code must not be re-entered (or observe a
-	// half-applied side) on the replay.
-	type bufRow struct {
-		refs []mdm.ValueID
-		meas []float64
-	}
-	var buf []bufRow
+	// Stage the callback's rows: a small batch is applied to both sides,
+	// and user code must not be re-entered (or observe a half-applied
+	// side) on the replay. Two flat buffers, one stride each, instead of
+	// two slices per row. A row of the wrong shape would break the
+	// stride, so it fails the batch here even if the callback drops the
+	// error; Insert checks everything else.
+	nd, nm := w.env.Schema.NumDims(), len(w.env.Schema.Measures)
+	var (
+		refBuf  []mdm.ValueID
+		measBuf []float64
+		n       int
+		bad     error
+	)
 	err := rows(func(refs []mdm.ValueID, meas []float64) error {
-		buf = append(buf, bufRow{
-			refs: append([]mdm.ValueID(nil), refs...),
-			meas: append([]float64(nil), meas...),
-		})
+		if len(refs) != nd || len(meas) != nm {
+			if bad == nil {
+				bad = fmt.Errorf("warehouse: LoadBatch: row %d: shape (%d, %d) does not match the schema's (%d, %d)",
+					n, len(refs), len(meas), nd, nm)
+			}
+			return bad
+		}
+		refBuf = append(refBuf, refs...)
+		measBuf = append(measBuf, meas...)
+		n++
 		return nil
 	})
+	if err == nil {
+		err = bad
+	}
 	if err != nil {
 		return err
 	}
 	// An empty batch publishes nothing: no sync, no snapshot churn, no
 	// view rebuild — and no BatchLoads tick, so the metrics pin the
 	// short-circuit.
-	if len(buf) == 0 {
+	if n == 0 {
 		return nil
 	}
 	w.met.BatchLoads.Inc()
-	err = w.syncWithLocked(func(cs *subcube.CubeSet) error {
-		for _, r := range buf {
-			if err := cs.Insert(r.refs, r.meas); err != nil {
-				return err
+	err = w.syncWithLocked(func(cs *subcube.CubeSet) (int, error) {
+		for i := 0; i < n; i++ {
+			if err := cs.Insert(refBuf[i*nd:(i+1)*nd], measBuf[i*nm:(i+1)*nm]); err != nil {
+				return 0, err
 			}
 		}
-		return nil
+		return n, nil
 	})
 	if err != nil {
 		return err
 	}
-	w.loaded.Add(int64(len(buf)))
-	w.met.FactsLoaded.Add(int64(len(buf)))
+	w.loaded.Add(int64(n))
+	w.met.FactsLoaded.Add(int64(n))
 	return nil
 }
 
@@ -626,12 +687,12 @@ func (w *Warehouse) InsertActions(actions ...*spec.Action) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	t := w.now
-	return w.commitSpecLocked(func(cs *subcube.CubeSet) error {
+	return w.commitSpecLocked(func(cs *subcube.CubeSet) (int, error) {
 		sp := cs.Spec()
 		if err := sp.Insert(actions...); err != nil {
-			return err
+			return 0, err
 		}
-		return cs.ApplySpec(sp, t)
+		return applySpec(cs, sp, t)
 	})
 }
 
@@ -639,7 +700,7 @@ func (w *Warehouse) InsertActions(actions ...*spec.Action) error {
 // significant period from the specification the commit left in place
 // (unchanged when op failed), so the synchronization cadence follows the
 // actions that are live now rather than the ones Open saw.
-func (w *Warehouse) commitSpecLocked(op func(cs *subcube.CubeSet) error) error {
+func (w *Warehouse) commitSpecLocked(op commitOp) error {
 	err := w.commitLocked(op)
 	w.unit, w.timed = w.working.Spec().SignificantPeriod()
 	return err
@@ -652,19 +713,26 @@ func (w *Warehouse) DeleteActions(names ...string) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	t := w.now
-	return w.commitSpecLocked(func(cs *subcube.CubeSet) error {
+	return w.commitSpecLocked(func(cs *subcube.CubeSet) (int, error) {
 		// Materialize the current facts so the responsibility check of
 		// Definition 4 sees the warehouse state.
 		mo, err := materialize(w.env, cs)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		sp := cs.Spec()
 		if err := sp.Delete(mo, t, names...); err != nil {
-			return err
+			return 0, err
 		}
-		return cs.ApplySpec(sp, t)
+		return applySpec(cs, sp, t)
 	})
+}
+
+// applySpec rebuilds the cube layout for sp. ApplySpec re-routes every
+// live row, so that is what it applied.
+func applySpec(cs *subcube.CubeSet, sp *spec.Spec, t caltime.Day) (int, error) {
+	n := cs.TotalRows()
+	return n, cs.ApplySpec(sp, t)
 }
 
 func materialize(env *spec.Env, cs *subcube.CubeSet) (*mdm.MO, error) {

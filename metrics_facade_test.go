@@ -61,6 +61,14 @@ func TestMetricsFacade(t *testing.T) {
 			m.FactsLoaded, m.RowsFolded, m.Syncs)
 	}
 
+	// The bulk load and the fold that reduced it each moved more rows than
+	// they left, so each was applied once and the other side copied; the
+	// empty first advance was replayed, and no side ever diverged.
+	if m.SnapshotReclones != 2 || m.SnapshotRebuilds != 0 || m.SnapshotPublishes != 3 {
+		t.Errorf("commit protocol counters wrong: reclones=%d rebuilds=%d publishes=%d, want 2/0/3",
+			m.SnapshotReclones, m.SnapshotRebuilds, m.SnapshotPublishes)
+	}
+
 	res, tr, err := w.QueryTraced(`aggregate [Time.month, URL.domain]`)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +90,7 @@ func TestMetricsFacade(t *testing.T) {
 	}
 	for _, want := range []string{"facts loaded", "rows folded", "query latency", "fact bytes",
 		"view hits", "view misses", "view builds", "view bytes",
-		"sync rounds (delta only)", "ingest rejected"} {
+		"sync rounds (delta only)", "ingest rejected", "side reclones"} {
 		if !strings.Contains(m.String(), want) {
 			t.Errorf("Metrics rendering missing %q", want)
 		}
