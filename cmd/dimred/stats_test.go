@@ -28,7 +28,7 @@ func TestStatsAndTraceCommands(t *testing.T) {
 	out := captureStdout(t, func() error {
 		return runStats([]string{"-snapshot", snapPath})
 	})
-	for _, want := range []string{"clock: 2000/12/1", "facts loaded", "metrics:", "live rows", "fact bytes", "side reclones"} {
+	for _, want := range []string{"clock: 2000/12/1", "facts loaded", "metrics:", "live rows", "fact bytes", "side reclones", "rows levelled"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats output missing %q:\n%s", want, out)
 		}

@@ -167,14 +167,16 @@ func TestRepoSuppressionBudget(t *testing.T) {
 		// internal/spec/env.go: synthetic canonical window is not an
 		// evaluation time.
 		"nowflow": 1,
-		// internal/warehouse/warehouse.go ×4: commitWithViewsLocked's
-		// replay-side SetMetrics redirects (retired side drained of
-		// readers), and buildViewsLocked's redirect-and-restore pair (the
-		// working side is off the published read path under wmu; view
-		// builds must not inflate the query counters).
-		"snapalias": 4,
+		// internal/warehouse/warehouse.go ×3: commitWithViewsLocked's
+		// LevelFrom call (it writes the retired side, drained of readers,
+		// from the published one), and buildViewsLocked's
+		// redirect-and-restore pair (the working side is off the published
+		// read path under wmu; view builds must not inflate the query
+		// counters).
+		"snapalias": 3,
 		// internal/warehouse/warehouse.go: commitWithViewsLocked is the
-		// left-right protocol's sanctioned replay path (//dimred:replay);
+		// left-right protocol's sanctioned post-publish writer, the copy
+		// into the drained retired side (//dimred:replay);
 		// internal/specexec/cache.go: Program.At's conservative escape
 		// summary (//dimred:allow on the router rebuild).
 		"publishcheck": 2,

@@ -20,8 +20,9 @@ import (
 )
 
 // Row is one buffered fact: bottom-granularity dimension references and
-// the measure vector. Append deep-copies both slices, so a Row never
-// aliases caller memory.
+// the measure vector. Append deep-copies both, so a Row never aliases
+// caller memory; the rows of one drained batch are slices of that batch's
+// own buffers, which no later Append writes.
 type Row struct {
 	Refs []mdm.ValueID
 	Meas []float64
@@ -49,16 +50,23 @@ func (cfg Config) WithDefaults() Config {
 	return cfg
 }
 
-// shard is one append lane. rows is guarded by mu.
+// shard is one append lane: its rows' refs and measures end to end in
+// two flat buffers, and per row where each ends, so an append allocates
+// only when a buffer grows. All guarded by mu.
 type shard struct {
 	mu   sync.Mutex
-	rows []Row
+	refs []mdm.ValueID
+	meas []float64
+	ends []rowEnd
 }
+
+// rowEnd is where one buffered row ends in its shard's flat buffers.
+type rowEnd struct{ refs, meas int }
 
 // Buffer is a sharded append-only delta buffer. Appends pick a shard
 // round-robin and hold only that shard's mutex; Drain swaps every
-// shard's slice out under its lock and concatenates, so producers are
-// never blocked behind a fold. The doorbell wakes the compactor without
+// shard's buffers out under its lock and slices them into rows, so
+// producers are never blocked behind a fold. The doorbell wakes the compactor without
 // ever blocking an appender.
 type Buffer struct {
 	shards   []*shard
@@ -86,13 +94,11 @@ func NewBuffer(shards int) *Buffer {
 // Append buffers one fact. The refs and meas slices are copied, so the
 // caller may reuse them. Safe for any number of concurrent producers.
 func (b *Buffer) Append(refs []mdm.ValueID, meas []float64) {
-	r := Row{
-		Refs: append([]mdm.ValueID(nil), refs...),
-		Meas: append([]float64(nil), meas...),
-	}
 	s := b.shards[b.next.Add(1)%uint64(len(b.shards))]
 	s.mu.Lock()
-	s.rows = append(s.rows, r)
+	s.refs = append(s.refs, refs...)
+	s.meas = append(s.meas, meas...)
+	s.ends = append(s.ends, rowEnd{refs: len(s.refs), meas: len(s.meas)})
 	s.mu.Unlock()
 	b.pending.Add(1)
 	b.ring()
@@ -111,13 +117,19 @@ func (b *Buffer) ring() {
 // them in shard order. Rows appended concurrently with a Drain land in
 // either this batch or the next, never in both and never lost.
 func (b *Buffer) Drain() []Row {
-	var out []Row
+	// Pending is what a drain usually finds; rows in flight just grow out.
+	out := make([]Row, 0, max(b.pending.Load(), 0))
 	for _, s := range b.shards {
 		s.mu.Lock()
-		rows := s.rows
-		s.rows = nil
+		refs, meas, ends := s.refs, s.meas, s.ends
+		s.refs, s.meas, s.ends = nil, nil, nil
 		s.mu.Unlock()
-		out = append(out, rows...)
+		var from rowEnd
+		for _, to := range ends {
+			// Capacity capped: appending to one row must not run into the next.
+			out = append(out, Row{Refs: refs[from.refs:to.refs:to.refs], Meas: meas[from.meas:to.meas:to.meas]})
+			from = to
+		}
 	}
 	b.pending.Add(int64(-len(out)))
 	return out

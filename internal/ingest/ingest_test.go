@@ -56,6 +56,64 @@ func TestBufferCopiesCallerSlices(t *testing.T) {
 	}
 }
 
+// TestBufferAppendAmortizesAllocations pins the flat staging: an append
+// allocates only when a shard's buffers grow — well under once per fact —
+// and a drained batch's rows, rows of other shapes among them, are not
+// disturbed by the appends that follow the drain.
+func TestBufferAppendAmortizesAllocations(t *testing.T) {
+	b := NewBuffer(DefaultShards)
+	refs, meas := row(7)
+	const n = 4096
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			b.Append(refs, meas)
+		}
+	})
+	if perAppend := allocs / n; perAppend >= 1 {
+		t.Fatalf("%.2f allocations per Append, want fewer than 1", perAppend)
+	}
+	b.Drain()
+
+	b.Append([]mdm.ValueID{1, 2, 3}, []float64{4})
+	b.Append(nil, []float64{5, 6})
+	for i := 0; i < 2*DefaultShards; i++ {
+		b.Append(row(i))
+	}
+	batch := b.Drain()
+	for i := 0; i < n; i++ {
+		b.Append([]mdm.ValueID{-1, -1, -1}, []float64{-1, -1})
+	}
+	if len(batch) != 2+2*DefaultShards {
+		t.Fatalf("drained %d rows, want %d", len(batch), 2+2*DefaultShards)
+	}
+	seen := 0
+	for _, r := range batch {
+		switch {
+		case len(r.Refs) == 3 && len(r.Meas) == 1:
+			if r.Refs[0] != 1 || r.Refs[2] != 3 || r.Meas[0] != 4 {
+				t.Fatalf("odd-shaped row came back as %+v", r)
+			}
+			seen++
+		case len(r.Refs) == 0 && len(r.Meas) == 2:
+			if r.Meas[0] != 5 || r.Meas[1] != 6 {
+				t.Fatalf("refs-less row came back as %+v", r)
+			}
+			seen++
+		default:
+			want, wantMeas := row(int(r.Meas[0]))
+			if len(r.Refs) != len(want) || r.Refs[0] != want[0] || r.Meas[0] != wantMeas[0] {
+				t.Fatalf("row came back as %+v, want %v %v", r, want, wantMeas)
+			}
+		}
+		if cap(r.Refs) != len(r.Refs) || cap(r.Meas) != len(r.Meas) {
+			t.Fatalf("row %+v has spare capacity reaching into its neighbour", r)
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("found %d of the 2 odd-shaped rows", seen)
+	}
+}
+
 func TestBufferConcurrentAppendDrain(t *testing.T) {
 	b := NewBuffer(8)
 	const producers, perProducer = 8, 200

@@ -65,12 +65,12 @@ type Metrics struct {
 	CompactionDuration Histogram // wall time per delta-fold compaction
 
 	// Epoch-snapshot read path (warehouse).
-	SnapshotPublishes  Counter // snapshots published by writers (including clock-only refreshes)
-	SnapshotDrainWaits Counter // publishes that had to wait for pinned readers to drain
-	SnapshotRebuilds   Counter // sides rebuilt from a full clone after a failed operation
-	SnapshotReclones   Counter // commits applied once: the retired side dropped for a clone of the published one
-	SnapshotEpoch      Gauge   // sequence number of the currently published snapshot
-	SnapshotsRetained  Gauge   // retired snapshots awaiting reader drain and replay
+	SnapshotPublishes    Counter // snapshots published by writers (including clock-only refreshes)
+	SnapshotDrainWaits   Counter // publishes that had to wait for pinned readers to drain
+	SnapshotReclones     Counter // commits whose retired side was dropped for a clone of the published one
+	SnapshotLevelledRows Counter // rows copied into drained retired sides to level them (a cube copied whole counts every row)
+	SnapshotEpoch        Gauge   // sequence number of the currently published snapshot
+	SnapshotsRetained    Gauge   // retired snapshots awaiting reader drain and levelling
 
 	// Storage gauges, refreshed on snapshot.
 	LiveRows  Gauge // live rows across all cubes
@@ -139,12 +139,12 @@ type MetricsSnapshot struct {
 	IngestRejected  int64
 	IngestPending   int64
 
-	SnapshotPublishes  int64
-	SnapshotDrainWaits int64
-	SnapshotRebuilds   int64
-	SnapshotReclones   int64
-	SnapshotEpoch      int64
-	SnapshotsRetained  int64
+	SnapshotPublishes    int64
+	SnapshotDrainWaits   int64
+	SnapshotReclones     int64
+	SnapshotLevelledRows int64
+	SnapshotEpoch        int64
+	SnapshotsRetained    int64
 
 	SyncDuration       HistogramSnapshot
 	QueryDuration      HistogramSnapshot
@@ -199,12 +199,12 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		IngestRejected:  m.IngestRejected.Load(),
 		IngestPending:   m.IngestPending.Load(),
 
-		SnapshotPublishes:  m.SnapshotPublishes.Load(),
-		SnapshotDrainWaits: m.SnapshotDrainWaits.Load(),
-		SnapshotRebuilds:   m.SnapshotRebuilds.Load(),
-		SnapshotReclones:   m.SnapshotReclones.Load(),
-		SnapshotEpoch:      m.SnapshotEpoch.Load(),
-		SnapshotsRetained:  m.SnapshotsRetained.Load(),
+		SnapshotPublishes:    m.SnapshotPublishes.Load(),
+		SnapshotDrainWaits:   m.SnapshotDrainWaits.Load(),
+		SnapshotReclones:     m.SnapshotReclones.Load(),
+		SnapshotLevelledRows: m.SnapshotLevelledRows.Load(),
+		SnapshotEpoch:        m.SnapshotEpoch.Load(),
+		SnapshotsRetained:    m.SnapshotsRetained.Load(),
 
 		SyncDuration:       m.SyncDuration.Snapshot(),
 		QueryDuration:      m.QueryDuration.Snapshot(),
@@ -255,8 +255,8 @@ func (s MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
 	d.IngestRejected -= prev.IngestRejected
 	d.SnapshotPublishes -= prev.SnapshotPublishes
 	d.SnapshotDrainWaits -= prev.SnapshotDrainWaits
-	d.SnapshotRebuilds -= prev.SnapshotRebuilds
 	d.SnapshotReclones -= prev.SnapshotReclones
+	d.SnapshotLevelledRows -= prev.SnapshotLevelledRows
 	return d
 }
 
@@ -301,8 +301,8 @@ func (s MetricsSnapshot) String() string {
 	b.WriteString("snapshots:\n")
 	row(&b, "publishes", s.SnapshotPublishes)
 	row(&b, "drain waits", s.SnapshotDrainWaits)
-	row(&b, "side rebuilds", s.SnapshotRebuilds)
 	row(&b, "side reclones", s.SnapshotReclones)
+	row(&b, "rows levelled", s.SnapshotLevelledRows)
 	row(&b, "epoch", s.SnapshotEpoch)
 	row(&b, "retained", s.SnapshotsRetained)
 

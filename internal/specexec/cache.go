@@ -74,6 +74,35 @@ func (c *Cache) Clone(from, to *spec.Spec) *Cache {
 	return c2
 }
 
+// Adopt brings c, the cache of to, up to what src holds for from, the
+// specification to is a Spec.Clone of: the routers src pinned since the
+// two caches were last equal are re-bound to c's program, so a day one
+// side of a left-right pair has pinned is not pinned again by the other.
+// Without a current entry of its own c takes src's whole, as Clone would;
+// when src holds nothing current for from, c is left as it is. Adopt only
+// reads src and may run beside lookups through it; c itself must be off
+// every read path.
+func (c *Cache) Adopt(src *Cache, from, to *spec.Spec) {
+	theirs := src.cur.Load()
+	if theirs == nil || theirs.sp != from || theirs.gen != to.Generation() {
+		return
+	}
+	mine := c.cur.Load()
+	if mine == nil || mine.sp != to || mine.gen != theirs.gen {
+		c.cur.Store(theirs.rebound(to))
+		return
+	}
+	for i := 0; i < routerSlots; i++ {
+		r := theirs.routers[i].Load()
+		if r == nil {
+			continue
+		}
+		if have := mine.routers[i].Load(); have == nil || have.Day() != r.Day() {
+			mine.routers[i].Store(r.clone(mine.prog))
+		}
+	}
+}
+
 // rebound returns the entry as the cache of sp, a Spec.Clone of e.sp at
 // e's generation, would hold it: program and routers cloned onto sp.
 func (e *cacheEntry) rebound(sp *spec.Spec) *cacheEntry {

@@ -215,6 +215,64 @@ func TestCacheCloneCarriesProgram(t *testing.T) {
 	}
 }
 
+// TestCacheAdoptCarriesRouters: levelling one side of a left-right pair
+// hands it the routers the other pinned meanwhile, bound to its own
+// program, so a day is pinned once for both; a cache with nothing current
+// of its own takes the other's whole, and one facing a cache of another
+// generation is left alone.
+func TestCacheAdoptCarriesRouters(t *testing.T) {
+	s, del := cacheSpec(t)
+	met := obs.NewMetrics()
+	theirs := specexec.NewCache(met)
+	d := caltime.Date(2000, 9, 1)
+	theirs.RouterAt(s, d)
+	s2 := s.Clone()
+	mine := theirs.Clone(s, s2)
+	prog := mine.ProgramFor(s2)
+
+	// The other side moves on two days; d+4 takes d's slot, there and —
+	// adopted — here.
+	r1, r4 := theirs.RouterAt(s, d+1), theirs.RouterAt(s, d+4)
+	mine.Adopt(theirs, s, s2)
+	before := met.Snapshot()
+	m1, m4 := mine.RouterAt(s2, d+1), mine.RouterAt(s2, d+4)
+	if delta := met.Snapshot().Sub(before); delta.RouterCacheHits != 2 || delta.ProgramCompiles != 0 {
+		t.Fatalf("lookups of adopted days: router hits=%d compiles=%d, want 2/0", delta.RouterCacheHits, delta.ProgramCompiles)
+	}
+	if m1 == r1 || m4 == r4 || !m1.SameVerdicts(m4) || m1.SameVerdicts(r1) {
+		t.Fatal("adopted routers must be bound to the adopting cache's program, not shared with the source")
+	}
+	if mine.ProgramFor(s2) != prog {
+		t.Fatal("adopting routers replaced the program the cache already held")
+	}
+
+	// A cache with nothing current takes the source's entry whole.
+	s3 := s.Clone()
+	empty := specexec.NewCache(met)
+	empty.Adopt(theirs, s, s3)
+	before = met.Snapshot()
+	if p := empty.ProgramFor(s3); p.Spec() != s3 {
+		t.Fatal("adopted program is bound to another specification")
+	}
+	empty.RouterAt(s3, d+4)
+	if delta := met.Snapshot().Sub(before); delta.ProgramCompiles != 0 || delta.RouterCacheHits != 1 {
+		t.Fatalf("first lookups through an adopted entry: compiles=%d router hits=%d, want 0/1", delta.ProgramCompiles, delta.RouterCacheHits)
+	}
+
+	// The source moved to another generation: nothing of it fits.
+	if err := s.Insert(del); err != nil {
+		t.Fatal(err)
+	}
+	theirs.RouterAt(s, d+2)
+	mine.Adopt(theirs, s, s2)
+	before = met.Snapshot()
+	mine.RouterAt(s2, d+2)
+	if delta := met.Snapshot().Sub(before); delta.RouterCacheHits != 0 || delta.ProgramCompiles != 0 {
+		t.Fatalf("after a foreign-generation Adopt: router hits=%d compiles=%d, want a fresh pin on the kept program (0/0)",
+			delta.RouterCacheHits, delta.ProgramCompiles)
+	}
+}
+
 // TestCacheConcurrentLookups hammers one cold cache from many
 // goroutines (run under -race in CI): duplicate compiles on the
 // publication race are fine, but every caller must get a program for

@@ -43,6 +43,18 @@ type Store struct {
 	base   []int64
 	dead   []bool
 	nDead  int
+
+	// The journal: what was written since the store last equalled its
+	// counterpart on the other side of a left-right pair (Clone and
+	// LevelFrom set the mark). Rows from mark on were appended since;
+	// touched lists the rows below mark whose measures, base count or
+	// tombstone changed, a row possibly more than once; reshaped says the
+	// journal no longer describes the difference — Compact renumbered the
+	// rows, or touched outgrew a quarter of the marked rows and was dropped
+	// — and the counterpart must take a whole copy.
+	mark     int
+	touched  []RowID
+	reshaped bool
 }
 
 // New creates an empty store with the given layout.
@@ -59,15 +71,20 @@ func (s *Store) Layout() Layout { return s.layout }
 
 // Clone returns a deep copy of the store: same rows, same RowIDs, same
 // tombstones, with no columns shared. Mutating either store afterwards
-// leaves the other untouched.
+// leaves the other untouched. The copy's journal starts empty at its own
+// row count: the two stores are level, whatever the receiver's journal
+// says about a third.
 func (s *Store) Clone() *Store {
 	c := &Store{
-		layout: s.layout,
-		refs:   make([][]mdm.ValueID, len(s.refs)),
-		meas:   make([][]float64, len(s.meas)),
-		base:   append([]int64(nil), s.base...),
-		dead:   append([]bool(nil), s.dead...),
-		nDead:  s.nDead,
+		layout:   s.layout,
+		refs:     make([][]mdm.ValueID, len(s.refs)),
+		meas:     make([][]float64, len(s.meas)),
+		base:     append([]int64(nil), s.base...),
+		dead:     append([]bool(nil), s.dead...),
+		nDead:    s.nDead,
+		mark:     len(s.base),
+		touched:  nil,
+		reshaped: false,
 	}
 	for i, col := range s.refs {
 		c.refs[i] = append([]mdm.ValueID(nil), col...)
@@ -106,8 +123,69 @@ func (s *Store) Delete(r RowID) {
 	if r < 0 || int(r) >= len(s.dead) || s.dead[r] {
 		return
 	}
+	s.touch(r)
 	s.dead[r] = true
 	s.nDead++
+}
+
+// touch journals a write to row r. Rows appended since the mark travel
+// with the tail and a reshaped store is copied whole, so neither is
+// listed; a row written several times in a row — a merge sets every
+// measure, then the base count — is listed once.
+func (s *Store) touch(r RowID) {
+	if int(r) >= s.mark || s.reshaped {
+		return
+	}
+	if n := len(s.touched); n > 0 && s.touched[n-1] == r {
+		return
+	}
+	s.touched = append(s.touched, r)
+	// Past a quarter of the marked rows the list saves little over the
+	// whole copy, and a bulk load must not retain a row id per fact.
+	if len(s.touched)*4 > s.mark {
+		s.touched, s.reshaped = nil, true
+	}
+}
+
+// Journal reports what was written since the store last equalled its
+// counterpart: the row count then (rows from mark on are new) and the
+// rows below it that changed, possibly with repeats. ok is false when the
+// journal cannot say — the counterpart needs a whole copy. The slice is
+// the store's own; do not modify it.
+func (s *Store) Journal() (mark int, touched []RowID, ok bool) {
+	return s.mark, s.touched, !s.reshaped
+}
+
+// LevelFrom makes s, which equalled src at src's mark, equal to src
+// again by copying the rows src's journal names — measures, base count
+// and tombstone of each touched row, every column of the appended tail —
+// and starts s's own journal afresh there. It only reads src. It reports
+// the rows copied, or false, with s untouched, when src's journal cannot
+// carry s there (src was reshaped, or s is not at src's mark): the caller
+// then replaces s with src.Clone().
+func (s *Store) LevelFrom(src *Store) (rows int, ok bool) {
+	mark, touched, ok := src.Journal()
+	if !ok || len(s.base) != mark {
+		return 0, false
+	}
+	for _, r := range touched {
+		for j := range s.meas {
+			s.meas[j][r] = src.meas[j][r]
+		}
+		s.base[r] = src.base[r]
+		s.dead[r] = src.dead[r]
+	}
+	for i := range s.refs {
+		s.refs[i] = append(s.refs[i], src.refs[i][mark:]...)
+	}
+	for j := range s.meas {
+		s.meas[j] = append(s.meas[j], src.meas[j][mark:]...)
+	}
+	s.base = append(s.base, src.base[mark:]...)
+	s.dead = append(s.dead, src.dead[mark:]...)
+	s.nDead = src.nDead
+	s.mark, s.touched, s.reshaped = len(s.base), s.touched[:0], false
+	return len(touched) + len(src.base) - mark, true
 }
 
 // Alive reports whether the row exists and is not deleted.
@@ -168,13 +246,19 @@ func (s *Store) Measure(r RowID, j int) float64 { return s.meas[j][r] }
 
 // SetMeasure overwrites measure column j of row r (used by in-place
 // aggregation when rows merge into a subcube cell).
-func (s *Store) SetMeasure(r RowID, j int, v float64) { s.meas[j][r] = v }
+func (s *Store) SetMeasure(r RowID, j int, v float64) {
+	s.touch(r)
+	s.meas[j][r] = v
+}
 
 // Base returns the user-fact count of row r.
 func (s *Store) Base(r RowID) int64 { return s.base[r] }
 
 // AddBase increases the user-fact count of row r.
-func (s *Store) AddBase(r RowID, n int64) { s.base[r] += n }
+func (s *Store) AddBase(r RowID, n int64) {
+	s.touch(r)
+	s.base[r] += n
+}
 
 // Scan calls fn for every live row in id order until fn returns false.
 func (s *Store) Scan(fn func(r RowID) bool) {
@@ -189,7 +273,8 @@ func (s *Store) Scan(fn func(r RowID) bool) {
 }
 
 // Compact removes tombstoned rows, invalidating all previously issued
-// RowIDs. It returns a mapping from old to new ids (mdm.NoValue-like -1
+// RowIDs — the journal's among them, so it is dropped for a whole copy.
+// It returns a mapping from old to new ids (mdm.NoValue-like -1
 // for deleted rows) so indexes can be rebuilt. When the survivors fill a
 // quarter of the allocated slots or less, the columns move to right-sized
 // arrays: a reduction that folds a bulk load away must hand the memory
@@ -225,6 +310,7 @@ func (s *Store) Compact() []RowID {
 	s.dead = cut(s.dead, w, shrink)
 	clear(s.dead)
 	s.nDead = 0
+	s.touched, s.reshaped = nil, true
 	return remap
 }
 

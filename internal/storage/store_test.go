@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -263,5 +265,134 @@ func TestCompactReturnsMemory(t *testing.T) {
 				t.Fatalf("Append after compact: id=%d err=%v", id, err)
 			}
 		})
+	}
+}
+
+// sameRows fails unless the two stores hold the same slots: refs,
+// measures, base count and tombstone of every row, dead ones included.
+func sameRows(t *testing.T, step string, got, want *Store) {
+	t.Helper()
+	if got.Rows() != want.Rows() || got.Dead() != want.Dead() {
+		t.Fatalf("%s: %d rows (%d dead), want %d (%d)", step, got.Rows(), got.Dead(), want.Rows(), want.Dead())
+	}
+	for r := RowID(0); int(r) < want.Rows(); r++ {
+		if got.Alive(r) != want.Alive(r) || got.Base(r) != want.Base(r) || !slices.Equal(got.Refs(r, nil), want.Refs(r, nil)) {
+			t.Fatalf("%s: row %d differs", step, r)
+		}
+		for j := 0; j < want.Layout().MeasCols; j++ {
+			if got.Measure(r, j) != want.Measure(r, j) {
+				t.Fatalf("%s: row %d measure %d = %v, want %v", step, r, j, got.Measure(r, j), want.Measure(r, j))
+			}
+		}
+	}
+}
+
+// TestLevelFromJournal drives two stores the way the commit protocol
+// drives the two sides: each round one is written — every mutator, one
+// kind at a time so each journal record is needed on its own — and the
+// other brought level from the writer's journal, falling back to a clone
+// exactly when the journal says it must. After every round the two are
+// equal slot for slot, and the roles swap.
+func TestLevelFromJournal(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	loaded := newTestStore()
+	for i := 0; i < 400; i++ {
+		if _, err := loaded.Append([]mdm.ValueID{mdm.ValueID(i), 1}, []float64{1, 2, 3}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A clone's journal starts where the clone was taken.
+	written, level := loaded.Clone(), loaded.Clone()
+	fallbacks := 0
+	for round := 0; round < 200; round++ {
+		live := func() RowID {
+			for {
+				if r := RowID(rng.Intn(written.Rows())); written.Alive(r) {
+					return r
+				}
+			}
+		}
+		var step string
+		wantFallback := false
+		switch op := rng.Intn(6); op {
+		case 0:
+			step = "SetMeasure"
+			for k := 0; k < 5; k++ {
+				written.SetMeasure(live(), rng.Intn(3), rng.Float64())
+			}
+		case 1:
+			step = "AddBase"
+			for k := 0; k < 5; k++ {
+				written.AddBase(live(), int64(1+rng.Intn(4)))
+			}
+		case 2:
+			step = "Delete"
+			for k := 0; k < 3; k++ {
+				written.Delete(live())
+			}
+		case 3:
+			// New rows, then writes to them: the tail carries both.
+			step = "Append"
+			for k := 0; k < 8; k++ {
+				r, err := written.Append([]mdm.ValueID{mdm.ValueID(rng.Intn(1000)), 2}, []float64{4, 5, 6}, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k%2 == 0 {
+					written.SetMeasure(r, 0, 9)
+					written.AddBase(r, 1)
+				}
+				if k == 7 {
+					written.Delete(r)
+				}
+			}
+		case 4:
+			step = "Compact"
+			written.Delete(live())
+			written.Compact()
+			wantFallback = true
+		default:
+			// More rows touched than a quarter of the store: the list is
+			// dropped, not grown.
+			step = "touch a third"
+			for r := RowID(0); int(r) < written.Rows(); r += 3 {
+				if written.Alive(r) {
+					written.AddBase(r, 1)
+				}
+			}
+			mark, touched, ok := written.Journal()
+			if ok || touched != nil {
+				t.Fatalf("round %d: journal kept %d of %d rows, ok=%v; want it dropped past a quarter", round, len(touched), mark, ok)
+			}
+			wantFallback = true
+		}
+		if _, touched, ok := written.Journal(); ok && len(touched)*4 > written.Rows() {
+			t.Fatalf("round %d (%s): journal lists %d rows of %d", round, step, len(touched), written.Rows())
+		}
+		rows, ok := level.LevelFrom(written)
+		if ok == wantFallback {
+			t.Fatalf("round %d (%s): LevelFrom ok=%v, want %v", round, step, ok, !wantFallback)
+		}
+		if !ok {
+			fallbacks++
+			level = written.Clone()
+		} else if rows == 0 || rows > 16 {
+			t.Fatalf("round %d (%s): levelled %d rows, want 1..16", round, step, rows)
+		}
+		sameRows(t, fmt.Sprintf("round %d (%s)", round, step), level, written)
+		// A levelled store's journal starts afresh.
+		if mark, touched, ok := level.Journal(); !ok || mark != level.Rows() || len(touched) != 0 {
+			t.Fatalf("round %d (%s): levelled store's journal: mark=%d of %d rows, %d touched, ok=%v", round, step, mark, level.Rows(), len(touched), ok)
+		}
+		written, level = level, written
+	}
+	if fallbacks == 0 || fallbacks == 200 {
+		t.Fatalf("%d of 200 rounds fell back to a clone", fallbacks)
+	}
+
+	// A store that is not at the writer's mark is refused, untouched.
+	stranger := newTestStore()
+	if _, ok := stranger.LevelFrom(written); ok || stranger.Rows() != 0 {
+		t.Fatalf("LevelFrom levelled a store that never equalled its source (ok=%v, %d rows)", ok, stranger.Rows())
 	}
 }

@@ -1,10 +1,12 @@
 package subcube
 
 import (
+	"math/rand"
 	"testing"
 
 	"dimred/internal/caltime"
 	"dimred/internal/mdm"
+	"dimred/internal/spec"
 )
 
 // TestMergeIntoAllocationFree pins the packed-cell-key fast path: once
@@ -90,4 +92,60 @@ func TestViewOfEvalAllocationProfile(t *testing.T) {
 	if eval.probes == 0 {
 		t.Fatal("view did not count router probes")
 	}
+}
+
+// TestDeltaSyncAllocations pins what a delta-only Sync costs beside its
+// probes: with one cube to scan and nothing to move it runs on the
+// caller's goroutine and looks destinations up in the layout's own table,
+// so 64 pending rows cost a handful of scratch allocations — no goroutine,
+// no WaitGroup, no per-call map.
+func TestDeltaSyncAllocations(t *testing.T) {
+	pool := newLockstepPool(t)
+	s, err := spec.New(pool.env,
+		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, pool.env),
+		spec.MustCompileString("q", `aggregate [Time.quarter, URL.domain_grp] where Time.quarter <= NOW - 4 quarters`, pool.env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := New(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	now := caltime.Date(2002, 6, 20)
+	for d := caltime.Date(2001, 1, 1); d < now-1; d++ {
+		refs, meas := pool.fact(rng, d, -1)
+		if err := cs.Insert(refs, meas); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cs.Sync(now); err != nil {
+		t.Fatal(err)
+	}
+	// 64 new cells of the last two days: 64 pending rows, none of which moves.
+	for u := 0; u < 64; u++ {
+		refs, meas := pool.fact(rng, now-caltime.Day(u%2), u)
+		if err := cs.Insert(refs, meas); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(cs.pending) != 64 {
+		t.Fatalf("%d pending rows, want 64", len(cs.pending))
+	}
+	// AllocsPerRun warms up on one run and measures the next: a clone each.
+	sets := []*CubeSet{cs.Clone(), cs.Clone()}
+	incremental := cs.met.SyncsIncremental.Load()
+	allocs := testing.AllocsPerRun(1, func() {
+		if moved, err := sets[0].Sync(now); err != nil || moved != 0 {
+			t.Fatalf("Sync moved %d rows, err %v", moved, err)
+		}
+		sets = sets[1:]
+	})
+	if got := cs.met.SyncsIncremental.Load() - incremental; got != 2 {
+		t.Fatalf("%d of the 2 syncs were delta-only", got)
+	}
+	if allocs > 6 {
+		t.Fatalf("a delta-only Sync of 64 pending rows allocated %.0f times, want at most 6", allocs)
+	}
+	t.Logf("delta-only Sync of 64 pending rows: %.0f allocations", allocs)
 }

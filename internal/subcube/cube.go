@@ -85,6 +85,13 @@ type CubeSet struct {
 	byGran   map[string]*Cube
 	lastSync caltime.Day
 	synced   bool
+	// byPacked is byGran keyed by granPack, the allocation-free lookup of
+	// Sync's mover scan; nil above 8 dimensions. Built with the layout.
+	byPacked map[uint64]*Cube
+	// layout counts the layouts this set has realized: ApplySpec replaces
+	// every cube, and a set on another layout cannot be levelled cube by
+	// cube.
+	layout int
 	// deletedBase counts user facts physically removed by deletion
 	// actions.
 	deletedBase int64
@@ -131,9 +138,9 @@ func (cs *CubeSet) Metrics() *obs.Metrics { return cs.met }
 
 // SetMetrics redirects the cube set's instrumentation (including its
 // compiled-program cache's) to m. The epoch-snapshot warehouse uses it
-// to flip a retired side onto a discard metric set while replaying an
-// already-counted operation; it is not synchronized, so only call it on
-// a cube set that is off the published read path.
+// to keep a view build's scans of the working side out of the query
+// counters; it is not synchronized, so only call it on a cube set that
+// is off the published read path.
 func (cs *CubeSet) SetMetrics(m *obs.Metrics) {
 	cs.met = m
 	cs.cache.SetMetrics(m)
@@ -144,15 +151,17 @@ func (cs *CubeSet) SetMetrics(m *obs.Metrics) {
 // stores and cell indexes, and a program cache of its own that starts
 // with the receiver's compiled program and pinned routers re-bound to
 // the cloned specification, recording into the same metric set. Cube
-// IDs, row IDs and sync state carry over, so a deterministic operation
-// applied to both the original and the clone leaves them in identical
-// states. Clone only reads the receiver and may run concurrently with
-// queries against it.
+// IDs, row IDs and sync state carry over and every store's journal
+// starts afresh: the clone is level with the receiver and, once written,
+// can bring the receiver level again with LevelFrom. Clone only reads the
+// receiver and may run concurrently with queries against it.
 func (cs *CubeSet) Clone() *CubeSet {
 	c2 := &CubeSet{
 		sp:          cs.sp.Clone(),
 		env:         cs.env,
 		byGran:      make(map[string]*Cube, len(cs.byGran)),
+		byPacked:    nil,
+		layout:      cs.layout,
 		lastSync:    cs.lastSync,
 		synced:      cs.synced,
 		deletedBase: cs.deletedBase,
@@ -184,7 +193,63 @@ func (cs *CubeSet) Clone() *CubeSet {
 			c2.cubes[i].parents = append(c2.cubes[i].parents, c2.cubes[p.id])
 		}
 	}
+	c2.byPacked = packedLookup(c2.cubes)
 	return c2
+}
+
+// LevelFrom brings cs level with src after src alone was written: the two
+// were level when src was cloned from cs or last levelled from it, and
+// every store of src has journaled its writes since. It copies
+// what those journals name — the touched rows' measures, base counts and
+// tombstones and the appended tail, column-wise — drops the cell-index
+// entries of the rows that died and adds the appended rows', takes over
+// zone maps, sync state, pending rows and the evaluation mode, and adopts
+// the routers src pinned meanwhile. A cube whose journal gave up (a
+// compaction, too many touched rows) is cloned whole. A set on another
+// layout or specification generation cannot be levelled cube by cube; the
+// result is then a clone of src. It returns the set now level with src —
+// cs, or that clone — and the rows copied. LevelFrom only reads src and
+// may run beside queries against it; nothing may read cs meanwhile.
+func (cs *CubeSet) LevelFrom(src *CubeSet) (*CubeSet, int) {
+	if cs.layout != src.layout || cs.sp.Generation() != src.sp.Generation() {
+		return src.Clone(), src.TotalRows()
+	}
+	rows := 0
+	cell := make([]mdm.ValueID, cs.env.Schema.NumDims())
+	for i, c := range cs.cubes {
+		rows += c.levelFrom(src.cubes[i], cell)
+	}
+	cs.lastSync, cs.synced = src.lastSync, src.synced
+	cs.deletedBase = src.deletedBase
+	cs.interpret = src.interpret
+	cs.pending = append(cs.pending[:0], src.pending...)
+	cs.tracking = src.tracking
+	cs.cache.Adopt(src.cache, src.sp, cs.sp)
+	return cs, rows
+}
+
+// levelFrom is LevelFrom for one cube; cell is scratch. The index entries
+// of the rows that died go before the store forgets which rows they were,
+// the appended rows' after it has them.
+func (c *Cube) levelFrom(src *Cube, cell []mdm.ValueID) int {
+	c.dayLo, c.dayHi, c.hasRange, c.timeUnbound = src.dayLo, src.dayHi, src.hasRange, src.timeUnbound
+	mark, touched, _ := src.store.Journal()
+	for _, r := range touched {
+		if !src.store.Alive(r) && c.store.Alive(r) {
+			c.index.del(c.store.Refs(r, cell))
+		}
+	}
+	rows, ok := c.store.LevelFrom(src.store)
+	if !ok {
+		c.store, c.index = src.store.Clone(), src.index.clone()
+		return c.store.Rows()
+	}
+	for r := storage.RowID(mark); int(r) < c.store.Rows(); r++ {
+		if c.store.Alive(r) {
+			c.index.put(c.store.Refs(r, cell), r)
+		}
+	}
+	return rows
 }
 
 // New builds the subcube layout for a specification: one cube per
@@ -215,7 +280,22 @@ func New(sp *spec.Spec) (*CubeSet, error) {
 		c.actions = append(c.actions, a)
 	}
 	cs.computeDAG()
+	cs.byPacked = packedLookup(cs.cubes)
 	return cs, nil
+}
+
+// packedLookup indexes the cubes by granPack of their granularity; nil
+// when the granularities do not pack.
+func packedLookup(cubes []*Cube) map[uint64]*Cube {
+	if _, ok := granPack(cubes[0].gran); !ok {
+		return nil
+	}
+	m := make(map[uint64]*Cube, len(cubes))
+	for _, c := range cubes {
+		k, _ := granPack(c.gran)
+		m[k] = c
+	}
+	return m
 }
 
 func granKey(g mdm.Granularity) string {
@@ -647,8 +727,8 @@ func granPack(g mdm.Granularity) (uint64, bool) {
 // day-pinned router from the program cache (compiling only when the
 // spec generation changed), then scans the cubes in parallel, probing the
 // day-pinned router per row and extracting every mover's rolled-up row
-// into per-cube scratch. Phase 2 is parallel too: one goroutine per
-// cube owns that cube's store and index outright — it tombstones the
+// into per-cube scratch. Phase 2 is parallel too: one task per cube
+// (eachCube) owns that cube's store and index outright — it tombstones the
 // cube's deleted and outbound rows and merges the inbound movers, in
 // (source cube, source row) order so the result is deterministic. A
 // mover's destination cell can never coincide with a cell leaving the
@@ -666,87 +746,77 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 		cs.met.SyncsIncremental.Inc()
 	}
 
-	// Destination lookup by packed granularity, falling back to the
-	// string-keyed byGran map above 8 dimensions.
-	var dstPacked map[uint64]*Cube
-	if _, ok := granPack(cs.cubes[0].gran); ok {
-		dstPacked = make(map[uint64]*Cube, len(cs.cubes))
-		for _, c := range cs.cubes {
-			k, _ := granPack(c.gran)
-			dstPacked[k] = c
-		}
-	}
-
 	// Phase 1 (parallel): find movers and extract their rolled-up rows.
 	movers := make([]cubeMovers, len(cs.cubes))
-	var wg sync.WaitGroup
+	var scan []int
 	for ci, c := range cs.cubes {
 		if delta && ci > 0 {
-			continue // only bottom rows are pending
+			break // only bottom rows are pending
 		}
 		if cs.cubeUntouchedAt(c, t) {
 			cs.met.SyncSkips.Inc()
 			continue
 		}
-		wg.Add(1)
-		go func(m *cubeMovers, c *Cube) {
-			defer wg.Done()
-			cell := make([]mdm.ValueID, nDims)
-			level := make(mdm.Granularity, nDims)
-			probe := func(r storage.RowID) bool {
-				m.scanned++
-				c.store.Refs(r, cell)
-				m.probes++
-				if router.DeletedBy(cell) != nil {
-					m.delRows = append(m.delRows, r)
-					m.delBase += c.store.Base(r)
-					return true
-				}
-				m.probes++
-				router.AggLevelInto(cell, level, nil)
-				if schema.GranEq(level, c.gran) {
-					return true
-				}
-				var dst *Cube
-				if dstPacked != nil {
-					k, _ := granPack(level)
-					dst = dstPacked[k]
-				} else {
-					dst = cs.byGran[granKey(level)]
-				}
-				if dst == nil {
-					m.err = fmt.Errorf("subcube: Sync: no cube at granularity %s", schema.GranString(level))
-					return false
-				}
-				for i, d := range schema.Dims {
-					up := d.AncestorAt(cell[i], level[i])
-					if up == mdm.NoValue {
-						m.err = fmt.Errorf("subcube: Sync: value %s has no ancestor at %s",
-							d.ValueName(cell[i]), d.Category(level[i]).Name)
-						return false
-					}
-					m.ups = append(m.ups, up)
-				}
-				for j := 0; j < nMeas; j++ {
-					m.meas = append(m.meas, c.store.Measure(r, j))
-				}
-				m.rows = append(m.rows, r)
-				m.dsts = append(m.dsts, int32(dst.id))
-				m.base = append(m.base, c.store.Base(r))
+		scan = append(scan, ci)
+	}
+	eachCube(scan, func(ci int) {
+		m, c := &movers[ci], cs.cubes[ci]
+		cell := make([]mdm.ValueID, nDims)
+		level := make(mdm.Granularity, nDims)
+		probe := func(r storage.RowID) bool {
+			m.scanned++
+			c.store.Refs(r, cell)
+			m.probes++
+			if router.DeletedBy(cell) != nil {
+				m.delRows = append(m.delRows, r)
+				m.delBase += c.store.Base(r)
 				return true
 			}
-			if !delta {
-				c.store.Scan(probe)
+			m.probes++
+			router.AggLevelInto(cell, level, nil)
+			if schema.GranEq(level, c.gran) {
+				return true
+			}
+			// Destination by packed granularity, by the string key above
+			// 8 dimensions.
+			var dst *Cube
+			if cs.byPacked != nil {
+				k, _ := granPack(level)
+				dst = cs.byPacked[k]
+			} else {
+				dst = cs.byGran[granKey(level)]
+			}
+			if dst == nil {
+				m.err = fmt.Errorf("subcube: Sync: no cube at granularity %s", schema.GranString(level))
+				return false
+			}
+			for i, d := range schema.Dims {
+				up := d.AncestorAt(cell[i], level[i])
+				if up == mdm.NoValue {
+					m.err = fmt.Errorf("subcube: Sync: value %s has no ancestor at %s",
+						d.ValueName(cell[i]), d.Category(level[i]).Name)
+					return false
+				}
+				m.ups = append(m.ups, up)
+			}
+			for j := 0; j < nMeas; j++ {
+				m.meas = append(m.meas, c.store.Measure(r, j))
+			}
+			m.rows = append(m.rows, r)
+			m.dsts = append(m.dsts, int32(dst.id))
+			m.base = append(m.base, c.store.Base(r))
+			return true
+		}
+		if !delta {
+			c.store.Scan(probe)
+			return
+		}
+		for _, r := range cs.pending {
+			if !probe(r) {
 				return
 			}
-			for _, r := range cs.pending {
-				if !probe(r) {
-					return
-				}
-			}
-		}(&movers[ci], c)
-	}
-	wg.Wait()
+		}
+	})
 
 	moved := 0
 	for ci := range movers {
@@ -774,44 +844,43 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 		}
 	}
 
-	// Phase 2 (parallel): each goroutine owns exactly one cube —
-	// tombstones its outbound and deleted rows, merges its inbound
-	// rows, then compacts if tombstones dominate.
+	// Phase 2 (parallel): each task owns exactly one cube — tombstones
+	// its outbound and deleted rows, merges its inbound rows, then
+	// compacts if tombstones dominate.
 	errs := make([]error, len(cs.cubes))
-	for ci, c := range cs.cubes {
-		if len(inbound[ci]) == 0 && len(movers[ci].delRows) == 0 && len(movers[ci].rows) == 0 {
-			continue
+	var apply []int
+	for ci := range cs.cubes {
+		if len(inbound[ci]) > 0 || len(movers[ci].delRows) > 0 || len(movers[ci].rows) > 0 {
+			apply = append(apply, ci)
 		}
-		wg.Add(1)
-		go func(ci int, c *Cube) {
-			defer wg.Done()
-			cell := make([]mdm.ValueID, nDims)
-			m := &movers[ci]
-			for _, r := range m.delRows {
-				c.store.Refs(r, cell)
-				c.index.del(cell)
-				c.store.Delete(r)
-			}
-			for _, r := range m.rows {
-				c.store.Refs(r, cell)
-				c.index.del(cell)
-				c.store.Delete(r)
-			}
-			for _, ref := range inbound[ci] {
-				src := &movers[ref.src]
-				up := src.ups[int(ref.idx)*nDims : (int(ref.idx)+1)*nDims]
-				meas := src.meas[int(ref.idx)*nMeas : (int(ref.idx)+1)*nMeas]
-				if err := cs.mergeInto(c, up, meas, src.base[ref.idx]); err != nil {
-					errs[ci] = err
-					return
-				}
-			}
-			if c.store.Rows() > 64 && c.store.Live()*2 < c.store.Rows() {
-				cs.compact(c)
-			}
-		}(ci, c)
 	}
-	wg.Wait()
+	eachCube(apply, func(ci int) {
+		c := cs.cubes[ci]
+		cell := make([]mdm.ValueID, nDims)
+		m := &movers[ci]
+		for _, r := range m.delRows {
+			c.store.Refs(r, cell)
+			c.index.del(cell)
+			c.store.Delete(r)
+		}
+		for _, r := range m.rows {
+			c.store.Refs(r, cell)
+			c.index.del(cell)
+			c.store.Delete(r)
+		}
+		for _, ref := range inbound[ci] {
+			src := &movers[ref.src]
+			up := src.ups[int(ref.idx)*nDims : (int(ref.idx)+1)*nDims]
+			meas := src.meas[int(ref.idx)*nMeas : (int(ref.idx)+1)*nMeas]
+			if err := cs.mergeInto(c, up, meas, src.base[ref.idx]); err != nil {
+				errs[ci] = err
+				return
+			}
+		}
+		if c.store.Rows() > 64 && c.store.Live()*2 < c.store.Rows() {
+			cs.compact(c)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return 0, err
@@ -826,6 +895,26 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 	cs.met.FactsDeleted.Add(deleted)
 	cs.met.RowsFolded.Add(int64(moved))
 	return moved, nil
+}
+
+// eachCube runs fn for every listed cube, one goroutine per cube — except
+// that a single cube runs on the caller's: a delta-only Sync scans the
+// bottom cube alone and usually merges into one cube, and a goroutine
+// round trip would cost more than either.
+func eachCube(cubes []int, fn func(ci int)) {
+	if len(cubes) == 1 {
+		fn(cubes[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for _, ci := range cubes {
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			fn(ci)
+		}(ci)
+	}
+	wg.Wait()
 }
 
 func (cs *CubeSet) compact(c *Cube) {
@@ -890,6 +979,8 @@ func (cs *CubeSet) ApplySpec(sp *spec.Spec, t caltime.Day) error {
 	cs.sp = sp
 	cs.cubes = next.cubes
 	cs.byGran = next.byGran
+	cs.byPacked = next.byPacked
+	cs.layout++
 	cs.deletedBase += next.deletedBase
 	cs.markSynced(t)
 	return nil

@@ -350,9 +350,9 @@ func TestLoadBatchBadRowPublishesNothing(t *testing.T) {
 				t.Fatalf("LoadBatch = %v, want the batch refused", err)
 			}
 			d := w.Metrics().Sub(before)
-			if d.SnapshotPublishes != 0 || d.FactsLoaded != 0 || d.Syncs != 0 || d.SnapshotReclones != 0 || d.SnapshotRebuilds != 0 {
-				t.Fatalf("refused batch churned: publishes=%d facts=%d syncs=%d reclones=%d rebuilds=%d",
-					d.SnapshotPublishes, d.FactsLoaded, d.Syncs, d.SnapshotReclones, d.SnapshotRebuilds)
+			if d.SnapshotPublishes != 0 || d.FactsLoaded != 0 || d.Syncs != 0 || d.SnapshotReclones != 0 {
+				t.Fatalf("refused batch churned: publishes=%d facts=%d syncs=%d reclones=%d",
+					d.SnapshotPublishes, d.FactsLoaded, d.Syncs, d.SnapshotReclones)
 			}
 			if got := sideCells(t, w.env, w.Cubes()); got != cells {
 				t.Fatalf("refused batch changed the published cells:\n%s\nwere:\n%s", got, cells)

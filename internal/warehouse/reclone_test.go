@@ -32,8 +32,8 @@ func sideCells(t *testing.T, env *spec.Env, cs *subcube.CubeSet) string {
 
 // sideRows renders a cube set's live rows in physical order, with the
 // tombstones each cube carries and the sync state: what the working and
-// the published side must agree on for a deterministic operation to
-// leave them level again.
+// the published side must agree on after every commit, whichever copy
+// levelled them.
 func sideRows(t *testing.T, env *spec.Env, cs *subcube.CubeSet) string {
 	t.Helper()
 	var b strings.Builder
@@ -62,13 +62,14 @@ func sidesLevel(t *testing.T, w *Warehouse, step string) {
 	}
 }
 
-// TestBulkCommitAppliesOnce pins the apply-once rule of the commit
-// protocol: which commits take the copy and which the replay, that both
-// leave the two sides level and the incremental Sync's bookkeeping
-// intact, that the choice changes no cell, and that a reader holding the
-// retired snapshot neither blocks a copy nor sees it.
+// TestBulkCommitAppliesOnce pins the copy rule of the commit protocol:
+// which commits clone the published side and which level the retired one
+// from the journal, that both leave the two sides level and the
+// incremental Sync's bookkeeping intact, that the choice changes no cell,
+// and that a reader holding the retired snapshot neither blocks a clone
+// nor sees it.
 func TestBulkCommitAppliesOnce(t *testing.T) {
-	t.Run("bulk load reclones, group commit replays", bulkReclonesFlushReplays)
+	t.Run("bulk load reclones, group commit levels", bulkReclonesFlushLevels)
 	for _, rule := range []struct {
 		name    string
 		reclone func(applied, left int) bool
@@ -82,18 +83,19 @@ func TestBulkCommitAppliesOnce(t *testing.T) {
 	t.Run("pinned reader", recloneBesidePinnedReader)
 }
 
-// bulkReclonesFlushReplays is (a) and (b): a LoadBatch larger than the
-// state it leaves is applied once; a 64-fact group commit into the 20 k
-// rows it left is applied twice; after the copy the next flush is still
-// delta-only, under TestSyncScansOnlyTheDelta's bound.
-func bulkReclonesFlushReplays(t *testing.T) {
+// bulkReclonesFlushLevels is (a) and (b): after a LoadBatch larger than
+// the state it leaves the other side is a clone of the result; after a
+// 64-fact group commit into the 20 k rows it left the retired side is
+// levelled; after either the next flush is still delta-only, under
+// TestSyncScansOnlyTheDelta's bound.
+func bulkReclonesFlushLevels(t *testing.T) {
 	w, obj := openDeltaGateWarehouse(t)
 
 	before := w.Metrics()
 	loadMO(t, w, obj.MO)
 	d := w.Metrics().Sub(before)
-	if d.SnapshotReclones != 1 || d.SnapshotPublishes != 1 || d.SnapshotRebuilds != 0 {
-		t.Fatalf("bulk load: reclones=%d publishes=%d rebuilds=%d, want 1/1/0", d.SnapshotReclones, d.SnapshotPublishes, d.SnapshotRebuilds)
+	if d.SnapshotReclones != 1 || d.SnapshotPublishes != 1 {
+		t.Fatalf("bulk load: reclones=%d publishes=%d, want 1/1", d.SnapshotReclones, d.SnapshotPublishes)
 	}
 	// Applied once: every fact is counted once whichever way the other
 	// side was levelled, and nothing compiled for the copy.
@@ -111,8 +113,8 @@ func bulkReclonesFlushReplays(t *testing.T) {
 	flush := func(step string) {
 		t.Helper()
 		d := flush64(t, w, obj)
-		if d.SnapshotReclones != 0 || d.SnapshotRebuilds != 0 {
-			t.Fatalf("%s: reclones=%d rebuilds=%d, want a replay", step, d.SnapshotReclones, d.SnapshotRebuilds)
+		if d.SnapshotReclones != 0 {
+			t.Fatalf("%s: reclones=%d, want the retired side levelled", step, d.SnapshotReclones)
 		}
 		if d.Syncs != 1 || d.SyncsIncremental != 1 || d.SyncScanned > 64 || d.ProgramCompiles != 0 {
 			t.Fatalf("%s: syncs=%d incremental=%d scanned=%d compiles=%d, want 1/1/<=64/0",
@@ -120,8 +122,8 @@ func bulkReclonesFlushReplays(t *testing.T) {
 		}
 		sidesLevel(t, w, step)
 	}
-	flush("first flush after the copy")
-	flush("second flush, on the replayed side")
+	flush("first flush after the clone")
+	flush("second flush, on the levelled side")
 
 	// The month boundary folds April: a commit that moves more rows than
 	// a quarter of what it leaves is copied again, and the flush after it
@@ -144,8 +146,10 @@ func bulkReclonesFlushReplays(t *testing.T) {
 // recloneVsOracle is (c): one script — bulk loads, month-boundary
 // advances, specification churn, a late Load, a group commit — under a
 // forced or the real reclone rule, mirrored onto an interpreted cube
-// set. After every step both sides hold the oracle's cells and each
-// other's rows: the rule decides cost, never content.
+// set; forced off, every commit of the script is levelled from the
+// journal, layout rebuilds and compactions included. After every step
+// both sides hold the oracle's cells and each other's rows: the rule
+// decides cost, never content.
 func recloneVsOracle(t *testing.T, name string, reclone func(applied, left int) bool) {
 	obj, err := workload.NewClickSchema()
 	if err != nil {
@@ -189,9 +193,6 @@ func recloneVsOracle(t *testing.T, name string, reclone func(applied, left int) 
 			t.Fatalf("%s: published side diverged\ngot:\n%s\noracle:\n%s", step, got, want)
 		}
 		sidesLevel(t, w, step)
-		if n := w.Metrics().SnapshotRebuilds; n != 0 {
-			t.Fatalf("%s: %d divergence rebuilds", step, n)
-		}
 	}
 	advance := func(d caltime.Day) {
 		t.Helper()
@@ -288,7 +289,7 @@ func recloneVsOracle(t *testing.T, name string, reclone func(applied, left int) 
 	case name == "never" && reclones != 0:
 		t.Errorf("%d reclones with the rule forced off", reclones)
 	case name != "never" && reclones == 0:
-		t.Errorf("the script never took the copy")
+		t.Errorf("the script never cloned the published side")
 	}
 	if m.IngestQueued != m.IngestCompacted+m.IngestRejected {
 		t.Errorf("ingest ledger: queued %d != compacted %d + rejected %d", m.IngestQueued, m.IngestCompacted, m.IngestRejected)
@@ -357,25 +358,25 @@ func recloneBesidePinnedReader(t *testing.T) {
 	before := w.Metrics()
 	batch(100, 500) // returns while the reader still holds the retired snapshot
 	d := w.Metrics().Sub(before)
-	if d.SnapshotReclones != 1 || d.SnapshotDrainWaits != 0 || d.SnapshotRebuilds != 0 {
-		t.Errorf("bulk commit beside a pinned reader: reclones=%d drain waits=%d rebuilds=%d, want 1/0/0",
-			d.SnapshotReclones, d.SnapshotDrainWaits, d.SnapshotRebuilds)
+	if d.SnapshotReclones != 1 || d.SnapshotDrainWaits != 0 {
+		t.Errorf("bulk commit beside a pinned reader: reclones=%d drain waits=%d, want 1/0",
+			d.SnapshotReclones, d.SnapshotDrainWaits)
 	}
-	// A replayed commit next: it drains the side the bulk commit
+	// A levelled commit next: it drains the side the bulk commit
 	// published on, not the one the reader is on.
 	before = w.Metrics()
 	if err := w.Load(refs[500], meas[500]); err != nil {
 		t.Fatal(err)
 	}
 	if d := w.Metrics().Sub(before); d.SnapshotReclones != 0 {
-		t.Errorf("single-fact Load into 500: %d reclones, want a replay", d.SnapshotReclones)
+		t.Errorf("single-fact Load into 500: %d reclones, want the retired side levelled", d.SnapshotReclones)
 	}
 	if n, err := count(w.Cubes(), w.Now()); err != nil || n != 501 {
 		t.Errorf("published snapshot answers %v (%v), want 501", n, err)
 	}
 	close(release)
 	wg.Wait()
-	// With the reader gone the next commit drains its side and replays.
+	// With the reader gone the next commit drains its side and levels it.
 	if err := w.Load(refs[501], meas[501]); err != nil {
 		t.Fatal(err)
 	}

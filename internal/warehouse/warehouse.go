@@ -34,23 +34,21 @@ import (
 // against it without taking any lock, so they can never observe a
 // half-applied specification or a mid-synchronization cube. Writers
 // (loads, clock advances, specification updates) serialize on wmu,
-// apply each operation to the unpublished working side, publish it with
-// one pointer swap, and then bring the other side level one of two
-// ways: wait for readers pinned to the retired side to drain and replay
-// the same deterministic operation on it, or — when the operation moved
-// enough rows that a second application would cost more than a copy of
-// its result (recloneRule) — drop the retired side and clone the
-// published one.
+// apply each operation once, to the unpublished working side, publish it
+// with one pointer swap, and then bring the other side level by copy,
+// whichever copy is smaller: wait for readers pinned to the retired side
+// to drain and copy into it the rows the operation wrote, or — when the
+// operation moved so many rows that a copy of its whole result is cheaper
+// (recloneRule) — drop the retired side and clone the published one.
 type Warehouse struct {
 	env *spec.Env
 	// met is the engine metric set, shared with both cube-set sides so
-	// every layer records into one instance. discard
-	// absorbs the replay of an already-counted operation on the retired
-	// side, keeping counters single-counted.
+	// every layer records into one instance. discard absorbs what a view
+	// build's scans would otherwise add to the query counters.
 	met     *obs.Metrics
 	discard *obs.Metrics
-	// epoch counts pinned readers per side; publishing drains the
-	// retired side on it before the replay mutates that side.
+	// epoch counts pinned readers per side; a commit drains the retired
+	// side on it before levelling writes that side.
 	epoch *obs.Epoch
 	// cur is the published snapshot. Written only under wmu; read by
 	// anyone.
@@ -74,9 +72,9 @@ type Warehouse struct {
 	wmu sync.Mutex
 	// working is the unpublished side the next operation applies to.
 	working *subcube.CubeSet
-	// reclone picks, per commit, between replaying on the retired side
-	// and cloning the published one. It is recloneRule except in tests,
-	// which force either arm to show the choice is pure cost.
+	// reclone picks, per commit, between levelling the retired side and
+	// cloning the published one. It is recloneRule except in tests, which
+	// force either arm to show the choice is pure cost.
 	reclone func(applied, left int) bool
 	seq     int64 // snapshot sequence, surfaced as SnapshotEpoch
 	// now is the warehouse clock and synced whether any synchronization
@@ -162,53 +160,57 @@ func (w *Warehouse) pin() (*snapshot, *obs.Pin) {
 	}
 }
 
-// commitOp is one deterministic mutation of a cube set. It reports how
-// many rows it inserted or moved — what applying it a second time would
-// have to do again.
+// commitOp is one mutation of a cube set. It reports how many rows it
+// inserted or moved — the size of what levelling the other side would
+// have to copy.
 type commitOp func(cs *subcube.CubeSet) (applied int, err error)
 
-// recloneFactor is the one constant of the apply-once rule, the ratio of
-// two per-layer costs the repo benchmark prints: applying an inserted
-// fact again costs about 300 ns (subcube.insert_ns_per_fact), cloning the
-// result 50-75 ns per row it leaves (subcube.clone_ms over the live rows;
-// storage.clone_us_per_krow is the columns' share) — 4 to 6. A folded row
-// replays for about half an insert, so a fold-only commit just past the
-// threshold pays slightly more for the copy than a replay would have
-// cost; DESIGN.md section 11 has the numbers.
+// recloneFactor is the one constant of the copy rule, the ratio of two
+// per-row costs measured on a 20 k-row warehouse: levelling copies a row
+// the commit appended for 105-200 ns (its columns plus a cell-index put; a
+// row merged into costs 22 ns, a row moved about one of each), cloning
+// copies a row the commit left for 61-92 ns (the repo benchmark's
+// subcube.clone_ms over the live rows agrees) — a ratio of 1.2 to 3.3. 4
+// is above it on purpose: it is also where a store's journal gives up (a
+// quarter of its rows touched), so past it levelling would clone the
+// written cubes whole anyway, and the clone needs no drain and frees the
+// pre-fold arrays at publish. An append-only commit just past the
+// threshold pays up to twice what levelling it would have cost; DESIGN.md
+// section 11 has the numbers.
 const recloneFactor = 4
 
 // recloneRule reports whether a commit that applied that many rows and
-// left that many live is cheaper to copy than to apply again.
+// left that many live is cheaper to level by a copy of everything it left
+// than by a copy of what it wrote.
 func recloneRule(applied, left int) bool {
 	return applied > 0 && applied*recloneFactor >= left
 }
 
-// commitLocked runs one deterministic mutation through the left-right
-// protocol. Plain mutating commits publish without views: any views
-// the previous snapshot held are invalidated by dropping them from the
-// new one (the mutation may have changed the facts or the
-// specification generation they summarize), and the next sync-carrying
-// commit rebuilds them.
+// commitLocked runs one mutation through the left-right protocol. Plain
+// mutating commits publish without views: any views the previous
+// snapshot held are invalidated by dropping them from the new one (the
+// mutation may have changed the facts or the specification generation
+// they summarize), and the next sync-carrying commit rebuilds them.
 func (w *Warehouse) commitLocked(op commitOp) error {
 	return w.commitWithViewsLocked(op, false)
 }
 
-// commitWithViewsLocked runs one deterministic mutation through the
-// left-right protocol: apply to the working side, optionally
-// materialize the selected rollup views from the post-op working side
-// (so the published snapshot and its views are one atomic unit —
-// readers never observe a half-built view), publish, and level the
-// other side. Small commits drain readers off the retired side, replay
-// on it (with instrumentation redirected to the discard metric set, so
-// the operation is counted once) and adopt it as the next working side.
-// A commit the reclone rule picks is applied once: the retired side is
-// dropped where it stands — readers still pinned to it finish on it,
-// nobody writes it again, so nothing drains — and the next working side
-// is a clone of the published one. An error from the first application
-// publishes nothing and rebuilds the working side from a clone of the
-// published one, restoring the two-side invariant.
+// commitWithViewsLocked runs one mutation through the left-right
+// protocol: apply it — once — to the working side, optionally materialize
+// the selected rollup views from the post-op working side (so the
+// published snapshot and its views are one atomic unit — readers never
+// observe a half-built view), publish, and level the other side by copy.
+// Small commits drain readers off the retired side, copy into it the rows
+// the working side journaled while op wrote it (CubeSet.LevelFrom) and
+// adopt it as the next working side. A commit the reclone rule picks
+// leaves the retired side where it stands — readers still pinned to it
+// finish on it, nobody writes it again, so nothing drains — and the next
+// working side is a clone of the published one. Either way the sides are
+// equal because one was copied from the other, not because op ran twice.
+// An error from op publishes nothing and rebuilds the working side from a
+// clone of the published one, restoring the two-side invariant.
 //
-//dimred:replay the retired side is drained of readers before the replay writes; this is the left-right protocol's sanctioned second application
+//dimred:replay the retired side is drained of readers before levelling copies the published side's journaled rows into it; this copy is the left-right protocol's one sanctioned post-publish write
 func (w *Warehouse) commitWithViewsLocked(op commitOp, refresh bool) error {
 	applied, err := op(w.working)
 	if err != nil {
@@ -219,28 +221,18 @@ func (w *Warehouse) commitWithViewsLocked(op commitOp, refresh bool) error {
 	if refresh && w.viewsOn {
 		vs = w.buildViewsLocked()
 	}
+	published := w.working
 	retired := w.publishWorkingLocked(vs)
-	if w.reclone(applied, w.working.TotalRows()) {
+	if w.reclone(applied, published.TotalRows()) {
 		w.met.SnapshotReclones.Inc()
 		w.rebuildWorkingLocked()
 		return nil
 	}
 	w.drainLocked(retired)
-	rcs := retired.cubes
-	//dimred:allow snapalias the retired side is drained of readers before replay; the metrics redirect is the replay protocol
-	rcs.SetMetrics(w.discard)
-	_, err = op(rcs)
-	//dimred:allow snapalias the retired side is drained of readers before replay; the metrics redirect is the replay protocol
-	rcs.SetMetrics(w.met)
-	if err != nil {
-		// A deterministic op that succeeded on one side cannot fail on
-		// the other; if it somehow does, resynchronize the sides from
-		// the published state rather than diverge.
-		w.met.SnapshotRebuilds.Inc()
-		w.rebuildWorkingLocked()
-		return nil
-	}
-	w.working = rcs
+	var rows int
+	//dimred:allow snapalias the retired side is drained of readers before levelling writes it; the published side is only read
+	w.working, rows = retired.cubes.LevelFrom(published)
+	w.met.SnapshotLevelledRows.Add(int64(rows))
 	return nil
 }
 
@@ -303,7 +295,8 @@ func (w *Warehouse) publishClockLocked() {
 
 // rebuildWorkingLocked discards the working side and reclones it from
 // the published snapshot: after a failed operation left it (or could
-// have left it) diverged, and after a commit too big to apply twice.
+// have left it) diverged, and after a commit that wrote more than a copy
+// of its result costs.
 func (w *Warehouse) rebuildWorkingLocked() {
 	w.working = w.cur.Load().cubes.Clone()
 }
@@ -513,9 +506,9 @@ func (w *Warehouse) Load(refs []mdm.ValueID, meas []float64) error {
 func (w *Warehouse) LoadBatch(rows func(load func(refs []mdm.ValueID, meas []float64) error) error) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	// Stage the callback's rows: a small batch is applied to both sides,
-	// and user code must not be re-entered (or observe a half-applied
-	// side) on the replay. Two flat buffers, one stride each, instead of
+	// Stage the callback's rows, so that a row failing validation is found
+	// before anything is inserted and user code never runs against a
+	// half-written side. Two flat buffers, one stride each, instead of
 	// two slices per row. A row of the wrong shape would break the
 	// stride, so it fails the batch here even if the callback drops the
 	// error; Insert checks everything else.

@@ -51,22 +51,30 @@ func TestMetricsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One more fact, alone: a commit this small is levelled, not recloned.
+	shop, err := urlDim.EnsureURL("http://shop.example.com/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Load([]dimred.ValueID{timeDim.EnsureDay(dimred.Date(2024, 1, 21)), shop}, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
 	if err := w.AdvanceTo(dimred.Date(2024, 12, 1)); err != nil {
 		t.Fatal(err)
 	}
 
 	var m dimred.Metrics = w.Metrics()
-	if m.FactsLoaded != 19 || m.RowsFolded == 0 || m.Syncs == 0 {
+	if m.FactsLoaded != 20 || m.RowsFolded == 0 || m.Syncs == 0 {
 		t.Errorf("lifecycle counters wrong: loaded=%d folded=%d syncs=%d",
 			m.FactsLoaded, m.RowsFolded, m.Syncs)
 	}
 
 	// The bulk load and the fold that reduced it each moved more rows than
-	// they left, so each was applied once and the other side copied; the
-	// empty first advance was replayed, and no side ever diverged.
-	if m.SnapshotReclones != 2 || m.SnapshotRebuilds != 0 || m.SnapshotPublishes != 3 {
-		t.Errorf("commit protocol counters wrong: reclones=%d rebuilds=%d publishes=%d, want 2/0/3",
-			m.SnapshotReclones, m.SnapshotRebuilds, m.SnapshotPublishes)
+	// they left, so the other side was cloned from their result; the empty
+	// first advance had nothing to level, the single-fact Load one row.
+	if m.SnapshotReclones != 2 || m.SnapshotLevelledRows != 1 || m.SnapshotPublishes != 4 {
+		t.Errorf("commit protocol counters wrong: reclones=%d levelled=%d publishes=%d, want 2/1/4",
+			m.SnapshotReclones, m.SnapshotLevelledRows, m.SnapshotPublishes)
 	}
 
 	res, tr, err := w.QueryTraced(`aggregate [Time.month, URL.domain]`)
@@ -90,7 +98,7 @@ func TestMetricsFacade(t *testing.T) {
 	}
 	for _, want := range []string{"facts loaded", "rows folded", "query latency", "fact bytes",
 		"view hits", "view misses", "view builds", "view bytes",
-		"sync rounds (delta only)", "ingest rejected", "side reclones"} {
+		"sync rounds (delta only)", "ingest rejected", "side reclones", "rows levelled"} {
 		if !strings.Contains(m.String(), want) {
 			t.Errorf("Metrics rendering missing %q", want)
 		}
