@@ -329,6 +329,44 @@ func BenchmarkS3_ParallelQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkAdhocQuery measures the base read path on a synchronized
+// three-cube set with no views: a predicate whose verdicts repeat per
+// dimension value, a target above and beside the stored granularities,
+// and a fine target that two cubes answer and the combine merges by cell.
+func BenchmarkAdhocQuery(b *testing.B) {
+	obj, env := benchClicks(b, 540, 40)
+	cs, err := subcube.New(benchClickSpec(b, env))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := cs.InsertMO(obj.MO); err != nil {
+		b.Fatal(err)
+	}
+	at := caltime.Date(2001, 6, 24)
+	if _, err := cs.Sync(at); err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct{ name, src string }{
+		{"finer_pred", `aggregate [Time.month, URL.domain_grp] where Time.day <= 2001/2/15`},
+		{"week_target", `aggregate [Time.week, URL.domain_grp]`},
+		{"fine_target", `aggregate [Time.day, URL.domain] where 2001/3/1 <= Time.day`},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			q, err := subcube.ParseQuery(tc.src, env)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cs.Evaluate(q, at); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkS4_BulkLoadAndSync(b *testing.B) {
 	obj, env := benchClicks(b, 180, 200)
 	s := benchClickSpec(b, env)

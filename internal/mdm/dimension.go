@@ -68,6 +68,7 @@ type Dimension struct {
 	catByName map[string]CategoryID
 	imm       [][]CategoryID // immediate ancestor categories (function Anc)
 	le        []uint64       // closure bitsets: le[c]&(1<<j) != 0 iff c <=_T j
+	glb       []CategoryID   // glb[a*len(cats)+b] = GLB(a, b); categories are fixed after Finalize
 	bottom    CategoryID
 	top       CategoryID
 	finalized bool
@@ -223,6 +224,12 @@ func (d *Dimension) Finalize() error {
 		return fmt.Errorf("mdm: dimension %s: no bottom category (every category must contain the bottom)", d.name)
 	}
 	d.bottom = bottom
+	d.glb = make([]CategoryID, n*n)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			d.glb[a*n+b] = d.glbScan(CategoryID(a), CategoryID(b))
+		}
+	}
 
 	d.byCat = make([][]ValueID, n)
 	d.valByName = make([]map[string]ValueID, n)
@@ -298,8 +305,19 @@ func (d *Dimension) Linear() bool {
 // GLB returns the greatest lower bound of the given categories (Eq. 33).
 // The bottom category guarantees at least one lower bound exists; when
 // the category order is not a lattice any maximal lower bound is
-// returned, as the paper permits ("any lower bound will do").
+// returned, as the paper permits ("any lower bound will do"). The
+// two-category form, which comparisons and roll-ups call per value, is a
+// lookup in the table Finalize built.
 func (d *Dimension) GLB(cats ...CategoryID) CategoryID {
+	if len(cats) == 2 {
+		return d.glb[int(cats[0])*len(d.cats)+int(cats[1])]
+	}
+	return d.glbScan(cats...)
+}
+
+// glbScan computes GLB from the category order: the last category, in id
+// order, that is below every given one and above the best so far.
+func (d *Dimension) glbScan(cats ...CategoryID) CategoryID {
 	best := d.bottom
 	for c := 0; c < len(d.cats); c++ {
 		cid := CategoryID(c)

@@ -551,3 +551,30 @@ func TestAggMergeAssociativeCommutative(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestGLBTableMatchesScan: the pairwise table Finalize builds answers
+// every pair as the scan over the category order does, on the linear URL
+// hierarchy and on the Time shape with its parallel week/month branches.
+func TestGLBTableMatchesScan(t *testing.T) {
+	timeDim, _ := buildMiniTimeDim(t)
+	urlDim, _ := buildURLDim(t)
+	for _, d := range []*Dimension{timeDim, urlDim} {
+		for a := 0; a < d.NumCategories(); a++ {
+			for b := 0; b < d.NumCategories(); b++ {
+				ca, cb := CategoryID(a), CategoryID(b)
+				if got, want := d.GLB(ca, cb), d.glbScan(ca, cb); got != want {
+					t.Errorf("%s: GLB(%s, %s) = %s, the scan says %s", d.Name(),
+						d.Category(ca).Name, d.Category(cb).Name, d.Category(got).Name, d.Category(want).Name)
+				}
+			}
+		}
+	}
+	week, _ := timeDim.CategoryByName("week")
+	month, _ := timeDim.CategoryByName("month")
+	if got := timeDim.GLB(week, month); got != timeDim.Bottom() {
+		t.Errorf("GLB(week, month) = %s, want day", timeDim.Category(got).Name)
+	}
+	if got, want := timeDim.GLB(week, month, timeDim.Top()), timeDim.Bottom(); got != want {
+		t.Errorf("three-category GLB = %s, want day", timeDim.Category(got).Name)
+	}
+}

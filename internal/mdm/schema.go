@@ -137,6 +137,43 @@ func (s *Schema) MeasureIndex(name string) int {
 // (Time.quarter, URL.domain). It is the "level of detail" of a fact.
 type Granularity []CategoryID
 
+// PackWidth returns the bits per value at which a cell of nDims values
+// packs into one uint64, or 0 when it cannot.
+func PackWidth(nDims int) uint {
+	if nDims <= 0 || nDims > 64 {
+		return 0
+	}
+	return uint(64 / nDims)
+}
+
+// PackCell encodes the cell into one uint64, width bits per value, so a
+// map keyed by cell needs no allocation per probe. ok is false when
+// width is 0 or a value needs more bits: uint64(ValueID) sign-extends,
+// so negative values overflow the width check and reject themselves. A
+// given cell always packs the same way; callers keep the cells that do
+// not pack under AppendCellKey's string form.
+func PackCell(cell []ValueID, width uint) (key uint64, ok bool) {
+	if width == 0 {
+		return 0, false
+	}
+	for _, v := range cell {
+		u := uint64(v)
+		if u>>width != 0 {
+			return 0, false
+		}
+		key = key<<width | u
+	}
+	return key, true
+}
+
+// AppendCellKey appends the cell's four-bytes-per-value key to buf.
+func AppendCellKey(buf []byte, cell []ValueID) []byte {
+	for _, v := range cell {
+		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	}
+	return buf
+}
+
 // GranLE reports g1 <=_g g2 pointwise (Eq. 6). Both granularities must
 // have one category per schema dimension.
 func (s *Schema) GranLE(g1, g2 Granularity) bool {

@@ -19,6 +19,15 @@ type CubeTrace struct {
 	Duration    time.Duration
 }
 
+// The stage names a traced query records. Consumers find a stage by its
+// name (the repo benchmark reads StageCombine's duration as
+// query.combine_us), so the strings are part of the trace's contract.
+const (
+	StageScan       = "parallel subcube scan"
+	StageCombine    = "combine + final aggregate"
+	StageViewAnswer = "views.Answer"
+)
+
 // Stage is one timed phase of a traced query.
 type Stage struct {
 	Name     string

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dimred/internal/mdm"
@@ -177,10 +178,7 @@ func Aggregate(mo *mdm.MO, target mdm.Granularity, approach AggApproach) (*mdm.M
 	var keyBuf []byte
 
 	addTo := func(cell []mdm.ValueID, fid mdm.FactID, scale float64) {
-		keyBuf = keyBuf[:0]
-		for _, v := range cell {
-			keyBuf = append(keyBuf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
+		keyBuf = mdm.AppendCellKey(keyBuf[:0], cell)
 		key := string(keyBuf)
 		g, ok := groups[key]
 		if !ok {
@@ -201,6 +199,17 @@ func Aggregate(mo *mdm.MO, target mdm.Granularity, approach AggApproach) (*mdm.M
 		g.base += mo.BaseCount(fid)
 		g.sources = append(g.sources, mo.Name(fid))
 	}
+
+	// A value's roll-up to the target does not depend on the fact that
+	// carries it: resolve it once per (dimension, value). The memo lives
+	// for this call only — dimensions grow, so one kept on the dimension
+	// would need invalidating — and costs nothing until a fact above or
+	// beside the target turns up.
+	type rollUp struct {
+		to mdm.ValueID
+		ok bool
+	}
+	var rolled []map[mdm.ValueID]rollUp
 
 	for f := 0; f < mo.Len(); f++ {
 		fid := mdm.FactID(f)
@@ -224,12 +233,24 @@ func Aggregate(mo *mdm.MO, target mdm.Granularity, approach AggApproach) (*mdm.M
 				// unambiguous and the fact attains the requested
 				// granularity; otherwise it keeps its own value
 				// (availability semantics).
-				if u, uok := unambiguousRollUp(d, mo.Ref(fid, i), effTarget[i]); uok {
-					cell[i] = u
+				v := mo.Ref(fid, i)
+				if rolled == nil {
+					rolled = make([]map[mdm.ValueID]rollUp, len(schema.Dims))
+				}
+				r, seen := rolled[i][v]
+				if !seen {
+					r.to, r.ok = unambiguousRollUp(d, v, effTarget[i])
+					if rolled[i] == nil {
+						rolled[i] = make(map[mdm.ValueID]rollUp)
+					}
+					rolled[i][v] = r
+				}
+				if r.ok {
+					cell[i] = r.to
 					continue
 				}
 				above = true
-				cell[i] = mo.Ref(fid, i)
+				cell[i] = v
 			}
 		}
 		if !ok {
@@ -262,6 +283,186 @@ func Aggregate(mo *mdm.MO, target mdm.Granularity, approach AggApproach) (*mdm.M
 		}
 	}
 	return out, nil
+}
+
+// Combine is the final distributive aggregation of Section 7.3: parts are
+// the results Aggregate gave, for one target and approach, on disjoint
+// parts of a fact set (nil and empty parts contribute nothing), and the
+// result is what Aggregate would give on their union. Every part is
+// already grouped at its floors, and roll-up∘roll-up = roll-up, so
+// aggregating the union a second time would map each fact onto its own
+// cell: a single non-empty part is the answer as it stands, and several
+// are merged by cell key in part order — a cell split across parts
+// (fact_45 + fact_9 → fact_459 in Figure 8) folds into the fact that
+// first held it, COUNT from the base counts. Two cases re-aggregate in
+// earnest and are kept on Aggregate: LUB parts whose effective targets
+// differ (each part raised its target over its own facts only), and,
+// for a lone Disaggregated part, a COUNT measure, whose shares the
+// second fold has always replaced by whole base counts.
+//
+// Result facts are named as that second aggregation named them, by their
+// position among the parts' facts ("fact_7"; a split cell merges its
+// sources' names), not by the parts' own names: those spell out every
+// row a cell folded, kilobytes that a view built from the result would
+// retain and every later fold over it would sort and join again. Combine
+// owns the parts it is given and renames a lone one in place.
+//
+//dimred:aggregate
+func Combine(schema *mdm.Schema, parts []*mdm.MO, target mdm.Granularity, approach AggApproach) (*mdm.MO, error) {
+	live := make([]*mdm.MO, 0, len(parts))
+	for _, p := range parts {
+		if p != nil && p.Len() > 0 {
+			live = append(live, p)
+		}
+	}
+	if len(live) == 0 {
+		out := mdm.NewMO(schema)
+		out.SetFloors(append(mdm.Granularity(nil), target...))
+		return out, nil
+	}
+	floors := live[0].Floors()
+	if approach == LUB {
+		for _, p := range live[1:] {
+			if !schema.GranEq(p.Floors(), floors) {
+				return aggregateUnion(schema, live, target, approach)
+			}
+		}
+	}
+	if len(live) == 1 {
+		if approach == Disaggregated && hasCount(schema) {
+			return aggregateUnion(schema, live, target, approach)
+		}
+		for f, name := range positionNames(live[0].Len()) {
+			live[0].SetName(mdm.FactID(f), name)
+		}
+		return live[0], nil
+	}
+
+	out := mdm.NewMO(schema)
+	out.SetFloors(floors)
+	held := cellFacts{width: mdm.PackWidth(len(schema.Dims)), packed: make(map[uint64]mdm.FactID)}
+	// sources[f] lists the names folded into result fact f once a second
+	// part contributes to it.
+	var sources [][]string
+	cell := make([]mdm.ValueID, len(schema.Dims))
+	meas := make([]float64, len(schema.Measures))
+	facts := 0
+	for _, p := range live {
+		facts += p.Len()
+	}
+	names := positionNames(facts)
+	seen := 0 // facts of earlier parts
+	for _, p := range live {
+		for f := 0; f < p.Len(); f++ {
+			fid := mdm.FactID(f)
+			for i := range cell {
+				cell[i] = p.Ref(fid, i)
+			}
+			for j, m := range schema.Measures {
+				meas[j] = scaledInit(m.Agg, p, fid, j, 1)
+			}
+			at, ok := held.get(cell)
+			if !ok {
+				added, err := out.AddFactAt(cell, meas, p.BaseCount(fid), names[seen+f])
+				if err != nil {
+					return nil, fmt.Errorf("query: Combine: %w", err)
+				}
+				held.put(cell, added)
+				sources = append(sources, nil)
+				continue
+			}
+			for j, m := range schema.Measures {
+				out.SetMeasure(at, j, m.Agg.Merge(out.Measure(at, j), meas[j]))
+			}
+			out.AddBaseCount(at, p.BaseCount(fid))
+			if sources[at] == nil {
+				sources[at] = append(sources[at], out.Name(at))
+			}
+			sources[at] = append(sources[at], names[seen+f])
+		}
+		seen += p.Len()
+	}
+	for f, folded := range sources {
+		if folded != nil {
+			out.SetName(mdm.FactID(f), mergedName(folded))
+		}
+	}
+	return out, nil
+}
+
+// positionNames returns "fact_0" … "fact_<n-1>", cut from one string so
+// that naming a result costs a handful of allocations, not one per fact.
+func positionNames(n int) []string {
+	var buf []byte
+	ends := make([]int, n)
+	for i := range ends {
+		buf = strconv.AppendInt(append(buf, "fact_"...), int64(i), 10)
+		ends[i] = len(buf)
+	}
+	all := string(buf)
+	names := make([]string, n)
+	start := 0
+	for i, end := range ends {
+		names[i] = all[start:end]
+		start = end
+	}
+	return names
+}
+
+// aggregateUnion is Combine by definition: the parts' facts in one MO,
+// aggregated again.
+func aggregateUnion(schema *mdm.Schema, parts []*mdm.MO, target mdm.Granularity, approach AggApproach) (*mdm.MO, error) {
+	union := mdm.NewMO(schema)
+	for _, p := range parts {
+		for f := 0; f < p.Len(); f++ {
+			fid := mdm.FactID(f)
+			if _, err := union.AddFactAt(p.Refs(fid), p.Measures(fid), p.BaseCount(fid), ""); err != nil {
+				return nil, fmt.Errorf("query: Combine: %w", err)
+			}
+		}
+	}
+	return Aggregate(union, target, approach)
+}
+
+func hasCount(schema *mdm.Schema) bool {
+	for _, m := range schema.Measures {
+		if m.Agg == mdm.AggCount {
+			return true
+		}
+	}
+	return false
+}
+
+// cellFacts finds the fact that holds a cell in a result under
+// construction, keyed as the cube index keys its rows: a cell that packs
+// into one uint64 (mdm.PackCell) costs no allocation, the rest go by
+// their string key.
+type cellFacts struct {
+	width  uint
+	packed map[uint64]mdm.FactID
+	str    map[string]mdm.FactID
+	buf    []byte
+}
+
+func (c *cellFacts) get(cell []mdm.ValueID) (mdm.FactID, bool) {
+	if k, ok := mdm.PackCell(cell, c.width); ok {
+		f, hit := c.packed[k]
+		return f, hit
+	}
+	c.buf = mdm.AppendCellKey(c.buf[:0], cell)
+	f, hit := c.str[string(c.buf)]
+	return f, hit
+}
+
+func (c *cellFacts) put(cell []mdm.ValueID, f mdm.FactID) {
+	if k, ok := mdm.PackCell(cell, c.width); ok {
+		c.packed[k] = f
+		return
+	}
+	if c.str == nil {
+		c.str = make(map[string]mdm.FactID)
+	}
+	c.str[string(mdm.AppendCellKey(c.buf[:0], cell))] = f
 }
 
 // AggregateWeighted folds a weighted selection result (from

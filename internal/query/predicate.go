@@ -192,24 +192,41 @@ func (p *Predicate) EvaluateCell(cell CellReader, t caltime.Day) (cons, lib bool
 }
 
 // Prepared is a predicate bound to a query time: the right-hand sides of
-// every atom are resolved once, so per-fact evaluation only drills the
-// fact's own values. A Prepared lazily caches comparand sets and is NOT
-// safe for concurrent use — Prepare is cheap, so each goroutine prepares
-// its own instance (as the subcube evaluator does).
+// every atom are resolved once, and so is each atom's verdict on every
+// dimension value it meets — Definition 5 compares a fact with an atom
+// through the fact's value in the atom's dimension alone, so facts that
+// share the value share the verdict. A Prepared lazily caches comparand
+// sets and verdicts and is NOT safe for concurrent use — Prepare is
+// cheap, so each goroutine prepares its own instance (as the subcube
+// evaluator does).
 type Prepared struct {
 	p *Predicate
 	t caltime.Day
 	// rhs[d][i] caches the comparand ordinals of disjunct d's atom i,
 	// keyed by the GLB category the comparison lands on (the fact side
 	// determines the GLB, so a small per-category map is needed).
-	rhs []map[int]map[mdm.CategoryID]ordSet
+	rhs [][]map[mdm.CategoryID]ordSet
+	// seen[d][i] remembers atom i of disjunct d's verdict per value.
+	seen [][]map[mdm.ValueID]verdict
+}
+
+// verdict is one atom's answer on one dimension value: the conservative
+// and liberal verdicts and the weighted certainty.
+type verdict struct {
+	cons, lib bool
+	weight    float64
 }
 
 // Prepare binds the predicate to a query time.
 func (p *Predicate) Prepare(t caltime.Day) *Prepared {
-	pr := &Prepared{p: p, t: t, rhs: make([]map[int]map[mdm.CategoryID]ordSet, len(p.disjuncts))}
+	pr := &Prepared{
+		p: p, t: t,
+		rhs:  make([][]map[mdm.CategoryID]ordSet, len(p.disjuncts)),
+		seen: make([][]map[mdm.ValueID]verdict, len(p.disjuncts)),
+	}
 	for d := range p.disjuncts {
-		pr.rhs[d] = make(map[int]map[mdm.CategoryID]ordSet, len(p.disjuncts[d]))
+		pr.rhs[d] = make([]map[mdm.CategoryID]ordSet, len(p.disjuncts[d]))
+		pr.seen[d] = make([]map[mdm.ValueID]verdict, len(p.disjuncts[d]))
 	}
 	return pr
 }
@@ -241,16 +258,34 @@ func (pr *Prepared) evalDisjunct(d int, dj []qtest, cell CellReader) (cons, lib 
 	return cons, lib, weight
 }
 
+// evalTest answers atom i of disjunct d on the cell from the verdict
+// remembered for the cell's value, comparing only on a value's first
+// appearance.
 func (pr *Prepared) evalTest(d, i int, cell CellReader) (cons, lib bool, weight float64) {
-	tst := pr.p.disjuncts[d][i]
+	tst := &pr.p.disjuncts[d][i]
 	if tst.dim < 0 {
 		if tst.isTrue {
 			return true, true, 1
 		}
 		return false, false, 0
 	}
-	dim := pr.p.env.Schema.Dims[tst.dim]
 	v := cell.Ref(tst.dim)
+	seen := pr.seen[d][i]
+	if seen == nil {
+		seen = make(map[mdm.ValueID]verdict)
+		pr.seen[d][i] = seen
+	}
+	r, ok := seen[v]
+	if !ok {
+		r.cons, r.lib, r.weight = pr.compare(d, i, tst, v)
+		seen[v] = r
+	}
+	return r.cons, r.lib, r.weight
+}
+
+// compare evaluates atom i of disjunct d on dimension value v.
+func (pr *Prepared) compare(d, i int, tst *qtest, v mdm.ValueID) (cons, lib bool, weight float64) {
+	dim := pr.p.env.Schema.Dims[tst.dim]
 
 	// Lift the fact's value to the predicate category when possible
 	// (f ~> v evaluation); otherwise Definition 5 drills both sides to
@@ -266,7 +301,7 @@ func (pr *Prepared) evalTest(d, i int, cell CellReader) (cons, lib bool, weight 
 	if len(las) == 0 {
 		return false, false, 0
 	}
-	rbs := pr.rhsFor(d, i, tst, dim, glb, ordered)
+	rbs := pr.rhsFor(d, i, *tst, dim, glb, ordered)
 	if len(rbs) == 0 {
 		// Unknown comparands: equality-style tests fail, inequality-style
 		// negations hold liberally. Keep it simple and sound: nothing is

@@ -94,6 +94,78 @@ func TestViewOfEvalAllocationProfile(t *testing.T) {
 	}
 }
 
+// TestCombineAllocations pins the cross-cube combine's cost on the
+// query that leans on it hardest: a fine target that two cubes answer
+// with hundreds of cells between them. Merged by cell key, the combine
+// allocates the result's columns and its key map as they grow and the
+// names in one string — nothing per fact — and the whole query takes
+// about ten allocations per result cell, all in the per-cube select and
+// fold; copying each subresult fact into a union MO and aggregating that
+// once more cost fourteen more.
+func TestCombineAllocations(t *testing.T) {
+	obj, env := syncTestObj(t, 33)
+	cs, err := New(syncTestSpec(t, env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.InsertMO(obj.MO); err != nil {
+		t.Fatal(err)
+	}
+	at := caltime.Date(2000, 5, 20)
+	if _, err := cs.Sync(at); err != nil {
+		t.Fatal(err)
+	}
+	q := MustParseQuery(`aggregate [Time.day, URL.url]`, env)
+	subs, err := cs.evaluateCubes(q, at, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for _, sub := range subs {
+		if sub != nil && sub.Len() > 0 {
+			live++
+		}
+	}
+	if live != 2 {
+		t.Fatalf("%d live cubes, want 2", live)
+	}
+	var out *mdm.MO
+	allocs := testing.AllocsPerRun(5, func() {
+		if out, err = cs.Evaluate(q, at); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perCell := allocs / float64(out.Len())
+	t.Logf("%.0f allocations for %d result cells: %.1f per cell", allocs, out.Len(), perCell)
+	if perCell > 12 {
+		t.Fatalf("a two-cube fine-target query allocated %.1f times per result cell, want at most 12", perCell)
+	}
+}
+
+// TestInsertAllocationFree pins the whole Insert call, not only the
+// merge under it: lifting the measures into the aggregate domain uses a
+// stack buffer, so a fact whose cell is resident costs no allocation.
+func TestInsertAllocationFree(t *testing.T) {
+	obj, env := syncTestObj(t, 31)
+	cs, err := New(syncTestSpec(t, env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := obj.MO.Refs(0)
+	meas := obj.MO.Measures(0)
+	if err := cs.Insert(refs, meas); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := cs.Insert(refs, meas); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Insert into a resident cell allocated %.1f times per run, want 0", allocs)
+	}
+}
+
 // TestDeltaSyncAllocations pins what a delta-only Sync costs beside its
 // probes: with one cube to scan and nothing to move it runs on the
 // caller's goroutine and looks destinations up in the layout's own table,

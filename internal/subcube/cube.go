@@ -307,10 +307,7 @@ func granKey(g mdm.Granularity) string {
 }
 
 func cellKey(buf []byte, cell []mdm.ValueID) ([]byte, string) {
-	buf = buf[:0]
-	for _, v := range cell {
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
+	buf = mdm.AppendCellKey(buf[:0], cell)
 	return buf, string(buf)
 }
 
@@ -376,7 +373,9 @@ func (cs *CubeSet) Insert(refs []mdm.ValueID, meas []float64) error {
 				d.Name(), d.Category(got).Name, d.Category(bottom.gran[i]).Name)
 		}
 	}
-	init := make([]float64, len(meas))
+	// Up to eight measures lift on the stack: the store copies what it keeps.
+	var buf [8]float64
+	init := append(buf[:0], meas...)
 	for j, m := range schema.Measures {
 		init[j] = m.Agg.Init(meas[j])
 		if m.Agg == mdm.AggCount {

@@ -8,10 +8,11 @@ import (
 )
 
 // cellIndex maps a cube cell to its physical row. When every value of
-// a cell fits in 64/nDims bits the cell packs into one uint64 and the
-// lookup is allocation-free; cells with larger (or negative) values
-// fall back to a string-keyed map. A given cell always packs the same
-// way, so each cell lives in exactly one of the two maps.
+// a cell fits in 64/nDims bits the cell packs into one uint64
+// (mdm.PackCell) and the lookup is allocation-free; cells with larger
+// (or negative) values fall back to a string-keyed map. A given cell
+// always packs the same way, so each cell lives in exactly one of the
+// two maps.
 type cellIndex struct {
 	packed map[uint64]storage.RowID
 	str    map[string]storage.RowID
@@ -20,33 +21,11 @@ type cellIndex struct {
 }
 
 func newCellIndex(nDims int) *cellIndex {
-	ix := &cellIndex{packed: make(map[uint64]storage.RowID)}
-	if nDims > 0 && nDims <= 64 {
-		ix.width = uint(64 / nDims)
-	}
-	return ix
-}
-
-// pack encodes the cell into one uint64, width bits per value. ok is
-// false when a value needs more bits: uint64(ValueID) sign-extends, so
-// negative values overflow the width check and reject themselves.
-func (ix *cellIndex) pack(cell []mdm.ValueID) (uint64, bool) {
-	if ix.width == 0 {
-		return 0, false
-	}
-	var k uint64
-	for _, v := range cell {
-		u := uint64(v)
-		if u>>ix.width != 0 {
-			return 0, false
-		}
-		k = k<<ix.width | u
-	}
-	return k, true
+	return &cellIndex{packed: make(map[uint64]storage.RowID), width: mdm.PackWidth(nDims)}
 }
 
 func (ix *cellIndex) get(cell []mdm.ValueID) (storage.RowID, bool) {
-	if k, ok := ix.pack(cell); ok {
+	if k, ok := mdm.PackCell(cell, ix.width); ok {
 		r, hit := ix.packed[k]
 		return r, hit
 	}
@@ -60,7 +39,7 @@ func (ix *cellIndex) get(cell []mdm.ValueID) (storage.RowID, bool) {
 }
 
 func (ix *cellIndex) put(cell []mdm.ValueID, r storage.RowID) {
-	if k, ok := ix.pack(cell); ok {
+	if k, ok := mdm.PackCell(cell, ix.width); ok {
 		ix.packed[k] = r
 		return
 	}
@@ -72,7 +51,7 @@ func (ix *cellIndex) put(cell []mdm.ValueID, r storage.RowID) {
 }
 
 func (ix *cellIndex) del(cell []mdm.ValueID) {
-	if k, ok := ix.pack(cell); ok {
+	if k, ok := mdm.PackCell(cell, ix.width); ok {
 		delete(ix.packed, k)
 		return
 	}

@@ -78,7 +78,8 @@ func MustParseQuery(src string, env *spec.Env) Query {
 // synchronized view α[G_i]σ[P_i](K_i ∪ parents(K_i)) — the rows, from
 // the cube and its parent cubes, whose current aggregation level is G_i,
 // rolled up to G_i. The disjoint subresults are then combined by one
-// final distributive aggregation to the query's target granularity.
+// final distributive aggregation to the query's target granularity
+// (query.Combine).
 func (cs *CubeSet) Evaluate(q Query, t caltime.Day) (*mdm.MO, error) {
 	return cs.EvaluateTraced(q, t, nil)
 }
@@ -95,8 +96,41 @@ func (cs *CubeSet) EvaluateTraced(q Query, t caltime.Day, tr *obs.Trace) (*mdm.M
 	}
 	clk := cs.met.Clock()
 	start := clk.Now()
-	synced := cs.synced && cs.lastSync == t
 	cs.met.Queries.Inc()
+	subresults, err := cs.evaluateCubes(q, t, tr)
+	scanDone := clk.Now()
+	if tr != nil {
+		tr.AddStage(obs.StageScan, scanDone.Sub(start))
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	// The subresults are disjoint parts of the answer, each already at
+	// the query's granularity: merging them by cell joins the cells that
+	// were split across subcubes (fact_45 + fact_9 → fact_459 in Figure
+	// 8) — sound because the default aggregate functions are
+	// distributive.
+	out, err := query.Combine(cs.env.Schema, subresults, q.Target, q.Agg)
+	now := clk.Now()
+	cs.met.QueryDuration.Observe(now.Sub(start))
+	if tr != nil {
+		tr.AddStage(obs.StageCombine, now.Sub(scanDone))
+		tr.Total = now.Sub(start)
+		if err == nil {
+			tr.ResultCells = out.Len()
+		}
+	}
+	return out, err
+}
+
+// evaluateCubes is the per-subcube half of EvaluateTraced: it returns,
+// in cube order, each consulted cube's selection aggregated to the
+// query's target (nil for a cube the zone map pruned), synchronized or
+// not, and fills tr's per-cube entries.
+func (cs *CubeSet) evaluateCubes(q Query, t caltime.Day, tr *obs.Trace) ([]*mdm.MO, error) {
+	clk := cs.met.Clock()
+	synced := cs.synced && cs.lastSync == t
 	if tr != nil {
 		tr.Synced = synced
 		tr.Cubes = make([]obs.CubeTrace, len(cs.cubes))
@@ -184,8 +218,8 @@ func (cs *CubeSet) EvaluateTraced(q Query, t caltime.Day, tr *obs.Trace) (*mdm.M
 				// Weighted approach: scale each row's SUM contributions
 				// by its certainty weight while folding to the target
 				// (Definition 5/6 expected values). The pre-scaled
-				// subresult stays distributive, so the final cross-cube
-				// aggregation below needs no weights.
+				// subresult stays distributive, so the cross-cube
+				// combine needs no weights.
 				subresults[i], errs[i] = query.AggregateWeighted(mo, weights, q.Target, q.Agg)
 			} else {
 				subresults[i], errs[i] = query.Aggregate(mo, q.Target, q.Agg)
@@ -193,10 +227,6 @@ func (cs *CubeSet) EvaluateTraced(q Query, t caltime.Day, tr *obs.Trace) (*mdm.M
 		}(i, c)
 	}
 	wg.Wait()
-	scanDone := clk.Now()
-	if tr != nil {
-		tr.AddStage("parallel subcube scan", scanDone.Sub(start))
-	}
 	var probes int64
 	for _, e := range evals {
 		if e != nil {
@@ -211,34 +241,7 @@ func (cs *CubeSet) EvaluateTraced(q Query, t caltime.Day, tr *obs.Trace) (*mdm.M
 			return nil, err
 		}
 	}
-
-	// Union the disjoint subresults, then a final aggregation merges
-	// cells that were split across subcubes (fact_45 + fact_9 →
-	// fact_459 in Figure 8) — sound because the default aggregate
-	// functions are distributive.
-	union := mdm.NewMO(cs.env.Schema)
-	for _, sub := range subresults {
-		if sub == nil {
-			continue // cube pruned by the zone map
-		}
-		for f := 0; f < sub.Len(); f++ {
-			fid := mdm.FactID(f)
-			if _, err := union.AddFactAt(sub.Refs(fid), sub.Measures(fid), sub.BaseCount(fid), ""); err != nil {
-				return nil, fmt.Errorf("subcube: Evaluate: %w", err)
-			}
-		}
-	}
-	out, err := query.Aggregate(union, q.Target, q.Agg)
-	now := clk.Now()
-	cs.met.QueryDuration.Observe(now.Sub(start))
-	if tr != nil {
-		tr.AddStage("combine + final aggregate", now.Sub(scanDone))
-		tr.Total = now.Sub(start)
-		if err == nil {
-			tr.ResultCells = out.Len()
-		}
-	}
-	return out, err
+	return subresults, nil
 }
 
 // selectedMO materializes the rows of cube c that satisfy the query's
@@ -331,10 +334,7 @@ func (cs *CubeSet) viewOf(c *Cube, e *cellEval) (mo *mdm.MO, scanned int, err er
 					return false
 				}
 			}
-			keyBuf = keyBuf[:0]
-			for _, v := range up {
-				keyBuf = append(keyBuf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-			}
+			keyBuf = mdm.AppendCellKey(keyBuf[:0], up)
 			if fid, ok := index[string(keyBuf)]; ok {
 				for j, m := range schema.Measures {
 					merged := m.Agg.Merge(mo.Measure(fid, j), src.store.Measure(r, j))

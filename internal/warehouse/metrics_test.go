@@ -129,8 +129,15 @@ func TestQueryTraced(t *testing.T) {
 		t.Errorf("trace totals diverge from counters: trace (%d, %d), counters (%d, %d)",
 			tr.RowsScanned(), tr.RowsKept(), delta.RowsScanned, delta.RowsSelected)
 	}
-	if len(tr.Stages) != 2 {
-		t.Errorf("expected 2 stages, got %v", tr.Stages)
+	// The stage names are spelled out here, not taken from the obs
+	// constants, because consumers match them as text: the repo
+	// benchmark's tracer (bench/trace.go, a module of its own that a perf
+	// change may not edit) finds the combine span by the literal below. A
+	// rename would not break its build — it would silently read
+	// query.combine_us as zero, and a metric that is always zero is a bug
+	// by the ROADMAP's north star.
+	if len(tr.Stages) != 2 || tr.Stages[0].Name != "parallel subcube scan" || tr.Stages[1].Name != "combine + final aggregate" {
+		t.Errorf(`expected the stages "parallel subcube scan" and "combine + final aggregate", got %v`, tr.Stages)
 	}
 	out := tr.String()
 	for _, want := range []string{"query:", "(synchronized)", "result cells"} {

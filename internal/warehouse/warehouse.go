@@ -667,7 +667,7 @@ func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, t caltime.Day, tr *
 		last, synced := s.cubes.LastSync()
 		tr.Synced = synced && last == t
 		tr.Total = w.met.Clock().Since(start)
-		tr.AddStage("views.Answer", tr.Total)
+		tr.AddStage(obs.StageViewAnswer, tr.Total)
 		tr.ResultCells = mo.Len()
 	}
 	return mo, true
