@@ -1,10 +1,10 @@
 // Command dimredlint is the repository's multichecker: it runs the
-// domain-invariant analyzers of internal/lint (wallclock, atomicfield,
-// invariantcall, errwrap, the dataflow-powered purity, nowflow and
-// lockfield passes, the interprocedural snapalias, clonecheck,
-// lockorder, gospawn and publishcheck passes built on the module call
-// graph, and the unknowndirective hygiene pass) over the module, and
-// exits non-zero when any finding survives //dimred:allow suppression.
+// domain-invariant analyzers of internal/lint (wallclock, the
+// dataflow-powered purity, nowflow and lockfield passes, the
+// interprocedural snapalias and clonecheck passes built on the module
+// call graph, and the unknowndirective hygiene pass) over the module,
+// and exits non-zero when any finding survives //dimred:allow
+// suppression.
 //
 // Usage:
 //
@@ -12,11 +12,10 @@
 //
 // Packages default to ./... relative to the current directory. Findings
 // print one per line as file:line:col: message [analyzer], the form the
-// CI problem matcher parses. -audit lists every reasoned escape hatch in
-// the tree — //dimred:allow suppressions plus //dimred:detached
-// (gospawn) and //dimred:replay (publishcheck) directives — with its
-// mandatory reason instead of running the analyzers. Exit status: 0
-// clean, 1 findings, 2 usage or load failure.
+// CI problem matcher parses. -audit lists every reasoned //dimred:allow
+// suppression in the tree with its mandatory reason instead of running
+// the analyzers. Exit status: 0 clean, 1 findings, 2 usage or load
+// failure.
 package main
 
 import (
@@ -39,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list the bundled analyzers and exit")
-	audit := fs.Bool("audit", false, "list every suppression escape (allow/detached/replay) with its reason and exit")
+	audit := fs.Bool("audit", false, "list every //dimred:allow suppression with its reason and exit")
 	dir := fs.String("C", ".", "directory to run in (the module to analyze)")
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -285,6 +285,12 @@ type (
 	// background compactor; a fact arriving after its region was reduced
 	// lands at its cell's granularity immediately, exactly as if it had
 	// been present for the original reduction.
+	//
+	// Growing a dimension (EnsureDay, EnsureURL, AddValue) is not
+	// synchronized with a live warehouse: the compactor and lock-free
+	// readers read the dimensions while it runs. Resolve the values a
+	// producer will reference before StartIngest or any concurrent
+	// Ingest/Query, as bench/ does.
 	IngestConfig = ingest.Config
 )
 

@@ -30,13 +30,19 @@ func TestIngestFacade(t *testing.T) {
 	if err := w.AdvanceTo(dimred.Date(2000, 6, 1)); err != nil {
 		t.Fatal(err)
 	}
+	// Growing a dimension is not synchronized with a live warehouse (the
+	// compactor and lock-free readers read it): resolve every value
+	// before the compactor starts.
+	const n = 40
+	var days [n]dimred.ValueID
+	for i := range days {
+		days[i] = paper.Time.EnsureDay(dimred.Date(2000, 1, 1) + dimred.Day(i))
+	}
+	uv := paper.URL.MustEnsureURL("http://www.alpha.com/index")
 	if err := w.StartIngest(dimred.IngestConfig{MinBatch: 1}); err != nil {
 		t.Fatal(err)
 	}
-	const n = 40
-	for i := 0; i < n; i++ {
-		dv := paper.Time.EnsureDay(dimred.Date(2000, 1, 1) + dimred.Day(i))
-		uv := paper.URL.MustEnsureURL("http://www.alpha.com/index")
+	for _, dv := range days {
 		if err := w.Ingest([]dimred.ValueID{dv, uv}, []float64{1, 2, 3, 4}); err != nil {
 			t.Fatal(err)
 		}

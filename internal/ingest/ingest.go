@@ -173,7 +173,9 @@ func StartCompactor(buf *Buffer, cfg Config, fold func([]Row) error) *Compactor 
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	//dimred:detached compaction loop runs for the warehouse lifetime; Stop joins it on the done channel before the warehouse closes
+	// Detached on purpose: the compaction loop runs for the warehouse
+	// lifetime; Stop joins it on the done channel before the warehouse
+	// closes (TestGoroutinesJoin counts it gone).
 	go c.loop()
 	return c
 }

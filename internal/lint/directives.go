@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 	"unicode"
@@ -24,26 +23,6 @@ const directivePrefix = "//dimred:"
 // frozen by construction).
 const SharedDirective = directivePrefix + "shared"
 
-// DetachedDirective marks a go statement whose goroutine intentionally
-// has no join or termination edge, with a mandatory reason:
-//
-//	//dimred:detached <reason>
-//
-// on the go statement's line or the line directly above it. gospawn
-// accepts the annotation in place of a provable sync.WaitGroup pair or
-// channel close.
-const DetachedDirective = directivePrefix + "detached"
-
-// ReplayDirective marks a function as part of the epoch protocol's
-// drain-then-replay side, with a mandatory reason:
-//
-//	//dimred:replay <reason>
-//
-// as a full line of the function's doc comment. publishcheck exempts
-// such functions from the no-writes-after-publish rule; they redirect
-// retired state under the writer lock after readers have drained.
-const ReplayDirective = directivePrefix + "replay"
-
 // directiveContext classifies the syntactic positions where a
 // //dimred: directive takes effect.
 type directiveContext int
@@ -53,18 +32,18 @@ const (
 	ctxStructDoc                         // full line of a struct type's doc comment
 	ctxFieldDoc                          // doc or line comment of a named struct's field
 	ctxFuncDoc                           // full line of a function's doc comment
-	ctxGoStmt                            // the go statement's line, or the line above
 )
 
 // directiveSpec is one entry of the directive registry.
 type directiveSpec struct {
 	name          string
-	wantsAnalyzer bool   // first argument must name a registered analyzer
-	wantsReason   bool   // mandatory free-text reason
-	reasonOwner   string // analyzer that reports a missing reason itself ("" = unknowndirective does)
-	escapes       string // analyzer whose check a reasoned use waives, for the audit ("" = none)
-	contexts      []directiveContext
-	where         string // human description of the required position
+	wantsAnalyzer bool // first argument must name a registered analyzer
+	// wantsReason: a free-text reason is mandatory. unknowndirective
+	// reports an allow without one; a reasonless shared is clonecheck's
+	// finding, the analyzer that consumes it.
+	wantsReason bool
+	contexts    []directiveContext
+	where       string // human description of the required position
 }
 
 // knownDirectives is the registry every //dimred: comment is parsed and
@@ -82,15 +61,9 @@ var knownDirectives = []directiveSpec{
 	{name: "immutable",
 		contexts: []directiveContext{ctxStructDoc},
 		where:    "a struct type's doc comment"},
-	{name: "shared", wantsReason: true, reasonOwner: "clonecheck",
+	{name: "shared", wantsReason: true,
 		contexts: []directiveContext{ctxFieldDoc},
 		where:    "a struct field's doc or line comment"},
-	{name: "detached", wantsReason: true, escapes: "gospawn",
-		contexts: []directiveContext{ctxGoStmt},
-		where:    "a go statement's line or the line directly above it"},
-	{name: "replay", wantsReason: true, escapes: "publishcheck",
-		contexts: []directiveContext{ctxFuncDoc},
-		where:    "a function's doc comment"},
 }
 
 func directiveByName(name string) *directiveSpec {
@@ -113,8 +86,7 @@ type directive struct {
 	args    string         // text after the name, space-trimmed
 	spec    *directiveSpec // nil when the name is not in the registry
 	// ctx is the most specific position the comment occupies: a struct
-	// type's, named struct field's or function's doc, else a go
-	// statement's line (or the line above one), else a plain line.
+	// type's, named struct field's or function's doc, else a plain line.
 	ctx directiveContext
 	// owner is the declaration a doc or line comment belongs to (a
 	// field's doc and trailing comment share one); its comment group
@@ -175,14 +147,6 @@ func parseDirectives(units []*Unit) []directive {
 					}
 				}
 			}
-			goLines := map[int]bool{}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok {
-					goLines[u.Fset.Position(g.Pos()).Line] = true
-				}
-				return true
-			})
-
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					rest, ok := strings.CutPrefix(c.Text, directivePrefix)
@@ -197,9 +161,6 @@ func parseDirectives(units []*Unit) []directive {
 					d.spec = directiveByName(d.name)
 					if d.owner == nil {
 						d.owner = cg
-						if line := d.pos().Line; goLines[line] || goLines[line+1] {
-							d.ctx = ctxGoStmt
-						}
 					}
 					out = append(out, d)
 				}
@@ -214,12 +175,6 @@ type sharedField struct {
 	unit   *Unit
 	pos    token.Pos
 	reason string // "" when the mandatory reason is missing
-}
-
-// lineKey names one source line.
-type lineKey struct {
-	file string
-	line int
 }
 
 // allowKey names one analyzer's findings on one source line.
@@ -238,8 +193,6 @@ type directiveTable struct {
 	immutable map[string]bool        // pkg.Type
 	shared    map[string]sharedField // pkg.Type.field
 	aggregate map[*ast.FuncDecl]bool
-	replay    map[string]string  // types.Func.FullName → reason
-	detached  map[lineKey]string // the directive's own line → reason
 	// allowed holds the lines a reasoned //dimred:allow silences: its own
 	// and the one below, so it can sit at the end of the offending line or
 	// on its own line above it.
@@ -252,8 +205,6 @@ func newDirectiveTable(units []*Unit) *directiveTable {
 		immutable: map[string]bool{},
 		shared:    map[string]sharedField{},
 		aggregate: map[*ast.FuncDecl]bool{},
-		replay:    map[string]string{},
-		detached:  map[lineKey]string{},
 		allowed:   map[allowKey]bool{},
 	}
 	for i := range t.all {
@@ -266,7 +217,7 @@ func newDirectiveTable(units []*Unit) *directiveTable {
 		}
 		switch d.name {
 		case "allow":
-			if analyzer, reason := d.escape(); reason != "" {
+			if analyzer, reason := d.allowArgs(); reason != "" {
 				p := d.pos()
 				t.allowed[allowKey{p.Filename, p.Line, analyzer}] = true
 				t.allowed[allowKey{p.Filename, p.Line + 1, analyzer}] = true
@@ -275,15 +226,6 @@ func newDirectiveTable(units []*Unit) *directiveTable {
 			t.immutable[d.unit.Pkg.Path()+"."+d.typ.Name.Name] = true
 		case "aggregate":
 			t.aggregate[d.owner.(*ast.FuncDecl)] = true
-		case "replay":
-			if fn, ok := d.unit.Info.Defs[d.owner.(*ast.FuncDecl).Name].(*types.Func); ok && d.args != "" {
-				t.replay[fn.FullName()] = d.args
-			}
-		case "detached":
-			if d.args != "" {
-				p := d.pos()
-				t.detached[lineKey{p.Filename, p.Line}] = d.args
-			}
 		case "shared":
 			for _, name := range d.owner.(*ast.Field).Names {
 				key := d.unit.Pkg.Path() + "." + d.typ.Name.Name + "." + name.Name
@@ -304,22 +246,16 @@ type Allow struct {
 	Reason   string
 }
 
-// AuditEscapes returns every reasoned escape hatch in the loaded units,
-// sorted by position: //dimred:allow suppressions, plus the directives
-// the registry marks as waiving one analyzer's check (//dimred:detached
-// for gospawn's join proof, //dimred:replay for publishcheck's
-// post-publish writes), each attributed to the analyzer it silences.
-// Only allows suppress by line — the analyzers interpret the other two
-// themselves — but all are the same kind of reviewed decision, so the
-// suppression budget counts them together. A reason is mandatory: an
-// escape without one confers nothing and is not listed.
+// AuditEscapes returns every reasoned //dimred:allow suppression in the
+// loaded units, sorted by position. A reason is mandatory: an allow
+// without one suppresses nothing and is not listed.
 func AuditEscapes(units []*Unit) []Allow {
 	var out []Allow
 	for _, d := range parseDirectives(units) {
-		if d.spec == nil {
+		if d.name != "allow" {
 			continue
 		}
-		if analyzer, reason := d.escape(); analyzer != "" && reason != "" {
+		if analyzer, reason := d.allowArgs(); reason != "" {
 			out = append(out, Allow{Pos: d.pos(), Analyzer: analyzer, Reason: reason})
 		}
 	}
@@ -333,11 +269,12 @@ func AuditEscapes(units []*Unit) []Allow {
 	return out
 }
 
-// escape reads the directive as an escape hatch: the analyzer it
-// silences and the reason given ("" when it is not one).
-func (d *directive) escape() (analyzer, reason string) {
-	if fields := strings.Fields(d.args); d.spec.wantsAnalyzer && len(fields) > 0 {
-		return fields[0], strings.Join(fields[1:], " ")
+// allowArgs splits an allow directive's arguments into the analyzer it
+// silences and the reason given.
+func (d *directive) allowArgs() (analyzer, reason string) {
+	fields := strings.Fields(d.args)
+	if len(fields) == 0 {
+		return "", ""
 	}
-	return d.spec.escapes, d.args
+	return fields[0], strings.Join(fields[1:], " ")
 }

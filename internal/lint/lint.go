@@ -5,24 +5,17 @@
 // and go/types (the module carries no external dependencies, so the
 // x/tools framework itself is off the table).
 //
-// The custom analyzers encode invariants of the reproduced paper that
-// the compiler cannot check on its own:
+// The analyzers encode invariants of the reproduced paper and of the
+// engine's snapshot protocol that neither the compiler nor a test that
+// happens not to hit the bad case can check:
 //
 //   - wallclock: NOW-relative semantics (Section 4.2) require every
 //     semantic evaluation to take an explicit evaluation time, so the
 //     ambient clock (time.Now and friends) is forbidden in semantic
 //     packages; the obs.Clock seam is the only sanctioned source.
-//   - atomicfield: the obs metric substrate is read concurrently from
-//     scan paths, so a field accessed through sync/atomic anywhere
-//     must be accessed atomically everywhere.
-//   - invariantcall: every exported mutation of a specification's
-//     action set must discharge the NonCrossing (Section 5.2) and
-//     Growing (Section 5.3, Eq. 23) obligations.
-//   - errwrap: error chains must stay inspectable (%w, no silently
-//     discarded error results in internal/ and cmd/).
 //
-// Three further analyzers are flow-sensitive, built on the package's
-// own CFG construction (cfg.go) and dataflow solver (dataflow.go):
+// Three are flow-sensitive, built on the package's own CFG
+// construction (cfg.go) and dataflow solver (dataflow.go):
 //
 //   - purity: functions marked //dimred:aggregate — the distributive
 //     default aggregates Definition 6's Group_high folds in arbitrary
@@ -33,9 +26,9 @@
 //     clock seam, never from a literal or ad-hoc construction.
 //   - lockfield: a lockset analysis ensuring a struct field written
 //     under a sync.Mutex/RWMutex is accessed under that mutex
-//     everywhere (mutex-guarded complement of atomicfield).
+//     everywhere.
 //
-// Two analyzers are interprocedural, built on a module-wide call graph
+// Two are interprocedural, built on a module-wide call graph
 // (callgraph.go) with per-function escape summaries computed bottom-up
 // in SCC order:
 //
@@ -49,11 +42,12 @@
 //     annotated //dimred:shared with a reason — a forgotten field
 //     aliases state across the left-right publish boundary.
 //
-// Three more reuse the same graph, summaries and lockset facts for the
-// concurrency protocol (lockorder: the lock-acquisition graph is
-// acyclic; gospawn: every goroutine joins and is handed no published
-// state; publishcheck: no write follows an atomic.Pointer publish), and
-// unknowndirective validates the //dimred: directives themselves.
+// And unknowndirective validates the //dimred: directives themselves.
+// What the suite does not police is gated elsewhere: the concurrency
+// protocol (goroutine joins, lock order, writes after a publish) by the
+// -race job over the stress tests (DESIGN.md §12), and the NonCrossing /
+// Growing / generation obligations of a specification change by the one
+// commit funnel in internal/spec.
 //
 // Findings can be suppressed in source with a comment on the offending
 // line or the line directly above it:
@@ -96,31 +90,17 @@ type Analyzer struct {
 }
 
 // Module is the loaded package set plus the facts more than one
-// module-level analyzer reads, built once per Run: the call graph, the
-// directive tables, the lockset evidence, and the escape summaries for
-// the two marked sets in use.
+// module-level analyzer reads, built once per Run: the call graph and
+// the directive tables.
 type Module struct {
 	Units []*Unit
 	pkgs  map[string]bool // import paths of the loaded units
 	graph *CallGraph
 	dirs  *directiveTable
-	locks *lockFacts
-	// writeSums are the escape summaries over the empty marked set: pure
-	// which-parameters-may-this-write facts. immutSums mark the
-	// //dimred:immutable types, which diverts writes into marked state
-	// away from writesParam and into findings.
-	writeSums, immutSums map[string]*escapeSummary
 }
 
 func newModule(units []*Unit) *Module {
-	m := &Module{Units: units, pkgs: modulePkgs(units), graph: BuildCallGraph(units), dirs: newDirectiveTable(units)}
-	m.locks = collectLockFacts(m)
-	m.writeSums = computeEscapeSummaries(m.graph, nil, m.dirs.shared)
-	m.immutSums = m.writeSums
-	if len(m.dirs.immutable) > 0 {
-		m.immutSums = computeEscapeSummaries(m.graph, m.dirs.immutable, m.dirs.shared)
-	}
-	return m
+	return &Module{Units: units, pkgs: modulePkgs(units), graph: BuildCallGraph(units), dirs: newDirectiveTable(units)}
 }
 
 func modulePkgs(units []*Unit) map[string]bool {

@@ -18,9 +18,7 @@ import (
 const ImmutableDirective = directivePrefix + "immutable"
 
 // NewLockField builds the lockfield analyzer: mutex-discipline
-// checking for the engine's shared state, closing the gap atomicfield
-// leaves for fields guarded by a sync.Mutex/RWMutex instead of
-// sync/atomic.
+// checking for the engine's shared state.
 //
 // The analysis runs a forward lockset dataflow (which mutex fields
 // are held, and at what strength, at each program point) over the CFG
@@ -57,7 +55,7 @@ func NewLockField() *Analyzer {
 			"under that lock everywhere (reads may hold RLock)",
 	}
 	a.RunModule = func(m *Module) []Diagnostic {
-		immutable, lf := m.dirs.immutable, m.locks
+		immutable, lf := m.dirs.immutable, collectLockFacts(m)
 		accesses, guards := lf.accesses, lf.guards
 
 		// Every non-exempt access to a guarded field must
@@ -141,16 +139,13 @@ func lockSetEqual(a, b lockSet) bool {
 	return true
 }
 
-// lockFacts is the module-wide lockset evidence three analyzers share:
-// lockfield consumes the field accesses and inferred guards, lockorder
-// the acquisition and held-call events, gospawn the guards (a goroutine
-// body must hold a guarded field's guard itself).
+// lockFacts is the module-wide lockset evidence: every field access
+// and *Locked call with the locks held there, and the guards inferred
+// from the accesses.
 type lockFacts struct {
 	ownerMutexes map[string][]string
 	accesses     []lockAccess
 	lockedCalls  []lockedCall
-	acquires     []lockAcquire
-	heldCalls    []heldCall
 	guards       map[string]map[string]bool
 }
 
@@ -166,13 +161,10 @@ func collectLockFacts(m *Module) *lockFacts {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				la := &lockAnalysis{u: u, fd: fd, body: fd.Body, parents: parents,
-					ownerMutexes: lf.ownerMutexes, modulePkgs: m.pkgs}
+				la := &lockAnalysis{u: u, fd: fd, parents: parents, ownerMutexes: lf.ownerMutexes}
 				la.run()
 				lf.accesses = append(lf.accesses, la.accesses...)
 				lf.lockedCalls = append(lf.lockedCalls, la.lockedCalls...)
-				lf.acquires = append(lf.acquires, la.acquires...)
-				lf.heldCalls = append(lf.heldCalls, la.heldCalls...)
 			}
 		}
 	}
@@ -270,49 +262,24 @@ type lockedCall struct {
 	locks lockSet
 }
 
-// lockAcquire is one Lock/RLock on a mutex field, with the locks
-// already held when it executes — one potential edge of lockorder's
-// lock-acquisition graph.
-type lockAcquire struct {
-	unit *Unit
-	pos  token.Pos
-	key  string
-	held lockSet
-}
-
-// heldCall is a call to a module-internal function made with at least
-// one mutex field held; lockorder closes it against the callee's
-// may-acquire summary.
-type heldCall struct {
-	unit   *Unit
-	pos    token.Pos
-	callee string // types.Func.FullName
-	held   lockSet
-}
-
 type lockAnalysis struct {
 	u            *Unit
-	fd           *ast.FuncDecl // nil when analyzing a bare body (goroutine literal)
-	body         *ast.BlockStmt
+	fd           *ast.FuncDecl
 	parents      map[ast.Node]ast.Node
 	ownerMutexes map[string][]string
-	modulePkgs   map[string]bool
 
-	g         *CFG
-	rd        *ReachingDefs
-	recording bool // final pass: log acquire/held-call events
+	g  *CFG
+	rd *ReachingDefs
 
 	accesses    []lockAccess
 	lockedCalls []lockedCall
-	acquires    []lockAcquire
-	heldCalls   []heldCall
 }
 
 func (la *lockAnalysis) run() {
-	la.g = BuildCFG(la.body)
+	la.g = BuildCFG(la.fd.Body)
 
 	boundary := lockSet{}
-	if la.fd != nil && strings.HasSuffix(la.fd.Name.Name, "Locked") {
+	if strings.HasSuffix(la.fd.Name.Name, "Locked") {
 		if owner := receiverOwner(la.u, la.fd); owner != "" {
 			for _, lock := range la.ownerMutexes[owner] {
 				boundary[lock] = lockWrite
@@ -334,7 +301,6 @@ func (la *lockAnalysis) run() {
 		},
 	})
 
-	la.recording = true
 	for _, blk := range la.g.Blocks {
 		facts, ok := in[blk]
 		if !ok {
@@ -348,7 +314,6 @@ func (la *lockAnalysis) run() {
 			la.transfer(blk, n, cur)
 		}
 	}
-	la.recording = false
 }
 
 // transfer applies the lock operations a node performs, mutating set.
@@ -370,53 +335,30 @@ func (la *lockAnalysis) transfer(blk *Block, n ast.Node, set lockSet) {
 	}
 }
 
-// mutexOp classifies call as a Lock/RLock/Unlock/RUnlock on a mutex
-// struct field, returning the field key and the operation name.
-func mutexOp(info *types.Info, call *ast.CallExpr) (key, op string, ok bool) {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	base, isSel := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	key, isField := fieldKey(info, base)
-	if !isField || !isMutexType(info.Selections[base].Type()) {
-		return "", "", false
-	}
-	switch fn.Name() {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-		return key, fn.Name(), true
-	}
-	return "", "", false
-}
-
 // applyLockOp interprets call if it is a Lock/RLock/Unlock/RUnlock on
 // a mutex struct field.
 func (la *lockAnalysis) applyLockOp(call *ast.CallExpr, set lockSet) {
-	key, op, ok := mutexOp(la.u.Info, call)
-	if !ok {
+	info := la.u.Info
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return
 	}
-	switch op {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return
+	}
+	base, isSel := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	if !isSel {
+		return
+	}
+	key, isField := fieldKey(info, base)
+	if !isField || !isMutexType(info.Selections[base].Type()) {
+		return
+	}
+	switch fn.Name() {
 	case "Lock":
-		if la.recording {
-			la.acquires = append(la.acquires, lockAcquire{
-				unit: la.u, pos: call.Pos(), key: key, held: set.clone(),
-			})
-		}
 		set[key] = lockWrite
 	case "RLock":
-		if la.recording {
-			la.acquires = append(la.acquires, lockAcquire{
-				unit: la.u, pos: call.Pos(), key: key, held: set.clone(),
-			})
-		}
 		if set[key] < lockRead {
 			set[key] = lockRead
 		}
@@ -435,26 +377,10 @@ func (la *lockAnalysis) scanNode(blk *Block, n ast.Node, set lockSet) {
 				la.recordAccess(blk, x, set)
 			case *ast.CallExpr:
 				la.recordLockedCall(x, set)
-				la.recordHeldCall(x, set)
 			}
 			return true
 		})
 	}
-}
-
-// recordHeldCall logs a module-internal call made with locks held —
-// the raw material of lockorder's interprocedural edges.
-func (la *lockAnalysis) recordHeldCall(call *ast.CallExpr, set lockSet) {
-	if len(set) == 0 {
-		return
-	}
-	fn := calleeFunc(la.u.Info, call)
-	if fn == nil || fn.Pkg() == nil || !la.modulePkgs[fn.Pkg().Path()] {
-		return
-	}
-	la.heldCalls = append(la.heldCalls, heldCall{
-		unit: la.u, pos: call.Pos(), callee: fn.FullName(), held: set.clone(),
-	})
 }
 
 func (la *lockAnalysis) recordAccess(blk *Block, sel *ast.SelectorExpr, set lockSet) {
@@ -598,6 +524,25 @@ func isWriteContext(parents map[ast.Node]ast.Node, sel *ast.SelectorExpr) bool {
 		return p.Op == token.AND
 	}
 	return false
+}
+
+// skipParens returns n's nearest non-parenthesis ancestor.
+func skipParens(parents map[ast.Node]ast.Node, n ast.Node) ast.Node {
+	p := parents[n]
+	for {
+		par, ok := p.(*ast.ParenExpr)
+		if !ok {
+			return p
+		}
+		p = parents[par]
+	}
+}
+
+// fieldKey names a field selection as pkgpath.Recv.field; ok is false
+// when sel is not a field of a named struct type.
+func fieldKey(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
+	_, key, ok := fieldOwnerKey(info, sel)
+	return key, ok
 }
 
 // fieldOwnerKey is fieldKey plus the owning struct's key.

@@ -26,7 +26,7 @@ import (
 // closure follows direct calls, calls made inside function literals,
 // and referenced method/function values, so a sort.Slice comparator or
 // a stored callback no longer hides an impurity. Dynamic dispatch
-// through interfaces remains invisible, matching invariantcall.
+// through interfaces remains invisible, as everywhere in the suite.
 const AggregateDirective = directivePrefix + "aggregate"
 
 // purityFacts is what the purity analyzer records per function.

@@ -38,11 +38,10 @@ import (
 // annotation is a reviewed claim that the field's object is safe to
 // mutate while shared (internally synchronized, or redirected before
 // the writes happen). Mutations made through sync/atomic are invisible
-// by construction — atomic methods are stdlib calls with no summary —
-// which is exactly the sanctioned-mutation carve-out atomicfield
-// polices. Dynamic calls (interface methods, untracked function
-// values) are not followed, and aliases stored into unmarked heap
-// objects are not tracked; those limits match the rest of the suite.
+// by construction — atomic methods are stdlib calls with no summary.
+// Dynamic calls (interface methods, untracked function values) are not
+// followed, and aliases stored into unmarked heap objects are not
+// tracked; those limits match the rest of the suite.
 
 // escapeSummary is one function's interprocedural escape facts.
 // Parameter bits: the receiver (when present) is bit 0 and parameters
@@ -85,9 +84,10 @@ func NewSnapAlias() *Analyzer {
 			return nil
 		}
 		// Reporting pass with the final summaries.
+		sums := computeEscapeSummaries(m.graph, m.dirs.immutable, m.dirs.shared)
 		var ds []Diagnostic
 		for _, key := range m.graph.keys {
-			fa := newSnapAnalysis(m.graph.Nodes[key], m.dirs.immutable, m.dirs.shared, m.immutSums)
+			fa := newSnapAnalysis(m.graph.Nodes[key], m.dirs.immutable, m.dirs.shared, sums)
 			fa.report = true
 			fa.run()
 			ds = append(ds, fa.diags...)
@@ -99,9 +99,8 @@ func NewSnapAlias() *Analyzer {
 
 // computeEscapeSummaries runs the bottom-up summary fixpoint: callee
 // SCCs first, each SCC iterated until its summaries stop growing. The
-// marked set decides what "derives from published state" means: the
-// //dimred:immutable types for snapalias and gospawn, nothing for the
-// pure writes-parameter facts publishcheck reads.
+// marked set (the //dimred:immutable types) decides what "derives from
+// published state" means.
 func computeEscapeSummaries(cg *CallGraph, marked map[string]bool, shared map[string]sharedField) map[string]*escapeSummary {
 	summaries := map[string]*escapeSummary{}
 	for _, scc := range cg.SCCs() {
@@ -149,7 +148,7 @@ func (fa *snapAnalysis) run() escapeSummary {
 	fa.seedParams()
 	for fa.propagate() {
 	}
-	forEachWrite(fa.u.Info, fa.decl.Body, fa.summaries, ast.Inspect, fa.recordWrite)
+	forEachWrite(fa.u.Info, fa.decl.Body, fa.summaries, fa.recordWrite)
 	fa.scanReturns()
 	return fa.sum
 }
@@ -181,44 +180,6 @@ func (fa *snapAnalysis) seedParams() {
 	}
 	seedList(fa.decl.Recv)
 	seedList(fa.decl.Type.Params)
-}
-
-// seedRoot merges o into the variable e's referent is reached through:
-// the identifier at the bottom of its selector, index, slice,
-// dereference, address-of and type-assertion chain, if there is one.
-// Like derivation, the chase stops at a //dimred:shared field.
-func (fa *snapAnalysis) seedRoot(e ast.Expr, o origin) {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			if _, key, ok := fieldOwnerKey(fa.u.Info, x); ok {
-				if _, isShared := fa.shared[key]; isShared {
-					return
-				}
-			}
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return
-			}
-			e = x.X
-		case *ast.TypeAssertExpr:
-			e = x.X
-		case *ast.Ident:
-			if v := fa.varOf(x); v != nil {
-				fa.state[v] = fa.state[v].or(o)
-			}
-			return
-		default:
-			return
-		}
-	}
 }
 
 // propagate applies every assignment-like binding in the body once
@@ -281,9 +242,8 @@ func (fa *snapAnalysis) propagate() bool {
 	return changed
 }
 
-// writeKind classifies how a value is mutated, so the consumers of the
-// write walk (snapalias, publishcheck) can render kind-appropriate
-// messages.
+// writeKind classifies how a value is mutated, so the finding can say
+// which.
 type writeKind int
 
 const (
@@ -301,13 +261,11 @@ type writeSite struct {
 	pos    token.Pos
 	target ast.Expr
 	kind   writeKind
-	op     string      // builtin, callee or method name; "" for writeDirect
-	callee *types.Func // for writeCall and writeMethodValue
+	op     string // builtin, callee or method name; "" for writeDirect
 }
 
-// forEachWrite reports every write site under root, walking it with
-// inspect (ast.Inspect to include function literals, inspectNoFuncLit
-// to stay within one body's control flow). An assignment or inc/dec
+// forEachWrite reports every write site under root, function literals
+// included. An assignment or inc/dec
 // target that reaches through a selector, index or dereference writes
 // the container object (a plain identifier target only rebinds a
 // variable); append, copy, delete and clear write their first argument;
@@ -315,8 +273,7 @@ type writeSite struct {
 // and argument expressions supplied at the call; and a method value
 // binds its receiver, so if the method writes through it the binding is
 // as good as the write.
-func forEachWrite(info *types.Info, root ast.Node, summaries map[string]*escapeSummary,
-	inspect func(ast.Node, func(ast.Node) bool), emit func(writeSite)) {
+func forEachWrite(info *types.Info, root ast.Node, summaries map[string]*escapeSummary, emit func(writeSite)) {
 	lvalue := func(lhs ast.Expr) {
 		switch x := ast.Unparen(lhs).(type) {
 		case *ast.SelectorExpr:
@@ -332,7 +289,7 @@ func forEachWrite(info *types.Info, root ast.Node, summaries map[string]*escapeS
 	// Selectors consumed as call targets are calls, not method values;
 	// the walk meets a call before its target.
 	called := map[*ast.SelectorExpr]bool{}
-	inspect(root, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
@@ -365,7 +322,7 @@ func forEachWrite(info *types.Info, root ast.Node, summaries map[string]*escapeS
 					continue
 				}
 				for _, arg := range callBitExprs(x, fn, bit) {
-					emit(writeSite{pos: x.Pos(), target: arg, kind: writeCall, op: fn.Name(), callee: fn})
+					emit(writeSite{pos: x.Pos(), target: arg, kind: writeCall, op: fn.Name()})
 				}
 			}
 		case *ast.SelectorExpr:
@@ -374,7 +331,7 @@ func forEachWrite(info *types.Info, root ast.Node, summaries map[string]*escapeS
 			}
 			if fn, ok := info.Uses[x.Sel].(*types.Func); ok {
 				if s := summaries[fn.FullName()]; s != nil && s.writesParam&1 != 0 {
-					emit(writeSite{pos: x.Pos(), target: x.X, kind: writeMethodValue, op: fn.Name(), callee: fn})
+					emit(writeSite{pos: x.Pos(), target: x.X, kind: writeMethodValue, op: fn.Name()})
 				}
 			}
 		}

@@ -71,11 +71,8 @@ func NewUnknownDirective(analyzerNames []string) *Analyzer {
 					diag(d, "//dimred:%s %s is missing the mandatory reason", d.name, fields[0])
 				}
 			case d.spec.wantsReason:
-				// A directive whose reason is policed by its consuming analyzer
-				// (shared → clonecheck) is not double-reported here.
-				if d.spec.reasonOwner == "" && len(fields) == 0 {
-					diag(d, "//dimred:%s is missing the mandatory reason", d.name)
-				}
+				// shared: clonecheck, which consumes the reason, reports a
+				// missing one; it is not double-reported here.
 			default:
 				if len(fields) > 0 {
 					diag(d, "//dimred:%s takes no argument; trailing text disables the exact-match directive", d.name)

@@ -23,8 +23,6 @@ func TestUnknownDirectiveNames(t *testing.T) {
 	linttest.Run(t, []*lint.Analyzer{newUnknownDirective()}, map[string]string{
 		"lib/lib.go": `package lib
 
-import "sync"
-
 // Snap is published.
 //
 //dimred:immutable
@@ -48,15 +46,13 @@ type Share struct {
 	Rows map[string]int //dimred:share fine reason // want "unknown directive //dimred:share"
 }
 
-func spawn(wg *sync.WaitGroup) {
-	wg.Add(1)
-	//dimred:detached fixture goroutine lives for the process
-	go loop()
-	//dimred:detachd forever // want "unknown directive //dimred:detachd"
-	go loop()
+// Retired directives are unknown like any other name.
+//
+//dimred:replay the publishcheck escape went with its analyzer // want "unknown directive //dimred:replay"
+func commit() {
+	//dimred:detached so did gospawn's // want "unknown directive //dimred:detached"
+	go commit()
 }
-
-func loop() {}
 `,
 	})
 }
@@ -82,34 +78,17 @@ func Fold(a, b int) int { return a + b }
 //
 //dimred:aggregate // want "//dimred:aggregate has no effect here; it must be a function's doc comment" "//dimred:aggregate takes no argument"
 type S struct{ N int }
-
-//dimred:detached not actually above a go statement // want "//dimred:detached has no effect here; it must be a go statement's line or the line directly above it"
-var x = 1
-
-//dimred:replay replays outside any function doc // want "//dimred:replay has no effect here; it must be a function's doc comment"
-var y = 2
 `,
 	})
 }
 
 // TestUnknownDirectiveArgs pins the argument validation on cases where
 // a trailing want-comment would distort the directive's own argument
-// text: empty and whitespace-only reasons, multi-line reasons, bare and
-// misdirected allows, duplicate directives.
+// text: bare, reasonless and misdirected allows, trailing text on a
+// no-argument directive, duplicate directives.
 func TestUnknownDirectiveArgs(t *testing.T) {
 	diags := linttest.Diagnostics(t, []*lint.Analyzer{newUnknownDirective()}, map[string]string{
 		"lib/lib.go": "package lib\n\n" +
-			"import \"sync\"\n\n" +
-			"func spawn(wg *sync.WaitGroup) {\n" +
-			"\twg.Add(1)\n" +
-			"\t//dimred:detached\n" + // empty reason
-			"\tgo loop()\n" +
-			"\t//dimred:detached \t \n" + // whitespace-only reason
-			"\tgo loop()\n" +
-			"\t//dimred:detached\n" + // a reason on the go line's own comment does not attach
-			"\tgo loop() // because the workers drain at exit\n" +
-			"}\n\n" +
-			"func loop() {}\n\n" +
 			"//dimred:allow\n" + // bare allow suppresses nothing
 			"var a = 1\n\n" +
 			"//dimred:allow wallclock\n" + // missing reason
@@ -127,9 +106,6 @@ func TestUnknownDirectiveArgs(t *testing.T) {
 			"func E(x, y int) int { return x + y }\n",
 	})
 	wants := []string{
-		"//dimred:detached is missing the mandatory reason",
-		"//dimred:detached is missing the mandatory reason",
-		"//dimred:detached is missing the mandatory reason",
 		"//dimred:allow suppresses nothing without '<analyzer> <reason>'",
 		"//dimred:allow wallclock is missing the mandatory reason",
 		"names unknown analyzer \"nosuchanalyzer\"",

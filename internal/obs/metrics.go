@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 )
 
@@ -157,179 +158,160 @@ type MetricsSnapshot struct {
 	CubeCount int64
 }
 
+// metricRow describes one metric — the one place that says which
+// report section it belongs to and what it is called there. The same
+// field name addresses the metric in Metrics and in MetricsSnapshot;
+// whether it is a counter (subtracted by Sub), a gauge or a histogram is
+// read off the Metrics field's type. A row without a field is a section
+// header.
+type metricRow struct {
+	field, label string
+	m, s         int  // field indices in Metrics and MetricsSnapshot
+	counter      bool // Sub subtracts it
+}
+
+// metricRows lists every metric once, in report order. Snapshot, Sub
+// and String all walk it; a Metrics field missing here is never copied,
+// which TestEveryMetricIsSnapshotSubtractedAndPrinted turns into a
+// failure.
+var metricRows = []metricRow{
+	{label: "ingest"},
+	{field: "FactsLoaded", label: "facts loaded"},
+	{field: "BatchLoads", label: "batch loads"},
+	{field: "RowsAppended", label: "rows appended"},
+	{field: "RowsMerged", label: "rows merged in place"},
+	{field: "IngestQueued", label: "ingest queued"},
+	{field: "IngestCompacted", label: "ingest compacted"},
+	{field: "IngestLate", label: "ingest late facts"},
+	{field: "IngestRejected", label: "ingest rejected"},
+	{field: "IngestPending", label: "ingest pending"},
+	{field: "CompactionDuration", label: "compaction latency"},
+
+	{label: "synchronization"},
+	{field: "Advances", label: "clock advances"},
+	{field: "Syncs", label: "sync rounds"},
+	{field: "SyncsIncremental", label: "sync rounds (delta only)"},
+	{field: "SyncSkips", label: "cubes skipped (zone map)"},
+	{field: "SyncScanned", label: "rows scanned"},
+	{field: "RowsFolded", label: "rows folded"},
+	{field: "FactsDeleted", label: "facts deleted"},
+	{field: "Compactions", label: "compactions"},
+	{field: "SpecRebuilds", label: "spec rebuilds"},
+	{field: "ProgramCompiles", label: "program compiles"},
+	{field: "ProgramCacheHits", label: "program cache hits"},
+	{field: "ProgramCacheMisses", label: "program cache misses"},
+	{field: "RouterCacheHits", label: "router cache hits"},
+	{field: "ProgramProbes", label: "program probes"},
+	{field: "BitsetBytes", label: "program bitset bytes"},
+	{field: "SyncDuration", label: "sync latency"},
+
+	{label: "snapshots"},
+	{field: "SnapshotPublishes", label: "publishes"},
+	{field: "SnapshotDrainWaits", label: "drain waits"},
+	{field: "SnapshotReclones", label: "side reclones"},
+	{field: "SnapshotLevelledRows", label: "rows levelled"},
+	{field: "SnapshotEpoch", label: "epoch"},
+	{field: "SnapshotsRetained", label: "retained"},
+
+	{label: "queries"},
+	{field: "Queries", label: "queries"},
+	{field: "CubesConsulted", label: "cubes consulted"},
+	{field: "CubesPruned", label: "cubes pruned (zone map)"},
+	{field: "RowsScanned", label: "rows scanned"},
+	{field: "RowsSelected", label: "rows selected"},
+	{field: "ViewHits", label: "view hits"},
+	{field: "ViewMisses", label: "view misses"},
+	{field: "ViewBuilds", label: "view builds"},
+	{field: "ViewBytes", label: "view bytes"},
+	{field: "QueryDuration", label: "query latency"},
+
+	{label: "storage"},
+	{field: "CubeCount", label: "subcubes"},
+	{field: "LiveRows", label: "live rows"},
+	{field: "DeadRows", label: "dead rows"},
+	{field: "LiveBytes", label: "fact bytes"},
+	{field: "DimBytes", label: "dimension bytes"},
+}
+
+// init resolves each row's field in both structs. A name that does not
+// resolve, or resolves to the wrong snapshot type, is a typo in the
+// table above.
+func init() {
+	mt, st := reflect.TypeOf((*Metrics)(nil)).Elem(), reflect.TypeOf(MetricsSnapshot{})
+	for i := range metricRows {
+		r := &metricRows[i]
+		if r.field == "" {
+			continue
+		}
+		mf, okM := mt.FieldByName(r.field)
+		sf, okS := st.FieldByName(r.field)
+		wantS := reflect.TypeOf(int64(0))
+		switch mf.Type {
+		case reflect.TypeOf(Counter{}):
+			r.counter = true
+		case reflect.TypeOf(Gauge{}):
+		case reflect.TypeOf(Histogram{}):
+			wantS = reflect.TypeOf(HistogramSnapshot{})
+		default:
+			okM = false
+		}
+		if !okM || !okS || sf.Type != wantS {
+			panic("obs: metricRows: " + r.field + " is not a metric with a matching MetricsSnapshot field")
+		}
+		r.m, r.s = mf.Index[0], sf.Index[0]
+	}
+}
+
 // Snapshot copies the current values.
 func (m *Metrics) Snapshot() MetricsSnapshot {
-	return MetricsSnapshot{
-		FactsLoaded:  m.FactsLoaded.Load(),
-		BatchLoads:   m.BatchLoads.Load(),
-		RowsAppended: m.RowsAppended.Load(),
-		RowsMerged:   m.RowsMerged.Load(),
-
-		Advances:         m.Advances.Load(),
-		Syncs:            m.Syncs.Load(),
-		SyncsIncremental: m.SyncsIncremental.Load(),
-		SyncSkips:        m.SyncSkips.Load(),
-		SyncScanned:      m.SyncScanned.Load(),
-		RowsFolded:       m.RowsFolded.Load(),
-		FactsDeleted:     m.FactsDeleted.Load(),
-		Compactions:      m.Compactions.Load(),
-		SpecRebuilds:     m.SpecRebuilds.Load(),
-
-		ProgramCompiles:    m.ProgramCompiles.Load(),
-		ProgramCacheHits:   m.ProgramCacheHits.Load(),
-		ProgramCacheMisses: m.ProgramCacheMisses.Load(),
-		RouterCacheHits:    m.RouterCacheHits.Load(),
-		ProgramProbes:      m.ProgramProbes.Load(),
-		BitsetBytes:        m.BitsetBytes.Load(),
-
-		Queries:        m.Queries.Load(),
-		CubesConsulted: m.CubesConsulted.Load(),
-		CubesPruned:    m.CubesPruned.Load(),
-		RowsScanned:    m.RowsScanned.Load(),
-		RowsSelected:   m.RowsSelected.Load(),
-
-		ViewHits:   m.ViewHits.Load(),
-		ViewMisses: m.ViewMisses.Load(),
-		ViewBuilds: m.ViewBuilds.Load(),
-		ViewBytes:  m.ViewBytes.Load(),
-
-		IngestQueued:    m.IngestQueued.Load(),
-		IngestCompacted: m.IngestCompacted.Load(),
-		IngestLate:      m.IngestLate.Load(),
-		IngestRejected:  m.IngestRejected.Load(),
-		IngestPending:   m.IngestPending.Load(),
-
-		SnapshotPublishes:    m.SnapshotPublishes.Load(),
-		SnapshotDrainWaits:   m.SnapshotDrainWaits.Load(),
-		SnapshotReclones:     m.SnapshotReclones.Load(),
-		SnapshotLevelledRows: m.SnapshotLevelledRows.Load(),
-		SnapshotEpoch:        m.SnapshotEpoch.Load(),
-		SnapshotsRetained:    m.SnapshotsRetained.Load(),
-
-		SyncDuration:       m.SyncDuration.Snapshot(),
-		QueryDuration:      m.QueryDuration.Snapshot(),
-		CompactionDuration: m.CompactionDuration.Snapshot(),
-
-		LiveRows:  m.LiveRows.Load(),
-		LiveBytes: m.LiveBytes.Load(),
-		DeadRows:  m.DeadRows.Load(),
-		DimBytes:  m.DimBytes.Load(),
-		CubeCount: m.CubeCount.Load(),
+	var s MetricsSnapshot
+	mv, sv := reflect.ValueOf(m).Elem(), reflect.ValueOf(&s).Elem()
+	for _, r := range metricRows {
+		if r.field == "" {
+			continue
+		}
+		switch f := mv.Field(r.m).Addr().Interface().(type) {
+		case *Counter:
+			sv.Field(r.s).SetInt(f.Load())
+		case *Gauge:
+			sv.Field(r.s).SetInt(f.Load())
+		case *Histogram:
+			*sv.Field(r.s).Addr().Interface().(*HistogramSnapshot) = f.Snapshot()
+		}
 	}
+	return s
 }
 
 // Sub returns the delta snapshot s - prev, counter by counter; the
 // histogram and gauge fields keep s's values (deltas of latency
 // distributions and instantaneous gauges are not meaningful).
 func (s MetricsSnapshot) Sub(prev MetricsSnapshot) MetricsSnapshot {
-	d := s
-	d.FactsLoaded -= prev.FactsLoaded
-	d.BatchLoads -= prev.BatchLoads
-	d.RowsAppended -= prev.RowsAppended
-	d.RowsMerged -= prev.RowsMerged
-	d.Advances -= prev.Advances
-	d.Syncs -= prev.Syncs
-	d.SyncsIncremental -= prev.SyncsIncremental
-	d.SyncSkips -= prev.SyncSkips
-	d.SyncScanned -= prev.SyncScanned
-	d.RowsFolded -= prev.RowsFolded
-	d.FactsDeleted -= prev.FactsDeleted
-	d.Compactions -= prev.Compactions
-	d.SpecRebuilds -= prev.SpecRebuilds
-	d.ProgramCompiles -= prev.ProgramCompiles
-	d.ProgramCacheHits -= prev.ProgramCacheHits
-	d.ProgramCacheMisses -= prev.ProgramCacheMisses
-	d.RouterCacheHits -= prev.RouterCacheHits
-	d.ProgramProbes -= prev.ProgramProbes
-	d.Queries -= prev.Queries
-	d.CubesConsulted -= prev.CubesConsulted
-	d.CubesPruned -= prev.CubesPruned
-	d.RowsScanned -= prev.RowsScanned
-	d.RowsSelected -= prev.RowsSelected
-	d.ViewHits -= prev.ViewHits
-	d.ViewMisses -= prev.ViewMisses
-	d.ViewBuilds -= prev.ViewBuilds
-	d.IngestQueued -= prev.IngestQueued
-	d.IngestCompacted -= prev.IngestCompacted
-	d.IngestLate -= prev.IngestLate
-	d.IngestRejected -= prev.IngestRejected
-	d.SnapshotPublishes -= prev.SnapshotPublishes
-	d.SnapshotDrainWaits -= prev.SnapshotDrainWaits
-	d.SnapshotReclones -= prev.SnapshotReclones
-	d.SnapshotLevelledRows -= prev.SnapshotLevelledRows
-	return d
+	dv, pv := reflect.ValueOf(&s).Elem(), reflect.ValueOf(prev)
+	for _, r := range metricRows {
+		if r.counter {
+			dv.Field(r.s).SetInt(dv.Field(r.s).Int() - pv.Field(r.s).Int())
+		}
+	}
+	return s
 }
 
 // String renders the snapshot as a human-readable report, grouped the
-// way the engine works: ingest, synchronization, queries, storage.
+// way the engine works: ingest, synchronization, snapshots, queries,
+// storage.
 func (s MetricsSnapshot) String() string {
 	var b strings.Builder
-	b.WriteString("ingest:\n")
-	row(&b, "facts loaded", s.FactsLoaded)
-	row(&b, "batch loads", s.BatchLoads)
-	row(&b, "rows appended", s.RowsAppended)
-	row(&b, "rows merged in place", s.RowsMerged)
-	row(&b, "ingest queued", s.IngestQueued)
-	row(&b, "ingest compacted", s.IngestCompacted)
-	row(&b, "ingest late facts", s.IngestLate)
-	row(&b, "ingest rejected", s.IngestRejected)
-	row(&b, "ingest pending", s.IngestPending)
-	padLabel(&b, "compaction latency")
-	b.WriteString(s.CompactionDuration.String())
-	b.WriteByte('\n')
-
-	b.WriteString("synchronization:\n")
-	row(&b, "clock advances", s.Advances)
-	row(&b, "sync rounds", s.Syncs)
-	row(&b, "sync rounds (delta only)", s.SyncsIncremental)
-	row(&b, "cubes skipped (zone map)", s.SyncSkips)
-	row(&b, "rows scanned", s.SyncScanned)
-	row(&b, "rows folded", s.RowsFolded)
-	row(&b, "facts deleted", s.FactsDeleted)
-	row(&b, "compactions", s.Compactions)
-	row(&b, "spec rebuilds", s.SpecRebuilds)
-	row(&b, "program compiles", s.ProgramCompiles)
-	row(&b, "program cache hits", s.ProgramCacheHits)
-	row(&b, "program cache misses", s.ProgramCacheMisses)
-	row(&b, "router cache hits", s.RouterCacheHits)
-	row(&b, "program probes", s.ProgramProbes)
-	row(&b, "program bitset bytes", s.BitsetBytes)
-	padLabel(&b, "sync latency")
-	b.WriteString(s.SyncDuration.String())
-	b.WriteByte('\n')
-
-	b.WriteString("snapshots:\n")
-	row(&b, "publishes", s.SnapshotPublishes)
-	row(&b, "drain waits", s.SnapshotDrainWaits)
-	row(&b, "side reclones", s.SnapshotReclones)
-	row(&b, "rows levelled", s.SnapshotLevelledRows)
-	row(&b, "epoch", s.SnapshotEpoch)
-	row(&b, "retained", s.SnapshotsRetained)
-
-	b.WriteString("queries:\n")
-	row(&b, "queries", s.Queries)
-	row(&b, "cubes consulted", s.CubesConsulted)
-	row(&b, "cubes pruned (zone map)", s.CubesPruned)
-	row(&b, "rows scanned", s.RowsScanned)
-	row(&b, "rows selected", s.RowsSelected)
-	row(&b, "view hits", s.ViewHits)
-	row(&b, "view misses", s.ViewMisses)
-	row(&b, "view builds", s.ViewBuilds)
-	row(&b, "view bytes", s.ViewBytes)
-	padLabel(&b, "query latency")
-	b.WriteString(s.QueryDuration.String())
-	b.WriteByte('\n')
-
-	b.WriteString("storage:\n")
-	row(&b, "subcubes", s.CubeCount)
-	row(&b, "live rows", s.LiveRows)
-	row(&b, "dead rows", s.DeadRows)
-	row(&b, "fact bytes", s.LiveBytes)
-	row(&b, "dimension bytes", s.DimBytes)
+	sv := reflect.ValueOf(s)
+	for _, r := range metricRows {
+		if r.field == "" {
+			b.WriteString(r.label + ":\n")
+			continue
+		}
+		padLabel(&b, r.label)
+		if f := sv.Field(r.s); f.Kind() == reflect.Int64 {
+			fmt.Fprintf(&b, "%d\n", f.Int())
+		} else {
+			b.WriteString(f.Interface().(HistogramSnapshot).String() + "\n")
+		}
+	}
 	return b.String()
-}
-
-func row(b *strings.Builder, label string, v int64) {
-	padLabel(b, label)
-	fmt.Fprintf(b, "%d\n", v)
 }

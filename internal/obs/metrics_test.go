@@ -2,89 +2,120 @@ package obs
 
 import (
 	"reflect"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 )
 
-// TestEveryMetricIsSnapshotSubtractedAndPrinted walks the Metrics struct
-// by reflection, so a Counter, Gauge or Histogram added to it cannot
-// ship half-wired: it must have a same-named MetricsSnapshot field that
-// Snapshot() copies, Sub must subtract it if and only if it is a
-// counter, and String() must print it. Every metric is set to its own
-// non-zero value first, so a copy from the wrong field shows too.
+// TestEveryMetricIsSnapshotSubtractedAndPrinted: Snapshot, Sub and
+// String all walk metricRows, so a Counter, Gauge or Histogram added to
+// Metrics ships fully wired exactly when the table describes it — once.
+// (That each name resolves to a metric and to a MetricsSnapshot field of
+// the matching type is checked when the package initializes.)
 func TestEveryMetricIsSnapshotSubtractedAndPrinted(t *testing.T) {
-	m := NewMetrics()
-	mv := reflect.ValueOf(m).Elem()
-	want := map[string]int64{} // counter and gauge values
-	wantHist := map[string]time.Duration{}
-	for i := 0; i < mv.NumField(); i++ {
-		name := mv.Type().Field(i).Name
-		if !mv.Type().Field(i).IsExported() {
+	described := map[string]int{}
+	for _, r := range metricRows {
+		if r.field != "" {
+			described[r.field]++
+		}
+	}
+	mt := reflect.TypeOf((*Metrics)(nil)).Elem()
+	metrics := 0
+	for i := 0; i < mt.NumField(); i++ {
+		f := mt.Field(i)
+		if !f.IsExported() {
 			continue // the clock seam
 		}
-		switch f := mv.Field(i).Addr().Interface().(type) {
-		case *Counter:
-			want[name] = 7_000_000 + int64(i)
-			f.Add(want[name])
-		case *Gauge:
-			want[name] = 7_000_000 + int64(i)
-			f.Set(want[name])
-		case *Histogram:
-			wantHist[name] = time.Duration(i+1) * time.Second
-			f.Observe(wantHist[name])
+		metrics++
+		if described[f.Name] != 1 {
+			t.Errorf("%s is described %d times in metricRows, want once", f.Name, described[f.Name])
 		}
 	}
-	if len(want) == 0 || len(wantHist) == 0 {
-		t.Fatal("reflection found no metrics; the walk is broken")
+	if len(described) != metrics {
+		t.Errorf("metricRows describes %d fields, Metrics has %d", len(described), metrics)
+	}
+	if got := reflect.TypeOf(MetricsSnapshot{}).NumField(); got != metrics {
+		t.Errorf("MetricsSnapshot has %d fields, Metrics has %d metrics", got, metrics)
+	}
+}
+
+// TestMetricsReportGolden pins the report byte for byte (dimred stats
+// prints it) on a snapshot whose every field holds its own value, so a
+// row reading the wrong field shows; and Sub on the same snapshot:
+// counters subtract, gauges and histograms keep their value.
+func TestMetricsReportGolden(t *testing.T) {
+	var s MetricsSnapshot
+	sv := reflect.ValueOf(&s).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		switch f := sv.Field(i).Addr().Interface().(type) {
+		case *int64:
+			*f = 100 + int64(i)
+		case *HistogramSnapshot:
+			d := time.Duration(i) * 37 * time.Microsecond
+			*f = HistogramSnapshot{Count: int64(i), Sum: d * time.Duration(i), Max: 4 * d, Mean: d, P50: d, P95: 2 * d, P99: 3 * d}
+		}
+	}
+	const want = `ingest:
+  facts loaded              100
+  batch loads               101
+  rows appended             102
+  rows merged in place      103
+  ingest queued             128
+  ingest compacted          129
+  ingest late facts         130
+  ingest rejected           131
+  ingest pending            132
+  compaction latency        n=41 mean=1.52ms p50<1.52ms p95<3.03ms max=6.07ms
+synchronization:
+  clock advances            104
+  sync rounds               105
+  sync rounds (delta only)  106
+  cubes skipped (zone map)  107
+  rows scanned              108
+  rows folded               109
+  facts deleted             110
+  compactions               111
+  spec rebuilds             112
+  program compiles          113
+  program cache hits        114
+  program cache misses      115
+  router cache hits         116
+  program probes            117
+  program bitset bytes      118
+  sync latency              n=39 mean=1.44ms p50<1.44ms p95<2.89ms max=5.77ms
+snapshots:
+  publishes                 133
+  drain waits               134
+  side reclones             135
+  rows levelled             136
+  epoch                     137
+  retained                  138
+queries:
+  queries                   119
+  cubes consulted           120
+  cubes pruned (zone map)   121
+  rows scanned              122
+  rows selected             123
+  view hits                 124
+  view misses               125
+  view builds               126
+  view bytes                127
+  query latency             n=40 mean=1.48ms p50<1.48ms p95<2.96ms max=5.92ms
+storage:
+  subcubes                  146
+  live rows                 142
+  dead rows                 144
+  fact bytes                143
+  dimension bytes           145
+`
+	if got := s.String(); got != want {
+		t.Errorf("report changed:\n%s\nwant:\n%s", got, want)
 	}
 
-	s := m.Snapshot()
 	d := s.Sub(s)
-	out := s.String()
-	sv, dv := reflect.ValueOf(s), reflect.ValueOf(d)
-	if got := sv.NumField(); got != len(want)+len(wantHist) {
-		t.Errorf("MetricsSnapshot has %d fields, Metrics has %d metrics", got, len(want)+len(wantHist))
+	if d.FactsLoaded != 0 || d.SnapshotLevelledRows != 0 {
+		t.Errorf("Sub kept a counter: %d, %d", d.FactsLoaded, d.SnapshotLevelledRows)
 	}
-	for i := 0; i < mv.NumField(); i++ {
-		field := mv.Type().Field(i)
-		name := field.Name
-		sf := sv.FieldByName(name)
-		switch field.Type {
-		case reflect.TypeOf(Counter{}), reflect.TypeOf(Gauge{}):
-			if !sf.IsValid() || sf.Kind() != reflect.Int64 {
-				t.Errorf("%s: no int64 MetricsSnapshot field of that name", name)
-				continue
-			}
-			if sf.Int() != want[name] {
-				t.Errorf("%s: Snapshot() = %d, want %d", name, sf.Int(), want[name])
-			}
-			wantSub := want[name] // a gauge keeps its value
-			if field.Type == reflect.TypeOf(Counter{}) {
-				wantSub = 0
-			}
-			if got := dv.FieldByName(name).Int(); got != wantSub {
-				t.Errorf("%s: s.Sub(s) = %d, want %d", name, got, wantSub)
-			}
-			if !strings.Contains(out, strconv.FormatInt(want[name], 10)) {
-				t.Errorf("%s: String() does not print its value %d", name, want[name])
-			}
-		case reflect.TypeOf(Histogram{}):
-			if !sf.IsValid() || sf.Type() != reflect.TypeOf(HistogramSnapshot{}) {
-				t.Errorf("%s: no HistogramSnapshot MetricsSnapshot field of that name", name)
-				continue
-			}
-			hs := sf.Interface().(HistogramSnapshot)
-			if hs.Count != 1 || hs.Sum != wantHist[name] {
-				t.Errorf("%s: Snapshot() = %+v, want one observation of %s", name, hs, wantHist[name])
-			}
-			if got := dv.FieldByName(name).Interface(); got != sf.Interface() {
-				t.Errorf("%s: s.Sub(s) = %+v, want the histogram kept", name, got)
-			}
-			if !strings.Contains(out, hs.String()) {
-				t.Errorf("%s: String() does not print %q", name, hs.String())
-			}
-		}
+	if d.LiveRows != s.LiveRows || d.IngestPending != s.IngestPending || d.SyncDuration != s.SyncDuration {
+		t.Errorf("Sub changed a gauge or a histogram: %+v", d)
 	}
 }

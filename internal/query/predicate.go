@@ -9,50 +9,26 @@ import (
 	"dimred/internal/spec"
 )
 
-// qtest is one compiled atomic constraint of a query predicate.
-type qtest struct {
-	dim     int
-	cat     mdm.CategoryID
-	isTime  bool
-	op      expr.Op
-	unit    caltime.Unit
-	timeRHS []caltime.Expr
-	valRHS  []string
-	isTrue  bool // constant-true sentinel
-	isFalse bool // constant-false sentinel
-}
-
 // Predicate is a selection predicate compiled against a schema for
 // evaluation on facts of any granularity, in DNF (negations are pushed
 // onto atoms, which is required for the conservative and liberal
 // approaches to stay sound under negation).
 type Predicate struct {
 	env       *spec.Env
-	disjuncts [][]qtest
+	disjuncts [][]spec.Atom
 	src       expr.Pred
 }
 
-// CompilePred compiles a parsed predicate against the environment.
-// Unlike action predicates, query predicates may reference any category
-// and are evaluated with the Definition 5 drill-down semantics.
+// CompilePred compiles a parsed predicate against the environment. It
+// shares the action predicates' atom compiler (one Pexp grammar); unlike
+// them, query predicates may reference any category and are evaluated
+// with the Definition 5 drill-down semantics.
 func CompilePred(p expr.Pred, env *spec.Env) (*Predicate, error) {
-	d, err := expr.ToDNF(p)
+	disjuncts, err := spec.CompileDNF("query", p, env, nil)
 	if err != nil {
-		return nil, fmt.Errorf("query: %w", err)
+		return nil, err
 	}
-	out := &Predicate{env: env, src: p}
-	for _, dj := range d.Disjuncts {
-		tests := make([]qtest, 0, len(dj))
-		for _, atom := range dj {
-			t, err := compileQueryAtom(atom, env)
-			if err != nil {
-				return nil, err
-			}
-			tests = append(tests, t)
-		}
-		out.disjuncts = append(out.disjuncts, tests)
-	}
-	return out, nil
+	return &Predicate{env: env, disjuncts: disjuncts, src: p}, nil
 }
 
 // ParsePred parses and compiles a concrete-syntax predicate.
@@ -72,90 +48,6 @@ func MustParsePred(src string, env *spec.Env) *Predicate {
 		panic(err)
 	}
 	return p
-}
-
-func compileQueryAtom(atom expr.Pred, env *spec.Env) (qtest, error) {
-	resolve := func(ref expr.CatRef) (int, mdm.CategoryID, error) {
-		di := env.Schema.DimIndex(ref.Dim)
-		if di < 0 {
-			return 0, 0, fmt.Errorf("query: unknown dimension %q", ref.Dim)
-		}
-		c, ok := env.Schema.Dims[di].CategoryByName(ref.Cat)
-		if !ok {
-			return 0, 0, fmt.Errorf("query: dimension %s has no category %q", ref.Dim, ref.Cat)
-		}
-		return di, c, nil
-	}
-	switch q := atom.(type) {
-	case expr.TimeCmp:
-		di, c, err := resolve(q.Ref)
-		if err != nil {
-			return qtest{}, err
-		}
-		u, err := queryTimeUnit(q.Ref, di, c, env, []caltime.Expr{q.RHS})
-		if err != nil {
-			return qtest{}, err
-		}
-		return qtest{dim: di, cat: c, isTime: true, op: q.Op, unit: u, timeRHS: []caltime.Expr{q.RHS}}, nil
-	case expr.TimeIn:
-		di, c, err := resolve(q.Ref)
-		if err != nil {
-			return qtest{}, err
-		}
-		u, err := queryTimeUnit(q.Ref, di, c, env, q.Set)
-		if err != nil {
-			return qtest{}, err
-		}
-		op := expr.OpIn
-		if q.Negate {
-			op = expr.OpNotIn
-		}
-		return qtest{dim: di, cat: c, isTime: true, op: op, unit: u, timeRHS: q.Set}, nil
-	case expr.ValueCmp:
-		di, c, err := resolve(q.Ref)
-		if err != nil {
-			return qtest{}, err
-		}
-		if di == env.TimeDim {
-			return qtest{}, fmt.Errorf("query: time category %s compared against value literal %q", q.Ref, q.RHS)
-		}
-		if q.Op != expr.OpEQ && q.Op != expr.OpNE && !env.Schema.Dims[di].Category(c).Ordered {
-			return qtest{}, fmt.Errorf("query: operator %s is not defined for unordered category %s", q.Op, q.Ref)
-		}
-		return qtest{dim: di, cat: c, op: q.Op, valRHS: []string{q.RHS}}, nil
-	case expr.ValueIn:
-		di, c, err := resolve(q.Ref)
-		if err != nil {
-			return qtest{}, err
-		}
-		if di == env.TimeDim {
-			return qtest{}, fmt.Errorf("query: time category %s tested against value literals", q.Ref)
-		}
-		op := expr.OpIn
-		if q.Negate {
-			op = expr.OpNotIn
-		}
-		return qtest{dim: di, cat: c, op: op, valRHS: q.Set}, nil
-	case expr.Bool:
-		return qtest{isTrue: q.Value, isFalse: !q.Value, dim: -1}, nil
-	}
-	return qtest{}, fmt.Errorf("query: unsupported atom %T", atom)
-}
-
-func queryTimeUnit(ref expr.CatRef, di int, c mdm.CategoryID, env *spec.Env, exprs []caltime.Expr) (caltime.Unit, error) {
-	if di != env.TimeDim {
-		return 0, fmt.Errorf("query: time expression constrains non-time dimension %s", ref.Dim)
-	}
-	u, ok := env.Time.UnitForCategory(c)
-	if !ok {
-		return 0, fmt.Errorf("query: category %s has no calendar unit", ref)
-	}
-	for _, e := range exprs {
-		if bu, anchored := e.BaseUnit(); anchored && bu != u {
-			return 0, fmt.Errorf("query: literal %s has type %s, category %s requires %s", e, bu, ref, u)
-		}
-	}
-	return u, nil
 }
 
 // EvaluateFact evaluates the predicate on fact f of mo at query time t
@@ -244,7 +136,7 @@ func (pr *Prepared) EvaluateCell(cell CellReader) (cons, lib bool, weight float6
 	return cons, lib, weight
 }
 
-func (pr *Prepared) evalDisjunct(d int, dj []qtest, cell CellReader) (cons, lib bool, weight float64) {
+func (pr *Prepared) evalDisjunct(d int, dj []spec.Atom, cell CellReader) (cons, lib bool, weight float64) {
 	cons, lib, weight = true, true, 1
 	for i := range dj {
 		c, l, w := pr.evalTest(d, i, cell)
@@ -263,13 +155,13 @@ func (pr *Prepared) evalDisjunct(d int, dj []qtest, cell CellReader) (cons, lib 
 // appearance.
 func (pr *Prepared) evalTest(d, i int, cell CellReader) (cons, lib bool, weight float64) {
 	tst := &pr.p.disjuncts[d][i]
-	if tst.dim < 0 {
-		if tst.isTrue {
-			return true, true, 1
-		}
+	switch tst.Dim {
+	case spec.TestConstTrue:
+		return true, true, 1
+	case spec.TestConstFalse:
 		return false, false, 0
 	}
-	v := cell.Ref(tst.dim)
+	v := cell.Ref(tst.Dim)
 	seen := pr.seen[d][i]
 	if seen == nil {
 		seen = make(map[mdm.ValueID]verdict)
@@ -284,17 +176,17 @@ func (pr *Prepared) evalTest(d, i int, cell CellReader) (cons, lib bool, weight 
 }
 
 // compare evaluates atom i of disjunct d on dimension value v.
-func (pr *Prepared) compare(d, i int, tst *qtest, v mdm.ValueID) (cons, lib bool, weight float64) {
-	dim := pr.p.env.Schema.Dims[tst.dim]
+func (pr *Prepared) compare(d, i int, tst *spec.Atom, v mdm.ValueID) (cons, lib bool, weight float64) {
+	dim := pr.p.env.Schema.Dims[tst.Dim]
 
 	// Lift the fact's value to the predicate category when possible
 	// (f ~> v evaluation); otherwise Definition 5 drills both sides to
 	// the GLB category.
 	lhs := v
-	if a := dim.AncestorAt(v, tst.cat); a != mdm.NoValue {
+	if a := dim.AncestorAt(v, tst.Cat); a != mdm.NoValue {
 		lhs = a
 	}
-	glb := dim.GLB(dim.CategoryOf(lhs), tst.cat)
+	glb := dim.GLB(dim.CategoryOf(lhs), tst.Cat)
 	ordered := dim.Category(glb).Ordered
 
 	las := drillOrds(dim, lhs, glb, ordered)
@@ -308,12 +200,12 @@ func (pr *Prepared) compare(d, i int, tst *qtest, v mdm.ValueID) (cons, lib bool
 		// known to satisfy, nothing might.
 		return false, false, 0
 	}
-	return compareSets(tst.op, las, rbs)
+	return compareSets(tst.Op, las, rbs)
 }
 
 // rhsFor returns the cached comparand set of atom (d, i) at GLB category
 // glb, resolving it on first use.
-func (pr *Prepared) rhsFor(d, i int, tst qtest, dim *mdm.Dimension, glb mdm.CategoryID, ordered bool) ordSet {
+func (pr *Prepared) rhsFor(d, i int, tst spec.Atom, dim *mdm.Dimension, glb mdm.CategoryID, ordered bool) ordSet {
 	byCat := pr.rhs[d][i]
 	if byCat == nil {
 		byCat = make(map[mdm.CategoryID]ordSet, 2)
@@ -329,18 +221,18 @@ func (pr *Prepared) rhsFor(d, i int, tst qtest, dim *mdm.Dimension, glb mdm.Cate
 
 // rhsOrds materializes the right-hand side's drill-down ordinals at the
 // GLB category.
-func (p *Predicate) rhsOrds(tst qtest, d *mdm.Dimension, glb mdm.CategoryID, ordered bool, t caltime.Day) ordSet {
+func (p *Predicate) rhsOrds(tst spec.Atom, d *mdm.Dimension, glb mdm.CategoryID, ordered bool, t caltime.Day) ordSet {
 	var out ordSet
-	if tst.isTime {
+	if tst.IsTime {
 		glbUnit, ok := p.env.Time.UnitForCategory(glb)
 		if !ok {
 			return nil
 		}
-		for _, e := range tst.timeRHS {
-			period := e.EvalPeriod(t, tst.unit)
+		for _, e := range tst.TimeRHS {
+			period := e.EvalPeriod(t, tst.Unit)
 			// Prefer the populated value's drill-down; fall back to the
 			// calendar range of the period at the GLB unit.
-			if v, okv := d.ValueByName(tst.cat, period.String()); okv {
+			if v, okv := d.ValueByName(tst.Cat, period.String()); okv {
 				out = append(out, drillOrds(d, v, glb, ordered)...)
 				continue
 			}
@@ -351,8 +243,8 @@ func (p *Predicate) rhsOrds(tst qtest, d *mdm.Dimension, glb mdm.CategoryID, ord
 			}
 		}
 	} else {
-		for _, name := range tst.valRHS {
-			v, ok := d.ValueByName(tst.cat, name)
+		for _, name := range tst.ValRHS {
+			v, ok := d.ValueByName(tst.Cat, name)
 			if !ok {
 				continue
 			}
@@ -373,88 +265,13 @@ func (p *Predicate) rhsOrds(tst qtest, d *mdm.Dimension, glb mdm.CategoryID, ord
 // String renders the predicate's source form.
 func (p *Predicate) String() string { return p.src.String() }
 
-const (
-	minDay = caltime.Day(-1 << 60)
-	maxDay = caltime.Day(1 << 60)
-)
-
 // TimeBounds returns a day-interval hull of the predicate at query time
 // t: no fact whose time value lies entirely outside [lo, hi] can satisfy
 // the predicate, under any approach. bounded is false when the predicate
 // does not constrain time (or some disjunct doesn't). Storage engines
 // use this as a zone map to skip partitions.
 func (p *Predicate) TimeBounds(t caltime.Day) (lo, hi caltime.Day, bounded bool) {
-	if p.env.TimeDim < 0 {
-		return 0, 0, false
-	}
-	lo, hi = maxDay, minDay
-	for _, dj := range p.disjuncts {
-		dLo, dHi := minDay, maxDay
-		constrained := false
-		for _, tst := range dj {
-			if !tst.isTime {
-				continue
-			}
-			switch tst.op {
-			case expr.OpLT:
-				period := tst.timeRHS[0].EvalPeriod(t, tst.unit)
-				dHi = minD(dHi, period.First()-1)
-				constrained = true
-			case expr.OpLE:
-				period := tst.timeRHS[0].EvalPeriod(t, tst.unit)
-				dHi = minD(dHi, period.Last())
-				constrained = true
-			case expr.OpEQ:
-				period := tst.timeRHS[0].EvalPeriod(t, tst.unit)
-				dLo = maxD(dLo, period.First())
-				dHi = minD(dHi, period.Last())
-				constrained = true
-			case expr.OpGE:
-				period := tst.timeRHS[0].EvalPeriod(t, tst.unit)
-				dLo = maxD(dLo, period.First())
-				constrained = true
-			case expr.OpGT:
-				period := tst.timeRHS[0].EvalPeriod(t, tst.unit)
-				dLo = maxD(dLo, period.Last()+1)
-				constrained = true
-			case expr.OpIn:
-				inLo, inHi := maxDay, minDay
-				for _, e := range tst.timeRHS {
-					period := e.EvalPeriod(t, tst.unit)
-					inLo = minD(inLo, period.First())
-					inHi = maxD(inHi, period.Last())
-				}
-				dLo = maxD(dLo, inLo)
-				dHi = minD(dHi, inHi)
-				constrained = true
-			default:
-				// NE and NotIn exclude a region: no hull contribution.
-			}
-		}
-		if !constrained {
-			return 0, 0, false // this disjunct admits any time
-		}
-		lo = minD(lo, dLo)
-		hi = maxD(hi, dHi)
-	}
-	if len(p.disjuncts) == 0 {
-		return 0, 0, false // constant false: callers see an empty result anyway
-	}
-	return lo, hi, true
-}
-
-func minD(a, b caltime.Day) caltime.Day {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxD(a, b caltime.Day) caltime.Day {
-	if a > b {
-		return a
-	}
-	return b
+	return spec.TimeHull(p.disjuncts, t)
 }
 
 // Select is the selection operator σ[p](O) (Eq. 36) under the

@@ -97,11 +97,11 @@ func TestPreparedVerdictsMatchDirect(t *testing.T) {
 			// Prepared fills a memo of its own while it evaluates.
 			for d, dj := range p.disjuncts {
 				for i := range dj {
-					if dj[i].dim < 0 {
+					if dj[i].Dim < 0 {
 						continue
 					}
 					cons, lib, w := prep.evalTest(d, i, cell)
-					wantCons, wantLib, wantW := p.Prepare(at).compare(d, i, &dj[i], cell[dj[i].dim])
+					wantCons, wantLib, wantW := p.Prepare(at).compare(d, i, &dj[i], cell[dj[i].Dim])
 					if cons != wantCons || lib != wantLib || w != wantW {
 						t.Fatalf("%s, disjunct %d atom %d on (%s, %s): remembered %v/%v/%v, compared %v/%v/%v", src, d, i,
 							timeDim.ValueName(cell[0]), urlDim.ValueName(cell[1]), cons, lib, w, wantCons, wantLib, wantW)

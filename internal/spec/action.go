@@ -10,25 +10,29 @@ import (
 	"dimred/internal/prover"
 )
 
-// test is one compiled atomic constraint of a DNF disjunct: a comparison
-// or membership test on one category of one dimension. Value operands
-// are kept by name so the test stays correct as new dimension values
-// arrive after compilation.
-type test struct {
-	dim     int
-	cat     mdm.CategoryID
-	isTime  bool
-	op      expr.Op
-	unit    caltime.Unit   // time tests
-	timeRHS []caltime.Expr // time tests: 1 expr for comparisons, n for sets
-	valRHS  []string       // value tests: 1 name for comparisons, n for sets
+// Atom is one compiled atomic constraint of a DNF disjunct: a comparison
+// or membership test on one category of one dimension. Actions and
+// queries share the grammar (Table 1's Pexp) and this compiled form;
+// they differ in how they evaluate it — actions answer a boolean by name
+// and ordinal, queries the Definition 5 triple. Value operands are kept
+// by name so the atom stays correct as new dimension values arrive after
+// compilation.
+type Atom struct {
+	Dim     int // TestConstTrue / TestConstFalse for the constant atoms
+	Cat     mdm.CategoryID
+	IsTime  bool
+	Op      expr.Op
+	Unit    caltime.Unit   // time atoms
+	TimeRHS []caltime.Expr // time atoms: 1 expr for comparisons, n for sets
+	ValRHS  []string       // value atoms: 1 name for comparisons, n for sets
 }
 
-// disjunct is one conjunct list of the action's DNF predicate.
-type disjunct struct {
-	tests []test
-	never bool // the disjunct contained the constant false
-}
+// Sentinel dimension indices of the constant atoms true and false (as
+// Atom.Dim, and as returned by TestShape).
+const (
+	TestConstTrue  = -1
+	TestConstFalse = -2
+)
 
 // Action is a compiled reduction action p(α[Clist] σ[Pexp](O)), or a
 // fact-deletion action "delete σ[Pexp](O)" (the Section 8 extension),
@@ -39,7 +43,7 @@ type Action struct {
 	env       *Env
 	target    mdm.Granularity // the function Cat (Eq. 8); all-top for deletions
 	isDelete  bool
-	disjuncts []disjunct
+	disjuncts [][]Atom // the predicate in DNF
 	usesNow   bool
 	growing   bool
 }
@@ -75,31 +79,24 @@ func Compile(name string, src expr.ActionSpec, env *Env) (*Action, error) {
 			return nil, fmt.Errorf("spec: action %s: %w", name, err)
 		}
 	}
-	d, err := expr.ToDNF(src.Pred)
-	if err != nil {
-		return nil, fmt.Errorf("spec: action %s: %w", name, err)
-	}
-	a := &Action{name: name, src: src, env: env, target: target, isDelete: src.Delete, usesNow: expr.UsesNow(src.Pred)}
-	for _, dj := range d.Disjuncts {
-		cd := disjunct{}
-		for _, atom := range dj {
-			t, err := compileAtom(name, atom, env)
-			if err != nil {
-				return nil, err
-			}
-			// The Clist category must not exceed the predicate category.
-			// (Deletion removes the facts, so continuous evaluability of
-			// the predicate is moot and the check does not apply.)
-			if !src.Delete && !env.Schema.Dims[t.dim].CatLE(target[t.dim], t.cat) {
-				return nil, fmt.Errorf("spec: action %s: aggregates dimension %s to %s, above predicate category %s",
-					name, env.Schema.Dims[t.dim].Name(),
-					env.Schema.Dims[t.dim].Category(target[t.dim]).Name,
-					env.Schema.Dims[t.dim].Category(t.cat).Name)
-			}
-			cd.tests = append(cd.tests, t)
+	// The Clist category must not exceed the predicate category.
+	// (Deletion removes the facts, so continuous evaluability of the
+	// predicate is moot and the check does not apply.)
+	evaluable := func(t Atom) error {
+		if src.Delete || t.Dim < 0 || env.Schema.Dims[t.Dim].CatLE(target[t.Dim], t.Cat) {
+			return nil
 		}
-		a.disjuncts = append(a.disjuncts, cd)
+		return fmt.Errorf("spec: action %s: aggregates dimension %s to %s, above predicate category %s",
+			name, env.Schema.Dims[t.Dim].Name(),
+			env.Schema.Dims[t.Dim].Category(target[t.Dim]).Name,
+			env.Schema.Dims[t.Dim].Category(t.Cat).Name)
 	}
+	disjuncts, err := CompileDNF("spec: action "+name, src.Pred, env, evaluable)
+	if err != nil {
+		return nil, err
+	}
+	a := &Action{name: name, src: src, env: env, target: target, isDelete: src.Delete,
+		disjuncts: disjuncts, usesNow: expr.UsesNow(src.Pred)}
 	a.growing = a.classifyGrowing()
 	return a, nil
 }
@@ -128,15 +125,42 @@ func CompileString(name, src string, env *Env) (*Action, error) {
 	return Compile(name, parsed, env)
 }
 
-func compileAtom(name string, atom expr.Pred, env *Env) (test, error) {
+// CompileDNF compiles a parsed predicate to disjunctive normal form
+// over the environment: one []Atom per disjunct. who prefixes every
+// error ("spec: action a1", "query"); admit, when non-nil, is the
+// caller's own condition on each atom, checked as the atom is compiled.
+func CompileDNF(who string, p expr.Pred, env *Env, admit func(Atom) error) ([][]Atom, error) {
+	d, err := expr.ToDNF(p)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", who, err)
+	}
+	var out [][]Atom
+	for _, dj := range d.Disjuncts {
+		atoms := make([]Atom, 0, len(dj))
+		for _, atom := range dj {
+			t, err := compileAtom(who, atom, env)
+			if err == nil && admit != nil {
+				err = admit(t)
+			}
+			if err != nil {
+				return nil, err
+			}
+			atoms = append(atoms, t)
+		}
+		out = append(out, atoms)
+	}
+	return out, nil
+}
+
+func compileAtom(who string, atom expr.Pred, env *Env) (Atom, error) {
 	resolve := func(ref expr.CatRef) (int, mdm.CategoryID, error) {
 		di := env.Schema.DimIndex(ref.Dim)
 		if di < 0 {
-			return 0, 0, fmt.Errorf("spec: action %s: unknown dimension %q", name, ref.Dim)
+			return 0, 0, fmt.Errorf("%s: unknown dimension %q", who, ref.Dim)
 		}
 		c, ok := env.Schema.Dims[di].CategoryByName(ref.Cat)
 		if !ok {
-			return 0, 0, fmt.Errorf("spec: action %s: dimension %s has no category %q", name, ref.Dim, ref.Cat)
+			return 0, 0, fmt.Errorf("%s: dimension %s has no category %q", who, ref.Dim, ref.Cat)
 		}
 		return di, c, nil
 	}
@@ -144,77 +168,75 @@ func compileAtom(name string, atom expr.Pred, env *Env) (test, error) {
 	case expr.TimeCmp:
 		di, c, err := resolve(q.Ref)
 		if err != nil {
-			return test{}, err
+			return Atom{}, err
 		}
-		u, err := timeUnit(name, q.Ref, di, c, env, []caltime.Expr{q.RHS})
+		u, err := timeUnit(who, q.Ref, di, c, env, []caltime.Expr{q.RHS})
 		if err != nil {
-			return test{}, err
+			return Atom{}, err
 		}
-		return test{dim: di, cat: c, isTime: true, op: q.Op, unit: u, timeRHS: []caltime.Expr{q.RHS}}, nil
+		return Atom{Dim: di, Cat: c, IsTime: true, Op: q.Op, Unit: u, TimeRHS: []caltime.Expr{q.RHS}}, nil
 	case expr.TimeIn:
 		di, c, err := resolve(q.Ref)
 		if err != nil {
-			return test{}, err
+			return Atom{}, err
 		}
-		u, err := timeUnit(name, q.Ref, di, c, env, q.Set)
+		u, err := timeUnit(who, q.Ref, di, c, env, q.Set)
 		if err != nil {
-			return test{}, err
+			return Atom{}, err
 		}
 		op := expr.OpIn
 		if q.Negate {
 			op = expr.OpNotIn
 		}
-		return test{dim: di, cat: c, isTime: true, op: op, unit: u, timeRHS: q.Set}, nil
+		return Atom{Dim: di, Cat: c, IsTime: true, Op: op, Unit: u, TimeRHS: q.Set}, nil
 	case expr.ValueCmp:
 		di, c, err := resolve(q.Ref)
 		if err != nil {
-			return test{}, err
+			return Atom{}, err
 		}
 		if di == env.TimeDim {
-			return test{}, fmt.Errorf("spec: action %s: time category %s compared against value literal %q",
-				name, q.Ref, q.RHS)
+			return Atom{}, fmt.Errorf("%s: time category %s compared against value literal %q",
+				who, q.Ref, q.RHS)
 		}
 		if q.Op != expr.OpEQ && q.Op != expr.OpNE && !env.Schema.Dims[di].Category(c).Ordered {
-			return test{}, fmt.Errorf("spec: action %s: operator %s is not defined for unordered category %s",
-				name, q.Op, q.Ref)
+			return Atom{}, fmt.Errorf("%s: operator %s is not defined for unordered category %s",
+				who, q.Op, q.Ref)
 		}
-		return test{dim: di, cat: c, op: q.Op, valRHS: []string{q.RHS}}, nil
+		return Atom{Dim: di, Cat: c, Op: q.Op, ValRHS: []string{q.RHS}}, nil
 	case expr.ValueIn:
 		di, c, err := resolve(q.Ref)
 		if err != nil {
-			return test{}, err
+			return Atom{}, err
 		}
 		if di == env.TimeDim {
-			return test{}, fmt.Errorf("spec: action %s: time category %s tested against value literals", name, q.Ref)
+			return Atom{}, fmt.Errorf("%s: time category %s tested against value literals", who, q.Ref)
 		}
 		op := expr.OpIn
 		if q.Negate {
 			op = expr.OpNotIn
 		}
-		return test{dim: di, cat: c, op: op, valRHS: q.Set}, nil
+		return Atom{Dim: di, Cat: c, Op: op, ValRHS: q.Set}, nil
 	case expr.Bool:
-		// The constant true compiles to an empty test list; false marks
-		// the disjunct unsatisfiable. Encode as a sentinel test on dim 0.
 		if q.Value {
-			return test{dim: -1}, nil
+			return Atom{Dim: TestConstTrue}, nil
 		}
-		return test{dim: -2}, nil
+		return Atom{Dim: TestConstFalse}, nil
 	}
-	return test{}, fmt.Errorf("spec: action %s: unsupported atom %T", name, atom)
+	return Atom{}, fmt.Errorf("%s: unsupported atom %T", who, atom)
 }
 
-func timeUnit(name string, ref expr.CatRef, di int, c mdm.CategoryID, env *Env, exprs []caltime.Expr) (caltime.Unit, error) {
+func timeUnit(who string, ref expr.CatRef, di int, c mdm.CategoryID, env *Env, exprs []caltime.Expr) (caltime.Unit, error) {
 	if di != env.TimeDim {
-		return 0, fmt.Errorf("spec: action %s: time expression constrains non-time dimension %s", name, ref.Dim)
+		return 0, fmt.Errorf("%s: time expression constrains non-time dimension %s", who, ref.Dim)
 	}
 	u, ok := env.unitOf(c)
 	if !ok {
-		return 0, fmt.Errorf("spec: action %s: category %s has no calendar unit", name, ref)
+		return 0, fmt.Errorf("%s: category %s has no calendar unit", who, ref)
 	}
 	for _, e := range exprs {
 		if bu, anchored := e.BaseUnit(); anchored && bu != u {
-			return 0, fmt.Errorf("spec: action %s: literal %s has type %s, category %s requires %s",
-				name, e, bu, ref, u)
+			return 0, fmt.Errorf("%s: literal %s has type %s, category %s requires %s",
+				who, e, bu, ref, u)
 		}
 	}
 	return u, nil
@@ -255,12 +277,12 @@ func (a *Action) classifyGrowing() bool {
 		return true
 	}
 	for _, d := range a.disjuncts {
-		for _, t := range d.tests {
-			if !t.isTime {
+		for _, t := range d {
+			if !t.IsTime {
 				continue
 			}
 			nowRel := false
-			for _, e := range t.timeRHS {
+			for _, e := range t.TimeRHS {
 				if e.IsNowRelative() {
 					nowRel = true
 					break
@@ -269,7 +291,7 @@ func (a *Action) classifyGrowing() bool {
 			if !nowRel {
 				continue
 			}
-			switch t.op {
+			switch t.Op {
 			case expr.OpLT, expr.OpLE:
 				// Growing upper bound (categories B and D).
 			default:
@@ -284,88 +306,64 @@ func (a *Action) classifyGrowing() bool {
 }
 
 // TimeHullAt returns a day-interval hull of the action's predicate with
-// NOW bound to t: no cell whose time value lies entirely outside
-// [lo, hi] satisfies the predicate at t. bounded is false when some
-// disjunct leaves time unconstrained. The subcube engine uses this to
-// skip cubes during synchronization.
+// NOW bound to t (see TimeHull). The subcube engine uses this to skip
+// cubes during synchronization.
 func (a *Action) TimeHullAt(t caltime.Day) (lo, hi caltime.Day, bounded bool) {
+	return TimeHull(a.disjuncts, t)
+}
+
+// TimeHull returns a day-interval hull of a DNF predicate with NOW bound
+// to t: no cell whose time value lies entirely outside [lo, hi]
+// satisfies the predicate at t, under any evaluation approach. bounded
+// is false when some disjunct leaves time unconstrained, or when there
+// is no disjunct at all (the constant false selects nothing anyway).
+func TimeHull(disjuncts [][]Atom, t caltime.Day) (lo, hi caltime.Day, bounded bool) {
 	const (
 		minDay = caltime.Day(-1 << 60)
 		maxDay = caltime.Day(1 << 60)
 	)
 	lo, hi = maxDay, minDay
-	for _, d := range a.disjuncts {
+	for _, d := range disjuncts {
 		dLo, dHi := minDay, maxDay
 		constrained := false
-		for _, tst := range d.tests {
-			if !tst.isTime {
+		for _, tst := range d {
+			if !tst.IsTime {
 				continue
 			}
-			switch tst.op {
-			case expr.OpLT:
-				p := tst.timeRHS[0].EvalPeriod(t, tst.unit)
-				if v := p.First() - 1; v < dHi {
-					dHi = v
-				}
-				constrained = true
-			case expr.OpLE:
-				p := tst.timeRHS[0].EvalPeriod(t, tst.unit)
-				if v := p.Last(); v < dHi {
-					dHi = v
-				}
-				constrained = true
-			case expr.OpEQ:
-				p := tst.timeRHS[0].EvalPeriod(t, tst.unit)
-				if v := p.First(); v > dLo {
-					dLo = v
-				}
-				if v := p.Last(); v < dHi {
-					dHi = v
-				}
-				constrained = true
-			case expr.OpGE:
-				p := tst.timeRHS[0].EvalPeriod(t, tst.unit)
-				if v := p.First(); v > dLo {
-					dLo = v
-				}
-				constrained = true
-			case expr.OpGT:
-				p := tst.timeRHS[0].EvalPeriod(t, tst.unit)
-				if v := p.Last() + 1; v > dLo {
-					dLo = v
-				}
-				constrained = true
-			case expr.OpIn:
+			// NE and NotIn exclude a region: no hull contribution.
+			if tst.Op == expr.OpNE || tst.Op == expr.OpNotIn {
+				continue
+			}
+			constrained = true
+			if tst.Op == expr.OpIn {
 				inLo, inHi := maxDay, minDay
-				for _, e := range tst.timeRHS {
-					p := e.EvalPeriod(t, tst.unit)
-					if v := p.First(); v < inLo {
-						inLo = v
-					}
-					if v := p.Last(); v > inHi {
-						inHi = v
-					}
+				for _, e := range tst.TimeRHS {
+					p := e.EvalPeriod(t, tst.Unit)
+					inLo, inHi = min(inLo, p.First()), max(inHi, p.Last())
 				}
-				if inLo > dLo {
-					dLo = inLo
-				}
-				if inHi < dHi {
-					dHi = inHi
-				}
-				constrained = true
+				dLo, dHi = max(dLo, inLo), min(dHi, inHi)
+				continue
+			}
+			p := tst.TimeRHS[0].EvalPeriod(t, tst.Unit)
+			switch tst.Op {
+			case expr.OpLT:
+				dHi = min(dHi, p.First()-1)
+			case expr.OpLE:
+				dHi = min(dHi, p.Last())
+			case expr.OpEQ:
+				dLo, dHi = max(dLo, p.First()), min(dHi, p.Last())
+			case expr.OpGE:
+				dLo = max(dLo, p.First())
+			case expr.OpGT:
+				dLo = max(dLo, p.Last()+1)
 			}
 		}
 		if !constrained {
-			return 0, 0, false
+			return 0, 0, false // this disjunct admits any time
 		}
-		if dLo < lo {
-			lo = dLo
-		}
-		if dHi > hi {
-			hi = dHi
-		}
+		lo, hi = min(lo, dLo), max(hi, dHi)
 	}
-	if len(a.disjuncts) == 0 {
+	if len(disjuncts) == 0 {
 		return 0, 0, false
 	}
 	return lo, hi, true
@@ -376,13 +374,13 @@ func (a *Action) TimeHullAt(t caltime.Day) (lo, hi caltime.Day, bounded bool) {
 // "significant time period" of Section 7.2 from these.
 func (a *Action) NowUnits(dst []caltime.Unit) []caltime.Unit {
 	for _, d := range a.disjuncts {
-		for _, t := range d.tests {
-			if !t.isTime {
+		for _, t := range d {
+			if !t.IsTime {
 				continue
 			}
-			for _, e := range t.timeRHS {
+			for _, e := range t.TimeRHS {
 				if e.IsNowRelative() {
-					dst = append(dst, t.unit)
+					dst = append(dst, t.Unit)
 					break
 				}
 			}
@@ -441,18 +439,15 @@ func (a *Action) SatisfiedBy(cell []mdm.ValueID, t caltime.Day) bool {
 	return false
 }
 
-func (a *Action) disjunctSatisfied(d disjunct, cell []mdm.ValueID, t caltime.Day) bool {
-	if d.never {
-		return false
-	}
-	for _, tst := range d.tests {
-		switch tst.dim {
-		case -1: // constant true
+func (a *Action) disjunctSatisfied(d []Atom, cell []mdm.ValueID, t caltime.Day) bool {
+	for _, tst := range d {
+		switch tst.Dim {
+		case TestConstTrue:
 			continue
-		case -2: // constant false
+		case TestConstFalse:
 			return false
 		}
-		if !a.cellValueVerdict(tst, cell[tst.dim], t) {
+		if !a.cellValueVerdict(tst, cell[tst.Dim], t) {
 			return false
 		}
 	}
@@ -464,13 +459,13 @@ func (a *Action) disjunctSatisfied(d disjunct, cell []mdm.ValueID, t caltime.Day
 // when one exists, otherwise the conservative evaluation over its
 // populated descendants (every descendant must satisfy the test, and
 // there must be at least one).
-func (a *Action) cellValueVerdict(tst test, v mdm.ValueID, t caltime.Day) bool {
-	dim := a.env.Schema.Dims[tst.dim]
-	anc := dim.AncestorAt(v, tst.cat)
+func (a *Action) cellValueVerdict(tst Atom, v mdm.ValueID, t caltime.Day) bool {
+	dim := a.env.Schema.Dims[tst.Dim]
+	anc := dim.AncestorAt(v, tst.Cat)
 	if anc != mdm.NoValue {
 		return a.testValue(tst, dim, anc, t)
 	}
-	descendants := dim.DrillDown(v, tst.cat)
+	descendants := dim.DrillDown(v, tst.Cat)
 	if len(descendants) == 0 {
 		return false
 	}
@@ -485,13 +480,13 @@ func (a *Action) cellValueVerdict(tst test, v mdm.ValueID, t caltime.Day) bool {
 // plainCellValueVerdict is cellValueVerdict for non-time tests. It
 // exists apart so that compile-time callers (the specexec bitset
 // compiler) need not conjure an evaluation time they do not have.
-func (a *Action) plainCellValueVerdict(tst test, v mdm.ValueID) bool {
-	dim := a.env.Schema.Dims[tst.dim]
-	anc := dim.AncestorAt(v, tst.cat)
+func (a *Action) plainCellValueVerdict(tst Atom, v mdm.ValueID) bool {
+	dim := a.env.Schema.Dims[tst.Dim]
+	anc := dim.AncestorAt(v, tst.Cat)
 	if anc != mdm.NoValue {
 		return a.testPlainValue(tst, dim, anc)
 	}
-	descendants := dim.DrillDown(v, tst.cat)
+	descendants := dim.DrillDown(v, tst.Cat)
 	if len(descendants) == 0 {
 		return false
 	}
@@ -503,22 +498,22 @@ func (a *Action) plainCellValueVerdict(tst test, v mdm.ValueID) bool {
 	return true
 }
 
-func (a *Action) testValue(tst test, dim *mdm.Dimension, v mdm.ValueID, t caltime.Day) bool {
-	if tst.isTime {
+func (a *Action) testValue(tst Atom, dim *mdm.Dimension, v mdm.ValueID, t caltime.Day) bool {
+	if tst.IsTime {
 		idx := dim.ValueOrd(v)
-		switch tst.op {
+		switch tst.Op {
 		case expr.OpIn, expr.OpNotIn:
 			found := false
-			for _, e := range tst.timeRHS {
-				if e.EvalPeriod(t, tst.unit).Index == idx {
+			for _, e := range tst.TimeRHS {
+				if e.EvalPeriod(t, tst.Unit).Index == idx {
 					found = true
 					break
 				}
 			}
-			return found == (tst.op == expr.OpIn)
+			return found == (tst.Op == expr.OpIn)
 		}
-		rhs := tst.timeRHS[0].EvalPeriod(t, tst.unit).Index
-		switch tst.op {
+		rhs := tst.TimeRHS[0].EvalPeriod(t, tst.Unit).Index
+		switch tst.Op {
 		case expr.OpLT:
 			return idx < rhs
 		case expr.OpLE:
@@ -540,31 +535,31 @@ func (a *Action) testValue(tst test, dim *mdm.Dimension, v mdm.ValueID, t caltim
 // testPlainValue evaluates a non-time value test. It exists apart from
 // testValue so that NOW-independent callers (leafSetFor) need not
 // conjure an evaluation time they do not have.
-func (a *Action) testPlainValue(tst test, dim *mdm.Dimension, v mdm.ValueID) bool {
+func (a *Action) testPlainValue(tst Atom, dim *mdm.Dimension, v mdm.ValueID) bool {
 	name := dim.ValueName(v)
-	switch tst.op {
+	switch tst.Op {
 	case expr.OpIn, expr.OpNotIn:
 		found := false
-		for _, s := range tst.valRHS {
+		for _, s := range tst.ValRHS {
 			if s == name {
 				found = true
 				break
 			}
 		}
-		return found == (tst.op == expr.OpIn)
+		return found == (tst.Op == expr.OpIn)
 	case expr.OpEQ:
-		return name == tst.valRHS[0]
+		return name == tst.ValRHS[0]
 	case expr.OpNE:
-		return name != tst.valRHS[0]
+		return name != tst.ValRHS[0]
 	}
 	// Ordered comparison on a non-time category: compare by the
 	// category's value order; an unknown operand satisfies nothing.
-	rhs, ok := dim.ValueByName(tst.cat, tst.valRHS[0])
+	rhs, ok := dim.ValueByName(tst.Cat, tst.ValRHS[0])
 	if !ok {
 		return false
 	}
 	lhs, rhsOrd := dim.ValueOrd(v), dim.ValueOrd(rhs)
-	switch tst.op {
+	switch tst.Op {
 	case expr.OpLT:
 		return lhs < rhsOrd
 	case expr.OpLE:
@@ -589,28 +584,17 @@ func (a *Action) testPlainValue(tst test, dim *mdm.Dimension, v mdm.ValueID) boo
 // NumDisjuncts returns the number of DNF disjuncts of the predicate.
 func (a *Action) NumDisjuncts() int { return len(a.disjuncts) }
 
-// DisjunctNever reports whether disjunct i is unsatisfiable (it
-// contained the constant false).
-func (a *Action) DisjunctNever(i int) bool { return a.disjuncts[i].never }
-
 // NumTests returns the number of compiled tests in disjunct i.
-func (a *Action) NumTests(i int) int { return len(a.disjuncts[i].tests) }
+func (a *Action) NumTests(i int) int { return len(a.disjuncts[i]) }
 
 // TestShape describes test j of disjunct i: the constrained dimension
 // index (TestConstTrue / TestConstFalse for the constant sentinels) and
 // whether the test is a time test (whose right-hand side may depend on
 // NOW and must be re-resolved per evaluation day).
 func (a *Action) TestShape(i, j int) (dim int, isTime bool) {
-	tst := a.disjuncts[i].tests[j]
-	return tst.dim, tst.isTime
+	tst := a.disjuncts[i][j]
+	return tst.Dim, tst.IsTime
 }
-
-// Sentinel dimension indices returned by TestShape for the constant
-// atoms true and false.
-const (
-	TestConstTrue  = -1
-	TestConstFalse = -2
-)
 
 // PlainTestVerdict evaluates the non-time test j of disjunct i on a
 // single dimension value v (of the test's dimension, at any category),
@@ -618,8 +602,8 @@ const (
 // panics on time or constant tests — their verdicts depend on the
 // evaluation day (TimeTestVerdict) or on nothing at all.
 func (a *Action) PlainTestVerdict(i, j int, v mdm.ValueID) bool {
-	tst := a.disjuncts[i].tests[j]
-	if tst.dim < 0 || tst.isTime {
+	tst := a.disjuncts[i][j]
+	if tst.Dim < 0 || tst.IsTime {
 		panic("spec: PlainTestVerdict on a time or constant test")
 	}
 	return a.plainCellValueVerdict(tst, v)
@@ -629,8 +613,8 @@ func (a *Action) PlainTestVerdict(i, j int, v mdm.ValueID) bool {
 // dimension value v with NOW bound to t, with the conservative
 // descendant evaluation of SatisfiedBy. It panics on non-time tests.
 func (a *Action) TimeTestVerdict(i, j int, v mdm.ValueID, t caltime.Day) bool {
-	tst := a.disjuncts[i].tests[j]
-	if tst.dim < 0 || !tst.isTime {
+	tst := a.disjuncts[i][j]
+	if tst.Dim < 0 || !tst.IsTime {
 		panic("spec: TimeTestVerdict on a non-time test")
 	}
 	return a.cellValueVerdict(tst, v, t)
@@ -648,36 +632,32 @@ func (a *Action) Regions() []prover.Region {
 	return out
 }
 
-func (a *Action) regionOf(d disjunct) prover.Region {
+func (a *Action) regionOf(d []Atom) prover.Region {
 	n := len(a.env.Schema.Dims)
 	r := prover.Region{Dims: make([]prover.DimConstraint, n)}
 	for i := range r.Dims {
 		r.Dims[i].IsTime = i == a.env.TimeDim
 	}
-	if d.never {
-		r.False = true
-		return r
-	}
-	for _, tst := range d.tests {
-		switch tst.dim {
-		case -1:
+	for _, tst := range d {
+		switch tst.Dim {
+		case TestConstTrue:
 			continue
-		case -2:
+		case TestConstFalse:
 			r.False = true
 			return r
 		}
-		if tst.isTime {
-			r.Dims[tst.dim].Time = append(r.Dims[tst.dim].Time, prover.TimeAtom{
-				Unit: tst.unit, Op: tst.op, Exprs: tst.timeRHS,
+		if tst.IsTime {
+			r.Dims[tst.Dim].Time = append(r.Dims[tst.Dim].Time, prover.TimeAtom{
+				Unit: tst.Unit, Op: tst.Op, Exprs: tst.TimeRHS,
 			})
 			continue
 		}
-		dim := a.env.Schema.Dims[tst.dim]
+		dim := a.env.Schema.Dims[tst.Dim]
 		leaf := a.leafSetFor(tst, dim)
-		if r.Dims[tst.dim].Fixed == nil {
-			r.Dims[tst.dim].Fixed = leaf
+		if r.Dims[tst.Dim].Fixed == nil {
+			r.Dims[tst.Dim].Fixed = leaf
 		} else {
-			r.Dims[tst.dim].Fixed.IntersectWith(leaf)
+			r.Dims[tst.Dim].Fixed.IntersectWith(leaf)
 		}
 	}
 	return r
@@ -685,7 +665,7 @@ func (a *Action) regionOf(d disjunct) prover.Region {
 
 // leafSetFor materializes the bottom-category value set selected by a
 // value test.
-func (a *Action) leafSetFor(tst test, dim *mdm.Dimension) *prover.Set {
+func (a *Action) leafSetFor(tst Atom, dim *mdm.Dimension) *prover.Set {
 	bottom := dim.Bottom()
 	leaves := dim.ValuesIn(bottom)
 	// Size matches Env.Universes: an empty dimension has one phantom
@@ -697,7 +677,7 @@ func (a *Action) leafSetFor(tst test, dim *mdm.Dimension) *prover.Set {
 	set := prover.NewSet(n)
 	// Leaf index = position in the bottom category's insertion order.
 	for idx, leaf := range leaves {
-		anc := dim.AncestorAt(leaf, tst.cat)
+		anc := dim.AncestorAt(leaf, tst.Cat)
 		if anc == mdm.NoValue {
 			continue
 		}

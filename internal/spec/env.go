@@ -97,11 +97,11 @@ func (e *Env) Horizon(actions []*Action) (prover.Horizon, bool) {
 	var maxOff int64
 	for _, a := range actions {
 		for _, d := range a.disjuncts {
-			for _, tst := range d.tests {
-				if !tst.isTime {
+			for _, tst := range d {
+				if !tst.IsTime {
 					continue
 				}
-				for _, ex := range tst.timeRHS {
+				for _, ex := range tst.TimeRHS {
 					if o := ex.MaxOffsetDays(); o > maxOff {
 						maxOff = o
 					}

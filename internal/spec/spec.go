@@ -20,9 +20,8 @@ type Spec struct {
 	// gen counts committed mutations of the action set. Specifications
 	// mutate in place, so derived structures (compiled specexec
 	// programs) cannot be cached by pointer alone; they key on
-	// (pointer, generation) instead and every mutator must bump the
-	// generation when it commits — the invariantcall lint analyzer
-	// enforces the discipline alongside the NonCrossing/Growing checks.
+	// (pointer, generation) instead. commit is the only writer of
+	// actions outside Clone, and it bumps gen with every write.
 	gen uint64
 }
 
@@ -34,9 +33,27 @@ type Spec struct {
 // mutators).
 func (s *Spec) Generation() uint64 { return s.gen }
 
-// bumpGeneration records a committed mutation of the action set. Every
-// write path of s.actions must call it (see Generation).
-func (s *Spec) bumpGeneration() { s.gen++ }
+// commit is the one place the action set changes (Definitions 3 and 4):
+// the candidate replaces it only if it is NonCrossing and Growing and
+// admit, the operator's own last condition (nil for none), accepts; the
+// generation is bumped with the assignment. On any error the
+// specification is untouched. op names the operator in the error.
+func (s *Spec) commit(op string, candidate []*Action, admit func() error) error {
+	if err := CheckNonCrossing(s.env, candidate); err != nil {
+		return fmt.Errorf("spec: %s rejected: %w", op, err)
+	}
+	if err := CheckGrowing(s.env, candidate); err != nil {
+		return fmt.Errorf("spec: %s rejected: %w", op, err)
+	}
+	if admit != nil {
+		if err := admit(); err != nil {
+			return err
+		}
+	}
+	s.actions = candidate
+	s.gen++
+	return nil
+}
 
 // Empty returns a specification with no actions.
 func Empty(env *Env) *Spec {
@@ -103,16 +120,7 @@ func (s *Spec) Insert(newActions ...*Action) error {
 			}
 		}
 	}
-	candidate := append(append([]*Action(nil), s.actions...), newActions...)
-	if err := CheckNonCrossing(s.env, candidate); err != nil {
-		return fmt.Errorf("spec: Insert rejected: %w", err)
-	}
-	if err := CheckGrowing(s.env, candidate); err != nil {
-		return fmt.Errorf("spec: Insert rejected: %w", err)
-	}
-	s.actions = candidate
-	s.bumpGeneration()
-	return nil
+	return s.commit("Insert", append(append([]*Action(nil), s.actions...), newActions...), nil)
 }
 
 // Delete is the delete-operator of Definition 4 at time t: the named
@@ -139,18 +147,15 @@ func (s *Spec) Delete(mo *mdm.MO, t caltime.Day, names ...string) error {
 			remaining = append(remaining, a)
 		}
 	}
-	if err := CheckNonCrossing(s.env, remaining); err != nil {
-		return fmt.Errorf("spec: Delete rejected: %w", err)
-	}
-	if err := CheckGrowing(s.env, remaining); err != nil {
-		return fmt.Errorf("spec: Delete rejected: %w", err)
-	}
 	// Responsibility check against the facts actually in the MO: for
 	// every fact whose direct cell satisfies a removed action's
 	// predicate, either the fact is already at a granularity strictly
 	// above the action's target, or a remaining action with the same
 	// target granularity also selects it.
-	if mo != nil {
+	responsible := func() error {
+		if mo == nil {
+			return nil
+		}
 		for _, a := range removed {
 			for f := 0; f < mo.Len(); f++ {
 				cell := mo.Refs(mdm.FactID(f))
@@ -174,10 +179,9 @@ func (s *Spec) Delete(mo *mdm.MO, t caltime.Day, names ...string) error {
 				}
 			}
 		}
+		return nil
 	}
-	s.actions = remaining
-	s.bumpGeneration()
-	return nil
+	return s.commit("Delete", remaining, responsible)
 }
 
 // AggLevel returns AggLevel_i for every dimension (Eq. 13): for the

@@ -162,7 +162,8 @@ func (c *Cache) RouterAt(sp *spec.Spec, t caltime.Day) *Router {
 		}
 		return r
 	}
-	//dimred:allow publishcheck At only reads the program to build a fresh router; its summary is conservative because pinDisjunct appends program-derived masks into its result slice
+	// At only reads the program to build a fresh router, and nothing
+	// writes r once it is stored: concurrent callers share it.
 	r := e.prog.At(t)
 	slot.Store(r)
 	return r

@@ -116,7 +116,7 @@ func Compile(sp *spec.Spec) *Program {
 	for _, a := range sp.Actions() {
 		pa := progAction{src: a, isDelete: a.IsDelete(), target: a.Target()}
 		for i := 0; i < a.NumDisjuncts(); i++ {
-			pd := progDisjunct{never: a.DisjunctNever(i)}
+			var pd progDisjunct
 			for j := 0; j < a.NumTests(i) && !pd.never; j++ {
 				dim, isTime := a.TestShape(i, j)
 				switch dim {

@@ -97,7 +97,7 @@ type CubeSet struct {
 	deletedBase int64
 	// met is the engine metric set; it survives ApplySpec rebuilds so
 	// counters are cumulative over the cube set's lifetime.
-	//dimred:shared the metric substrate is all-atomic by design (atomicfield enforces it); clones record into the same instance
+	//dimred:shared the metric substrate is all-atomic by design (typed sync/atomic values; go vet copylocks flags a plain copy); clones record into the same instance
 	met *obs.Metrics
 	// cache memoizes the compiled specexec program keyed on the spec's
 	// mutation generation, plus day-pinned routers, so steady-state

@@ -43,7 +43,10 @@ func (w *Warehouse) validateFact(refs []mdm.ValueID, meas []float64) error {
 // the fact is validated against the schema, deep-copied into a buffer
 // shard, and becomes queryable when the background compactor (or an
 // explicit FlushIngest) folds the accumulated deltas. Safe for any
-// number of concurrent producers.
+// number of concurrent producers — of facts, not of dimension values:
+// growing a dimension (EnsureDay, EnsureURL, AddValue) is not
+// synchronized with the compactor or with lock-free readers, which read
+// it, so resolve refs before the warehouse is used concurrently.
 func (w *Warehouse) Ingest(refs []mdm.ValueID, meas []float64) error {
 	if err := w.validateFact(refs, meas); err != nil {
 		return err
@@ -62,7 +65,9 @@ func (w *Warehouse) IngestPending() int64 { return w.buf.Pending() }
 // facts through the sync-carrying commit path. The delta buffer itself
 // exists from Open (Ingest works with or without a compactor); this
 // only starts the automatic folding. Returns an error if a compactor is
-// already running.
+// already running. From here on the compactor reads the dimensions on
+// its own goroutine: every value later facts reference must already be
+// resolved (see Ingest).
 func (w *Warehouse) StartIngest(cfg ingest.Config) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()

@@ -210,7 +210,9 @@ func (w *Warehouse) commitLocked(op commitOp) error {
 // An error from op publishes nothing and rebuilds the working side from a
 // clone of the published one, restoring the two-side invariant.
 //
-//dimred:replay the retired side is drained of readers before levelling copies the published side's journaled rows into it; this copy is the left-right protocol's one sanctioned post-publish write
+// The copy into the retired side is the protocol's one write after a
+// publish, and it is sound only because that side is drained of readers
+// first; nothing else here may write a cube set once it is published.
 func (w *Warehouse) commitWithViewsLocked(op commitOp, refresh bool) error {
 	applied, err := op(w.working)
 	if err != nil {
