@@ -174,7 +174,7 @@ type ViewExpire struct {
 	ctx    Context
 	gran   mdm.Granularity
 	view   *storage.Store
-	index  map[string]storage.RowID
+	index  *mdm.CellMap[storage.RowID]
 }
 
 // NewViewExpire constructs the view-expiration baseline: the view at the
@@ -186,7 +186,7 @@ func NewViewExpire(ctx Context, viewGran mdm.Granularity, cutoff caltime.Span) *
 		ctx:    ctx,
 		gran:   viewGran,
 		view:   storage.New(ctx.layout()),
-		index:  make(map[string]storage.RowID),
+		index:  mdm.NewCellMap[storage.RowID](ctx.Schema.NumDims()),
 	}
 }
 
@@ -198,18 +198,11 @@ func (s *ViewExpire) Load(refs []mdm.ValueID, meas []float64) error {
 	if err := s.detail.Load(refs, meas); err != nil {
 		return err
 	}
-	up := make([]mdm.ValueID, len(refs))
-	var key []byte
-	for i, d := range s.ctx.Schema.Dims {
-		up[i] = d.AncestorAt(refs[i], s.gran[i])
-		if up[i] == mdm.NoValue {
-			return fmt.Errorf("baseline: view-expire: no ancestor at view granularity")
-		}
-		v := up[i]
-		key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	up, err := s.ctx.Schema.RollUp(nil, refs, s.gran)
+	if err != nil {
+		return fmt.Errorf("baseline: view-expire: %w", err)
 	}
-	k := string(key)
-	if r, ok := s.index[k]; ok {
+	if r, ok := s.index.Get(up); ok {
 		for j, m := range s.ctx.Schema.Measures {
 			s.view.SetMeasure(r, j, m.Agg.Merge(s.view.Measure(r, j), m.Agg.Init(meas[j])))
 		}
@@ -224,7 +217,7 @@ func (s *ViewExpire) Load(refs []mdm.ValueID, meas []float64) error {
 	if err != nil {
 		return err
 	}
-	s.index[k] = r
+	s.index.Put(up, r)
 	return nil
 }
 

@@ -54,14 +54,9 @@ func Cell(s *spec.Spec, mo *mdm.MO, f mdm.FactID, t caltime.Day) ([]mdm.ValueID,
 		return nil, nil, nil, fmt.Errorf("core: Cell(%s): %w", mo.Name(f), err)
 	}
 	cell := mo.Refs(f)
-	out := make([]mdm.ValueID, len(cell))
-	for i, d := range schema.Dims {
-		v := d.AncestorAt(cell[i], max[i])
-		if v == mdm.NoValue {
-			return nil, nil, nil, fmt.Errorf("core: Cell(%s): value %s has no ancestor in category %s",
-				mo.Name(f), d.ValueName(cell[i]), d.Category(max[i]).Name)
-		}
-		out[i] = v
+	out, err := schema.RollUp(nil, cell, max)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: Cell(%s): %w", mo.Name(f), err)
 	}
 	// Per-dimension responsibility from AggLevel; its levels coincide
 	// with max for a NonCrossing specification.
@@ -140,7 +135,7 @@ func reduceWith(s *spec.Spec, mo *mdm.MO, t caltime.Day, router *specexec.Router
 	var keyBuf []byte
 	var satScratch []*spec.Action
 	var granScratch []mdm.Granularity
-	cellScratch := make([]mdm.ValueID, n)
+	var cellScratch []mdm.ValueID
 	levelScratch := make(mdm.Granularity, n)
 	respScratch := make([]*spec.Action, n)
 	for f := 0; f < mo.Len(); f++ {
@@ -171,13 +166,8 @@ func reduceWith(s *spec.Spec, mo *mdm.MO, t caltime.Day, router *specexec.Router
 			if err != nil {
 				return nil, fmt.Errorf("core: Cell(%s): %w", mo.Name(fid), err)
 			}
-			for i, d := range schema.Dims {
-				v := d.AncestorAt(refs[i], max[i])
-				if v == mdm.NoValue {
-					return nil, fmt.Errorf("core: Cell(%s): value %s has no ancestor in category %s",
-						mo.Name(fid), d.ValueName(refs[i]), d.Category(max[i]).Name)
-				}
-				cellScratch[i] = v
+			if cellScratch, err = schema.RollUp(cellScratch[:0], refs, max); err != nil {
+				return nil, fmt.Errorf("core: Cell(%s): %w", mo.Name(fid), err)
 			}
 			for i, d := range schema.Dims {
 				levelScratch[i] = d.CategoryOf(refs[i])
@@ -199,11 +189,7 @@ func reduceWith(s *spec.Spec, mo *mdm.MO, t caltime.Day, router *specexec.Router
 				return nil, err
 			}
 		}
-		keyBuf = keyBuf[:0]
-		for _, v := range cell {
-			keyBuf = append(keyBuf,
-				byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
+		keyBuf = mdm.AppendCellKey(keyBuf[:0], cell)
 		g, ok := groups[string(keyBuf)]
 		if !ok {
 			key := string(keyBuf)

@@ -84,7 +84,9 @@ func referencedFuncs(info *types.Info, body *ast.BlockStmt, modulePkgs map[strin
 		if !ok || fn.Pkg() == nil || !modulePkgs[fn.Pkg().Path()] {
 			return true
 		}
-		set[fn.FullName()] = true
+		// Origin: a method of an instantiated generic type is the node its
+		// declaration made.
+		set[fn.Origin().FullName()] = true
 		return true
 	})
 	out := make([]string, 0, len(set))

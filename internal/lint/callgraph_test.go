@@ -66,10 +66,18 @@ func InClosure() int {
 	f := func() int { return Leaf() }
 	return f()
 }
+
+type G[V any] struct{ v V }
+
+func (g *G[V]) Get() V { return g.v }
+
+func OnInstance(g *G[int]) int { return g.Get() }
 `
 
 // TestCallGraphEdges checks the three edge forms: direct calls,
-// method/function values, and references inside function literals.
+// method/function values, and references inside function literals — and
+// that a method called on an instantiated generic type is an edge to the
+// method as declared.
 func TestCallGraphEdges(t *testing.T) {
 	units := loadScratch(t, map[string]string{"core/core.go": callGraphFixture})
 	cg := lint.BuildCallGraph(units)
@@ -101,6 +109,9 @@ func TestCallGraphEdges(t *testing.T) {
 	}
 	if !calls("lintfix/core.InClosure")["lintfix/core.Leaf"] {
 		t.Error("InClosure → Leaf edge missing (reference inside a function literal)")
+	}
+	if !calls("lintfix/core.OnInstance")["(*lintfix/core.G[V]).Get"] {
+		t.Errorf("OnInstance → (*G[V]).Get edge missing (method of an instantiated generic type); has %v", calls("lintfix/core.OnInstance"))
 	}
 }
 

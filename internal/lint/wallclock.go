@@ -73,7 +73,9 @@ func NewWallclock(restricted []string) *Analyzer {
 }
 
 // calleeFunc resolves a call's static callee, or nil for indirect
-// calls, conversions and builtins.
+// calls, conversions and builtins. A method of an instantiated generic
+// type resolves to the method as declared, the one the call graph and the
+// summaries are keyed by.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -82,6 +84,8 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	case *ast.SelectorExpr:
 		obj = info.Uses[fun.Sel]
 	}
-	fn, _ := obj.(*types.Func)
-	return fn
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin()
+	}
+	return nil
 }

@@ -413,6 +413,101 @@ func TestSchemaAndGranularity(t *testing.T) {
 	}
 }
 
+// TestSchemaRollUp: the one roll-up appends each value's ancestor at the
+// requested category, leaves the values already there alone, and names the
+// value and the category when there is no ancestor — below the value's own
+// category, or beside it in a parallel hierarchy (a week has no month).
+func TestSchemaRollUp(t *testing.T) {
+	ud, uv := buildURLDim(t)
+	td, tv := buildMiniTimeDim(t)
+	s, err := NewSchema("Click", []*Dimension{td, ud}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := ud.MustAddValue(ud.Bottom(), "http://www.cnn.com/", 0, map[CategoryID]ValueID{ud.CategoryOf(uv["cnn.com"]): uv["cnn.com"]})
+	for _, tc := range []struct {
+		name    string
+		cell    []ValueID
+		level   []string
+		want    []ValueID
+		wantErr string
+	}{
+		{"bottom to itself", []ValueID{tv["d1"], url}, []string{"Time.day", "URL.url"}, []ValueID{tv["d1"], url}, ""},
+		{"day to month, url to domain", []ValueID{tv["d1"], url}, []string{"Time.month", "URL.domain"}, []ValueID{tv["1999/11"], uv["cnn.com"]}, ""},
+		{"day to week, the other branch", []ValueID{tv["d2"], url}, []string{"Time.week", "URL.domain_grp"}, []ValueID{tv["1999W48"], uv[".com"]}, ""},
+		{"month to quarter, domain stays", []ValueID{tv["1999/12"], uv["cnn.com"]}, []string{"Time.quarter", "URL.domain"}, []ValueID{tv["1999Q4"], uv["cnn.com"]}, ""},
+		{"to the top", []ValueID{tv["1999W47"], uv[".com"]}, []string{"Time.TOP", "URL.TOP"}, []ValueID{td.TopValueID(), ud.TopValueID()}, ""},
+		{"week has no month", []ValueID{tv["1999W47"], url}, []string{"Time.month", "URL.url"}, nil, "value 1999W47 has no ancestor at Time.month"},
+		{"month has no day", []ValueID{tv["1999/11"], url}, []string{"Time.day", "URL.url"}, nil, "value 1999/11 has no ancestor at Time.day"},
+		{"second dimension fails", []ValueID{tv["d1"], uv[".com"]}, []string{"Time.day", "URL.domain"}, nil, "value .com has no ancestor at URL.domain"},
+	} {
+		level, err := s.ParseGranularity(tc.level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Append-style: what dst held stays in front.
+		got, err := s.RollUp([]ValueID{42}, tc.cell, level)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if len(got) != 3 || got[0] != 42 || got[1] != tc.want[0] || got[2] != tc.want[1] {
+			t.Errorf("%s: RollUp = %v, want [42 %d %d]", tc.name, got, tc.want[0], tc.want[1])
+		}
+	}
+}
+
+// TestSchemaCheckFact: a fact from outside is refused, never looked up,
+// when an id is not one the dimension holds — the ids either side of the
+// range included — when the shape is off, or when floors are given and a
+// value sits in another category.
+func TestSchemaCheckFact(t *testing.T) {
+	ud, uv := buildURLDim(t)
+	td, tv := buildMiniTimeDim(t)
+	s, err := NewSchema("Click", []*Dimension{td, ud}, []Measure{{Name: "n", Agg: AggSum}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	floors, err := s.ParseGranularity([]string{"Time.month", "URL.domain"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := []ValueID{tv["1999/11"], uv["cnn.com"]}
+	for _, tc := range []struct {
+		name   string
+		refs   []ValueID
+		meas   []float64
+		floors Granularity
+		ok     bool
+	}{
+		{"at the floors", good, []float64{1}, floors, true},
+		{"any granularity", []ValueID{tv["d1"], uv[".com"]}, []float64{1}, nil, true},
+		{"last id", []ValueID{ValueID(td.NumValues() - 1), uv["cnn.com"]}, []float64{1}, nil, true},
+		{"below the floors", []ValueID{tv["d1"], uv["cnn.com"]}, []float64{1}, floors, false},
+		{"above the floors", []ValueID{tv["1999/11"], uv[".com"]}, []float64{1}, floors, false},
+		{"NoValue", []ValueID{NoValue, uv["cnn.com"]}, []float64{1}, nil, false},
+		{"one past the last id", []ValueID{ValueID(td.NumValues()), uv["cnn.com"]}, []float64{1}, floors, false},
+		{"far past, second dimension", []ValueID{tv["1999/11"], 1 << 20}, []float64{1}, nil, false},
+		{"a value short", good[:1], []float64{1}, nil, false},
+		{"a measure short", good, nil, nil, false},
+		{"a measure over", good, []float64{1, 2}, nil, false},
+	} {
+		if err := s.CheckFact(tc.refs, tc.meas, tc.floors); (err == nil) != tc.ok {
+			t.Errorf("%s: CheckFact = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+	mo := NewMO(s)
+	if _, err := mo.AddFactAt([]ValueID{ValueID(td.NumValues()), uv["cnn.com"]}, []float64{1}, 1, ""); err == nil {
+		t.Error("AddFactAt took an id one past the dimension's last")
+	}
+}
+
 func TestSchemaValidation(t *testing.T) {
 	ud, _ := buildURLDim(t)
 	if _, err := NewSchema("", []*Dimension{ud}, nil); err == nil {

@@ -71,14 +71,8 @@ func (m *MO) SetFloors(g Granularity) { m.floors = g }
 // (normally bottom) categories, one per dimension, and measures must
 // supply every measure. Returns the new fact's id.
 func (m *MO) AddFact(refs []ValueID, measures []float64) (FactID, error) {
-	if err := m.checkFact(refs, measures); err != nil {
+	if err := m.schema.CheckFact(refs, measures, m.floors); err != nil {
 		return 0, err
-	}
-	for i, d := range m.schema.Dims {
-		if got := d.CategoryOf(refs[i]); got != m.floors[i] {
-			return 0, fmt.Errorf("mdm: AddFact: dimension %s value %q is in category %s, want %s",
-				d.Name(), d.ValueName(refs[i]), d.Category(got).Name, d.Category(m.floors[i]).Name)
-		}
 	}
 	return m.push(refs, measures, 1, ""), nil
 }
@@ -87,28 +81,13 @@ func (m *MO) AddFact(refs []ValueID, measures []float64) (FactID, error) {
 // aggregation operators do. base is the number of user facts the new fact
 // represents; name is an optional display label.
 func (m *MO) AddFactAt(refs []ValueID, measures []float64, base int64, name string) (FactID, error) {
-	if err := m.checkFact(refs, measures); err != nil {
+	if err := m.schema.CheckFact(refs, measures, nil); err != nil {
 		return 0, err
 	}
 	if base < 1 {
 		base = 1
 	}
 	return m.push(refs, measures, base, name), nil
-}
-
-func (m *MO) checkFact(refs []ValueID, measures []float64) error {
-	if len(refs) != len(m.schema.Dims) {
-		return fmt.Errorf("mdm: fact needs %d dimension values, got %d", len(m.schema.Dims), len(refs))
-	}
-	if len(measures) != len(m.schema.Measures) {
-		return fmt.Errorf("mdm: fact needs %d measures, got %d", len(m.schema.Measures), len(measures))
-	}
-	for i, d := range m.schema.Dims {
-		if refs[i] < 0 || int(refs[i]) >= d.NumValues() {
-			return fmt.Errorf("mdm: fact has invalid value id %d for dimension %s", refs[i], d.Name())
-		}
-	}
-	return nil
 }
 
 func (m *MO) push(refs []ValueID, measures []float64, base int64, name string) FactID {

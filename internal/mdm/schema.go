@@ -137,22 +137,22 @@ func (s *Schema) MeasureIndex(name string) int {
 // (Time.quarter, URL.domain). It is the "level of detail" of a fact.
 type Granularity []CategoryID
 
-// PackWidth returns the bits per value at which a cell of nDims values
+// packWidth returns the bits per value at which a cell of nDims values
 // packs into one uint64, or 0 when it cannot.
-func PackWidth(nDims int) uint {
+func packWidth(nDims int) uint {
 	if nDims <= 0 || nDims > 64 {
 		return 0
 	}
 	return uint(64 / nDims)
 }
 
-// PackCell encodes the cell into one uint64, width bits per value, so a
+// packCell encodes the cell into one uint64, width bits per value, so a
 // map keyed by cell needs no allocation per probe. ok is false when
 // width is 0 or a value needs more bits: uint64(ValueID) sign-extends,
 // so negative values overflow the width check and reject themselves. A
-// given cell always packs the same way; callers keep the cells that do
+// given cell always packs the same way; CellMap keeps the cells that do
 // not pack under AppendCellKey's string form.
-func PackCell(cell []ValueID, width uint) (key uint64, ok bool) {
+func packCell(cell []ValueID, width uint) (key uint64, ok bool) {
 	if width == 0 {
 		return 0, false
 	}
@@ -166,12 +166,62 @@ func PackCell(cell []ValueID, width uint) (key uint64, ok bool) {
 	return key, true
 }
 
-// AppendCellKey appends the cell's four-bytes-per-value key to buf.
+// AppendCellKey appends the cell's four-bytes-per-value key to buf: the
+// key of every cell as far as a plain string-keyed map is concerned, and
+// CellMap's key for the cells that do not pack.
 func AppendCellKey(buf []byte, cell []ValueID) []byte {
 	for _, v := range cell {
 		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
 	return buf
+}
+
+// RollUp appends to dst the cell rolled up to level: per dimension, the
+// ancestor of cell[i] in category level[i]. It is Cell(f, t)'s last step
+// (Eq. 12) and Group_high's key (Eq. 38). A value with no ancestor there —
+// the category is below or beside its own, as Time.month is beside a
+// Time.week value — is an error.
+func (s *Schema) RollUp(dst, cell []ValueID, level Granularity) ([]ValueID, error) {
+	for i, d := range s.Dims {
+		up := d.AncestorAt(cell[i], level[i])
+		if up == NoValue {
+			return dst, fmt.Errorf("mdm: value %s has no ancestor at %s.%s",
+				d.ValueName(cell[i]), d.Name(), d.Category(level[i]).Name)
+		}
+		dst = append(dst, up)
+	}
+	return dst, nil
+}
+
+// CheckCell validates a cell that arrives from outside the engine: one
+// value per dimension, each an id the dimension holds and, when floors is
+// non-nil, a value of floors' category there.
+func (s *Schema) CheckCell(cell []ValueID, floors Granularity) error {
+	if len(cell) != len(s.Dims) {
+		return fmt.Errorf("mdm: fact needs %d dimension values, got %d", len(s.Dims), len(cell))
+	}
+	for i, d := range s.Dims {
+		if cell[i] < 0 || int(cell[i]) >= d.NumValues() {
+			return fmt.Errorf("mdm: fact has invalid value id %d for dimension %s", cell[i], d.Name())
+		}
+		if floors == nil {
+			continue
+		}
+		if got := d.CategoryOf(cell[i]); got != floors[i] {
+			return fmt.Errorf("mdm: dimension %s value %q is in category %s, want %s",
+				d.Name(), d.ValueName(cell[i]), d.Category(got).Name, d.Category(floors[i]).Name)
+		}
+	}
+	return nil
+}
+
+// CheckFact is CheckCell for a whole fact: the cell, and one measure per
+// measure type.
+func (s *Schema) CheckFact(refs []ValueID, meas []float64, floors Granularity) error {
+	if len(meas) != len(s.Measures) {
+		return fmt.Errorf("mdm: fact needs %d measures, got %d", len(s.Measures), len(meas))
+	}
+	return s.CheckCell(refs, floors)
 }
 
 // GranLE reports g1 <=_g g2 pointwise (Eq. 6). Both granularities must

@@ -173,25 +173,25 @@ func Aggregate(mo *mdm.MO, target mdm.Granularity, approach AggApproach) (*mdm.M
 		base    int64
 		sources []string
 	}
-	groups := make(map[string]*group)
-	var order []string
-	var keyBuf []byte
+	// groups is in first-seen order, which is the result's fact order;
+	// held finds a cell's group in it.
+	var groups []*group
+	held := mdm.NewCellMap[int](len(schema.Dims))
 
 	addTo := func(cell []mdm.ValueID, fid mdm.FactID, scale float64) {
-		keyBuf = mdm.AppendCellKey(keyBuf[:0], cell)
-		key := string(keyBuf)
-		g, ok := groups[key]
+		at, ok := held.Get(cell)
 		if !ok {
-			g = &group{cell: append([]mdm.ValueID(nil), cell...), meas: make([]float64, len(schema.Measures))}
+			g := &group{cell: append([]mdm.ValueID(nil), cell...), meas: make([]float64, len(schema.Measures))}
 			for j := range schema.Measures {
 				g.meas[j] = scaledInit(schema.Measures[j].Agg, mo, fid, j, scale)
 			}
 			g.base = mo.BaseCount(fid)
 			g.sources = append(g.sources, mo.Name(fid))
-			groups[key] = g
-			order = append(order, key)
+			held.Put(cell, len(groups))
+			groups = append(groups, g)
 			return
 		}
+		g := groups[at]
 		for j := range schema.Measures {
 			agg := schema.Measures[j].Agg
 			g.meas[j] = agg.Merge(g.meas[j], scaledInit(agg, mo, fid, j, scale))
@@ -276,8 +276,7 @@ func Aggregate(mo *mdm.MO, target mdm.Granularity, approach AggApproach) (*mdm.M
 
 	out := mdm.NewMO(schema)
 	out.SetFloors(effTarget)
-	for _, key := range order {
-		g := groups[key]
+	for _, g := range groups {
 		if _, err := out.AddFactAt(g.cell, g.meas, g.base, mergedName(g.sources)); err != nil {
 			return nil, fmt.Errorf("query: Aggregate: %w", err)
 		}
@@ -340,7 +339,7 @@ func Combine(schema *mdm.Schema, parts []*mdm.MO, target mdm.Granularity, approa
 
 	out := mdm.NewMO(schema)
 	out.SetFloors(floors)
-	held := cellFacts{width: mdm.PackWidth(len(schema.Dims)), packed: make(map[uint64]mdm.FactID)}
+	held := mdm.NewCellMap[mdm.FactID](len(schema.Dims))
 	// sources[f] lists the names folded into result fact f once a second
 	// part contributes to it.
 	var sources [][]string
@@ -361,13 +360,13 @@ func Combine(schema *mdm.Schema, parts []*mdm.MO, target mdm.Granularity, approa
 			for j, m := range schema.Measures {
 				meas[j] = scaledInit(m.Agg, p, fid, j, 1)
 			}
-			at, ok := held.get(cell)
+			at, ok := held.Get(cell)
 			if !ok {
 				added, err := out.AddFactAt(cell, meas, p.BaseCount(fid), names[seen+f])
 				if err != nil {
 					return nil, fmt.Errorf("query: Combine: %w", err)
 				}
-				held.put(cell, added)
+				held.Put(cell, added)
 				sources = append(sources, nil)
 				continue
 			}
@@ -431,38 +430,6 @@ func hasCount(schema *mdm.Schema) bool {
 		}
 	}
 	return false
-}
-
-// cellFacts finds the fact that holds a cell in a result under
-// construction, keyed as the cube index keys its rows: a cell that packs
-// into one uint64 (mdm.PackCell) costs no allocation, the rest go by
-// their string key.
-type cellFacts struct {
-	width  uint
-	packed map[uint64]mdm.FactID
-	str    map[string]mdm.FactID
-	buf    []byte
-}
-
-func (c *cellFacts) get(cell []mdm.ValueID) (mdm.FactID, bool) {
-	if k, ok := mdm.PackCell(cell, c.width); ok {
-		f, hit := c.packed[k]
-		return f, hit
-	}
-	c.buf = mdm.AppendCellKey(c.buf[:0], cell)
-	f, hit := c.str[string(c.buf)]
-	return f, hit
-}
-
-func (c *cellFacts) put(cell []mdm.ValueID, f mdm.FactID) {
-	if k, ok := mdm.PackCell(cell, c.width); ok {
-		c.packed[k] = f
-		return
-	}
-	if c.str == nil {
-		c.str = make(map[string]mdm.FactID)
-	}
-	c.str[string(mdm.AppendCellKey(c.buf[:0], cell))] = f
 }
 
 // AggregateWeighted folds a weighted selection result (from

@@ -24,16 +24,10 @@ func Union(a, b *mdm.MO) (*mdm.MO, error) {
 	}
 	out.SetFloors(floors)
 
-	index := make(map[string]mdm.FactID)
-	var keyBuf []byte
+	held := mdm.NewCellMap[mdm.FactID](schema.NumDims())
 	add := func(mo *mdm.MO, f mdm.FactID) error {
 		refs := mo.Refs(f)
-		keyBuf = keyBuf[:0]
-		for _, v := range refs {
-			keyBuf = append(keyBuf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		key := string(keyBuf)
-		if ex, ok := index[key]; ok {
+		if ex, ok := held.Get(refs); ok {
 			for j, m := range schema.Measures {
 				out.SetMeasure(ex, j, m.Agg.Merge(out.Measure(ex, j), mo.Measure(f, j)))
 			}
@@ -44,7 +38,7 @@ func Union(a, b *mdm.MO) (*mdm.MO, error) {
 		if err != nil {
 			return err
 		}
-		index[key] = nf
+		held.Put(refs, nf)
 		return nil
 	}
 	for f := 0; f < a.Len(); f++ {
@@ -68,26 +62,19 @@ func Difference(a, b *mdm.MO) (*mdm.MO, error) {
 		return nil, fmt.Errorf("query: Difference: operands have different schemas")
 	}
 	schema := a.Schema()
-	drop := make(map[string]bool, b.Len())
-	var keyBuf []byte
-	cellOf := func(mo *mdm.MO, f mdm.FactID) string {
-		keyBuf = keyBuf[:0]
-		for _, v := range mo.Refs(f) {
-			keyBuf = append(keyBuf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		return string(keyBuf)
-	}
+	drop := mdm.NewCellMap[struct{}](schema.NumDims())
 	for f := 0; f < b.Len(); f++ {
-		drop[cellOf(b, mdm.FactID(f))] = true
+		drop.Put(b.Refs(mdm.FactID(f)), struct{}{})
 	}
 	out := mdm.NewMO(schema)
 	out.SetFloors(a.Floors())
 	for f := 0; f < a.Len(); f++ {
 		fid := mdm.FactID(f)
-		if drop[cellOf(a, fid)] {
+		refs := a.Refs(fid)
+		if _, dropped := drop.Get(refs); dropped {
 			continue
 		}
-		if _, err := out.AddFactAt(a.Refs(fid), a.Measures(fid), a.BaseCount(fid), a.Name(fid)); err != nil {
+		if _, err := out.AddFactAt(refs, a.Measures(fid), a.BaseCount(fid), a.Name(fid)); err != nil {
 			return nil, fmt.Errorf("query: Difference: %w", err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"dimred/internal/caltime"
 	"dimred/internal/mdm"
 	"dimred/internal/spec"
+	"dimred/internal/storage"
 )
 
 // TestMergeIntoAllocationFree pins the packed-cell-key fast path: once
@@ -37,29 +38,32 @@ func TestMergeIntoAllocationFree(t *testing.T) {
 }
 
 // TestCellIndexPackedRouting: with two dimensions every in-range cell
-// must take the packed uint64 map, never the string fallback; negative
-// values (mdm.NoValue) must fall back rather than alias a packed key.
+// packs, so probing and re-putting it costs no allocation; negative values
+// (mdm.NoValue) must fall back to the string key rather than alias a
+// packed one. (Which map a cell lands in is pinned beside the table, in
+// mdm's TestCellMapRouting.)
 func TestCellIndexPackedRouting(t *testing.T) {
-	ix := newCellIndex(2)
-	if ix.width == 0 {
-		t.Fatal("two-dimension index did not enable packing")
-	}
-	ix.put([]mdm.ValueID{3, 4}, 7)
-	if r, ok := ix.get([]mdm.ValueID{3, 4}); !ok || r != 7 {
+	ix := mdm.NewCellMap[storage.RowID](2)
+	ix.Put([]mdm.ValueID{3, 4}, 7)
+	if r, ok := ix.Get([]mdm.ValueID{3, 4}); !ok || r != 7 {
 		t.Fatalf("get = %v, %v; want 7, true", r, ok)
 	}
-	if len(ix.str) != 0 {
-		t.Fatal("in-range cell landed in the string fallback map")
+	cell := []mdm.ValueID{3, 4}
+	if allocs := testing.AllocsPerRun(100, func() {
+		ix.Put(cell, 7)
+		ix.Get(cell)
+	}); allocs != 0 {
+		t.Fatalf("an in-range cell cost %.1f allocations per put and get, want 0", allocs)
 	}
-	ix.put([]mdm.ValueID{mdm.NoValue, 4}, 9)
-	if len(ix.str) != 1 {
-		t.Fatal("negative value did not take the string fallback")
+	ix.Put([]mdm.ValueID{mdm.NoValue, 4}, 9)
+	if ix.Len() != 2 {
+		t.Fatalf("%d entries, want 2: the negative value aliased a packed key", ix.Len())
 	}
-	if r, ok := ix.get([]mdm.ValueID{mdm.NoValue, 4}); !ok || r != 9 {
+	if r, ok := ix.Get([]mdm.ValueID{mdm.NoValue, 4}); !ok || r != 9 {
 		t.Fatalf("fallback get = %v, %v; want 9, true", r, ok)
 	}
-	ix.del([]mdm.ValueID{3, 4})
-	if _, ok := ix.get([]mdm.ValueID{3, 4}); ok {
+	ix.Delete([]mdm.ValueID{3, 4})
+	if _, ok := ix.Get([]mdm.ValueID{3, 4}); ok {
 		t.Fatal("deleted packed cell still resolves")
 	}
 }

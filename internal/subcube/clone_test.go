@@ -1,7 +1,6 @@
 package subcube
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -14,14 +13,15 @@ import (
 
 // TestCellIndexRemapShrinks: a remap that leaves a quarter of the
 // compacted slots or fewer moves the entries to new maps (a Go map keeps
-// its buckets otherwise); one that leaves more rewrites them in place.
-// Either way every surviving cell resolves to its new row and no
-// reclaimed cell resolves at all — through both the packed and the
-// string-keyed map.
+// its buckets otherwise; the move itself is pinned beside the table, in
+// mdm's TestCellMapRewrite), and the index gives the memory back; one that
+// leaves more rewrites them in place. Either way every surviving cell
+// resolves to its new row and no reclaimed cell resolves at all — through
+// both the packed and the string key.
 func TestCellIndexRemapShrinks(t *testing.T) {
-	const n = 4096
+	const n = 1 << 15
 	// Three dimensions pack 21 bits per value; a wider value takes the
-	// string map.
+	// string key.
 	cell := func(i int, wide bool) []mdm.ValueID {
 		if wide {
 			return []mdm.ValueID{mdm.ValueID(1<<21 + i), 1, 2}
@@ -37,41 +37,45 @@ func TestCellIndexRemapShrinks(t *testing.T) {
 		{"half left", 2, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ix := newCellIndex(3)
-			// Rows alternate between the two maps; reclaimed rows have left
-			// the index already, as Sync's deletes leave it.
+			// The index as the fold left it: every slot's cell was put, the
+			// reclaimed rows' cells deleted again, alternating between the
+			// two keys.
+			ix := mdm.NewCellMap[storage.RowID](3)
 			remap := make([]storage.RowID, n)
 			live := 0
 			for i := range remap {
+				ix.Put(cell(i, i%(2*tc.keep) == 0), storage.RowID(i))
+			}
+			for i := range remap {
 				remap[i] = -1
 				if i%tc.keep == 0 {
-					ix.put(cell(i, i%(2*tc.keep) == 0), storage.RowID(i))
 					remap[i] = storage.RowID(live)
 					live++
+				} else {
+					ix.Delete(cell(i, false))
 				}
 			}
-			if len(ix.packed) == 0 || len(ix.str) == 0 {
-				t.Fatalf("set-up routed %d cells packed and %d by string, want both", len(ix.packed), len(ix.str))
+			before := retainedHeap()
+			remapIndex(ix, remap)
+			freed := before - retainedHeap()
+			// n entries of a 12-byte key and value held well over 16 n
+			// bytes of buckets.
+			if shrunk := freed > 8*n; shrunk != tc.shrunk {
+				t.Errorf("%d of %d slots left: the remap freed %d bytes, shrunk=%v, want %v", live, n, freed, shrunk, tc.shrunk)
 			}
-			packed, str := reflect.ValueOf(ix.packed).Pointer(), reflect.ValueOf(ix.str).Pointer()
-			ix.applyRemap(remap)
-			moved := reflect.ValueOf(ix.packed).Pointer() != packed && reflect.ValueOf(ix.str).Pointer() != str
-			kept := reflect.ValueOf(ix.packed).Pointer() == packed && reflect.ValueOf(ix.str).Pointer() == str
-			if tc.shrunk && !moved || !tc.shrunk && !kept {
-				t.Errorf("%d of %d slots left: maps moved=%v kept=%v", live, n, moved, kept)
-			}
-			if got := len(ix.packed) + len(ix.str); got != live {
-				t.Fatalf("%d entries after the remap, want %d", got, live)
+			if ix.Len() != live {
+				t.Fatalf("%d entries after the remap, want %d", ix.Len(), live)
 			}
 			for i := 0; i < n; i++ {
 				for _, wide := range []bool{false, true} {
-					r, ok := ix.get(cell(i, wide))
+					r, ok := ix.Get(cell(i, wide))
 					want := i%tc.keep == 0 && wide == (i%(2*tc.keep) == 0)
 					if ok != want || ok && r != remap[i] {
 						t.Fatalf("cell %d (wide=%v) resolves to %d, %v; want %d, %v", i, wide, r, ok, remap[i], want)
 					}
 				}
 			}
+			runtime.KeepAlive(ix)
 		})
 	}
 }
@@ -137,7 +141,7 @@ func TestReductionReturnsMemory(t *testing.T) {
 	refs := make([]mdm.ValueID, env.Schema.NumDims())
 	for _, c := range cs.Cubes() {
 		c.store.Scan(func(r storage.RowID) bool {
-			if got, ok := c.index.get(c.store.Refs(r, refs)); !ok || got != r {
+			if got, ok := c.index.Get(c.store.Refs(r, refs)); !ok || got != r {
 				t.Fatalf("K%d row %d: index resolves its cell to %d, %v", c.ID(), r, got, ok)
 			}
 			return true

@@ -35,7 +35,7 @@ type Cube struct {
 	//dimred:shared compiled actions are immutable after spec validation; every clone shares them
 	actions []*spec.Action // actions targeting this granularity (empty for the bottom cube)
 	store   *storage.Store
-	index   *cellIndex
+	index   *mdm.CellMap[storage.RowID] // cell -> live row
 	parents []*Cube
 
 	dayLo, dayHi caltime.Day
@@ -82,12 +82,8 @@ type CubeSet struct {
 	//dimred:shared the schema environment is frozen after construction; clones deliberately share it
 	env      *spec.Env
 	cubes    []*Cube
-	byGran   map[string]*Cube
 	lastSync caltime.Day
 	synced   bool
-	// byPacked is byGran keyed by granPack, the allocation-free lookup of
-	// Sync's mover scan; nil above 8 dimensions. Built with the layout.
-	byPacked map[uint64]*Cube
 	// layout counts the layouts this set has realized: ApplySpec replaces
 	// every cube, and a set on another layout cannot be levelled cube by
 	// cube.
@@ -159,8 +155,6 @@ func (cs *CubeSet) Clone() *CubeSet {
 	c2 := &CubeSet{
 		sp:          cs.sp.Clone(),
 		env:         cs.env,
-		byGran:      make(map[string]*Cube, len(cs.byGran)),
-		byPacked:    nil,
 		layout:      cs.layout,
 		lastSync:    cs.lastSync,
 		synced:      cs.synced,
@@ -177,14 +171,13 @@ func (cs *CubeSet) Clone() *CubeSet {
 			gran:        append(mdm.Granularity(nil), c.gran...),
 			actions:     c.actions,
 			store:       c.store.Clone(),
-			index:       c.index.clone(),
+			index:       c.index.Clone(),
 			dayLo:       c.dayLo,
 			dayHi:       c.dayHi,
 			hasRange:    c.hasRange,
 			timeUnbound: c.timeUnbound,
 		}
 		c2.cubes = append(c2.cubes, nc)
-		c2.byGran[granKey(nc.gran)] = nc
 	}
 	// Parent edges point at the clone's cubes; IDs are positions, so the
 	// remap is a direct lookup.
@@ -193,7 +186,6 @@ func (cs *CubeSet) Clone() *CubeSet {
 			c2.cubes[i].parents = append(c2.cubes[i].parents, c2.cubes[p.id])
 		}
 	}
-	c2.byPacked = packedLookup(c2.cubes)
 	return c2
 }
 
@@ -236,17 +228,17 @@ func (c *Cube) levelFrom(src *Cube, cell []mdm.ValueID) int {
 	mark, touched, _ := src.store.Journal()
 	for _, r := range touched {
 		if !src.store.Alive(r) && c.store.Alive(r) {
-			c.index.del(c.store.Refs(r, cell))
+			c.index.Delete(c.store.Refs(r, cell))
 		}
 	}
 	rows, ok := c.store.LevelFrom(src.store)
 	if !ok {
-		c.store, c.index = src.store.Clone(), src.index.clone()
+		c.store, c.index = src.store.Clone(), src.index.Clone()
 		return c.store.Rows()
 	}
 	for r := storage.RowID(mark); int(r) < c.store.Rows(); r++ {
 		if c.store.Alive(r) {
-			c.index.put(c.store.Refs(r, cell), r)
+			c.index.Put(c.store.Refs(r, cell), r)
 		}
 	}
 	return rows
@@ -258,57 +250,39 @@ func (c *Cube) levelFrom(src *Cube, cell []mdm.ValueID) int {
 // 7.1 example).
 func New(sp *spec.Spec) (*CubeSet, error) {
 	env := sp.Env()
-	cs := &CubeSet{sp: sp, env: env, byGran: make(map[string]*Cube), met: obs.NewMetrics()}
+	cs := &CubeSet{sp: sp, env: env, met: obs.NewMetrics()}
 	cs.cache = specexec.NewCache(cs.met)
 	layout := storage.Layout{DimCols: env.Schema.NumDims(), MeasCols: len(env.Schema.Measures)}
-
-	bottom := &Cube{id: 0, gran: env.Schema.BottomGranularity(), store: storage.New(layout), index: newCellIndex(layout.DimCols)}
-	cs.cubes = append(cs.cubes, bottom)
-	cs.byGran[granKey(bottom.gran)] = bottom
-
+	add := func(gran mdm.Granularity) *Cube {
+		c := &Cube{id: len(cs.cubes), gran: gran, store: storage.New(layout), index: mdm.NewCellMap[storage.RowID](layout.DimCols)}
+		cs.cubes = append(cs.cubes, c)
+		return c
+	}
+	add(env.Schema.BottomGranularity())
 	for _, a := range sp.Actions() {
 		if a.IsDelete() {
 			continue // deletion actions have no physical cube
 		}
-		key := granKey(a.Target())
-		c, ok := cs.byGran[key]
-		if !ok {
-			c = &Cube{id: len(cs.cubes), gran: a.Target(), store: storage.New(layout), index: newCellIndex(layout.DimCols)}
-			cs.cubes = append(cs.cubes, c)
-			cs.byGran[key] = c
+		c := cs.cubeAt(a.Target())
+		if c == nil {
+			c = add(a.Target())
 		}
 		c.actions = append(c.actions, a)
 	}
 	cs.computeDAG()
-	cs.byPacked = packedLookup(cs.cubes)
 	return cs, nil
 }
 
-// packedLookup indexes the cubes by granPack of their granularity; nil
-// when the granularities do not pack.
-func packedLookup(cubes []*Cube) map[uint64]*Cube {
-	if _, ok := granPack(cubes[0].gran); !ok {
-		return nil
+// cubeAt returns the cube at the granularity, nil when the layout has
+// none. A layout is the bottom cube plus one cube per distinct action
+// target — a handful — so the lookup is a scan.
+func (cs *CubeSet) cubeAt(level mdm.Granularity) *Cube {
+	for _, c := range cs.cubes {
+		if cs.env.Schema.GranEq(c.gran, level) {
+			return c
+		}
 	}
-	m := make(map[uint64]*Cube, len(cubes))
-	for _, c := range cubes {
-		k, _ := granPack(c.gran)
-		m[k] = c
-	}
-	return m
-}
-
-func granKey(g mdm.Granularity) string {
-	var b []byte
-	for _, c := range g {
-		b = append(b, byte(c), byte(c>>8))
-	}
-	return string(b)
-}
-
-func cellKey(buf []byte, cell []mdm.ValueID) ([]byte, string) {
-	buf = mdm.AppendCellKey(buf[:0], cell)
-	return buf, string(buf)
+	return nil
 }
 
 // computeDAG derives the parent→child edges of Section 7.1: the bottom
@@ -363,15 +337,9 @@ func (cs *CubeSet) LastSync() (caltime.Day, bool) { return cs.lastSync, cs.synce
 // COUNT kind are initialized to 1 regardless of the supplied value.
 func (cs *CubeSet) Insert(refs []mdm.ValueID, meas []float64) error {
 	schema := cs.env.Schema
-	if len(refs) != schema.NumDims() || len(meas) != len(schema.Measures) {
-		return fmt.Errorf("subcube: Insert: row shape mismatch")
-	}
 	bottom := cs.cubes[0]
-	for i, d := range schema.Dims {
-		if got := d.CategoryOf(refs[i]); got != bottom.gran[i] {
-			return fmt.Errorf("subcube: Insert: dimension %s value at category %s, want bottom category %s",
-				d.Name(), d.Category(got).Name, d.Category(bottom.gran[i]).Name)
-		}
+	if err := schema.CheckFact(refs, meas, bottom.gran); err != nil {
+		return fmt.Errorf("subcube: Insert: %w", err)
 	}
 	// Up to eight measures lift on the stack: the store copies what it keeps.
 	var buf [8]float64
@@ -405,13 +373,8 @@ func (cs *CubeSet) Insert(refs []mdm.ValueID, meas []float64) error {
 func (cs *CubeSet) Late(refs []mdm.ValueID) bool {
 	schema := cs.env.Schema
 	bottom := cs.cubes[0].gran
-	if !cs.synced || len(refs) != len(bottom) {
+	if !cs.synced || schema.CheckCell(refs, bottom) != nil {
 		return false
-	}
-	for i, d := range schema.Dims {
-		if d.CategoryOf(refs[i]) != bottom[i] {
-			return false
-		}
 	}
 	e := cs.newCellEval(cs.sp, cs.lastSync)
 	late := e.deletedBy(refs) != nil
@@ -443,7 +406,7 @@ func (cs *CubeSet) InsertMO(mo *mdm.MO) error {
 //dimred:aggregate
 func (cs *CubeSet) mergeInto(c *Cube, refs []mdm.ValueID, meas []float64, base int64) error {
 	cs.extendZoneMap(c, refs)
-	if r, ok := c.index.get(refs); ok && c.store.Alive(r) {
+	if r, ok := c.index.Get(refs); ok && c.store.Alive(r) {
 		for j, m := range cs.env.Schema.Measures {
 			c.store.SetMeasure(r, j, m.Agg.Merge(c.store.Measure(r, j), meas[j]))
 		}
@@ -455,7 +418,7 @@ func (cs *CubeSet) mergeInto(c *Cube, refs []mdm.ValueID, meas []float64, base i
 	if err != nil {
 		return fmt.Errorf("subcube: %w", err)
 	}
-	c.index.put(refs, r)
+	c.index.Put(refs, r)
 	cs.met.RowsAppended.Inc()
 	return nil
 }
@@ -646,29 +609,26 @@ func (cs *CubeSet) syncInterpreted(t caltime.Day) (int, error) {
 
 	// Phase 2 (serial): roll movers up and merge into their targets.
 	cell := make([]mdm.ValueID, schema.NumDims())
+	var up []mdm.ValueID
 	for ci, c := range cs.cubes {
 		for _, r := range movers[ci] {
 			c.store.Refs(r, cell)
 			if cs.sp.DeletedBy(cell, t) != nil {
 				cs.deletedBase += c.store.Base(r)
 				cs.met.FactsDeleted.Add(c.store.Base(r))
-				c.index.del(cell)
+				c.index.Delete(cell)
 				c.store.Delete(r)
 				moved++
 				continue
 			}
 			level, _ := cs.sp.AggLevel(cell, t)
-			dst, ok := cs.byGran[granKey(level)]
-			if !ok {
+			dst := cs.cubeAt(level)
+			if dst == nil {
 				return moved, fmt.Errorf("subcube: Sync: no cube at granularity %s", schema.GranString(level))
 			}
-			up := make([]mdm.ValueID, len(cell))
-			for i, d := range schema.Dims {
-				up[i] = d.AncestorAt(cell[i], level[i])
-				if up[i] == mdm.NoValue {
-					return moved, fmt.Errorf("subcube: Sync: value %s has no ancestor at %s",
-						d.ValueName(cell[i]), d.Category(level[i]).Name)
-				}
+			var err error
+			if up, err = schema.RollUp(up[:0], cell, level); err != nil {
+				return moved, fmt.Errorf("subcube: Sync: %w", err)
 			}
 			meas := make([]float64, len(schema.Measures))
 			for j := range meas {
@@ -677,7 +637,7 @@ func (cs *CubeSet) syncInterpreted(t caltime.Day) (int, error) {
 			if err := cs.mergeInto(dst, up, meas, c.store.Base(r)); err != nil {
 				return moved, err
 			}
-			c.index.del(cell)
+			c.index.Delete(cell)
 			c.store.Delete(r)
 			moved++
 		}
@@ -706,20 +666,6 @@ type cubeMovers struct {
 	scanned int
 	probes  int64
 	err     error
-}
-
-// granPack encodes a granularity into one uint64, 8 bits per category
-// (a dimension holds at most 63 categories). ok is false above 8
-// dimensions; callers then fall back to the string key.
-func granPack(g mdm.Granularity) (uint64, bool) {
-	if len(g) > 8 {
-		return 0, false
-	}
-	var k uint64
-	for _, c := range g {
-		k = k<<8 | uint64(c)
-	}
-	return k, true
 }
 
 // syncCompiled is the compiled synchronization. Phase 1 fetches the
@@ -776,27 +722,15 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 			if schema.GranEq(level, c.gran) {
 				return true
 			}
-			// Destination by packed granularity, by the string key above
-			// 8 dimensions.
-			var dst *Cube
-			if cs.byPacked != nil {
-				k, _ := granPack(level)
-				dst = cs.byPacked[k]
-			} else {
-				dst = cs.byGran[granKey(level)]
-			}
+			dst := cs.cubeAt(level)
 			if dst == nil {
 				m.err = fmt.Errorf("subcube: Sync: no cube at granularity %s", schema.GranString(level))
 				return false
 			}
-			for i, d := range schema.Dims {
-				up := d.AncestorAt(cell[i], level[i])
-				if up == mdm.NoValue {
-					m.err = fmt.Errorf("subcube: Sync: value %s has no ancestor at %s",
-						d.ValueName(cell[i]), d.Category(level[i]).Name)
-					return false
-				}
-				m.ups = append(m.ups, up)
+			var err error
+			if m.ups, err = schema.RollUp(m.ups, cell, level); err != nil {
+				m.err = fmt.Errorf("subcube: Sync: %w", err)
+				return false
 			}
 			for j := 0; j < nMeas; j++ {
 				m.meas = append(m.meas, c.store.Measure(r, j))
@@ -858,13 +792,11 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 		cell := make([]mdm.ValueID, nDims)
 		m := &movers[ci]
 		for _, r := range m.delRows {
-			c.store.Refs(r, cell)
-			c.index.del(cell)
+			c.index.Delete(c.store.Refs(r, cell))
 			c.store.Delete(r)
 		}
 		for _, r := range m.rows {
-			c.store.Refs(r, cell)
-			c.index.del(cell)
+			c.index.Delete(c.store.Refs(r, cell))
 			c.store.Delete(r)
 		}
 		for _, ref := range inbound[ci] {
@@ -918,7 +850,18 @@ func eachCube(cubes []int, fn func(ci int)) {
 
 func (cs *CubeSet) compact(c *Cube) {
 	cs.met.Compactions.Inc()
-	c.index.applyRemap(c.store.Compact())
+	remapIndex(c.index, c.store.Compact())
+}
+
+// remapIndex rewrites every entry of a cell index through the row
+// remapping returned by Store.Compact, dropping entries whose rows were
+// reclaimed. When the entries are a quarter of the compacted slots or
+// fewer — the rule Store.Compact shrinks its columns by — they move to
+// right-sized maps.
+func remapIndex(ix *mdm.CellMap[storage.RowID], remap []storage.RowID) {
+	ix.Rewrite(ix.Len()*4 <= len(remap), func(r storage.RowID) (storage.RowID, bool) {
+		return remap[r], remap[r] >= 0
+	})
 }
 
 // ApplySpec rebuilds the cube layout for an updated specification (the
@@ -942,7 +885,7 @@ func (cs *CubeSet) ApplySpec(sp *spec.Spec, t caltime.Day) error {
 	eval := cs.newCellEval(sp, t)
 	cell := make([]mdm.ValueID, schema.NumDims())
 	level := make(mdm.Granularity, schema.NumDims())
-	up := make([]mdm.ValueID, schema.NumDims())
+	var up []mdm.ValueID
 	meas := make([]float64, len(schema.Measures))
 	for _, c := range old {
 		var failed error
@@ -953,13 +896,14 @@ func (cs *CubeSet) ApplySpec(sp *spec.Spec, t caltime.Day) error {
 				return true
 			}
 			eval.aggLevelInto(cell, level, nil)
-			dst, ok := next.byGran[granKey(level)]
-			if !ok {
+			dst := next.cubeAt(level)
+			if dst == nil {
 				failed = fmt.Errorf("subcube: ApplySpec: no cube at granularity %s", schema.GranString(level))
 				return false
 			}
-			for i, d := range schema.Dims {
-				up[i] = d.AncestorAt(cell[i], level[i])
+			if up, failed = schema.RollUp(up[:0], cell, level); failed != nil {
+				failed = fmt.Errorf("subcube: ApplySpec: %w", failed)
+				return false
 			}
 			for j := range meas {
 				meas[j] = c.store.Measure(r, j)
@@ -977,8 +921,6 @@ func (cs *CubeSet) ApplySpec(sp *spec.Spec, t caltime.Day) error {
 	cs.met.ProgramProbes.Add(eval.probes)
 	cs.sp = sp
 	cs.cubes = next.cubes
-	cs.byGran = next.byGran
-	cs.byPacked = next.byPacked
 	cs.layout++
 	cs.deletedBase += next.deletedBase
 	cs.markSynced(t)
@@ -994,15 +936,15 @@ func (cs *CubeSet) DeletedFacts() int64 { return cs.deletedBase }
 // taken as already-aggregated partials.
 func (cs *CubeSet) RestoreRow(refs []mdm.ValueID, meas []float64, base int64) error {
 	schema := cs.env.Schema
-	if len(refs) != schema.NumDims() || len(meas) != len(schema.Measures) {
-		return fmt.Errorf("subcube: RestoreRow: row shape mismatch")
+	if err := schema.CheckFact(refs, meas, nil); err != nil {
+		return fmt.Errorf("subcube: RestoreRow: %w", err)
 	}
 	gran := make(mdm.Granularity, len(refs))
 	for i, d := range schema.Dims {
 		gran[i] = d.CategoryOf(refs[i])
 	}
-	c, ok := cs.byGran[granKey(gran)]
-	if !ok {
+	c := cs.cubeAt(gran)
+	if c == nil {
 		return fmt.Errorf("subcube: RestoreRow: no cube at granularity %s", schema.GranString(gran))
 	}
 	cs.pending, cs.tracking = nil, false
@@ -1036,26 +978,36 @@ func (cs *CubeSet) TotalBytes() int64 {
 	return n
 }
 
-// MO materializes one cube as a multidimensional object (used by the
-// query evaluator and the experiments).
+// MO materializes one cube as a multidimensional object, for the
+// experiments, the snapshot writer and tests.
 func (c *Cube) MO(schema *mdm.Schema) (*mdm.MO, error) {
 	mo := mdm.NewMO(schema)
 	mo.SetFloors(c.gran)
-	var err error
-	refs := make([]mdm.ValueID, schema.NumDims())
-	meas := make([]float64, len(schema.Measures))
+	_, err := c.AppendTo(mo, nil)
+	return mo, err
+}
+
+// AppendTo is the one cube scan: it appends the cube's live rows, in row
+// order, to mo as facts at the cube's granularity — every row when keep is
+// nil, else those whose cell keep accepts (the cell slice is reused from
+// row to row). It returns the rows visited.
+func (c *Cube) AppendTo(mo *mdm.MO, keep func(cell []mdm.ValueID) bool) (scanned int, err error) {
+	layout := c.store.Layout()
+	refs := make([]mdm.ValueID, layout.DimCols)
+	meas := make([]float64, layout.MeasCols)
 	c.store.Scan(func(r storage.RowID) bool {
+		scanned++
 		c.store.Refs(r, refs)
+		if keep != nil && !keep(refs) {
+			return true
+		}
 		for j := range meas {
 			meas[j] = c.store.Measure(r, j)
 		}
-		if _, e := mo.AddFactAt(refs, meas, c.store.Base(r), ""); e != nil {
-			err = e
-			return false
-		}
-		return true
+		_, err = mo.AddFactAt(refs, meas, c.store.Base(r), "")
+		return err == nil
 	})
-	return mo, err
+	return scanned, err
 }
 
 // Describe renders the cube layout with the disjoint-action view of
@@ -1093,7 +1045,7 @@ func (cs *CubeSet) Describe() string {
 func (cs *CubeSet) excludedBy(c *Cube) []string {
 	var out []string
 	for _, a := range cs.sp.Actions() {
-		if granKey(a.Target()) == granKey(c.gran) {
+		if cs.env.Schema.GranEq(a.Target(), c.gran) {
 			continue
 		}
 		if len(c.actions) == 0 {

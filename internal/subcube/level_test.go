@@ -31,11 +31,8 @@ func dumpPhysical(cs *CubeSet) string {
 			fmt.Fprintf(&b, " base=%d alive=%v\n", c.store.Base(r), c.store.Alive(r))
 		}
 		var entries []string
-		for k, r := range c.index.packed {
-			entries = append(entries, fmt.Sprintf("%016x=%d", k, r))
-		}
-		for k, r := range c.index.str {
-			entries = append(entries, fmt.Sprintf("%q=%d", k, r))
+		for cell, r := range c.index.All() {
+			entries = append(entries, fmt.Sprintf("%v=%d", cell, r))
 		}
 		sort.Strings(entries)
 		fmt.Fprintf(&b, " index %v\n", entries)

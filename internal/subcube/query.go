@@ -253,48 +253,30 @@ func (cs *CubeSet) evaluateCubes(q Query, t caltime.Day, tr *obs.Trace) ([]*mdm.
 // visited and how many survived the predicate, for the observability
 // layer.
 func (cs *CubeSet) selectedMO(c *Cube, q Query, t caltime.Day) (mo *mdm.MO, weights []float64, scanned, kept int, err error) {
-	schema := cs.env.Schema
-	mo = mdm.NewMO(schema)
+	mo = mdm.NewMO(cs.env.Schema)
 	mo.SetFloors(c.gran)
-	refs := make([]mdm.ValueID, schema.NumDims())
-	meas := make([]float64, len(schema.Measures))
-	var prep *query.Prepared
+	var keep func(cell []mdm.ValueID) bool
 	if q.Pred != nil {
-		prep = q.Pred.Prepare(t)
-	}
-	var failed error
-	c.store.Scan(func(r storage.RowID) bool {
-		scanned++
-		c.store.Refs(r, refs)
-		if prep != nil {
-			cons, lib, w := prep.EvaluateCell(query.Cell(refs))
-			keep := cons
+		prep := q.Pred.Prepare(t)
+		keep = func(cell []mdm.ValueID) bool {
+			cons, lib, w := prep.EvaluateCell(query.Cell(cell))
 			switch q.Sel {
 			case query.Liberal:
-				keep = lib
+				return lib
 			case query.Weighted:
 				// Match SelectWeighted: keep rows that might satisfy,
 				// carrying the certainty out to the aggregation fold.
-				keep = lib && w > 0
+				if lib && w > 0 {
+					weights = append(weights, w)
+					return true
+				}
+				return false
 			}
-			if !keep {
-				return true
-			}
-			if q.Sel == query.Weighted {
-				weights = append(weights, w)
-			}
+			return cons
 		}
-		kept++
-		for j := range meas {
-			meas[j] = c.store.Measure(r, j)
-		}
-		if _, err := mo.AddFactAt(refs, meas, c.store.Base(r), ""); err != nil {
-			failed = err
-			return false
-		}
-		return true
-	})
-	return mo, weights, scanned, kept, failed
+	}
+	scanned, err = c.AppendTo(mo, keep)
+	return mo, weights, scanned, mo.Len(), err
 }
 
 // viewOf builds the synchronized view of cube c at the evaluator's day
@@ -306,14 +288,13 @@ func (cs *CubeSet) viewOf(c *Cube, e *cellEval) (mo *mdm.MO, scanned int, err er
 	schema := cs.env.Schema
 	mo = mdm.NewMO(schema)
 	mo.SetFloors(c.gran)
-	index := make(map[string]mdm.FactID)
+	held := mdm.NewCellMap[mdm.FactID](schema.NumDims())
 
 	sources := append([]*Cube{c}, c.parents...)
 	cell := make([]mdm.ValueID, schema.NumDims())
 	level := make(mdm.Granularity, schema.NumDims())
-	up := make([]mdm.ValueID, schema.NumDims())
+	var up []mdm.ValueID
 	meas := make([]float64, len(schema.Measures))
-	var keyBuf []byte
 	for _, src := range sources {
 		var failed error
 		src.store.Scan(func(r storage.RowID) bool {
@@ -326,16 +307,11 @@ func (cs *CubeSet) viewOf(c *Cube, e *cellEval) (mo *mdm.MO, scanned int, err er
 			if !schema.GranEq(level, c.gran) {
 				return true
 			}
-			for i, d := range schema.Dims {
-				up[i] = d.AncestorAt(cell[i], level[i])
-				if up[i] == mdm.NoValue {
-					failed = fmt.Errorf("subcube: view: value %s has no ancestor at %s",
-						d.ValueName(cell[i]), d.Category(level[i]).Name)
-					return false
-				}
+			if up, failed = schema.RollUp(up[:0], cell, level); failed != nil {
+				failed = fmt.Errorf("subcube: view: %w", failed)
+				return false
 			}
-			keyBuf = mdm.AppendCellKey(keyBuf[:0], up)
-			if fid, ok := index[string(keyBuf)]; ok {
+			if fid, ok := held.Get(up); ok {
 				for j, m := range schema.Measures {
 					merged := m.Agg.Merge(mo.Measure(fid, j), src.store.Measure(r, j))
 					mo.SetMeasure(fid, j, merged)
@@ -351,7 +327,7 @@ func (cs *CubeSet) viewOf(c *Cube, e *cellEval) (mo *mdm.MO, scanned int, err er
 				failed = err
 				return false
 			}
-			index[string(keyBuf)] = fid
+			held.Put(up, fid)
 			return true
 		})
 		if failed != nil {

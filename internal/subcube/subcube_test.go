@@ -456,7 +456,7 @@ func TestApplySpecRebuild(t *testing.T) {
 	if _, err := cs.Sync(later); err != nil {
 		t.Fatal(err)
 	}
-	year := cs.byGran[granKey(mustGran(t, env, "Time.year", "URL.domain"))]
+	year := cs.cubeAt(mustGran(t, env, "Time.year", "URL.domain"))
 	if year == nil || year.Rows() == 0 {
 		t.Error("year cube empty after aging")
 	}
@@ -529,7 +529,7 @@ func TestLateArrivalsFlowThroughBottom(t *testing.T) {
 	if _, err := cs.Sync(at); err != nil {
 		t.Fatal(err)
 	}
-	quarter := cs.byGran[granKey(mustGran(t, s.Env(), "Time.quarter", "URL.domain"))]
+	quarter := cs.cubeAt(mustGran(t, s.Env(), "Time.quarter", "URL.domain"))
 	if quarter.Rows() != 1 {
 		t.Errorf("quarter cube rows = %d, want 1", quarter.Rows())
 	}

@@ -19,25 +19,6 @@ import (
 // and merges distributively (the Growing invariant makes the delta fold
 // exact — see the replay differential in ingest_test.go).
 
-// validateFact mirrors CubeSet.Insert's shape checks against the
-// immutable schema, so a producer gets the error at Ingest time instead
-// of a poisoned batch at compaction time. Read-only on the schema,
-// hence safe without wmu.
-func (w *Warehouse) validateFact(refs []mdm.ValueID, meas []float64) error {
-	schema := w.env.Schema
-	if len(refs) != schema.NumDims() || len(meas) != len(schema.Measures) {
-		return fmt.Errorf("warehouse: Ingest: row shape mismatch")
-	}
-	bottom := schema.BottomGranularity()
-	for i, d := range schema.Dims {
-		if d.CategoryOf(refs[i]) != bottom[i] {
-			return fmt.Errorf("warehouse: Ingest: dimension %s value not at bottom category %s",
-				d.Name(), d.Category(bottom[i]).Name)
-		}
-	}
-	return nil
-}
-
 // Ingest buffers one bottom-granularity fact for asynchronous
 // compaction. It never touches the served snapshot or the writer lock:
 // the fact is validated against the schema, deep-copied into a buffer
@@ -48,8 +29,11 @@ func (w *Warehouse) validateFact(refs []mdm.ValueID, meas []float64) error {
 // synchronized with the compactor or with lock-free readers, which read
 // it, so resolve refs before the warehouse is used concurrently.
 func (w *Warehouse) Ingest(refs []mdm.ValueID, meas []float64) error {
-	if err := w.validateFact(refs, meas); err != nil {
-		return err
+	// Insert's own check, made here so that a producer gets the error now
+	// instead of a poisoned batch at compaction time. It only reads the
+	// schema, hence needs no lock.
+	if err := w.env.Schema.CheckFact(refs, meas, w.env.Schema.BottomGranularity()); err != nil {
+		return fmt.Errorf("warehouse: Ingest: %w", err)
 	}
 	w.buf.Append(refs, meas)
 	w.met.IngestQueued.Inc()

@@ -262,19 +262,16 @@ func Load(in io.Reader) (*Warehouse, *LoadedDims, error) {
 		w.vcfg = views.Config{MaxBytes: sf.ViewMaxBytes, MaxViews: sf.ViewMaxViews}
 	}
 	err = w.commitWithViewsLocked(func(cs *subcube.CubeSet) (int, error) {
-		refs := make([]mdm.ValueID, len(dimensions))
+		var refs []mdm.ValueID
 		for _, r := range sf.Rows {
-			if len(r.Refs) != len(refs) {
-				return 0, fmt.Errorf("warehouse: Load: row arity mismatch")
+			refs = refs[:0]
+			for _, v := range r.Refs {
+				refs = append(refs, mdm.ValueID(v))
 			}
-			for i, v := range r.Refs {
-				if v < 0 || int(v) >= dimensions[i].NumValues() {
-					return 0, fmt.Errorf("warehouse: Load: row references value %d outside dimension %s", v, dimensions[i].Name())
-				}
-				refs[i] = mdm.ValueID(v)
-			}
+			// RestoreRow checks arity and id range before it looks a
+			// value up.
 			if err := cs.RestoreRow(refs, r.Meas, r.Base); err != nil {
-				return 0, err
+				return 0, fmt.Errorf("warehouse: Load: %w", err)
 			}
 		}
 		cs.RestoreSyncState(caltime.Day(sf.LastSync), sf.Synced, sf.Deleted)

@@ -733,15 +733,8 @@ func applySpec(cs *subcube.CubeSet, sp *spec.Spec, t caltime.Day) (int, error) {
 func materialize(env *spec.Env, cs *subcube.CubeSet) (*mdm.MO, error) {
 	out := mdm.NewMO(env.Schema)
 	for _, c := range cs.Cubes() {
-		mo, err := c.MO(env.Schema)
-		if err != nil {
+		if _, err := c.AppendTo(out, nil); err != nil {
 			return nil, err
-		}
-		for f := 0; f < mo.Len(); f++ {
-			fid := mdm.FactID(f)
-			if _, err := out.AddFactAt(mo.Refs(fid), mo.Measures(fid), mo.BaseCount(fid), ""); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return out, nil
