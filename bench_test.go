@@ -16,11 +16,13 @@ import (
 	"dimred/internal/dims"
 	"dimred/internal/expr"
 	"dimred/internal/mdm"
+	"dimred/internal/obs"
 	"dimred/internal/query"
 	"dimred/internal/relstore"
 	"dimred/internal/spec"
 	"dimred/internal/storage"
 	"dimred/internal/subcube"
+	"dimred/internal/views"
 	"dimred/internal/warehouse"
 	"dimred/internal/workload"
 )
@@ -361,6 +363,78 @@ func BenchmarkAdhocQuery(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := cs.Evaluate(q, at); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkViewAnswer measures both branches of views.Answer on a view
+// set the size of the repo benchmark's dashboard_read: a target a view is
+// materialized at, which is returned as stored, and a target above the
+// only view that reaches it, which query.Aggregate folds (the per-cell
+// cost the ancestor branch still pays).
+func BenchmarkViewAnswer(b *testing.B) {
+	obj, err := workload.BuildClickMO(workload.ClickConfig{
+		Seed: 2, Start: caltime.Date(2000, 1, 1), Days: 270,
+		ClicksPerDay: 300, Domains: 100, URLsPerDomain: 20, ZipfS: 1.3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp, err := spec.New(env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs, err := subcube.New(sp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := cs.InsertMO(obj.MO); err != nil {
+		b.Fatal(err)
+	}
+	at := caltime.Date(2000, 9, 27)
+	if _, err := cs.Sync(at); err != nil {
+		b.Fatal(err)
+	}
+	gran := func(refs ...string) mdm.Granularity {
+		g, err := env.Schema.ParseGranularity(refs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return g
+	}
+	monthDomain, quarterGroup := gran("Time.month", "URL.domain"), gran("Time.quarter", "URL.domain_grp")
+	set := views.Build(env, cs, []views.Candidate{
+		{Key: spec.EncodeGran(monthDomain), Gran: monthDomain},
+		{Key: spec.EncodeGran(quarterGroup), Gran: quarterGroup},
+	}, at, views.Config{}, obs.NewMetrics())
+	for _, tc := range []struct {
+		name         string
+		target       mdm.Granularity
+		exact        bool
+		rows, result int
+	}{
+		{"exact/887cells", monthDomain, true, 887, 887},
+		{"exact/9cells", quarterGroup, true, 9, 9},
+		{"ancestor/887→27cells", gran("Time.month", "URL.domain_grp"), false, 887, 27},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			q := subcube.Query{Target: tc.target, Sel: query.Conservative, Agg: query.Availability}
+			v, exact := set.Serving(env.Schema, tc.target)
+			if v == nil || exact != tc.exact || v.Rows() != tc.rows {
+				b.Fatalf("the fixture no longer serves this case as named: view %v, exact %v", v, exact)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mo, ok := set.Answer(env.Schema, q, at, sp.Generation())
+				if !ok || mo.Len() != tc.result {
+					b.Fatalf("served %v, %d cells", ok, mo.Len())
 				}
 			}
 		})

@@ -69,9 +69,15 @@ type rowEnd struct{ refs, meas int }
 // producers are never blocked behind a fold. The doorbell wakes the compactor without
 // ever blocking an appender.
 type Buffer struct {
-	shards   []*shard
-	next     atomic.Uint64
-	pending  atomic.Int64
+	shards  []*shard
+	next    atomic.Uint64
+	pending atomic.Int64
+	// ringAt is the pending count from which an append rings the
+	// doorbell: the running compactor's MinBatch, so appends it would
+	// only sleep on again do not wake it. Zero, while no compactor runs,
+	// rings on every append, which leaves a wake queued for the next one
+	// to start.
+	ringAt   atomic.Int64
 	doorbell chan struct{}
 }
 
@@ -100,8 +106,9 @@ func (b *Buffer) Append(refs []mdm.ValueID, meas []float64) {
 	s.meas = append(s.meas, meas...)
 	s.ends = append(s.ends, rowEnd{refs: len(s.refs), meas: len(s.meas)})
 	s.mu.Unlock()
-	b.pending.Add(1)
-	b.ring()
+	if b.pending.Add(1) >= b.ringAt.Load() {
+		b.ring()
+	}
 }
 
 // ring wakes the compactor if it is idle; a full doorbell means a wake
@@ -173,6 +180,7 @@ func StartCompactor(buf *Buffer, cfg Config, fold func([]Row) error) *Compactor 
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	buf.ringAt.Store(int64(cfg.MinBatch))
 	// Detached on purpose: the compaction loop runs for the warehouse
 	// lifetime; Stop joins it on the done channel before the warehouse
 	// closes (TestGoroutinesJoin counts it gone).
@@ -221,6 +229,7 @@ func (c *Compactor) foldNow() {
 func (c *Compactor) Stop() error {
 	close(c.stop)
 	<-c.done
+	c.buf.ringAt.Store(0)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.firstErr

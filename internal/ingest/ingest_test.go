@@ -213,6 +213,59 @@ func TestCompactorMinBatchHoldsUntilStop(t *testing.T) {
 	}
 }
 
+// TestDoorbellRingsAtMinBatch: while a compactor runs, an append below
+// its MinBatch does not ring — the compactor would wake only to find too
+// little pending and sleep again — and the append that reaches MinBatch
+// does. With no compactor running every append rings, so facts buffered
+// before a start (or after a stop) leave a wake queued for the next one.
+func TestDoorbellRingsAtMinBatch(t *testing.T) {
+	const minBatch = 64
+	b := NewBuffer(2)
+	b.Append(row(0))
+	if len(b.doorbell) != 1 {
+		t.Fatal("an append with no compactor running did not ring")
+	}
+	folded := make(chan int, 4) // one slot per fold this test can cause
+	fold := func(rows []Row) error {
+		folded <- len(rows)
+		return nil
+	}
+	// The queued wake reaches the new compactor, which finds one fact
+	// against a MinBatch of one.
+	c := StartCompactor(b, Config{MinBatch: 1}, fold)
+	if got := <-folded; got != 1 {
+		t.Fatalf("the fact buffered before the start folded as a batch of %d, want 1", got)
+	}
+	if err := c.Stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	c = StartCompactor(b, Config{MinBatch: minBatch}, fold)
+	for i := 1; i < minBatch; i++ {
+		b.Append(row(i))
+		if len(b.doorbell) != 0 {
+			t.Fatalf("append %d of %d rang the doorbell", i, minBatch)
+		}
+	}
+	if len(folded) != 0 {
+		t.Fatalf("folded %d facts below MinBatch", <-folded)
+	}
+	b.Append(row(minBatch))
+	if got := <-folded; got != minBatch {
+		t.Fatalf("reaching MinBatch folded %d facts, want %d", got, minBatch)
+	}
+	if err := c.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if len(folded) != 0 {
+		t.Fatalf("Stop folded %d facts out of an empty buffer", <-folded)
+	}
+	b.Append(row(0))
+	if len(b.doorbell) != 1 {
+		t.Fatal("an append after Stop did not ring")
+	}
+}
+
 func TestCompactorReportsFirstFoldError(t *testing.T) {
 	b := NewBuffer(1)
 	calls := 0

@@ -53,6 +53,7 @@ type Metrics struct {
 
 	// Materialized rollup views (warehouse).
 	ViewHits   Counter // queries answered from a materialized view
+	ViewFolds  Counter // view hits that folded a finer view up to the target; hits - folds were served as stored
 	ViewMisses Counter // view-eligible queries that fell back to the base subcubes
 	ViewBuilds Counter // views materialized by commit-path refreshes
 	ViewBytes  Gauge   // modeled bytes retained by the published view set
@@ -130,6 +131,7 @@ type MetricsSnapshot struct {
 	RowsSelected   int64
 
 	ViewHits   int64
+	ViewFolds  int64
 	ViewMisses int64
 	ViewBuilds int64
 	ViewBytes  int64
@@ -220,6 +222,7 @@ var metricRows = []metricRow{
 	{field: "RowsScanned", label: "rows scanned"},
 	{field: "RowsSelected", label: "rows selected"},
 	{field: "ViewHits", label: "view hits"},
+	{field: "ViewFolds", label: "view hits folded"},
 	{field: "ViewMisses", label: "view misses"},
 	{field: "ViewBuilds", label: "view builds"},
 	{field: "ViewBytes", label: "view bytes"},

@@ -59,12 +59,12 @@ func TestMetricsReportGolden(t *testing.T) {
   batch loads               101
   rows appended             102
   rows merged in place      103
-  ingest queued             128
-  ingest compacted          129
-  ingest late facts         130
-  ingest rejected           131
-  ingest pending            132
-  compaction latency        n=41 mean=1.52ms p50<1.52ms p95<3.03ms max=6.07ms
+  ingest queued             129
+  ingest compacted          130
+  ingest late facts         131
+  ingest rejected           132
+  ingest pending            133
+  compaction latency        n=42 mean=1.55ms p50<1.55ms p95<3.11ms max=6.22ms
 synchronization:
   clock advances            104
   sync rounds               105
@@ -81,14 +81,14 @@ synchronization:
   router cache hits         116
   program probes            117
   program bitset bytes      118
-  sync latency              n=39 mean=1.44ms p50<1.44ms p95<2.89ms max=5.77ms
+  sync latency              n=40 mean=1.48ms p50<1.48ms p95<2.96ms max=5.92ms
 snapshots:
-  publishes                 133
-  drain waits               134
-  side reclones             135
-  rows levelled             136
-  epoch                     137
-  retained                  138
+  publishes                 134
+  drain waits               135
+  side reclones             136
+  rows levelled             137
+  epoch                     138
+  retained                  139
 queries:
   queries                   119
   cubes consulted           120
@@ -96,16 +96,17 @@ queries:
   rows scanned              122
   rows selected             123
   view hits                 124
-  view misses               125
-  view builds               126
-  view bytes                127
-  query latency             n=40 mean=1.48ms p50<1.48ms p95<2.96ms max=5.92ms
+  view hits folded          125
+  view misses               126
+  view builds               127
+  view bytes                128
+  query latency             n=41 mean=1.52ms p50<1.52ms p95<3.03ms max=6.07ms
 storage:
-  subcubes                  146
-  live rows                 142
-  dead rows                 144
-  fact bytes                143
-  dimension bytes           145
+  subcubes                  147
+  live rows                 143
+  dead rows                 145
+  fact bytes                144
+  dimension bytes           146
 `
 	if got := s.String(); got != want {
 		t.Errorf("report changed:\n%s\nwant:\n%s", got, want)

@@ -41,6 +41,8 @@ type Trace struct {
 	Query       string // the query's source text, when known
 	At          string // the evaluation time, rendered by the caller
 	Synced      bool   // whether the cube set was synchronized at query time
+	View        string // shape key of the materialized view that served the query; empty on the base path
+	ViewStored  bool   // the view sits at the query's granularity and was returned as stored, not folded
 	Cubes       []CubeTrace
 	Stages      []Stage
 	ResultCells int // cells in the final result
@@ -107,6 +109,13 @@ func (t *Trace) String() string {
 			path = "scan"
 		}
 		fmt.Fprintf(&b, " %s rows=%d kept=%d in %s\n", path, c.RowsScanned, c.RowsKept, fmtDur(c.Duration))
+	}
+	if t.View != "" {
+		how := "folded to the target"
+		if t.ViewStored {
+			how = "served as stored"
+		}
+		fmt.Fprintf(&b, "  view %s %s\n", t.View, how)
 	}
 	for _, st := range t.Stages {
 		fmt.Fprintf(&b, "  stage %-33s %s\n", st.Name, fmtDur(st.Duration))

@@ -1,22 +1,23 @@
 // Package views implements a budgeted set of materialized rollup views
-// over the category-type lattice (ROADMAP item 3; Gray et al.'s data
-// cube, the hierarchical-datacube reduced representations). The subcube
-// DAG stores facts at the specification's granularities; every query
-// still folds them up to its requested Group_high level. Because the
-// default aggregate functions are distributive (Definition 6, enforced
-// by the purity analyzer), the two-step fold α[G_q](α[G](O)) equals the
-// direct α[G_q](O) whenever G <=_g G_q — so a view materialized once at
-// G answers every query at or above G exactly, for a fraction of the
-// scan.
+// over the category-type lattice (Gray et al.'s data cube, the
+// hierarchical-datacube reduced representations). The subcube DAG stores
+// facts at the specification's granularities; every query still folds
+// them up to its requested Group_high level. Because the default
+// aggregate functions are distributive (Definition 6, enforced by the
+// purity analyzer), the two-step fold α[G_q](α[G](O)) equals the direct
+// α[G_q](O) whenever G <=_g G_q — so a view materialized once at G
+// answers every query at or above G exactly, for a fraction of the
+// scan, and a query at G itself is the view as stored.
 //
 // A greedy selector picks which granularities to materialize by
 // observed benefit: query-shape frequencies from the obs trace times
 // estimated rows saved, per estimated byte, capped by a configurable
-// byte budget (the ViewBytes gauge accounts the spend). Views are built
-// with the existing parallel evaluation machinery on the unpublished
-// working side and published inside the immutable snapshot, so readers
-// never observe a half-built view; a stale view (older clock, older
-// spec generation) is skipped, never served.
+// byte budget (the ViewBytes gauge accounts the spend). Build evaluates
+// each picked granularity as an ordinary query on the unpublished
+// working side, inside the commit, and the set is published inside the
+// immutable snapshot, so readers never observe a half-built view; a
+// stale view (older clock, older spec generation) is skipped, never
+// served.
 package views
 
 import (
@@ -196,30 +197,59 @@ func uniformAt(schema *mdm.Schema, mo *mdm.MO, g mdm.Granularity) bool {
 	return true
 }
 
-// Answer tries to answer q from the smallest fresh ancestor view: the
-// set must have been built at exactly clock t under specification
-// generation gen (staleness is never observable — a stale set is
-// skipped, not served), and the view's granularity must roll up to the
-// query target. The views are kept sorted smallest-first, so the first
-// eligible one minimizes the rows folded. The caller has already
-// checked q.ViewEligible; an aggregation error reports a miss so the
-// base path recomputes (and surfaces the real error, if any).
+// Serving returns the view a query at target reads, and whether it is
+// materialized at exactly that granularity: the exact view when the set
+// has one, otherwise the smallest view that rolls up to the target (the
+// views are sorted smallest-first, so the first eligible one minimizes
+// the rows folded), otherwise nil. The exact lookup comes first because
+// row order alone does not find it: a finer view with as many rows sorts
+// beside the exact one, and folding it reproduces, cell for cell, what
+// the exact view already holds. Freshness is Answer's check, not this
+// one's.
+func (s *Set) Serving(schema *mdm.Schema, target mdm.Granularity) (v *View, exact bool) {
+	if s == nil || len(target) != schema.NumDims() {
+		return nil, false
+	}
+	for _, v := range s.views {
+		if schema.GranEq(v.gran, target) {
+			return v, true
+		}
+	}
+	for _, v := range s.views {
+		if spec.RollupReachableSchema(schema, v.gran, target) {
+			return v, false
+		}
+	}
+	return nil, false
+}
+
+// Answer tries to answer q from the set: it must have been built at
+// exactly clock t under specification generation gen (staleness is never
+// observable — a stale set is skipped, not served), and some view's
+// granularity must roll up to the query target (Serving). A view at
+// exactly the target is the answer as stored — aggregating it again
+// would map every fact onto its own cell and re-derive the names, base
+// counts and COUNT measures it already carries — so the caller gets a
+// copy of it: the view stays frozen inside the snapshot other readers
+// share, and the answer is the caller's to modify, as a folded one is.
+// Only a target strictly above the serving view is folded, by
+// query.Aggregate. The caller has already checked q.ViewEligible; an
+// aggregation error reports a miss so the base path recomputes (and
+// surfaces the real error, if any).
 func (s *Set) Answer(schema *mdm.Schema, q subcube.Query, t caltime.Day, gen uint64) (*mdm.MO, bool) {
 	if s == nil || s.builtAt != t || s.gen != gen {
 		return nil, false
 	}
-	if len(q.Target) != schema.NumDims() {
+	v, exact := s.Serving(schema, q.Target)
+	if v == nil {
 		return nil, false
 	}
-	for _, v := range s.views {
-		if !spec.RollupReachableSchema(schema, v.gran, q.Target) {
-			continue
-		}
-		mo, err := query.Aggregate(v.mo, q.Target, q.Agg)
-		if err != nil {
-			return nil, false
-		}
-		return mo, true
+	if exact {
+		return v.mo.Clone(), true
 	}
-	return nil, false
+	mo, err := query.Aggregate(v.mo, q.Target, q.Agg)
+	if err != nil {
+		return nil, false
+	}
+	return mo, true
 }

@@ -639,14 +639,17 @@ func (w *Warehouse) query(q subcube.Query, at *caltime.Day, tr *obs.Trace) (*mdm
 }
 
 // viewAnswer tries to answer q from the snapshot's materialized views:
-// the smallest view whose granularity rolls up to the target, provided
-// the set was built at exactly clock t under the snapshot's spec
-// generation (a stale view is skipped, not served — the base subcubes
-// answer instead). Every view-eligible query records its shape into
-// the selector's trace, hit or miss; misses are counted only while a
-// view set is published, so a views-off warehouse pays one map probe
-// and nothing else. A hit fills tr (when non-nil) with a single
-// "views.Answer" stage and no cube entries: no subcube was scanned.
+// the view at the target's granularity as stored, else the smallest
+// view that rolls up to it, folded — provided the set was built at
+// exactly clock t under the snapshot's spec generation (a stale view is
+// skipped, not served — the base subcubes answer instead). Every
+// view-eligible query records its shape into the selector's trace, hit
+// or miss; misses are counted only while a view set is published, so a
+// views-off warehouse pays one map probe and nothing else. ViewFolds
+// counts the hits that had to fold, so hits - folds says how often the
+// selector had materialized the very shape asked. A hit fills tr (when
+// non-nil) with the serving view, a single "views.Answer" stage and no
+// cube entries: no subcube was scanned.
 func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, t caltime.Day, tr *obs.Trace) (*mdm.MO, bool) {
 	if !q.ViewEligible() || len(q.Target) != w.env.Schema.NumDims() {
 		return nil, false
@@ -665,11 +668,16 @@ func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, t caltime.Day, tr *
 		return nil, false
 	}
 	w.met.ViewHits.Inc()
+	v, stored := s.views.Serving(w.env.Schema, q.Target)
+	if !stored {
+		w.met.ViewFolds.Inc()
+	}
 	if tr != nil {
 		last, synced := s.cubes.LastSync()
 		tr.Synced = synced && last == t
 		tr.Total = w.met.Clock().Since(start)
 		tr.AddStage(obs.StageViewAnswer, tr.Total)
+		tr.View, tr.ViewStored = v.Key(), stored
 		tr.ResultCells = mo.Len()
 	}
 	return mo, true

@@ -118,3 +118,82 @@ func TestMetricsFacade(t *testing.T) {
 		t.Errorf("ViewBytes = %d after DisableViews", got)
 	}
 }
+
+// TestViewHitsSayWhatTheyDid: a query at a materialized shape is served
+// as stored, one above it folds the view, and both the trace and the
+// counters say which — ViewHits - ViewFolds is how often the selector had
+// picked the very shape asked.
+func TestViewHitsSayWhatTheyDid(t *testing.T) {
+	timeDim := dimred.NewTimeDim()
+	urlDim := dimred.NewURLDim()
+	schema, err := dimred.NewSchema("Click",
+		[]*dimred.Dimension{timeDim.Dimension, urlDim.Dimension},
+		[]dimred.Measure{{Name: "Clicks", Agg: dimred.AggSum}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := dimred.NewEnv(schema, "Time", timeDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := dimred.Open(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AdvanceTo(dimred.Date(2024, 4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	err = w.LoadBatch(func(load func([]dimred.ValueID, []float64) error) error {
+		for day := 0; day < 90; day++ {
+			d := timeDim.EnsureDay(dimred.Date(2024, 1, 1) + dimred.Day(day))
+			for _, url := range []string{"http://shop.example.com/", "http://news.example.org/"} {
+				u, err := urlDim.EnsureURL(url)
+				if err != nil {
+					return err
+				}
+				if err := load([]dimred.ValueID{d, u}, []float64{1}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stored, above = `aggregate [Time.month, URL.domain]`, `aggregate [Time.year, URL.domain_grp]`
+	if _, err := w.Query(stored); err != nil { // the shape the selector learns
+		t.Fatal(err)
+	}
+	if err := w.EnableViews(dimred.ViewConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	before := w.Metrics()
+
+	_, tr, err := w.QueryTraced(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.View == "" || !tr.ViewStored || !strings.Contains(tr.String(), "view "+tr.View+" served as stored") {
+		t.Errorf("exact hit not reported as stored:\n%s", tr)
+	}
+	view := tr.View
+	_, tr, err = w.QueryTraced(above)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.View != view || tr.ViewStored || !strings.Contains(tr.String(), "view "+view+" folded to the target") {
+		t.Errorf("ancestor hit not reported as a fold of view %s:\n%s", view, tr)
+	}
+	if len(tr.Stages) != 1 || tr.Stages[0].Name != "views.Answer" {
+		t.Errorf("a view hit's one stage changed its name:\n%s", tr)
+	}
+
+	d := w.Metrics().Sub(before)
+	if d.ViewHits != 2 || d.ViewFolds != 1 || d.ViewMisses != 0 {
+		t.Errorf("hits=%d folds=%d misses=%d, want 2/1/0", d.ViewHits, d.ViewFolds, d.ViewMisses)
+	}
+	if !strings.Contains(d.String(), "view hits folded") {
+		t.Errorf("Metrics rendering missing the fold counter:\n%s", d)
+	}
+}
