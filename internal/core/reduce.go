@@ -92,22 +92,14 @@ type Result struct {
 // interpretation of SpecGran followed by AggLevel; ReduceInterpreted
 // keeps the uncompiled evaluation for differential testing and
 // benchmark baselines. Both produce identical results. Repeated calls
-// with an unmutated specification reuse the compiled program through a
-// generation-keyed cache — memoization of a pure compile, so Reduce
-// stays referentially transparent (a duplicate compile on a cache race
-// yields an identical program).
+// with an unmutated specification reuse the program its action set owns
+// (specexec.RouterAt) — memoization of a pure compile, so Reduce stays
+// referentially transparent; it has no metric set and records nothing.
 //
 //dimred:aggregate
 func Reduce(s *spec.Spec, mo *mdm.MO, t caltime.Day) (*Result, error) {
-	return reduceWith(s, mo, t, progCache.RouterAt(s, t))
+	return reduceWith(s, mo, t, specexec.RouterAt(s, t, nil))
 }
-
-// progCache memoizes the compiled program of the most recent
-// specification Reduce saw, keyed on its mutation generation. Reduce
-// has no metric set (it is a pure function over its arguments), so the
-// cache is uninstrumented; the subcube engine's cache carries the
-// engine counters.
-var progCache = specexec.NewCache(nil)
 
 // ReduceInterpreted is Reduce on the uncompiled evaluation path: every
 // action predicate is re-interpreted per fact (SpecGran, then AggLevel

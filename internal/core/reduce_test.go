@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -330,4 +331,34 @@ func TestReduceConservationQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestReduceConcurrent runs Reduce from several goroutines over one
+// cold specification (under -race in CI): they race to fill the action
+// set's program slot, and whichever program each one ends up probing,
+// every result equals the interpreted oracle's.
+func TestReduceConcurrent(t *testing.T) {
+	p, s := paperSpec(t)
+	at := day(t, "2000/11/5")
+	oracle, err := ReduceInterpreted(s, p.MO, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracle.MO.Dump()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := Reduce(s, p.MO, at)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := res.MO.Dump(); got != want {
+				t.Errorf("concurrent Reduce differs from ReduceInterpreted:\n%s\nvs\n%s", got, want)
+			}
+		}()
+	}
+	wg.Wait()
 }

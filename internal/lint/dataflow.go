@@ -12,23 +12,13 @@ import (
 // locksets for lockfield, definition bitsets here) and get a
 // flow-sensitive fixpoint over the CFG from cfg.go.
 
-// Direction selects forward (facts flow entry→exit along Succs) or
-// backward (exit→entry along Preds) propagation.
-type Direction int
-
-const (
-	Forward Direction = iota
-	Backward
-)
-
-// Problem is one dataflow problem over a CFG. The fact type F must be
-// treated as immutable by Transfer and Merge: both return fresh (or
-// shared) values and never mutate their arguments — the solver caches
-// and compares facts across iterations.
+// Problem is one forward dataflow problem over a CFG: facts flow from
+// the entry block along Succs. The fact type F must be treated as
+// immutable by Transfer and Merge: both return fresh (or shared) values
+// and never mutate their arguments — the solver caches and compares
+// facts across iterations.
 type Problem[F any] struct {
-	Dir Direction
-	// Boundary is the fact entering the start block (Entry for
-	// Forward, Exit for Backward).
+	// Boundary is the fact entering the entry block.
 	Boundary F
 	// Transfer pushes a fact through one block.
 	Transfer func(b *Block, in F) F
@@ -39,24 +29,15 @@ type Problem[F any] struct {
 }
 
 // Solve runs the worklist algorithm to fixpoint and returns the fact
-// at each block's entry (Forward) or exit (Backward). Blocks
-// unreachable from the start block are absent from the result; for a
-// finite-height lattice with monotone Transfer/Merge the loop
-// terminates.
+// at each block's entry. Blocks unreachable from the entry block are
+// absent from the result; for a finite-height lattice with monotone
+// Transfer/Merge the loop terminates.
 func Solve[F any](g *CFG, p Problem[F]) map[*Block]F {
-	start := g.Entry
-	next := func(b *Block) []*Block { return b.Succs }
-	prev := func(b *Block) []*Block { return b.Preds }
-	if p.Dir == Backward {
-		start = g.Exit
-		next, prev = prev, next
-	}
-
-	in := map[*Block]F{start: p.Boundary}
+	in := map[*Block]F{g.Entry: p.Boundary}
 	out := map[*Block]F{}
 	computed := map[*Block]bool{}
-	queue := []*Block{start}
-	queued := map[*Block]bool{start: true}
+	queue := []*Block{g.Entry}
+	queued := map[*Block]bool{g.Entry: true}
 	for len(queue) > 0 {
 		b := queue[0]
 		queue = queue[1:]
@@ -69,10 +50,10 @@ func Solve[F any](g *CFG, p Problem[F]) map[*Block]F {
 		out[b] = o
 		computed[b] = true
 
-		for _, s := range next(b) {
+		for _, s := range b.Succs {
 			var acc F
 			first := true
-			for _, pr := range prev(s) {
+			for _, pr := range s.Preds {
 				po, ok := out[pr]
 				if !ok {
 					continue
@@ -218,7 +199,6 @@ func NewReachingDefs(info *types.Info, decl *ast.FuncDecl, g *CFG) *ReachingDefs
 	}
 
 	rd.in = Solve(g, Problem[defBits]{
-		Dir:      Forward,
 		Boundary: boundary,
 		Merge:    defBits.union,
 		Equal:    defBits.equal,

@@ -162,99 +162,3 @@ func f() int {
 		t.Fatalf("package-level vars are untracked; want nil, got %v", defs)
 	}
 }
-
-// TestSolveBackwardLiveness exercises the Backward direction with a
-// from-scratch liveness problem: x is live entering the branch (one
-// path returns it) but dead after the trailing dead store.
-func TestSolveBackwardLiveness(t *testing.T) {
-	fd, info := typecheckFunc(t, `package p
-func f(c bool) int {
-	x := 1
-	if c {
-		return x
-	}
-	x = 9
-	return 0
-}`)
-	g := BuildCFG(fd.Body)
-
-	type live = map[*types.Var]bool
-	use := func(n ast.Node, s live) {
-		inspectNoFuncLit(n, func(x ast.Node) bool {
-			if id, ok := x.(*ast.Ident); ok {
-				if v, ok := info.Uses[id].(*types.Var); ok {
-					s[v] = true
-				}
-			}
-			return true
-		})
-	}
-	out := Solve(g, Problem[live]{
-		Dir:      Backward,
-		Boundary: live{},
-		Merge: func(a, b live) live {
-			c := live{}
-			for k := range a {
-				c[k] = true
-			}
-			for k := range b {
-				c[k] = true
-			}
-			return c
-		},
-		Equal: func(a, b live) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for k := range a {
-				if !b[k] {
-					return false
-				}
-			}
-			return true
-		},
-		Transfer: func(b *Block, in live) live {
-			cur := live{}
-			for k := range in {
-				cur[k] = true
-			}
-			// Backward: process nodes in reverse (kill defs, gen uses).
-			for i := len(b.Nodes) - 1; i >= 0; i-- {
-				n := b.Nodes[i]
-				if as, ok := n.(*ast.AssignStmt); ok {
-					for _, lhs := range as.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok {
-							if v, ok := info.Defs[id].(*types.Var); ok {
-								delete(cur, v)
-							}
-						}
-					}
-					for _, rhs := range as.Rhs {
-						use(rhs, cur)
-					}
-					continue
-				}
-				use(n, cur)
-			}
-			return cur
-		},
-	})
-
-	// Under Backward orientation, out[b] is the fact at b's *exit*.
-	xv := findVar(t, info, "x")
-	if !out[g.Entry][xv] {
-		t.Fatal("x must be live at the entry block's exit: the then-branch returns it")
-	}
-	// The block holding the dead store x = 9: x is dead at its exit.
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || as.Tok != token.ASSIGN {
-				continue
-			}
-			if out[b][xv] {
-				t.Fatal("x must be dead after the trailing dead store")
-			}
-		}
-	}
-}

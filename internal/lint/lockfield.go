@@ -288,7 +288,6 @@ func (la *lockAnalysis) run() {
 	}
 
 	in := Solve(la.g, Problem[lockSet]{
-		Dir:      Forward,
 		Boundary: boundary,
 		Merge:    lockMeet,
 		Equal:    lockSetEqual,

@@ -108,7 +108,6 @@ func nowflowFunc(u *Unit, fd *ast.FuncDecl) []Diagnostic {
 	nf := &nowflow{u: u}
 
 	in := Solve(g, Problem[taintSet]{
-		Dir:      Forward,
 		Boundary: taintSet{},
 		Merge:    taintUnion,
 		Equal:    taintEqual,

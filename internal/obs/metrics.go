@@ -38,11 +38,11 @@ type Metrics struct {
 
 	// Compiled evaluation (specexec).
 	ProgramCompiles    Counter // spec→bitset program compilations
-	ProgramCacheHits   Counter // program-cache hits (spec generation unchanged)
-	ProgramCacheMisses Counter // program-cache misses forcing a compile
-	RouterCacheHits    Counter // day-pinned router reuses from the cache
+	ProgramCacheHits   Counter // program lookups served by the action set's compiled program
+	ProgramCacheMisses Counter // program lookups that had to compile
+	RouterCacheHits    Counter // day-pinned router reuses
 	ProgramProbes      Counter // per-row compiled router probes
-	BitsetBytes        Gauge   // bitset bytes retained by the cached program
+	BitsetBytes        Gauge   // bitset bytes retained by the published program
 
 	// Query path.
 	Queries        Counter // cube-set evaluations

@@ -3,6 +3,7 @@ package spec
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"dimred/internal/caltime"
 	"dimred/internal/mdm"
@@ -17,13 +18,22 @@ type Spec struct {
 	//dimred:shared the schema environment is frozen after construction; every Spec over a schema shares one Env
 	env     *Env
 	actions []*Action
-	// gen counts committed mutations of the action set. Specifications
-	// mutate in place, so derived structures (compiled specexec
-	// programs) cannot be cached by pointer alone; they key on
-	// (pointer, generation) instead. commit is the only writer of
-	// actions outside Clone, and it bumps gen with every write.
+	// gen counts committed mutations of the action set. commit is the
+	// only writer of actions outside Clone, and it bumps gen with every
+	// write.
 	gen uint64
+	// memo is the slot for what is derived from exactly this action set
+	// (the compiled specexec program). An action set never changes, it is
+	// replaced: commit replaces the slot with it, Clone shares both.
+	//dimred:shared the slot belongs to the action set, not to the Spec: it is filled once, atomically, and commit replaces the pointer instead of writing through it
+	memo *atomic.Value
 }
+
+// Memo returns the slot for the one value derived from the current
+// action set: empty after every committed mutation, shared with every
+// Clone taken since. Its users (package specexec) fill it with
+// CompareAndSwap(nil, v) and never write it again.
+func (s *Spec) Memo() *atomic.Value { return s.memo }
 
 // Generation returns the specification's mutation generation: it
 // increases on every committed Insert or Delete and never otherwise, so
@@ -36,8 +46,9 @@ func (s *Spec) Generation() uint64 { return s.gen }
 // commit is the one place the action set changes (Definitions 3 and 4):
 // the candidate replaces it only if it is NonCrossing and Growing and
 // admit, the operator's own last condition (nil for none), accepts; the
-// generation is bumped with the assignment. On any error the
-// specification is untouched. op names the operator in the error.
+// generation is bumped and the memo slot replaced with the assignment.
+// On any error the specification is untouched. op names the operator in
+// the error.
 func (s *Spec) commit(op string, candidate []*Action, admit func() error) error {
 	if err := CheckNonCrossing(s.env, candidate); err != nil {
 		return fmt.Errorf("spec: %s rejected: %w", op, err)
@@ -52,33 +63,34 @@ func (s *Spec) commit(op string, candidate []*Action, admit func() error) error 
 	}
 	s.actions = candidate
 	s.gen++
+	s.memo = new(atomic.Value)
 	return nil
 }
 
 // Empty returns a specification with no actions.
 func Empty(env *Env) *Spec {
-	return &Spec{env: env}
+	return &Spec{env: env, memo: new(atomic.Value)}
 }
 
 // New builds a specification from the given actions, verifying
 // NonCrossing and Growing.
 func New(env *Env, actions ...*Action) (*Spec, error) {
-	s := &Spec{env: env}
+	s := Empty(env)
 	if err := s.Insert(actions...); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// Clone returns an independent specification with the same action set
-// and the same generation. Compiled actions are immutable, so the clone
-// shares them; the action slice itself is copied, and later mutations
-// of either specification leave the other untouched. The generation
-// carries over so that generation-keyed caches treat the clone as the
-// same logical state, and lockstep mutations of two clones keep their
-// generations equal.
+// Clone returns an independent specification with the same action set,
+// the same generation and the same memo slot. Compiled actions are
+// immutable, so the clone shares them — and with them whatever either
+// side derives from them; the action slice itself is copied, and later
+// mutations of either specification leave the other untouched. The
+// generation carries over so that lockstep mutations of two clones keep
+// their generations equal.
 func (s *Spec) Clone() *Spec {
-	return &Spec{env: s.env, actions: append([]*Action(nil), s.actions...), gen: s.gen}
+	return &Spec{env: s.env, actions: append([]*Action(nil), s.actions...), gen: s.gen, memo: s.memo}
 }
 
 // Env returns the schema environment the specification is bound to.

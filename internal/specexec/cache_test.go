@@ -25,17 +25,16 @@ func cacheSpec(t *testing.T) (*spec.Spec, *spec.Action) {
 	return s, spec.MustCompileString("del", `delete where Time.year <= NOW - 2 years`, env)
 }
 
-// TestCacheGenerationKeyed pins the cache contract: an unchanged
-// (spec, generation) pair reuses the compiled program, a committed
-// mutation forces exactly one recompile, and a rejected mutation —
-// which leaves the generation alone — does not.
+// TestCacheGenerationKeyed pins the memo contract: an unchanged action
+// set reuses the compiled program, a committed mutation forces exactly
+// one recompile, and a rejected mutation — which leaves the generation
+// and the action set alone — does not.
 func TestCacheGenerationKeyed(t *testing.T) {
 	s, del := cacheSpec(t)
 	met := obs.NewMetrics()
-	c := specexec.NewCache(met)
 
-	p1 := c.ProgramFor(s)
-	if p2 := c.ProgramFor(s); p2 != p1 {
+	p1 := specexec.ProgramFor(s, met)
+	if p2 := specexec.ProgramFor(s, met); p2 != p1 {
 		t.Fatal("second ProgramFor with unchanged generation recompiled")
 	}
 	snap := met.Snapshot()
@@ -56,7 +55,7 @@ func TestCacheGenerationKeyed(t *testing.T) {
 	if s.Generation() != gen {
 		t.Fatalf("rejected Insert bumped the generation: %d -> %d", gen, s.Generation())
 	}
-	if c.ProgramFor(s) != p1 {
+	if specexec.ProgramFor(s, met) != p1 {
 		t.Fatal("rejected Insert invalidated the cache")
 	}
 
@@ -67,11 +66,11 @@ func TestCacheGenerationKeyed(t *testing.T) {
 	if s.Generation() != gen+1 {
 		t.Fatalf("Insert bumped generation to %d, want %d", s.Generation(), gen+1)
 	}
-	p3 := c.ProgramFor(s)
+	p3 := specexec.ProgramFor(s, met)
 	if p3 == p1 {
 		t.Fatal("ProgramFor returned the stale pre-mutation program")
 	}
-	if p4 := c.ProgramFor(s); p4 != p3 {
+	if p4 := specexec.ProgramFor(s, met); p4 != p3 {
 		t.Fatal("post-mutation program not cached")
 	}
 	if got := met.Snapshot().ProgramCompiles; got != 2 {
@@ -85,7 +84,7 @@ func TestCacheGenerationKeyed(t *testing.T) {
 	if s.Generation() != gen+2 {
 		t.Fatalf("Delete bumped generation to %d, want %d", s.Generation(), gen+2)
 	}
-	if c.ProgramFor(s) == p3 {
+	if specexec.ProgramFor(s, met) == p3 {
 		t.Fatal("ProgramFor returned the stale pre-Delete program")
 	}
 }
@@ -97,14 +96,13 @@ func TestCacheGenerationKeyed(t *testing.T) {
 func TestCacheRouterDay(t *testing.T) {
 	s, del := cacheSpec(t)
 	met := obs.NewMetrics()
-	c := specexec.NewCache(met)
 
 	d := caltime.Date(2000, 9, 1)
-	r1 := c.RouterAt(s, d)
+	r1 := specexec.RouterAt(s, d, met)
 	if r1.Day() != d {
 		t.Fatalf("RouterAt pinned day %v, want %v", r1.Day(), d)
 	}
-	if r2 := c.RouterAt(s, d); r2 != r1 {
+	if r2 := specexec.RouterAt(s, d, met); r2 != r1 {
 		t.Fatal("same-day RouterAt re-pinned a new router")
 	}
 	if got := met.Snapshot().RouterCacheHits; got != 1 {
@@ -113,17 +111,17 @@ func TestCacheRouterDay(t *testing.T) {
 
 	// A different day pins its own router without evicting r1 (distinct
 	// slot for adjacent days).
-	r3 := c.RouterAt(s, d+1)
+	r3 := specexec.RouterAt(s, d+1, met)
 	if r3 == r1 || r3.Day() != d+1 {
 		t.Fatalf("RouterAt(d+1) = day %v (same router %v)", r3.Day(), r3 == r1)
 	}
-	if c.RouterAt(s, d) != r1 {
+	if specexec.RouterAt(s, d, met) != r1 {
 		t.Fatal("pinning an adjacent day evicted the original router")
 	}
 
 	// Days before the epoch are negative; the slot index must not be.
 	neg := caltime.Day(-3)
-	if r := c.RouterAt(s, neg); r.Day() != neg {
+	if r := specexec.RouterAt(s, neg, met); r.Day() != neg {
 		t.Fatalf("RouterAt(%v) pinned day %v", neg, r.Day())
 	}
 
@@ -131,7 +129,7 @@ func TestCacheRouterDay(t *testing.T) {
 	if err := s.Insert(del); err != nil {
 		t.Fatal(err)
 	}
-	r4 := c.RouterAt(s, d)
+	r4 := specexec.RouterAt(s, d, met)
 	if r4 == r1 {
 		t.Fatal("spec mutation did not invalidate the pinned router")
 	}
@@ -140,146 +138,116 @@ func TestCacheRouterDay(t *testing.T) {
 	}
 }
 
-// TestCacheCloneCarriesProgram: the cache cloned for a Spec.Clone starts
-// with the program and pinned routers of the original, bound to the
-// clone — no compile, no re-pin, the same verdicts — and shares nothing
-// a mutation of either specification can reach. A cache that holds
-// nothing current for the cloned specification clones empty.
-func TestCacheCloneCarriesProgram(t *testing.T) {
+// TestClonesShareTheProgram: the compiled program belongs to the action
+// set, so a Spec.Clone starts with it — no compile, no re-pin, routers
+// that compare — until either side is mutated, which costs that side one
+// compile and leaves the other's program in place. Sharing follows the
+// action set, not the generation number: a separately built
+// specification at the same generation shares nothing.
+func TestClonesShareTheProgram(t *testing.T) {
 	s, del := cacheSpec(t)
 	met := obs.NewMetrics()
-	c := specexec.NewCache(met)
 	d := caltime.Date(2000, 9, 1)
-	r := c.RouterAt(s, d)
+	p := specexec.ProgramFor(s, met)
+	r := specexec.RouterAt(s, d, met)
 
 	s2 := s.Clone()
-	c2 := c.Clone(s, s2)
 	before := met.Snapshot()
-	p2 := c2.ProgramFor(s2)
-	r2 := c2.RouterAt(s2, d)
-	if delta := met.Snapshot().Sub(before); delta.ProgramCompiles != 0 || delta.ProgramCacheMisses != 0 || delta.RouterCacheHits != 1 {
-		t.Fatalf("first lookups through the clone: compiles=%d misses=%d router hits=%d, want 0/0/1",
+	if specexec.ProgramFor(s2, met) != p || specexec.RouterAt(s2, d, met) != r {
+		t.Fatal("a specification clone does not serve the original's program and pinned router")
+	}
+	// A day pinned through the clone is a hit through the original, and
+	// the two routers are day-pinnings of one program.
+	r1 := specexec.RouterAt(s2, d+1, met)
+	if specexec.RouterAt(s, d+1, met) != r1 || !r1.SameVerdicts(r) {
+		t.Fatal("a day pinned through the clone is not shared with the original")
+	}
+	if delta := met.Snapshot().Sub(before); delta.ProgramCompiles != 0 || delta.ProgramCacheMisses != 0 || delta.RouterCacheHits != 2 {
+		t.Fatalf("lookups across a clone: compiles=%d misses=%d router hits=%d, want 0/0/2",
 			delta.ProgramCompiles, delta.ProgramCacheMisses, delta.RouterCacheHits)
 	}
-	if p2 == c.ProgramFor(s) || p2.Spec() != s2 || r2 == r {
-		t.Fatal("the clone serves the original's program or router instead of ones bound to the cloned specification")
-	}
-	if !r2.SameVerdicts(c2.RouterAt(s2, d+1)) || r2.SameVerdicts(r) {
-		t.Fatal("cloned routers must compare among themselves and never with the original's")
-	}
-	cell := make([]mdm.ValueID, len(s.Env().Schema.Dims))
-	lvA, lvB := make(mdm.Granularity, len(cell)), make(mdm.Granularity, len(cell))
-	r.AggLevelInto(cell, lvA, nil)
-	r2.AggLevelInto(cell, lvB, nil)
-	if !s.Env().Schema.GranEq(lvA, lvB) {
-		t.Fatalf("cloned router levels %v, original %v", lvB, lvA)
-	}
 
-	// Mutating the original recompiles the original's cache only.
+	// Mutating the original costs exactly one compile, on the original.
 	if err := s.Insert(del); err != nil {
 		t.Fatal(err)
 	}
 	before = met.Snapshot()
-	if c2.ProgramFor(s2) != p2 || c.ProgramFor(s) == nil {
-		t.Fatal("mutating the original specification disturbed the clone's cache")
+	if specexec.ProgramFor(s2, met) != p || specexec.RouterAt(s2, d, met) != r {
+		t.Fatal("mutating the original specification disturbed the clone's program")
+	}
+	p3 := specexec.ProgramFor(s, met)
+	if p3 == p || specexec.ProgramFor(s.Clone(), met) != p3 {
+		t.Fatal("the mutated specification must own a new program and share it with its clones")
 	}
 	if delta := met.Snapshot().Sub(before); delta.ProgramCompiles != 1 {
-		t.Fatalf("compiles after mutating the original = %d, want 1 (the original's)", delta.ProgramCompiles)
+		t.Fatalf("compiles after mutating the original = %d, want 1", delta.ProgramCompiles)
 	}
 
-	// Nothing to carry: a cache that is empty, or holds the program of
-	// another specification — here one at the very generation of the
-	// clone, which a generation check alone would take for a hit —
-	// clones cold.
+	// Another specification at the very generation of the clone — which a
+	// generation check alone would take for the same state — is cold.
 	other, err := spec.New(s.Env(), del)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3 := s2.Clone()
-	if other.Generation() != s3.Generation() {
-		t.Fatalf("fixture: generations %d and %d differ", other.Generation(), s3.Generation())
+	if other.Generation() != s2.Generation() {
+		t.Fatalf("fixture: generations %d and %d differ", other.Generation(), s2.Generation())
 	}
-	foreign := specexec.NewCache(met)
-	foreign.ProgramFor(other)
-	for name, cold := range map[string]*specexec.Cache{
-		"empty cache":   specexec.NewCache(met).Clone(s2, s3),
-		"foreign cache": foreign.Clone(s2, s3),
-	} {
-		before = met.Snapshot()
-		if p := cold.ProgramFor(s3); p.Spec() != s3 {
-			t.Errorf("%s: served a program of another specification", name)
-		}
-		if delta := met.Snapshot().Sub(before); delta.ProgramCompiles != 1 {
-			t.Errorf("%s: compiles = %d on first lookup, want 1", name, delta.ProgramCompiles)
-		}
+	before = met.Snapshot()
+	if specexec.ProgramFor(other, met) == p {
+		t.Fatal("a separately built specification served another action set's program")
+	}
+	if delta := met.Snapshot().Sub(before); delta.ProgramCompiles != 1 {
+		t.Fatalf("compiles on a separately built specification's first lookup = %d, want 1", delta.ProgramCompiles)
 	}
 }
 
-// TestCacheAdoptCarriesRouters: levelling one side of a left-right pair
-// hands it the routers the other pinned meanwhile, bound to its own
-// program, so a day is pinned once for both; a cache with nothing current
-// of its own takes the other's whole, and one facing a cache of another
-// generation is left alone.
-func TestCacheAdoptCarriesRouters(t *testing.T) {
-	s, del := cacheSpec(t)
-	met := obs.NewMetrics()
-	theirs := specexec.NewCache(met)
-	d := caltime.Date(2000, 9, 1)
-	theirs.RouterAt(s, d)
-	s2 := s.Clone()
-	mine := theirs.Clone(s, s2)
-	prog := mine.ProgramFor(s2)
+// TestRouterIsAFunctionOfItsActionSet: a pinned router answers from the
+// actions it was compiled from even for a cell outside its bitset domain,
+// whatever the specification has become since.
+func TestRouterIsAFunctionOfItsActionSet(t *testing.T) {
+	obj, env := buildClickEnv(t)
+	s, err := spec.New(env,
+		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := caltime.Date(2005, 7, 1)
+	r := specexec.RouterAt(s, at, nil)
 
-	// The other side moves on two days; d+4 takes d's slot, there and —
-	// adopted — here.
-	r1, r4 := theirs.RouterAt(s, d+1), theirs.RouterAt(s, d+4)
-	mine.Adopt(theirs, s, s2)
-	before := met.Snapshot()
-	m1, m4 := mine.RouterAt(s2, d+1), mine.RouterAt(s2, d+4)
-	if delta := met.Snapshot().Sub(before); delta.RouterCacheHits != 2 || delta.ProgramCompiles != 0 {
-		t.Fatalf("lookups of adopted days: router hits=%d compiles=%d, want 2/0", delta.RouterCacheHits, delta.ProgramCompiles)
-	}
-	if m1 == r1 || m4 == r4 || !m1.SameVerdicts(m4) || m1.SameVerdicts(r1) {
-		t.Fatal("adopted routers must be bound to the adopting cache's program, not shared with the source")
-	}
-	if mine.ProgramFor(s2) != prog {
-		t.Fatal("adopting routers replaced the program the cache already held")
-	}
-
-	// A cache with nothing current takes the source's entry whole.
-	s3 := s.Clone()
-	empty := specexec.NewCache(met)
-	empty.Adopt(theirs, s, s3)
-	before = met.Snapshot()
-	if p := empty.ProgramFor(s3); p.Spec() != s3 {
-		t.Fatal("adopted program is bound to another specification")
-	}
-	empty.RouterAt(s3, d+4)
-	if delta := met.Snapshot().Sub(before); delta.ProgramCompiles != 0 || delta.RouterCacheHits != 1 {
-		t.Fatalf("first lookups through an adopted entry: compiles=%d router hits=%d, want 0/1", delta.ProgramCompiles, delta.RouterCacheHits)
-	}
-
-	// The source moved to another generation: nothing of it fits.
+	// A day added after the compile is out of domain; the deletion action
+	// inserted afterwards selects it.
+	cell := []mdm.ValueID{obj.Time.EnsureDay(caltime.Date(2002, 6, 1)), obj.MO.Refs(0)[1]}
+	want := make(mdm.Granularity, len(cell))
+	r.AggLevelInto(cell, want, nil)
+	del := spec.MustCompileString("del", `delete where Time.year <= NOW - 2 years`, env)
 	if err := s.Insert(del); err != nil {
 		t.Fatal(err)
 	}
-	theirs.RouterAt(s, d+2)
-	mine.Adopt(theirs, s, s2)
-	before = met.Snapshot()
-	mine.RouterAt(s2, d+2)
-	if delta := met.Snapshot().Sub(before); delta.RouterCacheHits != 0 || delta.ProgramCompiles != 0 {
-		t.Fatalf("after a foreign-generation Adopt: router hits=%d compiles=%d, want a fresh pin on the kept program (0/0)",
-			delta.RouterCacheHits, delta.ProgramCompiles)
+	if s.DeletedBy(cell, at) != del {
+		t.Fatal("fixture: the inserted deletion does not select the out-of-domain cell")
+	}
+	if got := r.DeletedBy(cell); got != nil {
+		t.Fatalf("a router pinned before the insert reports the cell deleted by %s", got.Name())
+	}
+	got := make(mdm.Granularity, len(cell))
+	r.AggLevelInto(cell, got, nil)
+	if !env.Schema.GranEq(got, want) {
+		t.Fatalf("AggLevelInto changed with the specification: %v, was %v", got, want)
+	}
+	if r2 := specexec.RouterAt(s, at, nil); r2 == r || r2.DeletedBy(cell) != del {
+		t.Fatal("the mutated specification's own router must see the deletion")
 	}
 }
 
-// TestCacheConcurrentLookups hammers one cold cache from many
-// goroutines (run under -race in CI): duplicate compiles on the
-// publication race are fine, but every caller must get a program for
-// the right spec and a router for the day it asked.
+// TestCacheConcurrentLookups hammers one cold memo slot from many
+// goroutines, half of them through a clone of the specification (run
+// under -race in CI): duplicate compiles on the publication race are
+// fine, but every caller must get a router for the day it asked, and
+// once the race is over everyone holds the one published program.
 func TestCacheConcurrentLookups(t *testing.T) {
 	s, _ := cacheSpec(t)
-	c := specexec.NewCache(obs.NewMetrics())
+	met := obs.NewMetrics()
+	sides := []*spec.Spec{s, s.Clone()}
 	days := []caltime.Day{
 		caltime.Date(2000, 3, 1), caltime.Date(2000, 9, 1),
 		caltime.Date(2001, 1, 1), caltime.Date(2002, 6, 15),
@@ -291,12 +259,13 @@ func TestCacheConcurrentLookups(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if p := c.ProgramFor(s); p.Spec() != s {
-					errs <- "ProgramFor returned a program for another spec"
+				sp := sides[g%2]
+				if specexec.ProgramFor(sp, met) == nil {
+					errs <- "ProgramFor returned no program"
 					return
 				}
 				d := days[(g+i)%len(days)]
-				if r := c.RouterAt(s, d); r.Day() != d {
+				if r := specexec.RouterAt(sp, d, met); r.Day() != d {
 					errs <- "RouterAt returned a router pinned to another day"
 					return
 				}
@@ -307,5 +276,8 @@ func TestCacheConcurrentLookups(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+	if specexec.ProgramFor(sides[0], met) != specexec.ProgramFor(sides[1], met) {
+		t.Error("the two specifications ended up with different programs")
 	}
 }

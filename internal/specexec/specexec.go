@@ -18,12 +18,14 @@
 //
 // Values added to a dimension after compilation are outside the bitset
 // domain; the Router detects them (the per-dimension domain size is
-// recorded at compile time) and falls back to the interpreted path for
-// that cell, so a stale program is never wrong, only slower.
+// recorded at compile time) and interprets its own actions' predicates
+// for that cell, so a program behind its dimensions is never wrong, only
+// slower.
 package specexec
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"dimred/internal/caltime"
 	"dimred/internal/mdm"
@@ -76,31 +78,23 @@ type progAction struct {
 	disjuncts []progDisjunct
 }
 
-// Program is a compiled (Spec, Env) pair. It is immutable after
-// Compile; obtain a day-pinned Router with At. Because Spec.Insert and
-// Spec.Delete mutate the specification in place, a Program is stale as
-// soon as the specification's Generation changes — the engine reuses
-// one through a generation-keyed Cache, so compilation happens once
-// per spec mutation instead of once per synchronization, reduction or
-// unsynchronized query, and costs one verdict per (test, dimension
-// value) instead of one per (test, row).
+// Program is a compiled action set: a function of the actions a
+// specification held when Compile read them and of the dimension values
+// that existed then, holding no reference to the specification. It is
+// immutable after Compile but for the router memo, which only caches
+// what At would compute. Actions never change once admitted —
+// Spec.Insert and Spec.Delete replace the set — so the engine keeps one
+// Program per action set (ProgramFor): compilation happens once per spec
+// mutation, not once per synchronization, reduction or unsynchronized
+// query, and costs one verdict per (test, dimension value), not one per
+// (test, row).
 type Program struct {
-	sp *spec.Spec
-	//dimred:shared the schema environment is frozen after construction
-	env *spec.Env
-	//dimred:shared compiled actions and their masks are immutable after Compile; a clone differs only in the specification it falls back to
-	acts []progAction
-	//dimred:shared written once by Compile
+	env   *spec.Env
+	acts  []progAction
 	nVals []int // per dimension: domain size at compile time
 	bytes int64 // bitset bytes held by the compile-time masks
-}
-
-// clone returns the program re-bound to sp, a Spec.Clone of the
-// specification it was compiled from: the same action set, so the same
-// masks, but out-of-domain cells fall back to sp — the original may be
-// mutated by a writer the clone's readers know nothing of.
-func (p *Program) clone(sp *spec.Spec) *Program {
-	return &Program{sp: sp, env: p.env, acts: p.acts, nVals: p.nVals, bytes: p.bytes}
+	// routers memoizes At per day, direct-mapped; RouterAt fills it.
+	routers [routerSlots]atomic.Pointer[Router]
 }
 
 // Compile builds the program for the specification's current action
@@ -109,7 +103,7 @@ func (p *Program) clone(sp *spec.Spec) *Program {
 // descendant descent included — and materialized as a bitset.
 func Compile(sp *spec.Spec) *Program {
 	env := sp.Env()
-	p := &Program{sp: sp, env: env, nVals: make([]int, len(env.Schema.Dims))}
+	p := &Program{env: env, nVals: make([]int, len(env.Schema.Dims))}
 	for i, d := range env.Schema.Dims {
 		p.nVals[i] = d.NumValues()
 	}
@@ -169,9 +163,6 @@ func (p *Program) testMask(a *spec.Action, i, j, dim int) bitset {
 // transient).
 func (p *Program) BitsetBytes() int64 { return p.bytes }
 
-// Spec returns the specification the program was compiled from.
-func (p *Program) Spec() *spec.Spec { return p.sp }
-
 // routerDisjunct is a fully day-pinned disjunct: a cell satisfies it
 // iff every mask contains the cell's value for the mask's dimension.
 type routerDisjunct struct {
@@ -190,15 +181,9 @@ type routerAction struct {
 // window is resolved to a concrete bitset. Routers are immutable and
 // safe for concurrent use; the probe methods allocate nothing.
 type Router struct {
-	p *Program
-	t caltime.Day
-	//dimred:shared day-pinned masks are immutable after At
+	p    *Program
+	t    caltime.Day
 	acts []routerAction
-}
-
-// clone returns the router re-bound to p, a clone of its program.
-func (r *Router) clone(p *Program) *Router {
-	return &Router{p: p, t: r.t, acts: r.acts}
 }
 
 // At resolves the program at evaluation day t: each time test becomes
@@ -271,8 +256,8 @@ func (r *Router) Day() caltime.Day { return r.t }
 
 // DomainComplete reports whether the program's bitset domain still
 // covers every value of every dimension: no value was added since
-// compilation, so no cell can take the interpreted fallback and the
-// pinned masks are the router's whole verdict table.
+// compilation, so no cell's predicates are interpreted and the pinned
+// masks are the router's whole verdict table.
 func (r *Router) DomainComplete() bool {
 	for i, d := range r.p.env.Schema.Dims {
 		if d.NumValues() != r.p.nVals[i] {
@@ -308,8 +293,8 @@ func (r *Router) SameVerdicts(o *Router) bool {
 }
 
 // inDomain reports whether every cell value lies inside the bitset
-// domain recorded at compile time. Values added afterwards route the
-// whole cell to the interpreted fallback.
+// domain recorded at compile time. A cell with a value added afterwards
+// has every predicate interpreted.
 func (r *Router) inDomain(cell []mdm.ValueID) bool {
 	for i, n := range r.p.nVals {
 		if v := cell[i]; v < 0 || int(v) >= n {
@@ -319,9 +304,9 @@ func (r *Router) inDomain(cell []mdm.ValueID) bool {
 	return true
 }
 
-// actionSatisfied probes one compiled action's disjuncts against an
-// in-domain cell.
-func (r *Router) actionSatisfied(ra *routerAction, cell []mdm.ValueID) bool {
+// probe reports whether an in-domain cell lies in the action's pinned
+// masks. It inlines into every probe loop below.
+func (ra *routerAction) probe(cell []mdm.ValueID) bool {
 	for di := range ra.disjuncts {
 		rd := &ra.disjuncts[di]
 		if rd.never {
@@ -341,6 +326,14 @@ func (r *Router) actionSatisfied(ra *routerAction, cell []mdm.ValueID) bool {
 	return false
 }
 
+// Each probe below tests the domain once, then runs one of two loops over
+// the actions: the mask loop, or — for a cell carrying a value added since
+// the compile — the same loop interpreting each action's own predicate
+// (ra.src, which the masks were compiled from: the router stays a function
+// of its action set and day whatever becomes of the specification). One
+// shared verdict step taking the domain test as an argument costs the mask
+// loop a call per action (EXPERIMENTS.md "One program per action set").
+
 // Satisfied reports whether the cell satisfies action k (in
 // Spec.Actions order) at the router's day — the compiled
 // Action.SatisfiedBy.
@@ -348,7 +341,7 @@ func (r *Router) Satisfied(k int, cell []mdm.ValueID) bool {
 	if !r.inDomain(cell) {
 		return r.acts[k].src.SatisfiedBy(cell, r.t)
 	}
-	return r.actionSatisfied(&r.acts[k], cell)
+	return r.acts[k].probe(cell)
 }
 
 // DeletedBy returns the first deletion action the cell satisfies at
@@ -356,11 +349,15 @@ func (r *Router) Satisfied(k int, cell []mdm.ValueID) bool {
 // nothing.
 func (r *Router) DeletedBy(cell []mdm.ValueID) *spec.Action {
 	if !r.inDomain(cell) {
-		return r.p.sp.DeletedBy(cell, r.t)
+		for k := range r.acts {
+			if ra := &r.acts[k]; ra.isDelete && ra.src.SatisfiedBy(cell, r.t) {
+				return ra.src
+			}
+		}
+		return nil
 	}
 	for k := range r.acts {
-		ra := &r.acts[k]
-		if ra.isDelete && r.actionSatisfied(ra, cell) {
+		if ra := &r.acts[k]; ra.isDelete && ra.probe(cell) {
 			return ra.src
 		}
 	}
@@ -383,24 +380,28 @@ func (r *Router) AggLevelInto(cell []mdm.ValueID, level mdm.Granularity, resp []
 		}
 	}
 	if !r.inDomain(cell) {
-		lv, rs := r.p.sp.AggLevel(cell, r.t)
-		copy(level, lv)
-		if resp != nil {
-			copy(resp, rs)
+		for k := range r.acts {
+			if ra := &r.acts[k]; !ra.isDelete && ra.src.SatisfiedBy(cell, r.t) {
+				ra.raise(dims, level, resp)
+			}
 		}
 		return
 	}
 	for k := range r.acts {
-		ra := &r.acts[k]
-		if ra.isDelete || !r.actionSatisfied(ra, cell) {
-			continue
+		if ra := &r.acts[k]; !ra.isDelete && ra.probe(cell) {
+			ra.raise(dims, level, resp)
 		}
-		for i, d := range dims {
-			if d.CatLE(level[i], ra.target[i]) && level[i] != ra.target[i] {
-				level[i] = ra.target[i]
-				if resp != nil {
-					resp[i] = ra.src
-				}
+	}
+}
+
+// raise lifts level, per dimension, to the action's target where that is
+// higher, and names the action responsible.
+func (ra *routerAction) raise(dims []*mdm.Dimension, level mdm.Granularity, resp []*spec.Action) {
+	for i, d := range dims {
+		if d.CatLE(level[i], ra.target[i]) && level[i] != ra.target[i] {
+			level[i] = ra.target[i]
+			if resp != nil {
+				resp[i] = ra.src
 			}
 		}
 	}
@@ -413,16 +414,14 @@ func (r *Router) AggLevelInto(cell []mdm.ValueID, level mdm.Granularity, resp []
 func (r *Router) AppendSatisfied(dst []*spec.Action, cell []mdm.ValueID) []*spec.Action {
 	if !r.inDomain(cell) {
 		for k := range r.acts {
-			ra := &r.acts[k]
-			if !ra.isDelete && ra.src.SatisfiedBy(cell, r.t) {
+			if ra := &r.acts[k]; !ra.isDelete && ra.src.SatisfiedBy(cell, r.t) {
 				dst = append(dst, ra.src)
 			}
 		}
 		return dst
 	}
 	for k := range r.acts {
-		ra := &r.acts[k]
-		if !ra.isDelete && r.actionSatisfied(ra, cell) {
+		if ra := &r.acts[k]; !ra.isDelete && ra.probe(cell) {
 			dst = append(dst, ra.src)
 		}
 	}

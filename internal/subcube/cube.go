@@ -95,11 +95,6 @@ type CubeSet struct {
 	// counters are cumulative over the cube set's lifetime.
 	//dimred:shared the metric substrate is all-atomic by design (typed sync/atomic values; go vet copylocks flags a plain copy); clones record into the same instance
 	met *obs.Metrics
-	// cache memoizes the compiled specexec program keyed on the spec's
-	// mutation generation, plus day-pinned routers, so steady-state
-	// queries between spec changes and clock advances are compile-free.
-	// Lookups are atomic loads, safe under the warehouse read lock.
-	cache *specexec.Cache
 	// interpret forces the uncompiled evaluation path (per-row predicate
 	// interpretation and serial apply). The differential tests and the
 	// before/after benchmarks flip it; production leaves it false.
@@ -132,25 +127,20 @@ func (cs *CubeSet) SetInterpreted(v bool) { cs.interpret = v }
 // records into the same instance.
 func (cs *CubeSet) Metrics() *obs.Metrics { return cs.met }
 
-// SetMetrics redirects the cube set's instrumentation (including its
-// compiled-program cache's) to m. The epoch-snapshot warehouse uses it
-// to keep a view build's scans of the working side out of the query
-// counters; it is not synchronized, so only call it on a cube set that
-// is off the published read path.
-func (cs *CubeSet) SetMetrics(m *obs.Metrics) {
-	cs.met = m
-	cs.cache.SetMetrics(m)
-}
+// SetMetrics redirects the cube set's instrumentation to m. The
+// epoch-snapshot warehouse uses it to keep a view build's scans of the
+// working side out of the query counters; it is not synchronized, so
+// only call it on a cube set that is off the published read path.
+func (cs *CubeSet) SetMetrics(m *obs.Metrics) { cs.met = m }
 
 // Clone returns a deep copy of the cube set: an independent
-// specification clone (sharing the immutable actions), independent
-// stores and cell indexes, and a program cache of its own that starts
-// with the receiver's compiled program and pinned routers re-bound to
-// the cloned specification, recording into the same metric set. Cube
-// IDs, row IDs and sync state carry over and every store's journal
-// starts afresh: the clone is level with the receiver and, once written,
-// can bring the receiver level again with LevelFrom. Clone only reads the
-// receiver and may run concurrently with queries against it.
+// specification clone (sharing the immutable actions and, with them, the
+// compiled program and its pinned routers), independent stores and cell
+// indexes, recording into the same metric set. Cube IDs, row IDs and
+// sync state carry over and every store's journal starts afresh: the
+// clone is level with the receiver and, once written, can bring the
+// receiver level again with LevelFrom. Clone only reads the receiver and
+// may run concurrently with queries against it.
 func (cs *CubeSet) Clone() *CubeSet {
 	c2 := &CubeSet{
 		sp:          cs.sp.Clone(),
@@ -164,7 +154,6 @@ func (cs *CubeSet) Clone() *CubeSet {
 		pending:     append([]storage.RowID(nil), cs.pending...),
 		tracking:    cs.tracking,
 	}
-	c2.cache = cs.cache.Clone(cs.sp, c2.sp)
 	for _, c := range cs.cubes {
 		nc := &Cube{
 			id:          c.id,
@@ -195,13 +184,13 @@ func (cs *CubeSet) Clone() *CubeSet {
 // what those journals name — the touched rows' measures, base counts and
 // tombstones and the appended tail, column-wise — drops the cell-index
 // entries of the rows that died and adds the appended rows', takes over
-// zone maps, sync state, pending rows and the evaluation mode, and adopts
-// the routers src pinned meanwhile. A cube whose journal gave up (a
-// compaction, too many touched rows) is cloned whole. A set on another
-// layout or specification generation cannot be levelled cube by cube; the
-// result is then a clone of src. It returns the set now level with src —
-// cs, or that clone — and the rows copied. LevelFrom only reads src and
-// may run beside queries against it; nothing may read cs meanwhile.
+// zone maps, sync state, pending rows and the evaluation mode. A cube
+// whose journal gave up (a compaction, too many touched rows) is cloned
+// whole. A set on another layout or specification generation cannot be
+// levelled cube by cube; the result is then a clone of src. It returns
+// the set now level with src — cs, or that clone — and the rows copied.
+// LevelFrom only reads src and may run beside queries against it; nothing
+// may read cs meanwhile.
 func (cs *CubeSet) LevelFrom(src *CubeSet) (*CubeSet, int) {
 	if cs.layout != src.layout || cs.sp.Generation() != src.sp.Generation() {
 		return src.Clone(), src.TotalRows()
@@ -216,7 +205,6 @@ func (cs *CubeSet) LevelFrom(src *CubeSet) (*CubeSet, int) {
 	cs.interpret = src.interpret
 	cs.pending = append(cs.pending[:0], src.pending...)
 	cs.tracking = src.tracking
-	cs.cache.Adopt(src.cache, src.sp, cs.sp)
 	return cs, rows
 }
 
@@ -251,7 +239,6 @@ func (c *Cube) levelFrom(src *Cube, cell []mdm.ValueID) int {
 func New(sp *spec.Spec) (*CubeSet, error) {
 	env := sp.Env()
 	cs := &CubeSet{sp: sp, env: env, met: obs.NewMetrics()}
-	cs.cache = specexec.NewCache(cs.met)
 	layout := storage.Layout{DimCols: env.Schema.NumDims(), MeasCols: len(env.Schema.Measures)}
 	add := func(gran mdm.Granularity) *Cube {
 		c := &Cube{id: len(cs.cubes), gran: gran, store: storage.New(layout), index: mdm.NewCellMap[storage.RowID](layout.DimCols)}
@@ -437,7 +424,7 @@ type cellEval struct {
 func (cs *CubeSet) newCellEval(sp *spec.Spec, t caltime.Day) cellEval {
 	e := cellEval{sp: sp, t: t}
 	if !cs.interpret {
-		e.router = cs.cache.RouterAt(sp, t)
+		e.router = specexec.RouterAt(sp, t, cs.met)
 	}
 	return e
 }
@@ -562,7 +549,7 @@ func (cs *CubeSet) deltaOnly(t caltime.Day, router *specexec.Router) bool {
 	if !cs.tracking || !router.DomainComplete() {
 		return false
 	}
-	return t == cs.lastSync || cs.cache.RouterAt(cs.sp, cs.lastSync).SameVerdicts(router)
+	return t == cs.lastSync || specexec.RouterAt(cs.sp, cs.lastSync, cs.met).SameVerdicts(router)
 }
 
 // syncInterpreted is the uncompiled synchronization: a parallel
@@ -669,9 +656,9 @@ type cubeMovers struct {
 }
 
 // syncCompiled is the compiled synchronization. Phase 1 fetches the
-// day-pinned router from the program cache (compiling only when the
-// spec generation changed), then scans the cubes in parallel, probing the
-// day-pinned router per row and extracting every mover's rolled-up row
+// day-pinned router of the action set (compiling only after a spec
+// mutation), then scans the cubes in parallel, probing the day-pinned
+// router per row and extracting every mover's rolled-up row
 // into per-cube scratch. Phase 2 is parallel too: one task per cube
 // (eachCube) owns that cube's store and index outright — it tombstones the
 // cube's deleted and outbound rows and merges the inbound movers, in
@@ -685,7 +672,7 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 	nDims := schema.NumDims()
 	nMeas := len(schema.Measures)
 
-	router := cs.cache.RouterAt(cs.sp, t)
+	router := specexec.RouterAt(cs.sp, t, cs.met)
 	delta := cs.deltaOnly(t, router)
 	if delta {
 		cs.met.SyncsIncremental.Inc()

@@ -22,8 +22,8 @@ func TestLevelCopiesOnlyTheDelta(t *testing.T) {
 }
 
 // routerPins is how many routers the delta's lookups pinned: every lookup
-// hits or misses the program cache, and all but the pinning ones hit the
-// router cache.
+// finds or compiles the program, and all but the pinning ones reuse a
+// pinned router.
 func routerPins(d obs.MetricsSnapshot) int64 {
 	return d.ProgramCacheHits + d.ProgramCacheMisses - d.RouterCacheHits
 }
@@ -66,9 +66,8 @@ func levelCopiesTheDelta(t *testing.T) {
 	}
 	sidesLevel(t, w, "after the flush with a late fact")
 
-	// A new day is pinned by the side that first synchronizes on it and
-	// carried to the other by levelling: two flushes, one on each side,
-	// one router between them.
+	// A new day is pinned by the side that first synchronizes on it, for
+	// both: two flushes, one on each side, one router between them.
 	before = w.Metrics()
 	if err := w.AdvanceTo(deltaGateToday + 1); err != nil {
 		t.Fatal(err)

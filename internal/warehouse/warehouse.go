@@ -78,14 +78,9 @@ type Warehouse struct {
 	reclone func(applied, left int) bool
 	seq     int64 // snapshot sequence, surfaced as SnapshotEpoch
 	// now is the warehouse clock and synced whether any synchronization
-	// has run. unit is the specification's significant period (Section
-	// 7.2), re-derived by every commit that changes the specification;
-	// timed is false while no action is NOW-relative, when time alone
-	// never un-synchronizes the cubes.
+	// has run.
 	now    caltime.Day
 	synced bool
-	unit   caltime.Unit
-	timed  bool
 	// viewsOn enables materialized rollup views; vcfg bounds them.
 	// Both only steer what sync-carrying commits build — the read path
 	// learns about views exclusively through the published snapshot.
@@ -137,7 +132,6 @@ func Open(env *spec.Env, actions ...*spec.Action) (*Warehouse, error) {
 		buf:     ingest.NewBuffer(ingest.DefaultShards),
 		reclone: recloneRule,
 	}
-	w.unit, w.timed = sp.SignificantPeriod()
 	w.working = cs.Clone()
 	w.cur.Store(&snapshot{cubes: cs, side: 0, seq: 0, gen: cs.Spec().Generation()})
 	return w, nil
@@ -395,7 +389,11 @@ func (w *Warehouse) AdvanceTo(t caltime.Day) error {
 	if t >= w.now {
 		prev := w.now
 		w.now = t
-		if w.timed && !(w.synced && caltime.PeriodOf(prev, w.unit) == caltime.PeriodOf(t, w.unit)) {
+		// The significant period (Section 7.2) of the actions live now;
+		// while none is NOW-relative, time alone never un-synchronizes
+		// the cubes.
+		unit, timed := w.working.Spec().SignificantPeriod()
+		if timed && !(w.synced && caltime.PeriodOf(prev, unit) == caltime.PeriodOf(t, unit)) {
 			return w.syncLocked()
 		}
 	}
@@ -483,6 +481,11 @@ func (w *Warehouse) SetInterpreted(v bool) {
 func (w *Warehouse) Load(refs []mdm.ValueID, meas []float64) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
+	// Insert's own check, made before the commit: an op that fails costs a
+	// re-clone of the working side, and a refused fact has written nothing.
+	if err := w.env.Schema.CheckFact(refs, meas, w.working.Cubes()[0].Gran()); err != nil {
+		return fmt.Errorf("warehouse: Load: %w", err)
+	}
 	op := func(cs *subcube.CubeSet) (int, error) {
 		return 1, cs.Insert(refs, meas)
 	}
@@ -511,10 +514,11 @@ func (w *Warehouse) LoadBatch(rows func(load func(refs []mdm.ValueID, meas []flo
 	// Stage the callback's rows, so that a row failing validation is found
 	// before anything is inserted and user code never runs against a
 	// half-written side. Two flat buffers, one stride each, instead of
-	// two slices per row. A row of the wrong shape would break the
-	// stride, so it fails the batch here even if the callback drops the
-	// error; Insert checks everything else.
+	// two slices per row. The check is Insert's own — arity, value ids,
+	// bottom granularity — so the commit below cannot refuse a staged row,
+	// and a bad row fails the batch even if the callback drops the error.
 	nd, nm := w.env.Schema.NumDims(), len(w.env.Schema.Measures)
+	bottom := w.working.Cubes()[0].Gran()
 	var (
 		refBuf  []mdm.ValueID
 		measBuf []float64
@@ -522,10 +526,9 @@ func (w *Warehouse) LoadBatch(rows func(load func(refs []mdm.ValueID, meas []flo
 		bad     error
 	)
 	err := rows(func(refs []mdm.ValueID, meas []float64) error {
-		if len(refs) != nd || len(meas) != nm {
+		if err := w.env.Schema.CheckFact(refs, meas, bottom); err != nil {
 			if bad == nil {
-				bad = fmt.Errorf("warehouse: LoadBatch: row %d: shape (%d, %d) does not match the schema's (%d, %d)",
-					n, len(refs), len(meas), nd, nm)
+				bad = fmt.Errorf("warehouse: LoadBatch: row %d: %w", n, err)
 			}
 			return bad
 		}
@@ -690,23 +693,13 @@ func (w *Warehouse) InsertActions(actions ...*spec.Action) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	t := w.now
-	return w.commitSpecLocked(func(cs *subcube.CubeSet) (int, error) {
+	return w.commitLocked(func(cs *subcube.CubeSet) (int, error) {
 		sp := cs.Spec()
 		if err := sp.Insert(actions...); err != nil {
 			return 0, err
 		}
 		return applySpec(cs, sp, t)
 	})
-}
-
-// commitSpecLocked commits a specification change and re-derives the
-// significant period from the specification the commit left in place
-// (unchanged when op failed), so the synchronization cadence follows the
-// actions that are live now rather than the ones Open saw.
-func (w *Warehouse) commitSpecLocked(op commitOp) error {
-	err := w.commitLocked(op)
-	w.unit, w.timed = w.working.Spec().SignificantPeriod()
-	return err
 }
 
 // DeleteActions removes actions (Definition 4: all or none, and only if
@@ -716,7 +709,7 @@ func (w *Warehouse) DeleteActions(names ...string) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	t := w.now
-	return w.commitSpecLocked(func(cs *subcube.CubeSet) (int, error) {
+	return w.commitLocked(func(cs *subcube.CubeSet) (int, error) {
 		// Materialize the current facts so the responsibility check of
 		// Definition 4 sees the warehouse state.
 		mo, err := materialize(w.env, cs)

@@ -235,3 +235,49 @@ func TestQueryWithApproaches(t *testing.T) {
 		t.Error("Spec.String empty")
 	}
 }
+
+// TestRefusedLoadKeepsWorkingSide: a fact the schema refuses is refused
+// before the commit, so neither Load nor LoadBatch answers it by
+// re-cloning the working side, nothing is published, and the next good
+// Load commits.
+func TestRefusedLoadKeepsWorkingSide(t *testing.T) {
+	w, obj := openClickWarehouse(t)
+	if err := w.AdvanceTo(caltime.Date(2000, 6, 1)); err != nil {
+		t.Fatal(err)
+	}
+	good, meas, err := obj.Row(workload.Click{Day: caltime.Date(2000, 5, 30), URL: "http://www.alpha.com/index", Dwell: 3, Delivery: 1, SizeKB: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []mdm.ValueID{good[0], mdm.ValueID(obj.Schema.Dims[1].NumValues())}
+	working, before := w.working, w.Metrics()
+
+	if err := w.Load(bad, meas); err == nil {
+		t.Fatal("Load took a fact with a value id past the dimension")
+	}
+	if err := w.Load(good, meas[:1]); err == nil {
+		t.Fatal("Load took a fact with too few measures")
+	}
+	err = w.LoadBatch(func(load func([]mdm.ValueID, []float64) error) error {
+		if err := load(good, meas); err != nil {
+			return err
+		}
+		_ = load(bad, meas) // a callback that drops the error still fails the batch
+		return nil
+	})
+	if err == nil {
+		t.Fatal("LoadBatch took a batch with a bad row")
+	}
+	if w.working != working {
+		t.Error("a refused fact replaced the working side")
+	}
+	if d := w.Metrics().Sub(before); d.SnapshotPublishes != 0 || d.FactsLoaded != 0 {
+		t.Errorf("refused facts: publishes=%d loaded=%d, want 0/0", d.SnapshotPublishes, d.FactsLoaded)
+	}
+	if err := w.Load(good, meas); err != nil {
+		t.Fatal(err)
+	}
+	if d := w.Metrics().Sub(before); d.SnapshotPublishes != 1 || d.FactsLoaded != 1 {
+		t.Errorf("after one good Load: publishes=%d loaded=%d, want 1/1", d.SnapshotPublishes, d.FactsLoaded)
+	}
+}
