@@ -14,6 +14,7 @@ const (
 	tokString  // quoted value literal
 	tokPunct   // one of [ ] { } ( ) , .
 	tokOp      // < <= = != >= >
+	tokError   // where lexing failed; the grammar accepts it nowhere
 )
 
 type token struct {
@@ -29,78 +30,92 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
+// lexer scans src one token at a time. A token's text is a substring of
+// src or an operator's canonical spelling, so scanning allocates nothing
+// but the text of a string literal with escapes.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src string
+	pos int
 }
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.emit(tokEOF, "")
-			return l.toks, nil
+// next scans the token at l.pos and moves past it; at the end of input it
+// returns tokEOF.
+func (l *lexer) next() (token, error) {
+	l.skipSpace()
+	start := l.pos
+	if l.pos >= len(l.src) {
+		return token{kind: tokEOF, pos: start}, nil
+	}
+	c := l.src[l.pos]
+	switch {
+	case c == '"' || c == '\'':
+		return l.lexString(c)
+	case isDigit(c):
+		return l.lexNumWord(), nil
+	case isIdentStart(c):
+		return l.lexIdent(), nil
+	case strings.IndexByte("[]{}(),.", c) >= 0:
+		l.pos++
+		return token{kind: tokPunct, text: l.src[start:l.pos], pos: start}, nil
+	case c == '<':
+		switch l.peek(1) {
+		case '=':
+			return l.op("<=", 2), nil
+		case '>':
+			return l.op("!=", 2), nil
 		}
-		c := l.src[l.pos]
-		switch {
-		case c == '"' || c == '\'':
-			if err := l.lexString(c); err != nil {
-				return nil, err
-			}
-		case isDigit(c):
-			l.lexNumWord()
-		case isIdentStart(c):
-			l.lexIdent()
-		case strings.IndexByte("[]{}(),.", c) >= 0:
-			l.emit(tokPunct, string(c))
-			l.pos++
-		case c == '<':
-			if l.peek(1) == '=' {
-				l.emit(tokOp, "<=")
-				l.pos += 2
-			} else if l.peek(1) == '>' {
-				l.emit(tokOp, "!=")
-				l.pos += 2
-			} else {
-				l.emit(tokOp, "<")
-				l.pos++
-			}
-		case c == '>':
-			if l.peek(1) == '=' {
-				l.emit(tokOp, ">=")
-				l.pos += 2
-			} else {
-				l.emit(tokOp, ">")
-				l.pos++
-			}
-		case c == '=':
-			if l.peek(1) == '=' {
-				l.pos++ // tolerate "=="
-			}
-			l.emit(tokOp, "=")
-			l.pos++
-		case c == '!':
-			if l.peek(1) != '=' {
-				return nil, fmt.Errorf("expr: lex: stray '!' at offset %d", l.pos)
-			}
-			l.emit(tokOp, "!=")
-			l.pos += 2
-		case c == '+':
-			l.emit(tokOp, "+")
-			l.pos++
-		case c == '-':
-			l.emit(tokOp, "-")
-			l.pos++
-		default:
-			return nil, fmt.Errorf("expr: lex: unexpected character %q at offset %d", c, l.pos)
+		return l.op("<", 1), nil
+	case c == '>':
+		if l.peek(1) == '=' {
+			return l.op(">=", 2), nil
+		}
+		return l.op(">", 1), nil
+	case c == '=':
+		if l.peek(1) == '=' {
+			l.pos++ // tolerate "=="
+		}
+		return l.op("=", 1), nil
+	case c == '!':
+		if l.peek(1) != '=' {
+			return token{}, fmt.Errorf("expr: lex: stray '!' at offset %d", l.pos)
+		}
+		return l.op("!=", 2), nil
+	case c == '+':
+		return l.op("+", 1), nil
+	case c == '-':
+		return l.op("-", 1), nil
+	}
+	return token{}, fmt.Errorf("expr: lex: unexpected character %q at offset %d", c, l.pos)
+}
+
+// scan is next for the parser: a lex error becomes a tokError token.
+func (l *lexer) scan() token {
+	t, err := l.next()
+	if err != nil {
+		return token{kind: tokError}
+	}
+	return t
+}
+
+// lexError returns the first lex error in src, or nil when all of it
+// lexes. The parser meets a lex error only as a tokError token, so its
+// entry points ask this on failure: a lex error anywhere in the input
+// outranks a parse error before it.
+func lexError(src string) error {
+	l := lexer{src: src}
+	for {
+		t, err := l.next()
+		if err != nil || t.kind == tokEOF {
+			return err
 		}
 	}
 }
 
-func (l *lexer) emit(k tokKind, text string) {
-	l.toks = append(l.toks, token{kind: k, text: text, pos: l.pos})
+// op is the operator token at l.pos, width bytes of source long.
+func (l *lexer) op(text string, width int) token {
+	t := token{kind: tokOp, text: text, pos: l.pos}
+	l.pos += width
+	return t
 }
 
 func (l *lexer) peek(ahead int) byte {
@@ -125,30 +140,46 @@ func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
 func isIdentStart(c byte) bool { return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') }
 func isIdentPart(c byte) bool  { return isIdentStart(c) || isDigit(c) }
 
-func (l *lexer) lexString(quote byte) error {
+// lexString scans a quoted value literal; a backslash takes the next byte
+// literally.
+func (l *lexer) lexString(quote byte) (token, error) {
 	start := l.pos
 	l.pos++
-	var b strings.Builder
+	from, escaped := l.pos, false
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c == quote {
-			l.toks = append(l.toks, token{kind: tokString, text: b.String(), pos: start})
+			text := l.src[from:l.pos]
+			if escaped {
+				text = unescape(text)
+			}
 			l.pos++
-			return nil
+			return token{kind: tokString, text: text, pos: start}, nil
 		}
 		if c == '\\' && l.pos+1 < len(l.src) {
+			escaped = true
 			l.pos++
-			c = l.src[l.pos]
 		}
-		b.WriteByte(c)
 		l.pos++
 	}
-	return fmt.Errorf("expr: lex: unterminated string at offset %d", start)
+	return token{}, fmt.Errorf("expr: lex: unterminated string at offset %d", start)
+}
+
+// unescape drops the backslash of each escape in a string literal's body.
+func unescape(s string) string {
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' && i+1 < len(s) {
+			i++
+		}
+		b.WriteByte(s[i])
+	}
+	return b.String()
 }
 
 // lexNumWord scans a token beginning with a digit: a plain number ("6"),
 // or a time literal ("1999", "1999/12", "1999/12/4", "1999W48", "1999Q4").
-func (l *lexer) lexNumWord() {
+func (l *lexer) lexNumWord() token {
 	start := l.pos
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
@@ -163,13 +194,13 @@ func (l *lexer) lexNumWord() {
 		}
 		break
 	}
-	l.toks = append(l.toks, token{kind: tokNumWord, text: l.src[start:l.pos], pos: start})
+	return token{kind: tokNumWord, text: l.src[start:l.pos], pos: start}
 }
 
-func (l *lexer) lexIdent() {
+func (l *lexer) lexIdent() token {
 	start := l.pos
 	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 		l.pos++
 	}
-	l.toks = append(l.toks, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
+	return token{kind: tokIdent, text: l.src[start:l.pos], pos: start}
 }

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -15,70 +16,94 @@ import (
 //
 // An omitted where-clause means the predicate true.
 func ParseAction(src string) (ActionSpec, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return ActionSpec{}, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	a, err := p.parseAction()
-	if err != nil {
-		return ActionSpec{}, err
+	if err == nil {
+		err = p.end()
 	}
-	if !p.at(tokEOF, "") {
-		return ActionSpec{}, fmt.Errorf("expr: parse: trailing input at %s (offset %d)", p.cur(), p.cur().pos)
+	if err != nil {
+		return ActionSpec{}, p.fail(err)
 	}
 	return a, nil
 }
 
 // ParsePred parses a bare selection predicate in concrete syntax.
 func ParsePred(src string) (Pred, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	pred, err := p.parseOr()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = p.end()
 	}
-	if !p.at(tokEOF, "") {
-		return nil, fmt.Errorf("expr: parse: trailing input at %s (offset %d)", p.cur(), p.cur().pos)
+	if err != nil {
+		return nil, p.fail(err)
 	}
 	return pred, nil
 }
 
+// parser is a recursive-descent parser over tokens it pulls from the
+// lexer one at a time; lookahead copies the lexer and scans on the copy.
 type parser struct {
-	toks []token
-	i    int
+	lx  lexer
+	tok token // the current token
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+func newParser(src string) parser {
+	p := parser{lx: lexer{src: src}}
+	p.advance()
+	return p
+}
+
+func (p *parser) advance() { p.tok = p.lx.scan() }
+
+func (p *parser) next() token { t := p.tok; p.advance(); return t }
+
+// peek returns the token after the current one without consuming it.
+func (p *parser) peek() token {
+	lx := p.lx
+	return lx.scan()
+}
+
+// end requires the whole input to have been consumed.
+func (p *parser) end() error {
+	if !p.at(tokEOF, "") {
+		return fmt.Errorf("expr: parse: trailing input at %s (offset %d)", p.tok, p.tok.pos)
+	}
+	return nil
+}
+
+// fail reports a failed parse: the first lex error in the input, if
+// there is one, else the parse error err.
+func (p *parser) fail(err error) error {
+	if lerr := lexError(p.lx.src); lerr != nil {
+		return lerr
+	}
+	return err
+}
 
 func (p *parser) at(k tokKind, text string) bool {
-	t := p.cur()
-	return t.kind == k && (text == "" || t.text == text)
+	return p.tok.kind == k && (text == "" || p.tok.text == text)
 }
 
-func (p *parser) atKeyword(kw string) bool {
-	t := p.cur()
+func (p *parser) atKeyword(kw string) bool { return p.tok.isKeyword(kw) }
+
+func (t token) isKeyword(kw string) bool {
 	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
 }
 
 func (p *parser) expectPunct(s string) error {
 	if !p.at(tokPunct, s) {
-		return fmt.Errorf("expr: parse: expected %q, found %s (offset %d)", s, p.cur(), p.cur().pos)
+		return fmt.Errorf("expr: parse: expected %q, found %s (offset %d)", s, p.tok, p.tok.pos)
 	}
-	p.i++
+	p.advance()
 	return nil
 }
 
 func (p *parser) parseAction() (ActionSpec, error) {
 	if p.atKeyword("delete") {
-		p.i++
+		p.advance()
 		var pred Pred = Bool{Value: true}
 		if p.atKeyword("where") {
-			p.i++
+			p.advance()
 			var err error
 			pred, err = p.parseOr()
 			if err != nil {
@@ -88,13 +113,16 @@ func (p *parser) parseAction() (ActionSpec, error) {
 		return ActionSpec{Delete: true, Pred: pred}, nil
 	}
 	if !p.atKeyword("aggregate") {
-		return ActionSpec{}, fmt.Errorf("expr: parse: expected 'aggregate' or 'delete', found %s", p.cur())
+		return ActionSpec{}, fmt.Errorf("expr: parse: expected 'aggregate' or 'delete', found %s", p.tok)
 	}
-	p.i++
+	p.advance()
 	if err := p.expectPunct("["); err != nil {
 		return ActionSpec{}, err
 	}
-	var targets []CatRef
+	// The references collect on the stack and are copied out once: one
+	// allocation however many there are.
+	var buf [8]CatRef
+	targets := buf[:0]
 	for {
 		ref, err := p.parseCatRef()
 		if err != nil {
@@ -102,7 +130,7 @@ func (p *parser) parseAction() (ActionSpec, error) {
 		}
 		targets = append(targets, ref)
 		if p.at(tokPunct, ",") {
-			p.i++
+			p.advance()
 			continue
 		}
 		break
@@ -112,26 +140,26 @@ func (p *parser) parseAction() (ActionSpec, error) {
 	}
 	var pred Pred = Bool{Value: true}
 	if p.atKeyword("where") {
-		p.i++
+		p.advance()
 		var err error
 		pred, err = p.parseOr()
 		if err != nil {
 			return ActionSpec{}, err
 		}
 	}
-	return ActionSpec{Targets: targets, Pred: pred}, nil
+	return ActionSpec{Targets: slices.Clone(targets), Pred: pred}, nil
 }
 
 func (p *parser) parseCatRef() (CatRef, error) {
 	if !p.at(tokIdent, "") {
-		return CatRef{}, fmt.Errorf("expr: parse: expected dimension name, found %s", p.cur())
+		return CatRef{}, fmt.Errorf("expr: parse: expected dimension name, found %s", p.tok)
 	}
 	dim := p.next().text
 	if err := p.expectPunct("."); err != nil {
 		return CatRef{}, err
 	}
 	if !p.at(tokIdent, "") {
-		return CatRef{}, fmt.Errorf("expr: parse: expected category name after %q., found %s", dim, p.cur())
+		return CatRef{}, fmt.Errorf("expr: parse: expected category name after %q., found %s", dim, p.tok)
 	}
 	return CatRef{Dim: dim, Cat: p.next().text}, nil
 }
@@ -143,7 +171,7 @@ func (p *parser) parseOr() (Pred, error) {
 	}
 	ps := flattenOr(nil, left)
 	for p.atKeyword("or") {
-		p.i++
+		p.advance()
 		right, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -163,7 +191,7 @@ func (p *parser) parseAnd() (Pred, error) {
 	}
 	ps := flattenAnd(nil, left)
 	for p.atKeyword("and") {
-		p.i++
+		p.advance()
 		right, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -193,30 +221,25 @@ func flattenOr(dst []Pred, p Pred) []Pred {
 }
 
 func (p *parser) parseUnary() (Pred, error) {
-	if p.atKeyword("not") {
-		// "not (pred)" or "not <atom>"; "not in" is handled by the chain.
-		save := p.i
-		p.i++
-		if p.atKeyword("in") {
-			p.i = save // let parseChain consume it
-		} else {
-			inner, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			return Not{P: inner}, nil
+	// "not (pred)" or "not <atom>"; "not in" is left to the chain.
+	if p.atKeyword("not") && !p.peek().isKeyword("in") {
+		p.advance()
+		inner, err := p.parseUnary()
+		if err != nil {
+			return nil, err
 		}
+		return Not{P: inner}, nil
 	}
 	if p.atKeyword("true") {
-		p.i++
+		p.advance()
 		return Bool{Value: true}, nil
 	}
 	if p.atKeyword("false") {
-		p.i++
+		p.advance()
 		return Bool{Value: false}, nil
 	}
 	if p.at(tokPunct, "(") {
-		p.i++
+		p.advance()
 		inner, err := p.parseOr()
 		if err != nil {
 			return nil, err
@@ -247,32 +270,27 @@ func (p *parser) parseChain() (Pred, error) {
 	}
 	// Membership clause.
 	negate := false
-	if p.atKeyword("not") {
-		save := p.i
-		p.i++
-		if !p.atKeyword("in") {
-			p.i = save
-		} else {
-			negate = true
-		}
+	if p.atKeyword("not") && p.peek().isKeyword("in") {
+		p.advance()
+		negate = true
 	}
 	if p.atKeyword("in") {
-		p.i++
+		p.advance()
 		if first.ref == nil {
 			return nil, fmt.Errorf("expr: parse: left side of 'in' must be a category reference")
 		}
 		return p.parseInSet(*first.ref, negate)
 	}
 	if negate {
-		return nil, fmt.Errorf("expr: parse: expected 'in' after 'not', found %s", p.cur())
+		return nil, fmt.Errorf("expr: parse: expected 'in' after 'not', found %s", p.tok)
 	}
 
-	if !p.at(tokOp, "") || !isRelOp(p.cur().text) {
-		return nil, fmt.Errorf("expr: parse: expected a comparison operator, found %s (offset %d)", p.cur(), p.cur().pos)
+	if !p.at(tokOp, "") || !isRelOp(p.tok.text) {
+		return nil, fmt.Errorf("expr: parse: expected a comparison operator, found %s (offset %d)", p.tok, p.tok.pos)
 	}
 	var conj []Pred
 	prev := first
-	for p.at(tokOp, "") && isRelOp(p.cur().text) {
+	for p.at(tokOp, "") && isRelOp(p.tok.text) {
 		op := relOpFromText(p.next().text)
 		next, err := p.parseOperand()
 		if err != nil {
@@ -365,7 +383,7 @@ func (p *parser) parseInSet(ref CatRef, negate bool) (Pred, error) {
 			return nil, fmt.Errorf("expr: parse: category reference inside 'in' set")
 		}
 		if p.at(tokPunct, ",") {
-			p.i++
+			p.advance()
 			continue
 		}
 		break
@@ -383,14 +401,14 @@ func (p *parser) parseInSet(ref CatRef, negate bool) (Pred, error) {
 }
 
 func (p *parser) parseOperand() (operand, error) {
-	t := p.cur()
+	t := p.tok
 	switch {
 	case t.kind == tokString:
-		p.i++
+		p.advance()
 		s := t.text
 		return operand{value: &s}, nil
 	case t.kind == tokIdent && strings.EqualFold(t.text, "NOW"):
-		p.i++
+		p.advance()
 		e := caltime.NowExpr()
 		e, err := p.parseSpanTail(e)
 		if err != nil {
@@ -408,7 +426,7 @@ func (p *parser) parseOperand() (operand, error) {
 		if err != nil {
 			return operand{}, fmt.Errorf("expr: parse: %w", err)
 		}
-		p.i++
+		p.advance()
 		e := caltime.AnchorExpr(period)
 		e, err = p.parseSpanTail(e)
 		if err != nil {
@@ -424,23 +442,26 @@ func (p *parser) parseOperand() (operand, error) {
 // cannot occur in valid input, so it surfaces as a parse error there).
 func (p *parser) parseSpanTail(e caltime.Expr) (caltime.Expr, error) {
 	for p.at(tokOp, "+") || p.at(tokOp, "-") {
-		sign := p.cur().text
-		if p.toks[p.i+1].kind != tokNumWord {
+		sign := p.tok.text
+		la := p.lx // lookahead past the sign
+		nTok := la.scan()
+		if nTok.kind != tokNumWord {
 			break
 		}
-		nTok := p.toks[p.i+1]
-		if p.toks[p.i+2].kind != tokIdent {
+		uTok := la.scan()
+		if uTok.kind != tokIdent {
 			return e, fmt.Errorf("expr: parse: expected a span unit after %q", nTok.text)
 		}
 		n, err := strconv.ParseInt(nTok.text, 10, 64)
 		if err != nil {
 			return e, fmt.Errorf("expr: parse: span count %q: %w", nTok.text, err)
 		}
-		u, err := caltime.ParseUnit(p.toks[p.i+2].text)
+		u, err := caltime.ParseUnit(uTok.text)
 		if err != nil {
 			return e, fmt.Errorf("expr: parse: %w", err)
 		}
-		p.i += 3
+		p.lx = la
+		p.advance()
 		if sign == "-" {
 			e = e.Minus(caltime.Span{N: n, Unit: u})
 		} else {

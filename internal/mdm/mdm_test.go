@@ -606,6 +606,106 @@ func TestMOBasics(t *testing.T) {
 	}
 }
 
+// TestBorrowedMOIsCopyOnWrite: each mutator applied to a borrow leaves the
+// source byte-identical and makes of the borrow what it makes of a clone.
+// The source has spare capacity in every column, so an append through a
+// borrow that kept the source's columns would land in the source's arrays;
+// the borrows stay alive side by side, so one landing in another's would
+// show too. A clone of a borrow is independent of both.
+func TestBorrowedMOIsCopyOnWrite(t *testing.T) {
+	ud, uv := buildURLDim(t)
+	td, tv := buildMiniTimeDim(t)
+	s, err := NewSchema("Click", []*Dimension{td, ud}, []Measure{
+		{Name: "dwell", Agg: AggSum},
+		{Name: "n", Agg: AggCount},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewMO(s)
+	for i, cell := range [][]ValueID{
+		{tv["d1"], uv["www.cnn.com/"]},
+		{tv["d2"], uv["www.amazon.com/ex"]},
+		{tv["d2"], uv["www.cc.gatech.edu/"]},
+	} {
+		if _, err := src.AddFact(cell, []float64{float64(10 * (i + 1)), 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.SetName(1, "named")
+	n := src.Len()
+	if cap(src.refs[0]) == n || cap(src.meas[0]) == n || cap(src.baseCount) == n || cap(src.names) == n {
+		t.Fatal("the source needs spare capacity in every column")
+	}
+	dump, cells := src.Dump(), src.DumpCells()
+	sourceIntact := func(what string) {
+		t.Helper()
+		if src.Len() != n {
+			t.Fatalf("%s changed the source's fact count to %d, want %d", what, src.Len(), n)
+		}
+		if src.Dump() != dump || src.DumpCells() != cells {
+			t.Fatalf("%s changed the source:\n%s\nwas:\n%s", what, src.Dump(), dump)
+		}
+	}
+	sameAs := func(what string, got, want *MO) {
+		t.Helper()
+		if got.Dump() != want.Dump() || got.DumpCells() != want.DumpCells() {
+			t.Errorf("%s:\n%s\nwant:\n%s", what, got.DumpCells(), want.DumpCells())
+		}
+	}
+
+	type mutator struct {
+		name  string
+		apply func(*MO) error
+	}
+	mutators := []mutator{
+		{"AddFact", func(m *MO) error {
+			_, err := m.AddFact([]ValueID{tv["d1"], uv["www.cnn.com/health"]}, []float64{7, 0})
+			return err
+		}},
+		{"AddFactAt", func(m *MO) error {
+			_, err := m.AddFactAt([]ValueID{tv["1999/12"], uv["cnn.com"]}, []float64{5, 0}, 4, "rolled")
+			return err
+		}},
+		{"SetMeasure", func(m *MO) error { m.SetMeasure(0, 0, -1); return nil }},
+		{"AddBaseCount", func(m *MO) error { m.AddBaseCount(2, 10); return nil }},
+		{"SetName", func(m *MO) error { m.SetName(1, "renamed"); return nil }},
+	}
+	borrows, clones := make([]*MO, len(mutators)), make([]*MO, len(mutators))
+	for i, mu := range mutators {
+		borrows[i], clones[i] = src.Borrow(), src.Clone()
+		if err := mu.apply(borrows[i]); err != nil {
+			t.Fatal(err)
+		}
+		sourceIntact(mu.name + " through a borrow")
+		if err := mu.apply(clones[i]); err != nil {
+			t.Fatal(err)
+		}
+		sameAs(mu.name+" through a borrow", borrows[i], clones[i])
+	}
+	for i, mu := range mutators {
+		sameAs(mu.name+" through a borrow, after the others", borrows[i], clones[i])
+	}
+
+	// A clone of a borrow owns its columns: writes to it reach neither the
+	// borrow nor the source, and writes to the borrow do not reach it.
+	b := src.Borrow()
+	c := b.Clone()
+	for _, mu := range mutators {
+		if err := mu.apply(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sourceIntact("writing a clone of a borrow")
+	sameAs("a borrow whose clone was written", b, src)
+	cDump := c.Dump()
+	b.SetMeasure(1, 0, -2)
+	sourceIntact("writing a borrow after cloning it")
+	if c.Dump() != cDump {
+		t.Errorf("writing a borrow changed its clone:\n%s\nwas:\n%s", c.Dump(), cDump)
+	}
+}
+
 func TestAggKind(t *testing.T) {
 	cases := []struct {
 		k        AggKind

@@ -297,36 +297,44 @@ func (s *Schema) GranString(g Granularity) string {
 }
 
 // ParseGranularity resolves "Time.month, URL.domain"-style category
-// references, one per dimension, in dimension order.
+// references, one per dimension, in any dimension order.
 func (s *Schema) ParseGranularity(refs []string) (Granularity, error) {
-	if len(refs) != len(s.Dims) {
-		return nil, fmt.Errorf("mdm: granularity needs %d categories, got %d", len(s.Dims), len(refs))
+	return s.ResolveGranularity(len(refs), func(i int) (string, string, bool) {
+		return strings.Cut(refs[i], ".")
+	})
+}
+
+// ResolveGranularity is the granularity named by n category references,
+// one per dimension, in any dimension order: ref(i) returns reference i
+// as a (dimension, category) name pair, each trimmed of spaces here, and
+// ok false when the reference has no "Dim.category" form. Errors quote a
+// reference as dim + "." + cat.
+func (s *Schema) ResolveGranularity(n int, ref func(i int) (dim, cat string, ok bool)) (Granularity, error) {
+	if n != len(s.Dims) {
+		return nil, fmt.Errorf("mdm: granularity needs %d categories, got %d", len(s.Dims), n)
 	}
 	g := make(Granularity, len(s.Dims))
-	used := make([]bool, len(s.Dims))
-	for _, ref := range refs {
-		dot := strings.IndexByte(ref, '.')
-		if dot < 0 {
-			return nil, fmt.Errorf("mdm: category reference %q must be Dim.category", ref)
-		}
-		di := s.DimIndex(strings.TrimSpace(ref[:dot]))
-		if di < 0 {
-			return nil, fmt.Errorf("mdm: unknown dimension in %q", ref)
-		}
-		if used[di] {
-			return nil, fmt.Errorf("mdm: duplicate dimension in granularity: %q", ref)
-		}
-		c, ok := s.Dims[di].CategoryByName(strings.TrimSpace(ref[dot+1:]))
+	for i := range g {
+		g[i] = NoCategory
+	}
+	for i := 0; i < n; i++ {
+		dim, cat, ok := ref(i)
 		if !ok {
-			return nil, fmt.Errorf("mdm: unknown category in %q", ref)
+			return nil, fmt.Errorf("mdm: category reference %q must be Dim.category", dim)
+		}
+		di := s.DimIndex(strings.TrimSpace(dim))
+		if di < 0 {
+			return nil, fmt.Errorf("mdm: unknown dimension in %q", dim+"."+cat)
+		}
+		if g[di] != NoCategory {
+			return nil, fmt.Errorf("mdm: duplicate dimension in granularity: %q", dim+"."+cat)
+		}
+		c, ok := s.Dims[di].CategoryByName(strings.TrimSpace(cat))
+		if !ok {
+			return nil, fmt.Errorf("mdm: unknown category in %q", dim+"."+cat)
 		}
 		g[di] = c
-		used[di] = true
 	}
-	for i, u := range used {
-		if !u {
-			return nil, fmt.Errorf("mdm: granularity missing a category for dimension %s", s.Dims[i].Name())
-		}
-	}
+	// n references on distinct dimensions name every dimension.
 	return g, nil
 }

@@ -69,12 +69,10 @@ func Compile(name string, src expr.ActionSpec, env *Env) (*Action, error) {
 			target[i] = dim.Top()
 		}
 	} else {
-		refs := make([]string, len(src.Targets))
-		for i, r := range src.Targets {
-			refs[i] = r.String()
-		}
 		var err error
-		target, err = env.Schema.ParseGranularity(refs)
+		target, err = env.Schema.ResolveGranularity(len(src.Targets), func(i int) (string, string, bool) {
+			return src.Targets[i].Dim, src.Targets[i].Cat, true
+		})
 		if err != nil {
 			return nil, fmt.Errorf("spec: action %s: %w", name, err)
 		}

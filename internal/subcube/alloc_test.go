@@ -146,6 +146,25 @@ func TestCombineAllocations(t *testing.T) {
 	}
 }
 
+// TestParseQueryAllocations pins the query front end on a dashboard
+// shape: the parser pulls tokens that are substrings of the source, and
+// the target references resolve as (dimension, category) pairs, so a
+// predicate-free query costs its target list and its granularity.
+// Rendering "Dim.cat" strings to split them again, a token slice and a
+// string per punctuation byte cost seventeen.
+func TestParseQueryAllocations(t *testing.T) {
+	_, env := syncTestObj(t, 31)
+	const src = `aggregate [Time.quarter, URL.domain_grp]`
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseQuery(src, env); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("parsing %q allocated %.0f times, want at most 2", src, allocs)
+	}
+}
+
 // TestInsertAllocationFree pins the whole Insert call, not only the
 // merge under it: lifting the measures into the aggregate domain uses a
 // stack buffer, so a fact whose cell is resident costs no allocation.

@@ -32,11 +32,9 @@ func ParseQuery(src string, env *spec.Env) (Query, error) {
 	if err != nil {
 		return Query{}, fmt.Errorf("subcube: ParseQuery: %w", err)
 	}
-	refs := make([]string, len(parsed.Targets))
-	for i, r := range parsed.Targets {
-		refs[i] = r.String()
-	}
-	target, err := env.Schema.ParseGranularity(refs)
+	target, err := env.Schema.ResolveGranularity(len(parsed.Targets), func(i int) (string, string, bool) {
+		return parsed.Targets[i].Dim, parsed.Targets[i].Cat, true
+	})
 	if err != nil {
 		return Query{}, fmt.Errorf("subcube: ParseQuery: %w", err)
 	}

@@ -230,26 +230,39 @@ func (s *Set) Serving(schema *mdm.Schema, target mdm.Granularity) (v *View, exac
 // exactly the target is the answer as stored — aggregating it again
 // would map every fact onto its own cell and re-derive the names, base
 // counts and COUNT measures it already carries — so the caller gets a
-// copy of it: the view stays frozen inside the snapshot other readers
-// share, and the answer is the caller's to modify, as a folded one is.
-// Only a target strictly above the serving view is folded, by
+// borrow of it (mdm.MO.Borrow): it reads the view's columns, which no one
+// writes once the set is published, and copies them only if the caller
+// writes the answer, so the answer is the caller's to modify, as a folded
+// one is, and the view stays frozen inside the snapshot other readers
+// share. Only a target strictly above the serving view is folded, by
 // query.Aggregate. The caller has already checked q.ViewEligible; an
 // aggregation error reports a miss so the base path recomputes (and
 // surfaces the real error, if any).
 func (s *Set) Answer(schema *mdm.Schema, q subcube.Query, t caltime.Day, gen uint64) (*mdm.MO, bool) {
+	mo, _, _ := s.Serve(schema, q, t, gen)
+	return mo, mo != nil
+}
+
+// Serve is Answer that also reports what its one Serving lookup found:
+// the key of the view that served q ("" on a miss, when mo is nil) and
+// whether that view sits at exactly the target. It hands out the key
+// rather than the *View: everything a caller takes away from it is safe
+// to write, as the borrowed answer copies the view's columns first, while
+// a write through a *View would reach the published view itself.
+func (s *Set) Serve(schema *mdm.Schema, q subcube.Query, t caltime.Day, gen uint64) (mo *mdm.MO, view string, exact bool) {
 	if s == nil || s.builtAt != t || s.gen != gen {
-		return nil, false
+		return nil, "", false
 	}
 	v, exact := s.Serving(schema, q.Target)
 	if v == nil {
-		return nil, false
+		return nil, "", false
 	}
 	if exact {
-		return v.mo.Clone(), true
+		return v.mo.Borrow(), v.key, true
 	}
 	mo, err := query.Aggregate(v.mo, q.Target, q.Agg)
 	if err != nil {
-		return nil, false
+		return nil, "", false
 	}
-	return mo, true
+	return mo, v.key, false
 }

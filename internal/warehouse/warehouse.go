@@ -665,13 +665,12 @@ func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, t caltime.Day, tr *
 	if tr != nil {
 		start = w.met.Clock().Now()
 	}
-	mo, ok := s.views.Answer(w.env.Schema, q, t, s.gen)
-	if !ok {
+	mo, view, stored := s.views.Serve(w.env.Schema, q, t, s.gen)
+	if mo == nil {
 		w.met.ViewMisses.Inc()
 		return nil, false
 	}
 	w.met.ViewHits.Inc()
-	v, stored := s.views.Serving(w.env.Schema, q.Target)
 	if !stored {
 		w.met.ViewFolds.Inc()
 	}
@@ -680,7 +679,7 @@ func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, t caltime.Day, tr *
 		tr.Synced = synced && last == t
 		tr.Total = w.met.Clock().Since(start)
 		tr.AddStage(obs.StageViewAnswer, tr.Total)
-		tr.View, tr.ViewStored = v.Key(), stored
+		tr.View, tr.ViewStored = view, stored
 		tr.ResultCells = mo.Len()
 	}
 	return mo, true

@@ -197,3 +197,67 @@ func TestViewHitsSayWhatTheyDid(t *testing.T) {
 		t.Errorf("Metrics rendering missing the fold counter:\n%s", d)
 	}
 }
+
+// TestExactHitQueryAllocations: Query at a materialized shape costs its
+// parse, the shape's trace key and a borrow of the view, however many
+// cells the view holds — 27 allocations while the parser built a token
+// slice and the view was copied.
+func TestExactHitQueryAllocations(t *testing.T) {
+	timeDim := dimred.NewTimeDim()
+	urlDim := dimred.NewURLDim()
+	schema, err := dimred.NewSchema("Click",
+		[]*dimred.Dimension{timeDim.Dimension, urlDim.Dimension},
+		[]dimred.Measure{{Name: "Clicks", Agg: dimred.AggSum}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := dimred.NewEnv(schema, "Time", timeDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := dimred.Open(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AdvanceTo(dimred.Date(2024, 12, 1)); err != nil {
+		t.Fatal(err)
+	}
+	err = w.LoadBatch(func(load func([]dimred.ValueID, []float64) error) error {
+		for day := 0; day < 300; day++ {
+			d := timeDim.EnsureDay(dimred.Date(2024, 1, 1) + dimred.Day(day))
+			for _, url := range []string{"http://shop.example.com/", "http://news.example.org/", "http://docs.example.net/"} {
+				u, err := urlDim.EnsureURL(url)
+				if err != nil {
+					return err
+				}
+				if err := load([]dimred.ValueID{d, u}, []float64{1}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const src = `aggregate [Time.month, URL.domain]`
+	if _, err := w.Query(src); err != nil { // the shape the selector learns
+		t.Fatal(err)
+	}
+	if err := w.EnableViews(dimred.ViewConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	before := w.Metrics()
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := w.Query(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if d := w.Metrics().Sub(before); d.ViewHits != 51 || d.ViewFolds != 0 {
+		t.Fatalf("hits=%d folds=%d over 51 queries, want every one an exact hit", d.ViewHits, d.ViewFolds)
+	}
+	t.Logf("an exact hit through Query: %.0f allocations", allocs)
+	if allocs > 5 {
+		t.Errorf("an exact hit through Query made %.0f allocations, want at most 5", allocs)
+	}
+}
