@@ -1,10 +1,9 @@
 // Command dimredlint is the repository's multichecker: it runs the
 // domain-invariant analyzers of internal/lint (wallclock, the
-// dataflow-powered purity, nowflow and lockfield passes, the
-// interprocedural snapalias and clonecheck passes built on the module
-// call graph, and the unknowndirective hygiene pass) over the module,
-// and exits non-zero when any finding survives //dimred:allow
-// suppression.
+// dataflow-powered nowflow and lockfield passes, the purity, snapalias
+// and clonecheck passes built on the module call graph, and the
+// unknowndirective hygiene pass) over the module, and exits non-zero
+// when any finding survives //dimred:allow suppression.
 //
 // Usage:
 //

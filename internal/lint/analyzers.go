@@ -2,8 +2,8 @@ package lint
 
 // All returns every analyzer the dimredlint multichecker bundles, with
 // the repository's default configuration: wallclock, the
-// dataflow-powered purity/nowflow/lockfield trio, the interprocedural
-// call-graph passes (snapalias, clonecheck), and the directive hygiene
+// dataflow-powered nowflow/lockfield pair, the call-graph passes
+// (purity, snapalias, clonecheck), and the directive hygiene
 // pass (unknowndirective, fed every bundled analyzer name so it can
 // validate //dimred:allow targets).
 func All() []*Analyzer {

@@ -9,7 +9,7 @@ import (
 
 // This file builds intraprocedural control-flow graphs over go/ast
 // function bodies. The CFG is the substrate for the dataflow solver in
-// dataflow.go and, through it, for the purity, nowflow and lockfield
+// dataflow.go and, through it, for the nowflow and lockfield
 // analyzers. It deliberately stays syntactic: blocks hold the original
 // ast.Nodes in execution order, so analyzer transfer functions keep
 // full access to type information via the Unit.

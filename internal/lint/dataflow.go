@@ -6,11 +6,11 @@ import (
 	"go/types"
 )
 
-// This file holds the generic iterative dataflow solver and its
-// canonical client, reaching definitions. Analyzers instantiate
+// This file holds the generic iterative dataflow solver and the
+// flow-insensitive local-definition table. Analyzers instantiate
 // Problem with their own fact lattice (taint sets for nowflow,
-// locksets for lockfield, definition bitsets here) and get a
-// flow-sensitive fixpoint over the CFG from cfg.go.
+// locksets for lockfield) and get a flow-sensitive fixpoint over the
+// CFG from cfg.go.
 
 // Problem is one forward dataflow problem over a CFG: facts flow from
 // the entry block along Succs. The fact type F must be treated as
@@ -82,12 +82,11 @@ func Solve[F any](g *CFG, p Problem[F]) map[*Block]F {
 }
 
 // ---------------------------------------------------------------------
-// Reaching definitions.
+// Local definitions.
 
 // Def is one definition of a function-local variable: a parameter, a
 // declaration, an assignment, a range clause binding or an inc/dec.
 type Def struct {
-	Var  *types.Var
 	Node ast.Node // the defining node (nil for parameters/receivers)
 	// Rhs is the defining expression when the definition is a simple
 	// one-to-one assignment or initialization (v = rhs); nil otherwise
@@ -96,141 +95,39 @@ type Def struct {
 	Rhs ast.Expr
 }
 
-// defBits is a bitset over the definition index space.
-type defBits []uint64
-
-func newDefBits(n int) defBits { return make(defBits, (n+63)/64) }
-
-func (d defBits) set(i int)      { d[i/64] |= 1 << (i % 64) }
-func (d defBits) clear(i int)    { d[i/64] &^= 1 << (i % 64) }
-func (d defBits) has(i int) bool { return d[i/64]&(1<<(i%64)) != 0 }
-
-func (d defBits) clone() defBits {
-	c := make(defBits, len(d))
-	copy(c, d)
-	return c
-}
-
-func (d defBits) union(o defBits) defBits {
-	c := d.clone()
-	for i := range o {
-		c[i] |= o[i]
-	}
-	return c
-}
-
-func (d defBits) equal(o defBits) bool {
-	if len(d) != len(o) {
-		return false
-	}
-	for i := range d {
-		if d[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ReachingDefs computes which definitions of each function-local
-// variable may reach each program point. Variables it does not track
-// (package-level, closed-over, field bases) have no definitions; a
-// DefsAt query for them returns nil, which clients must treat as
+// localDefs is the flow-insensitive definition table of one function:
+// every definition of each variable anywhere in decl, function
+// literals included, with the receiver, parameters and named results
+// entered with a nil Node. Variables it never saw defined (package
+// vars, a closure's own parameters) are absent; clients treat that as
 // "unknown".
-type ReachingDefs struct {
-	g     *CFG
-	defs  []Def
-	byVar map[*types.Var][]int
-	in    map[*Block]defBits
-}
-
-// NewReachingDefs builds and solves reaching definitions for a
-// function. recv/params come from the declaration (may be nil for
-// tests over bare bodies).
-func NewReachingDefs(info *types.Info, decl *ast.FuncDecl, g *CFG) *ReachingDefs {
-	rd := &ReachingDefs{g: g, byVar: map[*types.Var][]int{}}
-
-	addDef := func(v *types.Var, node ast.Node, rhs ast.Expr) {
-		if v == nil {
-			return
+func localDefs(info *types.Info, decl *ast.FuncDecl) map[*types.Var][]Def {
+	defs := map[*types.Var][]Def{}
+	add := func(v *types.Var, node ast.Node, rhs ast.Expr) {
+		if v != nil {
+			defs[v] = append(defs[v], Def{Node: node, Rhs: rhs})
 		}
-		rd.byVar[v] = append(rd.byVar[v], len(rd.defs))
-		rd.defs = append(rd.defs, Def{Var: v, Node: node, Rhs: rhs})
 	}
-	paramVar := func(id *ast.Ident) *types.Var {
-		v, _ := info.Defs[id].(*types.Var)
-		return v
-	}
-	if decl != nil {
-		if decl.Recv != nil {
-			for _, f := range decl.Recv.List {
-				for _, name := range f.Names {
-					addDef(paramVar(name), nil, nil)
-				}
-			}
+	for _, fl := range []*ast.FieldList{decl.Recv, decl.Type.Params, decl.Type.Results} {
+		if fl == nil {
+			continue
 		}
-		if decl.Type.Params != nil {
-			for _, f := range decl.Type.Params.List {
-				for _, name := range f.Names {
-					addDef(paramVar(name), nil, nil)
-				}
-			}
-		}
-		if decl.Type.Results != nil {
-			for _, f := range decl.Type.Results.List {
-				for _, name := range f.Names {
-					addDef(paramVar(name), nil, nil)
-				}
+		for _, f := range fl.List {
+			for _, name := range f.Names {
+				v, _ := info.Defs[name].(*types.Var)
+				add(v, nil, nil)
 			}
 		}
 	}
-
-	// Collect definitions from block nodes, in block order.
-	for _, blk := range g.Blocks {
-		for _, n := range blk.Nodes {
-			forEachDef(info, n, addDef)
-		}
-	}
-
-	boundary := newDefBits(len(rd.defs))
-	for i, d := range rd.defs {
-		if d.Node == nil { // parameters reach the entry
-			boundary.set(i)
-		}
-	}
-
-	rd.in = Solve(g, Problem[defBits]{
-		Boundary: boundary,
-		Merge:    defBits.union,
-		Equal:    defBits.equal,
-		Transfer: func(b *Block, in defBits) defBits {
-			cur := in.clone()
-			for _, n := range b.Nodes {
-				rd.transferNode(info, n, cur)
-			}
-			return cur
-		},
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		forEachDef(info, n, add)
+		return true
 	})
-	return rd
+	return defs
 }
 
-// transferNode kills and gens the definitions made by one node,
-// mutating bits in place (callers pass a private clone).
-func (rd *ReachingDefs) transferNode(info *types.Info, n ast.Node, bits defBits) {
-	forEachDef(info, n, func(v *types.Var, node ast.Node, rhs ast.Expr) {
-		idxs := rd.byVar[v]
-		for _, i := range idxs {
-			bits.clear(i)
-		}
-		for _, i := range idxs {
-			if rd.defs[i].Node == node {
-				bits.set(i)
-			}
-		}
-	})
-}
-
-// forEachDef enumerates the variable definitions a single CFG node
-// makes. Function literals are opaque.
+// forEachDef enumerates the variable definitions a single node makes
+// (it does not descend into the node's children).
 func forEachDef(info *types.Info, n ast.Node, f func(v *types.Var, node ast.Node, rhs ast.Expr)) {
 	defOrUse := func(id *ast.Ident) *types.Var {
 		if v, ok := info.Defs[id].(*types.Var); ok {
@@ -291,34 +188,4 @@ func forEachDef(info *types.Info, n ast.Node, f func(v *types.Var, node ast.Node
 			}
 		}
 	}
-}
-
-// DefsAt returns the definitions of v that may reach the program point
-// just before `at` within block b (at==nil: the block entry). nil
-// means v is not tracked (not a function-local this analysis saw
-// defined); an empty non-nil slice means tracked but nothing reaches
-// (dead code).
-func (rd *ReachingDefs) DefsAt(info *types.Info, b *Block, at ast.Node, v *types.Var) []Def {
-	idxs := rd.byVar[v]
-	if idxs == nil {
-		return nil
-	}
-	bits, ok := rd.in[b]
-	if !ok {
-		return []Def{} // unreachable block
-	}
-	cur := bits.clone()
-	for _, n := range b.Nodes {
-		if n == at {
-			break
-		}
-		rd.transferNode(info, n, cur)
-	}
-	out := []Def{}
-	for _, i := range idxs {
-		if cur.has(i) {
-			out = append(out, rd.defs[i])
-		}
-	}
-	return out
 }

@@ -67,6 +67,19 @@ func BadPointerWrite(a float64) float64 {
 	return a
 }
 
+//dimred:aggregate
+func BadBranchPointer(a float64, c bool) float64 {
+	local := 0.0
+	var p *float64
+	if c {
+		p = &local
+	} else {
+		p = &total
+	}
+	*p = a // want "writes package variable total through a pointer"
+	return local
+}
+
 // Unmarked functions are free to do any of this.
 func UnmarkedFree(m map[string]float64) {
 	total = 1
@@ -310,29 +323,14 @@ func (w *W) Suppressed() bool {
 	return w.loaded //dimred:allow lockfield fixture exercises suppression
 }
 
-// snap is published to lock-free readers behind an atomic pointer.
-//
-//dimred:immutable
-type snap struct {
-	rows int
-	day  int
-}
-
-func NewSnap(rows int) *snap {
-	s := &snap{rows: rows}
-	s.day = 1 // fresh allocation: construction is allowed
-	return s
-}
-
-func (w *W) Republish(old *snap) *snap {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	old.day++ // want "write to field .*snap.day of //dimred:immutable-marked type snap"
-	return old
-}
-
-func ReadSnap(s *snap) int {
-	return s.rows // reads never need a lock on an immutable type
+// Rebound starts from a fresh allocation but rebinds the local to a
+// parameter: no definition table can call w fresh, so both writes
+// need the lock.
+func Rebound(p *W) {
+	w := &W{}
+	w.loaded = true // want "write of field .*W.loaded without holding"
+	w = p
+	w.loaded = false // want "write of field .*W.loaded without holding"
 }
 `,
 		"internal/client/client.go": `package client

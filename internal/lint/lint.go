@@ -14,13 +14,10 @@
 //     ambient clock (time.Now and friends) is forbidden in semantic
 //     packages; the obs.Clock seam is the only sanctioned source.
 //
-// Three are flow-sensitive, built on the package's own CFG
-// construction (cfg.go) and dataflow solver (dataflow.go):
+// Two are flow-sensitive, built on the package's own CFG construction
+// (cfg.go) and dataflow solver (dataflow.go), each over its own
+// lattice:
 //
-//   - purity: functions marked //dimred:aggregate — the distributive
-//     default aggregates Definition 6's Group_high folds in arbitrary
-//     order — must not write package state, read the clock, or range
-//     over maps, transitively over the module call graph.
 //   - nowflow: a taint analysis ensuring every caltime.Day used as an
 //     evaluation time descends from an explicit t/now parameter or
 //     clock seam, never from a literal or ad-hoc construction.
@@ -28,15 +25,19 @@
 //     under a sync.Mutex/RWMutex is accessed under that mutex
 //     everywhere.
 //
-// Two are interprocedural, built on a module-wide call graph
-// (callgraph.go) with per-function escape summaries computed bottom-up
-// in SCC order:
+// Three are interprocedural, built on a module-wide call graph
+// (callgraph.go):
 //
-//   - snapalias: references derived from //dimred:immutable values —
-//     getter returns, field reads, arguments, closure captures — must
-//     never reach a write; the summaries carry the obligation across
-//     function boundaries, where lockfield's store-site check cannot
-//     see it.
+//   - purity: functions marked //dimred:aggregate — the distributive
+//     default aggregates Definition 6's Group_high folds in arbitrary
+//     order — must not write package state, read the clock, or range
+//     over maps, transitively over the call graph.
+//   - snapalias: no write may reach a value derived from a
+//     //dimred:immutable type — a direct field store, or a store
+//     through a getter's return, a field read, an argument or a
+//     closure capture; per-function escape summaries, computed
+//     bottom-up in SCC order, carry the obligation across function
+//     boundaries.
 //   - clonecheck: every field of a struct built inside a Clone method
 //     must be provably cloned, copied by reference-free value, or
 //     annotated //dimred:shared with a reason — a forgotten field

@@ -8,15 +8,6 @@ import (
 	"strings"
 )
 
-// ImmutableDirective marks a struct type whose instances are published
-// to lock-free readers (the warehouse's epoch snapshots): after
-// construction, no field of the type may ever be written. The lockfield
-// analyzer flags every write to a field of a marked type whose base
-// object is not provably a fresh, unshared allocation — mutating a
-// published instance would race with readers that pinned it without
-// taking any lock.
-const ImmutableDirective = directivePrefix + "immutable"
-
 // NewLockField builds the lockfield analyzer: mutex-discipline
 // checking for the engine's shared state.
 //
@@ -34,20 +25,18 @@ const ImmutableDirective = directivePrefix + "immutable"
 //     their bodies assume every mutex field of the receiver is held
 //     (the caller's obligation), and every *call* to such a method
 //     must hold those mutexes at least at read strength;
-//   - accesses through a local variable that reaching-definitions
-//     proves freshly allocated in this function (x := T{...},
-//     x := &T{...}, x := new(T), var x T) are exempt: nothing else
-//     can see the object yet, so constructors stay lock-free;
+//   - accesses through a local variable every definition of which in
+//     this function is a fresh allocation (x := T{...}, x := &T{...},
+//     x := new(T), var x T) are exempt: nothing else can see the
+//     object yet, so constructors stay lock-free;
 //   - deferred Unlock/RUnlock calls take effect on the function's
 //     exit paths (the CFG's defers block), so a Lock at the top plus
 //     a deferred Unlock holds for the whole body;
 //   - function literals are opaque (a goroutine body has its own
-//     control flow); locks taken or released inside one are not seen;
-//   - types marked //dimred:immutable in their doc comment are
-//     frozen after construction: any write to their fields outside a
-//     fresh allocation is flagged, no lock excuses it — holding a
-//     writer lock does not help readers that pin such objects without
-//     one.
+//     control flow); locks taken or released inside one are not seen.
+//
+// Writes to //dimred:immutable types are snapalias's to judge, not
+// this analyzer's: no lock excuses them.
 func NewLockField() *Analyzer {
 	a := &Analyzer{
 		Name: "lockfield",
@@ -55,23 +44,13 @@ func NewLockField() *Analyzer {
 			"under that lock everywhere (reads may hold RLock)",
 	}
 	a.RunModule = func(m *Module) []Diagnostic {
-		immutable, lf := m.dirs.immutable, collectLockFacts(m)
-		accesses, guards := lf.accesses, lf.guards
+		lf := collectLockFacts(m)
 
-		// Every non-exempt access to a guarded field must
-		// hold one of its guards at the required strength, and no
-		// non-exempt write may touch an immutable type at all.
+		// Every non-exempt access to a guarded field must hold one of
+		// its guards at the required strength.
 		var ds []Diagnostic
-		for _, a := range accesses {
-			if a.write && !a.exempt && immutable[a.owner] {
-				ds = append(ds, a.unit.Diag(a.pos,
-					"write to field %s of %s-marked type %s outside its construction; "+
-						"published instances are read by lock-free pinned readers",
-					a.key, ImmutableDirective, shortOwner(a.owner)))
-			}
-		}
-		for _, a := range accesses {
-			if gs := guards[a.key]; !a.exempt && !a.holdsOneOf(gs) {
+		for _, a := range lf.accesses {
+			if gs := lf.guards[a.key]; !a.exempt && !a.holdsOneOf(gs) {
 				ds = append(ds, a.unit.Diag(a.pos,
 					"%s of field %s without holding %s, which guards it elsewhere in the module",
 					a.verb(), a.key, guardNames(gs, a.owner)))
@@ -268,15 +247,14 @@ type lockAnalysis struct {
 	parents      map[ast.Node]ast.Node
 	ownerMutexes map[string][]string
 
-	g  *CFG
-	rd *ReachingDefs
+	defs map[*types.Var][]Def // built on the first field access
 
 	accesses    []lockAccess
 	lockedCalls []lockedCall
 }
 
 func (la *lockAnalysis) run() {
-	la.g = BuildCFG(la.fd.Body)
+	g := BuildCFG(la.fd.Body)
 
 	boundary := lockSet{}
 	if strings.HasSuffix(la.fd.Name.Name, "Locked") {
@@ -287,7 +265,7 @@ func (la *lockAnalysis) run() {
 		}
 	}
 
-	in := Solve(la.g, Problem[lockSet]{
+	in := Solve(g, Problem[lockSet]{
 		Boundary: boundary,
 		Merge:    lockMeet,
 		Equal:    lockSetEqual,
@@ -300,7 +278,7 @@ func (la *lockAnalysis) run() {
 		},
 	})
 
-	for _, blk := range la.g.Blocks {
+	for _, blk := range g.Blocks {
 		facts, ok := in[blk]
 		if !ok {
 			continue // unreachable
@@ -308,7 +286,7 @@ func (la *lockAnalysis) run() {
 		cur := facts.clone()
 		for _, n := range blk.Nodes {
 			if blk.Kind != "defers" {
-				la.scanNode(blk, n, cur)
+				la.scanNode(n, cur)
 			}
 			la.transfer(blk, n, cur)
 		}
@@ -368,12 +346,12 @@ func (la *lockAnalysis) applyLockOp(call *ast.CallExpr, set lockSet) {
 
 // scanNode records the field accesses and *Locked calls in one node
 // under the current lockset.
-func (la *lockAnalysis) scanNode(blk *Block, n ast.Node, set lockSet) {
+func (la *lockAnalysis) scanNode(n ast.Node, set lockSet) {
 	for _, part := range shallowParts(n) {
 		inspectNoFuncLit(part, func(x ast.Node) bool {
 			switch x := x.(type) {
 			case *ast.SelectorExpr:
-				la.recordAccess(blk, x, set)
+				la.recordAccess(x, set)
 			case *ast.CallExpr:
 				la.recordLockedCall(x, set)
 			}
@@ -382,7 +360,7 @@ func (la *lockAnalysis) scanNode(blk *Block, n ast.Node, set lockSet) {
 	}
 }
 
-func (la *lockAnalysis) recordAccess(blk *Block, sel *ast.SelectorExpr, set lockSet) {
+func (la *lockAnalysis) recordAccess(sel *ast.SelectorExpr, set lockSet) {
 	owner, key, ok := fieldOwnerKey(la.u.Info, sel)
 	if !ok {
 		return
@@ -396,7 +374,7 @@ func (la *lockAnalysis) recordAccess(blk *Block, sel *ast.SelectorExpr, set lock
 		key:    key,
 		owner:  owner,
 		write:  isWriteContext(la.parents, sel),
-		exempt: la.freshBase(blk, sel),
+		exempt: la.freshBase(sel),
 		locks:  set.clone(),
 	})
 }
@@ -424,38 +402,29 @@ func (la *lockAnalysis) recordLockedCall(call *ast.CallExpr, set lockSet) {
 }
 
 // freshBase reports whether the root of sel's base chain is a local
-// variable all of whose reaching definitions are fresh allocations —
-// the object cannot be shared yet, so lock discipline does not apply.
-func (la *lockAnalysis) freshBase(blk *Block, sel *ast.SelectorExpr) bool {
+// variable all of whose definitions are fresh allocations — the object
+// cannot be shared yet, so lock discipline does not apply.
+func (la *lockAnalysis) freshBase(sel *ast.SelectorExpr) bool {
 	e := ast.Expr(sel)
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.SelectorExpr:
 			e = x.X
-			continue
 		case *ast.IndexExpr:
 			e = x.X
-			continue
 		case *ast.StarExpr:
 			e = x.X
-			continue
 		case *ast.Ident:
 			v, _ := la.u.Info.Uses[x].(*types.Var)
 			if v == nil {
-				if dv, ok := la.u.Info.Defs[x].(*types.Var); ok {
-					v = dv
-				}
-			}
-			if v == nil {
 				return false
 			}
-			if la.rd == nil {
-				la.rd = NewReachingDefs(la.u.Info, la.fd, la.g)
+			if la.defs == nil {
+				la.defs = localDefs(la.u.Info, la.fd)
 			}
-			at := enclosingBlockNode(blk, sel)
-			defs := la.rd.DefsAt(la.u.Info, blk, at, v)
+			defs := la.defs[v]
 			if len(defs) == 0 {
-				return false // untracked (package var, closure) or dead
+				return false // untracked: package var, closure parameter
 			}
 			for _, d := range defs {
 				if !freshDef(d) {
@@ -467,17 +436,6 @@ func (la *lockAnalysis) freshBase(blk *Block, sel *ast.SelectorExpr) bool {
 			return false
 		}
 	}
-}
-
-// enclosingBlockNode finds the top-level node of blk that contains n,
-// so reaching definitions can replay the block up to it.
-func enclosingBlockNode(blk *Block, n ast.Node) ast.Node {
-	for _, bn := range blk.Nodes {
-		if containsNode(bn, n) {
-			return bn
-		}
-	}
-	return nil
 }
 
 // freshDef reports whether a definition provably yields a freshly
@@ -622,12 +580,4 @@ func ownerPkgPrefix(owner string) string {
 		return owner[:i+1]
 	}
 	return ""
-}
-
-// shortOwner renders pkg.Type as just Type for diagnostics.
-func shortOwner(owner string) string {
-	if i := strings.LastIndex(owner, "."); i >= 0 {
-		return owner[i+1:]
-	}
-	return owner
 }

@@ -15,7 +15,8 @@ import (
 // concrete obligations over that transitive closure:
 //
 //   - no writes to package-level state (including writes through a
-//     pointer that reaching-definitions shows aliases a package var);
+//     local pointer any of whose definitions takes a package var's
+//     address);
 //   - no ambient wall clock (time.Now/Since/Tick, or the obs.Clock
 //     seam — an aggregate's value may not depend on when it runs);
 //   - no iteration over a map (Go randomizes map order, so any
@@ -114,45 +115,19 @@ func NewPurity() *Analyzer {
 // collectPurityFacts gathers one function's purity offenses. Function
 // literals are scanned as part of their enclosing declaration — the
 // call graph attributes a closure's calls to the function that builds
-// it, so its direct effects must count here too. The pointer-aliasing
-// check (*p = x against reaching definitions) stays limited to the
-// declaration's own body: the CFG does not model closure control flow.
+// it, so its direct effects must count here too.
 func collectPurityFacts(u *Unit, fd *ast.FuncDecl) *purityFacts {
 	pf := &purityFacts{unit: u, decl: fd}
-
-	// Reaching definitions are built on demand, only when the body
-	// contains a write through a pointer dereference.
-	var rd *ReachingDefs
-	var cfg *CFG
-	reach := func() *ReachingDefs {
-		if rd == nil {
-			cfg = BuildCFG(fd.Body)
-			rd = NewReachingDefs(u.Info, fd, cfg)
-		}
-		return rd
-	}
-	blockOf := func(n ast.Node) *Block {
-		for _, blk := range cfg.Blocks {
-			for _, bn := range blk.Nodes {
-				if containsNode(bn, n) {
-					return blk
-				}
-			}
-		}
-		return nil
-	}
+	var defs map[*types.Var][]Def // built on the first write through a pointer
 
 	offend := func(n ast.Node, desc string) {
 		pf.offenses = append(pf.offenses, purityOffense{unit: u, node: n, desc: desc})
 	}
-	checkWrite := func(lhs ast.Expr, stmt ast.Node, inClosure bool) {
+	checkWrite := func(lhs ast.Expr, stmt ast.Node) {
 		lhs = ast.Unparen(lhs)
 		if star, ok := lhs.(*ast.StarExpr); ok {
-			if inClosure {
-				return // no CFG inside a closure: skip the alias check
-			}
-			// *p = x: consult reaching definitions of p; flag only
-			// when a reaching def provably aliases a package var.
+			// *p = x: flag when any definition of p in this function
+			// takes the address of a package var.
 			id, ok := ast.Unparen(star.X).(*ast.Ident)
 			if !ok {
 				return
@@ -161,15 +136,10 @@ func collectPurityFacts(u *Unit, fd *ast.FuncDecl) *purityFacts {
 			if v == nil {
 				return
 			}
-			r := reach()
-			blk := blockOf(stmt)
-			if blk == nil {
-				return
+			if defs == nil {
+				defs = localDefs(u.Info, fd)
 			}
-			for _, def := range r.DefsAt(u.Info, blk, stmt, v) {
-				if def.Rhs == nil {
-					continue
-				}
+			for _, def := range defs[v] {
 				if un, ok := ast.Unparen(def.Rhs).(*ast.UnaryExpr); ok && un.Op == token.AND {
 					if pv := packageLevelBase(u.Info, un.X); pv != nil {
 						offend(stmt, "writes package variable "+pv.Name()+" through a pointer")
@@ -184,52 +154,37 @@ func collectPurityFacts(u *Unit, fd *ast.FuncDecl) *purityFacts {
 		}
 	}
 
-	// scanBody visits one function body's own nodes, then recurses into
-	// its directly nested function literals with inClosure set: a
-	// closure's direct effects belong to the declaration that builds
-	// it, matching the call graph's attribution of its calls.
-	var scanBody func(body ast.Node, inClosure bool)
-	scanBody = func(body ast.Node, inClosure bool) {
-		inspectNoFuncLit(body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					checkWrite(lhs, n, inClosure)
-				}
-			case *ast.IncDecStmt:
-				checkWrite(n.X, n, inClosure)
-			case *ast.RangeStmt:
-				if tv, ok := u.Info.Types[n.X]; ok {
-					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-						offend(n, "ranges over a map (iteration order is randomized)")
-					}
-				}
-			case *ast.CallExpr:
-				fn := calleeFunc(u.Info, n)
-				if fn == nil || fn.Pkg() == nil {
-					return true
-				}
-				pkgPath := fn.Pkg().Path()
-				if pkgPath == "time" && forbiddenTimeFuncs[fn.Name()] {
-					offend(n, "calls time."+fn.Name())
-				}
-				if pathMatches(pkgPath, []string{"internal/obs"}) && (fn.Name() == "Now" || fn.Name() == "Since") {
-					if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-						offend(n, "reads the clock via obs."+fn.Name())
-					}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				checkWrite(lhs, n)
+			}
+		case *ast.IncDecStmt:
+			checkWrite(n.X, n)
+		case *ast.RangeStmt:
+			if tv, ok := u.Info.Types[n.X]; ok {
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					offend(n, "ranges over a map (iteration order is randomized)")
 				}
 			}
-			return true
-		})
-		ast.Inspect(body, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok && n != body {
-				scanBody(fl.Body, true)
-				return false
+		case *ast.CallExpr:
+			fn := calleeFunc(u.Info, n)
+			if fn == nil || fn.Pkg() == nil {
+				return true
 			}
-			return true
-		})
-	}
-	scanBody(fd.Body, false)
+			pkgPath := fn.Pkg().Path()
+			if pkgPath == "time" && forbiddenTimeFuncs[fn.Name()] {
+				offend(n, "calls time."+fn.Name())
+			}
+			if pathMatches(pkgPath, []string{"internal/obs"}) && (fn.Name() == "Now" || fn.Name() == "Since") {
+				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+					offend(n, "reads the clock via obs."+fn.Name())
+				}
+			}
+		}
+		return true
+	})
 	return pf
 }
 
@@ -265,19 +220,4 @@ func packageLevelBase(info *types.Info, e ast.Expr) *types.Var {
 			return nil
 		}
 	}
-}
-
-// containsNode reports whether needle is root or a descendant of root.
-func containsNode(root, needle ast.Node) bool {
-	if root == needle {
-		return true
-	}
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == needle {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -6,14 +6,22 @@ import (
 	"go/types"
 )
 
-// snapalias is the interprocedural escape analysis behind the epoch-
-// snapshot publish boundary. lockfield's //dimred:immutable check flags
-// direct stores to fields of a marked type; snapalias closes the gap
-// that check leaves: a map, slice or pointer *derived* from a marked
-// value (a getter's return, a field read, an argument passed down a
-// call chain, a capture in a closure) aliases published state, and a
-// write through the alias races with pinned lock-free readers just as
-// surely as a direct field store.
+// ImmutableDirective marks a struct type whose instances are published
+// to lock-free readers (the warehouse's epoch snapshots): after
+// construction, nothing reachable from a marked value may be written.
+// Mutating a published instance races with readers that pinned it
+// without taking any lock, so no lock excuses such a write.
+const ImmutableDirective = directivePrefix + "immutable"
+
+// snapalias is the one check of the epoch-snapshot publish boundary.
+// It flags every write to a value derived from a //dimred:immutable
+// type: a direct field store on a parameter, a field chain or a local
+// alias, and a store through a map, slice or pointer derived from a
+// marked value (a getter's return, a field read, an argument passed
+// down a call chain, a capture in a closure). A value freshly built in
+// the function (&T{...}, var x T) derives from nothing, so
+// constructors stay silent; a constructor's *result* is as published
+// as any other marked value.
 //
 // The analysis is summary-based. Every declared function gets an
 // escape summary — which parameters it may write through, which

@@ -10,8 +10,9 @@ import (
 // TestSnapAlias exercises the interprocedural escape analysis: writes
 // through values derived from a //dimred:immutable type must be flagged
 // wherever the derivation happened — a getter's return, an argument
-// passed down a call chain, a closure capture, a bound method value —
-// while fresh allocations, reference-free value copies, //dimred:shared
+// passed down a call chain, a closure capture, a bound method value,
+// or a plain field store, even under a held lock — while fresh
+// allocations, reference-free value copies, //dimred:shared
 // fields and //dimred:allow suppressions stay silent.
 func TestSnapAlias(t *testing.T) {
 	linttest.Run(t, []*lint.Analyzer{lint.NewSnapAlias()}, map[string]string{
@@ -38,6 +39,49 @@ func (k *Sink) Wipe() { clear(k.Rows) }
 
 // Rows escapes the snapshot's row map to the caller.
 func Rows(s *Snap) map[string]int { return s.Rows }
+`,
+		"wh/wh.go": `package wh
+
+import "sync"
+
+type W struct{ mu sync.Mutex }
+
+// snap is published to lock-free readers behind an atomic pointer.
+//
+//dimred:immutable
+type snap struct {
+	rows int
+	day  int
+}
+
+func NewSnap(rows int) *snap {
+	s := &snap{rows: rows}
+	s.day = 1 // fresh allocation: construction is allowed
+	return s
+}
+
+func Zeroed() snap {
+	var s snap
+	s.day = 2 // zero-value local: nothing published yet
+	return s
+}
+
+func (w *W) Republish(old *snap) *snap {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	old.day++ // want "write through a value derived from //dimred:immutable type snap"
+	return old
+}
+
+func Restamp() *snap {
+	s := NewSnap(1)
+	s.day = 5 // want "write through a value derived from //dimred:immutable type snap"
+	return s
+}
+
+func ReadSnap(s *snap) int {
+	return s.rows // reads are always allowed
+}
 `,
 		"use/use.go": `package use
 

@@ -206,89 +206,3 @@ func TestStarOnReducedGranularities(t *testing.T) {
 		t.Errorf("url groups = %d", len(rows))
 	}
 }
-
-func TestSecondaryIndex(t *testing.T) {
-	tab, err := NewTable("T", []Column{
-		{Name: "id", Kind: KindInt64},
-		{Name: "k", Kind: KindInt64},
-	}, "id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := tab.Insert(int64(i), int64(i%7)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Scan fallback (no index).
-	scanRows := tab.LookupAll("k", 3)
-	if len(scanRows) != 14 { // i%7==3 for i in [0,100): 3,10,...,94
-		t.Errorf("scan lookup = %d rows", len(scanRows))
-	}
-	// Indexed.
-	if err := tab.AddIndex("k"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.AddIndex("k"); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	idxRows := tab.LookupAll("k", 3)
-	if len(idxRows) != len(scanRows) {
-		t.Errorf("indexed lookup = %d, scan = %d", len(idxRows), len(scanRows))
-	}
-	// Lazy catch-up after more inserts.
-	for i := 100; i < 107; i++ {
-		if err := tab.Insert(int64(i), int64(i%7)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(tab.LookupAll("k", 3)); got != 15 { // 101 joins
-		t.Errorf("after catch-up = %d, want 15", got)
-	}
-	// Errors.
-	if err := tab.AddIndex("nope"); err == nil {
-		t.Error("missing column accepted")
-	}
-	tab2, _ := NewTable("S", []Column{{Name: "s", Kind: KindString}}, "")
-	if err := tab2.AddIndex("s"); err == nil {
-		t.Error("string index accepted")
-	}
-	if rows := tab.LookupAll("nope", 1); rows != nil {
-		t.Error("lookup on missing column returned rows")
-	}
-}
-
-func BenchmarkLookupIndexedVsScan(b *testing.B) {
-	mk := func(indexed bool) *Table {
-		tab, _ := NewTable("T", []Column{
-			{Name: "id", Kind: KindInt64},
-			{Name: "k", Kind: KindInt64},
-		}, "id")
-		for i := 0; i < 50000; i++ {
-			if err := tab.Insert(int64(i), int64(i%997)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if indexed {
-			if err := tab.AddIndex("k"); err != nil {
-				b.Fatal(err)
-			}
-			tab.LookupAll("k", 0) // build
-		}
-		return tab
-	}
-	b.Run("scan", func(b *testing.B) {
-		tab := mk(false)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = tab.LookupAll("k", int64(i%997))
-		}
-	})
-	b.Run("indexed", func(b *testing.B) {
-		tab := mk(true)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = tab.LookupAll("k", int64(i%997))
-		}
-	})
-}

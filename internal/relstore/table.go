@@ -51,7 +51,6 @@ type Table struct {
 	rows    int
 	pkCol   int // -1 for none
 	pkIndex map[int64]int
-	indexes []*secondary
 }
 
 // NewTable creates a table. pkCol names the primary-key column (must be
@@ -206,60 +205,6 @@ func (t *Table) Scan(fn func(row int) bool) {
 			return
 		}
 	}
-}
-
-// secondary is a non-unique hash index over one int64 column.
-type secondary struct {
-	col  int
-	rows map[int64][]int
-	upto int // rows indexed so far
-}
-
-// AddIndex creates (or returns) a secondary hash index on an int64
-// column, enabling LookupAll point queries without a scan. The index is
-// maintained lazily: it catches up with appended rows on first use.
-func (t *Table) AddIndex(col string) error {
-	i := t.ColumnIndex(col)
-	if i < 0 {
-		return fmt.Errorf("relstore: table %s: no column %q", t.name, col)
-	}
-	if t.cols[i].Kind != KindInt64 {
-		return fmt.Errorf("relstore: table %s: index column %q must be BIGINT", t.name, col)
-	}
-	for _, s := range t.indexes {
-		if s.col == i {
-			return nil
-		}
-	}
-	t.indexes = append(t.indexes, &secondary{col: i, rows: make(map[int64][]int)})
-	return nil
-}
-
-// LookupAll returns the rows whose int64 column equals v, using a
-// secondary index when one exists (building it up lazily) and a scan
-// otherwise.
-func (t *Table) LookupAll(col string, v int64) []int {
-	i := t.ColumnIndex(col)
-	if i < 0 {
-		return nil
-	}
-	for _, s := range t.indexes {
-		if s.col != i {
-			continue
-		}
-		for ; s.upto < t.rows; s.upto++ {
-			key := t.ints[i][s.upto]
-			s.rows[key] = append(s.rows[key], s.upto)
-		}
-		return s.rows[v]
-	}
-	var out []int
-	for r := 0; r < t.rows; r++ {
-		if t.ints[i][r] == v {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // Format renders the table content, sorted by primary key (or insertion
