@@ -170,13 +170,10 @@ func TestRepoSuppressionBudget(t *testing.T) {
 		// internal/spec/env.go: synthetic canonical window is not an
 		// evaluation time.
 		"nowflow": 1,
-		// internal/warehouse/warehouse.go ×3: commitWithViewsLocked's
+		// internal/warehouse/warehouse.go: commitWithViewsLocked's
 		// LevelFrom call (it writes the retired side, drained of readers,
-		// from the published one), and buildViewsLocked's
-		// redirect-and-restore pair (the working side is off the published
-		// read path under wmu; view builds must not inflate the query
-		// counters).
-		"snapalias": 3,
+		// from the published one).
+		"snapalias": 1,
 	}
 	got := map[string]int{}
 	for _, al := range lint.AuditEscapes(units) {

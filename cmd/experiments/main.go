@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 )
 
 type experiment struct {
@@ -59,10 +58,8 @@ func main() {
 		return
 	}
 	ids := map[string]experiment{}
-	var order []string
 	for _, e := range experiments {
 		ids[e.id] = e
-		order = append(order, e.id)
 	}
 	if *exp != "" {
 		e, ok := ids[*exp]
@@ -70,27 +67,27 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", *exp)
 			os.Exit(2)
 		}
-		if err := runOne(e); err != nil {
+		if err := runOne(os.Stdout, e); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.id, err)
 			os.Exit(1)
 		}
 		return
 	}
-	sort.Strings(order)
-	// Keep declared order rather than lexicographic.
 	for _, e := range experiments {
-		if err := runOne(e); err != nil {
+		if err := runOne(os.Stdout, e); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.id, err)
 			os.Exit(1)
 		}
 	}
 }
 
-func runOne(e experiment) error {
-	fmt.Printf("==== %s: %s ====\n", e.id, e.title)
-	if err := e.run(os.Stdout); err != nil {
+// runOne writes one experiment's block of the output: a header line, the
+// experiment's output and a blank line.
+func runOne(w io.Writer, e experiment) error {
+	fmt.Fprintf(w, "==== %s: %s ====\n", e.id, e.title)
+	if err := e.run(w); err != nil {
 		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }

@@ -2,9 +2,37 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
+
+// TestE01MatchesRecordedOutput pins E01 — the Appendix A star schema as
+// relstore renders it — byte for byte against its block of the recorded
+// output, docs/experiments-output.txt (the header line through the blank
+// line that ends the block).
+func TestE01MatchesRecordedOutput(t *testing.T) {
+	recorded, err := os.ReadFile("../../docs/experiments-output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, ok := strings.Cut(string(recorded), "\n==== E02:")
+	if !ok {
+		t.Fatal("docs/experiments-output.txt has no E02 block after E01")
+	}
+	want += "\n"
+	e01 := experiments[0]
+	if e01.id != "E01" {
+		t.Fatalf("experiments[0] is %s, want E01", e01.id)
+	}
+	var buf bytes.Buffer
+	if err := runOne(&buf, e01); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != want {
+		t.Errorf("E01 output differs from docs/experiments-output.txt:\n--- got\n%s--- want\n%s", got, want)
+	}
+}
 
 // TestAllExperimentsRun executes every experiment against a buffer and
 // asserts each produces its key result line — an integration test over

@@ -52,9 +52,6 @@ func (s *Set) trim() {
 	}
 }
 
-// Universe returns the universe size.
-func (s *Set) Universe() int { return s.n }
-
 // Add inserts element i.
 func (s *Set) Add(i int) {
 	if i < 0 || i >= s.n {

@@ -22,23 +22,3 @@ func BenchmarkBuildStar(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkSumByLevel(b *testing.B) {
-	obj, err := workload.BuildClickMO(workload.ClickConfig{
-		Seed: 8, Start: caltime.Date(2000, 1, 1), Days: 90, ClicksPerDay: 100,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	star, err := BuildStar(obj.MO)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := star.SumByLevel([]string{"Time.month", "URL.domain_grp"}, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,206 +1,115 @@
+// Package relstore exports a multidimensional object as the relational
+// star schema of Appendix A, Table 2 — the layout Section 7's "standard
+// data warehouse technology" stores: one denormalized dimension table per
+// dimension (a surrogate key plus one column per category) and one fact
+// table with surrogate keys and measure columns. It is an export and a
+// printer, not a query engine: queries run on the MO algebra and the
+// subcube engine.
 package relstore
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dimred/internal/mdm"
 )
 
-// Star is a multidimensional object materialized as a star schema: one
-// denormalized dimension table per dimension (a surrogate key plus one
-// column per category, holding the ancestor value's name or "" where the
-// category is not above the keyed value) and one fact table with
-// surrogate keys and measure columns — the layout of Appendix A,
-// Table 2.
+// Star is a multidimensional object materialized as a star schema.
 type Star struct {
-	DB     *DB
-	Fact   *Table
-	Dims   []*Table
-	schema *mdm.Schema
-	// keyCol[i] is the fact table's key column for dimension i;
-	// measCol[j] the column of measure j.
-	keyCol  []int
-	measCol []int
+	Dims []DimTable
+	Fact FactTable
 }
+
+// DimTable is one dimension table. Row v is the dimension's value v: its
+// surrogate key is v, and its category columns hold the value's roll-ups.
+type DimTable struct {
+	Name    string     // "<Dim> Dimension"
+	Key     string     // the surrogate-key column, "<dim>_id"
+	Columns []string   // one per category, in category order
+	Rows    [][]string // Rows[v][c]: v's ancestor in category c, "" where c is not above v
+}
+
+// FactTable is the fact table. Row f is the MO's fact f: its key is f.
+type FactTable struct {
+	Name     string
+	Key      string      // "fact_id"
+	Columns  []string    // one surrogate-key column per dimension, then one per measure
+	Refs     [][]int64   // Refs[f][i]: fact f's key into dimension table i
+	Measures [][]float64 // Measures[f][j]: fact f's measure j
+}
+
+// Rows returns the fact count.
+func (t *FactTable) Rows() int { return len(t.Refs) }
 
 // BuildStar materializes mo. Facts at any granularity are supported: the
 // fact's surrogate key references the dimension row of whatever value it
 // maps to directly, and that row's category columns expose the available
 // roll-ups — which is how the paper's subcubes live in relational
-// technology.
+// technology. Every fact key has its dimension row, since an MO holds
+// only references its schema has checked, so the error is always nil.
 func BuildStar(mo *mdm.MO) (*Star, error) {
 	schema := mo.Schema()
-	db := NewDB()
-	star := &Star{DB: db, schema: schema}
-
+	star := &Star{Fact: FactTable{Name: schema.FactType + " Fact", Key: "fact_id"}}
 	for _, d := range schema.Dims {
-		cols := []Column{{Name: strings.ToLower(d.Name()) + "_id", Kind: KindInt64}}
+		t := DimTable{Name: d.Name() + " Dimension", Key: strings.ToLower(d.Name()) + "_id"}
 		for c := 0; c < d.NumCategories(); c++ {
-			cols = append(cols, Column{Name: d.Category(mdm.CategoryID(c)).Name, Kind: KindString})
-		}
-		t, err := NewTable(d.Name()+" Dimension", cols, cols[0].Name)
-		if err != nil {
-			return nil, err
+			t.Columns = append(t.Columns, d.Category(mdm.CategoryID(c)).Name)
 		}
 		for v := 0; v < d.NumValues(); v++ {
-			vals := make([]interface{}, len(cols))
-			vals[0] = int64(v)
-			for c := 0; c < d.NumCategories(); c++ {
-				a := d.AncestorAt(mdm.ValueID(v), mdm.CategoryID(c))
-				if a == mdm.NoValue {
-					vals[c+1] = ""
-				} else {
-					vals[c+1] = d.ValueName(a)
+			row := make([]string, d.NumCategories())
+			for c := range row {
+				if a := d.AncestorAt(mdm.ValueID(v), mdm.CategoryID(c)); a != mdm.NoValue {
+					row[c] = d.ValueName(a)
 				}
 			}
-			if err := t.Insert(vals...); err != nil {
-				return nil, err
-			}
-		}
-		if err := db.Add(t); err != nil {
-			return nil, err
+			t.Rows = append(t.Rows, row)
 		}
 		star.Dims = append(star.Dims, t)
+		star.Fact.Columns = append(star.Fact.Columns, t.Key)
 	}
-
-	factCols := []Column{{Name: "fact_id", Kind: KindInt64}}
-	star.keyCol = make([]int, len(schema.Dims))
-	for i, d := range schema.Dims {
-		star.keyCol[i] = len(factCols)
-		factCols = append(factCols, Column{Name: strings.ToLower(d.Name()) + "_id", Kind: KindInt64})
-	}
-	star.measCol = make([]int, len(schema.Measures))
-	for j, m := range schema.Measures {
-		star.measCol[j] = len(factCols)
-		factCols = append(factCols, Column{Name: m.Name, Kind: KindFloat64})
-	}
-	fact, err := NewTable(schema.FactType+" Fact", factCols, "fact_id")
-	if err != nil {
-		return nil, err
+	for _, m := range schema.Measures {
+		star.Fact.Columns = append(star.Fact.Columns, m.Name)
 	}
 	for f := 0; f < mo.Len(); f++ {
 		fid := mdm.FactID(f)
-		vals := make([]interface{}, len(factCols))
-		vals[0] = int64(f)
-		for i := range schema.Dims {
-			vals[star.keyCol[i]] = int64(mo.Ref(fid, i))
+		refs := make([]int64, len(schema.Dims))
+		for i := range refs {
+			refs[i] = int64(mo.Ref(fid, i))
 		}
-		for j := range schema.Measures {
-			vals[star.measCol[j]] = mo.Measure(fid, j)
-		}
-		if err := fact.Insert(vals...); err != nil {
-			return nil, err
-		}
+		star.Fact.Refs = append(star.Fact.Refs, refs)
+		star.Fact.Measures = append(star.Fact.Measures, mo.Measures(fid))
 	}
-	if err := db.Add(fact); err != nil {
-		return nil, err
-	}
-	star.Fact = fact
 	return star, nil
 }
 
-// Bytes models the star schema's total storage: the fact table plus
-// every dimension table, under the Table cost model. FactBytes and
-// DimBytes split the total the way the paper's storage claim does
-// (facts dominate warehouse storage).
-func (s *Star) Bytes() (total, factBytes, dimBytes int64) {
-	factBytes = s.Fact.Bytes()
-	for _, d := range s.Dims {
-		dimBytes += d.Bytes()
-	}
-	return factBytes + dimBytes, factBytes, dimBytes
-}
-
-// GroupRow is one result row of a star aggregation: the group-by column
-// values joined from the dimension tables, plus aggregated measures.
-type GroupRow struct {
-	Keys     []string
-	Measures []float64
-}
-
-// SumByLevel runs the prototypical star-join aggregation: SELECT
-// <levels>, SUM(measures) FROM fact JOIN dims GROUP BY <levels>, with an
-// optional per-fact filter that sees the joined dimension rows. levels
-// name one category per listed dimension as "Dim.category". Facts whose
-// dimension row has no value at a requested level (the category is not
-// above the fact's granularity) are skipped, which is the strict
-// approach of Section 6.3 in relational clothes.
-func (s *Star) SumByLevel(levels []string, filter func(dimRows []int) bool) ([]GroupRow, error) {
-	type lvl struct {
-		dim int
-		col int
-	}
-	var lvls []lvl
-	for _, ref := range levels {
-		dot := strings.IndexByte(ref, '.')
-		if dot < 0 {
-			return nil, fmt.Errorf("relstore: level %q must be Dim.category", ref)
-		}
-		di := s.schema.DimIndex(ref[:dot])
-		if di < 0 {
-			return nil, fmt.Errorf("relstore: unknown dimension in %q", ref)
-		}
-		col := s.Dims[di].ColumnIndex(ref[dot+1:])
-		if col < 0 {
-			return nil, fmt.Errorf("relstore: unknown category in %q", ref)
-		}
-		lvls = append(lvls, lvl{dim: di, col: col})
-	}
-	groups := make(map[string]*GroupRow)
-	dimRows := make([]int, len(s.schema.Dims))
-	var scanErr error
-	s.Fact.Scan(func(r int) bool {
-		for i := range s.schema.Dims {
-			key := s.Fact.Int(r, s.keyCol[i])
-			row, ok := s.Dims[i].Lookup(key)
-			if !ok {
-				scanErr = fmt.Errorf("relstore: dangling %s key %d", s.schema.Dims[i].Name(), key)
-				return false
-			}
-			dimRows[i] = row
-		}
-		if filter != nil && !filter(dimRows) {
-			return true
-		}
-		keys := make([]string, len(lvls))
-		for k, l := range lvls {
-			keys[k] = s.Dims[l.dim].Str(dimRows[l.dim], l.col)
-			if keys[k] == "" {
-				return true // no value at the requested level: skip (strict)
-			}
-		}
-		gk := strings.Join(keys, "\x00")
-		g, ok := groups[gk]
-		if !ok {
-			g = &GroupRow{Keys: keys, Measures: make([]float64, len(s.measCol))}
-			groups[gk] = g
-		}
-		for j, col := range s.measCol {
-			g.Measures[j] += s.Fact.Float(r, col)
-		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	out := make([]GroupRow, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, *g)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return strings.Join(out[i].Keys, "\x00") < strings.Join(out[j].Keys, "\x00")
-	})
-	return out, nil
-}
-
-// FormatAll renders every table, Appendix A style.
+// FormatAll renders every table, Appendix A style: the table name, the
+// column names, then one row per key in key order, cells separated by
+// " | " and each table followed by a blank line.
 func (s *Star) FormatAll() string {
 	var b strings.Builder
-	for _, t := range s.DB.Tables() {
-		b.WriteString(t.Format())
+	for _, t := range s.Dims {
+		writeHeader(&b, t.Name, t.Key, t.Columns)
+		for v, row := range t.Rows {
+			fmt.Fprintf(&b, "%d | %s\n", v, strings.Join(row, " | "))
+		}
 		b.WriteByte('\n')
 	}
+	t := &s.Fact
+	writeHeader(&b, t.Name, t.Key, t.Columns)
+	for f, refs := range t.Refs {
+		fmt.Fprint(&b, f)
+		for _, k := range refs {
+			fmt.Fprintf(&b, " | %d", k)
+		}
+		for _, m := range t.Measures[f] {
+			fmt.Fprintf(&b, " | %v", m)
+		}
+		b.WriteByte('\n')
+	}
+	b.WriteByte('\n')
 	return b.String()
+}
+
+func writeHeader(b *strings.Builder, name, key string, cols []string) {
+	fmt.Fprintf(b, "%s\n%s | %s\n", name, key, strings.Join(cols, " | "))
 }

@@ -20,18 +20,14 @@ type RowID int32
 type Layout struct {
 	DimCols  int // 4 bytes each
 	MeasCols int // 8 bytes each
-	// RowOverhead models per-row metadata (row id, validity); the
-	// default of 8 bytes is applied when zero.
-	RowOverhead int
 }
+
+// rowOverhead models per-row metadata (row id, validity).
+const rowOverhead = 8
 
 // RowBytes returns the modeled size of one row.
 func (l Layout) RowBytes() int64 {
-	ov := l.RowOverhead
-	if ov == 0 {
-		ov = 8
-	}
-	return int64(4*l.DimCols + 8*l.MeasCols + ov)
+	return int64(4*l.DimCols + 8*l.MeasCols + rowOverhead)
 }
 
 // Store is a columnar fact store. The zero value is unusable; construct
@@ -204,28 +200,6 @@ func (s *Store) Dead() int { return s.nDead }
 
 // Bytes returns the modeled size of the live data.
 func (s *Store) Bytes() int64 { return int64(s.Live()) * s.layout.RowBytes() }
-
-// Stats is a point-in-time accounting of one store, surfaced by the
-// observability layer: live and dead row counts, modeled live bytes,
-// and the bytes held by tombstones until the next compaction.
-type Stats struct {
-	Rows      int   // total slots, dead or alive
-	Live      int   // live rows
-	Dead      int   // tombstoned rows
-	Bytes     int64 // modeled size of the live data
-	DeadBytes int64 // modeled size pinned by tombstones
-}
-
-// Stats reports the store's current accounting.
-func (s *Store) Stats() Stats {
-	return Stats{
-		Rows:      len(s.base),
-		Live:      s.Live(),
-		Dead:      s.nDead,
-		Bytes:     s.Bytes(),
-		DeadBytes: int64(s.nDead) * s.layout.RowBytes(),
-	}
-}
 
 // Ref returns dimension column i of row r.
 func (s *Store) Ref(r RowID, i int) mdm.ValueID { return s.refs[i][r] }

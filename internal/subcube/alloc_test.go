@@ -120,7 +120,7 @@ func TestCombineAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := MustParseQuery(`aggregate [Time.day, URL.url]`, env)
-	subs, err := cs.evaluateCubes(q, at, nil)
+	subs, _, err := cs.evaluateCubes(q, at, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

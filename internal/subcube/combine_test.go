@@ -158,7 +158,7 @@ func combineEqualsUnion(t *testing.T) {
 						for _, agg := range aggs {
 							q := Query{Pred: pred, Target: target, Sel: sel, Agg: agg}
 							label := fmt.Sprintf("seed %d at %v: %v where %q, %v/%v", seed, at, refs, src, sel, agg)
-							subs, err := cs.evaluateCubes(q, at, nil)
+							subs, _, err := cs.evaluateCubes(q, at, nil)
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
 							}
@@ -343,7 +343,7 @@ func lubPartsNeedTheUnion(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{Target: mustGran(t, env, "Time.month", "URL.domain"), Agg: query.LUB}
-	subs, err := cs.evaluateCubes(q, at, nil)
+	subs, _, err := cs.evaluateCubes(q, at, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,10 +127,11 @@ func (cs *CubeSet) SetInterpreted(v bool) { cs.interpret = v }
 // records into the same instance.
 func (cs *CubeSet) Metrics() *obs.Metrics { return cs.met }
 
-// SetMetrics redirects the cube set's instrumentation to m. The
-// epoch-snapshot warehouse uses it to keep a view build's scans of the
-// working side out of the query counters; it is not synchronized, so
-// only call it on a cube set that is off the published read path.
+// SetMetrics redirects the cube set's instrumentation to m. Its only
+// caller is the repo benchmark's tracer (bench/trace.go), which points its
+// private clones at a scratch set so re-executed commits stay out of the
+// warehouse's counters. It is not synchronized, so only call it on a cube
+// set that is off the published read path.
 func (cs *CubeSet) SetMetrics(m *obs.Metrics) { cs.met = m }
 
 // Clone returns a deep copy of the cube set: an independent

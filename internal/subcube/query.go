@@ -86,22 +86,59 @@ func (cs *CubeSet) Evaluate(q Query, t caltime.Day) (*mdm.MO, error) {
 // (when non-nil) with which subcubes were consulted or zone-map-pruned,
 // rows scanned versus kept per cube, and per-stage durations. Each
 // parallel goroutine writes only its own pre-sized trace entry and
-// publishes engine counters with single atomic adds, so tracing adds no
-// locks to the scan path.
+// totals slot, so tracing adds no locks to the scan path. It is the
+// accounting entry: it records the query, its latency and its totals in
+// the cube set's metrics.
 func (cs *CubeSet) EvaluateTraced(q Query, t caltime.Day, tr *obs.Trace) (*mdm.MO, error) {
+	clk := cs.met.Clock()
+	start := clk.Now()
+	out, tot, err := cs.evaluate(q, t, tr)
+	cs.met.Queries.Inc()
+	cs.met.CubesConsulted.Add(tot.consulted)
+	cs.met.CubesPruned.Add(tot.pruned)
+	cs.met.RowsScanned.Add(tot.scanned)
+	cs.met.RowsSelected.Add(tot.kept)
+	if tot.probes > 0 {
+		cs.met.ProgramProbes.Add(tot.probes)
+	}
+	cs.met.QueryDuration.Observe(clk.Since(start))
+	return out, err
+}
+
+// EvaluateUncounted runs the query like Evaluate but records none of
+// EvaluateTraced's query accounting — no query, latency, cube, row or
+// probe count (an unsynchronized evaluation's program-cache lookup still
+// counts, as every lookup does). It is for evaluations that are not user
+// queries: views.Build materializes each view through it.
+func (cs *CubeSet) EvaluateUncounted(q Query, t caltime.Day) (*mdm.MO, error) {
+	out, _, err := cs.evaluate(q, t, nil)
+	return out, err
+}
+
+// queryTotals is what one evaluation did, summed over its cubes once the
+// per-cube goroutines have joined.
+type queryTotals struct {
+	consulted, pruned int64
+	scanned, kept     int64
+	probes            int64
+}
+
+// evaluate is the shared core of EvaluateTraced and EvaluateUncounted: it
+// evaluates every cube, combines the subresults, fills tr and returns the
+// totals for the caller to record, or not.
+func (cs *CubeSet) evaluate(q Query, t caltime.Day, tr *obs.Trace) (*mdm.MO, queryTotals, error) {
 	if len(q.Target) != cs.env.Schema.NumDims() {
-		return nil, fmt.Errorf("subcube: Evaluate: target granularity needs %d categories", cs.env.Schema.NumDims())
+		return nil, queryTotals{}, fmt.Errorf("subcube: Evaluate: target granularity needs %d categories", cs.env.Schema.NumDims())
 	}
 	clk := cs.met.Clock()
 	start := clk.Now()
-	cs.met.Queries.Inc()
-	subresults, err := cs.evaluateCubes(q, t, tr)
+	subresults, tot, err := cs.evaluateCubes(q, t, tr)
 	scanDone := clk.Now()
 	if tr != nil {
 		tr.AddStage(obs.StageScan, scanDone.Sub(start))
 	}
 	if err != nil {
-		return nil, err
+		return nil, tot, err
 	}
 
 	// The subresults are disjoint parts of the answer, each already at
@@ -110,23 +147,22 @@ func (cs *CubeSet) EvaluateTraced(q Query, t caltime.Day, tr *obs.Trace) (*mdm.M
 	// 8) — sound because the default aggregate functions are
 	// distributive.
 	out, err := query.Combine(cs.env.Schema, subresults, q.Target, q.Agg)
-	now := clk.Now()
-	cs.met.QueryDuration.Observe(now.Sub(start))
 	if tr != nil {
+		now := clk.Now()
 		tr.AddStage(obs.StageCombine, now.Sub(scanDone))
 		tr.Total = now.Sub(start)
 		if err == nil {
 			tr.ResultCells = out.Len()
 		}
 	}
-	return out, err
+	return out, tot, err
 }
 
-// evaluateCubes is the per-subcube half of EvaluateTraced: it returns,
-// in cube order, each consulted cube's selection aggregated to the
-// query's target (nil for a cube the zone map pruned), synchronized or
-// not, and fills tr's per-cube entries.
-func (cs *CubeSet) evaluateCubes(q Query, t caltime.Day, tr *obs.Trace) ([]*mdm.MO, error) {
+// evaluateCubes is the per-subcube half of evaluate: it returns, in cube
+// order, each consulted cube's selection aggregated to the query's target
+// (nil for a cube the zone map pruned), synchronized or not, with the
+// totals of the scans, and fills tr's per-cube entries.
+func (cs *CubeSet) evaluateCubes(q Query, t caltime.Day, tr *obs.Trace) ([]*mdm.MO, queryTotals, error) {
 	clk := cs.met.Clock()
 	synced := cs.synced && cs.lastSync == t
 	if tr != nil {
@@ -156,21 +192,22 @@ func (cs *CubeSet) evaluateCubes(q Query, t caltime.Day, tr *obs.Trace) ([]*mdm.
 		baseEval = cs.newCellEval(cs.sp, t)
 	}
 
+	var tot queryTotals
 	subresults := make([]*mdm.MO, len(cs.cubes))
 	errs := make([]error, len(cs.cubes))
-	evals := make([]*cellEval, len(cs.cubes))
+	perCube := make([]queryTotals, len(cs.cubes))
 	var wg sync.WaitGroup
 	for i, c := range cs.cubes {
 		if pruneByTime {
 			if lo, hi, ok := c.DayRange(); ok && (hi < predLo || lo > predHi) {
-				cs.met.CubesPruned.Inc()
+				tot.pruned++
 				if tr != nil {
 					tr.Cubes[i].Pruned = true
 				}
 				continue // the cube cannot contribute
 			}
 		}
-		cs.met.CubesConsulted.Inc()
+		tot.consulted++
 		wg.Add(1)
 		go func(i int, c *Cube) {
 			defer wg.Done()
@@ -186,8 +223,8 @@ func (cs *CubeSet) evaluateCubes(q Query, t caltime.Day, tr *obs.Trace) ([]*mdm.
 				mo, weights, scanned, kept, err = cs.selectedMO(c, q, t)
 			} else {
 				e := &cellEval{router: baseEval.router, sp: baseEval.sp, t: baseEval.t}
-				evals[i] = e
 				mo, scanned, err = cs.viewOf(c, e)
+				perCube[i].probes = e.probes
 				if err == nil && q.Pred != nil {
 					if q.Sel == query.Weighted {
 						mo, weights, err = query.SelectWeighted(mo, q.Pred, t)
@@ -199,8 +236,7 @@ func (cs *CubeSet) evaluateCubes(q Query, t caltime.Day, tr *obs.Trace) ([]*mdm.
 					kept = mo.Len()
 				}
 			}
-			cs.met.RowsScanned.Add(int64(scanned))
-			cs.met.RowsSelected.Add(int64(kept))
+			perCube[i].scanned, perCube[i].kept = int64(scanned), int64(kept)
 			if tr != nil {
 				e := &tr.Cubes[i]
 				e.FastPath = synced
@@ -225,21 +261,17 @@ func (cs *CubeSet) evaluateCubes(q Query, t caltime.Day, tr *obs.Trace) ([]*mdm.
 		}(i, c)
 	}
 	wg.Wait()
-	var probes int64
-	for _, e := range evals {
-		if e != nil {
-			probes += e.probes
-		}
-	}
-	if probes > 0 {
-		cs.met.ProgramProbes.Add(probes)
+	for _, c := range perCube {
+		tot.scanned += c.scanned
+		tot.kept += c.kept
+		tot.probes += c.probes
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, tot, err
 		}
 	}
-	return subresults, nil
+	return subresults, tot, nil
 }
 
 // selectedMO materializes the rows of cube c that satisfy the query's

@@ -138,9 +138,8 @@ func (s *Set) Views() []*View { return s.views }
 // coarser levels is no longer covered by the Definition 6 argument.
 // Per-view failures never fail the build — the query path falls back to
 // the base subcubes — and met counts each materialized view in
-// ViewBuilds. The caller is responsible for pointing cs's own
-// instrumentation at a discard metric set if the builds must not be
-// accounted as user queries.
+// ViewBuilds. A build is not a user query: each view is evaluated through
+// CubeSet.EvaluateUncounted, so cs's query counters do not move.
 func Build(env *spec.Env, cs *subcube.CubeSet, cands []Candidate, t caltime.Day, cfg Config, met *obs.Metrics) *Set {
 	cfg = cfg.withDefaults()
 	layout := storage.Layout{DimCols: env.Schema.NumDims(), MeasCols: len(env.Schema.Measures)}
@@ -149,7 +148,7 @@ func Build(env *spec.Env, cs *subcube.CubeSet, cands []Candidate, t caltime.Day,
 		if len(set.views) >= cfg.MaxViews {
 			break
 		}
-		mo, err := cs.Evaluate(subcube.Query{
+		mo, err := cs.EvaluateUncounted(subcube.Query{
 			Target: cand.Gran,
 			Sel:    query.Conservative,
 			Agg:    query.Availability,

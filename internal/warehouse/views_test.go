@@ -112,6 +112,57 @@ func TestWarehouseViewServing(t *testing.T) {
 	}
 }
 
+// TestViewBuildIsNotAQuery pins that materializing views — on enable, on
+// refresh and on a sync-carrying commit, through both the unsynchronized
+// and the synchronized evaluation path — moves ViewBuilds and none of the
+// user-query counters.
+func TestViewBuildIsNotAQuery(t *testing.T) {
+	w, obj := openClickWarehouse(t)
+	start := caltime.Date(2000, 1, 1)
+	if err := w.AdvanceTo(start); err != nil {
+		t.Fatal(err)
+	}
+	loadStream(t, w, obj, workload.ClickConfig{Seed: 12, Start: start - 60, Days: 60, ClicksPerDay: 20, Domains: 4, URLsPerDomain: 3})
+	for _, src := range viewShapeQueries {
+		if _, err := w.Query(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A clock-only advance leaves the cubes synchronized at an earlier
+	// day, so the first two builds take the unsynchronized path.
+	if err := w.AdvanceTo(start + 1); err != nil {
+		t.Fatal(err)
+	}
+	if last, _ := w.Cubes().LastSync(); last == w.Now() {
+		t.Fatal("advance synchronized; the unsynchronized build path is not exercised")
+	}
+	steps := []struct {
+		name string
+		run  func() error
+	}{
+		{"EnableViews", func() error { return w.EnableViews(views.Config{}) }},
+		{"RefreshViews", w.RefreshViews},
+		{"Sync", w.Sync},
+	}
+	for _, step := range steps {
+		before := w.Metrics()
+		if err := step.run(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		after := w.Metrics()
+		d := after.Sub(before)
+		if d.ViewBuilds == 0 {
+			t.Errorf("%s built no view", step.name)
+		}
+		if d.Queries != 0 || after.QueryDuration.Count != before.QueryDuration.Count ||
+			d.CubesConsulted != 0 || d.CubesPruned != 0 || d.RowsScanned != 0 || d.RowsSelected != 0 {
+			t.Errorf("%s counted its view build as a query: queries=%d latency n=%d cubes consulted=%d pruned=%d rows scanned=%d selected=%d",
+				step.name, d.Queries, after.QueryDuration.Count-before.QueryDuration.Count,
+				d.CubesConsulted, d.CubesPruned, d.RowsScanned, d.RowsSelected)
+		}
+	}
+}
+
 func TestViewsInvalidatedByMutationAndClock(t *testing.T) {
 	w, obj := openViewWarehouse(t)
 	src := viewShapeQueries[0]

@@ -43,10 +43,8 @@ import (
 type Warehouse struct {
 	env *spec.Env
 	// met is the engine metric set, shared with both cube-set sides so
-	// every layer records into one instance. discard absorbs what a view
-	// build's scans would otherwise add to the query counters.
-	met     *obs.Metrics
-	discard *obs.Metrics
+	// every layer records into one instance.
+	met *obs.Metrics
 	// epoch counts pinned readers per side; a commit drains the retired
 	// side on it before levelling writes that side.
 	epoch *obs.Epoch
@@ -127,7 +125,6 @@ func Open(env *spec.Env, actions ...*spec.Action) (*Warehouse, error) {
 	w := &Warehouse{
 		env:     env,
 		met:     cs.Metrics(),
-		discard: obs.NewMetrics(),
 		epoch:   obs.NewEpoch(),
 		buf:     ingest.NewBuffer(ingest.DefaultShards),
 		reclone: recloneRule,
@@ -300,12 +297,10 @@ func (w *Warehouse) rebuildWorkingLocked() {
 // buildViewsLocked selects rollup granularities from the observed
 // query-shape trace (greedy benefit per byte under the configured
 // budget) and materializes them from the post-op working side, before
-// it is published. The working side's instrumentation is redirected to
-// the discard set for the duration: a view build scans cubes with the
-// same machinery as a user query and must not inflate the query
-// counters, while ViewBuilds and ViewBytes land on the real set. A
-// build problem yields a nil set (queries fall back to the base
-// subcubes), never a failed commit.
+// it is published. A view build scans cubes with the same machinery as a
+// user query but is not one: it moves ViewBuilds and ViewBytes, never the
+// query counters. A build problem yields a nil set (queries fall back to
+// the base subcubes), never a failed commit.
 func (w *Warehouse) buildViewsLocked() *views.Set {
 	layout := storage.Layout{DimCols: w.env.Schema.NumDims(), MeasCols: len(w.env.Schema.Measures)}
 	cands := views.Candidates(w.env, w.shapes.Counts(), int64(w.working.TotalRows()), layout)
@@ -313,12 +308,7 @@ func (w *Warehouse) buildViewsLocked() *views.Set {
 	if len(picked) == 0 {
 		return nil
 	}
-	//dimred:allow snapalias the working side is off the published read path under wmu; the metrics redirect keeps view builds out of the query counters
-	w.working.SetMetrics(w.discard)
-	set := views.Build(w.env, w.working, picked, w.now, w.vcfg, w.met)
-	//dimred:allow snapalias the working side is off the published read path under wmu; this restores the real metric set after the build
-	w.working.SetMetrics(w.met)
-	return set
+	return views.Build(w.env, w.working, picked, w.now, w.vcfg, w.met)
 }
 
 // syncLocked runs one timed synchronization round through the
@@ -752,7 +742,9 @@ func (w *Warehouse) Explain(refs []mdm.ValueID) string {
 // Materialize returns the warehouse's current contents — rows of every
 // subcube, at their mixed granularities — as one multidimensional
 // object, read off a pinned snapshot. It is what an export consumes:
-// relstore.BuildStar turns it into Section 7's relational star schema.
+// relstore.BuildStar lays it out as the star schema of Appendix A, Table
+// 2, for printing or loading elsewhere; queries run on the subcubes, not
+// on the export.
 func (w *Warehouse) Materialize() (*mdm.MO, error) {
 	s, p := w.pin()
 	defer p.Unpin()
