@@ -1,8 +1,8 @@
 // Command dimredlint is the repository's multichecker: it runs the
 // domain-invariant analyzers of internal/lint (wallclock, the
-// dataflow-powered nowflow and lockfield passes, the purity, snapalias
-// and clonecheck passes built on the module call graph, and the
-// unknowndirective hygiene pass) over the module, and exits non-zero
+// flow-sensitive lockfield pass, the purity, snapalias and clonecheck
+// passes built on the module call graph, and the unknowndirective
+// hygiene pass) over the module, and exits non-zero
 // when any finding survives //dimred:allow suppression.
 //
 // Usage:

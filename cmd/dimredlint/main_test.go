@@ -86,7 +86,7 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d from -list", code)
 	}
-	names := []string{"wallclock", "purity", "nowflow", "lockfield", "snapalias", "clonecheck", "unknowndirective"}
+	names := []string{"wallclock", "purity", "lockfield", "snapalias", "clonecheck", "unknowndirective"}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) != len(names) {
 		t.Fatalf("-list printed %d analyzers, want %d:\n%s", len(lines), len(names), out.String())
@@ -167,9 +167,6 @@ func TestRepoSuppressionBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := map[string]int{
-		// internal/spec/env.go: synthetic canonical window is not an
-		// evaluation time.
-		"nowflow": 1,
 		// internal/warehouse/warehouse.go: commitWithViewsLocked's
 		// LevelFrom call (it writes the retired side, drained of readers,
 		// from the published one).

@@ -2,15 +2,14 @@ package lint
 
 // All returns every analyzer the dimredlint multichecker bundles, with
 // the repository's default configuration: wallclock, the
-// dataflow-powered nowflow/lockfield pair, the call-graph passes
-// (purity, snapalias, clonecheck), and the directive hygiene
-// pass (unknowndirective, fed every bundled analyzer name so it can
-// validate //dimred:allow targets).
+// flow-sensitive lockfield, the call-graph passes (purity, snapalias,
+// clonecheck), and the directive hygiene pass (unknowndirective, fed
+// every bundled analyzer name so it can validate //dimred:allow
+// targets).
 func All() []*Analyzer {
 	as := []*Analyzer{
 		NewWallclock(DefaultWallclockRestricted),
 		NewPurity(),
-		NewNowflow(DefaultNowflowRestricted),
 		NewLockField(),
 		NewSnapAlias(),
 		NewCloneCheck(),

@@ -8,11 +8,10 @@ import (
 )
 
 // This file builds intraprocedural control-flow graphs over go/ast
-// function bodies. The CFG is the substrate for the dataflow solver in
-// dataflow.go and, through it, for the nowflow and lockfield
-// analyzers. It deliberately stays syntactic: blocks hold the original
-// ast.Nodes in execution order, so analyzer transfer functions keep
-// full access to type information via the Unit.
+// function bodies: the substrate of lockfield's lockset dataflow. It
+// deliberately stays syntactic: blocks hold the original ast.Nodes in
+// execution order, so the transfer function keeps full access to type
+// information via the Unit.
 //
 // Modeling decisions:
 //
@@ -28,11 +27,14 @@ import (
 //     *ast.FuncLit bodies (a nested closure has its own CFG), and
 //     analyzers use inspectNoFuncLit to match.
 //   - select/switch case expressions are evaluated in the head block;
-//     each clause body gets its own block. fallthrough chains switch
-//     clause bodies.
-//   - goto/break/continue/labels are fully wired; blocks that become
+//     each clause body gets its own block.
+//   - Unlabeled break and continue are wired; blocks that become
 //     unreachable (e.g. code after return) stay in Blocks with no
 //     predecessors, and the solver simply never visits them.
+//   - goto, labeled statements, labeled break/continue and fallthrough
+//     are not modeled. The builder records the first one it meets in
+//     CFG.Unsupported, and the graph is then not the function's control
+//     flow: a client must refuse the function rather than analyse it.
 type CFG struct {
 	Blocks []*Block
 	Entry  *Block
@@ -41,6 +43,9 @@ type CFG struct {
 	// order; when non-empty, the last block before Exit is the defers
 	// block holding exactly these nodes.
 	Defers []*ast.DeferStmt
+	// Unsupported is the first goto, labeled statement, labeled
+	// break/continue or fallthrough in the body, or nil.
+	Unsupported ast.Stmt
 }
 
 // Block is one basic block: a maximal straight-line sequence of nodes.
@@ -58,7 +63,7 @@ func (b *Block) String() string { return fmt.Sprintf("b%d(%s)", b.Index, b.Kind)
 
 // BuildCFG constructs the control-flow graph of a function body.
 func BuildCFG(body *ast.BlockStmt) *CFG {
-	b := &cfgBuilder{g: &CFG{}, labels: map[string]*labelInfo{}}
+	b := &cfgBuilder{g: &CFG{}}
 	b.g.Entry = b.newBlock("entry")
 	b.g.Exit = &Block{Kind: "exit"} // indexed after building
 	b.cur = b.g.Entry
@@ -72,22 +77,11 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	return b.g
 }
 
-// labelInfo tracks one label: the block a goto jumps to, and — while
-// the labeled loop/switch is being built — the break/continue targets.
-type labelInfo struct {
-	target     *Block // the labeled statement's own block (goto target)
-	breakTo    *Block
-	continueTo *Block
-}
-
 type cfgBuilder struct {
 	g          *CFG
 	cur        *Block
-	labels     map[string]*labelInfo
 	breakTo    *Block
 	continueTo *Block
-	fallTo     *Block // fallthrough target inside a switch clause
-	curLabel   string // pending label naming the next loop/switch
 }
 
 func (b *cfgBuilder) newBlock(kind string) *Block {
@@ -102,8 +96,7 @@ func addEdge(from, to *Block) {
 }
 
 // jump ends the current block with an edge to target and leaves the
-// builder in a fresh, unreachable block (which later statements may
-// make reachable via labels).
+// builder in a fresh, unreachable block.
 func (b *cfgBuilder) jump(target *Block) {
 	addEdge(b.cur, target)
 	b.cur = b.newBlock("unreachable")
@@ -111,27 +104,21 @@ func (b *cfgBuilder) jump(target *Block) {
 
 func (b *cfgBuilder) add(n ast.Node) { b.cur.Nodes = append(b.cur.Nodes, n) }
 
-// registerLabel records the break/continue targets of a labeled
-// loop/switch under its label.
-func (b *cfgBuilder) registerLabel(label string, breakTo, continueTo *Block) {
-	if label == "" {
-		return
+// unsupported records the first statement the graph does not model.
+func (b *cfgBuilder) unsupported(s ast.Stmt) {
+	if b.g.Unsupported == nil {
+		b.g.Unsupported = s
 	}
-	li := b.labels[label]
-	li.breakTo = breakTo
-	li.continueTo = continueTo
 }
 
 func (b *cfgBuilder) stmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.BlockStmt:
-		b.curLabel = ""
 		for _, st := range s.List {
 			b.stmt(st)
 		}
 
 	case *ast.IfStmt:
-		b.curLabel = ""
 		if s.Init != nil {
 			b.stmt(s.Init)
 		}
@@ -155,8 +142,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.cur = done
 
 	case *ast.ForStmt:
-		label := b.curLabel
-		b.curLabel = ""
 		if s.Init != nil {
 			b.stmt(s.Init)
 		}
@@ -178,7 +163,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			post = b.newBlock("for.post")
 			contTo = post
 		}
-		b.registerLabel(label, done, contTo)
 		savedB, savedC := b.breakTo, b.continueTo
 		b.breakTo, b.continueTo = done, contTo
 		b.cur = body
@@ -193,8 +177,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.cur = done
 
 	case *ast.RangeStmt:
-		label := b.curLabel
-		b.curLabel = ""
 		head := b.newBlock("range.head")
 		addEdge(b.cur, head)
 		head.Nodes = append(head.Nodes, s) // the range clause itself
@@ -202,7 +184,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		done := b.newBlock("range.done")
 		addEdge(head, body)
 		addEdge(head, done)
-		b.registerLabel(label, done, head)
 		savedB, savedC := b.breakTo, b.continueTo
 		b.breakTo, b.continueTo = done, head
 		b.cur = body
@@ -212,35 +193,28 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.cur = done
 
 	case *ast.SwitchStmt:
-		label := b.curLabel
-		b.curLabel = ""
 		if s.Init != nil {
 			b.stmt(s.Init)
 		}
 		if s.Tag != nil {
 			b.add(s.Tag)
 		}
-		b.switchClauses(s.Body.List, label, func(cc *ast.CaseClause, head *Block) {
+		b.switchClauses(s.Body.List, func(cc *ast.CaseClause, head *Block) {
 			for _, e := range cc.List {
 				head.Nodes = append(head.Nodes, e)
 			}
 		})
 
 	case *ast.TypeSwitchStmt:
-		label := b.curLabel
-		b.curLabel = ""
 		if s.Init != nil {
 			b.stmt(s.Init)
 		}
 		b.add(s.Assign)
-		b.switchClauses(s.Body.List, label, nil)
+		b.switchClauses(s.Body.List, nil)
 
 	case *ast.SelectStmt:
-		label := b.curLabel
-		b.curLabel = ""
 		head := b.cur
 		done := b.newBlock("select.done")
-		b.registerLabel(label, done, nil)
 		savedB := b.breakTo
 		b.breakTo = done
 		for _, c := range s.Body.List {
@@ -260,66 +234,28 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.cur = done
 
 	case *ast.LabeledStmt:
-		li := b.labels[s.Label.Name]
-		if li == nil {
-			li = &labelInfo{}
-			b.labels[s.Label.Name] = li
-		}
-		if li.target == nil {
-			li.target = b.newBlock("label." + s.Label.Name)
-		}
-		addEdge(b.cur, li.target)
-		b.cur = li.target
-		b.curLabel = s.Label.Name
+		b.unsupported(s)
 		b.stmt(s.Stmt)
-		b.curLabel = ""
 
 	case *ast.BranchStmt:
-		b.curLabel = ""
-		switch s.Tok {
-		case token.BREAK:
-			target := b.breakTo
-			if s.Label != nil {
-				if li := b.labels[s.Label.Name]; li != nil && li.breakTo != nil {
-					target = li.breakTo
-				}
-			}
-			if target != nil {
-				b.jump(target)
-			}
-		case token.CONTINUE:
-			target := b.continueTo
-			if s.Label != nil {
-				if li := b.labels[s.Label.Name]; li != nil && li.continueTo != nil {
-					target = li.continueTo
-				}
-			}
-			if target != nil {
-				b.jump(target)
-			}
-		case token.GOTO:
-			li := b.labels[s.Label.Name]
-			if li == nil {
-				li = &labelInfo{}
-				b.labels[s.Label.Name] = li
-			}
-			if li.target == nil {
-				li.target = b.newBlock("label." + s.Label.Name)
-			}
-			b.jump(li.target)
-		case token.FALLTHROUGH:
-			if b.fallTo != nil {
-				b.jump(b.fallTo)
-			}
+		var target *Block
+		switch {
+		case s.Label != nil || s.Tok == token.GOTO || s.Tok == token.FALLTHROUGH:
+			b.unsupported(s)
+		case s.Tok == token.BREAK:
+			target = b.breakTo
+		case s.Tok == token.CONTINUE:
+			target = b.continueTo
+		}
+		if target != nil {
+			b.jump(target)
 		}
 
 	case *ast.ReturnStmt:
-		b.curLabel = ""
 		b.add(s)
 		b.jump(b.g.Exit)
 
 	case *ast.DeferStmt:
-		b.curLabel = ""
 		b.g.Defers = append(b.g.Defers, s)
 		b.add(s)
 
@@ -329,7 +265,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	default:
 		// ExprStmt, AssignStmt, DeclStmt, IncDecStmt, SendStmt, GoStmt,
 		// EmptyStmt: straight-line.
-		b.curLabel = ""
 		b.add(s)
 	}
 }
@@ -337,13 +272,11 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 // switchClauses builds the shared clause structure of switch and type
 // switch statements. headExprs, when non-nil, appends a clause's case
 // expressions to the evaluation block.
-func (b *cfgBuilder) switchClauses(clauses []ast.Stmt, label string, headExprs func(*ast.CaseClause, *Block)) {
+func (b *cfgBuilder) switchClauses(clauses []ast.Stmt, headExprs func(*ast.CaseClause, *Block)) {
 	head := b.cur
 	done := b.newBlock("switch.done")
-	b.registerLabel(label, done, nil)
-	bodies := make([]*Block, len(clauses))
 	hasDefault := false
-	for i, c := range clauses {
+	for _, c := range clauses {
 		cc := c.(*ast.CaseClause)
 		if cc.List == nil {
 			hasDefault = true
@@ -351,27 +284,21 @@ func (b *cfgBuilder) switchClauses(clauses []ast.Stmt, label string, headExprs f
 		if headExprs != nil {
 			headExprs(cc, head)
 		}
-		bodies[i] = b.newBlock("case.body")
-		addEdge(head, bodies[i])
 	}
 	if !hasDefault {
 		addEdge(head, done)
 	}
-	savedB, savedF := b.breakTo, b.fallTo
+	savedB := b.breakTo
 	b.breakTo = done
-	for i, c := range clauses {
-		cc := c.(*ast.CaseClause)
-		b.fallTo = nil
-		if i+1 < len(bodies) {
-			b.fallTo = bodies[i+1]
-		}
-		b.cur = bodies[i]
-		for _, st := range cc.Body {
+	for _, c := range clauses {
+		b.cur = b.newBlock("case.body")
+		addEdge(head, b.cur)
+		for _, st := range c.(*ast.CaseClause).Body {
 			b.stmt(st)
 		}
 		addEdge(b.cur, done)
 	}
-	b.breakTo, b.fallTo = savedB, savedF
+	b.breakTo = savedB
 	b.cur = done
 }
 

@@ -176,6 +176,45 @@ func f(xs []int) int {
 	}
 }
 
+func TestCFGSwitchNoDefault(t *testing.T) {
+	g := buildFromSrc(t, `package p
+func f(x int) {
+	switch x {
+	case 1:
+		_ = 1
+	}
+}`)
+	done := oneBlock(t, g, "switch.done")
+	if !hasEdge(g.Entry, done) {
+		t.Fatalf("switch without default needs head->done edge\n%s", g.dump())
+	}
+
+	// With a default clause every path runs a clause body.
+	g = buildFromSrc(t, `package p
+func f(x int) {
+	switch x {
+	case 1:
+		_ = 1
+	default:
+		_ = 2
+	}
+}`)
+	done = oneBlock(t, g, "switch.done")
+	if hasEdge(g.Entry, done) {
+		t.Fatalf("switch with default must not fall through the head\n%s", g.dump())
+	}
+	for _, body := range blocksByKind(g, "case.body") {
+		if !hasEdge(g.Entry, body) || !hasEdge(body, done) {
+			t.Fatalf("each case body must hang between head and done\n%s", g.dump())
+		}
+	}
+}
+
+// The CFG does not model goto, labels or fallthrough. The next three
+// tests pin that the builder records the first such statement in
+// Unsupported, so a client can refuse the function, and that it still
+// returns a graph rather than failing.
+
 func TestCFGSwitchFallthrough(t *testing.T) {
 	g := buildFromSrc(t, `package p
 func f(x int) int {
@@ -191,40 +230,24 @@ func f(x int) int {
 	}
 	return r
 }`)
+	br, ok := g.Unsupported.(*ast.BranchStmt)
+	if !ok || br.Tok != token.FALLTHROUGH {
+		t.Fatalf("Unsupported = %T, want the fallthrough statement\n%s", g.Unsupported, g.dump())
+	}
 	bodies := blocksByKind(g, "case.body")
 	if len(bodies) != 3 {
 		t.Fatalf("want 3 case bodies, got %d\n%s", len(bodies), g.dump())
 	}
-	if !hasEdge(bodies[0], bodies[1]) {
-		t.Fatalf("fallthrough edge case1->case2 missing\n%s", g.dump())
+	if hasEdge(bodies[0], bodies[1]) {
+		t.Fatalf("fallthrough is not modeled, yet the graph has a case1->case2 edge\n%s", g.dump())
 	}
-	done := oneBlock(t, g, "switch.done")
-	for i := 1; i < 3; i++ {
-		if !hasEdge(bodies[i], done) {
-			t.Fatalf("case body %d must reach switch.done\n%s", i, g.dump())
-		}
-	}
-	// With a default clause there is no head->done edge.
-	if hasEdge(g.Entry, done) {
-		t.Fatalf("switch with default must not fall through the head\n%s", g.dump())
-	}
-}
-
-func TestCFGSwitchNoDefault(t *testing.T) {
-	g := buildFromSrc(t, `package p
-func f(x int) {
-	switch x {
-	case 1:
-		_ = 1
-	}
-}`)
-	done := oneBlock(t, g, "switch.done")
-	if !hasEdge(g.Entry, done) {
-		t.Fatalf("switch without default needs head->done edge\n%s", g.dump())
+	if !reachable(g)[g.Exit] {
+		t.Fatalf("exit unreachable\n%s", g.dump())
 	}
 }
 
 func TestCFGGoto(t *testing.T) {
+	// A backward goto: the label is the first unmodeled statement met.
 	g := buildFromSrc(t, `package p
 func f(n int) int {
 	i := 0
@@ -235,16 +258,25 @@ loop:
 	}
 	return i
 }`)
-	label := oneBlock(t, g, "label.loop")
-	// The goto inside if.then must edge back to the label block.
-	back := false
-	for _, b := range blocksByKind(g, "if.then") {
-		if hasEdge(b, label) {
-			back = true
-		}
+	if ls, ok := g.Unsupported.(*ast.LabeledStmt); !ok || ls.Label.Name != "loop" {
+		t.Fatalf("Unsupported = %T, want the labeled statement loop\n%s", g.Unsupported, g.dump())
 	}
-	if !back {
-		t.Fatalf("goto must edge back to its label block\n%s", g.dump())
+	if len(blocksByKind(g, "label.loop")) != 0 {
+		t.Fatalf("labels are not modeled, yet the graph has a label block\n%s", g.dump())
+	}
+
+	// A forward goto is met before its label.
+	g = buildFromSrc(t, `package p
+func f(n int) int {
+	if n < 0 {
+		goto out
+	}
+	n++
+out:
+	return n
+}`)
+	if br, ok := g.Unsupported.(*ast.BranchStmt); !ok || br.Tok != token.GOTO {
+		t.Fatalf("Unsupported = %T, want the goto statement\n%s", g.Unsupported, g.dump())
 	}
 	if !reachable(g)[g.Exit] {
 		t.Fatalf("exit unreachable\n%s", g.dump())
@@ -253,6 +285,23 @@ loop:
 
 func TestCFGLabeledBreak(t *testing.T) {
 	g := buildFromSrc(t, `package p
+func f(m [][]int) int {
+	s := 0
+	for _, row := range m {
+		for _, x := range row {
+			if x < 0 {
+				break
+			}
+			s += x
+		}
+	}
+	return s
+}`)
+	if g.Unsupported != nil {
+		t.Fatalf("an unlabeled break is modeled, yet Unsupported = %T\n%s", g.Unsupported, g.dump())
+	}
+
+	g = buildFromSrc(t, `package p
 func f(m [][]int) int {
 	s := 0
 outer:
@@ -266,23 +315,11 @@ outer:
 	}
 	return s
 }`)
-	dones := blocksByKind(g, "range.done")
-	if len(dones) != 2 {
-		t.Fatalf("want 2 range.done blocks, got %d", len(dones))
+	if ls, ok := g.Unsupported.(*ast.LabeledStmt); !ok || ls.Label.Name != "outer" {
+		t.Fatalf("Unsupported = %T, want the labeled statement outer\n%s", g.Unsupported, g.dump())
 	}
-	// The labeled break must target the *outer* loop's done block: the
-	// outer done is the one whose successor chain reaches Exit without
-	// passing another range head.
-	hit := false
-	for _, b := range blocksByKind(g, "if.then") {
-		for _, d := range dones {
-			if hasEdge(b, d) {
-				hit = true
-			}
-		}
-	}
-	if !hit {
-		t.Fatalf("labeled break edge missing\n%s", g.dump())
+	if len(blocksByKind(g, "range.done")) != 2 {
+		t.Fatalf("want 2 range.done blocks\n%s", g.dump())
 	}
 }
 

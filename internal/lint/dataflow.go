@@ -6,83 +6,9 @@ import (
 	"go/types"
 )
 
-// This file holds the generic iterative dataflow solver and the
-// flow-insensitive local-definition table. Analyzers instantiate
-// Problem with their own fact lattice (taint sets for nowflow,
-// locksets for lockfield) and get a flow-sensitive fixpoint over the
-// CFG from cfg.go.
-
-// Problem is one forward dataflow problem over a CFG: facts flow from
-// the entry block along Succs. The fact type F must be treated as
-// immutable by Transfer and Merge: both return fresh (or shared) values
-// and never mutate their arguments — the solver caches and compares
-// facts across iterations.
-type Problem[F any] struct {
-	// Boundary is the fact entering the entry block.
-	Boundary F
-	// Transfer pushes a fact through one block.
-	Transfer func(b *Block, in F) F
-	// Merge joins facts at a control-flow confluence.
-	Merge func(x, y F) F
-	// Equal decides fixpoint convergence.
-	Equal func(x, y F) bool
-}
-
-// Solve runs the worklist algorithm to fixpoint and returns the fact
-// at each block's entry. Blocks unreachable from the entry block are
-// absent from the result; for a finite-height lattice with monotone
-// Transfer/Merge the loop terminates.
-func Solve[F any](g *CFG, p Problem[F]) map[*Block]F {
-	in := map[*Block]F{g.Entry: p.Boundary}
-	out := map[*Block]F{}
-	computed := map[*Block]bool{}
-	queue := []*Block{g.Entry}
-	queued := map[*Block]bool{g.Entry: true}
-	for len(queue) > 0 {
-		b := queue[0]
-		queue = queue[1:]
-		queued[b] = false
-
-		o := p.Transfer(b, in[b])
-		if computed[b] && p.Equal(out[b], o) {
-			continue
-		}
-		out[b] = o
-		computed[b] = true
-
-		for _, s := range b.Succs {
-			var acc F
-			first := true
-			for _, pr := range s.Preds {
-				po, ok := out[pr]
-				if !ok {
-					continue
-				}
-				if first {
-					acc, first = po, false
-				} else {
-					acc = p.Merge(acc, po)
-				}
-			}
-			if first {
-				continue
-			}
-			old, seen := in[s]
-			if seen && p.Equal(old, acc) {
-				continue
-			}
-			in[s] = acc
-			if !queued[s] {
-				queued[s] = true
-				queue = append(queue, s)
-			}
-		}
-	}
-	return in
-}
-
-// ---------------------------------------------------------------------
-// Local definitions.
+// This file holds the flow-insensitive local-definition table: every
+// definition of each function-local variable, the evidence lockfield's
+// fresh-allocation exemption and purity's pointer resolution read.
 
 // Def is one definition of a function-local variable: a parameter, a
 // declaration, an assignment, a range clause binding or an inc/dec.

@@ -109,128 +109,6 @@ func SortedFoldOK(keys []string, m map[string]float64) float64 {
 	})
 }
 
-func TestNowflow(t *testing.T) {
-	linttest.Run(t, []*lint.Analyzer{lint.NewNowflow(lint.DefaultNowflowRestricted)}, map[string]string{
-		"internal/caltime/caltime.go": `package caltime
-
-type Day int64
-
-func Date(y, m, d int) Day           { return Day(y*372 + m*31 + d) }
-func ParseDay(s string) (Day, error) { return 0, nil }
-`,
-		"internal/spec/spec.go": `package spec
-
-import "lintfix/internal/caltime"
-
-type Action struct{ cutoff caltime.Day }
-
-func (a *Action) Applies(t caltime.Day) bool { return t >= a.cutoff }
-
-func EvalOK(a *Action, now caltime.Day) bool {
-	return a.Applies(now) // explicit parameter: blessed
-}
-
-func EvalBadLiteral(a *Action) bool {
-	return a.Applies(caltime.Day(7)) // want "ad-hoc caltime.Day passed as evaluation time"
-}
-
-func EvalBadDate(a *Action) bool {
-	t := caltime.Date(2024, 1, 1)
-	return a.Applies(t) // want "ad-hoc caltime.Day passed as evaluation time"
-}
-
-func EvalBadZero(a *Action) bool {
-	var t caltime.Day
-	return a.Applies(t) // want "ad-hoc caltime.Day passed as evaluation time"
-}
-
-func EvalOffsetOK(a *Action, now caltime.Day) bool {
-	t := now - 30 // arithmetic anchored at a parameter: blessed
-	return a.Applies(t)
-}
-
-func EvalReassignedOK(a *Action, now caltime.Day) bool {
-	t := caltime.Date(2024, 1, 1)
-	t = now // kills the ad-hoc definition before the use
-	return a.Applies(t)
-}
-
-func EvalBranchBad(a *Action, now caltime.Day, c bool) bool {
-	t := now
-	if c {
-		t = caltime.Date(2000, 1, 1)
-	}
-	return a.Applies(t) // want "ad-hoc caltime.Day passed as evaluation time"
-}
-
-func EvalDataDrivenOK(a *Action, days []caltime.Day) bool {
-	for _, d := range days {
-		if a.Applies(d) { // range over stored data: blessed
-			return true
-		}
-	}
-	return false
-}
-
-func EvalFieldOK(a *Action, s *Sched) bool {
-	return a.Applies(s.now) // field read: blessed
-}
-
-type Sched struct{ now caltime.Day }
-
-func (s *Sched) SetBad() {
-	s.now = caltime.Date(1999, 1, 1) // want "assigned an ad-hoc day"
-}
-
-func (s *Sched) SetOK(t caltime.Day) {
-	s.now = t
-}
-
-func EvalSuppressed(a *Action) bool {
-	return a.Applies(caltime.Day(7)) //dimred:allow nowflow fixture exercises suppression
-}
-`,
-		"internal/report/report.go": `package report
-
-import "lintfix/internal/caltime"
-
-func at(t caltime.Day) bool { return t > 0 }
-
-// report is not a restricted package: fixed days are allowed here.
-func Fixed() bool { return at(caltime.Day(7)) }
-`,
-	})
-}
-
-// TestNowflowDeferDup: a sink inside a defer is visited in its own
-// block and again in the spliced defers block; Run reports it once.
-func TestNowflowDeferDup(t *testing.T) {
-	diags := linttest.Diagnostics(t, []*lint.Analyzer{lint.NewNowflow(lint.DefaultNowflowRestricted)}, map[string]string{
-		"internal/caltime/caltime.go": `package caltime
-
-type Day int32
-
-func Date(y, m, d int) Day { return Day(y*366 + m*31 + d) }
-`,
-		"internal/spec/s.go": `package spec
-
-import "lintfix/internal/caltime"
-
-func Eval(t caltime.Day) {}
-
-func Bad() {
-	defer Eval(caltime.Date(2020, 1, 2))
-}
-`,
-	})
-	for _, d := range diags {
-		t.Logf("%s", d)
-	}
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want 1", len(diags))
-	}
-}
-
 func TestLockField(t *testing.T) {
 	linttest.Run(t, []*lint.Analyzer{lint.NewLockField()}, map[string]string{
 		"internal/warehouse/wh.go": `package warehouse
@@ -341,6 +219,66 @@ import "lintfix/internal/warehouse"
 // package is still a race.
 func Peek(w *warehouse.W) int {
 	return w.Count // want "read of field .*W.Count without holding"
+}
+`,
+	})
+}
+
+// TestLockFieldRefusesUnmodeledControlFlow: the CFG does not model
+// goto, labels or fallthrough, so lockfield reports each function that
+// uses one as uncheckable instead of computing locksets over a graph
+// that is not its control flow.
+func TestLockFieldRefusesUnmodeledControlFlow(t *testing.T) {
+	linttest.Run(t, []*lint.Analyzer{lint.NewLockField()}, map[string]string{
+		"internal/warehouse/wh.go": `package warehouse
+
+import "sync"
+
+type W struct {
+	mu   sync.Mutex
+	rows int
+}
+
+func (w *W) Add(n int) {
+	w.mu.Lock()
+	w.rows += n
+	w.mu.Unlock()
+}
+
+func (w *W) Goto(n int) {
+	w.mu.Lock()
+	if n < 0 {
+		goto out // want "Goto is uncheckable"
+	}
+	w.rows += n
+out:
+	w.mu.Unlock()
+}
+
+func (w *W) LabeledBreak(m [][]int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+outer: // want "LabeledBreak is uncheckable"
+	for _, row := range m {
+		for _, x := range row {
+			if x < 0 {
+				break outer
+			}
+			w.rows += x
+		}
+	}
+}
+
+func (w *W) Fallthrough(x int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	switch x {
+	case 1:
+		w.rows++
+		fallthrough // want "Fallthrough is uncheckable"
+	default:
+		w.rows++
+	}
 }
 `,
 	})

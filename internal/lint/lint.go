@@ -14,16 +14,11 @@
 //     ambient clock (time.Now and friends) is forbidden in semantic
 //     packages; the obs.Clock seam is the only sanctioned source.
 //
-// Two are flow-sensitive, built on the package's own CFG construction
-// (cfg.go) and dataflow solver (dataflow.go), each over its own
-// lattice:
+// One is flow-sensitive, a lockset dataflow over the package's own CFG
+// construction (cfg.go):
 //
-//   - nowflow: a taint analysis ensuring every caltime.Day used as an
-//     evaluation time descends from an explicit t/now parameter or
-//     clock seam, never from a literal or ad-hoc construction.
-//   - lockfield: a lockset analysis ensuring a struct field written
-//     under a sync.Mutex/RWMutex is accessed under that mutex
-//     everywhere.
+//   - lockfield: a struct field written under a sync.Mutex/RWMutex is
+//     accessed under that mutex everywhere.
 //
 // Three are interprocedural, built on a module-wide call graph
 // (callgraph.go):
@@ -114,9 +109,7 @@ func modulePkgs(units []*Unit) map[string]bool {
 
 // Run executes the analyzers over the loaded units one after another,
 // drops findings suppressed by //dimred:allow comments, deduplicates
-// identical findings (the CFG splices deferred calls into a dedicated
-// defers block, so a sink inside a defer is visited twice), and returns
-// the rest sorted by position.
+// identical findings, and returns the rest sorted by position.
 func Run(units []*Unit, analyzers []*Analyzer) []Diagnostic {
 	m := newModule(units)
 	seen := map[Diagnostic]bool{}

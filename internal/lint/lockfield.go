@@ -33,7 +33,10 @@ import (
 //     exit paths (the CFG's defers block), so a Lock at the top plus
 //     a deferred Unlock holds for the whole body;
 //   - function literals are opaque (a goroutine body has its own
-//     control flow); locks taken or released inside one are not seen.
+//     control flow); locks taken or released inside one are not seen;
+//   - a function using goto, a label or fallthrough is reported as
+//     uncheckable: the CFG does not model those statements, and a
+//     lockset over a wrong graph would prove nothing.
 //
 // Writes to //dimred:immutable types are snapalias's to judge, not
 // this analyzer's: no lock excuses them.
@@ -48,7 +51,7 @@ func NewLockField() *Analyzer {
 
 		// Every non-exempt access to a guarded field must hold one of
 		// its guards at the required strength.
-		var ds []Diagnostic
+		ds := lf.refused
 		for _, a := range lf.accesses {
 			if gs := lf.guards[a.key]; !a.exempt && !a.holdsOneOf(gs) {
 				ds = append(ds, a.unit.Diag(a.pos,
@@ -118,14 +121,67 @@ func lockSetEqual(a, b lockSet) bool {
 	return true
 }
 
+// solveLocks runs the forward lockset dataflow over g to fixpoint with
+// a worklist and returns the lockset at each block's entry. Blocks
+// unreachable from the entry are absent. transfer pushes a lockset
+// through one block and must not mutate its argument: the solver
+// caches and compares sets across iterations. Locksets over the
+// module's mutex fields are a finite lattice, so the loop terminates.
+func solveLocks(g *CFG, boundary lockSet, transfer func(*Block, lockSet) lockSet) map[*Block]lockSet {
+	in := map[*Block]lockSet{g.Entry: boundary}
+	out := map[*Block]lockSet{}
+	queue := []*Block{g.Entry}
+	queued := map[*Block]bool{g.Entry: true}
+	for len(queue) > 0 {
+		b := queue[0]
+		queue = queue[1:]
+		queued[b] = false
+
+		o := transfer(b, in[b])
+		if old, computed := out[b]; computed && lockSetEqual(old, o) {
+			continue
+		}
+		out[b] = o
+
+		for _, s := range b.Succs {
+			var acc lockSet
+			reached := false
+			for _, pr := range s.Preds {
+				po, ok := out[pr]
+				if !ok {
+					continue
+				}
+				if reached {
+					acc = lockMeet(acc, po)
+				} else {
+					acc, reached = po, true
+				}
+			}
+			if !reached {
+				continue
+			}
+			if old, seen := in[s]; seen && lockSetEqual(old, acc) {
+				continue
+			}
+			in[s] = acc
+			if !queued[s] {
+				queued[s] = true
+				queue = append(queue, s)
+			}
+		}
+	}
+	return in
+}
+
 // lockFacts is the module-wide lockset evidence: every field access
-// and *Locked call with the locks held there, and the guards inferred
-// from the accesses.
+// and *Locked call with the locks held there, the guards inferred
+// from the accesses, and one finding per function the CFG cannot model.
 type lockFacts struct {
 	ownerMutexes map[string][]string
 	accesses     []lockAccess
 	lockedCalls  []lockedCall
 	guards       map[string]map[string]bool
+	refused      []Diagnostic
 }
 
 // collectLockFacts runs the per-function lockset dataflow over every
@@ -140,8 +196,14 @@ func collectLockFacts(m *Module) *lockFacts {
 				if !ok || fd.Body == nil {
 					continue
 				}
+				g := BuildCFG(fd.Body)
+				if g.Unsupported != nil {
+					lf.refused = append(lf.refused, u.Diag(g.Unsupported.Pos(),
+						"%s is uncheckable: the control-flow graph does not model goto, labels or fallthrough", fd.Name.Name))
+					continue
+				}
 				la := &lockAnalysis{u: u, fd: fd, parents: parents, ownerMutexes: lf.ownerMutexes}
-				la.run()
+				la.run(g)
 				lf.accesses = append(lf.accesses, la.accesses...)
 				lf.lockedCalls = append(lf.lockedCalls, la.lockedCalls...)
 			}
@@ -253,9 +315,7 @@ type lockAnalysis struct {
 	lockedCalls []lockedCall
 }
 
-func (la *lockAnalysis) run() {
-	g := BuildCFG(la.fd.Body)
-
+func (la *lockAnalysis) run(g *CFG) {
 	boundary := lockSet{}
 	if strings.HasSuffix(la.fd.Name.Name, "Locked") {
 		if owner := receiverOwner(la.u, la.fd); owner != "" {
@@ -265,17 +325,12 @@ func (la *lockAnalysis) run() {
 		}
 	}
 
-	in := Solve(g, Problem[lockSet]{
-		Boundary: boundary,
-		Merge:    lockMeet,
-		Equal:    lockSetEqual,
-		Transfer: func(b *Block, in lockSet) lockSet {
-			cur := in.clone()
-			for _, n := range b.Nodes {
-				la.transfer(b, n, cur)
-			}
-			return cur
-		},
+	in := solveLocks(g, boundary, func(b *Block, in lockSet) lockSet {
+		cur := in.clone()
+		for _, n := range b.Nodes {
+			la.transfer(b, n, cur)
+		}
+		return cur
 	})
 
 	for _, blk := range g.Blocks {

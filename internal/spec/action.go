@@ -475,27 +475,6 @@ func (a *Action) cellValueVerdict(tst Atom, v mdm.ValueID, t caltime.Day) bool {
 	return true
 }
 
-// plainCellValueVerdict is cellValueVerdict for non-time tests. It
-// exists apart so that compile-time callers (the specexec bitset
-// compiler) need not conjure an evaluation time they do not have.
-func (a *Action) plainCellValueVerdict(tst Atom, v mdm.ValueID) bool {
-	dim := a.env.Schema.Dims[tst.Dim]
-	anc := dim.AncestorAt(v, tst.Cat)
-	if anc != mdm.NoValue {
-		return a.testPlainValue(tst, dim, anc)
-	}
-	descendants := dim.DrillDown(v, tst.Cat)
-	if len(descendants) == 0 {
-		return false
-	}
-	for _, w := range descendants {
-		if !a.testPlainValue(tst, dim, w) {
-			return false
-		}
-	}
-	return true
-}
-
 func (a *Action) testValue(tst Atom, dim *mdm.Dimension, v mdm.ValueID, t caltime.Day) bool {
 	if tst.IsTime {
 		idx := dim.ValueOrd(v)
@@ -604,7 +583,7 @@ func (a *Action) PlainTestVerdict(i, j int, v mdm.ValueID) bool {
 	if tst.Dim < 0 || tst.IsTime {
 		panic("spec: PlainTestVerdict on a time or constant test")
 	}
-	return a.plainCellValueVerdict(tst, v)
+	return a.cellValueVerdict(tst, v, 0) // a non-time test never reads the day
 }
 
 // TimeTestVerdict evaluates the time test j of disjunct i on a single

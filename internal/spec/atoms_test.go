@@ -120,6 +120,66 @@ func TestTimeInPredicate(t *testing.T) {
 	}
 }
 
+// TestTimeHullBoundsEverySatisfiedDay: the subcube engine skips a cube
+// at t when its days lie outside TimeHullAt(t), so every day an action
+// satisfies at t must lie inside the hull — NOW-relative membership
+// included.
+func TestTimeHullBoundsEverySatisfiedDay(t *testing.T) {
+	p, env := paperEnv(t)
+	url := p.MO.Refs(p.Facts[0])[1]
+	at := day(t, "2000/11/5")
+	first := at - 500
+	var days []mdm.ValueID
+	for d := first; d <= at+60; d++ {
+		days = append(days, p.Time.EnsureDay(d))
+	}
+	for _, src := range []string{
+		`Time.month <= NOW - 2 months`,
+		`Time.month in {NOW - 1 month, NOW - 3 months}`,
+		`Time.quarter = NOW - 1 quarter`,
+		`Time.day > NOW - 30 days and Time.day < NOW`,
+	} {
+		a := MustCompileString("h", `aggregate [Time.day, URL.domain] where `+src, env)
+		lo, hi, bounded := a.TimeHullAt(at)
+		if !bounded {
+			t.Errorf("%s: hull unbounded", src)
+			continue
+		}
+		n := 0
+		for i, v := range days {
+			if !a.SatisfiedBy([]mdm.ValueID{v, url}, at) {
+				continue
+			}
+			n++
+			if d := first + caltime.Day(i); d < lo || d > hi {
+				t.Errorf("%s: %s is satisfied at %s but outside the hull [%s, %s]", src, d, at, lo, hi)
+				break
+			}
+		}
+		if n == 0 {
+			t.Errorf("%s: no day satisfied at %s", src, at)
+		}
+	}
+}
+
+// TestTimeTestOnCoarserCellWalksDescendants: a cell coarser than a time
+// test's category satisfies it only when every populated descendant
+// does, each judged at the evaluation time.
+func TestTimeTestOnCoarserCellWalksDescendants(t *testing.T) {
+	p, env := paperEnv(t)
+	td := env.Schema.Dims[0]
+	monthCat, _ := td.CategoryByName("month")
+	refs := p.MO.Refs(p.Facts[1]) // 1999/12/4
+	cell := []mdm.ValueID{td.AncestorAt(refs[0], monthCat), refs[1]}
+	a := MustCompileString("d", `aggregate [Time.day, URL.domain] where Time.day <= NOW - 10 days`, env)
+	if !a.SatisfiedBy(cell, day(t, "2000/11/5")) {
+		t.Error("1999/12 lies wholly before 2000/10/26: the month cell must satisfy")
+	}
+	if a.SatisfiedBy(cell, day(t, "1999/12/10")) {
+		t.Error("1999/12/4 is after 1999/11/30: the month cell must not satisfy")
+	}
+}
+
 func TestTimeEqualityAndNE(t *testing.T) {
 	p, env := paperEnv(t)
 	at := day(t, "2000/11/5")

@@ -133,7 +133,6 @@ func (e *Env) Horizon(actions []*Action) (prover.Horizon, bool) {
 		// NOW-relative behaviour is translation-invariant, so a
 		// synthetic canonical window sized to the offsets decides the
 		// checks for data wherever it later arrives.
-		//dimred:allow nowflow synthetic canonical window, not an evaluation time: NOW-relative checks are translation-invariant over an empty model
 		hz.Min = caltime.Date(2000, 1, 1)
 		hz.Max = caltime.Date(2000, 1, 1) + caltime.Day(2*maxOff+800)
 		have = true

@@ -355,6 +355,15 @@ func TestSpecDeleteA7A8Example(t *testing.T) {
 	if err := s.Delete(p.MO, now, "nope"); err == nil {
 		t.Error("unknown delete accepted")
 	}
+	// A NOW-relative substitute is judged at the same instant: a9 selects
+	// every fact a7 does at now.
+	a9 := MustCompileString("a9", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 11 months`, env)
+	if s, err = New(env, a7, a9); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(p.MO, now, "a7"); err != nil {
+		t.Errorf("Delete(a7) beside a9: %v", err)
+	}
 }
 
 func TestSpecDeleteKeepsGrowing(t *testing.T) {

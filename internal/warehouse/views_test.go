@@ -163,6 +163,44 @@ func TestViewBuildIsNotAQuery(t *testing.T) {
 	}
 }
 
+// TestViewBuiltOnStaleCubesAnswersAtTheClock: views refreshed after a
+// clock-only advance are built at the warehouse clock, not where the
+// cubes were last synchronized. March falls due for to-month between
+// the two, so a day-level view is no longer a pure fold and must not be
+// served; the answer is the base path's.
+func TestViewBuiltOnStaleCubesAnswersAtTheClock(t *testing.T) {
+	w, obj := openClickWarehouse(t)
+	if err := w.AdvanceTo(caltime.Date(2000, 4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	loadStream(t, w, obj, workload.ClickConfig{Seed: 13, Start: caltime.Date(2000, 3, 1), Days: 31, ClicksPerDay: 10, Domains: 3, URLsPerDomain: 2})
+	src := `aggregate [Time.day, URL.domain]`
+	if _, err := w.Query(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AdvanceTo(caltime.Date(2000, 5, 15)); err != nil {
+		t.Fatal(err)
+	}
+	if last, _ := w.Cubes().LastSync(); last == w.Now() {
+		t.Fatal("advance synchronized; the stale build is not exercised")
+	}
+	if err := w.EnableViews(views.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := w.Query(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.DisableViews()
+	want, err := w.Query(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.DumpCells() != want.DumpCells() {
+		t.Errorf("views on answered\n%s\nbase path at %s\n%s", got.DumpCells(), w.Now(), want.DumpCells())
+	}
+}
+
 func TestViewsInvalidatedByMutationAndClock(t *testing.T) {
 	w, obj := openViewWarehouse(t)
 	src := viewShapeQueries[0]

@@ -8,6 +8,7 @@ import (
 	"dimred/internal/mdm"
 	"dimred/internal/query"
 	"dimred/internal/spec"
+	"dimred/internal/subcube"
 	"dimred/internal/workload"
 )
 
@@ -126,6 +127,7 @@ func TestWarehouseSpecEvolution(t *testing.T) {
 	if err := w.InsertActions(a3); err != nil {
 		t.Fatal(err)
 	}
+	assertSyncedAtClock(t, w, "InsertActions")
 	if err := w.AdvanceTo(caltime.Date(2003, 1, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +148,85 @@ func TestWarehouseSpecEvolution(t *testing.T) {
 	if err := w.DeleteActions("to-quarter"); err != nil {
 		t.Errorf("deleting a superseded action failed: %v", err)
 	}
+	assertSyncedAtClock(t, w, "DeleteActions")
 	if got := grandTotal(t, w); got != total {
 		t.Errorf("grand total changed by delete: %v -> %v", total, got)
 	}
 	// Deleting an unknown action fails cleanly.
 	if err := w.DeleteActions("nope"); err == nil {
 		t.Error("deleting unknown action succeeded")
+	}
+}
+
+// TestDeleteActionsChecksResponsibilityAtTheClock: Definition 4 is
+// judged at the warehouse clock. to-month has aggregated every loaded
+// row; to-month-late shares its target but selects none of them yet, so
+// the re-routed rows would fit the layout and only the responsibility
+// check stands between the delete and rows stored above the level the
+// remaining specification assigns them.
+func TestDeleteActionsChecksResponsibilityAtTheClock(t *testing.T) {
+	obj, err := workload.NewClickSchema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := Open(env,
+		spec.MustCompileString("to-month",
+			`aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, env),
+		spec.MustCompileString("to-month-late",
+			`aggregate [Time.month, URL.domain] where Time.month <= NOW - 6 months`, env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := caltime.Date(2000, 1, 1)
+	if err := w.AdvanceTo(start); err != nil {
+		t.Fatal(err)
+	}
+	loadStream(t, w, obj, workload.ClickConfig{Seed: 9, Start: start, Days: 60, ClicksPerDay: 10})
+	if err := w.AdvanceTo(caltime.Date(2000, 6, 1)); err != nil {
+		t.Fatal(err)
+	}
+	rows := w.Stats().Rows
+
+	err = w.DeleteActions("to-month")
+	if err == nil || !strings.Contains(err.Error(), "action to-month is responsible") {
+		t.Fatalf("DeleteActions(to-month) = %v, want a Definition 4 refusal", err)
+	}
+	if !strings.Contains(err.Error(), "at "+w.Now().String()) {
+		t.Errorf("refusal %q is not judged at the warehouse clock %s", err, w.Now())
+	}
+	if n := len(w.Spec().Actions()); n != 2 {
+		t.Errorf("refused delete left %d actions, want 2", n)
+	}
+	if got := w.Stats().Rows; got != rows {
+		t.Errorf("refused delete changed rows: %d -> %d", rows, got)
+	}
+}
+
+// TestExplainAnswersAtThePublishedClock: Explain names the actions that
+// apply at the warehouse clock, so advancing the clock into a
+// NOW-relative action's window changes its answer.
+func TestExplainAnswersAtThePublishedClock(t *testing.T) {
+	w, obj := openClickWarehouse(t)
+	refs, _, err := obj.Row(workload.Click{Day: caltime.Date(2000, 1, 5), URL: "http://www.cnn.com/index.html"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AdvanceTo(caltime.Date(2000, 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Explain(refs); strings.Contains(got, "to-month") {
+		t.Errorf("at %s January is inside no window, Explain says:\n%s", w.Now(), got)
+	}
+	if err := w.AdvanceTo(caltime.Date(2000, 6, 1)); err != nil {
+		t.Fatal(err)
+	}
+	got := w.Explain(refs)
+	if !strings.Contains(got, "at "+w.Now().String()) || !strings.Contains(got, "Time -> month (by action to-month)") {
+		t.Errorf("at %s Explain must name to-month, got:\n%s", w.Now(), got)
 	}
 }
 
@@ -165,6 +240,58 @@ func grandTotal(t *testing.T, w *Warehouse) float64 {
 		t.Fatalf("grand total rows = %d", res.Len())
 	}
 	return res.Measure(0, 1)
+}
+
+// assertSyncedAtClock fails unless the published cube set is
+// synchronized at the warehouse clock.
+func assertSyncedAtClock(t *testing.T, w *Warehouse, after string) {
+	t.Helper()
+	if last, synced := w.Cubes().LastSync(); !synced || last != w.Now() {
+		t.Errorf("after %s the cubes are synchronized at %s (synced=%v), want the clock %s", after, last, synced, w.Now())
+	}
+}
+
+// TestNowRelativeQueryPredicates: a query predicate's NOW is the
+// evaluation time, on the synchronized fast path (zone-map pruning
+// included) and on the unsynchronized one, under every selection
+// approach: each answer equals the query with NOW spelled out.
+func TestNowRelativeQueryPredicates(t *testing.T) {
+	w, obj := openClickWarehouse(t)
+	start := caltime.Date(2000, 1, 1)
+	if err := w.AdvanceTo(start); err != nil {
+		t.Fatal(err)
+	}
+	loadStream(t, w, obj, workload.ClickConfig{Seed: 8, Start: start, Days: 120, ClicksPerDay: 10})
+	if err := w.AdvanceTo(caltime.Date(2000, 7, 1)); err != nil {
+		t.Fatal(err)
+	}
+	assertSyncedAtClock(t, w, "AdvanceTo")
+	env := w.Env()
+	for _, tc := range []struct {
+		at    caltime.Day
+		month string // NOW - 2 months at at
+	}{
+		{w.Now(), "2000/5"},
+		{caltime.Date(2000, 8, 10), "2000/6"},
+	} {
+		for _, sel := range []query.Approach{query.Conservative, query.Liberal, query.Weighted} {
+			rel := subcube.MustParseQuery(`aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, env)
+			abs := subcube.MustParseQuery(`aggregate [Time.month, URL.domain] where Time.month <= `+tc.month, env)
+			rel.Sel, abs.Sel = sel, sel
+			got, err := w.QueryAt(rel, tc.at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := w.QueryAt(abs, tc.at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Len() == 0 || got.DumpCells() != want.DumpCells() {
+				t.Errorf("at %s, approach %v: NOW - 2 months answered\n%s\nwant (month <= %s)\n%s",
+					tc.at, sel, got.DumpCells(), tc.month, want.DumpCells())
+			}
+		}
+	}
 }
 
 func TestWarehouseQueryErrors(t *testing.T) {
