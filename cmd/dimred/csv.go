@@ -159,7 +159,11 @@ func runExplain(args []string) error {
 	if !ok {
 		return fmt.Errorf("explain: url %q not present in the warehouse", *urlStr)
 	}
-	fmt.Print(w.Explain([]dimred.ValueID{dv, uv}))
+	out, err := w.Explain([]dimred.ValueID{dv, uv})
+	if err != nil {
+		return err
+	}
+	fmt.Print(out)
 	return nil
 }
 

@@ -69,9 +69,10 @@ func TestIngestFacade(t *testing.T) {
 }
 
 // TestBadValueIDsAreErrors: a value id from outside the dimension — one
-// before the first, one past the last, or far away — is an error from
-// every way a fact enters the warehouse, not an index panic under the
-// writer lock; nothing is published and no fact is counted.
+// before the first, one past the last, or far away — or a cell short of a
+// dimension is an error from every way a fact enters the warehouse, and
+// from Explain, not an index panic under the writer lock or a reader's
+// pin; nothing is published and no fact is counted.
 func TestBadValueIDsAreErrors(t *testing.T) {
 	paper, err := dimred.PaperMO()
 	if err != nil {
@@ -110,12 +111,16 @@ func TestBadValueIDsAreErrors(t *testing.T) {
 				return load(refs, meas)
 			})
 		},
+		"Explain": func(refs []dimred.ValueID) error {
+			_, err := w.Explain(refs)
+			return err
+		},
 	}
 	timeValues := dimred.ValueID(paper.Schema.Dims[0].NumValues())
 	urlValues := dimred.ValueID(paper.Schema.Dims[1].NumValues())
 	for name, enter := range entries {
 		for _, refs := range [][]dimred.ValueID{
-			{-1, url}, {day, -1}, {timeValues, url}, {day, urlValues}, {1 << 20, url},
+			{-1, url}, {day, -1}, {timeValues, url}, {day, urlValues}, {1 << 20, url}, {day},
 		} {
 			if err := enter(refs); err == nil {
 				t.Errorf("%s took the fact %v", name, refs)

@@ -90,11 +90,13 @@ type Result struct {
 // The specification is compiled to a specexec program first, so the
 // per-fact work is a bitset probe pass instead of the double predicate
 // interpretation of SpecGran followed by AggLevel; ReduceInterpreted
-// keeps the uncompiled evaluation for differential testing and
-// benchmark baselines. Both produce identical results. Repeated calls
-// with an unmutated specification reuse the program its action set owns
-// (specexec.RouterAt) — memoization of a pure compile, so Reduce stays
-// referentially transparent; it has no metric set and records nothing.
+// keeps the uncompiled evaluation — the literal Definition 2 — for
+// differential testing and benchmark baselines. For a NonCrossing
+// specification, which spec.New and Spec.Insert enforce, both produce
+// identical results. Repeated calls with an unmutated specification
+// reuse the program its action set owns (specexec.RouterAt) —
+// memoization of a pure compile, so Reduce stays referentially
+// transparent; it has no metric set and records nothing.
 //
 //dimred:aggregate
 func Reduce(s *spec.Spec, mo *mdm.MO, t caltime.Day) (*Result, error) {
@@ -125,8 +127,6 @@ func reduceWith(s *spec.Spec, mo *mdm.MO, t caltime.Day, router *specexec.Router
 
 	n := schema.NumDims()
 	var keyBuf []byte
-	var satScratch []*spec.Action
-	var granScratch []mdm.Granularity
 	var cellScratch []mdm.ValueID
 	levelScratch := make(mdm.Granularity, n)
 	respScratch := make([]*spec.Action, n)
@@ -146,32 +146,14 @@ func reduceWith(s *spec.Spec, mo *mdm.MO, t caltime.Day, router *specexec.Router
 		var cell []mdm.ValueID
 		var resp []*spec.Action
 		if router != nil {
-			// One probe pass yields the satisfied actions; Spec_gran,
-			// the maximum granularity and per-dimension responsibility
-			// all derive from it without re-evaluating any predicate.
-			satScratch = router.AppendSatisfied(satScratch[:0], refs)
-			granScratch = append(granScratch[:0], mo.Gran(fid))
-			for _, a := range satScratch {
-				granScratch = append(granScratch, a.Target())
-			}
-			max, err := schema.MaxGranularity(granScratch)
-			if err != nil {
+			// Cell(f, t) the way subcube's Sync computes it: one probe pass
+			// yields the aggregation level and its responsible actions, and
+			// for a NonCrossing specification that level is Spec_gran's
+			// maximum.
+			router.AggLevelInto(refs, levelScratch, respScratch)
+			var err error
+			if cellScratch, err = schema.RollUp(cellScratch[:0], refs, levelScratch); err != nil {
 				return nil, fmt.Errorf("core: Cell(%s): %w", mo.Name(fid), err)
-			}
-			if cellScratch, err = schema.RollUp(cellScratch[:0], refs, max); err != nil {
-				return nil, fmt.Errorf("core: Cell(%s): %w", mo.Name(fid), err)
-			}
-			for i, d := range schema.Dims {
-				levelScratch[i] = d.CategoryOf(refs[i])
-				respScratch[i] = nil
-			}
-			for _, a := range satScratch {
-				for i, d := range schema.Dims {
-					if d.CatLE(levelScratch[i], a.TargetIn(i)) && levelScratch[i] != a.TargetIn(i) {
-						levelScratch[i] = a.TargetIn(i)
-						respScratch[i] = a
-					}
-				}
 			}
 			cell, resp = cellScratch, respScratch
 		} else {

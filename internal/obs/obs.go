@@ -73,13 +73,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketFor(d)].Add(1)
 }
 
-// Time runs fn and observes its duration.
-func (h *Histogram) Time(fn func()) {
-	start := time.Now()
-	fn()
-	h.Observe(time.Since(start))
-}
-
 // bucketFor maps a duration to its bucket: the number of bits in the
 // microsecond value, capped at the last bucket.
 func bucketFor(d time.Duration) int {

@@ -5,8 +5,8 @@
 // re-derives every verdict per row per call — walking AncestorAt chains
 // and, below the constrained category, whole DrillDown descents; the
 // compiled program performs each of those walks once per distinct
-// dimension value and turns the per-row AggLevel/DeletedBy/SatisfiedBy
-// checks into a handful of word-indexed probes with zero allocations.
+// dimension value and turns the per-row AggLevel/DeletedBy checks into
+// a handful of word-indexed probes with zero allocations.
 //
 // Time stays explicit. NOW-relative time tests cannot be folded into
 // compile-time bitsets — their right-hand sides move with the
@@ -269,8 +269,8 @@ func (r *Router) DomainComplete() bool {
 
 // SameVerdicts reports whether r and o — two day-pinnings of one
 // program — hold word-for-word equal masks, and hence give every
-// in-domain cell the same Satisfied, DeletedBy and AggLevelInto
-// answers. Routers of different programs are never the same. The
+// in-domain cell the same DeletedBy and AggLevelInto answers. Routers
+// of different programs are never the same. The
 // comparison is conservative: masks that differ only on values no cell
 // can carry still report false.
 func (r *Router) SameVerdicts(o *Router) bool {
@@ -334,16 +334,6 @@ func (ra *routerAction) probe(cell []mdm.ValueID) bool {
 // shared verdict step taking the domain test as an argument costs the mask
 // loop a call per action (EXPERIMENTS.md "One program per action set").
 
-// Satisfied reports whether the cell satisfies action k (in
-// Spec.Actions order) at the router's day — the compiled
-// Action.SatisfiedBy.
-func (r *Router) Satisfied(k int, cell []mdm.ValueID) bool {
-	if !r.inDomain(cell) {
-		return r.acts[k].src.SatisfiedBy(cell, r.t)
-	}
-	return r.acts[k].probe(cell)
-}
-
 // DeletedBy returns the first deletion action the cell satisfies at
 // the router's day, or nil — the compiled Spec.DeletedBy. It allocates
 // nothing.
@@ -405,25 +395,4 @@ func (ra *routerAction) raise(dims []*mdm.Dimension, level mdm.Granularity, resp
 			}
 		}
 	}
-}
-
-// AppendSatisfied appends, in Spec.Actions order, every non-deletion
-// action the cell satisfies at the router's day. Reduce uses it to
-// build Spec_gran(f, t) with one probe pass instead of evaluating
-// SpecGran and then AggLevel over the same actions.
-func (r *Router) AppendSatisfied(dst []*spec.Action, cell []mdm.ValueID) []*spec.Action {
-	if !r.inDomain(cell) {
-		for k := range r.acts {
-			if ra := &r.acts[k]; !ra.isDelete && ra.src.SatisfiedBy(cell, r.t) {
-				dst = append(dst, ra.src)
-			}
-		}
-		return dst
-	}
-	for k := range r.acts {
-		if ra := &r.acts[k]; !ra.isDelete && ra.probe(cell) {
-			dst = append(dst, ra.src)
-		}
-	}
-	return dst
 }

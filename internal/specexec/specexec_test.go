@@ -117,34 +117,13 @@ func compareCell(t *testing.T, s *spec.Spec, r *specexec.Router, cell []mdm.Valu
 			t.Fatalf("AggLevel resp(%v) at %v dim %d: compiled %v, interpreted %v", cell, at, i, resp[i], wantResp[i])
 		}
 	}
-	var wantSat []*spec.Action
-	for k, a := range s.Actions() {
-		sat := a.SatisfiedBy(cell, at)
-		if got := r.Satisfied(k, cell); got != sat {
-			t.Fatalf("Satisfied(%d, %v) at %v: compiled %v, interpreted %v", k, cell, at, got, sat)
-		}
-		if !a.IsDelete() && sat {
-			wantSat = append(wantSat, a)
-		}
-	}
-	gotSat := r.AppendSatisfied(nil, cell)
-	if len(gotSat) != len(wantSat) {
-		t.Fatalf("AppendSatisfied(%v) at %v: compiled %d actions, interpreted %d", cell, at, len(gotSat), len(wantSat))
-	}
-	for i := range gotSat {
-		if gotSat[i] != wantSat[i] {
-			t.Fatalf("AppendSatisfied(%v) at %v entry %d: compiled %s, interpreted %s",
-				cell, at, i, gotSat[i].Name(), wantSat[i].Name())
-		}
-	}
 }
 
 // TestRouterDifferential draws random specifications from the pool and
 // checks, for every sampled cell (base and rolled-up) and every
 // boundary-straddling evaluation day, that the compiled router agrees
-// with the interpreted specification on DeletedBy, AggLevel (levels
-// and responsibility), per-action SatisfiedBy and the satisfied-action
-// list.
+// with the interpreted specification on DeletedBy and AggLevel (levels
+// and responsibility).
 func TestRouterDifferential(t *testing.T) {
 	obj, env := buildClickEnv(t)
 	rng := rand.New(rand.NewSource(41))
@@ -220,8 +199,8 @@ func TestRouterOutOfDomainFallback(t *testing.T) {
 }
 
 // TestRouterProbesAllocationFree pins the tentpole's allocation
-// contract: for in-domain cells, DeletedBy, AggLevelInto and Satisfied
-// allocate nothing per probe.
+// contract: for in-domain cells, DeletedBy and AggLevelInto allocate
+// nothing per probe.
 func TestRouterProbesAllocationFree(t *testing.T) {
 	obj, env := buildClickEnv(t)
 	s, err := spec.New(env,
@@ -236,17 +215,12 @@ func TestRouterProbesAllocationFree(t *testing.T) {
 	n := len(cell)
 	level := make(mdm.Granularity, n)
 	resp := make([]*spec.Action, n)
-	sat := make([]*spec.Action, 0, len(s.Actions()))
 	var sink int
 	allocs := testing.AllocsPerRun(1000, func() {
 		if r.DeletedBy(cell) != nil {
 			sink++
 		}
 		r.AggLevelInto(cell, level, resp)
-		if r.Satisfied(0, cell) {
-			sink++
-		}
-		sat = r.AppendSatisfied(sat[:0], cell)
 	})
 	if allocs != 0 {
 		t.Fatalf("router probe allocated %.1f times per run, want 0", allocs)

@@ -85,19 +85,20 @@ type CubeSet struct {
 	lastSync caltime.Day
 	synced   bool
 	// layout counts the layouts this set has realized: ApplySpec replaces
-	// every cube, and a set on another layout cannot be levelled cube by
+	// the cube list, and a set on another layout cannot be levelled cube by
 	// cube.
 	layout int
 	// deletedBase counts user facts physically removed by deletion
 	// actions.
 	deletedBase int64
-	// met is the engine metric set; it survives ApplySpec rebuilds so
-	// counters are cumulative over the cube set's lifetime.
+	// met is the engine metric set; counters are cumulative over the cube
+	// set's lifetime.
 	//dimred:shared the metric substrate is all-atomic by design (typed sync/atomic values; go vet copylocks flags a plain copy); clones record into the same instance
 	met *obs.Metrics
-	// interpret forces the uncompiled evaluation path (per-row predicate
-	// interpretation and serial apply). The differential tests and the
-	// before/after benchmarks flip it; production leaves it false.
+	// interpret makes cellEval interpret the specification's predicates
+	// per row instead of probing the compiled router. The differential
+	// tests and the before/after benchmarks flip it; production leaves it
+	// false.
 	interpret bool
 	// pending lists, ascending, the bottom-cube rows Insert appended since
 	// the last synchronization. While tracking holds, every live row not
@@ -117,10 +118,12 @@ type CubeSet struct {
 // list still beats a scan of the bottom cube.
 const pendingMax = 1024
 
-// SetInterpreted selects the interpreted evaluation path (true) or the
-// compiled specexec path (false, the default) for Sync, ApplySpec and
-// unsynchronized query views. The two paths compute identical results;
-// the flag exists so tests can prove it and benchmarks can price it.
+// SetInterpreted selects the interpreted evaluator (true) or the
+// compiled specexec router (false, the default) for the per-cell verdicts
+// of Sync, ApplySpec, Late and unsynchronized query views; everything
+// else runs the same code either way, except that an interpreted Sync
+// always scans in full. The two evaluators give identical verdicts; the
+// flag exists so tests can prove it and benchmarks can price it.
 func (cs *CubeSet) SetInterpreted(v bool) { cs.interpret = v }
 
 // Metrics returns the cube set's metric set; the warehouse facade
@@ -413,8 +416,8 @@ func (cs *CubeSet) mergeInto(c *Cube, refs []mdm.ValueID, meas []float64, base i
 
 // cellEval evaluates DeletedBy/AggLevel per cell through either the
 // compiled router or the interpreted specification, behind one seam so
-// viewOf and ApplySpec need a single implementation. It counts router
-// probes locally; callers publish the count with one atomic add.
+// Sync, Late and viewOf need a single implementation each. It counts
+// router probes locally; callers publish the count with one atomic add.
 type cellEval struct {
 	router *specexec.Router // nil selects the interpreted path
 	sp     *spec.Spec
@@ -504,23 +507,17 @@ func (cs *CubeSet) extendZoneMap(c *Cube, refs []mdm.ValueID) {
 
 // Sync migrates every row to the subcube of its current aggregation
 // level at time t (Section 7.2): for each cube, rows whose AggLevel has
-// risen are rolled up and merged into the destination cube. The
-// default path compiles the specification into a specexec program,
-// probes it during the parallel scan, and applies the migrations with
-// one goroutine per cube; SetInterpreted(true) selects the per-row
-// interpreted evaluation with a serial apply phase. Both return the
-// number of migrated rows and produce identical cube contents.
+// risen are rolled up and merged into the destination cube, and rows a
+// deletion action selects are removed. It returns the number of rows
+// moved or deleted. The per-row verdicts come from cellEval — the
+// day-pinned router, or under SetInterpreted(true) the specification's
+// own predicates — and everything else is one pipeline (migrate).
 //
-// Where deltaOnly allows, the compiled path probes only the rows
-// inserted since the last synchronization: the same movers, in the same
-// order, as its full scan. The interpreted path always scans in full
-// and stays the oracle.
+// Where deltaOnly allows, Sync probes only the rows inserted since the
+// last synchronization: the same movers, in the same order, as its full
+// scan. The interpreted evaluator always scans in full.
 func (cs *CubeSet) Sync(t caltime.Day) (int, error) {
-	run := cs.syncCompiled
-	if cs.interpret {
-		run = cs.syncInterpreted
-	}
-	moved, err := run(t)
+	moved, err := cs.migrate(t)
 	if err != nil {
 		// The apply phase may have stopped anywhere.
 		cs.pending, cs.tracking = nil, false
@@ -538,8 +535,8 @@ func (cs *CubeSet) markSynced(t caltime.Day) {
 	cs.pending, cs.tracking = nil, true
 }
 
-// deltaOnly reports whether a compiled Sync at t, probing with router,
-// may visit only the pending rows. Every other live row is at
+// deltaOnly reports whether a Sync at t, probing with router, may visit
+// only the pending rows. Every other live row is at
 // AggLevel(cell, lastSync) (tracking); it stays there if no cell can
 // take the interpreted fallback (the domain is complete) and the
 // day-pinned masks at t are lastSync's — equal cells have equal levels,
@@ -553,97 +550,13 @@ func (cs *CubeSet) deltaOnly(t caltime.Day, router *specexec.Router) bool {
 	return t == cs.lastSync || specexec.RouterAt(cs.sp, cs.lastSync, cs.met).SameVerdicts(router)
 }
 
-// syncInterpreted is the uncompiled synchronization: a parallel
-// read-only mover scan evaluating Spec.DeletedBy/AggLevel per row,
-// then a serial apply phase.
-func (cs *CubeSet) syncInterpreted(t caltime.Day) (int, error) {
-	schema := cs.env.Schema
-	moved := 0
-
-	// Phase 1 (parallel): collect the movers per cube. Each goroutine
-	// accumulates its scan count locally and publishes one atomic add,
-	// keeping the instrumented path race-clean and allocation-free.
-	movers := make([][]storage.RowID, len(cs.cubes))
-	var wg sync.WaitGroup
-	for ci, c := range cs.cubes {
-		if cs.cubeUntouchedAt(c, t) {
-			cs.met.SyncSkips.Inc()
-			continue // no action can select any of the cube's rows at t
-		}
-		wg.Add(1)
-		go func(ci int, c *Cube) {
-			defer wg.Done()
-			cell := make([]mdm.ValueID, schema.NumDims())
-			var migrate []storage.RowID
-			scanned := 0
-			c.store.Scan(func(r storage.RowID) bool {
-				scanned++
-				c.store.Refs(r, cell)
-				if cs.sp.DeletedBy(cell, t) != nil {
-					migrate = append(migrate, r)
-					return true
-				}
-				level, _ := cs.sp.AggLevel(cell, t)
-				if !schema.GranEq(level, c.gran) {
-					migrate = append(migrate, r)
-				}
-				return true
-			})
-			movers[ci] = migrate
-			cs.met.SyncScanned.Add(int64(scanned))
-		}(ci, c)
-	}
-	wg.Wait()
-
-	// Phase 2 (serial): roll movers up and merge into their targets.
-	cell := make([]mdm.ValueID, schema.NumDims())
-	var up []mdm.ValueID
-	for ci, c := range cs.cubes {
-		for _, r := range movers[ci] {
-			c.store.Refs(r, cell)
-			if cs.sp.DeletedBy(cell, t) != nil {
-				cs.deletedBase += c.store.Base(r)
-				cs.met.FactsDeleted.Add(c.store.Base(r))
-				c.index.Delete(cell)
-				c.store.Delete(r)
-				moved++
-				continue
-			}
-			level, _ := cs.sp.AggLevel(cell, t)
-			dst := cs.cubeAt(level)
-			if dst == nil {
-				return moved, fmt.Errorf("subcube: Sync: no cube at granularity %s", schema.GranString(level))
-			}
-			var err error
-			if up, err = schema.RollUp(up[:0], cell, level); err != nil {
-				return moved, fmt.Errorf("subcube: Sync: %w", err)
-			}
-			meas := make([]float64, len(schema.Measures))
-			for j := range meas {
-				meas[j] = c.store.Measure(r, j)
-			}
-			if err := cs.mergeInto(dst, up, meas, c.store.Base(r)); err != nil {
-				return moved, err
-			}
-			c.index.Delete(cell)
-			c.store.Delete(r)
-			moved++
-		}
-		// Reclaim space once tombstones dominate.
-		if c.store.Rows() > 64 && c.store.Live()*2 < c.store.Rows() {
-			cs.compact(c)
-		}
-	}
-	cs.met.RowsFolded.Add(int64(moved))
-	return moved, nil
-}
-
-// cubeMovers is one cube's phase-1 result under the compiled path:
-// rows to tombstone-delete, and for each migrating row its destination
-// cube, rolled-up cell, measures and base count — extracted up front
-// into flat per-cube scratch so the parallel apply phase never reads
-// another goroutine's store.
+// cubeMovers is one cube's phase-1 result: rows to tombstone-delete, and
+// for each migrating row its destination cube, rolled-up cell, measures
+// and base count — extracted up front into flat per-cube scratch so the
+// parallel apply phase never reads another goroutine's store. eval is
+// the cube's own copy of the evaluator, so its probe count is the cube's.
 type cubeMovers struct {
+	eval    cellEval
 	delRows []storage.RowID
 	delBase int64
 	rows    []storage.RowID // migrating rows, ascending
@@ -652,29 +565,27 @@ type cubeMovers struct {
 	meas    []float64       // measures, nMeas entries per row
 	base    []int64
 	scanned int
-	probes  int64
 	err     error
 }
 
-// syncCompiled is the compiled synchronization. Phase 1 fetches the
-// day-pinned router of the action set (compiling only after a spec
-// mutation), then scans the cubes in parallel, probing the day-pinned
-// router per row and extracting every mover's rolled-up row
-// into per-cube scratch. Phase 2 is parallel too: one task per cube
-// (eachCube) owns that cube's store and index outright — it tombstones the
-// cube's deleted and outbound rows and merges the inbound movers, in
-// (source cube, source row) order so the result is deterministic. A
-// mover's destination cell can never coincide with a cell leaving the
-// same cube at the same t (equal cells have equal AggLevel), so the
-// deferred deletes commute with the merges and the contents match the
-// interpreted serial path exactly.
-func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
+// migrate is Sync's body. Phase 1 takes the cellEval at t (the
+// day-pinned router of the action set, compiled only after a spec
+// mutation, or the interpreted specification), then scans the cubes in
+// parallel, asking it per row and extracting every mover's rolled-up row
+// into per-cube scratch. Phase 2
+// is parallel too: one task per cube (eachCube) owns that cube's store
+// and index outright — it tombstones the cube's deleted and outbound rows
+// and merges the inbound movers, in (source cube, source row) order so
+// the result is deterministic. A mover's destination cell can never
+// coincide with a cell leaving the same cube at the same t (equal cells
+// have equal AggLevel), so the deferred deletes commute with the merges.
+func (cs *CubeSet) migrate(t caltime.Day) (int, error) {
 	schema := cs.env.Schema
 	nDims := schema.NumDims()
 	nMeas := len(schema.Measures)
 
-	router := specexec.RouterAt(cs.sp, t, cs.met)
-	delta := cs.deltaOnly(t, router)
+	eval := cs.newCellEval(cs.sp, t)
+	delta := eval.router != nil && cs.deltaOnly(t, eval.router)
 	if delta {
 		cs.met.SyncsIncremental.Inc()
 	}
@@ -690,6 +601,7 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 			cs.met.SyncSkips.Inc()
 			continue
 		}
+		movers[ci].eval = eval
 		scan = append(scan, ci)
 	}
 	eachCube(scan, func(ci int) {
@@ -699,14 +611,12 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 		probe := func(r storage.RowID) bool {
 			m.scanned++
 			c.store.Refs(r, cell)
-			m.probes++
-			if router.DeletedBy(cell) != nil {
+			if m.eval.deletedBy(cell) != nil {
 				m.delRows = append(m.delRows, r)
 				m.delBase += c.store.Base(r)
 				return true
 			}
-			m.probes++
-			router.AggLevelInto(cell, level, nil)
+			m.eval.aggLevelInto(cell, level, nil)
 			if schema.GranEq(level, c.gran) {
 				return true
 			}
@@ -743,7 +653,7 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 	for ci := range movers {
 		m := &movers[ci]
 		cs.met.SyncScanned.Add(int64(m.scanned))
-		cs.met.ProgramProbes.Add(m.probes)
+		cs.met.ProgramProbes.Add(m.eval.probes)
 		if m.err != nil {
 			return 0, m.err
 		}
@@ -753,8 +663,7 @@ func (cs *CubeSet) syncCompiled(t caltime.Day) (int, error) {
 		return 0, nil
 	}
 
-	// Regroup movers by destination, in (source cube, source row)
-	// order — the order the serial path merges in.
+	// Regroup movers by destination, in (source cube, source row) order.
 	type moverRef struct {
 		src, idx int32
 	}
@@ -852,67 +761,41 @@ func remapIndex(ix *mdm.CellMap[storage.RowID], remap []storage.RowID) {
 	})
 }
 
-// ApplySpec rebuilds the cube layout for an updated specification (the
-// infrequent synchronization of Section 7.2): new subcubes are created,
-// every row is re-routed by its aggregation level at time t, and cubes
-// whose granularity no longer appears are dropped.
+// ApplySpec moves the set onto the cube layout of an updated
+// specification (the infrequent synchronization of Section 7.2): it
+// builds New(sp)'s layout, hands each cube whose granularity the old
+// layout shares its store, cell index and zone map, and runs one full
+// Sync at t, which moves, folds and deletes rows as sp directs. A
+// populated cube the new layout has no counterpart for is an error that
+// leaves the set unchanged: no row ever falls below its own granularity,
+// so its rows would have no cube to stay in. An error from the Sync
+// leaves the set as a failed Sync does.
 func (cs *CubeSet) ApplySpec(sp *spec.Spec, t caltime.Day) error {
 	if sp.Env() != cs.env {
 		return fmt.Errorf("subcube: ApplySpec: specification bound to a different environment")
 	}
-	old := cs.cubes
 	next, err := New(sp)
 	if err != nil {
 		return err
 	}
-	// The rebuilt set records into the same metric instance, so ingest
-	// and fold counters stay cumulative across specification changes.
-	next.met = cs.met
-	cs.met.SpecRebuilds.Inc()
-	schema := cs.env.Schema
-	eval := cs.newCellEval(sp, t)
-	cell := make([]mdm.ValueID, schema.NumDims())
-	level := make(mdm.Granularity, schema.NumDims())
-	var up []mdm.ValueID
-	meas := make([]float64, len(schema.Measures))
-	for _, c := range old {
-		var failed error
-		c.store.Scan(func(r storage.RowID) bool {
-			c.store.Refs(r, cell)
-			if eval.deletedBy(cell) != nil {
-				next.deletedBase += c.store.Base(r)
-				return true
+	for _, c := range cs.cubes {
+		nc := next.cubeAt(c.gran)
+		if nc == nil {
+			if c.store.Live() > 0 {
+				return fmt.Errorf("subcube: ApplySpec: no cube at granularity %s for %d rows",
+					cs.env.Schema.GranString(c.gran), c.store.Live())
 			}
-			eval.aggLevelInto(cell, level, nil)
-			dst := next.cubeAt(level)
-			if dst == nil {
-				failed = fmt.Errorf("subcube: ApplySpec: no cube at granularity %s", schema.GranString(level))
-				return false
-			}
-			if up, failed = schema.RollUp(up[:0], cell, level); failed != nil {
-				failed = fmt.Errorf("subcube: ApplySpec: %w", failed)
-				return false
-			}
-			for j := range meas {
-				meas[j] = c.store.Measure(r, j)
-			}
-			if err := next.mergeInto(dst, up, meas, c.store.Base(r)); err != nil {
-				failed = err
-				return false
-			}
-			return true
-		})
-		if failed != nil {
-			return failed
+			continue
 		}
+		nc.store, nc.index = c.store, c.index
+		nc.dayLo, nc.dayHi, nc.hasRange, nc.timeUnbound = c.dayLo, c.dayHi, c.hasRange, c.timeUnbound
 	}
-	cs.met.ProgramProbes.Add(eval.probes)
-	cs.sp = sp
-	cs.cubes = next.cubes
+	cs.met.SpecRebuilds.Inc()
+	cs.sp, cs.cubes = sp, next.cubes
 	cs.layout++
-	cs.deletedBase += next.deletedBase
-	cs.markSynced(t)
-	return nil
+	cs.pending, cs.tracking = nil, false
+	_, err = cs.Sync(t)
+	return err
 }
 
 // DeletedFacts returns the number of user facts physically removed by

@@ -132,4 +132,9 @@ func TestDeletionApplySpecDropsRows(t *testing.T) {
 	if cs.TotalRows() != 0 || cs.DeletedFacts() != 7 {
 		t.Errorf("rows=%d deleted=%d after ApplySpec", cs.TotalRows(), cs.DeletedFacts())
 	}
+	// The metric counts the same deletions: a snapshot reload seeds it
+	// from DeletedFacts, so any gap would show as a jump across a restart.
+	if got := cs.Metrics().FactsDeleted.Load(); got != 7 {
+		t.Errorf("FactsDeleted = %d after ApplySpec, want 7", got)
+	}
 }

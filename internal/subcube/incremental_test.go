@@ -77,6 +77,39 @@ func dumpCells(t *testing.T, cs *CubeSet) string {
 	return b.String()
 }
 
+// checkCubes fails unless every cube's cell index maps exactly its live
+// rows' cells to those rows, and its zone map covers the days of every
+// live row. Sets run through the same operations share any apply bug,
+// so comparing them with each other cannot see one.
+func checkCubes(t *testing.T, step string, cs *CubeSet) {
+	t.Helper()
+	schema := cs.env.Schema
+	td := schema.Dims[cs.env.TimeDim]
+	cell := make([]mdm.ValueID, schema.NumDims())
+	for _, c := range cs.cubes {
+		live := 0
+		lo, hi, ok := c.DayRange()
+		c.store.Scan(func(r storage.RowID) bool {
+			live++
+			c.store.Refs(r, cell)
+			if got, in := c.index.Get(cell); !in || got != r {
+				t.Fatalf("%s: K%d row %d %v is indexed at %d (%v)", step, c.id, r, cell, got, in)
+			}
+			v := cell[cs.env.TimeDim]
+			if u, bound := cs.env.Time.UnitForCategory(td.CategoryOf(v)); bound {
+				p := caltime.Period{Unit: u, Index: td.ValueOrd(v)}
+				if !ok || p.First() < lo || p.Last() > hi {
+					t.Fatalf("%s: K%d row %d %v lies outside the zone map %v..%v (%v)", step, c.id, r, cell, lo, hi, ok)
+				}
+			}
+			return true
+		})
+		if c.index.Len() != live {
+			t.Fatalf("%s: K%d indexes %d cells for %d live rows", step, c.id, c.index.Len(), live)
+		}
+	}
+}
+
 // restored rebuilds a cube set the way a snapshot load does: a fresh
 // layout, every stored row re-injected, then the sync bookkeeping.
 func restored(t *testing.T, cs *CubeSet) *CubeSet {
@@ -111,9 +144,10 @@ func restored(t *testing.T, cs *CubeSet) *CubeSet {
 // bookkeeping over three cube sets in lock-step: the compiled set
 // (incremental where it may be), the interpreted oracle (always a full
 // scan), and a compiled set whose tracking is dropped before every Sync
-// (always a full scan). After every step the first two agree on cells,
-// live and dead rows per cube and deleted facts; the first and third are
-// byte-identical down to physical row order.
+// (always a full scan). After every step each set passes checkCubes, the
+// first two agree on cells, live and dead rows per cube and deleted
+// facts, and the first and third are byte-identical down to physical row
+// order.
 func TestLockstepIncrementalVsInterpreted(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -206,6 +240,9 @@ func lockstep(t *testing.T, actions []string, seed int64, monthUnit bool) {
 	}
 	check := func(step string) {
 		t.Helper()
+		for _, cs := range sets {
+			checkCubes(t, step, cs)
+		}
 		got := dumpCells(t, sets[0])
 		if want := dumpCells(t, sets[1]); got != want {
 			t.Fatalf("%s (clock %v): compiled diverged from the interpreted oracle\ncompiled:\n%s\ninterpreted:\n%s", step, now, got, want)

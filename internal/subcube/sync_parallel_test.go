@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dimred/internal/caltime"
+	"dimred/internal/core"
 	"dimred/internal/mdm"
 	"dimred/internal/spec"
 	"dimred/internal/storage"
@@ -75,6 +76,19 @@ func dumpCubes(cs *CubeSet, canonical bool) string {
 	return strings.Join(all, "\n")
 }
 
+// setCells renders the cells of every cube's live rows as one MO's
+// DumpCells, comparable with a reduced MO's.
+func setCells(t *testing.T, cs *CubeSet) string {
+	t.Helper()
+	mo := mdm.NewMO(cs.env.Schema)
+	for _, c := range cs.cubes {
+		if _, err := c.AppendTo(mo, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return mo.DumpCells()
+}
+
 // syncDays is the evaluation-day ladder the determinism tests sync
 // through: it drives rows bottom→month, month→quarter, and finally
 // into the deletion window.
@@ -85,10 +99,12 @@ var syncDays = []caltime.Day{
 	caltime.Date(2002, 8, 1),
 }
 
-// TestSyncCompiledMatchesInterpreted: the compiled parallel Sync and
-// the interpreted serial Sync must produce identical cube contents,
+// TestSyncCompiledMatchesInterpreted: Sync under the compiled router and
+// under the interpreted evaluator must produce identical cube contents,
 // migration counts and deletion totals through a whole ladder of
-// synchronization days.
+// synchronization days — and, since both share one apply, both must hold
+// exactly the cells of the Definition 2 oracle, core.ReduceInterpreted of
+// the inserted facts at that day.
 func TestSyncCompiledMatchesInterpreted(t *testing.T) {
 	obj, env := syncTestObj(t, 21)
 	s := syncTestSpec(t, env)
@@ -127,6 +143,16 @@ func TestSyncCompiledMatchesInterpreted(t *testing.T) {
 		if compiled.DeletedFacts() != interpreted.DeletedFacts() {
 			t.Fatalf("sync at %v: compiled deleted %d facts, interpreted %d",
 				at, compiled.DeletedFacts(), interpreted.DeletedFacts())
+		}
+		red, err := core.ReduceInterpreted(s, obj.MO, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := red.MO.DumpCells()
+		for name, cs := range map[string]*CubeSet{"compiled": compiled, "interpreted": interpreted} {
+			if got := setCells(t, cs); got != want {
+				t.Fatalf("sync at %v: the %s set diverged from the Definition 2 oracle\n%s:\n%s\noracle:\n%s", at, name, name, got, want)
+			}
 		}
 	}
 	if compiled.DeletedFacts() == 0 {
@@ -209,7 +235,7 @@ func TestSyncGOMAXPROCSDeterminism(t *testing.T) {
 
 // TestSyncProgramCounters: a compiled sync compiles exactly one
 // program per round and publishes its per-row probes; the interpreted
-// path touches neither counter.
+// evaluator touches neither counter and never takes the delta path.
 func TestSyncProgramCounters(t *testing.T) {
 	obj, env := syncTestObj(t, 24)
 	// A plain (non-time) URL restriction gives the program a static
@@ -253,5 +279,20 @@ func TestSyncProgramCounters(t *testing.T) {
 	if delta.ProgramCompiles != 0 || delta.ProgramProbes != 0 {
 		t.Fatalf("interpreted sync bumped program counters: compiles=%d probes=%d",
 			delta.ProgramCompiles, delta.ProgramProbes)
+	}
+
+	// A same-day sync on a tracking set is the compiled path's delta case;
+	// the interpreted evaluator has no router to vouch for it and scans in
+	// full.
+	if !cs.tracking {
+		t.Fatal("a completed Sync left the set untracked")
+	}
+	before = cs.Metrics().Snapshot()
+	if _, err := cs.Sync(caltime.Date(2000, 10, 1)); err != nil {
+		t.Fatal(err)
+	}
+	delta = cs.Metrics().Snapshot().Sub(before)
+	if delta.SyncsIncremental != 0 || delta.SyncScanned == 0 {
+		t.Fatalf("interpreted same-day sync: incremental=%d scanned=%d, want a full scan", delta.SyncsIncremental, delta.SyncScanned)
 	}
 }

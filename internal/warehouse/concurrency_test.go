@@ -275,7 +275,9 @@ func TestReadsHoldNoWriterLock(t *testing.T) {
 		_ = w.Stats()
 		_ = w.Metrics()
 		_, _ = w.ViewStats()
-		_ = w.Explain(refs[0])
+		if _, err := w.Explain(refs[0]); err != nil {
+			t.Error(err)
+		}
 		_ = w.Now()
 		if err := w.Ingest(refs[0], meas[0]); err != nil {
 			t.Error(err)

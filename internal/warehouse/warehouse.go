@@ -732,11 +732,16 @@ func materialize(env *spec.Env, cs *subcube.CubeSet) (*mdm.MO, error) {
 
 // Explain reports which actions apply to a cell at the warehouse clock
 // and what level each dimension is aggregated to — the paper's "why is
-// my data aggregated this way" requirement, at the facade.
-func (w *Warehouse) Explain(refs []mdm.ValueID) string {
+// my data aggregated this way" requirement, at the facade. A cell that
+// is not one value id per dimension, each one the dimension holds, is an
+// error.
+func (w *Warehouse) Explain(refs []mdm.ValueID) (string, error) {
+	if err := w.env.Schema.CheckCell(refs, nil); err != nil {
+		return "", fmt.Errorf("warehouse: Explain: %w", err)
+	}
 	s, p := w.pin()
 	defer p.Unpin()
-	return s.cubes.Spec().Explain(refs, s.now)
+	return s.cubes.Spec().Explain(refs, s.now), nil
 }
 
 // Materialize returns the warehouse's current contents — rows of every

@@ -218,16 +218,25 @@ func TestExplainAnswersAtThePublishedClock(t *testing.T) {
 	if err := w.AdvanceTo(caltime.Date(2000, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Explain(refs); strings.Contains(got, "to-month") {
+	if got := explain(t, w, refs); strings.Contains(got, "to-month") {
 		t.Errorf("at %s January is inside no window, Explain says:\n%s", w.Now(), got)
 	}
 	if err := w.AdvanceTo(caltime.Date(2000, 6, 1)); err != nil {
 		t.Fatal(err)
 	}
-	got := w.Explain(refs)
+	got := explain(t, w, refs)
 	if !strings.Contains(got, "at "+w.Now().String()) || !strings.Contains(got, "Time -> month (by action to-month)") {
 		t.Errorf("at %s Explain must name to-month, got:\n%s", w.Now(), got)
 	}
+}
+
+func explain(t *testing.T, w *Warehouse, refs []mdm.ValueID) string {
+	t.Helper()
+	out, err := w.Explain(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func grandTotal(t *testing.T, w *Warehouse) float64 {
