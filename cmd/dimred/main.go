@@ -228,6 +228,11 @@ func runSimulate(args []string) error {
 		if err != nil {
 			return err
 		}
+		// AdvanceTo never moves the clock back, so a report for an earlier
+		// day would print the later day's storage under its name.
+		if now := w.Now(); t < now {
+			return fmt.Errorf("simulate: -at %s is before the warehouse clock %s, which never runs backwards", at, now)
+		}
 		if err := w.AdvanceTo(t); err != nil {
 			return err
 		}

@@ -85,4 +85,16 @@ func TestSimulateCommand(t *testing.T) {
 	if err := runSimulate([]string{"-days", "5", "-start", "nonsense"}); err == nil {
 		t.Error("simulate accepted a bad start")
 	}
+	// A day the clock has already passed is refused, naming the day and
+	// the clock: before -start, or after a later -at.
+	for _, args := range [][]string{
+		{"-days", "5", "-start", "2000/3/1", "-at", "2000/1/1"},
+		{"-days", "5", "-start", "2000/1/1", "-at", "2000/3/1", "-at", "2000/2/1"},
+	} {
+		var err error
+		captureStdout(t, func() error { err = runSimulate(args); return nil })
+		if err == nil || !strings.Contains(err.Error(), "-at 2000/") || !strings.Contains(err.Error(), "clock 2000/") {
+			t.Errorf("simulate %v: err = %v, want the -at day and the clock named", args, err)
+		}
+	}
 }

@@ -86,7 +86,7 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d from -list", code)
 	}
-	names := []string{"wallclock", "purity", "lockfield", "snapalias", "clonecheck", "unknowndirective"}
+	names := []string{"wallclock", "purity", "snapalias", "clonecheck", "unknowndirective"}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) != len(names) {
 		t.Fatalf("-list printed %d analyzers, want %d:\n%s", len(lines), len(names), out.String())

@@ -161,9 +161,10 @@ type Compactor struct {
 	stop     chan struct{}
 	done     chan struct{}
 
-	// mu guards firstErr, the first fold failure; later batches still
-	// fold (one bad batch must not wedge the stream).
-	mu       sync.Mutex
+	// firstErr is the first fold failure; later batches still fold (one
+	// bad batch must not wedge the stream). Only the compactor goroutine
+	// writes it, and Stop reads it after done is closed, which orders the
+	// two: it needs no mutex.
 	firstErr error
 }
 
@@ -214,12 +215,8 @@ func (c *Compactor) foldNow() {
 	if len(rows) == 0 {
 		return
 	}
-	if err := c.fold(rows); err != nil {
-		c.mu.Lock()
-		if c.firstErr == nil {
-			c.firstErr = err
-		}
-		c.mu.Unlock()
+	if err := c.fold(rows); err != nil && c.firstErr == nil {
+		c.firstErr = err
 	}
 }
 
@@ -230,7 +227,5 @@ func (c *Compactor) Stop() error {
 	close(c.stop)
 	<-c.done
 	c.buf.ringAt.Store(0)
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.firstErr
 }

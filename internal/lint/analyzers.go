@@ -1,16 +1,14 @@
 package lint
 
 // All returns every analyzer the dimredlint multichecker bundles, with
-// the repository's default configuration: wallclock, the
-// flow-sensitive lockfield, the call-graph passes (purity, snapalias,
-// clonecheck), and the directive hygiene pass (unknowndirective, fed
-// every bundled analyzer name so it can validate //dimred:allow
-// targets).
+// the repository's default configuration: wallclock, the call-graph
+// passes (purity, snapalias, clonecheck), and the directive hygiene pass
+// (unknowndirective, fed every bundled analyzer name so it can validate
+// //dimred:allow targets).
 func All() []*Analyzer {
 	as := []*Analyzer{
 		NewWallclock(DefaultWallclockRestricted),
 		NewPurity(),
-		NewLockField(),
 		NewSnapAlias(),
 		NewCloneCheck(),
 	}

@@ -14,12 +14,6 @@
 //     ambient clock (time.Now and friends) is forbidden in semantic
 //     packages; the obs.Clock seam is the only sanctioned source.
 //
-// One is flow-sensitive, a lockset dataflow over the package's own CFG
-// construction (cfg.go):
-//
-//   - lockfield: a struct field written under a sync.Mutex/RWMutex is
-//     accessed under that mutex everywhere.
-//
 // Three are interprocedural, built on a module-wide call graph
 // (callgraph.go):
 //
@@ -40,8 +34,9 @@
 //
 // And unknowndirective validates the //dimred: directives themselves.
 // What the suite does not police is gated elsewhere: the concurrency
-// protocol (goroutine joins, lock order, writes after a publish) by the
-// -race job over the stress tests (DESIGN.md §12), and the NonCrossing /
+// protocol (goroutine joins, lock order, mutex discipline, writes after a
+// publish) by the -race job over the stress tests and the warehouse's
+// writer table (DESIGN.md §12), and the NonCrossing /
 // Growing / generation obligations of a specification change by the one
 // commit funnel in internal/spec.
 //
@@ -55,7 +50,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -157,22 +151,4 @@ func pathMatches(pkgPath string, suffixes []string) bool {
 		}
 	}
 	return false
-}
-
-// parentMap maps every node of the file to its syntactic parent.
-func parentMap(f *ast.File) map[ast.Node]ast.Node {
-	m := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			m[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return m
 }

@@ -118,7 +118,7 @@ func NewPurity() *Analyzer {
 // it, so its direct effects must count here too.
 func collectPurityFacts(u *Unit, fd *ast.FuncDecl) *purityFacts {
 	pf := &purityFacts{unit: u, decl: fd}
-	var defs map[*types.Var][]Def // built on the first write through a pointer
+	var defs map[*types.Var][]ast.Expr // built on the first write through a pointer
 
 	offend := func(n ast.Node, desc string) {
 		pf.offenses = append(pf.offenses, purityOffense{unit: u, node: n, desc: desc})
@@ -139,8 +139,8 @@ func collectPurityFacts(u *Unit, fd *ast.FuncDecl) *purityFacts {
 			if defs == nil {
 				defs = localDefs(u.Info, fd)
 			}
-			for _, def := range defs[v] {
-				if un, ok := ast.Unparen(def.Rhs).(*ast.UnaryExpr); ok && un.Op == token.AND {
+			for _, rhs := range defs[v] {
+				if un, ok := ast.Unparen(rhs).(*ast.UnaryExpr); ok && un.Op == token.AND {
 					if pv := packageLevelBase(u.Info, un.X); pv != nil {
 						offend(stmt, "writes package variable "+pv.Name()+" through a pointer")
 						return

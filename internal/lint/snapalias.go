@@ -443,8 +443,8 @@ func (fa *snapAnalysis) exprOrigins(e ast.Expr) origin {
 		if sel.Kind() != types.FieldVal {
 			return origin{}
 		}
-		if _, key, ok := fieldOwnerKey(fa.u.Info, x); ok {
-			if _, isShared := fa.shared[key]; isShared {
+		if owner := namedOwner(sel.Recv()); owner != "" {
+			if _, isShared := fa.shared[owner+"."+sel.Obj().Name()]; isShared {
 				return origin{} // derivation stops at a reviewed shared field
 			}
 		}
@@ -593,4 +593,28 @@ func callBitExprs(call *ast.CallExpr, fn *types.Func, bit int) []ast.Expr {
 		return []ast.Expr{call.Args[i]}
 	}
 	return nil
+}
+
+// namedOwner renders a (possibly pointer-to) named type as pkg.Type, the
+// prefix of the field keys //dimred:shared is recorded under.
+func namedOwner(t types.Type) string {
+	if p, isPtr := t.(*types.Pointer); isPtr {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return ""
+	}
+	return named.Obj().Pkg().Path() + "." + named.Obj().Name()
+}
+
+// inspectNoFuncLit walks n like ast.Inspect but does not descend into
+// function literals: a return inside a closure belongs to the closure.
+func inspectNoFuncLit(n ast.Node, fn func(ast.Node) bool) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		return fn(n)
+	})
 }

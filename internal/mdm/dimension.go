@@ -463,10 +463,6 @@ func (d *Dimension) ValueLE(v1, v2 ValueID) bool {
 	return d.anc[v1][d.values[v2].cat] == v2
 }
 
-// Children returns the immediate children of v. The returned slice must
-// not be modified.
-func (d *Dimension) Children(v ValueID) []ValueID { return d.children[v] }
-
 // ParentsOf returns v's immediate parents keyed by their category — the
 // inverse of the parents argument to AddValue. Snapshot/restore uses it
 // to rebuild a dimension value-for-value with identical ids.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -31,6 +32,43 @@ func TestFakeClockStep(t *testing.T) {
 	start := clk.Now() // returns t0, advances to t0+1ms
 	if d := clk.Since(start); d != time.Millisecond {
 		t.Errorf("Since = %v, want 1ms", d)
+	}
+}
+
+// TestFakeClockConcurrent: a FakeClock is shared by goroutines that
+// time their own work, as evaluateCubes' per-cube workers do. Under
+// -race, each of its methods called beside the others must hold its
+// lock, and no read or step may be lost: every Now (Since is one) moves
+// the clock by the step, and every Advance by its argument.
+func TestFakeClockConcurrent(t *testing.T) {
+	const (
+		goroutines = 4
+		rounds     = 200
+		step       = time.Millisecond
+		advance    = time.Second
+	)
+	t0 := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+	clk := NewFakeClock(t0)
+	clk.SetStep(step)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if d := clk.Since(clk.Now()); d < step {
+					t.Errorf("Since = %v, want at least one step", d)
+					return
+				}
+				clk.Advance(advance)
+				clk.SetStep(step)
+			}
+		}()
+	}
+	wg.Wait()
+	want := t0.Add(goroutines * rounds * (2*step + advance))
+	if got := clk.Now(); !got.Equal(want) {
+		t.Errorf("after the race Now = %v, want %v", got, want)
 	}
 }
 

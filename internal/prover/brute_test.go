@@ -95,9 +95,11 @@ func TestOverlapsAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestCoversAlwaysAgainstPointwise cross-checks CoversAlways against
-// per-instant CoversAt over the sweep.
-func TestCoversAlwaysAgainstPointwise(t *testing.T) {
+// TestCoversAtTimesAgainstBruteForce cross-checks CoversAtTimes, called
+// the way the Growing check calls it (a at t, the covers at t+1 day),
+// against a cell-by-cell scan: every (day, leaf) cell a selects at t
+// must be selected by some cover at t+1.
+func TestCoversAtTimesAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	hz := Horizon{
 		Min:       caltime.Date(1999, 10, 1),
@@ -105,18 +107,34 @@ func TestCoversAlwaysAgainstPointwise(t *testing.T) {
 		MaxOffset: 430,
 	}
 	universes := []int{0, 3}
+	var days, leaves []int
 	for trial := 0; trial < 25; trial++ {
 		a := randomRegion(rng)
 		bs := []Region{randomRegion(rng), randomRegion(rng)}
-		got, _ := CoversAlways(a, bs, hz, universes)
-		want := true
-		for tt := hz.SweepStart(); tt <= hz.SweepEnd() && want; tt++ {
-			if !CoversAt(a, bs, tt, hz, universes) {
-				want = false
+		for ta := hz.SweepStart(); ta <= hz.SweepEnd(); ta += 7 {
+			tb := ta + 1
+			want := true
+			if as := a.At(ta, hz, universes); as != nil {
+				var mats [][]*Set
+				for _, b := range bs {
+					if m := b.At(tb, hz, universes); m != nil {
+						mats = append(mats, m)
+					}
+				}
+				days, leaves = as[0].Elems(days[:0]), as[1].Elems(leaves[:0])
+				for _, d := range days {
+					for _, l := range leaves {
+						covered := false
+						for _, m := range mats {
+							covered = covered || (m[0].Has(d) && m[1].Has(l))
+						}
+						want = want && covered
+					}
+				}
 			}
-		}
-		if got != want {
-			t.Fatalf("trial %d: CoversAlways=%v pointwise=%v", trial, got, want)
+			if got := CoversAtTimes(a, ta, bs, tb, hz, universes); got != want {
+				t.Fatalf("trial %d, t=%s: CoversAtTimes=%v brute=%v", trial, ta, got, want)
+			}
 		}
 	}
 }

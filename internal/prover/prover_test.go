@@ -287,10 +287,10 @@ func TestOverlapsFalseRegion(t *testing.T) {
 	if ok, _ := Overlaps(a, f, hz, testUniverses); ok {
 		t.Error("false region overlaps")
 	}
-	if SatisfiableAt(f, hz.Min, hz, testUniverses) {
+	if f.At(hz.Min, hz, testUniverses) != nil {
 		t.Error("false region satisfiable")
 	}
-	if !SatisfiableAt(a, hz.Min, hz, testUniverses) {
+	if a.At(hz.Min, hz, testUniverses) == nil {
 		t.Error("unconstrained region unsatisfiable")
 	}
 }
@@ -304,10 +304,10 @@ func TestCoversAtProduct(t *testing.T) {
 	// b1 covers leaf 0 fully in time, b2 covers leaf 1 fully in time.
 	b1 := regionOf(nil, leafSet(0))
 	b2 := regionOf(nil, leafSet(1))
-	if !CoversAt(a, []Region{b1, b2}, now, hz, testUniverses) {
+	if !CoversAtTimes(a, now, []Region{b1, b2}, now, hz, testUniverses) {
 		t.Error("split cover not detected")
 	}
-	if CoversAt(a, []Region{b1}, now, hz, testUniverses) {
+	if CoversAtTimes(a, now, []Region{b1}, now, hz, testUniverses) {
 		t.Error("partial cover accepted")
 	}
 
@@ -315,15 +315,15 @@ func TestCoversAtProduct(t *testing.T) {
 	// everything recent. Jointly they cover a.
 	b3 := regionOf([]TimeAtom{nowLE(12)}, leafSet(0, 1))
 	b4 := regionOf([]TimeAtom{nowGT(12)}, leafSet(0, 1, 2, 3))
-	if !CoversAt(a, []Region{b3, b4}, now, hz, testUniverses) {
+	if !CoversAtTimes(a, now, []Region{b3, b4}, now, hz, testUniverses) {
 		t.Error("time-partitioned cover not detected")
 	}
-	if CoversAt(a, []Region{b3}, now, hz, testUniverses) {
+	if CoversAtTimes(a, now, []Region{b3}, now, hz, testUniverses) {
 		t.Error("old-months-only cover accepted")
 	}
 	// Nothing to cover: empty a is always covered.
 	aEmpty := regionOf([]TimeAtom{nowLE(6)}, leafSet())
-	if !CoversAt(aEmpty, nil, now, hz, testUniverses) {
+	if !CoversAtTimes(aEmpty, now, nil, now, hz, testUniverses) {
 		t.Error("empty region should be covered by nothing")
 	}
 }
@@ -341,15 +341,20 @@ func TestCoversAlwaysSweep(t *testing.T) {
 	// We approximate the spec-level check here by requiring that the
 	// union {a1, a2} covers everything <= NOW-6 at every t.
 	target := regionOf([]TimeAtom{nowLE(6)}, leafSet(0, 1, 2, 3))
-	ok, _ := CoversAlways(target, []Region{a1, a2}, hz, testUniverses)
-	if !ok {
+	coversAlways := func(bs []Region) bool {
+		for t := hz.SweepStart(); t <= hz.SweepEnd(); t++ {
+			if !CoversAtTimes(target, t, bs, t, hz, testUniverses) {
+				return false
+			}
+		}
+		return true
+	}
+	if !coversAlways([]Region{a1, a2}) {
 		t.Error("a1 plus a2 should cover all old cells at every t")
 	}
-	ok, at := CoversAlways(target, []Region{a1}, hz, testUniverses)
-	if ok {
+	if coversAlways([]Region{a1}) {
 		t.Error("a1 alone should fail coverage")
 	}
-	_ = at
 }
 
 func TestCoversProductOrthants(t *testing.T) {

@@ -63,17 +63,6 @@ func (a TimeAtom) NowRelative() bool {
 	return false
 }
 
-// MaxOffsetDays returns the largest NOW offset of the atom's expressions.
-func (a TimeAtom) MaxOffsetDays() int64 {
-	var m int64
-	for _, e := range a.Exprs {
-		if o := e.MaxOffsetDays(); o > m {
-			m = o
-		}
-	}
-	return m
-}
-
 // DaysAt materializes the set of day indices satisfying the atom with
 // NOW bound to now, over the horizon.
 func (a TimeAtom) DaysAt(now caltime.Day, hz Horizon) *Set {
@@ -126,19 +115,6 @@ type DimConstraint struct {
 type Region struct {
 	Dims  []DimConstraint
 	False bool
-}
-
-// MaxOffsetDays returns the largest NOW offset appearing in the region.
-func (r Region) MaxOffsetDays() int64 {
-	var m int64
-	for _, dc := range r.Dims {
-		for _, a := range dc.Time {
-			if o := a.MaxOffsetDays(); o > m {
-				m = o
-			}
-		}
-	}
-	return m
 }
 
 // NowRelative reports whether any constraint moves with NOW.
@@ -244,24 +220,11 @@ func overlapAt(a, b Region, t, shift caltime.Day, hz Horizon, universes []int) b
 	return true
 }
 
-// SatisfiableAt reports whether the region selects any cell at NOW = now.
-func SatisfiableAt(r Region, now caltime.Day, hz Horizon, universes []int) bool {
-	return r.At(now, hz, universes) != nil
-}
-
-// CoversAt decides whether every cell selected by region a at NOW = now
-// is selected by some region in bs at now: the coverage obligation of
-// the paper's Eq. 23 check, decided by orthant decomposition of the
-// product space.
-func CoversAt(a Region, bs []Region, now caltime.Day, hz Horizon, universes []int) bool {
-	return CoversAtTimes(a, now, bs, now, hz, universes)
-}
-
-// CoversAtTimes generalizes CoversAt to different NOW bindings for the
-// two sides: it decides whether every cell selected by a at NOW = ta is
-// selected by some region in bs at NOW = tb. The Growing check uses it
-// with tb = ta + 1 day: cells an action selects today must still be
-// aggregated at least as high tomorrow.
+// CoversAtTimes decides whether every cell selected by a at NOW = ta is
+// selected by some region in bs at NOW = tb, by orthant decomposition of
+// the product space. The Growing check uses it with tb = ta + 1 day:
+// cells an action selects today must still be aggregated at least as
+// high tomorrow.
 func CoversAtTimes(a Region, ta caltime.Day, bs []Region, tb caltime.Day, hz Horizon, universes []int) bool {
 	as := a.At(ta, hz, universes)
 	if as == nil {
@@ -322,26 +285,4 @@ func coversProduct(dims []*Set, bs [][]*Set) bool {
 		}
 	}
 	return true
-}
-
-// CoversAlways decides coverage at every NOW binding of the horizon
-// sweep. It returns the first violating t when coverage fails.
-func CoversAlways(a Region, bs []Region, hz Horizon, universes []int) (bool, caltime.Day) {
-	if !hz.Valid() {
-		return true, 0
-	}
-	sweepStart, sweepEnd := hz.SweepStart(), hz.SweepEnd()
-	nowFree := !a.NowRelative()
-	for _, b := range bs {
-		nowFree = nowFree && !b.NowRelative()
-	}
-	if nowFree {
-		sweepEnd = sweepStart
-	}
-	for t := sweepStart; t <= sweepEnd; t++ {
-		if !CoversAt(a, bs, t, hz, universes) {
-			return false, t
-		}
-	}
-	return true, 0
 }

@@ -15,17 +15,11 @@ import (
 // G <=_g G_q, because Definition 6's distributive aggregate functions
 // make the two-step fold α[G_q](α[G](O)) equal to the direct α[G_q](O).
 
-// RollupReachable reports whether facts materialized at granularity
-// `from` can be further aggregated to granularity `to`: the lattice
-// order <=_g, pointwise over each dimension's category hierarchy.
-// Parallel hierarchies (e.g. Time.week versus Time.month) are
+// RollupReachableSchema reports whether facts materialized at
+// granularity `from` can be further aggregated to granularity `to`: the
+// lattice order <=_g, pointwise over each dimension's category
+// hierarchy. Parallel hierarchies (e.g. Time.week versus Time.month) are
 // incomparable, so neither can serve the other.
-func RollupReachable(env *Env, from, to mdm.Granularity) bool {
-	return RollupReachableSchema(env.Schema, from, to)
-}
-
-// RollupReachableSchema is RollupReachable for callers that hold only
-// the schema.
 func RollupReachableSchema(schema *mdm.Schema, from, to mdm.Granularity) bool {
 	n := schema.NumDims()
 	if len(from) != n || len(to) != n {

@@ -37,13 +37,13 @@ func TestRollupReachable(t *testing.T) {
 		{"bottom-ish week.url rolls to week.domain", weekURL, weekDomain, true},
 	}
 	for _, c := range cases {
-		if got := RollupReachable(env, c.from, c.to); got != c.want {
-			t.Errorf("%s: RollupReachable(%s, %s) = %v, want %v", c.name,
+		if got := RollupReachableSchema(env.Schema, c.from, c.to); got != c.want {
+			t.Errorf("%s: RollupReachableSchema(%s, %s) = %v, want %v", c.name,
 				env.Schema.GranString(c.from), env.Schema.GranString(c.to), got, c.want)
 		}
 	}
 	// Malformed tuples never reach GranLE.
-	if RollupReachable(env, monthDomain[:1], quarterDomain) {
+	if RollupReachableSchema(env.Schema, monthDomain[:1], quarterDomain) {
 		t.Error("short granularity should not be reachable")
 	}
 }

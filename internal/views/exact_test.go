@@ -144,7 +144,7 @@ func TestExactHitEqualsFold(t *testing.T) {
 		what := "ancestor hit at " + env.Schema.GranString(target)
 		var smallest *View
 		for _, v := range set.Views() {
-			if spec.RollupReachable(env, v.Gran(), target) {
+			if spec.RollupReachableSchema(env.Schema, v.Gran(), target) {
 				smallest = v
 				break
 			}

@@ -3,13 +3,10 @@ package warehouse
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"dimred/internal/caltime"
 	"dimred/internal/mdm"
-	"dimred/internal/query"
 	"dimred/internal/spec"
-	"dimred/internal/subcube"
 	"dimred/internal/workload"
 )
 
@@ -239,53 +236,5 @@ func TestConcurrentQueryMutateAdvance(t *testing.T) {
 	}
 	if res.Len() != 1 || res.Measure(0, 0) != float64(loaded) {
 		t.Errorf("final grand count = %v, want %d", res.Measure(0, 0), loaded)
-	}
-}
-
-// TestReadsHoldNoWriterLock pins the read path's defining property
-// deterministically: with the writer lock held — a commit of any length
-// in flight — every read, the monitoring calls and Ingest still return,
-// because none of them takes wmu. A lock creeping back into one of them
-// parks the goroutine below until the deadline.
-func TestReadsHoldNoWriterLock(t *testing.T) {
-	w, obj := openViewWarehouse(t)
-	refs, meas := stressRows(t, obj, 1, caltime.Date(2000, 1, 1))
-	q := subcube.MustParseQuery(`aggregate [Time.quarter, URL.domain]`, w.Env())
-
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := w.Query(viewShapeQueries[0]); err != nil { // view-served
-			t.Error(err)
-		}
-		if _, err := w.Query(`aggregate [Time.month, URL.domain] where Time.month <= 2000/2`); err != nil { // base path
-			t.Error(err)
-		}
-		if _, err := w.QueryWith(viewShapeQueries[1], query.Liberal, query.Strict); err != nil {
-			t.Error(err)
-		}
-		if _, err := w.QueryAt(q, w.Now()+40); err != nil { // un-synchronized
-			t.Error(err)
-		}
-		if _, _, err := w.QueryTraced(viewShapeQueries[2]); err != nil {
-			t.Error(err)
-		}
-		_ = w.Stats()
-		_ = w.Metrics()
-		_, _ = w.ViewStats()
-		if _, err := w.Explain(refs[0]); err != nil {
-			t.Error(err)
-		}
-		_ = w.Now()
-		if err := w.Ingest(refs[0], meas[0]); err != nil {
-			t.Error(err)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("a read blocked behind the writer lock")
 	}
 }
