@@ -86,7 +86,7 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d from -list", code)
 	}
-	names := []string{"wallclock", "purity", "snapalias", "clonecheck", "unknowndirective"}
+	names := []string{"wallclock", "purity", "unknowndirective"}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) != len(names) {
 		t.Fatalf("-list printed %d analyzers, want %d:\n%s", len(lines), len(names), out.String())
@@ -136,10 +136,9 @@ func Stamp() time.Time {
 
 // BenchmarkLintRepo measures a full analyzer sweep over the module,
 // with loading (go list + parse + typecheck) paid once outside the
-// loop; each iteration rebuilds the module facts (call graph, escape
-// summaries, lock facts, directive tables). CI's bench smoke runs it
-// for one iteration, so an analyzer that panics or pathologically slows
-// on the real tree fails there.
+// loop; each iteration rebuilds the module facts (call graph, directive
+// tables). CI's bench smoke runs it for one iteration, so an analyzer
+// that panics or pathologically slows on the real tree fails there.
 func BenchmarkLintRepo(b *testing.B) {
 	units, err := lint.Load(repoRoot(b), "./...")
 	if err != nil {
@@ -166,12 +165,7 @@ func TestRepoSuppressionBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := map[string]int{
-		// internal/warehouse/warehouse.go: commitWithViewsLocked's
-		// LevelFrom call (it writes the retired side, drained of readers,
-		// from the published one).
-		"snapalias": 1,
-	}
+	budget := map[string]int{}
 	got := map[string]int{}
 	for _, al := range lint.AuditEscapes(units) {
 		if strings.TrimSpace(al.Reason) == "" {

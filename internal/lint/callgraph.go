@@ -7,10 +7,10 @@ import (
 )
 
 // This file builds the module-wide call graph the interprocedural
-// analyzers (snapalias, clonecheck, purity) share. Nodes are the
-// function and method declarations of the loaded units, keyed by
-// types.Func.FullName(); edges are the module-internal functions a body
-// references. Three reference forms produce edges:
+// analyzer purity reads. Nodes are the function and method declarations
+// of the loaded units, keyed by types.Func.FullName(); edges are the
+// module-internal functions a body references. Three reference forms
+// produce edges:
 //
 //   - direct calls (f(x), recv.M(x)), resolved through types.Info.Uses;
 //   - method values and function values (g := recv.M; hof(f)) — the
@@ -95,74 +95,4 @@ func referencedFuncs(info *types.Info, body *ast.BlockStmt, modulePkgs map[strin
 	}
 	sort.Strings(out)
 	return out
-}
-
-// SCCs returns the graph's strongly connected components in bottom-up
-// (callee-first) order: every edge out of a component lands in an
-// earlier one, so summaries computed in emission order see their
-// callees' summaries already final (mutually recursive functions share
-// a component and iterate to a joint fixpoint). The order is
-// deterministic: roots are visited in sorted key order.
-func (cg *CallGraph) SCCs() [][]string {
-	return tarjanSCCs(cg.keys, func(v string) []string {
-		var succ []string
-		for _, w := range cg.Nodes[v].Calls {
-			if _, isNode := cg.Nodes[w]; isNode { // else external or dynamic: no summary to order
-				succ = append(succ, w)
-			}
-		}
-		return succ
-	})
-}
-
-// tarjanSCCs returns the strongly connected components of the graph
-// over nodes in reverse topological order (every edge out of a
-// component lands in an earlier one), each component sorted. Roots are
-// visited in the order given and successors in the order succ returns
-// them, so sorted inputs make the result deterministic.
-func tarjanSCCs(nodes []string, succ func(string) []string) [][]string {
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var sccs [][]string
-
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = len(index)
-		low[v] = index[v]
-		stack = append(stack, v)
-		onStack[v] = true
-
-		for _, w := range succ(v) {
-			if _, visited := index[w]; !visited {
-				strongconnect(w)
-				low[v] = min(low[v], low[w])
-			} else if onStack[w] {
-				low[v] = min(low[v], index[w])
-			}
-		}
-
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			sort.Strings(scc)
-			sccs = append(sccs, scc)
-		}
-	}
-
-	for _, v := range nodes {
-		if _, visited := index[v]; !visited {
-			strongconnect(v)
-		}
-	}
-	return sccs
 }

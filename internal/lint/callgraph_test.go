@@ -114,47 +114,3 @@ func TestCallGraphEdges(t *testing.T) {
 		t.Errorf("OnInstance → (*G[V]).Get edge missing (method of an instantiated generic type); has %v", calls("lintfix/core.OnInstance"))
 	}
 }
-
-// TestCallGraphSCCs checks bottom-up (callee-first) emission order and
-// component grouping: mutually recursive functions share one SCC, a
-// self-recursive function is its own SCC, and every callee's SCC is
-// emitted before its caller's.
-func TestCallGraphSCCs(t *testing.T) {
-	units := loadScratch(t, map[string]string{"core/core.go": callGraphFixture})
-	cg := lint.BuildCallGraph(units)
-
-	sccIndex := map[string]int{}
-	for i, scc := range cg.SCCs() {
-		for _, key := range scc {
-			if prev, dup := sccIndex[key]; dup {
-				t.Fatalf("%s appears in SCCs %d and %d", key, prev, i)
-			}
-			sccIndex[key] = i
-		}
-	}
-	for key := range cg.Nodes {
-		if _, ok := sccIndex[key]; !ok {
-			t.Errorf("node %s missing from SCC emission", key)
-		}
-	}
-
-	if sccIndex["lintfix/core.MutA"] != sccIndex["lintfix/core.MutB"] {
-		t.Error("mutually recursive MutA and MutB should share an SCC")
-	}
-	if sccIndex["lintfix/core.MutA"] == sccIndex["lintfix/core.Leaf"] {
-		t.Error("MutA/MutB and Leaf must not share an SCC")
-	}
-
-	// Bottom-up: every edge must land in the same or an earlier SCC.
-	for key, node := range cg.Nodes {
-		for _, callee := range node.Calls {
-			if _, isNode := sccIndex[callee]; !isNode {
-				continue
-			}
-			if sccIndex[callee] > sccIndex[key] {
-				t.Errorf("edge %s → %s goes to a later SCC (%d > %d); order is not bottom-up",
-					key, callee, sccIndex[callee], sccIndex[key])
-			}
-		}
-	}
-}

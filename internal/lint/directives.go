@@ -10,40 +10,23 @@ import (
 
 const directivePrefix = "//dimred:"
 
-// SharedDirective marks a struct field that a Clone deliberately shares
-// between the original and the copy instead of deep-copying, with a
-// mandatory one-line reason:
-//
-//	//dimred:shared <reason>
-//
-// clonecheck accepts a direct copy of an annotated reference field, and
-// snapalias stops deriving immutability through it: the annotation is a
-// reviewed claim that the shared object is safe to reach from both
-// sides of a publish boundary (e.g. it is internally synchronized, or
-// frozen by construction).
-const SharedDirective = directivePrefix + "shared"
-
 // directiveContext classifies the syntactic positions where a
 // //dimred: directive takes effect.
 type directiveContext int
 
 const (
-	ctxAnyLine   directiveContext = iota // keyed to a source line, wherever it is
-	ctxStructDoc                         // full line of a struct type's doc comment
-	ctxFieldDoc                          // doc or line comment of a named struct's field
-	ctxFuncDoc                           // full line of a function's doc comment
+	ctxAnyLine directiveContext = iota // keyed to a source line, wherever it is
+	ctxFuncDoc                         // full line of a function's doc comment
 )
 
 // directiveSpec is one entry of the directive registry.
 type directiveSpec struct {
-	name          string
-	wantsAnalyzer bool // first argument must name a registered analyzer
-	// wantsReason: a free-text reason is mandatory. unknowndirective
-	// reports an allow without one; a reasonless shared is clonecheck's
-	// finding, the analyzer that consumes it.
-	wantsReason bool
-	contexts    []directiveContext
-	where       string // human description of the required position
+	name string
+	// wantsAnalyzer: the arguments are a registered analyzer's name and a
+	// mandatory free-text reason; a directive without it takes none.
+	wantsAnalyzer bool
+	contexts      []directiveContext
+	where         string // human description of the required position
 }
 
 // knownDirectives is the registry every //dimred: comment is parsed and
@@ -52,18 +35,12 @@ type directiveSpec struct {
 // meant to configure never sees it — so unknowndirective makes any
 // unregistered or malformed //dimred: comment a blocking finding.
 var knownDirectives = []directiveSpec{
-	{name: "allow", wantsAnalyzer: true, wantsReason: true,
+	{name: "allow", wantsAnalyzer: true,
 		contexts: []directiveContext{ctxAnyLine},
 		where:    "the offending line or the line directly above it"},
 	{name: "aggregate",
 		contexts: []directiveContext{ctxFuncDoc},
 		where:    "a function's doc comment"},
-	{name: "immutable",
-		contexts: []directiveContext{ctxStructDoc},
-		where:    "a struct type's doc comment"},
-	{name: "shared", wantsReason: true,
-		contexts: []directiveContext{ctxFieldDoc},
-		where:    "a struct field's doc or line comment"},
 }
 
 func directiveByName(name string) *directiveSpec {
@@ -85,14 +62,12 @@ type directive struct {
 	name    string
 	args    string         // text after the name, space-trimmed
 	spec    *directiveSpec // nil when the name is not in the registry
-	// ctx is the most specific position the comment occupies: a struct
-	// type's, named struct field's or function's doc, else a plain line.
+	// ctx is the most specific position the comment occupies: a
+	// function's doc, else a plain line.
 	ctx directiveContext
-	// owner is the declaration a doc or line comment belongs to (a
-	// field's doc and trailing comment share one); its comment group
+	// owner is the function a doc comment belongs to; the comment group
 	// otherwise.
 	owner ast.Node
-	typ   *ast.TypeSpec // the struct type, for ctxStructDoc and ctxFieldDoc
 }
 
 func (d *directive) pos() token.Position { return d.unit.Fset.Position(d.comment.Pos()) }
@@ -114,36 +89,10 @@ func parseDirectives(units []*Unit) []directive {
 	for _, u := range units {
 		for _, f := range u.Files {
 			placed := map[*ast.Comment]directive{}
-			mark := func(cg *ast.CommentGroup, ctx directiveContext, owner ast.Node, typ *ast.TypeSpec) {
-				if cg == nil {
-					return
-				}
-				for _, c := range cg.List {
-					placed[c] = directive{ctx: ctx, owner: owner, typ: typ}
-				}
-			}
 			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					mark(d.Doc, ctxFuncDoc, d, nil)
-				case *ast.GenDecl:
-					for _, s := range d.Specs {
-						ts, ok := s.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						st, isStruct := ts.Type.(*ast.StructType)
-						if !isStruct {
-							continue
-						}
-						mark(ts.Doc, ctxStructDoc, ts, ts)
-						if ts.Doc == nil && len(d.Specs) == 1 {
-							mark(d.Doc, ctxStructDoc, ts, ts)
-						}
-						for _, field := range st.Fields.List {
-							mark(field.Doc, ctxFieldDoc, field, ts)
-							mark(field.Comment, ctxFieldDoc, field, ts)
-						}
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
+					for _, c := range fd.Doc.List {
+						placed[c] = directive{ctx: ctxFuncDoc, owner: fd}
 					}
 				}
 			}
@@ -170,13 +119,6 @@ func parseDirectives(units []*Unit) []directive {
 	return out
 }
 
-// sharedField is one //dimred:shared-annotated struct field.
-type sharedField struct {
-	unit   *Unit
-	pos    token.Pos
-	reason string // "" when the mandatory reason is missing
-}
-
 // allowKey names one analyzer's findings on one source line.
 type allowKey struct {
 	file     string
@@ -190,8 +132,6 @@ type allowKey struct {
 // nothing, and unknowndirective reports it.
 type directiveTable struct {
 	all       []directive
-	immutable map[string]bool        // pkg.Type
-	shared    map[string]sharedField // pkg.Type.field
 	aggregate map[*ast.FuncDecl]bool
 	// allowed holds the lines a reasoned //dimred:allow silences: its own
 	// and the one below, so it can sit at the end of the offending line or
@@ -202,8 +142,6 @@ type directiveTable struct {
 func newDirectiveTable(units []*Unit) *directiveTable {
 	t := &directiveTable{
 		all:       parseDirectives(units),
-		immutable: map[string]bool{},
-		shared:    map[string]sharedField{},
 		aggregate: map[*ast.FuncDecl]bool{},
 		allowed:   map[allowKey]bool{},
 	}
@@ -212,7 +150,7 @@ func newDirectiveTable(units []*Unit) *directiveTable {
 		if d.spec == nil || !d.inContext() {
 			continue
 		}
-		if !d.spec.wantsReason && d.args != "" {
+		if !d.spec.wantsAnalyzer && d.args != "" {
 			continue // trailing text disables a no-argument directive
 		}
 		switch d.name {
@@ -222,17 +160,8 @@ func newDirectiveTable(units []*Unit) *directiveTable {
 				t.allowed[allowKey{p.Filename, p.Line, analyzer}] = true
 				t.allowed[allowKey{p.Filename, p.Line + 1, analyzer}] = true
 			}
-		case "immutable":
-			t.immutable[d.unit.Pkg.Path()+"."+d.typ.Name.Name] = true
 		case "aggregate":
 			t.aggregate[d.owner.(*ast.FuncDecl)] = true
-		case "shared":
-			for _, name := range d.owner.(*ast.Field).Names {
-				key := d.unit.Pkg.Path() + "." + d.typ.Name.Name + "." + name.Name
-				if _, dup := t.shared[key]; !dup {
-					t.shared[key] = sharedField{unit: d.unit, pos: name.Pos(), reason: d.args}
-				}
-			}
 		}
 	}
 	return t

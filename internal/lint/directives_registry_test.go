@@ -6,9 +6,9 @@ import (
 )
 
 // TestDirectiveRegistry pins the registry's internal consistency: it
-// holds exactly the four directives the kept analyzers read, the
-// directive constants the analyzers match against agree with the
-// registry names, and every entry is renderable in a finding.
+// holds exactly the two directives the kept analyzers read, the
+// directive constant purity matches against agrees with the registry
+// name, and every entry is renderable in a finding.
 func TestDirectiveRegistry(t *testing.T) {
 	seen := map[string]bool{}
 	for _, spec := range knownDirectives {
@@ -29,31 +29,22 @@ func TestDirectiveRegistry(t *testing.T) {
 			t.Errorf("directiveByName(%q) = nil", spec.name)
 		}
 	}
-	for _, name := range []string{"allow", "aggregate", "immutable", "shared"} {
+	for _, name := range []string{"allow", "aggregate"} {
 		if !seen[name] {
 			t.Errorf("registry lacks //dimred:%s", name)
 		}
 	}
-	if len(seen) != 4 {
-		t.Errorf("registry holds %d directives, want 4: %v", len(seen), seen)
+	if len(seen) != 2 {
+		t.Errorf("registry holds %d directives, want 2: %v", len(seen), seen)
 	}
 
-	// The constants the consuming analyzers match with must round-trip
-	// through the registry, or the two views of "known" drift apart.
-	for directive, name := range map[string]string{
-		ImmutableDirective: "immutable",
-		SharedDirective:    "shared",
-		AggregateDirective: "aggregate",
-	} {
-		if directive != directivePrefix+name {
-			t.Errorf("directive constant %q does not match registry name %q", directive, name)
-		}
-		if directiveByName(name) == nil {
-			t.Errorf("constant %q has no registry entry %q", directive, name)
-		}
+	// The constant purity matches with must round-trip through the
+	// registry, or the two views of "known" drift apart.
+	if AggregateDirective != directivePrefix+"aggregate" {
+		t.Errorf("directive constant %q does not match registry name %q", AggregateDirective, "aggregate")
 	}
 
-	if directiveByName("immutible") != nil {
+	if directiveByName("agregate") != nil {
 		t.Error("directiveByName accepted a misspelling")
 	}
 }

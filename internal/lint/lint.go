@@ -5,40 +5,29 @@
 // and go/types (the module carries no external dependencies, so the
 // x/tools framework itself is off the table).
 //
-// The analyzers encode invariants of the reproduced paper and of the
-// engine's snapshot protocol that neither the compiler nor a test that
-// happens not to hit the bad case can check:
+// The analyzers encode invariants of the reproduced paper that neither
+// the compiler nor a test that happens not to hit the bad case can
+// check:
 //
 //   - wallclock: NOW-relative semantics (Section 4.2) require every
 //     semantic evaluation to take an explicit evaluation time, so the
 //     ambient clock (time.Now and friends) is forbidden in semantic
 //     packages; the obs.Clock seam is the only sanctioned source.
-//
-// Three are interprocedural, built on a module-wide call graph
-// (callgraph.go):
-//
 //   - purity: functions marked //dimred:aggregate — the distributive
 //     default aggregates Definition 6's Group_high folds in arbitrary
 //     order — must not write package state, read the clock, or range
-//     over maps, transitively over the call graph.
-//   - snapalias: no write may reach a value derived from a
-//     //dimred:immutable type — a direct field store, or a store
-//     through a getter's return, a field read, an argument or a
-//     closure capture; per-function escape summaries, computed
-//     bottom-up in SCC order, carry the obligation across function
-//     boundaries.
-//   - clonecheck: every field of a struct built inside a Clone method
-//     must be provably cloned, copied by reference-free value, or
-//     annotated //dimred:shared with a reason — a forgotten field
-//     aliases state across the left-right publish boundary.
+//     over maps, transitively over a module-wide call graph
+//     (callgraph.go).
 //
 // And unknowndirective validates the //dimred: directives themselves.
 // What the suite does not police is gated elsewhere: the concurrency
-// protocol (goroutine joins, lock order, mutex discipline, writes after a
-// publish) by the -race job over the stress tests and the warehouse's
-// writer table (DESIGN.md §12), and the NonCrossing /
-// Growing / generation obligations of a specification change by the one
-// commit funnel in internal/spec.
+// protocol (goroutine joins, lock order, mutex discipline) by the -race
+// job over the stress tests and the warehouse's lock tables (DESIGN.md
+// §12); the snapshot rules — nothing writes a published snapshot, and a
+// Clone copies every field — by TestPublishedSnapshotsNeverChange and
+// TestClonesAreDeepAndDisjoint in internal/warehouse (DESIGN.md §11);
+// and the NonCrossing / Growing / generation obligations of a
+// specification change by the one commit funnel in internal/spec.
 //
 // Findings can be suppressed in source with a comment on the offending
 // line or the line directly above it:
@@ -84,13 +73,12 @@ type Analyzer struct {
 // the directive tables.
 type Module struct {
 	Units []*Unit
-	pkgs  map[string]bool // import paths of the loaded units
 	graph *CallGraph
 	dirs  *directiveTable
 }
 
 func newModule(units []*Unit) *Module {
-	return &Module{Units: units, pkgs: modulePkgs(units), graph: BuildCallGraph(units), dirs: newDirectiveTable(units)}
+	return &Module{Units: units, graph: BuildCallGraph(units), dirs: newDirectiveTable(units)}
 }
 
 func modulePkgs(units []*Unit) map[string]bool {

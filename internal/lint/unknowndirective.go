@@ -32,9 +32,8 @@ func NewUnknownDirective(analyzerNames []string) *Analyzer {
 		diag := func(d *directive, format string, args ...any) {
 			ds = append(ds, d.unit.Diag(d.comment.Pos(), format, args...))
 		}
-		// seen tracks directives per attachment point — the owning
-		// declaration for doc/line comments (a field's doc and trailing
-		// comment share one), the comment group otherwise.
+		// seen tracks directives per attachment point — the function for
+		// a doc comment, the comment group otherwise.
 		seen := map[ast.Node]map[string]bool{}
 		for i := range m.dirs.all {
 			d := &m.dirs.all[i]
@@ -70,9 +69,6 @@ func NewUnknownDirective(analyzerNames []string) *Analyzer {
 				if len(fields) < 2 {
 					diag(d, "//dimred:%s %s is missing the mandatory reason", d.name, fields[0])
 				}
-			case d.spec.wantsReason:
-				// shared: clonecheck, which consumes the reason, reports a
-				// missing one; it is not double-reported here.
 			default:
 				if len(fields) > 0 {
 					diag(d, "//dimred:%s takes no argument; trailing text disables the exact-match directive", d.name)

@@ -17,19 +17,11 @@ func newUnknownDirective() *lint.Analyzer {
 }
 
 // TestUnknownDirectiveNames exercises the registry lookup: misspelled
-// directives are flagged, and every registered directive in its proper
-// position stays silent.
+// and retired directives are flagged, and every registered directive in
+// its proper position stays silent.
 func TestUnknownDirectiveNames(t *testing.T) {
 	linttest.Run(t, []*lint.Analyzer{newUnknownDirective()}, map[string]string{
 		"lib/lib.go": `package lib
-
-// Snap is published.
-//
-//dimred:immutable
-type Snap struct {
-	//dimred:shared the map is frozen after construction
-	Rows map[string]int
-}
 
 // Fold folds.
 //
@@ -38,16 +30,16 @@ func Fold(a, b int) int { return a + b }
 
 // Bad is misspelled.
 //
-//dimred:immutible // want "unknown directive //dimred:immutible"
-type Bad struct{ N int }
-
-// Share is misspelled.
-type Share struct {
-	Rows map[string]int //dimred:share fine reason // want "unknown directive //dimred:share"
-}
+//dimred:agregate // want "unknown directive //dimred:agregate"
+func Bad(a, b int) int { return a + b }
 
 // Retired directives are unknown like any other name.
 //
+//dimred:immutable // want "unknown directive //dimred:immutable"
+type Snap struct {
+	Rows map[string]int //dimred:shared the map is frozen // want "unknown directive //dimred:shared"
+}
+
 //dimred:replay the publishcheck escape went with its analyzer // want "unknown directive //dimred:replay"
 func commit() {
 	//dimred:detached so did gospawn's // want "unknown directive //dimred:detached"
@@ -64,20 +56,16 @@ func TestUnknownDirectiveContexts(t *testing.T) {
 	linttest.Run(t, []*lint.Analyzer{newUnknownDirective()}, map[string]string{
 		"lib/lib.go": `package lib
 
-// Alias is not a struct, and immutable only reads struct docs.
-//
-//dimred:immutable // want "//dimred:immutable has no effect here; it must be a struct type's doc comment" "//dimred:immutable takes no argument"
-type Alias = map[string]int
-
-// Fold carries a field directive.
-//
-//dimred:shared misplaced reason // want "//dimred:shared has no effect here; it must be a struct field's doc or line comment"
-func Fold(a, b int) int { return a + b }
-
 // S carries a func directive.
 //
 //dimred:aggregate // want "//dimred:aggregate has no effect here; it must be a function's doc comment" "//dimred:aggregate takes no argument"
 type S struct{ N int }
+
+// T's field carries one too.
+type T struct {
+	//dimred:aggregate // want "//dimred:aggregate has no effect here; it must be a function's doc comment" "//dimred:aggregate takes no argument"
+	N int
+}
 `,
 	})
 }
@@ -123,38 +111,5 @@ func TestUnknownDirectiveArgs(t *testing.T) {
 		if !strings.Contains(got[i], w) {
 			t.Errorf("finding %d = %q, want containing %q", i, got[i], w)
 		}
-	}
-}
-
-// TestUnknownDirectiveSharedReasonOwnership: a reasonless shared
-// directive is clonecheck's finding, not unknowndirective's — exactly
-// one analyzer reports each defect.
-func TestUnknownDirectiveSharedReasonOwnership(t *testing.T) {
-	files := map[string]string{
-		"lib/lib.go": `package lib
-
-type S struct {
-	//dimred:shared
-	Rows map[string]int
-}
-
-// Clone copies S.
-func (s *S) Clone() *S {
-	return &S{Rows: s.Rows}
-}
-`,
-	}
-	if ds := linttest.Diagnostics(t, []*lint.Analyzer{newUnknownDirective()}, files); len(ds) != 0 {
-		t.Errorf("unknowndirective reported %d findings on a reasonless shared, want 0 (clonecheck owns it): %v", len(ds), ds)
-	}
-	ds := linttest.Diagnostics(t, []*lint.Analyzer{lint.NewCloneCheck()}, files)
-	found := false
-	for _, d := range ds {
-		if strings.Contains(d.Message, "missing the mandatory reason") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("clonecheck did not flag the reasonless shared: %v", ds)
 	}
 }

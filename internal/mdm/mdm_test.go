@@ -522,6 +522,12 @@ func TestSchemaValidation(t *testing.T) {
 	if _, err := NewSchema("F", []*Dimension{ud}, []Measure{{Name: "m"}, {Name: "m"}}); err == nil {
 		t.Error("duplicate measure accepted")
 	}
+	for _, agg := range []AggKind{-1, AggMax + 1} {
+		_, err := NewSchema("F", []*Dimension{ud}, []Measure{{Name: "m", Agg: agg}})
+		if err == nil || !strings.Contains(err.Error(), `measure "m"`) {
+			t.Errorf("aggregate %d: NewSchema = %v, want an error naming the measure", agg, err)
+		}
+	}
 	unfin := NewDimension("U")
 	unfin.MustAddCategory("c", false)
 	if _, err := NewSchema("F", []*Dimension{unfin}, nil); err == nil {

@@ -24,7 +24,8 @@ type FactID int32
 // An MO made by Borrow reads another MO's columns until its first write;
 // every mutator calls own first, which gives it columns of its own.
 type MO struct {
-	//dimred:shared dimensions are immutable once populated for an analysis; clones deliberately share the schema
+	// Shared by Clone: dimensions are immutable once populated for an
+	// analysis.
 	schema *Schema
 	refs   [][]ValueID
 	meas   [][]float64

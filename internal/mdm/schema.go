@@ -105,6 +105,9 @@ func NewSchema(factType string, dims []*Dimension, measures []Measure) (*Schema,
 		if mseen[m.Name] {
 			return nil, fmt.Errorf("mdm: schema: duplicate measure %q", m.Name)
 		}
+		if m.Agg < AggSum || m.Agg > AggMax {
+			return nil, fmt.Errorf("mdm: schema: measure %q has unknown aggregate %s", m.Name, m.Agg)
+		}
 		mseen[m.Name] = true
 	}
 	return &Schema{FactType: factType, Dims: dims, Measures: measures}, nil

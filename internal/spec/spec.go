@@ -15,7 +15,8 @@ import (
 // Growing: the constructors and the insert/delete operators reject
 // updates that would violate them, per Definitions 3 and 4.
 type Spec struct {
-	//dimred:shared the schema environment is frozen after construction; every Spec over a schema shares one Env
+	// Shared by Clone: the schema environment is frozen after
+	// construction, and every Spec over a schema shares one Env.
 	env     *Env
 	actions []*Action
 	// gen counts committed mutations of the action set. commit is the
@@ -25,7 +26,9 @@ type Spec struct {
 	// memo is the slot for what is derived from exactly this action set
 	// (the compiled specexec program). An action set never changes, it is
 	// replaced: commit replaces the slot with it, Clone shares both.
-	//dimred:shared the slot belongs to the action set, not to the Spec: it is filled once, atomically, and commit replaces the pointer instead of writing through it
+	// Shared by Clone: the slot belongs to the action set, not to the
+	// Spec; it is filled once, atomically, and commit replaces the
+	// pointer instead of writing through it.
 	memo *atomic.Value
 }
 

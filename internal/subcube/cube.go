@@ -32,7 +32,8 @@ import (
 type Cube struct {
 	id   int
 	gran mdm.Granularity
-	//dimred:shared compiled actions are immutable after spec validation; every clone shares them
+	// Shared by Clone: compiled actions are immutable after spec
+	// validation.
 	actions []*spec.Action // actions targeting this granularity (empty for the bottom cube)
 	store   *storage.Store
 	index   *mdm.CellMap[storage.RowID] // cell -> live row
@@ -79,7 +80,8 @@ func (c *Cube) Bytes() int64 { return c.store.Bytes() }
 // specification over one schema.
 type CubeSet struct {
 	sp *spec.Spec
-	//dimred:shared the schema environment is frozen after construction; clones deliberately share it
+	// Shared by Clone: the schema environment is frozen after
+	// construction.
 	env      *spec.Env
 	cubes    []*Cube
 	lastSync caltime.Day
@@ -93,7 +95,9 @@ type CubeSet struct {
 	deletedBase int64
 	// met is the engine metric set; counters are cumulative over the cube
 	// set's lifetime.
-	//dimred:shared the metric substrate is all-atomic by design (typed sync/atomic values; go vet copylocks flags a plain copy); clones record into the same instance
+	// Shared by Clone: the metric substrate is all-atomic by design
+	// (go vet copylocks flags a plain copy), so clones record into the
+	// same instance.
 	met *obs.Metrics
 	// interpret makes cellEval interpret the specification's predicates
 	// per row instead of probing the compiled router. The differential

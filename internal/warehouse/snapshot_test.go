@@ -3,12 +3,14 @@ package warehouse
 import (
 	"bytes"
 	"encoding/gob"
+	"io"
 	"strings"
 	"testing"
 
 	"dimred/internal/caltime"
 	"dimred/internal/mdm"
 	"dimred/internal/spec"
+	"dimred/internal/views"
 	"dimred/internal/workload"
 )
 
@@ -218,6 +220,7 @@ func TestSnapshotLoadErrors(t *testing.T) {
 		"negative row ref":           func(sf *snapshotFile) { sf.Rows[0].Refs[0] = -1 },
 		"row ref past the dimension": func(sf *snapshotFile) { sf.Rows[0].Refs[1] = 1 << 30 },
 		"unknown time dimension":     func(sf *snapshotFile) { sf.TimeDimName = "NoSuchDim" },
+		"unknown aggregate":          func(sf *snapshotFile) { sf.Measures[0].Agg = 42 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			var sf snapshotFile
@@ -259,4 +262,42 @@ func TestSnapshotOfPaperWarehouse(t *testing.T) {
 			t.Error("sync state drift")
 		}
 	}
+}
+
+// FuzzSnapshotLoad: a snapshot file is outside input, so whatever the
+// bytes, Load either refuses them with an error or returns a warehouse
+// that survives a year of clock, a query and a Save — errors allowed,
+// panics not. The seeds are saved click warehouses with views off and on.
+func FuzzSnapshotLoad(f *testing.F) {
+	for _, viewsOn := range []bool{false, true} {
+		w, obj := openClickWarehouse(f)
+		if err := w.AdvanceTo(caltime.Date(2000, 1, 1)); err != nil {
+			f.Fatal(err)
+		}
+		loadStream(f, w, obj, workload.ClickConfig{Seed: 17, Start: caltime.Date(2000, 1, 1), Days: 3, ClicksPerDay: 4})
+		if viewsOn {
+			for _, src := range viewShapeQueries {
+				if _, err := w.Query(src); err != nil {
+					f.Fatal(err)
+				}
+			}
+			if err := w.EnableViews(views.Config{}); err != nil {
+				f.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := w.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, _, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		_ = w.AdvanceTo(w.Now() + 400)
+		_, _ = w.Query(`aggregate [Time.quarter, URL.domain]`)
+		_ = w.Save(io.Discard)
+	})
 }

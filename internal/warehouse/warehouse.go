@@ -93,9 +93,8 @@ type Warehouse struct {
 // it was built at. Snapshots are immutable once published — readers pin
 // them and evaluate without synchronization — and every publish
 // allocates a fresh one, so a pinned snapshot can never be recycled
-// under a reader.
-//
-//dimred:immutable
+// under a reader. TestPublishedSnapshotsNeverChange holds every writer
+// and reader to that.
 type snapshot struct {
 	cubes *subcube.CubeSet
 	now   caltime.Day
@@ -223,7 +222,6 @@ func (w *Warehouse) commitWithViewsLocked(op commitOp, refresh bool) error {
 	}
 	w.drainLocked(retired)
 	var rows int
-	//dimred:allow snapalias the retired side is drained of readers before levelling writes it; the published side is only read
 	w.working, rows = retired.cubes.LevelFrom(published)
 	w.met.SnapshotLevelledRows.Add(int64(rows))
 	return nil

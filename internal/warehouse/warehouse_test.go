@@ -12,7 +12,7 @@ import (
 	"dimred/internal/workload"
 )
 
-func openClickWarehouse(t *testing.T) (*Warehouse, *workload.ClickObject) {
+func openClickWarehouse(t testing.TB) (*Warehouse, *workload.ClickObject) {
 	t.Helper()
 	obj, err := workload.NewClickSchema()
 	if err != nil {
@@ -33,7 +33,7 @@ func openClickWarehouse(t *testing.T) (*Warehouse, *workload.ClickObject) {
 	return w, obj
 }
 
-func loadStream(t *testing.T, w *Warehouse, obj *workload.ClickObject, cfg workload.ClickConfig) {
+func loadStream(t testing.TB, w *Warehouse, obj *workload.ClickObject, cfg workload.ClickConfig) {
 	t.Helper()
 	err := w.LoadBatch(func(load func([]mdm.ValueID, []float64) error) error {
 		return workload.GenerateClicks(cfg, func(c workload.Click) error {
