@@ -13,8 +13,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"dimred/internal/caltime"
 	"dimred/internal/mdm"
@@ -206,7 +204,11 @@ func reduceWith(s *spec.Spec, mo *mdm.MO, t caltime.Day, router *specexec.Router
 	res := &Result{MO: out, Prov: make(map[mdm.FactID]Provenance, len(order)), Deleted: deleted}
 	for _, key := range order {
 		g := groups[key]
-		name := mergedName(mo, g.sources)
+		names := make([]string, len(g.sources))
+		for i, f := range g.sources {
+			names[i] = mo.Name(f)
+		}
+		name := mdm.MergedName(names)
 		nf, err := out.AddFactAt(g.cell, g.meas, g.base, name)
 		if err != nil {
 			return nil, fmt.Errorf("core: Reduce: %w", err)
@@ -240,26 +242,4 @@ func higherResp(schema *mdm.Schema, i int, cur, cand *spec.Action) *spec.Action 
 	default:
 		return cur
 	}
-}
-
-// mergedName derives the display name of a reduced fact from its
-// sources, following the paper's figures: fact_0 and fact_3 aggregate to
-// "fact_03", fact_4 and fact_5 to "fact_45". A single source keeps its
-// name; sources without the fact_<digits> shape fall back to
-// "agg(<n> facts)".
-func mergedName(mo *mdm.MO, sources []mdm.FactID) string {
-	if len(sources) == 1 {
-		return mo.Name(sources[0])
-	}
-	suffixes := make([]string, 0, len(sources))
-	for _, f := range sources {
-		name := mo.Name(f)
-		rest, ok := strings.CutPrefix(name, "fact_")
-		if !ok {
-			return fmt.Sprintf("agg(%d facts)", len(sources))
-		}
-		suffixes = append(suffixes, rest)
-	}
-	sort.Strings(suffixes)
-	return "fact_" + strings.Join(suffixes, "")
 }

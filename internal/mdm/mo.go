@@ -158,6 +158,27 @@ func (m *MO) Name(f FactID) string {
 	return fmt.Sprintf("fact_%d", f)
 }
 
+// MergedName names the fact that folds facts with the given names,
+// following the paper's figures: fact_0 and fact_3 fold to "fact_03",
+// fact_4 and fact_5 to "fact_45". A single source keeps its name; sources
+// without the fact_<digits> shape fall back to "agg(<n> facts)". The
+// reduction engine and the query algebra both name folded facts by it.
+func MergedName(sources []string) string {
+	if len(sources) == 1 {
+		return sources[0]
+	}
+	suffixes := make([]string, 0, len(sources))
+	for _, name := range sources {
+		rest, ok := strings.CutPrefix(name, "fact_")
+		if !ok {
+			return fmt.Sprintf("agg(%d facts)", len(sources))
+		}
+		suffixes = append(suffixes, rest)
+	}
+	sort.Strings(suffixes)
+	return "fact_" + strings.Join(suffixes, "")
+}
+
 // SetName assigns a display label to fact f.
 func (m *MO) SetName(f FactID, name string) {
 	m.own()

@@ -63,7 +63,6 @@ type Metrics struct {
 	IngestCompacted    Counter   // buffered facts folded into the subcube DAG
 	IngestLate         Counter   // compacted facts landing inside an already-reduced region
 	IngestRejected     Counter   // drained facts whose fold failed: queued = compacted + rejected + pending
-	IngestPending      Gauge     // facts waiting in the delta buffer, refreshed on snapshot
 	CompactionDuration Histogram // wall time per delta-fold compaction
 
 	// Epoch-snapshot read path (warehouse).
@@ -73,13 +72,6 @@ type Metrics struct {
 	SnapshotLevelledRows Counter // rows copied into drained retired sides to level them (a cube copied whole counts every row)
 	SnapshotEpoch        Gauge   // sequence number of the currently published snapshot
 	SnapshotsRetained    Gauge   // retired snapshots awaiting reader drain and levelling
-
-	// Storage gauges, refreshed on snapshot.
-	LiveRows  Gauge // live rows across all cubes
-	LiveBytes Gauge // modeled fact bytes across all cubes
-	DeadRows  Gauge // tombstoned rows awaiting compaction
-	DimBytes  Gauge // modeled dimension-table bytes
-	CubeCount Gauge // physical subcubes in the layout
 }
 
 // NewMetrics creates an empty metric set timed by the System clock.
@@ -100,7 +92,10 @@ func (m *Metrics) Clock() Clock {
 func (m *Metrics) SetClock(c Clock) { m.clock = c }
 
 // MetricsSnapshot is a point-in-time copy of every metric, safe to
-// retain and compare (e.g. before/after a bench run).
+// retain and compare (e.g. before/after a bench run). IngestPending and
+// the storage fields have no Metrics counterpart: they describe one
+// published state, and whoever takes the snapshot fills them from the
+// state it pinned.
 type MetricsSnapshot struct {
 	FactsLoaded  int64
 	BatchLoads   int64
@@ -140,7 +135,7 @@ type MetricsSnapshot struct {
 	IngestCompacted int64
 	IngestLate      int64
 	IngestRejected  int64
-	IngestPending   int64
+	IngestPending   int64 // facts waiting in the delta buffer
 
 	SnapshotPublishes    int64
 	SnapshotDrainWaits   int64
@@ -153,11 +148,11 @@ type MetricsSnapshot struct {
 	QueryDuration      HistogramSnapshot
 	CompactionDuration HistogramSnapshot
 
-	LiveRows  int64
-	LiveBytes int64
-	DeadRows  int64
-	DimBytes  int64
-	CubeCount int64
+	LiveRows  int64 // live rows across all cubes
+	LiveBytes int64 // modeled fact bytes across all cubes
+	DeadRows  int64 // tombstoned rows awaiting compaction
+	DimBytes  int64 // modeled dimension-table bytes
+	CubeCount int64 // physical subcubes in the layout
 }
 
 // metricRow describes one metric — the one place that says which
@@ -165,9 +160,12 @@ type MetricsSnapshot struct {
 // field name addresses the metric in Metrics and in MetricsSnapshot;
 // whether it is a counter (subtracted by Sub), a gauge or a histogram is
 // read off the Metrics field's type. A row without a field is a section
-// header.
+// header. A snapshot-only row names a MetricsSnapshot field that Metrics
+// does not hold: Snapshot leaves it zero for the caller to fill, Sub
+// keeps it, String prints it.
 type metricRow struct {
 	field, label string
+	snapshotOnly bool
 	m, s         int  // field indices in Metrics and MetricsSnapshot
 	counter      bool // Sub subtracts it
 }
@@ -186,7 +184,7 @@ var metricRows = []metricRow{
 	{field: "IngestCompacted", label: "ingest compacted"},
 	{field: "IngestLate", label: "ingest late facts"},
 	{field: "IngestRejected", label: "ingest rejected"},
-	{field: "IngestPending", label: "ingest pending"},
+	{field: "IngestPending", label: "ingest pending", snapshotOnly: true},
 	{field: "CompactionDuration", label: "compaction latency"},
 
 	{label: "synchronization"},
@@ -229,11 +227,11 @@ var metricRows = []metricRow{
 	{field: "QueryDuration", label: "query latency"},
 
 	{label: "storage"},
-	{field: "CubeCount", label: "subcubes"},
-	{field: "LiveRows", label: "live rows"},
-	{field: "DeadRows", label: "dead rows"},
-	{field: "LiveBytes", label: "fact bytes"},
-	{field: "DimBytes", label: "dimension bytes"},
+	{field: "CubeCount", label: "subcubes", snapshotOnly: true},
+	{field: "LiveRows", label: "live rows", snapshotOnly: true},
+	{field: "DeadRows", label: "dead rows", snapshotOnly: true},
+	{field: "LiveBytes", label: "fact bytes", snapshotOnly: true},
+	{field: "DimBytes", label: "dimension bytes", snapshotOnly: true},
 }
 
 // init resolves each row's field in both structs. A name that does not
@@ -249,6 +247,13 @@ func init() {
 		mf, okM := mt.FieldByName(r.field)
 		sf, okS := st.FieldByName(r.field)
 		wantS := reflect.TypeOf(int64(0))
+		if r.snapshotOnly {
+			if okM || !okS || sf.Type != wantS {
+				panic("obs: metricRows: " + r.field + " is not a snapshot-only int64 field")
+			}
+			r.m, r.s = -1, sf.Index[0]
+			continue
+		}
 		switch mf.Type {
 		case reflect.TypeOf(Counter{}):
 			r.counter = true
@@ -270,7 +275,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	var s MetricsSnapshot
 	mv, sv := reflect.ValueOf(m).Elem(), reflect.ValueOf(&s).Elem()
 	for _, r := range metricRows {
-		if r.field == "" {
+		if r.field == "" || r.snapshotOnly {
 			continue
 		}
 		switch f := mv.Field(r.m).Addr().Interface().(type) {

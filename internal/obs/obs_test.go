@@ -155,7 +155,7 @@ func TestMetricsConcurrent(t *testing.T) {
 				m.RowsScanned.Add(10)
 				m.CubesConsulted.Inc()
 				m.QueryDuration.Observe(time.Duration(i) * time.Microsecond)
-				m.LiveRows.Set(int64(i))
+				m.ViewBytes.Set(int64(i))
 			}
 		}()
 	}

@@ -2,9 +2,7 @@ package query
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 
 	"dimred/internal/mdm"
 )
@@ -277,7 +275,7 @@ func Aggregate(mo *mdm.MO, target mdm.Granularity, approach AggApproach) (*mdm.M
 	out := mdm.NewMO(schema)
 	out.SetFloors(effTarget)
 	for _, g := range groups {
-		if _, err := out.AddFactAt(g.cell, g.meas, g.base, mergedName(g.sources)); err != nil {
+		if _, err := out.AddFactAt(g.cell, g.meas, g.base, mdm.MergedName(g.sources)); err != nil {
 			return nil, fmt.Errorf("query: Aggregate: %w", err)
 		}
 	}
@@ -383,7 +381,7 @@ func Combine(schema *mdm.Schema, parts []*mdm.MO, target mdm.Granularity, approa
 	}
 	for f, folded := range sources {
 		if folded != nil {
-			out.SetName(mdm.FactID(f), mergedName(folded))
+			out.SetName(mdm.FactID(f), mdm.MergedName(folded))
 		}
 	}
 	return out, nil
@@ -549,22 +547,4 @@ func leastUpper(d *mdm.Dimension, a, b mdm.CategoryID) mdm.CategoryID {
 		}
 	}
 	return best
-}
-
-// mergedName mirrors the reduction engine's fact naming: fact_4 and
-// fact_5 aggregate to "fact_45".
-func mergedName(sources []string) string {
-	if len(sources) == 1 {
-		return sources[0]
-	}
-	suffixes := make([]string, 0, len(sources))
-	for _, name := range sources {
-		rest, ok := strings.CutPrefix(name, "fact_")
-		if !ok {
-			return fmt.Sprintf("agg(%d facts)", len(sources))
-		}
-		suffixes = append(suffixes, rest)
-	}
-	sort.Strings(suffixes)
-	return "fact_" + strings.Join(suffixes, "")
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"dimred/internal/caltime"
+	"dimred/internal/mdm"
+	"dimred/internal/storage"
 	"dimred/internal/workload"
 )
 
@@ -199,5 +201,62 @@ func TestMetricsConcurrentQueries(t *testing.T) {
 	}
 	if got := w.Metrics().Queries; got != workers*10 {
 		t.Errorf("Queries = %d, want %d", got, workers*10)
+	}
+}
+
+// TestMetricsStorageIsOneSnapshot: two goroutines call Metrics beside a
+// LoadBatch writer that grows the warehouse on every commit, and every
+// result's storage fields describe one snapshot: LiveBytes is LiveRows
+// rows of the layout. Metrics fills them from the snapshot it pinned, so
+// two callers pinned to different snapshots cannot mix theirs.
+func TestMetricsStorageIsOneSnapshot(t *testing.T) {
+	w, obj := openClickWarehouse(t)
+	start := caltime.Date(2000, 1, 1)
+	if err := w.AdvanceTo(start); err != nil {
+		t.Fatal(err)
+	}
+	const batches, perBatch = 40, 30
+	refs, meas := stressRows(t, obj, batches*perBatch, start)
+	rowBytes := storage.Layout{DimCols: w.env.Schema.NumDims(), MeasCols: len(w.env.Schema.Measures)}.RowBytes()
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				m := w.Metrics()
+				if m.LiveBytes != m.LiveRows*rowBytes || m.CubeCount < 1 || m.DeadRows < 0 {
+					t.Errorf("torn storage fields: %d live rows, %d fact bytes, %d cubes, %d dead",
+						m.LiveRows, m.LiveBytes, m.CubeCount, m.DeadRows)
+					return
+				}
+			}
+		}()
+	}
+	for b := 0; b < batches; b++ {
+		err := w.LoadBatch(func(load func([]mdm.ValueID, []float64) error) error {
+			for i := b * perBatch; i < (b+1)*perBatch; i++ {
+				if err := load(refs[i], meas[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	if m := w.Metrics(); m.LiveRows == 0 || m.LiveBytes != m.LiveRows*rowBytes {
+		t.Errorf("after the writer: %d live rows, %d fact bytes", m.LiveRows, m.LiveBytes)
 	}
 }

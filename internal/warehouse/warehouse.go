@@ -165,8 +165,8 @@ type commitOp func(cs *subcube.CubeSet) (applied int, err error)
 // quarter of its rows touched), so past it levelling would clone the
 // written cubes whole anyway, and the clone needs no drain and frees the
 // pre-fold arrays at publish. An append-only commit just past the
-// threshold pays up to twice what levelling it would have cost; DESIGN.md
-// section 11 has the numbers.
+// threshold pays up to twice what levelling it would have cost;
+// EXPERIMENTS.md "The reclone rule's constant" has the numbers.
 const recloneFactor = 4
 
 // recloneRule reports whether a commit that applied that many rows and
@@ -799,6 +799,11 @@ func (s Stats) String() string {
 func (w *Warehouse) Stats() Stats {
 	s, p := w.pin()
 	defer p.Unpin()
+	return w.statsOf(s)
+}
+
+// statsOf accounts the storage of one pinned snapshot.
+func (w *Warehouse) statsOf(s *snapshot) Stats {
 	st := Stats{LoadedFacts: w.loaded.Load()}
 	layout := storage.Layout{DimCols: w.env.Schema.NumDims(), MeasCols: len(w.env.Schema.Measures)}
 	st.UnreducedBytes = st.LoadedFacts * layout.RowBytes()
@@ -818,31 +823,23 @@ func (w *Warehouse) Stats() Stats {
 	return st
 }
 
-// Metrics refreshes the storage gauges and returns a point-in-time
-// snapshot of the engine metrics: ingest and fold counters, query and
-// synchronization latency histograms, snapshot lifecycle counters, and
-// storage accounting. Counters are cumulative since Open (or seeded
-// from the snapshot after a restore); snapshots may be subtracted to
-// meter a window of work.
+// Metrics returns a point-in-time snapshot of the engine metrics: ingest
+// and fold counters, query and synchronization latency histograms,
+// snapshot lifecycle counters, and storage accounting. Counters are
+// cumulative since Open (or seeded from the snapshot after a restore);
+// snapshots may be subtracted to meter a window of work. The storage
+// fields describe the one snapshot Metrics pinned, and Metrics writes no
+// shared state, so concurrent callers never see each other's.
 func (w *Warehouse) Metrics() obs.MetricsSnapshot {
 	s, p := w.pin()
 	defer p.Unpin()
-	var rows, dead int
-	var bytes int64
-	for _, c := range s.cubes.Cubes() {
-		rows += c.Rows()
-		dead += c.Dead()
-		bytes += c.Bytes()
+	st := w.statsOf(s)
+	m := w.met.Snapshot()
+	m.LiveRows, m.LiveBytes, m.DimBytes = int64(st.Rows), st.FactBytes, st.DimensionBytes
+	m.CubeCount = int64(len(st.PerCube))
+	for _, c := range st.PerCube {
+		m.DeadRows += int64(c.Dead)
 	}
-	var dimBytes int64
-	for _, d := range w.env.Schema.Dims {
-		dimBytes += storage.DimensionBytes(d)
-	}
-	w.met.LiveRows.Set(int64(rows))
-	w.met.DeadRows.Set(int64(dead))
-	w.met.LiveBytes.Set(bytes)
-	w.met.DimBytes.Set(dimBytes)
-	w.met.CubeCount.Set(int64(len(s.cubes.Cubes())))
-	w.met.IngestPending.Set(w.buf.Pending())
-	return w.met.Snapshot()
+	m.IngestPending = w.buf.Pending()
+	return m
 }
