@@ -361,27 +361,6 @@ func (s Span) String() string {
 	return fmt.Sprintf("%d %ss", s.N, s.Unit)
 }
 
-// ParseSpan parses "6 months", "1 day", "4quarters" etc.
-func ParseSpan(s string) (Span, error) {
-	s = strings.TrimSpace(s)
-	i := 0
-	for i < len(s) && (s[i] == '-' || s[i] == '+' || (s[i] >= '0' && s[i] <= '9')) {
-		i++
-	}
-	if i == 0 || i == len(s) {
-		return Span{}, fmt.Errorf("caltime: invalid span %q", s)
-	}
-	n, err := strconv.ParseInt(s[:i], 10, 64)
-	if err != nil {
-		return Span{}, fmt.Errorf("caltime: invalid span %q: %w", s, err)
-	}
-	u, err := ParseUnit(s[i:])
-	if err != nil {
-		return Span{}, fmt.Errorf("caltime: invalid span %q: %w", s, err)
-	}
-	return Span{n, u}, nil
-}
-
 // AddSpan shifts day d by span s. Month-based units shift calendar-wise,
 // clamping the day of month (1999/1/31 + 1 month = 1999/2/28), matching
 // the usual data-warehouse interpretation of "6 months old".

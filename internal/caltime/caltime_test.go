@@ -245,31 +245,6 @@ func TestSubSpanInverseForDays(t *testing.T) {
 	}
 }
 
-func TestParseSpan(t *testing.T) {
-	cases := map[string]Span{
-		"6 months":  {6, UnitMonth},
-		"4quarters": {4, UnitQuarter},
-		"1 day":     {1, UnitDay},
-		"-2 weeks":  {-2, UnitWeek},
-		"3 years":   {3, UnitYear},
-		"36 weeks":  {36, UnitWeek},
-	}
-	for s, want := range cases {
-		got, err := ParseSpan(s)
-		if err != nil {
-			t.Fatalf("ParseSpan(%q): %v", s, err)
-		}
-		if got != want {
-			t.Errorf("ParseSpan(%q) = %v, want %v", s, got, want)
-		}
-	}
-	for _, bad := range []string{"months", "6", "6 lightyears", ""} {
-		if _, err := ParseSpan(bad); err == nil {
-			t.Errorf("ParseSpan(%q) succeeded, want error", bad)
-		}
-	}
-}
-
 func TestParseUnit(t *testing.T) {
 	for s, want := range map[string]Unit{"day": UnitDay, "Weeks": UnitWeek, "month": UnitMonth, "quarters": UnitQuarter, "YEAR": UnitYear} {
 		got, err := ParseUnit(s)

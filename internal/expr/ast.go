@@ -278,23 +278,6 @@ func Atoms(p Pred, dst []Pred) []Pred {
 	}
 }
 
-// References appends every category reference in p to dst and returns it.
-func References(p Pred, dst []CatRef) []CatRef {
-	for _, a := range Atoms(p, nil) {
-		switch q := a.(type) {
-		case TimeCmp:
-			dst = append(dst, q.Ref)
-		case TimeIn:
-			dst = append(dst, q.Ref)
-		case ValueCmp:
-			dst = append(dst, q.Ref)
-		case ValueIn:
-			dst = append(dst, q.Ref)
-		}
-	}
-	return dst
-}
-
 // UsesNow reports whether any time expression in p references NOW, which
 // makes the action dynamic in the sense of Section 4.3.
 func UsesNow(p Pred) bool {

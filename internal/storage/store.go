@@ -311,10 +311,3 @@ func DimensionBytes(d *mdm.Dimension) int64 {
 	}
 	return total
 }
-
-// MOBytes models the storage of an MO's fact table under this package's
-// layout.
-func MOBytes(mo *mdm.MO) int64 {
-	l := Layout{DimCols: mo.Schema().NumDims(), MeasCols: len(mo.Schema().Measures)}
-	return int64(mo.Len()) * l.RowBytes()
-}

@@ -179,27 +179,6 @@ func TestDimensionBytesGrowsWithValues(t *testing.T) {
 	}
 }
 
-func TestMOBytes(t *testing.T) {
-	d := mdm.NewDimension("X")
-	bot := d.MustAddCategory("leaf", false)
-	d.MustFinalize()
-	v := d.MustAddValue(bot, "v", 0, nil)
-	schema, err := mdm.NewSchema("F", []*mdm.Dimension{d}, []mdm.Measure{{Name: "m", Agg: mdm.AggSum}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mo := mdm.NewMO(schema)
-	if MOBytes(mo) != 0 {
-		t.Error("empty MO has bytes")
-	}
-	if _, err := mo.AddFact([]mdm.ValueID{v}, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if MOBytes(mo) != 4+8+8 {
-		t.Errorf("MOBytes = %d", MOBytes(mo))
-	}
-}
-
 // TestCompactReturnsMemory: a compaction that leaves a quarter of the
 // allocated slots or fewer moves the columns to right-sized arrays; one
 // that leaves more keeps the arrays. Row ids and the remap are the same

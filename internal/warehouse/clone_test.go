@@ -11,7 +11,6 @@ import (
 	"dimred/internal/spec"
 	"dimred/internal/storage"
 	"dimred/internal/subcube"
-	"dimred/internal/workload"
 )
 
 // walked is what one walk of a value saw: its leaves in order, and the
@@ -93,14 +92,7 @@ func checkClone(t *testing.T, name string, orig, clone any, nonzero map[fieldKey
 // last synchronization, and the interpreted evaluator selected.
 func cloneFixture(t *testing.T) *subcube.CubeSet {
 	t.Helper()
-	obj, err := workload.NewClickSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj, env := clickEnv(t)
 	sp, err := spec.New(env,
 		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, env),
 		spec.MustCompileString("top", `aggregate [Time.TOP, URL.domain] where URL.domain = "site0.com"`, env),

@@ -17,14 +17,7 @@ import (
 // Note: dimension builders are not concurrent-safe, so the writer
 // resolves dimension values before handing rows to the warehouse.
 func TestConcurrentQueriesAndLoads(t *testing.T) {
-	obj, err := workload.NewClickSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj, env := clickEnv(t)
 	w, err := Open(env,
 		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 1 month`, env))
 	if err != nil {
@@ -119,14 +112,7 @@ func TestConcurrentQueriesAndLoads(t *testing.T) {
 // must stay exact throughout, and the cache counters must show both
 // reuse and invalidation.
 func TestConcurrentQueryMutateAdvance(t *testing.T) {
-	obj, err := workload.NewClickSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj, env := clickEnv(t)
 	w, err := Open(env,
 		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 1 month`, env))
 	if err != nil {

@@ -129,59 +129,6 @@ func TestSyncScansOnlyTheDelta(t *testing.T) {
 	}
 }
 
-// TestIngestLateMatchesInterpreted pins the late count through the
-// day-pinned router against the interpreted specification: the same
-// out-of-order stream, flushed at the same points, counts the same late
-// facts on a compiled and on an interpreted warehouse.
-func TestIngestLateMatchesInterpreted(t *testing.T) {
-	obj, stream, err := workload.BuildOutOfOrder(workload.OutOfOrderConfig{
-		ClickConfig: workload.ClickConfig{
-			Seed: 9, Start: caltime.Date(2000, 1, 1),
-			Days: 150, ClicksPerDay: 10, Domains: 5, URLsPerDomain: 3,
-		},
-		LateFraction: 0.3,
-		MeanLateDays: 30,
-		MaxLateDays:  90,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var late [2]int64
-	for i := range late {
-		w, err := Open(env, ingestSpecActions(t, env)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.SetInterpreted(i == 1)
-		for k, r := range stream {
-			if r.Arrival != w.Now() {
-				if err := w.AdvanceTo(r.Arrival); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Ingest(r.Refs, r.Meas); err != nil {
-				t.Fatal(err)
-			}
-			if (k+1)%40 == 0 {
-				if err := w.FlushIngest(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := w.FlushIngest(); err != nil {
-			t.Fatal(err)
-		}
-		late[i] = w.Metrics().IngestLate
-	}
-	if late[0] == 0 || late[0] != late[1] {
-		t.Fatalf("IngestLate: compiled %d, interpreted %d; want equal and non-zero", late[0], late[1])
-	}
-}
-
 // TestIngestRejectedClosesTheLedger: a drained batch whose fold fails is
 // gone from the buffer, so it must show in IngestRejected — queued =
 // compacted + rejected + pending holds through a failing FlushIngest,

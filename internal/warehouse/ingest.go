@@ -17,7 +17,7 @@ import (
 // already inside a reduced region is counted late and, because the fold
 // synchronizes at the commit clock, lands at Cell(f, t)'s granularity
 // and merges distributively (the Growing invariant makes the delta fold
-// exact — see the replay differential in ingest_test.go).
+// exact — TestWarehouseMatchesModel holds every fold to Definition 2).
 
 // Ingest buffers one bottom-granularity fact for asynchronous
 // compaction. It never touches the served snapshot or the writer lock:

@@ -7,10 +7,8 @@ import (
 
 	"dimred/internal/caltime"
 	"dimred/internal/ingest"
-	"dimred/internal/spec"
 	"dimred/internal/subcube"
 	"dimred/internal/views"
-	"dimred/internal/workload"
 )
 
 // TestStressIngestWithConcurrentReaders races producers calling Ingest
@@ -31,14 +29,7 @@ import (
 // the race runs. With -race this also validates the buffer's
 // shard-mutex edges against the pin/publish/drain protocol.
 func TestStressIngestWithConcurrentReaders(t *testing.T) {
-	obj, err := workload.NewClickSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj, env := clickEnv(t)
 	mAct, qAct, _ := stressSpec(t, env)
 	w, err := Open(env, mAct, qAct)
 	if err != nil {

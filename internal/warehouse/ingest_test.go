@@ -5,266 +5,10 @@ import (
 	"testing"
 
 	"dimred/internal/caltime"
-	"dimred/internal/core"
 	"dimred/internal/ingest"
 	"dimred/internal/mdm"
-	"dimred/internal/spec"
 	"dimred/internal/workload"
 )
-
-// ingestSpecActions compiles the standing click actions plus a purge
-// used by the ingest tests: month-level and quarter-level aggregation
-// horizons plus a five-year delete, so an out-of-order stream has real
-// reduced regions for its late tail to land in.
-func ingestSpecActions(t *testing.T, env *spec.Env) []*spec.Action {
-	t.Helper()
-	return []*spec.Action{
-		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, env),
-		spec.MustCompileString("q", `aggregate [Time.quarter, URL.domain_grp] where Time.quarter <= NOW - 4 quarters`, env),
-		spec.MustCompileString("purge", `delete where Time.year <= NOW - 5 years`, env),
-	}
-}
-
-// TestDifferentialIngestVsReplayOracle is the tentpole pin: an
-// out-of-order click stream ingested through the delta buffers and the
-// background compactor must leave the warehouse byte-identical — cell
-// for cell, measure for measure, base count for base count — to
-// replaying every fact seen so far through core.Reduce on a fresh MO at
-// the same clock. This is the paper's exactness claim for the Growing
-// invariant extended to streaming: distributive merges make the
-// incremental delta fold equal to the one-shot reduction, including
-// facts that arrive after their day's region was already reduced.
-func TestDifferentialIngestVsReplayOracle(t *testing.T) {
-	cfg := workload.OutOfOrderConfig{
-		ClickConfig: workload.ClickConfig{
-			Seed: 7, Start: caltime.Date(2000, 1, 1),
-			Days: 100, ClicksPerDay: 12, Domains: 5, URLsPerDomain: 3,
-		},
-		LateFraction: 0.3,
-		MeanLateDays: 30,
-		MaxLateDays:  75,
-	}
-	obj, stream, err := workload.BuildOutOfOrder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
-	actions := ingestSpecActions(t, env)
-	w, err := Open(env, actions...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracleSpec, err := spec.New(env, actions...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracleMO := mdm.NewMO(obj.Schema)
-
-	compare := func(step string) {
-		t.Helper()
-		// The warehouse must be synchronized at its clock for the
-		// comparison to be meaningful; checkpoints call Sync first.
-		got, err := materialize(env, w.Cubes())
-		if err != nil {
-			t.Fatalf("%s: materialize: %v", step, err)
-		}
-		want, err := core.ReduceInterpreted(oracleSpec, oracleMO, w.Now())
-		if err != nil {
-			t.Fatalf("%s: replay oracle: %v", step, err)
-		}
-		if g, o := got.DumpCells(), want.MO.DumpCells(); g != o {
-			t.Fatalf("%s: delta-path warehouse diverged from core.Reduce replay\nwarehouse:\n%s\noracle:\n%s", step, g, o)
-		}
-	}
-
-	if err := w.StartIngest(ingest.Config{MinBatch: 1}); err != nil {
-		t.Fatal(err)
-	}
-	checkpoint := func(step string) {
-		t.Helper()
-		// Join the compactor so every ingested fact is folded, force a
-		// synchronization at the current clock, and compare.
-		if err := w.StopIngest(); err != nil {
-			t.Fatalf("%s: StopIngest: %v", step, err)
-		}
-		if err := w.Sync(); err != nil {
-			t.Fatalf("%s: Sync: %v", step, err)
-		}
-		compare(step)
-		if err := w.StartIngest(ingest.Config{MinBatch: 1}); err != nil {
-			t.Fatalf("%s: StartIngest: %v", step, err)
-		}
-	}
-
-	lastArrival := caltime.Day(0)
-	for i, r := range stream {
-		if r.Arrival != lastArrival {
-			if err := w.AdvanceTo(r.Arrival); err != nil {
-				t.Fatal(err)
-			}
-			lastArrival = r.Arrival
-		}
-		if err := w.Ingest(r.Refs, r.Meas); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := oracleMO.AddFact(r.Refs, r.Meas); err != nil {
-			t.Fatal(err)
-		}
-		if (i+1)%400 == 0 {
-			checkpoint(fmt.Sprintf("after %d arrivals (clock %v)", i+1, w.Now()))
-		}
-	}
-	if err := w.StopIngest(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	compare("final stream state")
-
-	m := w.Metrics()
-	if m.IngestQueued != int64(len(stream)) || m.IngestCompacted != int64(len(stream)) {
-		t.Fatalf("queued %d / compacted %d, want both %d", m.IngestQueued, m.IngestCompacted, len(stream))
-	}
-	if m.IngestLate == 0 {
-		t.Fatal("stream produced no late compactions; the differential never exercised a reduced region")
-	}
-	if m.IngestPending != 0 {
-		t.Fatalf("IngestPending = %d after StopIngest", m.IngestPending)
-	}
-
-	// Age everything past the purge horizon: the warehouse deletes, the
-	// oracle's Reduce skips — both must agree on the (empty) remainder.
-	if err := w.AdvanceTo(caltime.Date(2006, 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	compare("after purge horizon")
-}
-
-// TestLoadLateSingleFactMatchesReplayOracle pins the satellite bugfix:
-// a single-fact Load whose day sits inside an already-reduced region
-// must land at Cell(f, t)'s granularity immediately (merged
-// distributively), not linger at the bottom until the next scheduled
-// sync where a day-level query could observe it at a granularity the
-// Growing invariant says no longer exists.
-func TestLoadLateSingleFactMatchesReplayOracle(t *testing.T) {
-	obj, err := workload.NewClickSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
-	actions := ingestSpecActions(t, env)
-	w, err := Open(env, actions...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracleSpec, err := spec.New(env, actions...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracleMO := mdm.NewMO(obj.Schema)
-
-	start := caltime.Date(2000, 1, 1)
-	if err := w.AdvanceTo(start); err != nil {
-		t.Fatal(err)
-	}
-	cfg := workload.ClickConfig{Seed: 3, Start: start, Days: 60, ClicksPerDay: 10, Domains: 4, URLsPerDomain: 3}
-	var rows []workload.Click
-	if err := workload.GenerateClicks(cfg, func(c workload.Click) error {
-		rows = append(rows, c)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	err = w.LoadBatch(func(load func([]mdm.ValueID, []float64) error) error {
-		for _, c := range rows {
-			refs, meas, err := obj.Row(c)
-			if err != nil {
-				return err
-			}
-			if _, err := oracleMO.AddFact(refs, meas); err != nil {
-				return err
-			}
-			if err := load(refs, meas); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Age the stream so the first months are reduced to month/domain.
-	if err := w.AdvanceTo(caltime.Date(2000, 8, 1)); err != nil {
-		t.Fatal(err)
-	}
-
-	// The late fact: a click on a day deep inside the reduced region.
-	lateRefs, lateMeas, err := obj.Row(workload.Click{
-		Day: start + 3, URL: "http://www.site0.com/page/0",
-		Dwell: 7, Delivery: 2, SizeKB: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := w.Metrics()
-	if err := w.Load(lateRefs, lateMeas); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oracleMO.AddFact(lateRefs, lateMeas); err != nil {
-		t.Fatal(err)
-	}
-	// The late path carries a synchronization with the commit.
-	if d := w.Metrics().Sub(before); d.Syncs != 1 {
-		t.Fatalf("late single-fact Load ran %d syncs, want 1 (fold-on-commit)", d.Syncs)
-	}
-
-	got, err := materialize(env, w.Cubes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.ReduceInterpreted(oracleSpec, oracleMO, w.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, o := got.DumpCells(), want.MO.DumpCells(); g != o {
-		t.Fatalf("late single-fact Load diverged from replay oracle\nwarehouse:\n%s\noracle:\n%s", g, o)
-	}
-
-	// And the observable symptom of the old bug: the whole stream is
-	// older than the month horizon, so nothing — the late fact included —
-	// may linger at bottom granularity waiting for the next sync.
-	for f := 0; f < got.Len(); f++ {
-		if g := got.Gran(mdm.FactID(f)); env.Schema.GranEq(g, env.Schema.BottomGranularity()) {
-			t.Fatalf("fact %d still at bottom granularity inside the reduced region", f)
-		}
-	}
-
-	// An on-time fact (today) still takes the plain commit — no sync.
-	onTimeRefs, onTimeMeas, err := obj.Row(workload.Click{
-		Day: w.Now(), URL: "http://www.site1.com/page/1",
-		Dwell: 1, Delivery: 1, SizeKB: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before = w.Metrics()
-	if err := w.Load(onTimeRefs, onTimeMeas); err != nil {
-		t.Fatal(err)
-	}
-	if d := w.Metrics().Sub(before); d.Syncs != 0 {
-		t.Fatalf("on-time Load ran %d syncs, want 0", d.Syncs)
-	}
-}
 
 // TestLoadBatchEmptyPublishesNothing pins the empty-batch short
 // circuit: a zero-row batch must not sync, publish a snapshot, rebuild

@@ -16,14 +16,7 @@ import (
 // old facts, and continuous queries — asserting conservation and
 // correct storage behaviour throughout.
 func TestLifecycleWithPeriodicBulkLoads(t *testing.T) {
-	obj, err := workload.NewClickSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj, env := clickEnv(t)
 	w, err := Open(env,
 		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, env),
 		spec.MustCompileString("q", `aggregate [Time.quarter, URL.domain_grp] where Time.quarter <= NOW - 4 quarters`, env))
@@ -149,14 +142,7 @@ func TestLifecycleWithPeriodicBulkLoads(t *testing.T) {
 // including physical deletion (the Section 8 extension): detail →
 // month → quarter → gone, with the deleted volume reported.
 func TestWarehouseWithDeletionPolicy(t *testing.T) {
-	obj, err := workload.NewClickSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj, env := clickEnv(t)
 	w, err := Open(env,
 		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, env),
 		spec.MustCompileString("q", `aggregate [Time.quarter, URL.domain_grp] where Time.quarter <= NOW - 4 quarters`, env),

@@ -16,7 +16,6 @@ import (
 	"dimred/internal/spec"
 	"dimred/internal/subcube"
 	"dimred/internal/views"
-	"dimred/internal/workload"
 )
 
 // The two tables below are the gate of the warehouse's lock discipline.
@@ -69,7 +68,6 @@ var writerCalls = [][]lockStep{
 	{{"EnableViews", func(f *lockFixture, _ int) error { return f.w.EnableViews(views.Config{}) }}},
 	{{"DisableViews", func(f *lockFixture, _ int) error { f.w.DisableViews(); return nil }}},
 	{{"RefreshViews", func(f *lockFixture, _ int) error { return f.w.RefreshViews() }}},
-	{{"SetInterpreted", func(f *lockFixture, i int) error { f.w.SetInterpreted(i%2 == 0); return nil }}},
 	{{"Load", func(f *lockFixture, i int) error {
 		if err := f.w.Load(f.row(i)); err != nil {
 			return err
@@ -211,14 +209,7 @@ func TestLockTablesCoverEveryMethod(t *testing.T) {
 // recorded and one fact buffered.
 func newWriterFixture(t *testing.T) *lockFixture {
 	t.Helper()
-	obj, err := workload.NewClickSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj, env := clickEnv(t)
 	mAct, qAct, churn := stressSpec(t, env)
 	// resident's cutoff, like churn's, is one no row reaches, so
 	// Definition 4 always permits its delete.

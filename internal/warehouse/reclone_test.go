@@ -10,12 +10,11 @@ import (
 	"dimred/internal/mdm"
 	"dimred/internal/spec"
 	"dimred/internal/subcube"
-	"dimred/internal/workload"
 )
 
 // sideCells renders a cube set's cells per cube (DumpCells, so sorted),
-// with the deleted-fact total: what two sides, or a side and the
-// interpreted oracle, must agree on.
+// with the deleted-fact total: what a refused commit must leave as it
+// was.
 func sideCells(t *testing.T, env *spec.Env, cs *subcube.CubeSet) string {
 	t.Helper()
 	var b strings.Builder
@@ -34,7 +33,7 @@ func sideCells(t *testing.T, env *spec.Env, cs *subcube.CubeSet) string {
 // tombstones each cube carries and the sync state: what the working and
 // the published side must agree on after every commit, whichever copy
 // levelled them.
-func sideRows(t *testing.T, env *spec.Env, cs *subcube.CubeSet) string {
+func sideRows(t testing.TB, env *spec.Env, cs *subcube.CubeSet) string {
 	t.Helper()
 	var b strings.Builder
 	for _, c := range cs.Cubes() {
@@ -55,7 +54,7 @@ func sideRows(t *testing.T, env *spec.Env, cs *subcube.CubeSet) string {
 
 // sidesLevel fails unless the working side is the published one, row for
 // physical row.
-func sidesLevel(t *testing.T, w *Warehouse, step string) {
+func sidesLevel(t testing.TB, w *Warehouse, step string) {
 	t.Helper()
 	if pub, work := sideRows(t, w.env, w.Cubes()), sideRows(t, w.env, w.working); pub != work {
 		t.Fatalf("%s: working side differs from the published one\npublished:\n%s\nworking:\n%s", step, pub, work)
@@ -65,21 +64,11 @@ func sidesLevel(t *testing.T, w *Warehouse, step string) {
 // TestBulkCommitAppliesOnce pins the copy rule of the commit protocol:
 // which commits clone the published side and which level the retired one
 // from the journal, that both leave the two sides level and the
-// incremental Sync's bookkeeping intact, that the choice changes no cell,
-// and that a reader holding the retired snapshot neither blocks a clone
-// nor sees it.
+// incremental Sync's bookkeeping intact, and that a reader holding the
+// retired snapshot neither blocks a clone nor sees it. That the choice
+// changes no cell is TestWarehouseMatchesModel's, under every arm.
 func TestBulkCommitAppliesOnce(t *testing.T) {
 	t.Run("bulk load reclones, group commit levels", bulkReclonesFlushLevels)
-	for _, rule := range []struct {
-		name    string
-		reclone func(applied, left int) bool
-	}{
-		{"never", func(int, int) bool { return false }},
-		{"always", func(int, int) bool { return true }},
-		{"rule", recloneRule},
-	} {
-		t.Run("oracle cells/"+rule.name, func(t *testing.T) { recloneVsOracle(t, rule.name, rule.reclone) })
-	}
 	t.Run("pinned reader", recloneBesidePinnedReader)
 }
 
@@ -141,159 +130,6 @@ func bulkReclonesFlushLevels(t *testing.T) {
 	}
 	sidesLevel(t, w, "after the month-boundary fold")
 	flush("flush after the boundary")
-}
-
-// recloneVsOracle is (c): one script — bulk loads, month-boundary
-// advances, specification churn, a late Load, a group commit — under a
-// forced or the real reclone rule, mirrored onto an interpreted cube
-// set; forced off, every commit of the script is levelled from the
-// journal, layout rebuilds and compactions included. After every step
-// both sides hold the oracle's cells and each other's rows: the rule
-// decides cost, never content.
-func recloneVsOracle(t *testing.T, name string, reclone func(applied, left int) bool) {
-	obj, err := workload.NewClickSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mAct, qAct, churn := stressSpec(t, env)
-	w, err := Open(env, mAct, qAct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.reclone = reclone
-	oracleSpec, err := spec.New(env, mAct, qAct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := subcube.New(oracleSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle.SetInterpreted(true)
-
-	start := caltime.Date(2000, 1, 1)
-	refs, meas := stressRows(t, obj, 240, start)
-
-	// The oracle folds exactly when the warehouse did.
-	syncsSeen := w.Metrics().Syncs
-	check := func(step string) {
-		t.Helper()
-		if n := w.Metrics().Syncs; n != syncsSeen {
-			syncsSeen = n
-			if _, err := oracle.Sync(w.Now()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want := sideCells(t, env, oracle)
-		if got := sideCells(t, env, w.Cubes()); got != want {
-			t.Fatalf("%s: published side diverged\ngot:\n%s\noracle:\n%s", step, got, want)
-		}
-		sidesLevel(t, w, step)
-	}
-	advance := func(d caltime.Day) {
-		t.Helper()
-		if err := w.AdvanceTo(d); err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("advance to %v", d))
-	}
-	load := func(lo, hi int) {
-		t.Helper()
-		err := w.LoadBatch(func(ld func([]mdm.ValueID, []float64) error) error {
-			for i := lo; i < hi; i++ {
-				if err := ld(refs[i], meas[i]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := lo; i < hi; i++ {
-			if err := oracle.Insert(refs[i], meas[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		check(fmt.Sprintf("load [%d,%d)", lo, hi))
-	}
-
-	advance(caltime.Date(2000, 3, 1))
-	load(0, 80)
-	advance(caltime.Date(2000, 5, 1)) // February leaves the bottom cube
-	load(80, 160)
-
-	if err := w.InsertActions(churn); err != nil {
-		t.Fatal(err)
-	}
-	if err := oracleSpec.Insert(churn); err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.ApplySpec(oracleSpec, w.Now()); err != nil {
-		t.Fatal(err)
-	}
-	check("insert churn action")
-
-	// refs[3] is 4 January: aggregated to the month since 1 March.
-	before := w.Metrics()
-	if err := w.Load(refs[3], meas[3]); err != nil {
-		t.Fatal(err)
-	}
-	if d := w.Metrics().Sub(before); d.Syncs != 1 {
-		t.Fatalf("late Load ran %d syncs, want 1", d.Syncs)
-	}
-	if err := oracle.Insert(refs[3], meas[3]); err != nil {
-		t.Fatal(err)
-	}
-	check("late Load")
-
-	advance(caltime.Date(2000, 6, 1)) // March leaves
-	for i := 160; i < 176; i++ {
-		if err := w.Ingest(refs[i], meas[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := oracle.Insert(refs[i], meas[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.FlushIngest(); err != nil {
-		t.Fatal(err)
-	}
-	check("group commit")
-
-	if err := w.DeleteActions("y"); err != nil {
-		t.Fatal(err)
-	}
-	mo, err := materialize(env, oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := oracleSpec.Delete(mo, w.Now(), "y"); err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.ApplySpec(oracleSpec, w.Now()); err != nil {
-		t.Fatal(err)
-	}
-	check("delete churn action")
-
-	load(176, 240)
-	advance(caltime.Date(2001, 1, 1))
-	advance(caltime.Date(2001, 6, 1)) // the quarter action folds 2000
-
-	m := w.Metrics()
-	switch reclones := m.SnapshotReclones; {
-	case name == "never" && reclones != 0:
-		t.Errorf("%d reclones with the rule forced off", reclones)
-	case name != "never" && reclones == 0:
-		t.Errorf("the script never cloned the published side")
-	}
-	if m.IngestQueued != m.IngestCompacted+m.IngestRejected {
-		t.Errorf("ingest ledger: queued %d != compacted %d + rejected %d", m.IngestQueued, m.IngestCompacted, m.IngestRejected)
-	}
 }
 
 // recloneBesidePinnedReader is (d): a reader pinned to the snapshot a

@@ -16,14 +16,7 @@ import (
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	// Build, load and age a warehouse.
-	obj, err := workload.NewClickSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj, env := clickEnv(t)
 	w, err := Open(env,
 		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, env),
 		spec.MustCompileString("q", `aggregate [Time.quarter, URL.domain_grp] where Time.quarter <= NOW - 4 quarters`, env),

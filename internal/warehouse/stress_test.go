@@ -9,6 +9,7 @@ import (
 	"dimred/internal/mdm"
 	"dimred/internal/spec"
 	"dimred/internal/subcube"
+	"dimred/internal/views"
 	"dimred/internal/workload"
 )
 
@@ -81,14 +82,7 @@ func stressSpec(t *testing.T, env *spec.Env) (m, q, churn *spec.Action) {
 // Run with -race this also validates the pin/publish/drain protocol's
 // happens-before edges.
 func TestStressSnapshotAtomicity(t *testing.T) {
-	obj, err := workload.NewClickSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj, env := clickEnv(t)
 	mAct, qAct, churn := stressSpec(t, env)
 	w, err := Open(env, mAct, qAct)
 	if err != nil {
@@ -197,87 +191,36 @@ func TestStressSnapshotAtomicity(t *testing.T) {
 	}
 }
 
-// TestDifferentialSnapshotVsInterpretedOracle drives the epoch-snapshot
-// warehouse (compiled evaluation) and a plain interpreted cube set
-// through the same op script — batch loads, clock advances across sync
-// boundaries, spec churn — mirroring every synchronization, and asserts
-// the two answer an identical query battery identically at every step.
-// Dump() renders facts sorted by cell, so string equality is exact MO
-// equality; integer measures keep the sums exact on both paths.
-func TestDifferentialSnapshotVsInterpretedOracle(t *testing.T) {
-	obj, err := workload.NewClickSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestStressViewsNeverServeStale races readers against a writer that
+// interleaves batch loads, clock advances, spec churn and view
+// enable/refresh/disable, with the rollup-view lattice live. Readers
+// re-check the snapshot atomicity invariants on a view-servable shape:
+// totals advance in whole batches and never go backwards. A view
+// serving a stale generation or build clock would answer with a
+// pre-batch total after a newer one was observed, breaking
+// monotonicity; under -race this also checks the view set rides the
+// pin/publish/drain protocol's happens-before edges.
+func TestStressViewsNeverServeStale(t *testing.T) {
+	obj, env := clickEnv(t)
 	mAct, qAct, churn := stressSpec(t, env)
 	w, err := Open(env, mAct, qAct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracleSpec, err := spec.New(env, mAct, qAct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := subcube.New(oracleSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle.SetInterpreted(true)
-
 	start := caltime.Date(2000, 1, 1)
-	refs, meas := stressRows(t, obj, 240, start)
-
-	queries := []string{
-		`aggregate [Time.day, URL.url]`,
-		`aggregate [Time.month, URL.domain]`,
-		`aggregate [Time.quarter, URL.domain_grp]`,
-		`aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`,
-	}
-	compare := func(step string) {
-		t.Helper()
-		at := w.Now()
-		for _, src := range queries {
-			pq := subcube.MustParseQuery(src, env)
-			got, err := w.QueryAt(pq, at)
-			if err != nil {
-				t.Fatalf("%s: warehouse %q: %v", step, src, err)
-			}
-			want, err := oracle.Evaluate(pq, at)
-			if err != nil {
-				t.Fatalf("%s: oracle %q: %v", step, src, err)
-			}
-			if g, o := got.Dump(), want.Dump(); g != o {
-				t.Fatalf("%s: %q diverged\nsnapshot+compiled:\n%s\ninterpreted oracle:\n%s", step, src, g, o)
-			}
-		}
-	}
-	// syncsSeen mirrors warehouse syncs onto the oracle: LoadBatch always
-	// synchronizes, AdvanceTo only on a significant-period boundary, and
-	// fine-granularity query results depend on what has been folded — so
-	// the oracle must fold exactly when the warehouse did.
-	syncsSeen := w.Metrics().Syncs
-	mirrorSync := func() {
-		if n := w.Metrics().Syncs; n != syncsSeen {
-			syncsSeen = n
-			if _, err := oracle.Sync(w.Now()); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if err := w.AdvanceTo(caltime.Date(2000, 6, 1)); err != nil {
+		t.Fatal(err)
 	}
 
-	advance := func(d caltime.Day) {
-		if err := w.AdvanceTo(d); err != nil {
-			t.Fatal(err)
-		}
-		mirrorSync()
-		compare(fmt.Sprintf("advance to %v", d))
-	}
-	loadBoth := func(lo, hi int) {
-		err := w.LoadBatch(func(ld func([]mdm.ValueID, []float64) error) error {
+	const (
+		initRows   = 200
+		batches    = 24
+		batchRows  = 25
+		readerGoro = 4
+	)
+	refs, meas := stressRows(t, obj, initRows+batches*batchRows, start)
+	load := func(lo, hi int) error {
+		return w.LoadBatch(func(ld func([]mdm.ValueID, []float64) error) error {
 			for i := lo; i < hi; i++ {
 				if err := ld(refs[i], meas[i]); err != nil {
 					return err
@@ -285,54 +228,99 @@ func TestDifferentialSnapshotVsInterpretedOracle(t *testing.T) {
 			}
 			return nil
 		})
-		if err != nil {
+	}
+	if err := load(0, initRows); err != nil {
+		t.Fatal(err)
+	}
+
+	q := subcube.MustParseQuery(`aggregate [Time.quarter, URL.domain_grp]`, env)
+	// Seed the shape trace so every refresh has a view to build.
+	if _, err := w.QueryAt(q, w.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.EnableViews(views.Config{}); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < readerGoro; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lastCount := float64(0)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := w.QueryAt(q, w.Now())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tot := grandTotals(res)
+				count := tot[0]
+				k := (count - initRows) / batchRows
+				if k != float64(int(k)) || k < 0 || k > batches {
+					t.Errorf("count %v is not initial %d plus whole batches of %d", count, initRows, batchRows)
+					return
+				}
+				if count < lastCount {
+					t.Errorf("count went backwards: %v after %v — a stale view was served", count, lastCount)
+					return
+				}
+				lastCount = count
+				if tot[1] != 2*count || tot[2] != 3*count || tot[3] != 5*count {
+					t.Errorf("measure totals %v out of lockstep with count %v", tot, count)
+					return
+				}
+			}
+		}()
+	}
+
+	for b := 0; b < batches; b++ {
+		lo := initRows + b*batchRows
+		if err := load(lo, lo+batchRows); err != nil {
 			t.Fatal(err)
 		}
-		for i := lo; i < hi; i++ {
-			if err := oracle.Insert(refs[i], meas[i]); err != nil {
+		switch b % 6 {
+		case 1:
+			if err := w.InsertActions(churn); err != nil {
+				t.Fatal(err)
+			}
+		case 3:
+			if err := w.DeleteActions("y"); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			if err := w.AdvanceTo(w.Now() + 1); err != nil {
+				t.Fatal(err)
+			}
+		case 4:
+			if err := w.RefreshViews(); err != nil {
+				t.Fatal(err)
+			}
+		case 5:
+			w.DisableViews()
+			if err := w.EnableViews(views.Config{}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		mirrorSync()
-		compare(fmt.Sprintf("load [%d,%d)", lo, hi))
 	}
+	close(stop)
+	wg.Wait()
 
-	advance(caltime.Date(2000, 3, 1))
-	loadBoth(0, 80)
-	advance(caltime.Date(2000, 5, 1))
-	loadBoth(80, 160)
-
-	// Spec churn, mirrored through the same Insert/Delete + ApplySpec
-	// sequence the warehouse applies per side.
-	if err := w.InsertActions(churn); err != nil {
-		t.Fatal(err)
-	}
-	if err := oracleSpec.Insert(churn); err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.ApplySpec(oracleSpec, w.Now()); err != nil {
-		t.Fatal(err)
-	}
-	compare("insert churn action")
-
-	advance(caltime.Date(2000, 8, 1))
-	loadBoth(160, 240)
-
-	if err := w.DeleteActions("y"); err != nil {
-		t.Fatal(err)
-	}
-	mo, err := materialize(env, oracle)
+	res, err := w.QueryAt(q, w.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := oracleSpec.Delete(mo, w.Now(), "y"); err != nil {
-		t.Fatal(err)
+	if tot := grandTotals(res); tot[0] != initRows+batches*batchRows {
+		t.Errorf("final count = %v, want %d", tot[0], initRows+batches*batchRows)
 	}
-	if err := oracle.ApplySpec(oracleSpec, w.Now()); err != nil {
-		t.Fatal(err)
+	m := w.Metrics()
+	if m.ViewBuilds == 0 {
+		t.Error("storm never built a view")
 	}
-	compare("delete churn action")
-
-	advance(caltime.Date(2001, 1, 1))
-	advance(caltime.Date(2001, 6, 1))
 }

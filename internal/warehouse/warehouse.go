@@ -353,8 +353,8 @@ func (w *Warehouse) Spec() *spec.Spec { return w.cur.Load().cubes.Spec() }
 
 // Cubes returns the published subcube realization, for inspection.
 // The returned cube set is the live read side: treat it as read-only,
-// and prefer the Warehouse methods (Sync, SetInterpreted) for anything
-// that mutates — mutating it directly races with lock-free readers.
+// and use the Warehouse methods for anything that mutates — mutating it
+// directly races with lock-free readers.
 func (w *Warehouse) Cubes() *subcube.CubeSet { return w.cur.Load().cubes }
 
 // Now returns the warehouse clock.
@@ -443,20 +443,6 @@ func (w *Warehouse) ViewStats() (count int, bytes int64) {
 	s, p := w.pin()
 	defer p.Unpin()
 	return s.views.Len(), s.views.Bytes()
-}
-
-// SetInterpreted selects the interpreted evaluation path (true) or the
-// compiled specexec path (false, the default) on both cube-set sides.
-func (w *Warehouse) SetInterpreted(v bool) {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	// The flag is read by lock-free queries, so it flips through the
-	// same publish-and-drain protocol as any other mutation. The op
-	// cannot fail.
-	_ = w.commitLocked(func(cs *subcube.CubeSet) (int, error) {
-		cs.SetInterpreted(v)
-		return 0, nil
-	})
 }
 
 // Load ingests one bottom-granularity fact. A fact whose day is

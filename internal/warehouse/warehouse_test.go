@@ -12,7 +12,8 @@ import (
 	"dimred/internal/workload"
 )
 
-func openClickWarehouse(t testing.TB) (*Warehouse, *workload.ClickObject) {
+// clickEnv returns an empty click schema and its environment.
+func clickEnv(t testing.TB) (*workload.ClickObject, *spec.Env) {
 	t.Helper()
 	obj, err := workload.NewClickSchema()
 	if err != nil {
@@ -22,6 +23,12 @@ func openClickWarehouse(t testing.TB) (*Warehouse, *workload.ClickObject) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return obj, env
+}
+
+func openClickWarehouse(t testing.TB) (*Warehouse, *workload.ClickObject) {
+	t.Helper()
+	obj, env := clickEnv(t)
 	a1 := spec.MustCompileString("to-month",
 		`aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, env)
 	a2 := spec.MustCompileString("to-quarter",
@@ -165,14 +172,7 @@ func TestWarehouseSpecEvolution(t *testing.T) {
 // check stands between the delete and rows stored above the level the
 // remaining specification assigns them.
 func TestDeleteActionsChecksResponsibilityAtTheClock(t *testing.T) {
-	obj, err := workload.NewClickSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj, env := clickEnv(t)
 	w, err := Open(env,
 		spec.MustCompileString("to-month",
 			`aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, env),
@@ -314,14 +314,7 @@ func TestWarehouseQueryErrors(t *testing.T) {
 }
 
 func TestOpenRejectsInvalidSpec(t *testing.T) {
-	obj, err := workload.NewClickSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := spec.NewEnv(obj.Schema, "Time", obj.Time)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, env := clickEnv(t)
 	// A shrinking action without cover violates Growing.
 	bad := spec.MustCompileString("bad",
 		`aggregate [Time.month, URL.domain] where NOW - 12 months < Time.month and Time.month <= NOW - 6 months`, env)

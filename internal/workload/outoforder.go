@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"dimred/internal/caltime"
-	"dimred/internal/mdm"
 )
 
 // OutOfOrderConfig parameterizes the out-of-order click stream: the
@@ -91,39 +90,4 @@ func GenerateOutOfOrder(cfg OutOfOrderConfig, fn func(ArrivingClick) error) erro
 		}
 	}
 	return nil
-}
-
-// ResolvedArrival is an arriving click with its dimension refs and
-// measure vector resolved against a ClickObject's dimensions, ready to
-// feed Warehouse.Ingest or Load directly.
-type ResolvedArrival struct {
-	ArrivingClick
-	Refs []mdm.ValueID
-	Meas []float64
-}
-
-// BuildOutOfOrder materializes the arrival-ordered stream against a
-// fresh click schema, returning the object (whose MO holds all facts in
-// arrival order) and the stream itself with dimension refs resolved.
-func BuildOutOfOrder(cfg OutOfOrderConfig) (*ClickObject, []ResolvedArrival, error) {
-	obj, err := NewClickSchema()
-	if err != nil {
-		return nil, nil, err
-	}
-	var out []ResolvedArrival
-	err = GenerateOutOfOrder(cfg, func(a ArrivingClick) error {
-		refs, meas, err := obj.Row(a.Click)
-		if err != nil {
-			return err
-		}
-		if _, err := obj.MO.AddFact(refs, meas); err != nil {
-			return err
-		}
-		out = append(out, ResolvedArrival{ArrivingClick: a, Refs: refs, Meas: meas})
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return obj, out, nil
 }

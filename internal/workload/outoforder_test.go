@@ -110,19 +110,3 @@ func TestOutOfOrderZeroLateFractionIsInOrder(t *testing.T) {
 		}
 	}
 }
-
-func TestBuildOutOfOrderResolvesRefs(t *testing.T) {
-	cfg := outOfOrderCfg()
-	obj, stream, err := BuildOutOfOrder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obj.MO.Len() != len(stream) || len(stream) != cfg.Days*cfg.ClicksPerDay {
-		t.Fatalf("MO has %d facts, stream %d, want %d", obj.MO.Len(), len(stream), cfg.Days*cfg.ClicksPerDay)
-	}
-	for i, r := range stream {
-		if len(r.Refs) != 2 || len(r.Meas) != 4 {
-			t.Fatalf("row %d unresolved: %+v", i, r)
-		}
-	}
-}

@@ -92,8 +92,9 @@ func requireSameCells(t *testing.T, label string, got, want *dimred.MO) {
 }
 
 // TestWeightedFacadeProperties checks the weighted approach end to end
-// through the public facade, on both the compiled and interpreted
-// engines:
+// through the public facade, on the compiled engine the warehouse runs
+// (the interpreted evaluator's agreement is TestWeightedQueryMatchesOracle's,
+// in internal/subcube):
 //
 //  1. per target cell and SUM measure, conservative ≤ weighted ≤ liberal;
 //  2. the warehouse's weighted answer equals SelectWeighted +
@@ -124,69 +125,64 @@ func TestWeightedFacadeProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, interpret := range []bool{false, true} {
-		name := map[bool]string{false: "compiled", true: "interpreted"}[interpret]
-		t.Run(name, func(t *testing.T) {
-			w.SetInterpreted(interpret)
+	t.Run("compiled", func(t *testing.T) {
+		// Synchronized path; the trace proves which path ran.
+		weighted, tr, err := w.QueryAtTraced(q, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tr.Synced {
+			t.Fatal("query at the sync day did not take the synchronized path")
+		}
+		requireSameCells(t, "weighted vs oracle", weighted, want)
 
-			// Synchronized path; the trace proves which path ran.
-			weighted, tr, err := w.QueryAtTraced(q, at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !tr.Synced {
-				t.Fatal("query at the sync day did not take the synchronized path")
-			}
-			requireSameCells(t, "weighted vs oracle", weighted, want)
+		// Unsynchronized path, same significant period: identical
+		// answer (property 3).
+		stale, tr2, err := w.QueryAtTraced(q, at+7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr2.Synced {
+			t.Fatal("query a week past the sync day still took the synchronized path")
+		}
+		requireSameCells(t, "synced vs unsynced", stale, weighted)
 
-			// Unsynchronized path, same significant period: identical
-			// answer (property 3).
-			stale, tr2, err := w.QueryAtTraced(q, at+7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tr2.Synced {
-				t.Fatal("query a week past the sync day still took the synchronized path")
-			}
-			requireSameCells(t, "synced vs unsynced", stale, weighted)
-
-			// Bounds (property 1): every schema measure is a SUM of
-			// non-negative contributions here, so the ordering must hold
-			// cell by cell.
-			qc, ql := q, q
-			qc.Sel, ql.Sel = dimred.Conservative, dimred.Liberal
-			cons, err := w.QueryAt(qc, at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lib, err := w.QueryAt(ql, at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cc, wc, lc := moCells(cons), moCells(weighted), moCells(lib)
-			fractional := false
-			for cell, lm := range lc {
-				wm, cm := wc[cell], cc[cell] // absent cell means zero
-				for j, lv := range lm {
-					var cv, wv float64
-					if cm != nil {
-						cv = cm[j]
-					}
-					if wm != nil {
-						wv = wm[j]
-					}
-					if cv > wv+1e-9*math.Abs(cv) || wv > lv+1e-9*math.Abs(lv) {
-						t.Fatalf("cell %s measure %d: conservative %v, weighted %v, liberal %v — ordering violated",
-							cell, j, cv, wv, lv)
-					}
-					if !nearlyEqual(wv, lv) || !nearlyEqual(cv, wv) {
-						fractional = true
-					}
+		// Bounds (property 1): every schema measure is a SUM of
+		// non-negative contributions here, so the ordering must hold
+		// cell by cell.
+		qc, ql := q, q
+		qc.Sel, ql.Sel = dimred.Conservative, dimred.Liberal
+		cons, err := w.QueryAt(qc, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib, err := w.QueryAt(ql, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc, wc, lc := moCells(cons), moCells(weighted), moCells(lib)
+		fractional := false
+		for cell, lm := range lc {
+			wm, cm := wc[cell], cc[cell] // absent cell means zero
+			for j, lv := range lm {
+				var cv, wv float64
+				if cm != nil {
+					cv = cm[j]
+				}
+				if wm != nil {
+					wv = wm[j]
+				}
+				if cv > wv+1e-9*math.Abs(cv) || wv > lv+1e-9*math.Abs(lv) {
+					t.Fatalf("cell %s measure %d: conservative %v, weighted %v, liberal %v — ordering violated",
+						cell, j, cv, wv, lv)
+				}
+				if !nearlyEqual(wv, lv) || !nearlyEqual(cv, wv) {
+					fractional = true
 				}
 			}
-			if !fractional {
-				t.Fatal("weighted equals both bounds everywhere; the setup exercises no fractional weights")
-			}
-		})
-	}
+		}
+		if !fractional {
+			t.Fatal("weighted equals both bounds everywhere; the setup exercises no fractional weights")
+		}
+	})
 }
