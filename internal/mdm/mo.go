@@ -64,10 +64,13 @@ func (m *MO) Len() int {
 	return len(m.refs[0])
 }
 
-// Floors returns the granularity at which AddFact accepts facts: the
-// bottom granularity for a base MO, the result granularity for an MO
-// produced by aggregate formation.
-func (m *MO) Floors() Granularity { return m.floors }
+// Floors returns a copy of the granularity at which AddFact accepts
+// facts: the bottom granularity for a base MO, the result granularity for
+// an MO produced by aggregate formation. It is a copy, as Refs and
+// Measures are, because the floors are shared: SetFloors keeps its
+// argument (a query's target, a cube's granularity) and Borrow shares a
+// published view's, so a write into them would reach those.
+func (m *MO) Floors() Granularity { return append(Granularity(nil), m.floors...) }
 
 // SetFloors overrides the insert granularity; used by the query algebra
 // when building result MOs over subdimensions.

@@ -67,9 +67,9 @@ func Project(mo *mdm.MO, dimNames, measureNames []string) (*mdm.MO, error) {
 		return nil, fmt.Errorf("query: Project: %w", err)
 	}
 	out := mdm.NewMO(outSchema)
-	floors := make(mdm.Granularity, len(dimIdx))
+	floors, in := make(mdm.Granularity, len(dimIdx)), mo.Floors()
 	for k, i := range dimIdx {
-		floors[k] = mo.Floors()[i]
+		floors[k] = in[i]
 	}
 	out.SetFloors(floors)
 	for f := 0; f < mo.Len(); f++ {
@@ -317,14 +317,6 @@ func Combine(schema *mdm.Schema, parts []*mdm.MO, target mdm.Granularity, approa
 		out.SetFloors(append(mdm.Granularity(nil), target...))
 		return out, nil
 	}
-	floors := live[0].Floors()
-	if approach == LUB {
-		for _, p := range live[1:] {
-			if !schema.GranEq(p.Floors(), floors) {
-				return aggregateUnion(schema, live, target, approach)
-			}
-		}
-	}
 	if len(live) == 1 {
 		if approach == Disaggregated && hasCount(schema) {
 			return aggregateUnion(schema, live, target, approach)
@@ -333,6 +325,14 @@ func Combine(schema *mdm.Schema, parts []*mdm.MO, target mdm.Granularity, approa
 			live[0].SetName(mdm.FactID(f), name)
 		}
 		return live[0], nil
+	}
+	floors := live[0].Floors()
+	if approach == LUB {
+		for _, p := range live[1:] {
+			if !schema.GranEq(p.Floors(), floors) {
+				return aggregateUnion(schema, live, target, approach)
+			}
+		}
 	}
 
 	out := mdm.NewMO(schema)

@@ -18,9 +18,9 @@ func Union(a, b *mdm.MO) (*mdm.MO, error) {
 	}
 	schema := a.Schema()
 	out := mdm.NewMO(schema)
-	floors := make(mdm.Granularity, schema.NumDims())
+	floors, bf := a.Floors(), b.Floors()
 	for i, d := range schema.Dims {
-		floors[i] = d.GLB(a.Floors()[i], b.Floors()[i])
+		floors[i] = d.GLB(floors[i], bf[i])
 	}
 	out.SetFloors(floors)
 

@@ -134,8 +134,8 @@ var readerCalls = []lockStep{
 	{"Spec", func(f *lockFixture, _ int) error { _ = f.w.Spec(); return nil }},
 	{"Cubes", func(f *lockFixture, _ int) error { _ = f.w.Cubes(); return nil }},
 	{"Now", func(f *lockFixture, _ int) error { _ = f.w.Now(); return nil }},
-	{"Query", func(f *lockFixture, _ int) error { // view-served
-		return own(f.w.Query(viewShapeQueries[0]))
+	{"Query", func(f *lockFixture, _ int) error { // an exact view hit
+		return own(f.w.Query(viewShapeQueries[1]))
 	}},
 	{"QueryWith", func(f *lockFixture, _ int) error {
 		return own(f.w.QueryWith(viewShapeQueries[1], query.Liberal, query.Strict))
@@ -163,10 +163,13 @@ var readerCalls = []lockStep{
 	{"IngestPending", func(f *lockFixture, _ int) error { _ = f.w.IngestPending(); return nil }},
 }
 
-// own writes into a query answer's first fact. An exact view hit is a
-// borrow of the published view, so the write must copy before it lands.
+// own writes into a query answer: its floors first, then its first
+// fact. An exact view hit is a borrow of the published view, so neither
+// write may land in the view; nor may the floors write reach the query
+// or the plan a base-path answer was aggregated to.
 func own(mo *mdm.MO, err error) error {
 	if err == nil && mo.Len() > 0 {
+		mo.Floors()[0]++
 		mo.SetMeasure(0, 0, mo.Measure(0, 0)+1)
 		mo.AddBaseCount(0, 1)
 	}

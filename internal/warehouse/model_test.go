@@ -26,7 +26,8 @@ import (
 // published side must store Definition 2 of the history at the last
 // synchronization (core.ReduceInterpreted), and each battery query at the
 // clock must answer what the MO algebra answers on the history reduced at
-// the clock.
+// the clock, asked both as a parsed query and by its text (through the
+// plan the warehouse stored for it).
 
 // Facts fall on days from modelStart to the clock, which opens at
 // modelOpen and stops at modelEnd. Every day and URL is resolved before
@@ -65,26 +66,48 @@ var recloneArms = []struct {
 	{"never", func(int, int) bool { return false }},
 }
 
+// batteryQuery is one battery entry: a query text and its parse under
+// the approaches the entry asks it with.
+type batteryQuery struct {
+	src string
+	q   subcube.Query
+}
+
 // modelBattery is the query battery asked at every step: the
 // view-servable shapes, a predicated shape, and the quarter shape under
-// every other approach — Strict, LUB, Disaggregated, Liberal and Weighted
+// every other approach — Liberal, Strict, Disaggregated, LUB and Weighted
 // take the base path whether or not a view answered the default form.
-func modelBattery(env *spec.Env) []subcube.Query {
-	var out []subcube.Query
+// The next step asks the quarter shape by its text under the default
+// approaches first, after LUB last: a plan QueryWith wrote its approaches
+// into would answer it with LUB's raised target.
+func modelBattery(env *spec.Env) []batteryQuery {
+	var out []batteryQuery
+	with := func(src string, sel query.Approach, agg query.AggApproach) {
+		q := subcube.MustParseQuery(src, env)
+		q.Sel, q.Agg = sel, agg
+		out = append(out, batteryQuery{src, q})
+	}
 	for _, src := range append(viewShapeQueries[:len(viewShapeQueries):len(viewShapeQueries)],
 		`aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`) {
-		out = append(out, subcube.MustParseQuery(src, env))
+		with(src, query.Conservative, query.Availability)
 	}
-	q := subcube.MustParseQuery(`aggregate [Time.quarter, URL.domain_grp]`, env)
-	for _, agg := range []query.AggApproach{query.Strict, query.LUB, query.Disaggregated} {
-		q.Agg = agg
-		out = append(out, q)
+	const quarter = `aggregate [Time.quarter, URL.domain_grp]`
+	with(quarter, query.Liberal, query.Availability)
+	for _, agg := range []query.AggApproach{query.Strict, query.Disaggregated, query.LUB} {
+		with(quarter, query.Conservative, agg)
 	}
-	q.Agg, q.Sel = query.Availability, query.Liberal
-	out = append(out, q)
-	q = subcube.MustParseQuery(`aggregate [Time.quarter, URL.domain_grp] where Time.month <= NOW - 1 months`, env)
-	q.Sel = query.Weighted
-	return append(out, q)
+	with(`aggregate [Time.quarter, URL.domain_grp] where Time.month <= NOW - 1 months`, query.Weighted, query.Availability)
+	return out
+}
+
+// byText asks b's text at the warehouse clock: through Query under the
+// default approaches, through QueryWith under any other. Either reads the
+// plan the warehouse stored for the text.
+func (b batteryQuery) byText(w *Warehouse) (*mdm.MO, error) {
+	if b.q.Sel == query.Conservative && b.q.Agg == query.Availability {
+		return w.Query(b.src)
+	}
+	return w.QueryWith(b.src, b.q.Sel, b.q.Agg)
 }
 
 // byteSource reads the harness's choices off a byte string, one byte for
@@ -145,7 +168,7 @@ type harness struct {
 	urls    []mdm.ValueID
 	month   mdm.ValueID // a row carrying it is not at the bottom
 	churn   *spec.Action
-	battery []subcube.Query
+	battery []batteryQuery
 
 	// The model.
 	sp            *spec.Spec
@@ -517,16 +540,21 @@ func (h *harness) check() {
 	if h.now != h.lastSync {
 		stored = h.reduce(h.history, h.now)
 	}
-	for i, q := range h.battery {
-		got, tr, err := w.QueryAtTraced(q, h.now)
+	for i, b := range h.battery {
+		got, tr, err := w.QueryAtTraced(b.q, h.now)
 		h.must(err)
-		want, err := algebra(stored, q, h.now)
+		want, err := algebra(stored, b.q, h.now)
 		h.must(err)
 		if d := diffAnswers(got, want); d != "" {
 			h.fatalf("query %d: %s\ngot:\n%s\nthe algebra:\n%s", i, d, got.DumpCells(), want.DumpCells())
 		}
 		if !tr.Synced {
 			h.unsynced++
+		}
+		got, err = b.byText(w)
+		h.must(err)
+		if d := diffAnswers(got, want); d != "" {
+			h.fatalf("query %d by its text: %s\ngot:\n%s\nthe algebra:\n%s", i, d, got.DumpCells(), want.DumpCells())
 		}
 	}
 	w.wmu.Lock()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dimred/internal/caltime"
+	"dimred/internal/mdm"
 	"dimred/internal/query"
 	"dimred/internal/spec"
 	"dimred/internal/subcube"
@@ -308,5 +309,70 @@ func TestViewServingAllApproachesFallBack(t *testing.T) {
 	}
 	if d.Queries != 4 {
 		t.Fatalf("base path ran %d evaluations, want 4", d.Queries)
+	}
+}
+
+// TestAnswerFloorsAreCallerOwned: an answer's floors are the caller's to
+// write. An exact hit borrows a published view, whose floors are the
+// view's granularity: were a write into them to land, the view would pass
+// for one at the written granularity and serve its cells as an exact hit
+// there. A base-path answer's floors are the query's target: a write
+// into them must reach neither the caller's QueryAt query nor the plan
+// Query keeps for the text.
+func TestAnswerFloorsAreCallerOwned(t *testing.T) {
+	w, obj := openClickWarehouse(t)
+	start := caltime.Date(2000, 1, 1)
+	if err := w.AdvanceTo(start); err != nil {
+		t.Fatal(err)
+	}
+	loadStream(t, w, obj, workload.ClickConfig{Seed: 5, Start: start, Days: 120, ClicksPerDay: 10, Domains: 5, URLsPerDomain: 2})
+	const month, quarter = `aggregate [Time.month, URL.domain]`, `aggregate [Time.quarter, URL.domain]`
+	if _, err := w.Query(month); err != nil { // the one shape the selector learns
+		t.Fatal(err)
+	}
+	if err := w.EnableViews(views.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	qcat, ok := obj.Time.CategoryByName("quarter")
+	if !ok {
+		t.Fatal("no quarter category")
+	}
+	ask := func(src string) *mdm.MO {
+		t.Helper()
+		mo, err := w.Query(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mo
+	}
+	want := ask(quarter).DumpCells()
+	before := w.Metrics()
+	ask(month).Floors()[0] = qcat
+	if d := w.Metrics().Sub(before); d.ViewHits != 1 || d.ViewFolds != 0 {
+		t.Fatalf("hits=%d folds=%d, want the month shape an exact hit", d.ViewHits, d.ViewFolds)
+	}
+	before = w.Metrics()
+	if got := ask(quarter).DumpCells(); got != want {
+		t.Errorf("after a write into an exact hit's floors, the quarter shape answers\n%s\nwant\n%s", got, want)
+	}
+	if d := w.Metrics().Sub(before); d.ViewHits-d.ViewFolds != 0 {
+		t.Errorf("the quarter shape was an exact hit on the month view")
+	}
+
+	const src = `aggregate [Time.month, URL.domain] where Time.month <= 2000/2`
+	q := subcube.MustParseQuery(src, w.Env())
+	target := append(mdm.Granularity(nil), q.Target...)
+	mo, err := w.QueryAt(q, w.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mo.Floors()[0] = qcat
+	if !w.Env().Schema.GranEq(q.Target, target) {
+		t.Errorf("a write into a QueryAt answer's floors moved the query's target to %v", q.Target)
+	}
+	want = ask(src).DumpCells()
+	ask(src).Floors()[0] = qcat
+	if got := ask(src).DumpCells(); got != want {
+		t.Errorf("after a write into an answer's floors, the same text answers\n%s\nwant\n%s", got, want)
 	}
 }

@@ -8,6 +8,7 @@ package warehouse
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -65,6 +66,9 @@ type Warehouse struct {
 	// and compaction drains it before taking wmu (shard mutexes are
 	// leaves in the lock order).
 	buf *ingest.Buffer
+	// plans is the plan table (planFor): Query, QueryWith and QueryTraced
+	// find a text's plan with one atomic load and one map probe.
+	plans atomic.Pointer[planTable]
 
 	// wmu serializes writers and guards the fields below.
 	wmu sync.Mutex
@@ -130,6 +134,7 @@ func Open(env *spec.Env, actions ...*spec.Action) (*Warehouse, error) {
 	}
 	w.working = cs.Clone()
 	w.cur.Store(&snapshot{cubes: cs, side: 0, seq: 0, gen: cs.Spec().Generation()})
+	w.plans.Store(&planTable{})
 	return w, nil
 }
 
@@ -540,54 +545,112 @@ func (w *Warehouse) LoadBatch(rows func(load func(refs []mdm.ValueID, meas []flo
 	return nil
 }
 
-// Query evaluates an OLAP query (the action-specification syntax,
-// e.g. "aggregate [Time.month, URL.domain] where ...") at the current
-// clock, using the paper's default approaches.
-func (w *Warehouse) Query(src string) (*mdm.MO, error) {
+// planLimit bounds the plan table. A store that finds the table holding
+// this many texts starts a new one, so a stream of distinct texts costs
+// at most one parse each and never grows the table past the bound.
+const planLimit = 1024
+
+// plan is one query text parsed: the query and its shape key
+// (spec.EncodeGran of the target, what the view selector's trace counts).
+// Every reader that asks the text shares it, so nothing may write through
+// it: no answer aliases q.Target (mdm.MO.Floors hands out a copy), and
+// QueryWith sets its approaches on its own copy of q.
+type plan struct {
+	q   subcube.Query
+	key string
+}
+
+// planTable maps query texts to their plans. A published table is never
+// written; storePlan publishes a copy.
+type planTable map[string]*plan
+
+// planFor returns the plan of src: the stored one, or else a fresh parse,
+// which it stores. A parse depends only on the schema and the text — a
+// predicate keeps value names and resolves them when it is prepared at
+// the query's clock — so a stored plan holds across specification
+// changes, dimension growth, view changes and publishes, and nothing
+// invalidates it. A text that fails to parse is not stored, and returns
+// the parser's error every time it is asked.
+func (w *Warehouse) planFor(src string) (*plan, error) {
+	if p, ok := (*w.plans.Load())[src]; ok {
+		return p, nil
+	}
 	q, err := subcube.ParseQuery(src, w.env)
 	if err != nil {
 		return nil, err
 	}
-	return w.query(q, nil, nil)
+	p := &plan{q: q, key: spec.EncodeGran(q.Target)}
+	w.storePlan(src, p)
+	return p, nil
+}
+
+// storePlan publishes a copy of the plan table with src's plan added, or a
+// table holding only it once the current one is full. Of two readers that
+// store at once, one swap fails and its plan is dropped: the text is
+// parsed again the next time it is asked, and nothing is lost but that.
+func (w *Warehouse) storePlan(src string, p *plan) {
+	old := w.plans.Load()
+	next := planTable{}
+	if len(*old) < planLimit {
+		next = maps.Clone(*old)
+	}
+	next[src] = p
+	w.plans.CompareAndSwap(old, &next)
+}
+
+// Query evaluates an OLAP query (the action-specification syntax,
+// e.g. "aggregate [Time.month, URL.domain] where ...") at the current
+// clock, using the paper's default approaches. A text is parsed once per
+// warehouse: later calls with the same text reuse its plan, so an exact
+// view hit costs a table probe, a pin and a borrow of the view.
+func (w *Warehouse) Query(src string) (*mdm.MO, error) {
+	p, err := w.planFor(src)
+	if err != nil {
+		return nil, err
+	}
+	return w.query(p.q, p.key, nil, nil)
 }
 
 // QueryWith evaluates a query with explicit selection and aggregation
-// approaches (the defaults are conservative and availability).
+// approaches (the defaults are conservative and availability). It shares
+// Query's plan of the text; the approaches are not part of it.
 func (w *Warehouse) QueryWith(src string, sel query.Approach, agg query.AggApproach) (*mdm.MO, error) {
-	q, err := subcube.ParseQuery(src, w.env)
+	p, err := w.planFor(src)
 	if err != nil {
 		return nil, err
 	}
+	q := p.q
 	q.Sel, q.Agg = sel, agg
-	return w.query(q, nil, nil)
+	return w.query(q, p.key, nil, nil)
 }
 
 // QueryAt evaluates a prepared query at an explicit time.
 func (w *Warehouse) QueryAt(q subcube.Query, t caltime.Day) (*mdm.MO, error) {
-	return w.query(q, &t, nil)
+	return w.query(q, "", &t, nil)
 }
 
-// QueryTraced evaluates a query like Query and additionally returns an
-// execution trace of the plan Query runs: either the view that served
-// it, or which subcubes were consulted or zone-map-pruned, rows scanned
-// versus kept per cube, and per-stage durations.
+// QueryTraced evaluates a query like Query, through the same plan of the
+// text, and additionally returns an execution trace of the plan Query
+// runs: either the view that served it, or which subcubes were consulted
+// or zone-map-pruned, rows scanned versus kept per cube, and per-stage
+// durations.
 func (w *Warehouse) QueryTraced(src string) (*mdm.MO, *obs.Trace, error) {
-	q, err := subcube.ParseQuery(src, w.env)
+	p, err := w.planFor(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	return w.queryTraced(src, q, nil)
+	return w.queryTraced(src, p.q, p.key, nil)
 }
 
 // QueryAtTraced evaluates a prepared query at an explicit time with an
 // execution trace.
 func (w *Warehouse) QueryAtTraced(q subcube.Query, t caltime.Day) (*mdm.MO, *obs.Trace, error) {
-	return w.queryTraced("", q, &t)
+	return w.queryTraced("", q, "", &t)
 }
 
-func (w *Warehouse) queryTraced(src string, q subcube.Query, at *caltime.Day) (*mdm.MO, *obs.Trace, error) {
+func (w *Warehouse) queryTraced(src string, q subcube.Query, key string, at *caltime.Day) (*mdm.MO, *obs.Trace, error) {
 	tr := &obs.Trace{Query: src}
-	mo, err := w.query(q, at, tr)
+	mo, err := w.query(q, key, at, tr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -596,10 +659,11 @@ func (w *Warehouse) queryTraced(src string, q subcube.Query, at *caltime.Day) (*
 
 // query is the one read path behind every Query* method: pin the
 // published snapshot, answer from its materialized views when a fresh
-// one rolls up to the target, otherwise evaluate the base subcubes. A
-// nil at evaluates at the pinned snapshot's own clock; a non-nil tr is
-// filled with what the evaluation did.
-func (w *Warehouse) query(q subcube.Query, at *caltime.Day, tr *obs.Trace) (*mdm.MO, error) {
+// one rolls up to the target, otherwise evaluate the base subcubes. key
+// is q's shape key when a plan carries it, "" to derive it. A nil at
+// evaluates at the pinned snapshot's own clock; a non-nil tr is filled
+// with what the evaluation did.
+func (w *Warehouse) query(q subcube.Query, key string, at *caltime.Day, tr *obs.Trace) (*mdm.MO, error) {
 	s, p := w.pin()
 	defer p.Unpin()
 	t := s.now
@@ -609,7 +673,7 @@ func (w *Warehouse) query(q subcube.Query, at *caltime.Day, tr *obs.Trace) (*mdm
 	if tr != nil {
 		tr.At = t.String()
 	}
-	if mo, ok := w.viewAnswer(s, q, t, tr); ok {
+	if mo, ok := w.viewAnswer(s, q, key, t, tr); ok {
 		return mo, nil
 	}
 	return s.cubes.EvaluateTraced(q, t, tr)
@@ -627,11 +691,14 @@ func (w *Warehouse) query(q subcube.Query, at *caltime.Day, tr *obs.Trace) (*mdm
 // selector had materialized the very shape asked. A hit fills tr (when
 // non-nil) with the serving view, a single "views.Answer" stage and no
 // cube entries: no subcube was scanned.
-func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, t caltime.Day, tr *obs.Trace) (*mdm.MO, bool) {
+func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, key string, t caltime.Day, tr *obs.Trace) (*mdm.MO, bool) {
 	if !q.ViewEligible() || len(q.Target) != w.env.Schema.NumDims() {
 		return nil, false
 	}
-	w.shapes.Record(spec.EncodeGran(q.Target))
+	if key == "" {
+		key = spec.EncodeGran(q.Target)
+	}
+	w.shapes.Record(key)
 	if s.views == nil {
 		return nil, false
 	}
