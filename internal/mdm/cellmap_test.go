@@ -5,15 +5,14 @@ import (
 	"maps"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
 // cellMapDims are the cell lengths the table is checked at: one value of
-// 64 bits, two of 32 (every non-negative ValueID packs), the last length
-// with a byte per value and the first without, and one past the 64 that
-// pack at all.
-var cellMapDims = []int{1, 2, 3, 8, 9, 65}
+// 63 bits, two of 31 (every non-negative ValueID packs), the last length
+// with a byte per value and the first without, the last length that
+// packs at all and the first that does not.
+var cellMapDims = []int{1, 2, 3, 7, 8, 63, 64}
 
 // cellPalette lists the values cells are drawn from: small ids, the last
 // id that packs at this length, the first that does not, negative ids
@@ -27,18 +26,53 @@ func cellPalette(nDims int) []ValueID {
 	return vals
 }
 
+// runCell fills cell with cell r < 1024 of run s: the bits of a number
+// unique to (s, r) spread over the values, as many per value as pack at
+// this length (31 where every value packs, one where none does), so the
+// runs hold 4 096 distinct cells at every length and, where cells pack,
+// pack them all. Every seventh cell of a run carries NoValue and takes
+// the string key instead.
+func runCell(cell []ValueID, s, r int) {
+	w := min(packWidth(len(cell)), 31)
+	if w == 0 {
+		w = 1
+	}
+	u := uint64(s<<10|r) * 0x9e3779b1
+	for i := range cell {
+		cell[i] = ValueID(u >> (uint(i) * w) & (1<<w - 1))
+	}
+	if r%7 == 6 {
+		cell[0] = NoValue
+	}
+}
+
+// naiveKey is the key of the plain map the table is checked against: the
+// cell's values in an array as long as the longest cell checked.
+type naiveKey [64]ValueID
+
+func naiveKeyOf(cell []ValueID) (k naiveKey) {
+	copy(k[:], cell)
+	return k
+}
+
 // runCellMapOps interprets ops as puts, gets, deletes, clones and rewrites
-// on a CellMap and on a map keyed by the cell's printed form, and fails
-// where the two disagree. A clone takes over as the table under test and
-// the one it was cloned from is checked, at the end, to be as it was left.
+// on a CellMap and on a plain map keyed by the cell's values, and fails
+// where the two disagree. Single-cell ops draw from the palette, which
+// holds about a hundred distinct cells; run ops put, probe and delete up
+// to 1 024 cells of one of four runs at a time, so that a stream reaches
+// the thousands of cells a cube index holds, with the long probe chains,
+// chains that wrap past the last slot and deletes inside a chain that
+// only a table that size has. A clone takes over as the table under test
+// and the one it was cloned from is checked, at the end, to be as it was
+// left.
 func runCellMapOps(t *testing.T, nDims int, ops []byte) {
 	t.Helper()
 	palette := cellPalette(nDims)
 	type pair struct {
 		m     *CellMap[int32]
-		naive map[string]int32
+		naive map[naiveKey]int32
 	}
-	cur := pair{NewCellMap[int32](nDims), map[string]int32{}}
+	cur := pair{NewCellMap[int32](nDims), map[naiveKey]int32{}}
 	var left []pair
 	cell := make([]ValueID, nDims)
 	next := func() int {
@@ -57,7 +91,7 @@ func runCellMapOps(t *testing.T, nDims int, ops []byte) {
 		seen := 0
 		for c, v := range p.m.All() {
 			seen++
-			if want, ok := p.naive[fmt.Sprint(c)]; !ok || want != v {
+			if want, ok := p.naive[naiveKeyOf(c)]; !ok || want != v {
 				t.Fatalf("%s: All yields %v=%d, want %d (held=%v)", when, c, v, want, ok)
 			}
 			if got, ok := p.m.Get(c); !ok || got != v {
@@ -68,24 +102,28 @@ func runCellMapOps(t *testing.T, nDims int, ops []byte) {
 			t.Fatalf("%s: All yields %d cells, want %d", when, seen, len(p.naive))
 		}
 	}
+	get := func(p pair, key naiveKey) {
+		t.Helper()
+		got, ok := p.m.Get(cell)
+		want, held := p.naive[key]
+		if ok != held || got != want {
+			t.Fatalf("Get(%v) = %d, %v; want %d, %v", cell, got, ok, want, held)
+		}
+	}
 	for len(ops) > 0 {
-		op := next() % 6
+		op := next() % 8
 		x, y := next(), next()
 		for i := range cell {
 			cell[i] = palette[(x+i*y)%len(palette)]
 		}
-		key := fmt.Sprint(cell)
+		key := naiveKeyOf(cell)
 		switch op {
 		case 0, 1:
 			v := int32(next())
 			cur.m.Put(cell, v)
 			cur.naive[key] = v
 		case 2:
-			got, ok := cur.m.Get(cell)
-			want, held := cur.naive[key]
-			if ok != held || got != want {
-				t.Fatalf("Get(%v) = %d, %v; want %d, %v", cell, got, ok, want, held)
-			}
+			get(cur, key)
 		case 3:
 			cur.m.Delete(cell)
 			delete(cur.naive, key)
@@ -95,7 +133,7 @@ func runCellMapOps(t *testing.T, nDims int, ops []byte) {
 		case 5:
 			k := int32(x%4 + 2)
 			fn := func(v int32) (int32, bool) { return v + 1, v%k != 0 }
-			cur.m.Rewrite(y%2 == 0, fn)
+			cur.m.Rewrite(fn)
 			for c, v := range cur.naive {
 				if nv, keep := fn(v); keep {
 					cur.naive[c] = nv
@@ -103,9 +141,30 @@ func runCellMapOps(t *testing.T, nDims int, ops []byte) {
 					delete(cur.naive, c)
 				}
 			}
+			check(cur, "after a rewrite")
+		case 6:
+			// Put the first 4y+4 cells of run x%4.
+			for r := range 4*y + 4 {
+				runCell(cell, x%4, r)
+				cur.m.Put(cell, int32(r+x))
+				cur.naive[naiveKeyOf(cell)] = int32(r + x)
+			}
+		case 7:
+			// Walk the first 4y+4 cells of run x%4, deleting every
+			// (x%3+2)-th and probing the rest.
+			for r := range 4*y + 4 {
+				runCell(cell, x%4, r)
+				key := naiveKeyOf(cell)
+				if r%(x%3+2) == 0 {
+					cur.m.Delete(cell)
+					delete(cur.naive, key)
+				} else {
+					get(cur, key)
+				}
+			}
 		}
 		if cur.m.Len() != len(cur.naive) {
-			t.Fatalf("after op %d on %v: %d cells held, want %d", op, cell, cur.m.Len(), len(cur.naive))
+			t.Fatalf("after op %d: %d cells held, want %d", op, cur.m.Len(), len(cur.naive))
 		}
 	}
 	check(cur, "at the end")
@@ -134,7 +193,26 @@ func cellMapCorners() [][]byte {
 		}
 		out = append(out, ops)
 	}
-	return out
+	// One stream at the size of a cube index: four runs of 1 024 cells, a
+	// clone, deletes through every run, a rewrite, more deletes at other
+	// strides, part of a run put back, and every cell probed.
+	var big []byte
+	for x := 0; x < 4; x++ {
+		big = append(big, 6, byte(x), 255)
+	}
+	big = append(big, 4, 0, 0)
+	for x := 0; x < 4; x++ {
+		big = append(big, 7, byte(x), 255)
+	}
+	big = append(big, 5, 1, 0)
+	for x := 4; x < 8; x++ {
+		big = append(big, 7, byte(x), 255)
+	}
+	big = append(big, 6, 1, 127, 4, 0, 0)
+	for x := 8; x < 12; x++ {
+		big = append(big, 7, byte(x), 255)
+	}
+	return append(out, big)
 }
 
 // TestCellMapMatchesNaiveMap: over random and corner-case op streams, at
@@ -148,7 +226,7 @@ func TestCellMapMatchesNaiveMap(t *testing.T) {
 				runCellMapOps(t, nDims, ops)
 			}
 			rng := rand.New(rand.NewSource(int64(nDims)))
-			for trial := 0; trial < 50; trial++ {
+			for trial := 0; trial < 12; trial++ {
 				ops := make([]byte, 40+rng.Intn(400))
 				rng.Read(ops)
 				runCellMapOps(t, nDims, ops)
@@ -172,22 +250,22 @@ func FuzzCellMap(f *testing.F) {
 
 // TestCellMapRouting pins which cells pack: at three dimensions a value
 // below 1<<21 does, that value and every negative one does not, and above
-// 64 dimensions nothing does.
+// 63 dimensions nothing does.
 func TestCellMapRouting(t *testing.T) {
 	m := NewCellMap[int](3)
 	m.Put([]ValueID{1<<21 - 1, 0, 5}, 1)
-	if len(m.packed) != 1 || len(m.str) != 0 {
-		t.Fatalf("a cell of in-range values: %d packed, %d by string; want 1, 0", len(m.packed), len(m.str))
+	if m.n != 1 || len(m.str) != 0 {
+		t.Fatalf("a cell of in-range values: %d packed, %d by string; want 1, 0", m.n, len(m.str))
 	}
 	m.Put([]ValueID{1 << 21, 0, 5}, 2)
 	m.Put([]ValueID{0, NoValue, 5}, 3)
-	if len(m.packed) != 1 || len(m.str) != 2 {
-		t.Fatalf("a wide and a negative value: %d packed, %d by string; want 1, 2", len(m.packed), len(m.str))
+	if m.n != 1 || len(m.str) != 2 {
+		t.Fatalf("a wide and a negative value: %d packed, %d by string; want 1, 2", m.n, len(m.str))
 	}
-	wide := NewCellMap[int](65)
-	wide.Put(make([]ValueID, 65), 1)
-	if len(wide.packed) != 0 || len(wide.str) != 1 {
-		t.Fatalf("65 dimensions: %d packed, %d by string; want 0, 1", len(wide.packed), len(wide.str))
+	wide := NewCellMap[int](64)
+	wide.Put(make([]ValueID, 64), 1)
+	if wide.n != 0 || len(wide.str) != 1 {
+		t.Fatalf("64 dimensions: %d packed, %d by string; want 0, 1", wide.n, len(wide.str))
 	}
 	cell := []ValueID{1<<21 - 1, 0, 5}
 	if allocs := testing.AllocsPerRun(100, func() { m.Put(cell, 4); m.Get(cell) }); allocs != 0 {
@@ -200,30 +278,38 @@ func TestCellMapRouting(t *testing.T) {
 	}
 }
 
-// TestCellMapRewrite: fresh moves the survivors into new maps, sized to
-// them; otherwise the maps are rewritten where they are.
+// TestCellMapRewrite: a rewrite moves the packed survivors into the
+// smallest table that holds them at most three quarters full, so one that
+// drops most entries gives their slots back and one that drops them all
+// leaves no table; the string-keyed entries are rewritten beside them.
 func TestCellMapRewrite(t *testing.T) {
-	for _, fresh := range []bool{true, false} {
+	for _, tc := range []struct{ every, left, slots int }{
+		{1, 64, 128}, // 64 cells fill 64 slots past three quarters
+		{4, 16, 32},
+		{64, 1, minSlots},
+		{0, 0, 0}, // nothing survives
+	} {
 		m := NewCellMap[int](3)
 		for i := 0; i < 64; i++ {
 			m.Put([]ValueID{ValueID(i), 1, 2}, i)
 			m.Put([]ValueID{ValueID(1<<21 + i), 1, 2}, i)
 		}
-		packed, str := reflect.ValueOf(m.packed).Pointer(), reflect.ValueOf(m.str).Pointer()
-		m.Rewrite(fresh, func(v int) (int, bool) { return v * 10, v%4 == 0 })
-		moved := reflect.ValueOf(m.packed).Pointer() != packed && reflect.ValueOf(m.str).Pointer() != str
-		kept := reflect.ValueOf(m.packed).Pointer() == packed && reflect.ValueOf(m.str).Pointer() == str
-		if fresh && !moved || !fresh && !kept {
-			t.Errorf("fresh=%v: maps moved=%v kept=%v", fresh, moved, kept)
+		if len(m.keys) != 128 {
+			t.Fatalf("64 packed cells in %d slots, want 128", len(m.keys))
 		}
-		if len(m.packed) != 16 || len(m.str) != 16 {
-			t.Fatalf("fresh=%v: %d packed and %d string entries left, want 16 each", fresh, len(m.packed), len(m.str))
+		keep := func(v int) bool { return tc.every > 0 && v%tc.every == 0 }
+		m.Rewrite(func(v int) (int, bool) { return v * 10, keep(v) })
+		if len(m.keys) != tc.slots || len(m.vals) != tc.slots {
+			t.Errorf("every %d: %d key and %d value slots after the rewrite, want %d", tc.every, len(m.keys), len(m.vals), tc.slots)
+		}
+		if m.n != tc.left || len(m.str) != tc.left {
+			t.Fatalf("every %d: %d packed and %d string entries left, want %d each", tc.every, m.n, len(m.str), tc.left)
 		}
 		for i := 0; i < 64; i++ {
 			for _, c := range [][]ValueID{{ValueID(i), 1, 2}, {ValueID(1<<21 + i), 1, 2}} {
 				v, ok := m.Get(c)
-				if ok != (i%4 == 0) || ok && v != i*10 {
-					t.Fatalf("fresh=%v: Get(%v) = %d, %v", fresh, c, v, ok)
+				if ok != keep(i) || ok && v != i*10 {
+					t.Fatalf("every %d: Get(%v) = %d, %v", tc.every, c, v, ok)
 				}
 			}
 		}

@@ -141,12 +141,13 @@ func (s *Schema) MeasureIndex(name string) int {
 type Granularity []CategoryID
 
 // packWidth returns the bits per value at which a cell of nDims values
-// packs into one uint64, or 0 when it cannot.
+// packs into the low 63 bits of a uint64, or 0 when it cannot. CellMap
+// keeps the top bit to tell a held key from an empty slot.
 func packWidth(nDims int) uint {
-	if nDims <= 0 || nDims > 64 {
+	if nDims <= 0 || nDims > 63 {
 		return 0
 	}
-	return uint(64 / nDims)
+	return uint(63 / nDims)
 }
 
 // packCell encodes the cell into one uint64, width bits per value, so a

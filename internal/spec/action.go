@@ -453,22 +453,26 @@ func (a *Action) disjunctSatisfied(d []Atom, cell []mdm.ValueID, t caltime.Day) 
 }
 
 // cellValueVerdict evaluates one test on the cell's value for the
-// test's dimension: the value's ancestor at the constrained category
-// when one exists, otherwise the conservative evaluation over its
-// populated descendants (every descendant must satisfy the test, and
-// there must be at least one).
+// test's dimension (onValue).
 func (a *Action) cellValueVerdict(tst Atom, v mdm.ValueID, t caltime.Day) bool {
 	dim := a.env.Schema.Dims[tst.Dim]
-	anc := dim.AncestorAt(v, tst.Cat)
-	if anc != mdm.NoValue {
-		return a.testValue(tst, dim, anc, t)
+	return onValue(dim, tst.Cat, v, func(w mdm.ValueID) bool { return a.testValue(tst, dim, w, t) })
+}
+
+// onValue applies a test on category cat to value v: to v's ancestor at
+// cat when one exists, otherwise conservatively to its populated
+// descendants there (every descendant must pass, and there must be at
+// least one).
+func onValue(dim *mdm.Dimension, cat mdm.CategoryID, v mdm.ValueID, test func(mdm.ValueID) bool) bool {
+	if anc := dim.AncestorAt(v, cat); anc != mdm.NoValue {
+		return test(anc)
 	}
-	descendants := dim.DrillDown(v, tst.Cat)
+	descendants := dim.DrillDown(v, cat)
 	if len(descendants) == 0 {
 		return false
 	}
 	for _, w := range descendants {
-		if !a.testValue(tst, dim, w, t) {
+		if !test(w) {
 			return false
 		}
 	}
@@ -477,36 +481,48 @@ func (a *Action) cellValueVerdict(tst Atom, v mdm.ValueID, t caltime.Day) bool {
 
 func (a *Action) testValue(tst Atom, dim *mdm.Dimension, v mdm.ValueID, t caltime.Day) bool {
 	if tst.IsTime {
-		idx := dim.ValueOrd(v)
-		switch tst.Op {
-		case expr.OpIn, expr.OpNotIn:
-			found := false
-			for _, e := range tst.TimeRHS {
-				if e.EvalPeriod(t, tst.Unit).Index == idx {
-					found = true
-					break
-				}
-			}
-			return found == (tst.Op == expr.OpIn)
-		}
-		rhs := tst.TimeRHS[0].EvalPeriod(t, tst.Unit).Index
-		switch tst.Op {
-		case expr.OpLT:
-			return idx < rhs
-		case expr.OpLE:
-			return idx <= rhs
-		case expr.OpEQ:
-			return idx == rhs
-		case expr.OpNE:
-			return idx != rhs
-		case expr.OpGE:
-			return idx >= rhs
-		case expr.OpGT:
-			return idx > rhs
-		}
-		return false
+		var buf [4]int64
+		return timeHolds(tst.Op, dim.ValueOrd(v), timeBounds(buf[:0], tst, t))
 	}
 	return a.testPlainValue(tst, dim, v)
+}
+
+// timeBounds appends the period indexes a time test's right-hand side
+// names with NOW bound to t: one per expression for in and not in, else
+// the one expression's.
+func timeBounds(dst []int64, tst Atom, t caltime.Day) []int64 {
+	rhs := tst.TimeRHS
+	if tst.Op != expr.OpIn && tst.Op != expr.OpNotIn {
+		rhs = rhs[:1]
+	}
+	for _, e := range rhs {
+		dst = append(dst, e.EvalPeriod(t, tst.Unit).Index)
+	}
+	return dst
+}
+
+// timeHolds reports whether the period with index idx satisfies a time
+// test with operator op whose right-hand side resolved to bounds.
+func timeHolds(op expr.Op, idx int64, bounds []int64) bool {
+	switch op {
+	case expr.OpIn:
+		return slices.Contains(bounds, idx)
+	case expr.OpNotIn:
+		return !slices.Contains(bounds, idx)
+	case expr.OpLT:
+		return idx < bounds[0]
+	case expr.OpLE:
+		return idx <= bounds[0]
+	case expr.OpEQ:
+		return idx == bounds[0]
+	case expr.OpNE:
+		return idx != bounds[0]
+	case expr.OpGE:
+		return idx >= bounds[0]
+	case expr.OpGT:
+		return idx > bounds[0]
+	}
+	return false
 }
 
 // testPlainValue evaluates a non-time value test. It exists apart from
@@ -586,15 +602,21 @@ func (a *Action) PlainTestVerdict(i, j int, v mdm.ValueID) bool {
 	return a.cellValueVerdict(tst, v, 0) // a non-time test never reads the day
 }
 
-// TimeTestVerdict evaluates the time test j of disjunct i on a single
-// dimension value v with NOW bound to t, with the conservative
-// descendant evaluation of SatisfiedBy. It panics on non-time tests.
-func (a *Action) TimeTestVerdict(i, j int, v mdm.ValueID, t caltime.Day) bool {
+// TimeTestVerdict resolves the time test j of disjunct i with NOW bound
+// to t and returns its verdict on a single dimension value, with the
+// conservative descendant evaluation of SatisfiedBy. The right-hand side
+// is evaluated once, here, so pinning the test over every value of the
+// dimension pays its calendar arithmetic once. It panics on non-time
+// tests.
+func (a *Action) TimeTestVerdict(i, j int, t caltime.Day) func(v mdm.ValueID) bool {
 	tst := a.disjuncts[i][j]
 	if tst.Dim < 0 || !tst.IsTime {
 		panic("spec: TimeTestVerdict on a non-time test")
 	}
-	return a.cellValueVerdict(tst, v, t)
+	dim := a.env.Schema.Dims[tst.Dim]
+	bounds := timeBounds(nil, tst, t)
+	holds := func(w mdm.ValueID) bool { return timeHolds(tst.Op, dim.ValueOrd(w), bounds) }
+	return func(v mdm.ValueID) bool { return onValue(dim, tst.Cat, v, holds) }
 }
 
 // Regions materializes the action's DNF disjuncts as decision-procedure

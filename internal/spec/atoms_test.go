@@ -338,3 +338,40 @@ func TestCheckGrowingExhaustiveAgrees(t *testing.T) {
 		t.Error("exhaustive check accepted an invalid spec")
 	}
 }
+
+// TestTimeTestVerdictMatchesPerValue: a time test resolved once for a day
+// gives, on every time value — those at or below the test's category by
+// their ancestor, those above by the conservative descent — the verdict
+// the per-value evaluation gives, for every operator, on every day of a
+// span across month, quarter and year ends.
+func TestTimeTestVerdictMatchesPerValue(t *testing.T) {
+	p, env := paperEnv(t)
+	from, to := caltime.Date(1999, 11, 20), caltime.Date(2001, 2, 10)
+	for d := from - 400; d <= to; d += 3 {
+		p.Time.EnsureDay(d)
+	}
+	preds := []string{
+		`Time.month < NOW - 2 months`,
+		`Time.month <= NOW - 2 months`,
+		`Time.quarter = NOW - 1 quarters`,
+		`Time.month != NOW`,
+		`Time.month >= NOW - 14 months`,
+		`Time.year > NOW - 2 years`,
+		`Time.quarter in {NOW - 1 quarters, NOW - 3 quarters, 2000Q1}`,
+		`Time.month not in {NOW - 1 months, 1999/12}`,
+		`Time.week <= NOW - 3 weeks`,
+	}
+	td := env.Schema.Dims[env.TimeDim]
+	for _, src := range preds {
+		a := MustCompileString("a", `delete where `+src, env)
+		tst := a.disjuncts[0][0]
+		for at := from; at <= to; at++ {
+			verdict := a.TimeTestVerdict(0, 0, at)
+			for v := range mdm.ValueID(td.NumValues()) {
+				if got, want := verdict(v), a.cellValueVerdict(tst, v, at); got != want {
+					t.Fatalf("%s at %s: %s is %v pinned, %v per value", src, at, td.ValueName(v), got, want)
+				}
+			}
+		}
+	}
+}

@@ -224,9 +224,10 @@ func (p *Program) pinDisjunct(a *spec.Action, di int, pd *progDisjunct, t caltim
 		timeBits[w] = ^uint64(0)
 	}
 	for _, j := range pd.time {
+		verdict := a.TimeTestVerdict(di, j, t)
 		jb := newBitset(n)
 		for v := 0; v < n; v++ {
-			if a.TimeTestVerdict(di, j, mdm.ValueID(v), t) {
+			if verdict(mdm.ValueID(v)) {
 				jb.set(v)
 			}
 		}

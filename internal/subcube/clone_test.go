@@ -1,6 +1,7 @@
 package subcube
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -11,13 +12,12 @@ import (
 	"dimred/internal/workload"
 )
 
-// TestCellIndexRemapShrinks: a remap that leaves a quarter of the
-// compacted slots or fewer moves the entries to new maps (a Go map keeps
-// its buckets otherwise; the move itself is pinned beside the table, in
-// mdm's TestCellMapRewrite), and the index gives the memory back; one that
-// leaves more rewrites them in place. Either way every surviving cell
-// resolves to its new row and no reclaimed cell resolves at all — through
-// both the packed and the string key.
+// TestCellIndexRemapShrinks: a remap moves the surviving entries into a
+// table sized to them, the fewest slots (a power of two) that hold them
+// at most three quarters full, whether the compaction reclaimed most rows
+// or half of them; the string-keyed entries are rewritten beside them.
+// Every surviving cell resolves to its new row and no reclaimed cell
+// resolves at all, through both the packed and the string key.
 func TestCellIndexRemapShrinks(t *testing.T) {
 	const n = 1 << 15
 	// Three dimensions pack 21 bits per value; a wider value takes the
@@ -28,13 +28,17 @@ func TestCellIndexRemapShrinks(t *testing.T) {
 		}
 		return []mdm.ValueID{mdm.ValueID(i), 1, 2}
 	}
+	// slots is the slot count of the index's packed table.
+	slots := func(ix *mdm.CellMap[storage.RowID]) int {
+		return reflect.ValueOf(ix).Elem().FieldByName("keys").Len()
+	}
 	for _, tc := range []struct {
-		name   string
-		keep   int
-		shrunk bool
+		name          string
+		keep          int
+		before, after int // slots
 	}{
-		{"folded away", 16, true},
-		{"half left", 2, false},
+		{"folded away", 16, 1 << 16, 2048}, // 31 744 packed cells put, 1 024 left
+		{"half left", 2, 1 << 15, 16384},   // 16 384 put, 8 192 left
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The index as the fold left it: every slot's cell was put, the
@@ -46,6 +50,9 @@ func TestCellIndexRemapShrinks(t *testing.T) {
 			for i := range remap {
 				ix.Put(cell(i, i%(2*tc.keep) == 0), storage.RowID(i))
 			}
+			if got := slots(ix); got != tc.before {
+				t.Fatalf("%d slots before the remap, want %d", got, tc.before)
+			}
 			for i := range remap {
 				remap[i] = -1
 				if i%tc.keep == 0 {
@@ -55,13 +62,9 @@ func TestCellIndexRemapShrinks(t *testing.T) {
 					ix.Delete(cell(i, false))
 				}
 			}
-			before := retainedHeap()
 			remapIndex(ix, remap)
-			freed := before - retainedHeap()
-			// n entries of a 12-byte key and value held well over 16 n
-			// bytes of buckets.
-			if shrunk := freed > 8*n; shrunk != tc.shrunk {
-				t.Errorf("%d of %d slots left: the remap freed %d bytes, shrunk=%v, want %v", live, n, freed, shrunk, tc.shrunk)
+			if got := slots(ix); got != tc.after {
+				t.Errorf("%d of %d rows left: %d slots after the remap, want %d", live, n, got, tc.after)
 			}
 			if ix.Len() != live {
 				t.Fatalf("%d entries after the remap, want %d", ix.Len(), live)
@@ -75,7 +78,6 @@ func TestCellIndexRemapShrinks(t *testing.T) {
 					}
 				}
 			}
-			runtime.KeepAlive(ix)
 		})
 	}
 }

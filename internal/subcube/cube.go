@@ -756,11 +756,9 @@ func (cs *CubeSet) compact(c *Cube) {
 
 // remapIndex rewrites every entry of a cell index through the row
 // remapping returned by Store.Compact, dropping entries whose rows were
-// reclaimed. When the entries are a quarter of the compacted slots or
-// fewer — the rule Store.Compact shrinks its columns by — they move to
-// right-sized maps.
+// reclaimed; the index comes out sized to the entries left.
 func remapIndex(ix *mdm.CellMap[storage.RowID], remap []storage.RowID) {
-	ix.Rewrite(ix.Len()*4 <= len(remap), func(r storage.RowID) (storage.RowID, bool) {
+	ix.Rewrite(func(r storage.RowID) (storage.RowID, bool) {
 		return remap[r], remap[r] >= 0
 	})
 }

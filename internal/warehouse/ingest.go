@@ -32,7 +32,7 @@ func (w *Warehouse) Ingest(refs []mdm.ValueID, meas []float64) error {
 	// Insert's own check, made here so that a producer gets the error now
 	// instead of a poisoned batch at compaction time. It only reads the
 	// schema, hence needs no lock.
-	if err := w.env.Schema.CheckFact(refs, meas, w.env.Schema.BottomGranularity()); err != nil {
+	if err := w.env.Schema.CheckFact(refs, meas, w.bottom); err != nil {
 		return fmt.Errorf("warehouse: Ingest: %w", err)
 	}
 	w.buf.Append(refs, meas)

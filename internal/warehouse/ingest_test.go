@@ -123,6 +123,26 @@ func TestLoadBatchBadRowPublishesNothing(t *testing.T) {
 	}
 }
 
+// TestIngestAllocationFree: Ingest checks a fact against the bottom
+// granularity the warehouse resolved at Open, so a fact costs no
+// allocation of its own; the delta buffer's amortized growth stays far
+// below one allocation per fact.
+func TestIngestAllocationFree(t *testing.T) {
+	w, obj := openClickWarehouse(t)
+	refs, meas, err := obj.Row(workload.Click{Day: caltime.Date(2000, 1, 1), URL: "http://www.x.com/p/1", Dwell: 1, Delivery: 1, SizeKB: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := w.Ingest(refs, meas); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Ingest allocated %.1f times per fact, want 0", allocs)
+	}
+}
+
 func TestIngestValidatesEagerly(t *testing.T) {
 	w, obj := openClickWarehouse(t)
 	if err := w.Ingest([]mdm.ValueID{1}, []float64{1, 2, 3, 4}); err == nil {

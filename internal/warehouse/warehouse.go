@@ -43,6 +43,9 @@ import (
 // (recloneRule) — drop the retired side and clone the published one.
 type Warehouse struct {
 	env *spec.Env
+	// bottom is the schema's bottom granularity, the one every loaded or
+	// ingested fact must be at; Ingest reads it with no lock.
+	bottom mdm.Granularity
 	// met is the engine metric set, shared with both cube-set sides so
 	// every layer records into one instance.
 	met *obs.Metrics
@@ -127,6 +130,7 @@ func Open(env *spec.Env, actions ...*spec.Action) (*Warehouse, error) {
 	}
 	w := &Warehouse{
 		env:     env,
+		bottom:  env.Schema.BottomGranularity(),
 		met:     cs.Metrics(),
 		epoch:   obs.NewEpoch(),
 		buf:     ingest.NewBuffer(ingest.DefaultShards),
@@ -160,18 +164,16 @@ func (w *Warehouse) pin() (*snapshot, *obs.Pin) {
 // have to copy.
 type commitOp func(cs *subcube.CubeSet) (applied int, err error)
 
-// recloneFactor is the one constant of the copy rule, the ratio of two
+// recloneFactor is the one constant of the copy rule, set against two
 // per-row costs measured on a 20 k-row warehouse: levelling copies a row
-// the commit appended for 105-200 ns (its columns plus a cell-index put; a
+// the commit appended for 155-260 ns (its columns plus a cell-index put; a
 // row merged into costs 22 ns, a row moved about one of each), cloning
-// copies a row the commit left for 61-92 ns (the repo benchmark's
-// subcube.clone_ms over the live rows agrees) — a ratio of 1.2 to 3.3. 4
-// is above it on purpose: it is also where a store's journal gives up (a
-// quarter of its rows touched), so past it levelling would clone the
-// written cubes whole anyway, and the clone needs no drain and frees the
-// pre-fold arrays at publish. An append-only commit just past the
-// threshold pays up to twice what levelling it would have cost;
-// EXPERIMENTS.md "The reclone rule's constant" has the numbers.
+// copies a row the commit left for 28-63 ns (two slice copies per cell
+// index beside the columns) — a ratio of 2.5 to 9, which brackets 4. 4
+// is also where a store's journal gives up (a quarter of its rows
+// touched), so past it levelling would clone the written cubes whole
+// anyway, and the clone needs no drain and frees the pre-fold arrays at
+// publish. EXPERIMENTS.md "The reclone rule's constant" has the numbers.
 const recloneFactor = 4
 
 // recloneRule reports whether a commit that applied that many rows and
@@ -462,7 +464,7 @@ func (w *Warehouse) Load(refs []mdm.ValueID, meas []float64) error {
 	defer w.wmu.Unlock()
 	// Insert's own check, made before the commit: an op that fails costs a
 	// re-clone of the working side, and a refused fact has written nothing.
-	if err := w.env.Schema.CheckFact(refs, meas, w.working.Cubes()[0].Gran()); err != nil {
+	if err := w.env.Schema.CheckFact(refs, meas, w.bottom); err != nil {
 		return fmt.Errorf("warehouse: Load: %w", err)
 	}
 	op := func(cs *subcube.CubeSet) (int, error) {
@@ -492,28 +494,21 @@ func (w *Warehouse) LoadBatch(rows func(load func(refs []mdm.ValueID, meas []flo
 	defer w.wmu.Unlock()
 	// Stage the callback's rows, so that a row failing validation is found
 	// before anything is inserted and user code never runs against a
-	// half-written side. Two flat buffers, one stride each, instead of
-	// two slices per row. The check is Insert's own — arity, value ids,
+	// half-written side. The check is Insert's own — arity, value ids,
 	// bottom granularity — so the commit below cannot refuse a staged row,
 	// and a bad row fails the batch even if the callback drops the error.
-	nd, nm := w.env.Schema.NumDims(), len(w.env.Schema.Measures)
-	bottom := w.working.Cubes()[0].Gran()
 	var (
-		refBuf  []mdm.ValueID
-		measBuf []float64
-		n       int
-		bad     error
+		st  = staging{nd: w.env.Schema.NumDims(), nm: len(w.env.Schema.Measures)}
+		bad error
 	)
 	err := rows(func(refs []mdm.ValueID, meas []float64) error {
-		if err := w.env.Schema.CheckFact(refs, meas, bottom); err != nil {
+		if err := w.env.Schema.CheckFact(refs, meas, w.bottom); err != nil {
 			if bad == nil {
-				bad = fmt.Errorf("warehouse: LoadBatch: row %d: %w", n, err)
+				bad = fmt.Errorf("warehouse: LoadBatch: row %d: %w", st.n, err)
 			}
 			return bad
 		}
-		refBuf = append(refBuf, refs...)
-		measBuf = append(measBuf, meas...)
-		n++
+		st.add(refs, meas)
 		return nil
 	})
 	if err == nil {
@@ -525,13 +520,14 @@ func (w *Warehouse) LoadBatch(rows func(load func(refs []mdm.ValueID, meas []flo
 	// An empty batch publishes nothing: no sync, no snapshot churn, no
 	// view rebuild — and no BatchLoads tick, so the metrics pin the
 	// short-circuit.
+	n := st.n
 	if n == 0 {
 		return nil
 	}
 	w.met.BatchLoads.Inc()
 	err = w.syncWithLocked(func(cs *subcube.CubeSet) (int, error) {
-		for i := 0; i < n; i++ {
-			if err := cs.Insert(refBuf[i*nd:(i+1)*nd], measBuf[i*nm:(i+1)*nm]); err != nil {
+		for i := range n {
+			if err := cs.Insert(st.row(i)); err != nil {
 				return 0, err
 			}
 		}
@@ -543,6 +539,42 @@ func (w *Warehouse) LoadBatch(rows func(load func(refs []mdm.ValueID, meas []flo
 	w.loaded.Add(int64(n))
 	w.met.FactsLoaded.Add(int64(n))
 	return nil
+}
+
+// stageRows is the rows a staging chunk holds.
+const stageRows = 4096
+
+// staging holds a batch's rows in chunks of stageRows rows, two flat
+// columns each (one stride of nd references, one of nm measures), so that
+// a large batch is never copied to grow. The first chunk grows by
+// appending, so a small batch costs what it holds; later chunks are made
+// whole.
+type staging struct {
+	nd, nm int
+	refs   [][]mdm.ValueID
+	meas   [][]float64
+	n      int
+}
+
+func (s *staging) add(refs []mdm.ValueID, meas []float64) {
+	if s.n%stageRows == 0 {
+		var r []mdm.ValueID
+		var m []float64
+		if s.n > 0 {
+			r, m = make([]mdm.ValueID, 0, stageRows*s.nd), make([]float64, 0, stageRows*s.nm)
+		}
+		s.refs, s.meas = append(s.refs, r), append(s.meas, m)
+	}
+	c := len(s.refs) - 1
+	s.refs[c] = append(s.refs[c], refs...)
+	s.meas[c] = append(s.meas[c], meas...)
+	s.n++
+}
+
+// row returns staged row i.
+func (s *staging) row(i int) ([]mdm.ValueID, []float64) {
+	c, r := i/stageRows, i%stageRows
+	return s.refs[c][r*s.nd : (r+1)*s.nd], s.meas[c][r*s.nm : (r+1)*s.nm]
 }
 
 // planLimit bounds the plan table. A store that finds the table holding
