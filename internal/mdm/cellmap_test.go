@@ -9,10 +9,10 @@ import (
 )
 
 // cellMapDims are the cell lengths the table is checked at: one value of
-// 63 bits, two of 31 (every non-negative ValueID packs), the last length
-// with a byte per value and the first without, the last length that
-// packs at all and the first that does not.
-var cellMapDims = []int{1, 2, 3, 7, 8, 63, 64}
+// 63 bits, two of 31 (every non-negative ValueID packs), three of 21, the
+// last length with a byte per value and two without, the last length
+// that packs at all and two that do not.
+var cellMapDims = []int{1, 2, 3, 7, 8, 9, 63, 64, 65}
 
 // cellPalette lists the values cells are drawn from: small ids, the last
 // id that packs at this length, the first that does not, negative ids
@@ -48,7 +48,7 @@ func runCell(cell []ValueID, s, r int) {
 
 // naiveKey is the key of the plain map the table is checked against: the
 // cell's values in an array as long as the longest cell checked.
-type naiveKey [64]ValueID
+type naiveKey [65]ValueID
 
 func naiveKeyOf(cell []ValueID) (k naiveKey) {
 	copy(k[:], cell)
@@ -226,7 +226,7 @@ func TestCellMapMatchesNaiveMap(t *testing.T) {
 				runCellMapOps(t, nDims, ops)
 			}
 			rng := rand.New(rand.NewSource(int64(nDims)))
-			for trial := 0; trial < 12; trial++ {
+			for trial := 0; trial < 10; trial++ {
 				ops := make([]byte, 40+rng.Intn(400))
 				rng.Read(ops)
 				runCellMapOps(t, nDims, ops)
