@@ -102,10 +102,10 @@ func runCellMapOps(t *testing.T, nDims int, ops []byte) {
 			t.Fatalf("%s: All yields %d cells, want %d", when, seen, len(p.naive))
 		}
 	}
-	get := func(p pair, key naiveKey) {
+	get := func(key naiveKey) {
 		t.Helper()
-		got, ok := p.m.Get(cell)
-		want, held := p.naive[key]
+		got, ok := cur.m.Get(cell)
+		want, held := cur.naive[key]
 		if ok != held || got != want {
 			t.Fatalf("Get(%v) = %d, %v; want %d, %v", cell, got, ok, want, held)
 		}
@@ -123,7 +123,7 @@ func runCellMapOps(t *testing.T, nDims int, ops []byte) {
 			cur.m.Put(cell, v)
 			cur.naive[key] = v
 		case 2:
-			get(cur, key)
+			get(key)
 		case 3:
 			cur.m.Delete(cell)
 			delete(cur.naive, key)
@@ -159,7 +159,7 @@ func runCellMapOps(t *testing.T, nDims int, ops []byte) {
 					cur.m.Delete(cell)
 					delete(cur.naive, key)
 				} else {
-					get(cur, key)
+					get(key)
 				}
 			}
 		}
