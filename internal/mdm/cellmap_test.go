@@ -62,10 +62,11 @@ func naiveKeyOf(cell []ValueID) (k naiveKey) {
 // to 1 024 cells of one of four runs at a time, so that a stream reaches
 // the thousands of cells a cube index holds, with the long probe chains,
 // chains that wrap past the last slot and deletes inside a chain that
-// only a table that size has. A clone takes over as the table under test
-// and the one it was cloned from is checked, at the end, to be as it was
-// left.
-func runCellMapOps(t *testing.T, nDims int, ops []byte) {
+// only a table that size has; a run op's y byte is taken modulo runs, so
+// runs = 256 lets it reach all 1 024 cells and a smaller runs caps it at
+// 4·runs. A clone takes over as the table under test and the one it was
+// cloned from is checked, at the end, to be as it was left.
+func runCellMapOps(t *testing.T, nDims int, ops []byte, runs int) {
 	t.Helper()
 	palette := cellPalette(nDims)
 	type pair struct {
@@ -143,16 +144,16 @@ func runCellMapOps(t *testing.T, nDims int, ops []byte) {
 			}
 			check(cur, "after a rewrite")
 		case 6:
-			// Put the first 4y+4 cells of run x%4.
-			for r := range 4*y + 4 {
+			// Put the first 4(y%runs)+4 cells of run x%4.
+			for r := range 4*(y%runs) + 4 {
 				runCell(cell, x%4, r)
 				cur.m.Put(cell, int32(r+x))
 				cur.naive[naiveKeyOf(cell)] = int32(r + x)
 			}
 		case 7:
-			// Walk the first 4y+4 cells of run x%4, deleting every
-			// (x%3+2)-th and probing the rest.
-			for r := range 4*y + 4 {
+			// Walk the first 4(y%runs)+4 cells of run x%4, deleting
+			// every (x%3+2)-th and probing the rest.
+			for r := range 4*(y%runs) + 4 {
 				runCell(cell, x%4, r)
 				key := naiveKeyOf(cell)
 				if r%(x%3+2) == 0 {
@@ -217,19 +218,20 @@ func cellMapCorners() [][]byte {
 
 // TestCellMapMatchesNaiveMap: over random and corner-case op streams, at
 // every cell length, the table agrees with a plain map keyed by the
-// printed cell, and a table that was cloned from is independent of its
-// clone.
+// cell's values, and a table that was cloned from is independent of its
+// clone. The corner streams reach 1 024 cells a run; the random ones cap
+// a run op at 256 cells, so most of their time goes to single-cell ops.
 func TestCellMapMatchesNaiveMap(t *testing.T) {
 	for _, nDims := range cellMapDims {
 		t.Run(fmt.Sprintf("%ddims", nDims), func(t *testing.T) {
 			for _, ops := range cellMapCorners() {
-				runCellMapOps(t, nDims, ops)
+				runCellMapOps(t, nDims, ops, 256)
 			}
 			rng := rand.New(rand.NewSource(int64(nDims)))
-			for trial := 0; trial < 10; trial++ {
+			for trial := 0; trial < 50; trial++ {
 				ops := make([]byte, 40+rng.Intn(400))
 				rng.Read(ops)
-				runCellMapOps(t, nDims, ops)
+				runCellMapOps(t, nDims, ops, 64)
 			}
 		})
 	}
@@ -244,7 +246,7 @@ func FuzzCellMap(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, dims byte, ops []byte) {
-		runCellMapOps(t, cellMapDims[int(dims)%len(cellMapDims)], ops)
+		runCellMapOps(t, cellMapDims[int(dims)%len(cellMapDims)], ops, 256)
 	})
 }
 

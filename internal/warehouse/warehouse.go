@@ -541,7 +541,8 @@ func (w *Warehouse) LoadBatch(rows func(load func(refs []mdm.ValueID, meas []flo
 	return nil
 }
 
-// stageRows is the rows a staging chunk holds.
+// stageRows is the rows a staging chunk holds. No other size has been
+// measured (EXPERIMENTS.md, "The chunk size is a guess").
 const stageRows = 4096
 
 // staging holds a batch's rows in chunks of stageRows rows, two flat
