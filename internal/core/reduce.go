@@ -95,8 +95,6 @@ type Result struct {
 // reuse the program its action set owns (specexec.RouterAt) —
 // memoization of a pure compile, so Reduce stays referentially
 // transparent; it has no metric set and records nothing.
-//
-//dimred:aggregate
 func Reduce(s *spec.Spec, mo *mdm.MO, t caltime.Day) (*Result, error) {
 	return reduceWith(s, mo, t, specexec.RouterAt(s, t, nil))
 }
@@ -104,8 +102,6 @@ func Reduce(s *spec.Spec, mo *mdm.MO, t caltime.Day) (*Result, error) {
 // ReduceInterpreted is Reduce on the uncompiled evaluation path: every
 // action predicate is re-interpreted per fact (SpecGran, then AggLevel
 // over the same actions).
-//
-//dimred:aggregate
 func ReduceInterpreted(s *spec.Spec, mo *mdm.MO, t caltime.Day) (*Result, error) {
 	return reduceWith(s, mo, t, nil)
 }

@@ -333,10 +333,12 @@ func TestReduceConservationQuick(t *testing.T) {
 	}
 }
 
-// TestReduceConcurrent runs Reduce from several goroutines over one
-// cold specification (under -race in CI): they race to fill the action
-// set's program slot, and whichever program each one ends up probing,
-// every result equals the interpreted oracle's.
+// TestReduceConcurrent runs Reduce and ReduceInterpreted from several
+// goroutines over one cold specification (under -race in CI): the Reduce
+// calls race to fill the action set's program slot, and whichever program
+// each one ends up probing, every result of either equals the oracle's
+// dump. The interpreted calls hold the oracle to Definition 6's purity: a
+// fold that writes package state races with its twin on another goroutine.
 func TestReduceConcurrent(t *testing.T) {
 	p, s := paperSpec(t)
 	at := day(t, "2000/11/5")
@@ -350,13 +352,18 @@ func TestReduceConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := Reduce(s, p.MO, at)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if got := res.MO.Dump(); got != want {
-				t.Errorf("concurrent Reduce differs from ReduceInterpreted:\n%s\nvs\n%s", got, want)
+			for _, reduce := range []struct {
+				name string
+				fn   func(*spec.Spec, *mdm.MO, caltime.Day) (*Result, error)
+			}{{"Reduce", Reduce}, {"ReduceInterpreted", ReduceInterpreted}} {
+				res, err := reduce.fn(s, p.MO, at)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := res.MO.Dump(); got != want {
+					t.Errorf("concurrent %s differs from the oracle:\n%s\nvs\n%s", reduce.name, got, want)
+				}
 			}
 		}()
 	}

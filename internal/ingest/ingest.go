@@ -9,7 +9,7 @@
 // late-arrival classification and the actual commit. That keeps the
 // buffer lock-order trivial — shard mutexes here are always leaves,
 // never held across the fold — and keeps evaluation time out of the
-// package entirely (it is on the wallclock restricted list).
+// package entirely (TestNoAmbientClock scans it).
 package ingest
 
 import (

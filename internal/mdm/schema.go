@@ -30,8 +30,6 @@ func (a AggKind) String() string {
 
 // Init lifts a base measure value into the aggregate domain: COUNT of a
 // single fact is 1, every other function starts from the value itself.
-//
-//dimred:aggregate
 func (a AggKind) Init(x float64) float64 {
 	if a == AggCount {
 		return 1
@@ -40,11 +38,9 @@ func (a AggKind) Init(x float64) float64 {
 }
 
 // Merge combines two partial aggregates. Distributivity means repeated
-// merging in any association order yields the same result, which the
-// property tests verify; the purity analyzer statically holds Merge (and
-// everything it calls) to the referential-transparency precondition.
-//
-//dimred:aggregate
+// merging in any association order yields the same result, which
+// TestAggMergeAssociativeCommutative verifies; Merge reads nothing but its
+// arguments, so the result cannot depend on a clock or on visit order.
 func (a AggKind) Merge(x, y float64) float64 {
 	switch a {
 	case AggSum, AggCount:

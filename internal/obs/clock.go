@@ -9,9 +9,9 @@ import (
 // packages never call time.Now directly — evaluation time flows in as
 // an explicit caltime.Day parameter — and the timing of operational
 // stages (sync rounds, query scans) is measured through a Clock so
-// tests can substitute a deterministic fake. The dimredlint `wallclock`
-// analyzer enforces this: obs is the only package below the facade
-// allowed to touch the time package's ambient clock.
+// tests can substitute a deterministic fake. The root TestNoAmbientClock
+// enforces this in every package that evaluates time or times a stage:
+// obs owns the time package's ambient clock for them.
 type Clock interface {
 	// Now returns the current time. Real implementations carry a
 	// monotonic reading so Since is immune to wall-clock steps.

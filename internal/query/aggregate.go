@@ -93,8 +93,6 @@ func Project(mo *mdm.MO, dimNames, measureNames []string) (*mdm.MO, error) {
 // every value of the cell, where values above the requested granularity
 // must additionally be mapped to directly (so a fact is aggregated into
 // exactly one group).
-//
-//dimred:aggregate
 func GroupHigh(mo *mdm.MO, cell []mdm.ValueID, target mdm.Granularity) []mdm.FactID {
 	schema := mo.Schema()
 	var out []mdm.FactID
@@ -134,8 +132,6 @@ func GroupHigh(mo *mdm.MO, cell []mdm.ValueID, target mdm.Granularity) []mdm.Fac
 // its insert floors are raised to the result granularity (the formal
 // definition restricts the schema to a subdimension, which
 // mdm.Dimension.Subdimension materializes for callers that need it).
-//
-//dimred:aggregate
 func Aggregate(mo *mdm.MO, target mdm.Granularity, approach AggApproach) (*mdm.MO, error) {
 	schema := mo.Schema()
 	if len(target) != len(schema.Dims) {
@@ -303,8 +299,6 @@ func Aggregate(mo *mdm.MO, target mdm.Granularity, approach AggApproach) (*mdm.M
 // row a cell folded, kilobytes that a view built from the result would
 // retain and every later fold over it would sort and join again. Combine
 // owns the parts it is given and renames a lone one in place.
-//
-//dimred:aggregate
 func Combine(schema *mdm.Schema, parts []*mdm.MO, target mdm.Granularity, approach AggApproach) (*mdm.MO, error) {
 	live := make([]*mdm.MO, 0, len(parts))
 	for _, p := range parts {

@@ -397,8 +397,6 @@ func (cs *CubeSet) InsertMO(mo *mdm.MO) error {
 // mergeInto adds (or merges) a row at the cube's granularity. It is the
 // physical Group_high fold: sync order must not affect the result, so it
 // carries the distributivity obligation.
-//
-//dimred:aggregate
 func (cs *CubeSet) mergeInto(c *Cube, refs []mdm.ValueID, meas []float64, base int64) error {
 	cs.extendZoneMap(c, refs)
 	if r, ok := c.index.Get(refs); ok && c.store.Alive(r) {

@@ -3,11 +3,11 @@
 // hierarchical-datacube reduced representations). The subcube DAG stores
 // facts at the specification's granularities; every query still folds
 // them up to its requested Group_high level. Because the default
-// aggregate functions are distributive (Definition 6, enforced by the
-// purity analyzer), the two-step fold α[G_q](α[G](O)) equals the direct
-// α[G_q](O) whenever G <=_g G_q — so a view materialized once at G
-// answers every query at or above G exactly, for a fraction of the
-// scan, and a query at G itself is the view as stored.
+// aggregate functions are distributive (Definition 6, tested by
+// TestTwoStepAggregationDistributive), the two-step fold α[G_q](α[G](O))
+// equals the direct α[G_q](O) whenever G <=_g G_q — so a view
+// materialized once at G answers every query at or above G exactly, for
+// a fraction of the scan, and a query at G itself is the view as stored.
 //
 // A greedy selector picks which granularities to materialize by
 // observed benefit: query-shape frequencies from the obs trace times

@@ -7,14 +7,15 @@ import (
 
 	"dimred/internal/caltime"
 	"dimred/internal/mdm"
+	"dimred/internal/spec"
 	"dimred/internal/storage"
 	"dimred/internal/workload"
 )
 
 // TestMetricsEndToEnd drives a full warehouse lifecycle — load, advance
-// the clock past a reduction boundary, query — and asserts the
-// observability layer saw every stage: non-zero fold, scan and latency
-// counters, coherent gauges.
+// the clock past a reduction boundary, query, change the specification —
+// and asserts the observability layer saw every stage: non-zero fold,
+// scan, skip, rebuild and latency counters, coherent gauges.
 func TestMetricsEndToEnd(t *testing.T) {
 	w, obj := openClickWarehouse(t)
 	start := caltime.Date(2000, 1, 1)
@@ -40,6 +41,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if m.LiveRows == 0 || m.LiveBytes == 0 || m.DimBytes == 0 || m.CubeCount < 2 {
 		t.Errorf("storage gauges not populated: %+v", m)
 	}
+	if m.Advances != 1 || m.SnapshotEpoch == 0 {
+		t.Errorf("Advances = %d, SnapshotEpoch = %d after one advance and a load; want 1 and > 0", m.Advances, m.SnapshotEpoch)
+	}
 
 	// Cross the to-month reduction boundary: the sync must fold rows.
 	if err := w.AdvanceTo(caltime.Date(2001, 1, 15)); err != nil {
@@ -60,6 +64,15 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if m2.LiveRows >= m.LiveRows {
 		t.Errorf("LiveRows gauge did not shrink: %d -> %d", m.LiveRows, m2.LiveRows)
+	}
+	// The advance's sync finds cubes whose zone map holds no row that can
+	// move, and skips them.
+	if m2.SyncSkips == 0 {
+		t.Error("SyncSkips = 0 after a sync over cubes the advance cannot touch")
+	}
+	if m2.Advances != 2 || m2.SnapshotEpoch <= m.SnapshotEpoch {
+		t.Errorf("Advances = %d, SnapshotEpoch %d -> %d after a second advance; want 2 and a newer epoch",
+			m2.Advances, m.SnapshotEpoch, m2.SnapshotEpoch)
 	}
 
 	// Query: scan counters and the latency histogram must move.
@@ -91,6 +104,17 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(m3.String(), "rows folded") {
 		t.Errorf("Metrics.String missing rows folded:\n%s", m3)
+	}
+
+	// A specification change rebuilds the layout once.
+	churn := spec.MustCompileString("churn",
+		`aggregate [Time.month, URL.domain] where URL.domain = "unused.com" and Time.month <= NOW - 2 months`, w.Env())
+	if err := w.InsertActions(churn); err != nil {
+		t.Fatal(err)
+	}
+	if m4 := w.Metrics(); m4.SpecRebuilds != m3.SpecRebuilds+1 || m4.SnapshotEpoch <= m3.SnapshotEpoch {
+		t.Errorf("SpecRebuilds %d -> %d, SnapshotEpoch %d -> %d after InsertActions; want one rebuild and a newer epoch",
+			m3.SpecRebuilds, m4.SpecRebuilds, m3.SnapshotEpoch, m4.SnapshotEpoch)
 	}
 }
 
