@@ -127,7 +127,6 @@ func (w *Warehouse) compactDeltas(rows []ingest.Row) error {
 		w.met.IngestRejected.Add(n)
 		return err
 	}
-	w.loaded.Add(n)
 	w.met.FactsLoaded.Add(n)
 	w.met.IngestCompacted.Add(n)
 	w.met.IngestLate.Add(late)

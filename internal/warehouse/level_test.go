@@ -126,8 +126,8 @@ func levelWaitsForPinnedReader(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s, p := w.pin()
-		defer p.Unpin()
+		s := w.pin()
+		defer w.unpin(s)
 		close(pinned)
 		// Until the writer has published and stands in the drain, and for
 		// a while after: the pinned side still holds 500 facts.

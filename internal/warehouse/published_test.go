@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"dimred/internal/obs"
 	"dimred/internal/subcube"
 	"dimred/internal/views"
 )
@@ -12,8 +11,7 @@ import (
 // pinnedSnapshot is one snapshot the gate below holds, with what it
 // looked like when pinned.
 type pinnedSnapshot struct {
-	s   *snapshot
-	pin *obs.Pin
+	s *snapshot
 	// deep is everything the snapshot reaches. It holds while the pin
 	// does: a drained side's cube set is the one thing written after a
 	// publish, and only once nobody is pinned to it.
@@ -26,8 +24,8 @@ type pinnedSnapshot struct {
 }
 
 func pinSnapshot(w *Warehouse) pinnedSnapshot {
-	s, p := w.pin()
-	return pinnedSnapshot{s: s, pin: p, deep: fingerprint(s), head: headPrint(s), cubes: s.cubes}
+	s := w.pin()
+	return pinnedSnapshot{s: s, deep: fingerprint(s), head: headPrint(s), cubes: s.cubes}
 }
 
 func headPrint(s *snapshot) uint64 {
@@ -68,7 +66,7 @@ func TestPublishedSnapshotsNeverChange(t *testing.T) {
 			if fingerprint(p.s) != p.deep {
 				t.Errorf("%s: snapshot %d changed while pinned", method, p.s.seq)
 			}
-			p.pin.Unpin()
+			w.unpin(p.s)
 			released = append(released, p)
 		}
 		done := make(chan error, 1)

@@ -174,8 +174,8 @@ func recloneBesidePinnedReader(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s, p := w.pin()
-		defer p.Unpin()
+		s := w.pin()
+		defer w.unpin(s)
 		close(pinned)
 		for {
 			if n, err := count(s.cubes, s.now); err != nil || n != 100 {

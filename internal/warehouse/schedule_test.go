@@ -84,12 +84,21 @@ func TestSchedulerAdvance(t *testing.T) {
 	if w.Metrics().RowsFolded == folded {
 		t.Error("no rows migrated by 2000/6")
 	}
-	// The clock never runs backwards.
-	if n := advanceSyncs(t, w, caltime.Date(2000, 1, 1)); n != 0 {
-		t.Errorf("backwards advance ran %d syncs", n)
-	}
-	if w.Now() != caltime.Date(2000, 6, 2) {
-		t.Error("backwards advance moved the clock")
+	// The clock never runs backwards, and an advance that leaves it where
+	// it is publishes nothing; it still counts as an advance.
+	for _, to := range []caltime.Day{caltime.Date(2000, 1, 1), caltime.Date(2000, 6, 2)} {
+		before := w.Metrics()
+		if n := advanceSyncs(t, w, to); n != 0 {
+			t.Errorf("advance to %v ran %d syncs", to, n)
+		}
+		if w.Now() != caltime.Date(2000, 6, 2) {
+			t.Errorf("advance to %v moved the clock", to)
+		}
+		after := w.Metrics()
+		if d := after.Sub(before); d.SnapshotPublishes != 0 || after.SnapshotEpoch != before.SnapshotEpoch || d.Advances != 1 {
+			t.Errorf("advance to %v: %d publishes, epoch %d → %d, %d advances; want 0, unchanged, 1",
+				to, d.SnapshotPublishes, before.SnapshotEpoch, after.SnapshotEpoch, d.Advances)
+		}
 	}
 	// A bulk load synchronizes regardless of the period.
 	before := w.Metrics().Syncs

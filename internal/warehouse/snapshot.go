@@ -95,13 +95,13 @@ func (w *Warehouse) Save(out io.Writer) error {
 	viewsOn, vcfg := w.viewsOn, w.vcfg
 	w.wmu.Unlock()
 
-	s, p := w.pin()
-	defer p.Unpin()
+	s := w.pin()
+	defer w.unpin(s)
 
 	sf := snapshotFile{
 		Version:      snapshotVersion,
 		FactType:     w.env.Schema.FactType,
-		Loaded:       w.loaded.Load(),
+		Loaded:       w.met.FactsLoaded.Load(),
 		Deleted:      s.cubes.DeletedFacts(),
 		Now:          int64(s.now),
 		ViewsOn:      viewsOn,
@@ -281,9 +281,8 @@ func Load(in io.Reader) (*Warehouse, *LoadedDims, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	w.loaded.Store(sf.Loaded)
-	// Seed the cumulative metrics from the snapshot's bookkeeping so
-	// Metrics() agrees with Stats() after a restore.
+	// Seed the cumulative metrics from the snapshot's bookkeeping: Stats
+	// reads its loaded-facts count from FactsLoaded.
 	w.met.FactsLoaded.Add(sf.Loaded)
 	w.met.FactsDeleted.Add(sf.Deleted)
 	return w, loaded, nil

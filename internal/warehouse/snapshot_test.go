@@ -27,12 +27,25 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := w.AdvanceTo(caltime.Date(2000, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
+	// Stats reads its loaded-facts count off the FactsLoaded metric, so
+	// every way a fact arrives, and a restore, moves both as one.
+	loaded := func(w *Warehouse, step string, want int64) {
+		t.Helper()
+		if st, m := w.Stats().LoadedFacts, w.Metrics().FactsLoaded; st != want || m != want {
+			t.Errorf("after %s: Stats().LoadedFacts = %d, Metrics().FactsLoaded = %d, want %d", step, st, m, want)
+		}
+	}
 	cfg := workload.ClickConfig{Seed: 17, Start: caltime.Date(2000, 1, 1), Days: 200, ClicksPerDay: 12}
+	var refs0 []mdm.ValueID
+	var meas0 []float64
 	err = w.LoadBatch(func(load func([]mdm.ValueID, []float64) error) error {
 		return workload.GenerateClicks(cfg, func(c workload.Click) error {
 			refs, meas, err := obj.Row(c)
 			if err != nil {
 				return err
+			}
+			if refs0 == nil {
+				refs0, meas0 = append(refs0, refs...), append(meas0, meas...)
 			}
 			return load(refs, meas)
 		})
@@ -40,6 +53,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	loaded(w, "LoadBatch", 200*12)
+	if err := w.Load(refs0, meas0); err != nil {
+		t.Fatal(err)
+	}
+	loaded(w, "Load", 200*12+1)
+	if err := w.Ingest(refs0, meas0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.FlushIngest(); err != nil {
+		t.Fatal(err)
+	}
+	loaded(w, "FlushIngest", 200*12+2)
 	if err := w.AdvanceTo(caltime.Date(2001, 3, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +81,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if ld.Time == nil || len(ld.ByName) != 2 {
 		t.Fatal("LoadedDims incomplete")
 	}
+	loaded(w2, "Save and Load", 200*12+2)
 
 	// Identical state: clock, stats, query answers.
 	if w2.Now() != w.Now() {
@@ -98,6 +124,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	loaded(w2, "LoadBatch into the restored warehouse", 200*12+3)
 	if err := w2.AdvanceTo(caltime.Date(2002, 1, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +132,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Measure(0, 0) != float64(200*12+1) {
+	if res.Measure(0, 0) != float64(200*12+3) {
 		t.Errorf("post-restore count = %v", res.Measure(0, 0))
 	}
 }

@@ -9,6 +9,7 @@ package warehouse
 import (
 	"fmt"
 	"maps"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,7 +32,7 @@ import (
 // A Warehouse is safe for concurrent use, with a lock-free read path:
 // it keeps two cube-set sides and publishes one of them, together with
 // the clock it was built at, as an immutable snapshot behind an atomic
-// pointer. Queries pin the current snapshot on an epoch counter and run
+// pointer. Queries pin the current snapshot's side on a counter and run
 // against it without taking any lock, so they can never observe a
 // half-applied specification or a mid-synchronization cube. Writers
 // (loads, clock advances, specification updates) serialize on wmu,
@@ -49,17 +50,12 @@ type Warehouse struct {
 	// met is the engine metric set, shared with both cube-set sides so
 	// every layer records into one instance.
 	met *obs.Metrics
-	// epoch counts pinned readers per side; a commit drains the retired
-	// side on it before levelling writes that side.
-	epoch *obs.Epoch
+	// pins counts the readers pinned to each side; a commit drains the
+	// retired side's count to zero before levelling writes that side.
+	pins [2]pinCount
 	// cur is the published snapshot. Written only under wmu; read by
 	// anyone.
 	cur atomic.Pointer[snapshot]
-	// loaded counts user facts ever loaded. It is updated after an
-	// operation commits, so a concurrent reader may briefly see a count
-	// one batch behind the published rows; Stats and Metrics pin a
-	// snapshot, so the skew is monitoring-only.
-	loaded atomic.Int64
 	// shapes accumulates view-eligible query shapes from the lock-free
 	// read path (one sync.Map probe plus an atomic add per query); the
 	// greedy view selector reads the trace on each refresh.
@@ -96,6 +92,16 @@ type Warehouse struct {
 	comp *ingest.Compactor
 }
 
+// pinCount is one side's count of pinned readers. With 56 bytes on each
+// side of it, the 8-byte counter is alone on its 64-byte cache line, so
+// readers of one side never contend with the other side or with the
+// fields around it.
+type pinCount struct {
+	_ [56]byte
+	n atomic.Int64
+	_ [56]byte
+}
+
 // snapshot is one published read state: a cube-set side and the clock
 // it was built at. Snapshots are immutable once published — readers pin
 // them and evaluate without synchronization — and every publish
@@ -105,15 +111,13 @@ type Warehouse struct {
 type snapshot struct {
 	cubes *subcube.CubeSet
 	now   caltime.Day
-	side  uint32 // epoch side the cube set pins on
+	side  uint32 // index into Warehouse.pins of the cube set
 	seq   int64
 	// views is the materialized rollup-view set frozen into this
-	// snapshot, nil when none are published. gen is the cube set's
-	// specification generation at publish; a view set whose recorded
-	// generation (or build clock) disagrees is stale and is skipped,
-	// never served.
+	// snapshot, nil when none are published. A view set whose recorded
+	// specification generation (or build clock) disagrees with the cube
+	// set's is stale and is skipped, never served.
 	views *views.Set
-	gen   uint64
 }
 
 // Open creates a warehouse for the given environment and initial action
@@ -132,32 +136,35 @@ func Open(env *spec.Env, actions ...*spec.Action) (*Warehouse, error) {
 		env:     env,
 		bottom:  env.Schema.BottomGranularity(),
 		met:     cs.Metrics(),
-		epoch:   obs.NewEpoch(),
 		buf:     ingest.NewBuffer(ingest.DefaultShards),
 		reclone: recloneRule,
 	}
 	w.working = cs.Clone()
-	w.cur.Store(&snapshot{cubes: cs, side: 0, seq: 0, gen: cs.Spec().Generation()})
+	w.cur.Store(&snapshot{cubes: cs})
 	w.plans.Store(&planTable{})
 	return w, nil
 }
 
 // pin returns the published snapshot with its side pinned against
-// reclamation; the caller must Unpin when done. The recheck closes the
+// levelling; the caller must unpin it when done. The recheck closes the
 // publish race: a reader that pinned a side just as a writer swapped
-// the pointer retries, so after Drain observes zero pins the writer
-// knows no reader still holds (or can still acquire) the retired
-// snapshot.
-func (w *Warehouse) pin() (*snapshot, *obs.Pin) {
+// the pointer retries, so once drainLocked sees the side's count at zero
+// the writer knows no reader still holds (or can still acquire) the
+// retired snapshot. A count, unlike a read lock, lets a pinned reader pin
+// again while a drain waits.
+func (w *Warehouse) pin() *snapshot {
 	for {
 		s := w.cur.Load()
-		p := w.epoch.Pin(s.side)
+		w.pins[s.side].n.Add(1)
 		if w.cur.Load() == s {
-			return s, p
+			return s
 		}
-		p.Unpin()
+		w.pins[s.side].n.Add(-1)
 	}
 }
+
+// unpin releases a pin that pin returned s under.
+func (w *Warehouse) unpin(s *snapshot) { w.pins[s.side].n.Add(-1) }
 
 // commitOp is one mutation of a cube set. It reports how many rows it
 // inserted or moved — the size of what levelling the other side would
@@ -221,7 +228,8 @@ func (w *Warehouse) commitWithViewsLocked(op commitOp, refresh bool) error {
 		vs = w.buildViewsLocked()
 	}
 	published := w.working
-	retired := w.publishWorkingLocked(vs)
+	retired := w.publishLocked(published, 1-w.cur.Load().side, vs)
+	w.met.ViewBytes.Set(vs.Bytes())
 	if w.reclone(applied, published.TotalRows()) {
 		w.met.SnapshotReclones.Inc()
 		w.rebuildWorkingLocked()
@@ -234,61 +242,36 @@ func (w *Warehouse) commitWithViewsLocked(op commitOp, refresh bool) error {
 	return nil
 }
 
-// publishWorkingLocked swaps the working side in as the published
-// snapshot — together with the view set vs materialized from it (nil
-// invalidates any previously published views) — and returns the retired
-// snapshot, which readers may still be pinned to.
-func (w *Warehouse) publishWorkingLocked(vs *views.Set) *snapshot {
+// publishLocked swaps in, as the published snapshot, cubes on the given
+// side with the view set vs materialized from them (nil invalidates any
+// previously published views) at the writer's clock, and returns the
+// snapshot it replaced, which readers may still be pinned to. A commit
+// publishes the working side on the other side; a clock-only advance
+// republishes the published cubes on their own side, so nothing drains.
+func (w *Warehouse) publishLocked(cubes *subcube.CubeSet, side uint32, vs *views.Set) *snapshot {
 	old := w.cur.Load()
 	w.seq++
-	w.cur.Store(&snapshot{
-		cubes: w.working,
-		now:   w.now,
-		side:  1 - old.side,
-		seq:   w.seq,
-		views: vs,
-		gen:   w.working.Spec().Generation(),
-	})
+	w.cur.Store(&snapshot{cubes: cubes, now: w.now, side: side, seq: w.seq, views: vs})
 	w.met.SnapshotPublishes.Inc()
 	w.met.SnapshotEpoch.Set(w.seq)
-	w.met.ViewBytes.Set(vs.Bytes())
 	return old
 }
 
 // drainLocked waits for readers pinned to the retired snapshot's side
-// to finish; afterwards the caller owns its cube set exclusively. A side
-// dropped by an earlier reclone may still have readers pinned to it:
-// they only lengthen the wait, since a drain covers every pin on the
-// side.
+// to finish, yielding the processor between polls; afterwards the caller
+// owns its cube set exclusively. A side dropped by an earlier reclone may
+// still have readers pinned to it: they only lengthen the wait, since a
+// drain covers every pin on the side.
 func (w *Warehouse) drainLocked(retired *snapshot) {
 	w.met.SnapshotsRetained.Set(1)
-	if w.epoch.Drain(retired.side) {
+	pins := &w.pins[retired.side].n
+	if pins.Load() != 0 {
 		w.met.SnapshotDrainWaits.Inc()
+		for pins.Load() != 0 {
+			runtime.Gosched()
+		}
 	}
 	w.met.SnapshotsRetained.Set(0)
-}
-
-// publishClockLocked republishes the current cube set with an updated
-// clock: clock-only advances change what queries evaluate NOW to, but
-// mutate no cube, so the snapshot keeps its side and nothing drains.
-// Views carry over unchanged — their build clock now disagrees with the
-// snapshot clock, so the freshness rule skips them until the next
-// sync-carrying commit rebuilds them at the new NOW (an explicit
-// QueryAt back at their build clock may still use them: the cubes are
-// untouched, so they are exact there).
-func (w *Warehouse) publishClockLocked() {
-	old := w.cur.Load()
-	w.seq++
-	w.cur.Store(&snapshot{
-		cubes: old.cubes,
-		now:   w.now,
-		side:  old.side,
-		seq:   w.seq,
-		views: old.views,
-		gen:   old.gen,
-	})
-	w.met.SnapshotPublishes.Inc()
-	w.met.SnapshotEpoch.Set(w.seq)
 }
 
 // rebuildWorkingLocked discards the working side and reclones it from
@@ -376,7 +359,12 @@ func (w *Warehouse) Now() caltime.Day { return w.cur.Load().now }
 // action" — then a fact is never more than one parent-child generation
 // out of place, which the un-synchronized query strategy relies on. A
 // clock-only advance republishes the snapshot so queries evaluate NOW
-// at the new clock.
+// at the new clock; one that leaves the clock where it is publishes
+// nothing. Views carry over a clock-only advance unchanged: their build
+// clock now disagrees with the snapshot's, so the freshness rule skips
+// them until the next sync-carrying commit rebuilds them at the new NOW
+// (an explicit QueryAt back at their build clock may still use them: the
+// cubes are untouched, so they are exact there).
 func (w *Warehouse) AdvanceTo(t caltime.Day) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
@@ -392,7 +380,9 @@ func (w *Warehouse) AdvanceTo(t caltime.Day) error {
 			return w.syncLocked()
 		}
 	}
-	w.publishClockLocked()
+	if old := w.cur.Load(); old.now != w.now {
+		w.publishLocked(old.cubes, old.side, old.views)
+	}
 	return nil
 }
 
@@ -447,8 +437,8 @@ func noopOp(*subcube.CubeSet) (int, error) { return 0, nil }
 // ViewStats reports the published view set: how many views are live
 // and the modeled bytes they retain.
 func (w *Warehouse) ViewStats() (count int, bytes int64) {
-	s, p := w.pin()
-	defer p.Unpin()
+	s := w.pin()
+	defer w.unpin(s)
 	return s.views.Len(), s.views.Bytes()
 }
 
@@ -479,7 +469,6 @@ func (w *Warehouse) Load(refs []mdm.ValueID, meas []float64) error {
 	if err != nil {
 		return err
 	}
-	w.loaded.Add(1)
 	w.met.FactsLoaded.Inc()
 	return nil
 }
@@ -536,7 +525,6 @@ func (w *Warehouse) LoadBatch(rows func(load func(refs []mdm.ValueID, meas []flo
 	if err != nil {
 		return err
 	}
-	w.loaded.Add(int64(n))
 	w.met.FactsLoaded.Add(int64(n))
 	return nil
 }
@@ -697,8 +685,8 @@ func (w *Warehouse) queryTraced(src string, q subcube.Query, key string, at *cal
 // evaluates at the pinned snapshot's own clock; a non-nil tr is filled
 // with what the evaluation did.
 func (w *Warehouse) query(q subcube.Query, key string, at *caltime.Day, tr *obs.Trace) (*mdm.MO, error) {
-	s, p := w.pin()
-	defer p.Unpin()
+	s := w.pin()
+	defer w.unpin(s)
 	t := s.now
 	if at != nil {
 		t = *at
@@ -739,7 +727,7 @@ func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, key string, t calti
 	if tr != nil {
 		start = w.met.Clock().Now()
 	}
-	mo, view, stored := s.views.Serve(w.env.Schema, q, t, s.gen)
+	mo, view, stored := s.views.Serve(w.env.Schema, q, t, s.cubes.Spec().Generation())
 	if mo == nil {
 		w.met.ViewMisses.Inc()
 		return nil, false
@@ -823,8 +811,8 @@ func (w *Warehouse) Explain(refs []mdm.ValueID) (string, error) {
 	if err := w.env.Schema.CheckCell(refs, nil); err != nil {
 		return "", fmt.Errorf("warehouse: Explain: %w", err)
 	}
-	s, p := w.pin()
-	defer p.Unpin()
+	s := w.pin()
+	defer w.unpin(s)
 	return s.cubes.Spec().Explain(refs, s.now), nil
 }
 
@@ -835,8 +823,8 @@ func (w *Warehouse) Explain(refs []mdm.ValueID) (string, error) {
 // 2, for printing or loading elsewhere; queries run on the subcubes, not
 // on the export.
 func (w *Warehouse) Materialize() (*mdm.MO, error) {
-	s, p := w.pin()
-	defer p.Unpin()
+	s := w.pin()
+	defer w.unpin(s)
 	return materialize(w.env, s.cubes)
 }
 
@@ -883,14 +871,17 @@ func (s Stats) String() string {
 
 // Stats reports the warehouse's storage state.
 func (w *Warehouse) Stats() Stats {
-	s, p := w.pin()
-	defer p.Unpin()
+	s := w.pin()
+	defer w.unpin(s)
 	return w.statsOf(s)
 }
 
-// statsOf accounts the storage of one pinned snapshot.
+// statsOf accounts the storage of one pinned snapshot. The loaded-facts
+// count is the FactsLoaded metric, which a writer adds to after its
+// commit publishes, so a concurrent reader may briefly see it one batch
+// behind the pinned rows; the skew is monitoring-only.
 func (w *Warehouse) statsOf(s *snapshot) Stats {
-	st := Stats{LoadedFacts: w.loaded.Load()}
+	st := Stats{LoadedFacts: w.met.FactsLoaded.Load()}
 	layout := storage.Layout{DimCols: w.env.Schema.NumDims(), MeasCols: len(w.env.Schema.Measures)}
 	st.UnreducedBytes = st.LoadedFacts * layout.RowBytes()
 	for _, c := range s.cubes.Cubes() {
@@ -917,8 +908,8 @@ func (w *Warehouse) statsOf(s *snapshot) Stats {
 // fields describe the one snapshot Metrics pinned, and Metrics writes no
 // shared state, so concurrent callers never see each other's.
 func (w *Warehouse) Metrics() obs.MetricsSnapshot {
-	s, p := w.pin()
-	defer p.Unpin()
+	s := w.pin()
+	defer w.unpin(s)
 	st := w.statsOf(s)
 	m := w.met.Snapshot()
 	m.LiveRows, m.LiveBytes, m.DimBytes = int64(st.Rows), st.FactBytes, st.DimensionBytes
