@@ -21,6 +21,9 @@ var (
 	codeSpan = regexp.MustCompile("`[^`]+`")
 	// qualifiedName matches a dotted chain of identifiers, X.Y or longer.
 	qualifiedName = regexp.MustCompile(`\b[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+`)
+	// camelName matches a backticked span that is one identifier with an
+	// inner capital (`viewOf`, `SnapshotPublishes`): a name from the code.
+	camelName = regexp.MustCompile("^`[A-Za-z_]\\w*[a-z][A-Z]\\w*`$")
 	// fileSuffix marks a chain that is a file name, not code.
 	fileSuffix = regexp.MustCompile(`\.(?:go|md|json|yml|txt|sh)$`)
 )
@@ -144,6 +147,8 @@ func benchmarkMetrics(t *testing.T) map[string]bool {
 //     method, type, field, const or var. In a longer chain X.Y.Z each
 //     link is checked. File names and the benchmark's metric names are
 //     not code and are exempt.
+//   - Every backticked lone identifier with an inner capital is declared
+//     by either module, so a deleted helper or metric cannot linger.
 func TestDocsCiteLiveNames(t *testing.T) {
 	d := collectDeclarations(t)
 	metrics := benchmarkMetrics(t)
@@ -159,6 +164,9 @@ func TestDocsCiteLiveNames(t *testing.T) {
 				}
 			}
 			for _, span := range codeSpan.FindAllString(line, -1) {
+				if camelName.MatchString(span) && !d.names[strings.Trim(span, "`")] {
+					t.Errorf("%s:%d cites %s, which neither module declares", doc, i+1, span)
+				}
 				for _, chain := range qualifiedName.FindAllString(span, -1) {
 					if fileSuffix.MatchString(chain) || metrics[chain] {
 						continue

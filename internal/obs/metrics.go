@@ -37,9 +37,8 @@ type Metrics struct {
 	QueryDuration    Histogram // wall time per cube-set query evaluation
 
 	// Compiled evaluation (specexec).
-	ProgramCompiles    Counter // spec→bitset program compilations
 	ProgramCacheHits   Counter // program lookups served by the action set's compiled program
-	ProgramCacheMisses Counter // program lookups that had to compile
+	ProgramCacheMisses Counter // program lookups that had to compile (one compile each)
 	RouterCacheHits    Counter // day-pinned router reuses
 	ProgramProbes      Counter // per-row compiled router probes
 	BitsetBytes        Gauge   // bitset bytes retained by the published program
@@ -70,7 +69,6 @@ type Metrics struct {
 	SnapshotDrainWaits   Counter // publishes that had to wait for pinned readers to drain
 	SnapshotReclones     Counter // commits whose retired side was dropped for a clone of the published one
 	SnapshotLevelledRows Counter // rows copied into drained retired sides to level them (a cube copied whole counts every row)
-	SnapshotEpoch        Gauge   // sequence number of the currently published snapshot
 	SnapshotsRetained    Gauge   // retired snapshots awaiting reader drain and levelling
 }
 
@@ -112,7 +110,6 @@ type MetricsSnapshot struct {
 	Compactions      int64
 	SpecRebuilds     int64
 
-	ProgramCompiles    int64
 	ProgramCacheHits   int64
 	ProgramCacheMisses int64
 	RouterCacheHits    int64
@@ -141,7 +138,6 @@ type MetricsSnapshot struct {
 	SnapshotDrainWaits   int64
 	SnapshotReclones     int64
 	SnapshotLevelledRows int64
-	SnapshotEpoch        int64
 	SnapshotsRetained    int64
 
 	SyncDuration       HistogramSnapshot
@@ -197,7 +193,6 @@ var metricRows = []metricRow{
 	{field: "FactsDeleted", label: "facts deleted"},
 	{field: "Compactions", label: "compactions"},
 	{field: "SpecRebuilds", label: "spec rebuilds"},
-	{field: "ProgramCompiles", label: "program compiles"},
 	{field: "ProgramCacheHits", label: "program cache hits"},
 	{field: "ProgramCacheMisses", label: "program cache misses"},
 	{field: "RouterCacheHits", label: "router cache hits"},
@@ -210,7 +205,6 @@ var metricRows = []metricRow{
 	{field: "SnapshotDrainWaits", label: "drain waits"},
 	{field: "SnapshotReclones", label: "side reclones"},
 	{field: "SnapshotLevelledRows", label: "rows levelled"},
-	{field: "SnapshotEpoch", label: "epoch"},
 	{field: "SnapshotsRetained", label: "retained"},
 
 	{label: "queries"},

@@ -57,12 +57,12 @@ func TestMetricsReportGolden(t *testing.T) {
   batch loads               101
   rows appended             102
   rows merged in place      103
-  ingest queued             129
-  ingest compacted          130
-  ingest late facts         131
-  ingest rejected           132
-  ingest pending            133
-  compaction latency        n=42 mean=1.55ms p50<1.55ms p95<3.11ms max=6.22ms
+  ingest queued             128
+  ingest compacted          129
+  ingest late facts         130
+  ingest rejected           131
+  ingest pending            132
+  compaction latency        n=40 mean=1.48ms p50<1.48ms p95<2.96ms max=5.92ms
 synchronization:
   clock advances            104
   sync rounds               105
@@ -73,38 +73,36 @@ synchronization:
   facts deleted             110
   compactions               111
   spec rebuilds             112
-  program compiles          113
-  program cache hits        114
-  program cache misses      115
-  router cache hits         116
-  program probes            117
-  program bitset bytes      118
-  sync latency              n=40 mean=1.48ms p50<1.48ms p95<2.96ms max=5.92ms
+  program cache hits        113
+  program cache misses      114
+  router cache hits         115
+  program probes            116
+  program bitset bytes      117
+  sync latency              n=38 mean=1.41ms p50<1.41ms p95<2.81ms max=5.62ms
 snapshots:
-  publishes                 134
-  drain waits               135
-  side reclones             136
-  rows levelled             137
-  epoch                     138
-  retained                  139
+  publishes                 133
+  drain waits               134
+  side reclones             135
+  rows levelled             136
+  retained                  137
 queries:
-  queries                   119
-  cubes consulted           120
-  cubes pruned (zone map)   121
-  rows scanned              122
-  rows selected             123
-  view hits                 124
-  view hits folded          125
-  view misses               126
-  view builds               127
-  view bytes                128
-  query latency             n=41 mean=1.52ms p50<1.52ms p95<3.03ms max=6.07ms
+  queries                   118
+  cubes consulted           119
+  cubes pruned (zone map)   120
+  rows scanned              121
+  rows selected             122
+  view hits                 123
+  view hits folded          124
+  view misses               125
+  view builds               126
+  view bytes                127
+  query latency             n=39 mean=1.44ms p50<1.44ms p95<2.89ms max=5.77ms
 storage:
-  subcubes                  147
-  live rows                 143
-  dead rows                 145
-  fact bytes                144
-  dimension bytes           146
+  subcubes                  145
+  live rows                 141
+  dead rows                 143
+  fact bytes                142
+  dimension bytes           144
 `
 	if got := s.String(); got != want {
 		t.Errorf("report changed:\n%s\nwant:\n%s", got, want)

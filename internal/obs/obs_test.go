@@ -180,7 +180,7 @@ func TestMetricsConcurrent(t *testing.T) {
 func TestTrace(t *testing.T) {
 	tr := &Trace{Query: "aggregate [Time.month, URL.domain]", At: "2001/6/1", Synced: true}
 	tr.Cubes = []CubeTrace{
-		{Cube: 0, Granularity: "[Time.day, URL.url]", FastPath: true, RowsScanned: 90, RowsKept: 30, Duration: time.Millisecond},
+		{Cube: 0, Granularity: "[Time.day, URL.url]", RowsScanned: 90, RowsKept: 30, Duration: time.Millisecond},
 		{Cube: 1, Granularity: "[Time.month, URL.domain]", Pruned: true},
 	}
 	tr.AddStage("scan", 2*time.Millisecond)

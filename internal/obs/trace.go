@@ -13,7 +13,6 @@ type CubeTrace struct {
 	Cube        int    // cube id (0 is the bottom cube)
 	Granularity string // the cube's fixed granularity
 	Pruned      bool   // skipped entirely by the zone map
-	FastPath    bool   // synchronized scan (vs. un-synchronized view)
 	RowsScanned int    // rows visited in the cube (and its parents, un-synced)
 	RowsKept    int    // rows surviving the predicate
 	Duration    time.Duration
@@ -98,15 +97,15 @@ func (t *Trace) String() string {
 		}
 		b.WriteByte('\n')
 	}
+	path := "view" // every consulted cube was read the same way
+	if t.Synced {
+		path = "scan"
+	}
 	for _, c := range t.Cubes {
 		fmt.Fprintf(&b, "  K%-3d %-36s", c.Cube, c.Granularity)
 		if c.Pruned {
 			b.WriteString(" pruned by zone map\n")
 			continue
-		}
-		path := "view"
-		if c.FastPath {
-			path = "scan"
 		}
 		fmt.Fprintf(&b, " %s rows=%d kept=%d in %s\n", path, c.RowsScanned, c.RowsKept, fmtDur(c.Duration))
 	}

@@ -434,21 +434,26 @@ func AggregateWeighted(mo *mdm.MO, weights []float64, target mdm.Granularity, ap
 	if len(weights) != mo.Len() {
 		return nil, fmt.Errorf("query: AggregateWeighted: %d weights for %d facts", len(weights), mo.Len())
 	}
-	// Scale a copy's SUM measures by the weights, then aggregate
-	// normally. COUNT cannot be pre-scaled through BaseCount (integral),
-	// so COUNT measures lose fractional weighting here; the conservative
-	// and liberal approaches bound the exact answer.
+	// COUNT cannot be pre-scaled through BaseCount (integral), so COUNT
+	// measures lose fractional weighting here; the conservative and
+	// liberal approaches bound the exact answer.
 	scaled := mo.Clone()
-	schema := mo.Schema()
-	for f := 0; f < scaled.Len(); f++ {
-		fid := mdm.FactID(f)
-		for j, m := range schema.Measures {
-			if m.Agg == mdm.AggSum {
-				scaled.SetMeasure(fid, j, scaled.Measure(fid, j)*weights[f])
-			}
+	ScaleSums(scaled, weights)
+	return Aggregate(scaled, target, approach)
+}
+
+// ScaleSums multiplies, in place, each fact's SUM measures by its
+// certainty weight, which turns a weighted selection into the expected
+// values Aggregate then folds. weights must align with mo's fact ids.
+func ScaleSums(mo *mdm.MO, weights []float64) {
+	for j, m := range mo.Schema().Measures {
+		if m.Agg != mdm.AggSum {
+			continue
+		}
+		for f, w := range weights {
+			mo.SetMeasure(mdm.FactID(f), j, mo.Measure(mdm.FactID(f), j)*w)
 		}
 	}
-	return Aggregate(scaled, target, approach)
 }
 
 // scaledInit lifts a base measure into the aggregate domain, scaling SUM

@@ -54,32 +54,13 @@ func MustParsePred(src string, env *spec.Env) *Predicate {
 // (binding NOW). It returns the conservative and liberal verdicts and
 // the weighted certainty.
 func (p *Predicate) EvaluateFact(mo *mdm.MO, f mdm.FactID, t caltime.Day) (cons, lib bool, weight float64) {
-	return p.EvaluateCell(cellReader{mo: mo, f: f}, t)
+	return p.EvaluateCell(mo.Refs(f), t)
 }
 
-// CellReader supplies a fact's direct dimension values; it lets storage
-// engines evaluate predicates on their rows without materializing an MO.
-type CellReader interface {
-	Ref(dim int) mdm.ValueID
-}
-
-type cellReader struct {
-	mo *mdm.MO
-	f  mdm.FactID
-}
-
-func (c cellReader) Ref(dim int) mdm.ValueID { return c.mo.Ref(c.f, dim) }
-
-// Cell adapts a plain value slice to a CellReader.
-type Cell []mdm.ValueID
-
-// Ref implements CellReader.
-func (c Cell) Ref(dim int) mdm.ValueID { return c[dim] }
-
-// EvaluateCell evaluates the predicate on a cell at query time t. For
-// evaluation over many facts at the same t, Prepare amortizes the
-// right-hand-side resolution.
-func (p *Predicate) EvaluateCell(cell CellReader, t caltime.Day) (cons, lib bool, weight float64) {
+// EvaluateCell evaluates the predicate on a cell, one value per
+// dimension, at query time t. For evaluation over many facts at the
+// same t, Prepare amortizes the right-hand-side resolution.
+func (p *Predicate) EvaluateCell(cell []mdm.ValueID, t caltime.Day) (cons, lib bool, weight float64) {
 	return p.Prepare(t).EvaluateCell(cell)
 }
 
@@ -124,7 +105,7 @@ func (p *Predicate) Prepare(t caltime.Day) *Prepared {
 }
 
 // EvaluateCell evaluates the prepared predicate on a cell.
-func (pr *Prepared) EvaluateCell(cell CellReader) (cons, lib bool, weight float64) {
+func (pr *Prepared) EvaluateCell(cell []mdm.ValueID) (cons, lib bool, weight float64) {
 	for d, dj := range pr.p.disjuncts {
 		c, l, w := pr.evalDisjunct(d, dj, cell)
 		cons = cons || c
@@ -136,7 +117,7 @@ func (pr *Prepared) EvaluateCell(cell CellReader) (cons, lib bool, weight float6
 	return cons, lib, weight
 }
 
-func (pr *Prepared) evalDisjunct(d int, dj []spec.Atom, cell CellReader) (cons, lib bool, weight float64) {
+func (pr *Prepared) evalDisjunct(d int, dj []spec.Atom, cell []mdm.ValueID) (cons, lib bool, weight float64) {
 	cons, lib, weight = true, true, 1
 	for i := range dj {
 		c, l, w := pr.evalTest(d, i, cell)
@@ -153,7 +134,7 @@ func (pr *Prepared) evalDisjunct(d int, dj []spec.Atom, cell CellReader) (cons, 
 // evalTest answers atom i of disjunct d on the cell from the verdict
 // remembered for the cell's value, comparing only on a value's first
 // appearance.
-func (pr *Prepared) evalTest(d, i int, cell CellReader) (cons, lib bool, weight float64) {
+func (pr *Prepared) evalTest(d, i int, cell []mdm.ValueID) (cons, lib bool, weight float64) {
 	tst := &pr.p.disjuncts[d][i]
 	switch tst.Dim {
 	case spec.TestConstTrue:
@@ -161,7 +142,7 @@ func (pr *Prepared) evalTest(d, i int, cell CellReader) (cons, lib bool, weight 
 	case spec.TestConstFalse:
 		return false, false, 0
 	}
-	v := cell.Ref(tst.Dim)
+	v := cell[tst.Dim]
 	seen := pr.seen[d][i]
 	if seen == nil {
 		seen = make(map[mdm.ValueID]verdict)
@@ -274,6 +255,42 @@ func (p *Predicate) TimeBounds(t caltime.Day) (lo, hi caltime.Day, bounded bool)
 	return spec.TimeHull(p.disjuncts, t)
 }
 
+// Selector is selection under one approach (Definition 5), bound to a
+// predicate and a query time, answering one cell at a time. Like the
+// Prepared it embeds, it is NOT safe for concurrent use: each goroutine
+// binds its own.
+type Selector struct {
+	Prepared
+	approach Approach
+	// Weights holds the certainty of each cell Keep kept, in the order
+	// kept, under the weighted approach; it stays nil under the others.
+	Weights []float64
+}
+
+// Selector binds the predicate to query time t under approach.
+func (p *Predicate) Selector(t caltime.Day, approach Approach) *Selector {
+	return &Selector{Prepared: *p.Prepare(t), approach: approach}
+}
+
+// Keep reports whether the approach selects a fact at cell: one that
+// surely satisfies the predicate (conservative), or that might
+// (liberal, and weighted when its certainty is positive). Under the
+// weighted approach it appends each kept cell's certainty to Weights.
+func (s *Selector) Keep(cell []mdm.ValueID) bool {
+	cons, lib, w := s.EvaluateCell(cell)
+	switch s.approach {
+	case Liberal:
+		return lib
+	case Weighted:
+		if lib && w > 0 {
+			s.Weights = append(s.Weights, w)
+			return true
+		}
+		return false
+	}
+	return cons
+}
+
 // Select is the selection operator σ[p](O) (Eq. 36) under the
 // conservative or liberal approach, evaluated at query time t (binding
 // NOW in the predicate). The result MO has the same schema and
@@ -286,24 +303,9 @@ func Select(mo *mdm.MO, p *Predicate, t caltime.Day, approach Approach) (*mdm.MO
 	if approach == Weighted {
 		return nil, fmt.Errorf("query: Select: the weighted approach needs per-fact certainty weights; use SelectWeighted with AggregateWeighted")
 	}
-	out := mdm.NewMO(mo.Schema())
-	out.SetFloors(mo.Floors())
-	prep := p.Prepare(t)
-	for f := 0; f < mo.Len(); f++ {
-		fid := mdm.FactID(f)
-		cons, lib, _ := prep.EvaluateCell(cellReader{mo: mo, f: fid})
-		keep := cons
-		if approach == Liberal {
-			keep = lib
-		}
-		if !keep {
-			continue
-		}
-		nf, err := out.AddFactAt(mo.Refs(fid), mo.Measures(fid), mo.BaseCount(fid), mo.Name(fid))
-		if err != nil {
-			return nil, fmt.Errorf("query: Select: %w", err)
-		}
-		_ = nf
+	out, err := selectFacts(mo, p.Selector(t, approach))
+	if err != nil {
+		return nil, fmt.Errorf("query: Select: %w", err)
 	}
 	return out, nil
 }
@@ -312,20 +314,31 @@ func Select(mo *mdm.MO, p *Predicate, t caltime.Day, approach Approach) (*mdm.MO
 // might satisfy the predicate, each with its certainty weight, aligned
 // with the result MO's fact ids.
 func SelectWeighted(mo *mdm.MO, p *Predicate, t caltime.Day) (*mdm.MO, []float64, error) {
+	sel := p.Selector(t, Weighted)
+	out, err := selectFacts(mo, sel)
+	if err != nil {
+		return nil, nil, fmt.Errorf("query: SelectWeighted: %w", err)
+	}
+	return out, sel.Weights, nil
+}
+
+// selectFacts copies the facts of mo that sel keeps into a new MO.
+func selectFacts(mo *mdm.MO, sel *Selector) (*mdm.MO, error) {
 	out := mdm.NewMO(mo.Schema())
 	out.SetFloors(mo.Floors())
-	var weights []float64
-	prep := p.Prepare(t)
+	var cell []mdm.ValueID
 	for f := 0; f < mo.Len(); f++ {
 		fid := mdm.FactID(f)
-		_, lib, w := prep.EvaluateCell(cellReader{mo: mo, f: fid})
-		if !lib || w <= 0 {
+		cell = cell[:0]
+		for i := 0; i < mo.Schema().NumDims(); i++ {
+			cell = append(cell, mo.Ref(fid, i))
+		}
+		if !sel.Keep(cell) {
 			continue
 		}
-		if _, err := out.AddFactAt(mo.Refs(fid), mo.Measures(fid), mo.BaseCount(fid), mo.Name(fid)); err != nil {
-			return nil, nil, fmt.Errorf("query: SelectWeighted: %w", err)
+		if _, err := out.AddFactAt(cell, mo.Measures(fid), mo.BaseCount(fid), mo.Name(fid)); err != nil {
+			return nil, err
 		}
-		weights = append(weights, w)
 	}
-	return out, weights, nil
+	return out, nil
 }

@@ -72,12 +72,12 @@ func TestPreparedVerdictsMatchDirect(t *testing.T) {
 		`true`, `false`)
 
 	// Every value of one dimension beside a few of the other.
-	var cells []Cell
+	var cells [][]mdm.ValueID
 	for v := 0; v < timeDim.NumValues(); v++ {
-		cells = append(cells, Cell{mdm.ValueID(v), mdm.ValueID(v % urlDim.NumValues())})
+		cells = append(cells, []mdm.ValueID{mdm.ValueID(v), mdm.ValueID(v % urlDim.NumValues())})
 	}
 	for v := 0; v < urlDim.NumValues(); v++ {
-		cells = append(cells, Cell{mdm.ValueID((v * 7) % timeDim.NumValues()), mdm.ValueID(v)})
+		cells = append(cells, []mdm.ValueID{mdm.ValueID((v * 7) % timeDim.NumValues()), mdm.ValueID(v)})
 	}
 
 	for _, src := range srcs {
@@ -86,7 +86,7 @@ func TestPreparedVerdictsMatchDirect(t *testing.T) {
 			t.Fatalf("%s: %v", src, err)
 		}
 		prep := p.Prepare(at)
-		check := func(cell Cell) {
+		check := func(cell []mdm.ValueID) {
 			cons, lib, w := prep.EvaluateCell(cell)
 			wantCons, wantLib, wantW := p.EvaluateCell(cell, at)
 			if cons != wantCons || lib != wantLib || w != wantW {

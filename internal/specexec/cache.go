@@ -36,7 +36,6 @@ func ProgramFor(sp *spec.Spec, met *obs.Metrics) *Program {
 	p := Compile(sp)
 	if met != nil {
 		met.ProgramCacheMisses.Inc()
-		met.ProgramCompiles.Inc()
 	}
 	// BitsetBytes gauges what the slot retains, so only the published
 	// program counts; a lost race leaves the winner's figure in place.

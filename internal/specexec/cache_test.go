@@ -38,9 +38,9 @@ func TestCacheGenerationKeyed(t *testing.T) {
 		t.Fatal("second ProgramFor with unchanged generation recompiled")
 	}
 	snap := met.Snapshot()
-	if snap.ProgramCompiles != 1 || snap.ProgramCacheMisses != 1 || snap.ProgramCacheHits != 1 {
-		t.Fatalf("after 2 lookups: compiles=%d misses=%d hits=%d, want 1/1/1",
-			snap.ProgramCompiles, snap.ProgramCacheMisses, snap.ProgramCacheHits)
+	if snap.ProgramCacheMisses != 1 || snap.ProgramCacheHits != 1 {
+		t.Fatalf("after 2 lookups: misses=%d hits=%d, want 1/1",
+			snap.ProgramCacheMisses, snap.ProgramCacheHits)
 	}
 	if met.BitsetBytes.Load() != p1.BitsetBytes() {
 		t.Fatalf("BitsetBytes gauge = %d, want the retained program's %d",
@@ -73,8 +73,8 @@ func TestCacheGenerationKeyed(t *testing.T) {
 	if p4 := specexec.ProgramFor(s, met); p4 != p3 {
 		t.Fatal("post-mutation program not cached")
 	}
-	if got := met.Snapshot().ProgramCompiles; got != 2 {
-		t.Fatalf("ProgramCompiles = %d after one mutation, want 2", got)
+	if got := met.Snapshot().ProgramCacheMisses; got != 2 {
+		t.Fatalf("ProgramCacheMisses = %d after one mutation, want 2", got)
 	}
 
 	// Delete is a committed mutation too.
@@ -162,9 +162,9 @@ func TestClonesShareTheProgram(t *testing.T) {
 	if specexec.RouterAt(s, d+1, met) != r1 || !r1.SameVerdicts(r) {
 		t.Fatal("a day pinned through the clone is not shared with the original")
 	}
-	if delta := met.Snapshot().Sub(before); delta.ProgramCompiles != 0 || delta.ProgramCacheMisses != 0 || delta.RouterCacheHits != 2 {
-		t.Fatalf("lookups across a clone: compiles=%d misses=%d router hits=%d, want 0/0/2",
-			delta.ProgramCompiles, delta.ProgramCacheMisses, delta.RouterCacheHits)
+	if delta := met.Snapshot().Sub(before); delta.ProgramCacheMisses != 0 || delta.RouterCacheHits != 2 {
+		t.Fatalf("lookups across a clone: misses=%d router hits=%d, want 0/2",
+			delta.ProgramCacheMisses, delta.RouterCacheHits)
 	}
 
 	// Mutating the original costs exactly one compile, on the original.
@@ -179,8 +179,8 @@ func TestClonesShareTheProgram(t *testing.T) {
 	if p3 == p || specexec.ProgramFor(s.Clone(), met) != p3 {
 		t.Fatal("the mutated specification must own a new program and share it with its clones")
 	}
-	if delta := met.Snapshot().Sub(before); delta.ProgramCompiles != 1 {
-		t.Fatalf("compiles after mutating the original = %d, want 1", delta.ProgramCompiles)
+	if delta := met.Snapshot().Sub(before); delta.ProgramCacheMisses != 1 {
+		t.Fatalf("compiles after mutating the original = %d, want 1", delta.ProgramCacheMisses)
 	}
 
 	// Another specification at the very generation of the clone — which a
@@ -196,8 +196,8 @@ func TestClonesShareTheProgram(t *testing.T) {
 	if specexec.ProgramFor(other, met) == p {
 		t.Fatal("a separately built specification served another action set's program")
 	}
-	if delta := met.Snapshot().Sub(before); delta.ProgramCompiles != 1 {
-		t.Fatalf("compiles on a separately built specification's first lookup = %d, want 1", delta.ProgramCompiles)
+	if delta := met.Snapshot().Sub(before); delta.ProgramCacheMisses != 1 {
+		t.Fatalf("compiles on a separately built specification's first lookup = %d, want 1", delta.ProgramCacheMisses)
 	}
 }
 

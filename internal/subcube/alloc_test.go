@@ -6,6 +6,7 @@ import (
 
 	"dimred/internal/caltime"
 	"dimred/internal/mdm"
+	"dimred/internal/query"
 	"dimred/internal/spec"
 	"dimred/internal/storage"
 )
@@ -86,12 +87,13 @@ func TestViewOfEvalAllocationProfile(t *testing.T) {
 	if eval.router == nil {
 		t.Fatal("default cell evaluator is not on the compiled path")
 	}
-	mo, scanned, err := cs.viewOf(cs.cubes[0], &eval)
+	mo := mdm.NewMO(cs.env.Schema)
+	scanned, err := cs.viewOf(cs.cubes[0], &eval, mo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scanned == 0 || mo == nil {
-		t.Fatalf("view scanned %d rows", scanned)
+	if scanned == 0 {
+		t.Fatal("view scanned no rows")
 	}
 	if eval.probes == 0 {
 		t.Fatal("view did not count router probes")
@@ -143,6 +145,45 @@ func TestCombineAllocations(t *testing.T) {
 	t.Logf("%.0f allocations for %d result cells: %.1f per cell", allocs, out.Len(), perCell)
 	if perCell > 12 {
 		t.Fatalf("a two-cube fine-target query allocated %.1f times per result cell, want at most 12", perCell)
+	}
+}
+
+// TestStaleQueryAllocations pins that a stale cube set selects as
+// cheaply as a synchronized one: on TestCombineAllocations' fixture, a
+// predicated query 21 days after the last sync allocates at most 1.1×
+// what it allocates at the sync, under the conservative and the weighted
+// approach. Each cell of a stale cube's view is selected as it first
+// appears, and the weights scale the view in place; building the whole
+// view, copying the selected cells out of it and copying them again to
+// scale them cost about 1.4×.
+func TestStaleQueryAllocations(t *testing.T) {
+	obj, env := syncTestObj(t, 33)
+	at := caltime.Date(2000, 5, 20)
+	allocsAt := func(last caltime.Day, sel query.Approach) float64 {
+		cs, err := New(syncTestSpec(t, env))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.InsertMO(obj.MO); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cs.Sync(last); err != nil {
+			t.Fatal(err)
+		}
+		q := MustParseQuery(`aggregate [Time.month, URL.domain] where Time.day >= 2000/2/10`, env)
+		q.Sel = sel
+		return testing.AllocsPerRun(5, func() {
+			if _, err := cs.Evaluate(q, at); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, sel := range []query.Approach{query.Conservative, query.Weighted} {
+		synced, stale := allocsAt(at, sel), allocsAt(at-21, sel)
+		t.Logf("%v: %.0f allocations synchronized, %.0f stale", sel, synced, stale)
+		if stale > 1.1*synced {
+			t.Errorf("%v: a stale query allocated %.0f times, %.2f× the synchronized %.0f; want at most 1.1×", sel, stale, stale/synced, synced)
+		}
 	}
 }
 

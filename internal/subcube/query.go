@@ -75,9 +75,9 @@ func MustParseQuery(src string, env *spec.Env) Query {
 // synchronized at t, each subcube's input is first replaced by its
 // synchronized view α[G_i]σ[P_i](K_i ∪ parents(K_i)) — the rows, from
 // the cube and its parent cubes, whose current aggregation level is G_i,
-// rolled up to G_i. The disjoint subresults are then combined by one
-// final distributive aggregation to the query's target granularity
-// (query.Combine).
+// rolled up to G_i. Either way one query.Selector per cube selects its
+// cells, and the disjoint subresults are combined by one final
+// distributive aggregation to the target granularity (query.Combine).
 func (cs *CubeSet) Evaluate(q Query, t caltime.Day) (*mdm.MO, error) {
 	return cs.EvaluateTraced(q, t, nil)
 }
@@ -212,52 +212,44 @@ func (cs *CubeSet) evaluateCubes(q Query, t caltime.Day, tr *obs.Trace) ([]*mdm.
 		go func(i int, c *Cube) {
 			defer wg.Done()
 			cubeStart := clk.Now()
-			var mo *mdm.MO
-			var weights []float64
+			// Definition 5's selection, bound here: a Selector, like the
+			// Prepared it embeds, belongs to one goroutine.
+			var sel *query.Selector
+			var keep func([]mdm.ValueID) bool
+			if q.Pred != nil {
+				sel = q.Pred.Selector(t, q.Sel)
+				keep = sel.Keep
+			}
+			mo := mdm.NewMO(cs.env.Schema)
+			mo.SetFloors(c.gran)
+			var scanned int
 			var err error
-			scanned, kept := 0, 0
 			if synced {
-				// Fast path: evaluate the predicate during the cube scan
-				// and materialize only the selected rows (with their
-				// certainty weights under the weighted approach).
-				mo, weights, scanned, kept, err = cs.selectedMO(c, q, t)
+				scanned, err = c.AppendTo(mo, keep)
 			} else {
 				e := &cellEval{router: baseEval.router, sp: baseEval.sp, t: baseEval.t}
-				mo, scanned, err = cs.viewOf(c, e)
+				scanned, err = cs.viewOf(c, e, mo, keep)
 				perCube[i].probes = e.probes
-				if err == nil && q.Pred != nil {
-					if q.Sel == query.Weighted {
-						mo, weights, err = query.SelectWeighted(mo, q.Pred, t)
-					} else {
-						mo, err = query.Select(mo, q.Pred, t, q.Sel)
-					}
-				}
-				if err == nil {
-					kept = mo.Len()
-				}
 			}
-			perCube[i].scanned, perCube[i].kept = int64(scanned), int64(kept)
+			perCube[i].scanned, perCube[i].kept = int64(scanned), int64(mo.Len())
 			if tr != nil {
 				e := &tr.Cubes[i]
-				e.FastPath = synced
 				e.RowsScanned = scanned
-				e.RowsKept = kept
+				e.RowsKept = mo.Len()
 				e.Duration = clk.Since(cubeStart)
 			}
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			if weights != nil {
-				// Weighted approach: scale each row's SUM contributions
-				// by its certainty weight while folding to the target
-				// (Definition 5/6 expected values). The pre-scaled
-				// subresult stays distributive, so the cross-cube
+			if sel != nil && q.Sel == query.Weighted {
+				// Definition 5/6 expected values. Each kept cell became one
+				// fact of mo, so the weights line up with its facts; the
+				// scaled subresult stays distributive, so the cross-cube
 				// combine needs no weights.
-				subresults[i], errs[i] = query.AggregateWeighted(mo, weights, q.Target, q.Agg)
-			} else {
-				subresults[i], errs[i] = query.Aggregate(mo, q.Target, q.Agg)
+				query.ScaleSums(mo, sel.Weights)
 			}
+			subresults[i], errs[i] = query.Aggregate(mo, q.Target, q.Agg)
 		}(i, c)
 	}
 	wg.Wait()
@@ -274,50 +266,17 @@ func (cs *CubeSet) evaluateCubes(q Query, t caltime.Day, tr *obs.Trace) ([]*mdm.
 	return subresults, tot, nil
 }
 
-// selectedMO materializes the rows of cube c that satisfy the query's
-// predicate (under its selection approach) as an MO, evaluating the
-// predicate against storage rows directly. Under the weighted approach
-// it also returns each kept row's certainty weight, aligned with the
-// result MO's fact ids (cube cells are unique, so AddFactAt never
-// merges and the alignment holds). It reports how many rows the scan
-// visited and how many survived the predicate, for the observability
-// layer.
-func (cs *CubeSet) selectedMO(c *Cube, q Query, t caltime.Day) (mo *mdm.MO, weights []float64, scanned, kept int, err error) {
-	mo = mdm.NewMO(cs.env.Schema)
-	mo.SetFloors(c.gran)
-	var keep func(cell []mdm.ValueID) bool
-	if q.Pred != nil {
-		prep := q.Pred.Prepare(t)
-		keep = func(cell []mdm.ValueID) bool {
-			cons, lib, w := prep.EvaluateCell(query.Cell(cell))
-			switch q.Sel {
-			case query.Liberal:
-				return lib
-			case query.Weighted:
-				// Match SelectWeighted: keep rows that might satisfy,
-				// carrying the certainty out to the aggregation fold.
-				if lib && w > 0 {
-					weights = append(weights, w)
-					return true
-				}
-				return false
-			}
-			return cons
-		}
-	}
-	scanned, err = c.AppendTo(mo, keep)
-	return mo, weights, scanned, mo.Len(), err
-}
-
-// viewOf builds the synchronized view of cube c at the evaluator's day
-// from c and its parent cubes: the rows whose current aggregation level
-// equals c's granularity, rolled up to it and merged by cell. scanned
-// reports the rows visited across the cube and its parents. The
-// per-row up/meas scratch is hoisted: MO.AddFactAt copies its inputs.
-func (cs *CubeSet) viewOf(c *Cube, e *cellEval) (mo *mdm.MO, scanned int, err error) {
+// viewOf appends to mo the synchronized view of cube c at the evaluator's
+// day, built from c and its parent cubes: the rows whose current
+// aggregation level equals c's granularity, rolled up to it and merged by
+// cell. keep (nil keeps all) is asked about a rolled-up cell before the
+// cell's first row is added, and a refused row is skipped: selection
+// commutes with roll-up, so equal cells get equal verdicts and this is
+// the view selected. scanned reports the rows visited across the cube
+// and its parents. The per-row up/meas scratch is hoisted:
+// MO.AddFactAt copies its inputs.
+func (cs *CubeSet) viewOf(c *Cube, e *cellEval, mo *mdm.MO, keep func([]mdm.ValueID) bool) (scanned int, err error) {
 	schema := cs.env.Schema
-	mo = mdm.NewMO(schema)
-	mo.SetFloors(c.gran)
 	held := mdm.NewCellMap[mdm.FactID](schema.NumDims())
 
 	sources := append([]*Cube{c}, c.parents...)
@@ -349,6 +308,9 @@ func (cs *CubeSet) viewOf(c *Cube, e *cellEval) (mo *mdm.MO, scanned int, err er
 				mo.AddBaseCount(fid, src.store.Base(r))
 				return true
 			}
+			if keep != nil && !keep(up) {
+				return true
+			}
 			for j := range meas {
 				meas[j] = src.store.Measure(r, j)
 			}
@@ -363,8 +325,8 @@ func (cs *CubeSet) viewOf(c *Cube, e *cellEval) (mo *mdm.MO, scanned int, err er
 		if failed != nil {
 			// Report the rows actually visited even on failure, so the
 			// RowsScanned counter and per-cube traces stay truthful.
-			return nil, scanned, failed
+			return scanned, failed
 		}
 	}
-	return mo, scanned, nil
+	return scanned, nil
 }

@@ -260,8 +260,8 @@ func TestSyncProgramCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := cs.Metrics().Snapshot().Sub(before)
-	if delta.ProgramCompiles != 1 {
-		t.Fatalf("compiled sync: ProgramCompiles = %d, want 1", delta.ProgramCompiles)
+	if delta.ProgramCacheMisses != 1 {
+		t.Fatalf("compiled sync: ProgramCacheMisses = %d, want 1", delta.ProgramCacheMisses)
 	}
 	if delta.ProgramProbes == 0 {
 		t.Fatal("compiled sync: ProgramProbes = 0, want > 0")
@@ -276,9 +276,9 @@ func TestSyncProgramCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta = cs.Metrics().Snapshot().Sub(before)
-	if delta.ProgramCompiles != 0 || delta.ProgramProbes != 0 {
+	if delta.ProgramCacheMisses != 0 || delta.ProgramProbes != 0 {
 		t.Fatalf("interpreted sync bumped program counters: compiles=%d probes=%d",
-			delta.ProgramCompiles, delta.ProgramProbes)
+			delta.ProgramCacheMisses, delta.ProgramProbes)
 	}
 
 	// A same-day sync on a tracking set is the compiled path's delta case;

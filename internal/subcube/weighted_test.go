@@ -7,6 +7,7 @@ import (
 	"dimred/internal/caltime"
 	"dimred/internal/core"
 	"dimred/internal/mdm"
+	"dimred/internal/obs"
 	"dimred/internal/query"
 	"dimred/internal/spec"
 	"dimred/internal/workload"
@@ -131,7 +132,7 @@ func TestWeightedQueryMatchesOracle(t *testing.T) {
 		name := map[bool]string{false: "compiled", true: "interpreted"}[interpret]
 		t.Run(name, func(t *testing.T) {
 			// Synchronized: the predicate runs against cube rows directly
-			// (selectedMO) with per-row certainty weights.
+			// with per-row certainty weights.
 			cs, err := New(s)
 			if err != nil {
 				t.Fatal(err)
@@ -150,8 +151,8 @@ func TestWeightedQueryMatchesOracle(t *testing.T) {
 			approxEqualMO(t, "synced", synced, want)
 
 			// Unsynchronized (last sync in the same significant period):
-			// each cube's view is rebuilt per row, then SelectWeighted
-			// carries the weights into the fold.
+			// each cube's view is rebuilt per row, selecting each cell
+			// as it first appears with its certainty weight.
 			cs2, err := New(s)
 			if err != nil {
 				t.Fatal(err)
@@ -230,37 +231,54 @@ func TestWeightedBetweenBounds(t *testing.T) {
 }
 
 // TestWeightedTraceCountsKept checks the trace/metric plumbing on the
-// weighted synced path: rows kept equals the number of weights used.
+// weighted path, on fresh cubes (the scan) and stale ones (the view)
+// alike: a Selector's weights line up with the facts it kept, each lies
+// in (0, 1], and the trace reports the same rows scanned and kept.
 func TestWeightedTraceCountsKept(t *testing.T) {
 	obj, s, q := weightedSetup(t)
 	at := caltime.Date(2000, 9, 13)
-	cs, err := New(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.InsertMO(obj.MO); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cs.Sync(at); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cs.Cubes() {
-		mo, weights, scanned, kept, err := cs.selectedMO(c, q, at)
+	for _, last := range []caltime.Day{at, caltime.Date(2000, 9, 1)} {
+		cs, err := New(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kept != mo.Len() {
-			t.Fatalf("cube %d: kept %d rows but materialized %d", c.ID(), kept, mo.Len())
+		if err := cs.InsertMO(obj.MO); err != nil {
+			t.Fatal(err)
 		}
-		if len(weights) != kept {
-			t.Fatalf("cube %d: %d weights for %d kept rows", c.ID(), len(weights), kept)
+		if _, err := cs.Sync(last); err != nil {
+			t.Fatal(err)
 		}
-		if scanned < kept {
-			t.Fatalf("cube %d: scanned %d < kept %d", c.ID(), scanned, kept)
+		var tr obs.Trace
+		if _, err := cs.EvaluateTraced(q, at, &tr); err != nil {
+			t.Fatal(err)
 		}
-		for i, w := range weights {
-			if w <= 0 || w > 1 {
-				t.Fatalf("cube %d: weight[%d] = %v outside (0, 1]", c.ID(), i, w)
+		if tr.Synced != (last == at) {
+			t.Fatalf("synced at %v, queried at %v: trace says synced=%v", last, at, tr.Synced)
+		}
+		eval := cs.newCellEval(cs.sp, at)
+		for i, c := range cs.Cubes() {
+			sel := q.Pred.Selector(at, q.Sel)
+			mo := mdm.NewMO(cs.env.Schema)
+			var scanned int
+			if tr.Synced {
+				scanned, err = c.AppendTo(mo, sel.Keep)
+			} else {
+				scanned, err = cs.viewOf(c, &eval, mo, sel.Keep)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			weights := sel.Weights
+			if len(weights) != mo.Len() {
+				t.Fatalf("cube %d: %d weights for %d kept rows", c.ID(), len(weights), mo.Len())
+			}
+			if ct := tr.Cubes[i]; !ct.Pruned && (ct.RowsScanned != scanned || ct.RowsKept != mo.Len()) {
+				t.Fatalf("cube %d: trace scanned/kept %d/%d, selection %d/%d", c.ID(), ct.RowsScanned, ct.RowsKept, scanned, mo.Len())
+			}
+			for i, w := range weights {
+				if w <= 0 || w > 1 {
+					t.Fatalf("cube %d: weight[%d] = %v outside (0, 1]", c.ID(), i, w)
+				}
 			}
 		}
 	}

@@ -213,9 +213,6 @@ func TestConcurrentQueryMutateAdvance(t *testing.T) {
 	if snap.ProgramCacheMisses == 0 || snap.ProgramCacheHits == 0 {
 		t.Errorf("cache counters show no churn: hits=%d misses=%d", snap.ProgramCacheHits, snap.ProgramCacheMisses)
 	}
-	if snap.ProgramCompiles < snap.ProgramCacheMisses {
-		t.Errorf("compiles=%d < misses=%d: every miss must compile", snap.ProgramCompiles, snap.ProgramCacheMisses)
-	}
 	res, err := w.Query(`aggregate [Time.TOP, URL.TOP]`)
 	if err != nil {
 		t.Fatal(err)

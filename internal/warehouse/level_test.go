@@ -61,8 +61,8 @@ func levelCopiesTheDelta(t *testing.T) {
 	if d.SnapshotLevelledRows < 64 || d.SnapshotLevelledRows > 2*64 {
 		t.Fatalf("flush of 64 facts levelled %d rows, want 64..128", d.SnapshotLevelledRows)
 	}
-	if d.SnapshotReclones != 0 || d.ProgramCompiles != 0 {
-		t.Fatalf("flush: reclones=%d compiles=%d, want 0/0", d.SnapshotReclones, d.ProgramCompiles)
+	if d.SnapshotReclones != 0 || d.ProgramCacheMisses != 0 {
+		t.Fatalf("flush: reclones=%d compiles=%d, want 0/0", d.SnapshotReclones, d.ProgramCacheMisses)
 	}
 	sidesLevel(t, w, "after the flush with a late fact")
 
@@ -84,8 +84,8 @@ func levelCopiesTheDelta(t *testing.T) {
 		sidesLevel(t, w, step)
 	}
 	d = w.Metrics().Sub(before)
-	if pins := routerPins(d); pins > 1 || d.ProgramCompiles != 0 {
-		t.Fatalf("a clock advance and a flush on each side pinned %d routers and compiled %d programs, want at most 1 and 0", pins, d.ProgramCompiles)
+	if pins := routerPins(d); pins > 1 || d.ProgramCacheMisses != 0 {
+		t.Fatalf("a clock advance and a flush on each side pinned %d routers and compiled %d programs, want at most 1 and 0", pins, d.ProgramCacheMisses)
 	}
 }
 

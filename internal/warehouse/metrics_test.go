@@ -41,8 +41,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if m.LiveRows == 0 || m.LiveBytes == 0 || m.DimBytes == 0 || m.CubeCount < 2 {
 		t.Errorf("storage gauges not populated: %+v", m)
 	}
-	if m.Advances != 1 || m.SnapshotEpoch == 0 {
-		t.Errorf("Advances = %d, SnapshotEpoch = %d after one advance and a load; want 1 and > 0", m.Advances, m.SnapshotEpoch)
+	if m.Advances != 1 || m.SnapshotPublishes == 0 {
+		t.Errorf("Advances = %d, SnapshotPublishes = %d after one advance and a load; want 1 and > 0", m.Advances, m.SnapshotPublishes)
 	}
 
 	// Cross the to-month reduction boundary: the sync must fold rows.
@@ -70,9 +70,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if m2.SyncSkips == 0 {
 		t.Error("SyncSkips = 0 after a sync over cubes the advance cannot touch")
 	}
-	if m2.Advances != 2 || m2.SnapshotEpoch <= m.SnapshotEpoch {
-		t.Errorf("Advances = %d, SnapshotEpoch %d -> %d after a second advance; want 2 and a newer epoch",
-			m2.Advances, m.SnapshotEpoch, m2.SnapshotEpoch)
+	if m2.Advances != 2 || m2.SnapshotPublishes <= m.SnapshotPublishes {
+		t.Errorf("Advances = %d, SnapshotPublishes %d -> %d after a second advance; want 2 and a new publish",
+			m2.Advances, m.SnapshotPublishes, m2.SnapshotPublishes)
 	}
 
 	// Query: scan counters and the latency histogram must move.
@@ -112,9 +112,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if err := w.InsertActions(churn); err != nil {
 		t.Fatal(err)
 	}
-	if m4 := w.Metrics(); m4.SpecRebuilds != m3.SpecRebuilds+1 || m4.SnapshotEpoch <= m3.SnapshotEpoch {
-		t.Errorf("SpecRebuilds %d -> %d, SnapshotEpoch %d -> %d after InsertActions; want one rebuild and a newer epoch",
-			m3.SpecRebuilds, m4.SpecRebuilds, m3.SnapshotEpoch, m4.SnapshotEpoch)
+	if m4 := w.Metrics(); m4.SpecRebuilds != m3.SpecRebuilds+1 || m4.SnapshotPublishes <= m3.SnapshotPublishes {
+		t.Errorf("SpecRebuilds %d -> %d, SnapshotPublishes %d -> %d after InsertActions; want one rebuild and a new publish",
+			m3.SpecRebuilds, m4.SpecRebuilds, m3.SnapshotPublishes, m4.SnapshotPublishes)
 	}
 }
 

@@ -64,7 +64,7 @@ func TestPublishedSnapshotsNeverChange(t *testing.T) {
 		var released []pinnedSnapshot
 		release := func(p pinnedSnapshot) {
 			if fingerprint(p.s) != p.deep {
-				t.Errorf("%s: snapshot %d changed while pinned", method, p.s.seq)
+				t.Errorf("%s: pinned snapshot %d changed while pinned", method, len(released))
 			}
 			w.unpin(p.s)
 			released = append(released, p)
@@ -89,9 +89,9 @@ func TestPublishedSnapshotsNeverChange(t *testing.T) {
 			}
 		}
 		release(held)
-		for _, p := range released {
+		for i, p := range released {
 			if headPrint(p.s) != p.head || p.s.cubes != p.cubes {
-				t.Errorf("%s: snapshot %d's own fields or views changed after publish", method, p.s.seq)
+				t.Errorf("%s: pinned snapshot %d's own fields or views changed after publish", method, i)
 			}
 		}
 	}

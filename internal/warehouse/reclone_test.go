@@ -91,8 +91,8 @@ func bulkReclonesFlushLevels(t *testing.T) {
 	if d.FactsLoaded != int64(obj.MO.Len()) || d.RowsAppended+d.RowsMerged < d.FactsLoaded {
 		t.Fatalf("bulk load: facts=%d appended=%d merged=%d for %d facts", d.FactsLoaded, d.RowsAppended, d.RowsMerged, obj.MO.Len())
 	}
-	if d.ProgramCompiles != 0 {
-		t.Fatalf("bulk load compiled %d programs, want the first AdvanceTo's reused", d.ProgramCompiles)
+	if d.ProgramCacheMisses != 0 {
+		t.Fatalf("bulk load compiled %d programs, want the first AdvanceTo's reused", d.ProgramCacheMisses)
 	}
 	if live := w.Metrics().LiveRows; live < 20000 {
 		t.Fatalf("set-up left %d live rows, the test wants at least 20000", live)
@@ -105,9 +105,9 @@ func bulkReclonesFlushLevels(t *testing.T) {
 		if d.SnapshotReclones != 0 {
 			t.Fatalf("%s: reclones=%d, want the retired side levelled", step, d.SnapshotReclones)
 		}
-		if d.Syncs != 1 || d.SyncsIncremental != 1 || d.SyncScanned > 64 || d.ProgramCompiles != 0 {
+		if d.Syncs != 1 || d.SyncsIncremental != 1 || d.SyncScanned > 64 || d.ProgramCacheMisses != 0 {
 			t.Fatalf("%s: syncs=%d incremental=%d scanned=%d compiles=%d, want 1/1/<=64/0",
-				step, d.Syncs, d.SyncsIncremental, d.SyncScanned, d.ProgramCompiles)
+				step, d.Syncs, d.SyncsIncremental, d.SyncScanned, d.ProgramCacheMisses)
 		}
 		sidesLevel(t, w, step)
 	}
@@ -125,8 +125,8 @@ func bulkReclonesFlushLevels(t *testing.T) {
 	if d.RowsFolded*recloneFactor < w.Metrics().LiveRows {
 		t.Fatalf("the boundary folded %d rows into %d, too few for the rule", d.RowsFolded, w.Metrics().LiveRows)
 	}
-	if d.SnapshotReclones != 1 || d.ProgramCompiles != 0 {
-		t.Fatalf("month-boundary fold: reclones=%d compiles=%d, want 1/0", d.SnapshotReclones, d.ProgramCompiles)
+	if d.SnapshotReclones != 1 || d.ProgramCacheMisses != 0 {
+		t.Fatalf("month-boundary fold: reclones=%d compiles=%d, want 1/0", d.SnapshotReclones, d.ProgramCacheMisses)
 	}
 	sidesLevel(t, w, "after the month-boundary fold")
 	flush("flush after the boundary")

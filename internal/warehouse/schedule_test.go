@@ -95,9 +95,9 @@ func TestSchedulerAdvance(t *testing.T) {
 			t.Errorf("advance to %v moved the clock", to)
 		}
 		after := w.Metrics()
-		if d := after.Sub(before); d.SnapshotPublishes != 0 || after.SnapshotEpoch != before.SnapshotEpoch || d.Advances != 1 {
-			t.Errorf("advance to %v: %d publishes, epoch %d → %d, %d advances; want 0, unchanged, 1",
-				to, d.SnapshotPublishes, before.SnapshotEpoch, after.SnapshotEpoch, d.Advances)
+		if d := after.Sub(before); d.SnapshotPublishes != 0 || d.Advances != 1 {
+			t.Errorf("advance to %v: %d publishes, %d advances; want 0, 1",
+				to, d.SnapshotPublishes, d.Advances)
 		}
 	}
 	// A bulk load synchronizes regardless of the period.

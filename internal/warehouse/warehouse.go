@@ -77,7 +77,6 @@ type Warehouse struct {
 	// cloning the published one. It is recloneRule except in tests, which
 	// force either arm to show the choice is pure cost.
 	reclone func(applied, left int) bool
-	seq     int64 // snapshot sequence, surfaced as SnapshotEpoch
 	// now is the warehouse clock and synced whether any synchronization
 	// has run.
 	now    caltime.Day
@@ -112,7 +111,6 @@ type snapshot struct {
 	cubes *subcube.CubeSet
 	now   caltime.Day
 	side  uint32 // index into Warehouse.pins of the cube set
-	seq   int64
 	// views is the materialized rollup-view set frozen into this
 	// snapshot, nil when none are published. A view set whose recorded
 	// specification generation (or build clock) disagrees with the cube
@@ -250,10 +248,8 @@ func (w *Warehouse) commitWithViewsLocked(op commitOp, refresh bool) error {
 // republishes the published cubes on their own side, so nothing drains.
 func (w *Warehouse) publishLocked(cubes *subcube.CubeSet, side uint32, vs *views.Set) *snapshot {
 	old := w.cur.Load()
-	w.seq++
-	w.cur.Store(&snapshot{cubes: cubes, now: w.now, side: side, seq: w.seq, views: vs})
+	w.cur.Store(&snapshot{cubes: cubes, now: w.now, side: side, views: vs})
 	w.met.SnapshotPublishes.Inc()
-	w.met.SnapshotEpoch.Set(w.seq)
 	return old
 }
 
