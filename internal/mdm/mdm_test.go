@@ -640,7 +640,7 @@ func TestBorrowedMOIsCopyOnWrite(t *testing.T) {
 	}
 	src.SetName(1, "named")
 	n := src.Len()
-	if cap(src.refs[0]) == n || cap(src.meas[0]) == n || cap(src.baseCount) == n || cap(src.names) == n {
+	if cap(src.cols.refs[0]) == n || cap(src.cols.meas[0]) == n || cap(src.cols.baseCount) == n || cap(src.cols.names) == n {
 		t.Fatal("the source needs spare capacity in every column")
 	}
 	dump, cells := src.Dump(), src.DumpCells()

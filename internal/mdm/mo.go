@@ -27,29 +27,49 @@ type MO struct {
 	// Shared by Clone: dimensions are immutable once populated for an
 	// analysis.
 	schema *Schema
-	refs   [][]ValueID
-	meas   [][]float64
+	// cols holds the fact columns. An MO that owns them allocates them
+	// with its header (owned); a borrow points at its source's.
+	cols   *columns
+	floors Granularity
+	// borrowed marks columns that belong to the MO Borrow was called on.
+	borrowed bool
+}
+
+// columns is an MO's fact data, one block behind one pointer, so that a
+// borrow copies the pointer instead of four slice headers.
+type columns struct {
+	refs [][]ValueID
+	meas [][]float64
 	// baseCount[f] is the number of user-inserted facts aggregated into f
 	// (1 for user-inserted facts). It feeds provenance reporting and the
 	// COUNT aggregate.
 	baseCount []int64
 	// names[f] is an optional display label ("fact_03"); empty entries
 	// render as "fact_<id>".
-	names  []string
-	floors Granularity
-	// borrowed marks columns that belong to the MO Borrow was called on.
-	borrowed bool
+	names []string
+}
+
+// owned is an MO allocated together with its column block: an MO that
+// owns its columns costs one allocation, as it did when the columns sat
+// in the header.
+type owned struct {
+	mo   MO
+	cols columns
+}
+
+// newOwned returns an MO over s with an empty column block of its own.
+func newOwned(s *Schema, floors Granularity) *MO {
+	o := &owned{}
+	o.mo = MO{schema: s, cols: &o.cols, floors: floors}
+	return &o.mo
 }
 
 // NewMO creates an empty MO over the schema, accepting user inserts at
 // the bottom granularity.
 func NewMO(s *Schema) *MO {
-	m := &MO{
-		schema: s,
-		refs:   make([][]ValueID, len(s.Dims)),
-		meas:   make([][]float64, len(s.Measures)),
-		floors: s.BottomGranularity(),
-	}
+	m := newOwned(s, s.BottomGranularity())
+	m.cols.refs = make([][]ValueID, len(s.Dims))
+	m.cols.meas = make([][]float64, len(s.Measures))
 	return m
 }
 
@@ -58,10 +78,10 @@ func (m *MO) Schema() *Schema { return m.schema }
 
 // Len returns the number of facts.
 func (m *MO) Len() int {
-	if len(m.refs) == 0 {
+	if len(m.cols.refs) == 0 {
 		return 0
 	}
-	return len(m.refs[0])
+	return len(m.cols.refs[0])
 }
 
 // Floors returns a copy of the granularity at which AddFact accepts
@@ -102,37 +122,37 @@ func (m *MO) AddFactAt(refs []ValueID, measures []float64, base int64, name stri
 func (m *MO) push(refs []ValueID, measures []float64, base int64, name string) FactID {
 	m.own()
 	id := FactID(m.Len())
-	for i := range m.refs {
-		m.refs[i] = append(m.refs[i], refs[i])
+	for i := range m.cols.refs {
+		m.cols.refs[i] = append(m.cols.refs[i], refs[i])
 	}
-	for j := range m.meas {
-		m.meas[j] = append(m.meas[j], measures[j])
+	for j := range m.cols.meas {
+		m.cols.meas[j] = append(m.cols.meas[j], measures[j])
 	}
-	m.baseCount = append(m.baseCount, base)
-	m.names = append(m.names, name)
+	m.cols.baseCount = append(m.cols.baseCount, base)
+	m.cols.names = append(m.cols.names, name)
 	return id
 }
 
 // Ref returns the value fact f maps to directly in dimension i.
-func (m *MO) Ref(f FactID, i int) ValueID { return m.refs[i][f] }
+func (m *MO) Ref(f FactID, i int) ValueID { return m.cols.refs[i][f] }
 
 // Refs copies fact f's direct dimension values into a new slice.
 func (m *MO) Refs(f FactID) []ValueID {
-	out := make([]ValueID, len(m.refs))
-	for i := range m.refs {
-		out[i] = m.refs[i][f]
+	out := make([]ValueID, len(m.cols.refs))
+	for i := range m.cols.refs {
+		out[i] = m.cols.refs[i][f]
 	}
 	return out
 }
 
 // Measure returns measure j of fact f.
-func (m *MO) Measure(f FactID, j int) float64 { return m.meas[j][f] }
+func (m *MO) Measure(f FactID, j int) float64 { return m.cols.meas[j][f] }
 
 // Measures copies fact f's measures into a new slice.
 func (m *MO) Measures(f FactID) []float64 {
-	out := make([]float64, len(m.meas))
-	for j := range m.meas {
-		out[j] = m.meas[j][f]
+	out := make([]float64, len(m.cols.meas))
+	for j := range m.cols.meas {
+		out[j] = m.cols.meas[j][f]
 	}
 	return out
 }
@@ -141,22 +161,22 @@ func (m *MO) Measures(f FactID) []float64 {
 // partial aggregates in place.
 func (m *MO) SetMeasure(f FactID, j int, v float64) {
 	m.own()
-	m.meas[j][f] = v
+	m.cols.meas[j][f] = v
 }
 
 // BaseCount returns how many user-inserted facts f represents.
-func (m *MO) BaseCount(f FactID) int64 { return m.baseCount[f] }
+func (m *MO) BaseCount(f FactID) int64 { return m.cols.baseCount[f] }
 
 // AddBaseCount increases the user-fact count of f.
 func (m *MO) AddBaseCount(f FactID, n int64) {
 	m.own()
-	m.baseCount[f] += n
+	m.cols.baseCount[f] += n
 }
 
 // Name returns the fact's display label.
 func (m *MO) Name(f FactID) string {
-	if m.names[f] != "" {
-		return m.names[f]
+	if m.cols.names[f] != "" {
+		return m.cols.names[f]
 	}
 	return fmt.Sprintf("fact_%d", f)
 }
@@ -185,15 +205,15 @@ func MergedName(sources []string) string {
 // SetName assigns a display label to fact f.
 func (m *MO) SetName(f FactID, name string) {
 	m.own()
-	m.names[f] = name
+	m.cols.names[f] = name
 }
 
 // Gran returns the granularity of fact f: the tuple of categories of the
 // values it maps to directly (the paper's function Gran, Eq. 10).
 func (m *MO) Gran(f FactID) Granularity {
-	g := make(Granularity, len(m.refs))
+	g := make(Granularity, len(m.cols.refs))
 	for i, d := range m.schema.Dims {
-		g[i] = d.CategoryOf(m.refs[i][f])
+		g[i] = d.CategoryOf(m.cols.refs[i][f])
 	}
 	return g
 }
@@ -201,7 +221,7 @@ func (m *MO) Gran(f FactID) Granularity {
 // CharacterizedBy reports f ~> v in dimension i: v is the direct value or
 // an ancestor of it.
 func (m *MO) CharacterizedBy(f FactID, i int, v ValueID) bool {
-	return m.schema.Dims[i].ValueLE(m.refs[i][f], v)
+	return m.schema.Dims[i].ValueLE(m.cols.refs[i][f], v)
 }
 
 // CellString renders a fact's cell the way the figures do, e.g.
@@ -212,7 +232,7 @@ func (m *MO) CellString(f FactID) string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(d.ValueName(m.refs[i][f]))
+		b.WriteString(d.ValueName(m.cols.refs[i][f]))
 	}
 	return b.String()
 }
@@ -221,40 +241,28 @@ func (m *MO) CellString(f FactID) string {
 // as they are immutable once populated for a given analysis). The copy
 // owns its columns, whether or not m does.
 func (m *MO) Clone() *MO {
-	c := &MO{
-		schema:    m.schema,
-		refs:      make([][]ValueID, len(m.refs)),
-		meas:      make([][]float64, len(m.meas)),
-		baseCount: append([]int64(nil), m.baseCount...),
-		names:     append([]string(nil), m.names...),
-		floors:    append(Granularity(nil), m.floors...),
-		borrowed:  false,
+	c := newOwned(m.schema, append(Granularity(nil), m.floors...))
+	c.cols.refs = make([][]ValueID, len(m.cols.refs))
+	c.cols.meas = make([][]float64, len(m.cols.meas))
+	c.cols.baseCount = append([]int64(nil), m.cols.baseCount...)
+	c.cols.names = append([]string(nil), m.cols.names...)
+	for i := range m.cols.refs {
+		c.cols.refs[i] = append([]ValueID(nil), m.cols.refs[i]...)
 	}
-	for i := range m.refs {
-		c.refs[i] = append([]ValueID(nil), m.refs[i]...)
-	}
-	for j := range m.meas {
-		c.meas[j] = append([]float64(nil), m.meas[j]...)
+	for j := range m.cols.meas {
+		c.cols.meas[j] = append([]float64(nil), m.cols.meas[j]...)
 	}
 	return c
 }
 
 // Borrow returns an MO with m's facts that copies nothing until it is
-// written: it reads m's columns, and its first AddFact, AddFactAt,
-// SetMeasure, AddBaseCount or SetName copies them (Clone) before
-// writing, so nothing written through the borrow reaches m. m itself must
-// not change while a borrow reads it — it is meant for frozen MOs, such
-// as a published view.
+// written: it reads m's column block, and its first AddFact, AddFactAt,
+// SetMeasure, AddBaseCount or SetName copies it (Clone) before writing,
+// so nothing written through the borrow reaches m. m itself must not
+// change while a borrow reads it — it is meant for frozen MOs, such as a
+// published view. A borrow is one 48-byte header.
 func (m *MO) Borrow() *MO {
-	return &MO{
-		schema:    m.schema,
-		refs:      m.refs,
-		meas:      m.meas,
-		baseCount: m.baseCount,
-		names:     m.names,
-		floors:    m.floors,
-		borrowed:  true,
-	}
+	return &MO{schema: m.schema, cols: m.cols, floors: m.floors, borrowed: true}
 }
 
 // own gives a borrowed MO columns of its own; every mutator calls it
@@ -280,9 +288,9 @@ func (m *MO) TotalMeasure(j int) float64 {
 	var acc float64
 	first := true
 	for f := 0; f < m.Len(); f++ {
-		v := agg.Init(m.meas[j][f])
+		v := agg.Init(m.cols.meas[j][f])
 		if agg == AggCount {
-			v = float64(m.baseCount[f])
+			v = float64(m.cols.baseCount[f])
 		}
 		if first {
 			acc, first = v, false
@@ -306,7 +314,7 @@ func (m *MO) Dump() string {
 		var b strings.Builder
 		fmt.Fprintf(&b, "%s: %s |", m.Name(fid), m.CellString(fid))
 		for j := range m.schema.Measures {
-			fmt.Fprintf(&b, " %s=%v", m.schema.Measures[j].Name, m.meas[j][f])
+			fmt.Fprintf(&b, " %s=%v", m.schema.Measures[j].Name, m.cols.meas[j][f])
 		}
 		rows = append(rows, row{m.CellString(fid), b.String()})
 	}
@@ -332,9 +340,9 @@ func (m *MO) DumpCells() string {
 		var b strings.Builder
 		fmt.Fprintf(&b, "%s |", m.CellString(fid))
 		for j := range m.schema.Measures {
-			fmt.Fprintf(&b, " %s=%v", m.schema.Measures[j].Name, m.meas[j][f])
+			fmt.Fprintf(&b, " %s=%v", m.schema.Measures[j].Name, m.cols.meas[j][f])
 		}
-		fmt.Fprintf(&b, " | base=%d", m.baseCount[f])
+		fmt.Fprintf(&b, " | base=%d", m.cols.baseCount[f])
 		lines = append(lines, b.String())
 	}
 	sort.Strings(lines)

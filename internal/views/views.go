@@ -96,8 +96,11 @@ func (v *View) MO() *mdm.MO { return v.mo }
 type Set struct {
 	builtAt caltime.Day
 	gen     uint64
-	views   []*View // sorted by rows ascending, key ascending
-	bytes   int64
+	// synced records whether the cube set was synchronized at builtAt, so
+	// a reader can report it without reading the cube set.
+	synced bool
+	views  []*View // sorted by rows ascending, key ascending
+	bytes  int64
 }
 
 // BuiltAt returns the clock the set was materialized at.
@@ -106,6 +109,11 @@ func (s *Set) BuiltAt() caltime.Day { return s.builtAt }
 // Generation returns the specification generation the set was built
 // under.
 func (s *Set) Generation() uint64 { return s.gen }
+
+// Synced reports whether the cube set the views were built from was
+// synchronized at BuiltAt. A served answer is at BuiltAt, so it is what a
+// trace of a view hit reports.
+func (s *Set) Synced() bool { return s.synced }
 
 // Len returns the number of materialized views.
 func (s *Set) Len() int {
@@ -128,7 +136,8 @@ func (s *Set) Views() []*View { return s.views }
 
 // Build materializes the candidate granularities from cs at clock t,
 // using the cube set's own parallel evaluation machinery, and returns
-// them as a frozen Set stamped with cs's specification generation.
+// them as a frozen Set stamped with cs's specification generation and
+// whether cs was synchronized at t.
 //
 // Candidates are built in selection order; one whose actual size would
 // overflow the byte budget is dropped (the estimate undershot), as is
@@ -143,7 +152,8 @@ func (s *Set) Views() []*View { return s.views }
 func Build(env *spec.Env, cs *subcube.CubeSet, cands []Candidate, t caltime.Day, cfg Config, met *obs.Metrics) *Set {
 	cfg = cfg.withDefaults()
 	layout := storage.Layout{DimCols: env.Schema.NumDims(), MeasCols: len(env.Schema.Measures)}
-	set := &Set{builtAt: t, gen: cs.Spec().Generation()}
+	last, synced := cs.LastSync()
+	set := &Set{builtAt: t, gen: cs.Spec().Generation(), synced: synced && last == t}
 	for _, cand := range cands {
 		if len(set.views) >= cfg.MaxViews {
 			break
@@ -247,7 +257,10 @@ func (s *Set) Answer(schema *mdm.Schema, q subcube.Query, t caltime.Day, gen uin
 // whether that view sits at exactly the target. It hands out the key
 // rather than the *View: everything a caller takes away from it is safe
 // to write, as the borrowed answer copies the view's columns first, while
-// a write through a *View would reach the published view itself.
+// a write through a *View would reach the published view itself. Serve
+// reads only the set and its views, never a cube set: gen is the caller's
+// record of its cube set's generation, so a caller that has not pinned
+// that cube set may still be served.
 func (s *Set) Serve(schema *mdm.Schema, q subcube.Query, t caltime.Day, gen uint64) (mo *mdm.MO, view string, exact bool) {
 	if s == nil || s.builtAt != t || s.gen != gen {
 		return nil, "", false

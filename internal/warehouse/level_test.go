@@ -8,6 +8,7 @@ import (
 	"dimred/internal/caltime"
 	"dimred/internal/mdm"
 	"dimred/internal/obs"
+	"dimred/internal/spec"
 	"dimred/internal/subcube"
 )
 
@@ -161,4 +162,70 @@ func levelWaitsForPinnedReader(t *testing.T) {
 		t.Errorf("published snapshot answers %v, want 501", n)
 	}
 	sidesLevel(t, w, "after the reader left")
+}
+
+// TestSpecHandedOutIsNeverWritten: a spec Spec returned stays as it was
+// handed out. A small commit levels the retired side that spec belongs to
+// and adopts the side as the working one; the specification change that
+// follows edits a clone of the side's spec, never the spec itself, which
+// a reader may still be reading.
+func TestSpecHandedOutIsNeverWritten(t *testing.T) {
+	for _, leg := range []struct {
+		name   string
+		change func(w *Warehouse, churn *spec.Action) error
+	}{
+		{"InsertActions", func(w *Warehouse, churn *spec.Action) error { return w.InsertActions(churn) }},
+		{"DeleteActions", func(w *Warehouse, churn *spec.Action) error { return w.DeleteActions(churn.Name()) }},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			obj, env := clickEnv(t)
+			mAct, qAct, churn := stressSpec(t, env)
+			actions := []*spec.Action{mAct, qAct}
+			if leg.name == "DeleteActions" {
+				actions = append(actions, churn)
+			}
+			w, err := Open(env, actions...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := caltime.Date(2000, 1, 1)
+			if err := w.AdvanceTo(start + 130); err != nil {
+				t.Fatal(err)
+			}
+			refs, meas := stressRows(t, obj, 391, start)
+			load := func(lo, hi int) {
+				t.Helper()
+				err := w.LoadBatch(func(ld func([]mdm.ValueID, []float64) error) error {
+					for i := lo; i < hi; i++ {
+						if err := ld(refs[i], meas[i]); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			load(0, 390)
+			held := w.Spec()
+			was, gen := held.String(), held.Generation()
+			before := w.Metrics()
+			load(390, 391)
+			if d := w.Metrics().Sub(before); d.SnapshotLevelledRows == 0 || d.SnapshotReclones != 0 {
+				t.Fatalf("one-row batch: levelled=%d reclones=%d, want the held spec's side levelled, not recloned",
+					d.SnapshotLevelledRows, d.SnapshotReclones)
+			}
+			if err := leg.change(w, churn); err != nil {
+				t.Fatal(err)
+			}
+			if held.String() != was || held.Generation() != gen {
+				t.Errorf("%s wrote the spec Spec had handed out:\n%s\nwas (generation %d):\n%s",
+					leg.name, held, gen, was)
+			}
+			if w.Spec().String() == was {
+				t.Errorf("%s did not change the published spec", leg.name)
+			}
+		})
+	}
 }

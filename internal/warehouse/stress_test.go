@@ -18,7 +18,7 @@ import (
 // association order, so the stress invariants can compare with ==.
 // Dimension builders are not concurrent-safe; all resolution happens
 // here, before any goroutines start.
-func stressRows(t *testing.T, obj *workload.ClickObject, n int, start caltime.Day) ([][]mdm.ValueID, [][]float64) {
+func stressRows(t testing.TB, obj *workload.ClickObject, n int, start caltime.Day) ([][]mdm.ValueID, [][]float64) {
 	t.Helper()
 	refs := make([][]mdm.ValueID, 0, n)
 	meas := make([][]float64, 0, n)
@@ -194,12 +194,15 @@ func TestStressSnapshotAtomicity(t *testing.T) {
 // TestStressViewsNeverServeStale races readers against a writer that
 // interleaves batch loads, clock advances, spec churn and view
 // enable/refresh/disable, with the rollup-view lattice live. Readers
-// re-check the snapshot atomicity invariants on a view-servable shape:
-// totals advance in whole batches and never go backwards. A view
-// serving a stale generation or build clock would answer with a
-// pre-batch total after a newer one was observed, breaking
-// monotonicity; under -race this also checks the view set rides the
-// pin/publish/drain protocol's happens-before edges.
+// re-check the snapshot atomicity invariants on view-servable shapes:
+// totals advance in whole batches and never go backwards. They ask in
+// three ways: a prepared query at the published clock, a query text
+// through its plan, and a text strictly above the one materialized view,
+// which a hit folds. A view serving a stale generation or build clock
+// would answer with a pre-batch total after a newer one was observed,
+// breaking monotonicity. A view answer pins nothing, so under -race this
+// also checks that it needs only the publish edge: everything it reads
+// was written before the snapshot was stored, and nothing after.
 func TestStressViewsNeverServeStale(t *testing.T) {
 	obj, env := clickEnv(t)
 	mAct, qAct, churn := stressSpec(t, env)
@@ -213,10 +216,11 @@ func TestStressViewsNeverServeStale(t *testing.T) {
 	}
 
 	const (
-		initRows   = 200
-		batches    = 24
-		batchRows  = 25
-		readerGoro = 4
+		initRows  = 200
+		batches   = 24
+		batchRows = 25
+		// Readers per way of asking.
+		readerGoro = 2
 	)
 	refs, meas := stressRows(t, obj, initRows+batches*batchRows, start)
 	load := func(lo, hi int) error {
@@ -233,18 +237,33 @@ func TestStressViewsNeverServeStale(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q := subcube.MustParseQuery(`aggregate [Time.quarter, URL.domain_grp]`, env)
-	// Seed the shape trace so every refresh has a view to build.
+	const (
+		text = `aggregate [Time.quarter, URL.domain_grp]`
+		// Strictly above text's shape: served by folding its view.
+		above = `aggregate [Time.year, URL.TOP]`
+	)
+	q := subcube.MustParseQuery(text, env)
+	// Seed the shape trace so every refresh has a view to build. The
+	// seed outweighs anything the readers record, so that with one view
+	// allowed, every refresh materializes q's shape and above's hits fold.
 	if _, err := w.QueryAt(q, w.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.EnableViews(views.Config{}); err != nil {
+	w.shapes.Add(spec.EncodeGran(q.Target), 1<<40)
+	vcfg := views.Config{MaxViews: 1}
+	if err := w.EnableViews(vcfg); err != nil {
 		t.Fatal(err)
 	}
 
+	asks := []func() (*mdm.MO, error){
+		func() (*mdm.MO, error) { return w.QueryAt(q, w.Now()) },
+		func() (*mdm.MO, error) { return w.Query(text) },
+		func() (*mdm.MO, error) { return w.Query(above) },
+	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for r := 0; r < readerGoro; r++ {
+	for r := 0; r < readerGoro*len(asks); r++ {
+		ask := asks[r%len(asks)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -255,7 +274,7 @@ func TestStressViewsNeverServeStale(t *testing.T) {
 					return
 				default:
 				}
-				res, err := w.QueryAt(q, w.Now())
+				res, err := ask()
 				if err != nil {
 					t.Error(err)
 					return
@@ -304,7 +323,7 @@ func TestStressViewsNeverServeStale(t *testing.T) {
 			}
 		case 5:
 			w.DisableViews()
-			if err := w.EnableViews(views.Config{}); err != nil {
+			if err := w.EnableViews(vcfg); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -322,5 +341,8 @@ func TestStressViewsNeverServeStale(t *testing.T) {
 	m := w.Metrics()
 	if m.ViewBuilds == 0 {
 		t.Error("storm never built a view")
+	}
+	if m.ViewFolds == 0 || m.ViewHits == m.ViewFolds {
+		t.Errorf("storm served hits=%d folds=%d, want both exact hits and folds", m.ViewHits, m.ViewFolds)
 	}
 }

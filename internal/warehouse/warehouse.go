@@ -32,10 +32,12 @@ import (
 // A Warehouse is safe for concurrent use, with a lock-free read path:
 // it keeps two cube-set sides and publishes one of them, together with
 // the clock it was built at, as an immutable snapshot behind an atomic
-// pointer. Queries pin the current snapshot's side on a counter and run
-// against it without taking any lock, so they can never observe a
-// half-applied specification or a mid-synchronization cube. Writers
-// (loads, clock advances, specification updates) serialize on wmu,
+// pointer. A query that a materialized view answers reads only the
+// snapshot's own fields and its view set, which nothing writes once they
+// are published, so it pins nothing; any other query pins the snapshot's
+// side on a counter and runs against it without taking any lock. Neither
+// can observe a half-applied specification or a mid-synchronization cube.
+// Writers (loads, clock advances, specification updates) serialize on wmu,
 // apply each operation once, to the unpublished working side, publish it
 // with one pointer swap, and then bring the other side level by copy,
 // whichever copy is smaller: wait for readers pinned to the retired side
@@ -57,8 +59,9 @@ type Warehouse struct {
 	// anyone.
 	cur atomic.Pointer[snapshot]
 	// shapes accumulates view-eligible query shapes from the lock-free
-	// read path (one sync.Map probe plus an atomic add per query); the
-	// greedy view selector reads the trace on each refresh.
+	// read path (an atomic add to the counter a query plan holds, or a
+	// sync.Map probe besides for a prepared query); the greedy view
+	// selector reads the trace on each refresh.
 	shapes obs.ShapeStats
 	// buf is the streaming-ingest delta buffer, created once at Open and
 	// never replaced: Ingest appends to it without any warehouse lock,
@@ -102,19 +105,24 @@ type pinCount struct {
 }
 
 // snapshot is one published read state: a cube-set side and the clock
-// it was built at. Snapshots are immutable once published — readers pin
-// them and evaluate without synchronization — and every publish
-// allocates a fresh one, so a pinned snapshot can never be recycled
-// under a reader. TestPublishedSnapshotsNeverChange holds every writer
-// and reader to that.
+// it was built at. Nothing writes a snapshot's own fields or its view set
+// after publish, and every publish allocates a fresh one, so a view
+// answer reads them without a pin. Its cube set is another matter: once
+// the snapshot retires, a commit may level that side, so only a reader
+// that pinned the side may dereference cubes.
+// TestPublishedSnapshotsNeverChange holds every writer and reader to
+// that.
 type snapshot struct {
 	cubes *subcube.CubeSet
 	now   caltime.Day
 	side  uint32 // index into Warehouse.pins of the cube set
+	// gen is the cube set's specification generation, stamped at publish
+	// so that a view answer never reads the cube set.
+	gen uint64
 	// views is the materialized rollup-view set frozen into this
 	// snapshot, nil when none are published. A view set whose recorded
-	// specification generation (or build clock) disagrees with the cube
-	// set's is stale and is skipped, never served.
+	// specification generation (or build clock) disagrees with the
+	// snapshot's is stale and is skipped, never served.
 	views *views.Set
 }
 
@@ -138,7 +146,7 @@ func Open(env *spec.Env, actions ...*spec.Action) (*Warehouse, error) {
 		reclone: recloneRule,
 	}
 	w.working = cs.Clone()
-	w.cur.Store(&snapshot{cubes: cs})
+	w.cur.Store(&snapshot{cubes: cs, gen: sp.Generation()})
 	w.plans.Store(&planTable{})
 	return w, nil
 }
@@ -152,13 +160,23 @@ func Open(env *spec.Env, actions ...*spec.Action) (*Warehouse, error) {
 // again while a drain waits.
 func (w *Warehouse) pin() *snapshot {
 	for {
-		s := w.cur.Load()
-		w.pins[s.side].n.Add(1)
-		if w.cur.Load() == s {
+		if s := w.cur.Load(); w.tryPin(s) {
 			return s
 		}
-		w.pins[s.side].n.Add(-1)
 	}
+}
+
+// tryPin pins s's side and reports whether s is still the published
+// snapshot. When it is not, it undoes the pin and reports false: the
+// side may be draining for a levelling commit, which must not wait on a
+// reader that would read a retired snapshot.
+func (w *Warehouse) tryPin(s *snapshot) bool {
+	w.pins[s.side].n.Add(1)
+	if w.cur.Load() == s {
+		return true
+	}
+	w.pins[s.side].n.Add(-1)
+	return false
 }
 
 // unpin releases a pin that pin returned s under.
@@ -243,12 +261,14 @@ func (w *Warehouse) commitWithViewsLocked(op commitOp, refresh bool) error {
 // publishLocked swaps in, as the published snapshot, cubes on the given
 // side with the view set vs materialized from them (nil invalidates any
 // previously published views) at the writer's clock, and returns the
-// snapshot it replaced, which readers may still be pinned to. A commit
+// snapshot it replaced, which readers may still be pinned to. The new
+// snapshot carries the cubes' specification generation, read here, under
+// wmu, where the cube set is the writer's or already published. A commit
 // publishes the working side on the other side; a clock-only advance
 // republishes the published cubes on their own side, so nothing drains.
 func (w *Warehouse) publishLocked(cubes *subcube.CubeSet, side uint32, vs *views.Set) *snapshot {
 	old := w.cur.Load()
-	w.cur.Store(&snapshot{cubes: cubes, now: w.now, side: side, views: vs})
+	w.cur.Store(&snapshot{cubes: cubes, now: w.now, side: side, gen: cubes.Spec().Generation(), views: vs})
 	w.met.SnapshotPublishes.Inc()
 	return old
 }
@@ -334,8 +354,16 @@ func (w *Warehouse) syncWithLocked(prep commitOp) error {
 func (w *Warehouse) Env() *spec.Env { return w.env }
 
 // Spec returns the active reduction specification (the published
-// side's; specification updates swap in a new snapshot).
-func (w *Warehouse) Spec() *spec.Spec { return w.cur.Load().cubes.Spec() }
+// side's; specification updates swap in a new snapshot). It reads the
+// spec off a pinned snapshot, because ApplySpec rewrites the spec field
+// of a side once it is levelled and becomes the working side; the spec it
+// returns is never written, because InsertActions and DeleteActions edit
+// a clone.
+func (w *Warehouse) Spec() *spec.Spec {
+	s := w.pin()
+	defer w.unpin(s)
+	return s.cubes.Spec()
+}
 
 // Cubes returns the published subcube realization, for inspection.
 // The returned cube set is the live read side: treat it as read-only,
@@ -431,11 +459,11 @@ func (w *Warehouse) RefreshViews() error {
 func noopOp(*subcube.CubeSet) (int, error) { return 0, nil }
 
 // ViewStats reports the published view set: how many views are live
-// and the modeled bytes they retain.
+// and the modeled bytes they retain. A view set is never written once
+// published, so it reads it without a pin.
 func (w *Warehouse) ViewStats() (count int, bytes int64) {
-	s := w.pin()
-	defer w.unpin(s)
-	return s.views.Len(), s.views.Bytes()
+	vs := w.cur.Load().views
+	return vs.Len(), vs.Bytes()
 }
 
 // Load ingests one bottom-granularity fact. A fact whose day is
@@ -567,14 +595,15 @@ func (s *staging) row(i int) ([]mdm.ValueID, []float64) {
 // at most one parse each and never grows the table past the bound.
 const planLimit = 1024
 
-// plan is one query text parsed: the query and its shape key
-// (spec.EncodeGran of the target, what the view selector's trace counts).
-// Every reader that asks the text shares it, so nothing may write through
-// it: no answer aliases q.Target (mdm.MO.Floors hands out a copy), and
-// QueryWith sets its approaches on its own copy of q.
+// plan is one query text parsed: the query and, when it is view-eligible,
+// the counter of its shape in the view selector's trace, so that a read
+// through the plan records its shape with one atomic add. Every reader
+// that asks the text shares it, so nothing may write through it: no
+// answer aliases q.Target (mdm.MO.Floors hands out a copy), and QueryWith
+// sets its approaches on its own copy of q.
 type plan struct {
-	q   subcube.Query
-	key string
+	q     subcube.Query
+	shape *obs.Counter // nil when q is not view-eligible
 }
 
 // planTable maps query texts to their plans. A published table is never
@@ -596,7 +625,10 @@ func (w *Warehouse) planFor(src string) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &plan{q: q, key: spec.EncodeGran(q.Target)}
+	p := &plan{q: q}
+	if w.viewEligible(q) {
+		p.shape = w.shapes.Counter(spec.EncodeGran(q.Target))
+	}
 	w.storePlan(src, p)
 	return p, nil
 }
@@ -619,13 +651,14 @@ func (w *Warehouse) storePlan(src string, p *plan) {
 // e.g. "aggregate [Time.month, URL.domain] where ...") at the current
 // clock, using the paper's default approaches. A text is parsed once per
 // warehouse: later calls with the same text reuse its plan, so an exact
-// view hit costs a table probe, a pin and a borrow of the view.
+// view hit costs a table probe, a load of the published snapshot, an
+// atomic add to its shape's counter and a 48-byte borrow of the view.
 func (w *Warehouse) Query(src string) (*mdm.MO, error) {
 	p, err := w.planFor(src)
 	if err != nil {
 		return nil, err
 	}
-	return w.query(p.q, p.key, nil, nil)
+	return w.query(p.q, p.shape, nil, nil)
 }
 
 // QueryWith evaluates a query with explicit selection and aggregation
@@ -638,12 +671,12 @@ func (w *Warehouse) QueryWith(src string, sel query.Approach, agg query.AggAppro
 	}
 	q := p.q
 	q.Sel, q.Agg = sel, agg
-	return w.query(q, p.key, nil, nil)
+	return w.query(q, p.shape, nil, nil)
 }
 
 // QueryAt evaluates a prepared query at an explicit time.
 func (w *Warehouse) QueryAt(q subcube.Query, t caltime.Day) (*mdm.MO, error) {
-	return w.query(q, "", &t, nil)
+	return w.query(q, nil, &t, nil)
 }
 
 // QueryTraced evaluates a query like Query, through the same plan of the
@@ -656,31 +689,36 @@ func (w *Warehouse) QueryTraced(src string) (*mdm.MO, *obs.Trace, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return w.queryTraced(src, p.q, p.key, nil)
+	return w.queryTraced(src, p.q, p.shape, nil)
 }
 
 // QueryAtTraced evaluates a prepared query at an explicit time with an
 // execution trace.
 func (w *Warehouse) QueryAtTraced(q subcube.Query, t caltime.Day) (*mdm.MO, *obs.Trace, error) {
-	return w.queryTraced("", q, "", &t)
+	return w.queryTraced("", q, nil, &t)
 }
 
-func (w *Warehouse) queryTraced(src string, q subcube.Query, key string, at *caltime.Day) (*mdm.MO, *obs.Trace, error) {
+func (w *Warehouse) queryTraced(src string, q subcube.Query, shape *obs.Counter, at *caltime.Day) (*mdm.MO, *obs.Trace, error) {
 	tr := &obs.Trace{Query: src}
-	mo, err := w.query(q, key, at, tr)
+	mo, err := w.query(q, shape, at, tr)
 	if err != nil {
 		return nil, nil, err
 	}
 	return mo, tr, nil
 }
 
-// query is the one read path behind every Query* method: pin the
-// published snapshot, answer from its materialized views when a fresh
-// one rolls up to the target, otherwise evaluate the base subcubes. key
-// is q's shape key when a plan carries it, "" to derive it. A nil at
-// evaluates at the pinned snapshot's own clock; a non-nil tr is filled
-// with what the evaluation did.
-func (w *Warehouse) query(q subcube.Query, key string, at *caltime.Day, tr *obs.Trace) (*mdm.MO, error) {
+// query is the one read path behind every Query* method: answer from the
+// published snapshot's materialized views when a fresh one rolls up to the
+// target, otherwise pin the published snapshot and evaluate its base
+// subcubes. The view answer pins nothing, and the snapshot a miss pins may
+// be a later one than the views it tried. shape is the counter of q's
+// shape when a plan holds one, nil to look it up. A nil at evaluates at
+// the snapshot's own clock; a non-nil tr is filled with what the
+// evaluation did.
+func (w *Warehouse) query(q subcube.Query, shape *obs.Counter, at *caltime.Day, tr *obs.Trace) (*mdm.MO, error) {
+	if mo, ok := w.viewAnswer(w.cur.Load(), q, shape, at, tr); ok {
+		return mo, nil
+	}
 	s := w.pin()
 	defer w.unpin(s)
 	t := s.now
@@ -690,40 +728,50 @@ func (w *Warehouse) query(q subcube.Query, key string, at *caltime.Day, tr *obs.
 	if tr != nil {
 		tr.At = t.String()
 	}
-	if mo, ok := w.viewAnswer(s, q, key, t, tr); ok {
-		return mo, nil
-	}
 	return s.cubes.EvaluateTraced(q, t, tr)
+}
+
+// viewEligible reports whether views may answer q: a view-eligible query
+// (subcube.Query.ViewEligible) whose target names every dimension.
+func (w *Warehouse) viewEligible(q subcube.Query) bool {
+	return q.ViewEligible() && len(q.Target) == w.env.Schema.NumDims()
 }
 
 // viewAnswer tries to answer q from the snapshot's materialized views:
 // the view at the target's granularity as stored, else the smallest
 // view that rolls up to it, folded — provided the set was built at
-// exactly clock t under the snapshot's spec generation (a stale view is
-// skipped, not served — the base subcubes answer instead). Every
-// view-eligible query records its shape into the selector's trace, hit
-// or miss; misses are counted only while a view set is published, so a
-// views-off warehouse pays one map probe and nothing else. ViewFolds
+// exactly the evaluation clock under the snapshot's spec generation (a
+// stale view is skipped, not served — the base subcubes answer instead).
+// It reads only s's own fields and its view set, never s.cubes: s is not
+// pinned, and its cube set may be levelled once it retires. Every
+// view-eligible query records its shape into the selector's trace, hit or
+// miss; misses are counted only while a view set is published, so a
+// views-off warehouse pays one atomic add and nothing else. ViewFolds
 // counts the hits that had to fold, so hits - folds says how often the
 // selector had materialized the very shape asked. A hit fills tr (when
 // non-nil) with the serving view, a single "views.Answer" stage and no
 // cube entries: no subcube was scanned.
-func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, key string, t caltime.Day, tr *obs.Trace) (*mdm.MO, bool) {
-	if !q.ViewEligible() || len(q.Target) != w.env.Schema.NumDims() {
+func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, shape *obs.Counter, at *caltime.Day, tr *obs.Trace) (*mdm.MO, bool) {
+	if !w.viewEligible(q) {
 		return nil, false
 	}
-	if key == "" {
-		key = spec.EncodeGran(q.Target)
+	if shape != nil {
+		shape.Inc()
+	} else {
+		w.shapes.Record(spec.EncodeGran(q.Target))
 	}
-	w.shapes.Record(key)
 	if s.views == nil {
 		return nil, false
+	}
+	t := s.now
+	if at != nil {
+		t = *at
 	}
 	var start time.Time
 	if tr != nil {
 		start = w.met.Clock().Now()
 	}
-	mo, view, stored := s.views.Serve(w.env.Schema, q, t, s.cubes.Spec().Generation())
+	mo, view, stored := s.views.Serve(w.env.Schema, q, t, s.gen)
 	if mo == nil {
 		w.met.ViewMisses.Inc()
 		return nil, false
@@ -733,8 +781,8 @@ func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, key string, t calti
 		w.met.ViewFolds.Inc()
 	}
 	if tr != nil {
-		last, synced := s.cubes.LastSync()
-		tr.Synced = synced && last == t
+		tr.At = t.String()
+		tr.Synced = s.views.Synced()
 		tr.Total = w.met.Clock().Since(start)
 		tr.AddStage(obs.StageViewAnswer, tr.Total)
 		tr.View, tr.ViewStored = view, stored
@@ -751,7 +799,9 @@ func (w *Warehouse) InsertActions(actions ...*spec.Action) error {
 	defer w.wmu.Unlock()
 	t := w.now
 	return w.commitLocked(func(cs *subcube.CubeSet) (int, error) {
-		sp := cs.Spec()
+		// A clone, as in DeleteActions: the working side's spec may be one
+		// that Spec handed out while the side was published.
+		sp := cs.Spec().Clone()
 		if err := sp.Insert(actions...); err != nil {
 			return 0, err
 		}
@@ -773,7 +823,7 @@ func (w *Warehouse) DeleteActions(names ...string) error {
 		if err != nil {
 			return 0, err
 		}
-		sp := cs.Spec()
+		sp := cs.Spec().Clone()
 		if err := sp.Delete(mo, t, names...); err != nil {
 			return 0, err
 		}

@@ -1,6 +1,7 @@
 package dimred_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -199,11 +200,13 @@ func TestViewHitsSayWhatTheyDid(t *testing.T) {
 }
 
 // TestExactHitQueryAllocations: Query at a materialized shape costs a
-// borrow of the view, however many cells the view holds. The text's plan
-// (its parse and its shape's trace key) is stored by the first call, so
-// a repeated text allocates nothing else — four allocations while every
-// call parsed, 27 while the parser built a token slice and the view was
-// copied.
+// borrow of the view, however many cells the view holds: one allocation
+// of 48 bytes, the MO header that points at the view's column block. The
+// text's plan (its parse and its shape's trace counter) is stored by the
+// first call, so a repeated text allocates nothing else — four
+// allocations while every call parsed, 27 while the parser built a token
+// slice and the view was copied, and 144 bytes while the header held the
+// four column slices itself.
 func TestExactHitQueryAllocations(t *testing.T) {
 	timeDim := dimred.NewTimeDim()
 	urlDim := dimred.NewURLDim()
@@ -255,11 +258,26 @@ func TestExactHitQueryAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if d := w.Metrics().Sub(before); d.ViewHits != 51 || d.ViewFolds != 0 {
-		t.Fatalf("hits=%d folds=%d over 51 queries, want every one an exact hit", d.ViewHits, d.ViewFolds)
+	// The bytes, as TotalAlloc counts them (whole size classes), on one
+	// processor so that nothing else allocates meanwhile.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range 50 {
+		if _, err := w.Query(src); err != nil {
+			t.Fatal(err)
+		}
 	}
-	t.Logf("an exact hit through Query: %.0f allocations", allocs)
+	runtime.ReadMemStats(&m1)
+	perHit := float64(m1.TotalAlloc-m0.TotalAlloc) / 50
+	if d := w.Metrics().Sub(before); d.ViewHits != 101 || d.ViewFolds != 0 {
+		t.Fatalf("hits=%d folds=%d over 101 queries, want every one an exact hit", d.ViewHits, d.ViewFolds)
+	}
+	t.Logf("an exact hit through Query: %.0f allocations, %.1f bytes", allocs, perHit)
 	if allocs > 1 {
 		t.Errorf("an exact hit through Query made %.0f allocations, want at most 1", allocs)
+	}
+	if perHit > 48 {
+		t.Errorf("an exact hit through Query allocated %.1f bytes, want at most 48", perHit)
 	}
 }
