@@ -112,12 +112,14 @@ func (w *Warehouse) compactDeltas(rows []ingest.Row) error {
 		}
 	}
 	err := w.syncWithLocked(func(cs *subcube.CubeSet) (int, error) {
-		for _, r := range rows {
-			if err := cs.Insert(r.Refs, r.Meas); err != nil {
-				return 0, err
+		return cs.InsertBatch(func(insert func([]mdm.ValueID, []float64) error) error {
+			for _, r := range rows {
+				if err := insert(r.Refs, r.Meas); err != nil {
+					return err
+				}
 			}
-		}
-		return len(rows), nil
+			return nil
+		})
 	})
 	n := int64(len(rows))
 	if err != nil {

@@ -505,89 +505,38 @@ func (w *Warehouse) Load(refs []mdm.ValueID, meas []float64) error {
 func (w *Warehouse) LoadBatch(rows func(load func(refs []mdm.ValueID, meas []float64) error) error) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	// Stage the callback's rows, so that a row failing validation is found
-	// before anything is inserted and user code never runs against a
-	// half-written side. The check is Insert's own — arity, value ids,
-	// bottom granularity — so the commit below cannot refuse a staged row,
-	// and a bad row fails the batch even if the callback drops the error.
-	var (
-		st  = staging{nd: w.env.Schema.NumDims(), nm: len(w.env.Schema.Measures)}
-		bad error
-	)
-	err := rows(func(refs []mdm.ValueID, meas []float64) error {
-		if err := w.env.Schema.CheckFact(refs, meas, w.bottom); err != nil {
-			if bad == nil {
-				bad = fmt.Errorf("warehouse: LoadBatch: row %d: %w", st.n, err)
-			}
-			return bad
+	// The callback's rows go into the unpublished working side as it
+	// yields them, each checked once, by InsertBatch: arity, value ids,
+	// bottom granularity. A batch that fails there — a refused row, even
+	// one whose error the callback drops, an error from the callback, or a
+	// panic in it — has written only the working side, and its own
+	// journals take those rows back out (CubeSet.RevertTo); only when they
+	// cannot is the side rebuilt from a clone of the published one.
+	inserted := false
+	defer func() {
+		if !inserted && !w.working.RevertTo(w.cur.Load().cubes) {
+			w.rebuildWorkingLocked()
 		}
-		st.add(refs, meas)
-		return nil
-	})
-	if err == nil {
-		err = bad
-	}
+	}()
+	n, err := w.working.InsertBatch(rows)
 	if err != nil {
 		return err
 	}
+	inserted = true
 	// An empty batch publishes nothing: no sync, no snapshot churn, no
 	// view rebuild — and no BatchLoads tick, so the metrics pin the
 	// short-circuit.
-	n := st.n
 	if n == 0 {
 		return nil
 	}
 	w.met.BatchLoads.Inc()
-	err = w.syncWithLocked(func(cs *subcube.CubeSet) (int, error) {
-		for i := range n {
-			if err := cs.Insert(st.row(i)); err != nil {
-				return 0, err
-			}
-		}
-		return n, nil
-	})
+	// The batch is already in the working side; the commit folds it.
+	err = w.syncWithLocked(func(*subcube.CubeSet) (int, error) { return n, nil })
 	if err != nil {
 		return err
 	}
 	w.met.FactsLoaded.Add(int64(n))
 	return nil
-}
-
-// stageRows is the rows a staging chunk holds. No other size has been
-// measured (EXPERIMENTS.md, "The chunk size is a guess").
-const stageRows = 4096
-
-// staging holds a batch's rows in chunks of stageRows rows, two flat
-// columns each (one stride of nd references, one of nm measures), so that
-// a large batch is never copied to grow. The first chunk grows by
-// appending, so a small batch costs what it holds; later chunks are made
-// whole.
-type staging struct {
-	nd, nm int
-	refs   [][]mdm.ValueID
-	meas   [][]float64
-	n      int
-}
-
-func (s *staging) add(refs []mdm.ValueID, meas []float64) {
-	if s.n%stageRows == 0 {
-		var r []mdm.ValueID
-		var m []float64
-		if s.n > 0 {
-			r, m = make([]mdm.ValueID, 0, stageRows*s.nd), make([]float64, 0, stageRows*s.nm)
-		}
-		s.refs, s.meas = append(s.refs, r), append(s.meas, m)
-	}
-	c := len(s.refs) - 1
-	s.refs[c] = append(s.refs[c], refs...)
-	s.meas[c] = append(s.meas[c], meas...)
-	s.n++
-}
-
-// row returns staged row i.
-func (s *staging) row(i int) ([]mdm.ValueID, []float64) {
-	c, r := i/stageRows, i%stageRows
-	return s.refs[c][r*s.nd : (r+1)*s.nd], s.meas[c][r*s.nm : (r+1)*s.nm]
 }
 
 // planLimit bounds the plan table. A store that finds the table holding
