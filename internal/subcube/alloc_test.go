@@ -25,11 +25,11 @@ func TestMergeIntoAllocationFree(t *testing.T) {
 	bottom := cs.cubes[0]
 	refs := obj.MO.Refs(0)
 	meas := obj.MO.Measures(0)
-	if err := cs.mergeInto(bottom, refs, meas, 1); err != nil {
+	if _, err := cs.mergeInto(bottom, refs, meas, 1); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if err := cs.mergeInto(bottom, refs, meas, 1); err != nil {
+		if _, err := cs.mergeInto(bottom, refs, meas, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
