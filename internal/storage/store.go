@@ -164,7 +164,13 @@ func (s *Store) LevelFrom(src *Store) (rows int, ok bool) {
 	if !ok || len(s.base) != mark {
 		return 0, false
 	}
-	s.copyRows(src, touched)
+	for _, r := range touched {
+		for j := range s.meas {
+			s.meas[j][r] = src.meas[j][r]
+		}
+		s.base[r] = src.base[r]
+		s.dead[r] = src.dead[r]
+	}
 	for i := range s.refs {
 		s.refs[i] = append(s.refs[i], src.refs[i][mark:]...)
 	}
@@ -176,42 +182,6 @@ func (s *Store) LevelFrom(src *Store) (rows int, ok bool) {
 	s.nDead = src.nDead
 	s.mark, s.touched, s.reshaped = len(s.base), s.touched[:0], false
 	return len(touched) + len(src.base) - mark, true
-}
-
-// RevertTo makes s equal to src again after s alone was written since
-// the two were level — the inverse of src.LevelFrom(s): it copies back
-// from src the measures, base count and tombstone of every row s's
-// journal lists, drops the rows appended since the mark, and starts the
-// journal afresh. It reports false, with s untouched, when the journal
-// cannot say (s was reshaped) or src is not at s's mark: the caller then
-// replaces s with src.Clone().
-func (s *Store) RevertTo(src *Store) bool {
-	if s.reshaped || len(src.base) != s.mark {
-		return false
-	}
-	s.copyRows(src, s.touched)
-	for i := range s.refs {
-		s.refs[i] = s.refs[i][:s.mark]
-	}
-	for j := range s.meas {
-		s.meas[j] = s.meas[j][:s.mark]
-	}
-	s.base, s.dead = s.base[:s.mark], s.dead[:s.mark]
-	s.nDead = src.nDead
-	s.touched = s.touched[:0]
-	return true
-}
-
-// copyRows copies the measures, base count and tombstone of each of rows
-// from src into s: the journal's row copy, for LevelFrom and RevertTo.
-func (s *Store) copyRows(src *Store, rows []RowID) {
-	for _, r := range rows {
-		for j := range s.meas {
-			s.meas[j][r] = src.meas[j][r]
-		}
-		s.base[r] = src.base[r]
-		s.dead[r] = src.dead[r]
-	}
 }
 
 // Alive reports whether the row exists and is not deleted.

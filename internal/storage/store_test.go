@@ -397,60 +397,3 @@ func TestLevelFromJournal(t *testing.T) {
 		t.Fatalf("LevelFrom levelled a store that never equalled its source (ok=%v, %d rows)", ok, stranger.Rows())
 	}
 }
-
-// TestRevertToJournal runs LevelFrom's rounds the other way: each round
-// one store is written and then taken back to its level partner by its
-// own journal, falling back to a clone exactly when the journal gave up.
-// After every round the two are equal slot for slot.
-func TestRevertToJournal(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	loaded := newTestStore()
-	for i := 0; i < 400; i++ {
-		if _, err := loaded.Append([]mdm.ValueID{mdm.ValueID(i), 1}, []float64{1, 2, 3}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	written, level := loaded.Clone(), loaded.Clone()
-	fallbacks := 0
-	for round := 0; round < 100; round++ {
-		live := func() RowID {
-			for {
-				if r := RowID(rng.Intn(written.Rows())); written.Alive(r) {
-					return r
-				}
-			}
-		}
-		for k := 0; k < 4; k++ {
-			written.SetMeasure(live(), rng.Intn(3), rng.Float64())
-			written.AddBase(live(), 1)
-			written.Delete(live())
-			r, err := written.Append([]mdm.ValueID{mdm.ValueID(rng.Intn(1000)), 2}, []float64{4, 5, 6}, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			written.AddBase(r, 1)
-		}
-		wantFallback := round%10 == 9
-		if wantFallback {
-			written.Compact()
-		}
-		if ok := written.RevertTo(level); ok == wantFallback {
-			t.Fatalf("round %d: RevertTo ok=%v, want %v", round, ok, !wantFallback)
-		} else if !ok {
-			fallbacks++
-			written = level.Clone()
-		}
-		sameRows(t, fmt.Sprintf("round %d", round), written, level)
-		if mark, touched, ok := written.Journal(); !ok || mark != written.Rows() || len(touched) != 0 {
-			t.Fatalf("round %d: reverted store's journal: mark=%d of %d rows, %d touched, ok=%v", round, mark, written.Rows(), len(touched), ok)
-		}
-	}
-	if fallbacks != 10 {
-		t.Fatalf("%d of 100 rounds fell back to a clone, want 10", fallbacks)
-	}
-	// A partner that is not at the mark is refused, and nothing changes.
-	written.Delete(0)
-	if written.RevertTo(newTestStore()) || written.Dead() != 1 {
-		t.Fatal("RevertTo took back to a store that was never level with it")
-	}
-}

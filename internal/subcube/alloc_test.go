@@ -209,17 +209,19 @@ func TestParseQueryAllocations(t *testing.T) {
 // TestInsertAllocationFree pins the whole Insert call, not only the
 // merge under it: lifting the measures into the aggregate domain uses a
 // stack buffer, so a fact whose cell is resident costs no allocation.
+// InsertMO reads every fact into one pair of scratch rows, so re-inserting
+// a resident MO costs a few allocations, not two per fact.
 func TestInsertAllocationFree(t *testing.T) {
 	obj, env := syncTestObj(t, 31)
 	cs, err := New(syncTestSpec(t, env))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := obj.MO.Refs(0)
-	meas := obj.MO.Measures(0)
-	if err := cs.Insert(refs, meas); err != nil {
+	if err := cs.InsertMO(obj.MO); err != nil {
 		t.Fatal(err)
 	}
+	refs := obj.MO.Refs(0)
+	meas := obj.MO.Measures(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		if err := cs.Insert(refs, meas); err != nil {
 			t.Fatal(err)
@@ -228,13 +230,21 @@ func TestInsertAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Insert into a resident cell allocated %.1f times per run, want 0", allocs)
 	}
+	allocs = testing.AllocsPerRun(5, func() {
+		if err := cs.InsertMO(obj.MO); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("re-inserting %d resident facts allocated %.0f times per run, want at most 8", obj.MO.Len(), allocs)
+	}
 }
 
 // TestDeltaSyncAllocations pins what a delta-only Sync costs beside its
 // probes: with one cube to scan and nothing to move it runs on the
 // caller's goroutine and looks destinations up in the layout's own table,
-// so 64 pending rows cost a handful of scratch allocations — no goroutine,
-// no WaitGroup, no per-call map.
+// so 64 rows past the mark cost a handful of scratch allocations — no
+// goroutine, no WaitGroup, no per-call map.
 func TestDeltaSyncAllocations(t *testing.T) {
 	pool := newLockstepPool(t)
 	s, err := spec.New(pool.env,
@@ -258,15 +268,15 @@ func TestDeltaSyncAllocations(t *testing.T) {
 	if _, err := cs.Sync(now); err != nil {
 		t.Fatal(err)
 	}
-	// 64 new cells of the last two days: 64 pending rows, none of which moves.
+	// 64 new cells of the last two days: 64 rows past the mark, none moves.
 	for u := 0; u < 64; u++ {
 		refs, meas := pool.fact(rng, now-caltime.Day(u%2), u)
 		if err := cs.Insert(refs, meas); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(cs.pending) != 64 {
-		t.Fatalf("%d pending rows, want 64", len(cs.pending))
+	if n := cs.cubes[0].store.Rows() - cs.syncedRows; n != 64 {
+		t.Fatalf("%d rows past the mark, want 64", n)
 	}
 	// AllocsPerRun warms up on one run and measures the next: a clone each.
 	sets := []*CubeSet{cs.Clone(), cs.Clone()}
@@ -281,7 +291,7 @@ func TestDeltaSyncAllocations(t *testing.T) {
 		t.Fatalf("%d of the 2 syncs were delta-only", got)
 	}
 	if allocs > 6 {
-		t.Fatalf("a delta-only Sync of 64 pending rows allocated %.0f times, want at most 6", allocs)
+		t.Fatalf("a delta-only Sync of 64 rows past the mark allocated %.0f times, want at most 6", allocs)
 	}
-	t.Logf("delta-only Sync of 64 pending rows: %.0f allocations", allocs)
+	t.Logf("delta-only Sync of 64 rows past the mark: %.0f allocations", allocs)
 }

@@ -105,23 +105,19 @@ type CubeSet struct {
 	// tests and the before/after benchmarks flip it; production leaves it
 	// false.
 	interpret bool
-	// pending lists, ascending, the bottom-cube rows Insert appended since
-	// the last synchronization. While tracking holds, every live row not
-	// in pending is at AggLevel(cell, lastSync), so a Sync whose router
-	// gives lastSync's verdicts need only probe these rows. A merge into
-	// an existing row adds no entry: that row is already listed or was
-	// already at its level.
-	pending []storage.RowID
-	// tracking is false whenever pending may be incomplete — never
-	// synchronized, rows restored from a snapshot, a list dropped for
-	// length, a synchronization that failed mid-apply — and the next Sync
-	// scans every touched cube.
+	// syncedRows is the bottom cube's row count at the last completed
+	// synchronization. While tracking holds, every live row below it, and
+	// every live row of the other cubes, is at AggLevel(cell, lastSync), so
+	// a Sync whose router gives lastSync's verdicts need only probe the
+	// bottom rows from syncedRows on: the ones Insert appended since. A
+	// merge into a row below the mark changes no cell, so no level.
+	syncedRows int
+	// tracking is false whenever rows below the mark may be off their
+	// level — never synchronized, rows restored from a snapshot, a
+	// synchronization that failed mid-apply — and the next Sync scans
+	// every touched cube.
 	tracking bool
 }
-
-// pendingMax is the pending length from which Insert checks whether the
-// list still beats a scan of the bottom cube.
-const pendingMax = 1024
 
 // SetInterpreted selects the interpreted evaluator (true) or the
 // compiled specexec router (false, the default) for the per-cell verdicts
@@ -160,7 +156,7 @@ func (cs *CubeSet) Clone() *CubeSet {
 		deletedBase: cs.deletedBase,
 		met:         cs.met,
 		interpret:   cs.interpret,
-		pending:     append([]storage.RowID(nil), cs.pending...),
+		syncedRows:  cs.syncedRows,
 		tracking:    cs.tracking,
 	}
 	for _, c := range cs.cubes {
@@ -193,7 +189,7 @@ func (cs *CubeSet) Clone() *CubeSet {
 // what those journals name — the touched rows' measures, base counts and
 // tombstones and the appended tail, column-wise — drops the cell-index
 // entries of the rows that died and adds the appended rows', takes over
-// zone maps, sync state, pending rows and the evaluation mode. A cube
+// zone maps, sync state (the row mark too) and the evaluation mode. A cube
 // whose journal gave up (a compaction, too many touched rows) is cloned
 // whole. A set on another layout or specification generation cannot be
 // levelled cube by cube; the result is then a clone of src. It returns
@@ -212,8 +208,7 @@ func (cs *CubeSet) LevelFrom(src *CubeSet) (*CubeSet, int) {
 	cs.lastSync, cs.synced = src.lastSync, src.synced
 	cs.deletedBase = src.deletedBase
 	cs.interpret = src.interpret
-	cs.pending = append(cs.pending[:0], src.pending...)
-	cs.tracking = src.tracking
+	cs.syncedRows, cs.tracking = src.syncedRows, src.tracking
 	return cs, rows
 }
 
@@ -239,50 +234,6 @@ func (c *Cube) levelFrom(src *Cube, cell []mdm.ValueID) int {
 		}
 	}
 	return rows
-}
-
-// RevertTo takes back what was written to cs since it was last level
-// with src, by cs's own journals — the inverse of src.LevelFrom(cs): per
-// cube it drops the appended rows and their cell-index entries, copies
-// back from src every row the journal lists (and the index entry of one
-// that was deleted), and takes over src's zone maps, sync state and
-// pending rows. It reports false, changing nothing, when cs is on
-// another layout or specification generation or a journal gave up (a
-// compaction, too many touched rows): the caller then clones src.
-// RevertTo only reads src; nothing may read cs meanwhile.
-func (cs *CubeSet) RevertTo(src *CubeSet) bool {
-	if cs.layout != src.layout || cs.sp.Generation() != src.sp.Generation() {
-		return false
-	}
-	for i, c := range cs.cubes {
-		mark, _, ok := c.store.Journal()
-		if !ok || mark != src.cubes[i].store.Rows() {
-			return false
-		}
-	}
-	cell := make([]mdm.ValueID, cs.env.Schema.NumDims())
-	for i, c := range cs.cubes {
-		from := src.cubes[i]
-		mark, touched, _ := c.store.Journal()
-		for r := storage.RowID(mark); int(r) < c.store.Rows(); r++ {
-			if c.store.Alive(r) {
-				c.index.Delete(c.store.Refs(r, cell))
-			}
-		}
-		for _, r := range touched {
-			if from.store.Alive(r) && !c.store.Alive(r) {
-				c.index.Put(from.store.Refs(r, cell), r)
-			}
-		}
-		c.store.RevertTo(from.store)
-		c.dayLo, c.dayHi, c.hasRange, c.timeUnbound = from.dayLo, from.dayHi, from.hasRange, from.timeUnbound
-	}
-	cs.lastSync, cs.synced = src.lastSync, src.synced
-	cs.deletedBase = src.deletedBase
-	cs.interpret = src.interpret
-	cs.pending = append(cs.pending[:0], src.pending...)
-	cs.tracking = src.tracking
-	return true
 }
 
 // New builds the subcube layout for a specification: one cube per
@@ -390,11 +341,10 @@ func (cs *CubeSet) Insert(refs []mdm.ValueID, meas []float64) error {
 // first fact that fails its check is not inserted and ends the batch:
 // insert returns its error from then on, and so does InsertBatch, naming
 // the row, even when rows drops it. The facts before it stay inserted, so
-// a caller that must not keep part of a batch discards the set or takes
-// it back (RevertTo). Otherwise InsertBatch returns rows's own error. It
-// reports the facts inserted. Only a batch that succeeds moves
-// RowsAppended and RowsMerged, once each. An insert called after
-// InsertBatch returned inserts nothing.
+// a caller that must not keep part of a batch discards the set. Otherwise
+// InsertBatch returns rows's own error. It reports the facts inserted.
+// Only a batch that succeeds moves RowsAppended and RowsMerged, once
+// each. An insert called after InsertBatch returned inserts nothing.
 func (cs *CubeSet) InsertBatch(rows func(insert func(refs []mdm.ValueID, meas []float64) error) error) (int, error) {
 	b := &batch{cs: cs}
 	defer func() { b.err = errBatchClosed }()
@@ -447,24 +397,14 @@ func (b *batch) insert(refs []mdm.ValueID, meas []float64) error {
 			init[j] = 1
 		}
 	}
-	rows := bottom.store.Rows()
 	appended, err := cs.mergeInto(bottom, refs, init, 1)
 	if err != nil {
 		b.err = err
 		return err
 	}
 	b.n++
-	if !appended {
-		return nil
-	}
-	b.appended++
-	if cs.tracking {
-		cs.pending = append(cs.pending, storage.RowID(rows))
-		// A list this long saves nothing over the scan it replaces, and a
-		// bulk load must not retain a row id per fact.
-		if n := len(cs.pending); n >= pendingMax && n*4 > bottom.store.Live() {
-			cs.pending, cs.tracking = nil, false
-		}
+	if appended {
+		b.appended++
 	}
 	return nil
 }
@@ -492,12 +432,21 @@ func (cs *CubeSet) Late(refs []mdm.ValueID) bool {
 	return late
 }
 
-// InsertMO bulk-loads every fact of a bottom-granularity MO.
+// InsertMO bulk-loads every fact of a bottom-granularity MO, reading each
+// fact's columns into one pair of scratch rows.
 func (cs *CubeSet) InsertMO(mo *mdm.MO) error {
+	refs := make([]mdm.ValueID, mo.Schema().NumDims())
+	meas := make([]float64, len(mo.Schema().Measures))
 	_, err := cs.InsertBatch(func(insert func([]mdm.ValueID, []float64) error) error {
 		for f := 0; f < mo.Len(); f++ {
 			fid := mdm.FactID(f)
-			if err := insert(mo.Refs(fid), mo.Measures(fid)); err != nil {
+			for i := range refs {
+				refs[i] = mo.Ref(fid, i)
+			}
+			for j := range meas {
+				meas[j] = mo.Measure(fid, j)
+			}
+			if err := insert(refs, meas); err != nil {
 				return err
 			}
 		}
@@ -636,7 +585,7 @@ func (cs *CubeSet) Sync(t caltime.Day) (int, error) {
 	moved, err := cs.migrate(t)
 	if err != nil {
 		// The apply phase may have stopped anywhere.
-		cs.pending, cs.tracking = nil, false
+		cs.tracking = false
 		return moved, err
 	}
 	cs.markSynced(t)
@@ -644,15 +593,15 @@ func (cs *CubeSet) Sync(t caltime.Day) (int, error) {
 }
 
 // markSynced records that every live row is at AggLevel(cell, t). The
-// pending list's backing array is released, not truncated: after a bulk
-// load it may hold a row id per fact.
+// row mark is taken after the apply, which may have compacted the bottom
+// cube.
 func (cs *CubeSet) markSynced(t caltime.Day) {
 	cs.lastSync, cs.synced = t, true
-	cs.pending, cs.tracking = nil, true
+	cs.syncedRows, cs.tracking = cs.cubes[0].store.Rows(), true
 }
 
 // deltaOnly reports whether a Sync at t, probing with router, may visit
-// only the pending rows. Every other live row is at
+// the bottom rows from the mark on. Every other live row is at
 // AggLevel(cell, lastSync) (tracking); it stays there if no cell can
 // take the interpreted fallback (the domain is complete) and the
 // day-pinned masks at t are lastSync's — equal cells have equal levels,
@@ -667,12 +616,11 @@ func (cs *CubeSet) deltaOnly(t caltime.Day, router *specexec.Router) bool {
 }
 
 // cubeMovers is one phase-1 task's result. The task scans rows lo ≤ r <
-// hi of cube ci (or, in a delta-only Sync, the pending rows) and finds
-// the rows to tombstone-delete and, for each migrating row, its
-// destination cube, rolled-up cell, measures and base count — extracted
-// up front into flat per-task scratch so the parallel apply phase never
-// reads another goroutine's store. eval is the task's own copy of the
-// evaluator, so its probe count is the task's.
+// hi of cube ci and finds the rows to tombstone-delete and, for each
+// migrating row, its destination cube, rolled-up cell, measures and base
+// count — extracted up front into flat per-task scratch so the parallel
+// apply phase never reads another goroutine's store. eval is the task's
+// own copy of the evaluator, so its probe count is the task's.
 type cubeMovers struct {
 	ci, lo, hi int
 	eval       cellEval
@@ -691,7 +639,8 @@ type cubeMovers struct {
 // cube of at least 2·scanRange rows is scanned as rows/scanRange ranges of
 // equal length, one task each, so that the bottom cube a bulk load filled
 // is scanned on every core. EXPERIMENTS.md "A bulk load and its fold pay
-// once per row" has the measurement that set it.
+// once per row" has the measurement that set it. A delta-only Sync splits
+// the bottom cube's tail the same way.
 const scanRange = 1 << 14
 
 // migrate is Sync's body. Phase 1 takes the cellEval at t (the
@@ -721,18 +670,19 @@ func (cs *CubeSet) migrate(t caltime.Day) (int, error) {
 	var movers []cubeMovers
 	for ci, c := range cs.cubes {
 		if delta && ci > 0 {
-			break // only bottom rows are pending
+			break // only the bottom cube's tail can move
 		}
 		if cs.cubeUntouchedAt(c, t) {
 			cs.met.SyncSkips.Inc()
 			continue
 		}
-		rows, n := c.store.Rows(), 1
-		if !delta {
-			n = max(1, rows/scanRange)
+		lo, rows := 0, c.store.Rows()
+		if delta {
+			lo = cs.syncedRows
 		}
+		n := max(1, (rows-lo)/scanRange)
 		for i := range n {
-			movers = append(movers, cubeMovers{ci: ci, lo: i * rows / n, hi: (i + 1) * rows / n, eval: eval})
+			movers = append(movers, cubeMovers{ci: ci, lo: lo + i*(rows-lo)/n, hi: lo + (i+1)*(rows-lo)/n, eval: eval})
 		}
 	}
 	eachCube(len(movers), func(ti int) {
@@ -740,7 +690,7 @@ func (cs *CubeSet) migrate(t caltime.Day) (int, error) {
 		c := cs.cubes[m.ci]
 		cell := make([]mdm.ValueID, nDims)
 		level := make(mdm.Granularity, nDims)
-		probe := func(r storage.RowID) bool {
+		c.store.ScanRange(m.lo, m.hi, func(r storage.RowID) bool {
 			m.scanned++
 			c.store.Refs(r, cell)
 			if m.eval.deletedBy(cell) != nil {
@@ -769,16 +719,7 @@ func (cs *CubeSet) migrate(t caltime.Day) (int, error) {
 			m.dsts = append(m.dsts, int32(dst.id))
 			m.base = append(m.base, c.store.Base(r))
 			return true
-		}
-		if !delta {
-			c.store.ScanRange(m.lo, m.hi, probe)
-			return
-		}
-		for _, r := range cs.pending {
-			if !probe(r) {
-				return
-			}
-		}
+		})
 	})
 
 	moved := 0
@@ -956,7 +897,7 @@ func (cs *CubeSet) ApplySpec(sp *spec.Spec, t caltime.Day) error {
 	cs.met.SpecRebuilds.Inc()
 	cs.sp, cs.cubes = sp, next.cubes
 	cs.layout++
-	cs.pending, cs.tracking = nil, false
+	cs.tracking = false
 	_, err = cs.Sync(t)
 	return err
 }
@@ -981,7 +922,7 @@ func (cs *CubeSet) RestoreRow(refs []mdm.ValueID, meas []float64, base int64) er
 	if c == nil {
 		return fmt.Errorf("subcube: RestoreRow: no cube at granularity %s", schema.GranString(gran))
 	}
-	cs.pending, cs.tracking = nil, false
+	cs.tracking = false
 	appended, err := cs.mergeInto(c, refs, meas, base)
 	if err != nil {
 		return err
@@ -1000,7 +941,7 @@ func (cs *CubeSet) RestoreRow(refs []mdm.ValueID, meas []float64, base int64) er
 func (cs *CubeSet) RestoreSyncState(lastSync caltime.Day, synced bool, deleted int64) {
 	cs.lastSync, cs.synced = lastSync, synced
 	cs.deletedBase = deleted
-	cs.pending, cs.tracking = nil, false
+	cs.tracking = false
 }
 
 // TotalRows returns the number of live rows across all cubes.

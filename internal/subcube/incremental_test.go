@@ -140,8 +140,8 @@ func restored(t *testing.T, cs *CubeSet) *CubeSet {
 }
 
 // TestLockstepIncrementalVsInterpreted drives a seeded random
-// interleaving of every operation that touches the pending-row
-// bookkeeping over three cube sets in lock-step: the compiled set
+// interleaving of every operation that touches the row mark and its
+// tracking over three cube sets in lock-step: the compiled set
 // (incremental where it may be), the interpreted oracle (always a full
 // scan), and a compiled set whose tracking is dropped before every Sync
 // (always a full scan). After every step each set passes checkCubes, the
@@ -207,6 +207,11 @@ func lockstep(t *testing.T, actions []string, seed int64, monthUnit bool) {
 		}
 	}
 	insert := func(d caltime.Day) { insertAt(d, -1) }
+	late := func(n int) {
+		for k := 0; k < n; k++ {
+			insert(now - caltime.Day(40+rng.Intn(500)))
+		}
+	}
 	// sync synchronizes all three sets at now and pins which path the
 	// first took: delta-only exactly when it was tracking and the router
 	// at now gives the last sync's verdicts — any day of the same month
@@ -260,10 +265,15 @@ func lockstep(t *testing.T, actions []string, seed int64, monthUnit bool) {
 	sync()
 	check("initial load")
 
-	overflowed := false
+	// The pool's calendar ends with 2004: no boundary jumps in its last year.
+	lastJump := caltime.Date(2004, 1, 1)
 	for step := 0; step < 120; step++ {
 		var name string
-		switch op := rng.Intn(17); {
+		op := rng.Intn(17)
+		if (op == 11 || op == 12) && now >= lastJump {
+			op = 8
+		}
+		switch {
 		case op < 3:
 			name = "insert on-time"
 			for k := rng.Intn(6); k >= 0; k-- {
@@ -271,9 +281,7 @@ func lockstep(t *testing.T, actions []string, seed int64, monthUnit bool) {
 			}
 		case op < 5:
 			name = "insert late"
-			for k := rng.Intn(4); k >= 0; k-- {
-				insert(now - caltime.Day(40+rng.Intn(500)))
-			}
+			late(1 + rng.Intn(4))
 		case op < 6:
 			name = "insert deletion-selected"
 			insert(caltime.Date(2000, 1, 1) + caltime.Day(rng.Intn(300)))
@@ -339,25 +347,33 @@ func lockstep(t *testing.T, actions []string, seed int64, monthUnit bool) {
 		}
 		check(fmt.Sprintf("step %d: %s", step, name))
 
-		// Once, a burst long enough to overflow the pending list.
+		// Once, three bursts, each synchronized on the same day: late facts
+		// enough that their Sync compacts the bottom cube, a few late facts
+		// more, which only the mark taken after that compaction finds, and
+		// a long on-time burst, which stays delta-only.
 		if step == 60 {
 			sync()
+			late(2*sets[0].cubes[0].Rows() + 65)
+			rows := sets[0].cubes[0].store.Rows()
+			sync()
+			if sets[0].cubes[0].store.Rows() >= rows {
+				t.Fatalf("the late burst's Sync left the bottom cube's %d rows uncompacted", rows)
+			}
+			check("late burst")
+			late(5)
+			sync()
+			check("late facts after a compacting sync")
 			for d := now - 24; d <= now; d++ {
 				for u := range pool.urls {
 					insertAt(d, u)
 				}
 			}
-			overflowed = !sets[0].tracking && sets[0].pending == nil
-			check("overflow burst")
-			sync()
 			if !sets[0].tracking {
-				t.Fatal("a completed Sync did not resume tracking")
+				t.Fatal("a long burst stopped tracking")
 			}
-			check("sync after overflow")
+			sync()
+			check("sync after the long burst")
 		}
-	}
-	if !overflowed {
-		t.Error("the burst never overflowed the pending list")
 	}
 	if deltas == 0 {
 		t.Error("no synchronization took the incremental path")

@@ -15,7 +15,7 @@ import (
 
 // dumpPhysical renders everything two level cube sets must agree on: per
 // cube the zone map, every row slot with its tombstone, and every
-// cell-index entry; then the sync state, the pending rows, the evaluation
+// cell-index entry; then the sync state, the row mark, the evaluation
 // mode, the layout count and the action names.
 func dumpPhysical(cs *CubeSet) string {
 	var b strings.Builder
@@ -37,8 +37,8 @@ func dumpPhysical(cs *CubeSet) string {
 		sort.Strings(entries)
 		fmt.Fprintf(&b, " index %v\n", entries)
 	}
-	fmt.Fprintf(&b, "lastSync=%v synced=%v deleted=%d pending=%v tracking=%v interpret=%v layout=%d actions=",
-		cs.lastSync, cs.synced, cs.deletedBase, cs.pending, cs.tracking, cs.interpret, cs.layout)
+	fmt.Fprintf(&b, "lastSync=%v synced=%v deleted=%d syncedRows=%d tracking=%v interpret=%v layout=%d actions=",
+		cs.lastSync, cs.synced, cs.deletedBase, cs.syncedRows, cs.tracking, cs.interpret, cs.layout)
 	for _, a := range cs.sp.Actions() {
 		b.WriteString(a.Name() + " ")
 	}
@@ -51,9 +51,7 @@ func dumpPhysical(cs *CubeSet) string {
 // the other brought level with LevelFrom; the oracle applies every step
 // itself, as both sides did when the second application levelled them.
 // After every step all three are equal column by column, tombstone by
-// tombstone, index entry by index entry, zone map and sync state. A third
-// side, levelled like the second, first applies each step and takes it
-// back (RevertTo), which must leave it equal to its partner the same way.
+// tombstone, index entry by index entry, zone map and sync state.
 func TestLockstepLevelVsReexecution(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { lockstepLevel(t, seed) })
@@ -106,40 +104,24 @@ func lockstepLevel(t *testing.T, seed int64) {
 		}
 	}
 	// syncBound bounds the rows a same-day sync after n inserted facts may
-	// level: each fact and each row already pending writes its bottom row
-	// and at most one destination row. Rows pending before the step count
-	// too, since an on-time fact can turn late under an action inserted
-	// after it arrived. A set that is not tracking scans in full: unbounded.
+	// level: each fact and each bottom row past the mark, even one inserted
+	// before the step (an on-time fact turns late under an action inserted
+	// after it), writes its bottom row and at most one destination row. A
+	// set that is not tracking scans in full: unbounded.
 	syncBound := func(n int) int {
 		if !written.tracking {
 			return -1
 		}
-		return 2 * (n + len(written.pending))
+		return 2 * (n + written.cubes[0].store.Rows() - written.syncedRows)
 	}
 
 	compactions := func() int64 { return written.met.Compactions.Load() + oracle.met.Compactions.Load() }
-	var whole, wholeSide, deltas, reverts int
-	// probe is a third side kept level with the other two. Before each
-	// step it applies op and takes it back, by its journals (RevertTo) or
-	// else by a clone of level, and must equal level again — whose dump is
-	// the last step's want; after the step it is levelled from the written
-	// side like level.
-	probe := level.Clone()
-	was := dumpPhysical(level)
+	var whole, wholeSide, deltas int
 	// step applies op to the written side and the oracle, levels the other
 	// side and compares all three. maxRows bounds the rows levelled (< 0:
 	// unbounded).
 	step := func(name string, maxRows int, op func(cs *CubeSet)) {
 		t.Helper()
-		op(probe)
-		if probe.RevertTo(level) {
-			reverts++
-		} else {
-			probe = level.Clone()
-		}
-		if got := dumpPhysical(probe); got != was {
-			t.Fatalf("%s (clock %v): the side taken back differs from its partner\nreverted:\n%s\npartner:\n%s", name, now, got, was)
-		}
 		compacted := compactions()
 		op(written)
 		op(oracle)
@@ -163,7 +145,6 @@ func lockstepLevel(t *testing.T, seed int64) {
 			}
 		}
 		level = next
-		probe, _ = probe.LevelFrom(written)
 		want := dumpPhysical(oracle)
 		if got := dumpPhysical(written); got != want {
 			t.Fatalf("%s (clock %v): the written side differs from the oracle\nwritten:\n%s\noracle:\n%s", name, now, got, want)
@@ -171,7 +152,7 @@ func lockstepLevel(t *testing.T, seed int64) {
 		if got := dumpPhysical(level); got != want {
 			t.Fatalf("%s (clock %v): the levelled side differs from the oracle\nlevelled:\n%s\noracle:\n%s", name, now, got, want)
 		}
-		written, level, was = level, written, want
+		written, level = level, written
 	}
 
 	// A history reaching back past every horizon, then the first sync: most
@@ -278,21 +259,23 @@ func lockstepLevel(t *testing.T, seed int64) {
 				}
 			})
 		default:
-			// A burst long enough to drop the pending list.
+			// A long burst, synchronized on the same day: it stays
+			// delta-only unless the set evaluates interpreted.
 			var facts []fact
 			for d := now - 24; d <= now; d++ {
 				for u := range pool.urls {
 					facts = append(facts, draw(d, u))
 				}
 			}
-			step(name+"burst", -1, func(cs *CubeSet) { insert(cs, facts) })
+			incremental, delta := written.met.SyncsIncremental.Load(), written.tracking && !written.interpret
+			step(name+"burst and sync same day", syncBound(len(facts)), func(cs *CubeSet) { insert(cs, facts); sync(cs) })
+			if got := written.met.SyncsIncremental.Load() > incremental; delta && !got {
+				t.Fatalf("%s (clock %v): the burst's Sync scanned in full", name, now)
+			}
 		}
 	}
 	if deltas == 0 || whole == 0 || wholeSide == 0 {
 		t.Errorf("levelled %d steps row by row, %d with an overflowed journal, %d by a whole-side clone; want every kind", deltas, whole, wholeSide)
-	}
-	if reverts < deltas/2 {
-		t.Errorf("took %d steps back by the journals against %d levelled by them", reverts, deltas)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"dimred/internal/caltime"
 	"dimred/internal/core"
 	"dimred/internal/mdm"
+	"dimred/internal/query"
 	"dimred/internal/spec"
 	"dimred/internal/storage"
 	"dimred/internal/workload"
@@ -20,7 +21,10 @@ import (
 // leave every cube's rows — cells, measures, base counts and physical
 // order — as one walk of the cubes in row order does (oneRangeSync), and
 // must hold the cells of the Definition 2 oracle. RowsAppended and
-// RowsMerged count one per fact inserted and one per row moved.
+// RowsMerged count one per fact inserted and one per row moved. A
+// delta-only Sync splits the bottom cube's tail the same way: a burst on
+// the synchronized day of at least two ranges of new rows must sync to
+// the same walk and oracle, scanning exactly the rows it appended.
 func TestSyncRangesKeepRowOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	obj, err := workload.BuildClickMO(workload.ClickConfig{
@@ -52,6 +56,34 @@ func TestSyncRangesKeepRowOrder(t *testing.T) {
 	// Every day of the stream is a month row by then: movers come from
 	// every range.
 	at := syncDays[1]
+	syncAsOneWalk(t, cs, s, obj.MO, at)
+
+	// The burst: every fact once more. The bottom cube was emptied, so it
+	// appends as many rows as it held before, and every row is late.
+	all, err := query.Union(obj.MO, obj.MO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended := cs.met.RowsAppended.Load()
+	if err := cs.InsertMO(obj.MO); err != nil {
+		t.Fatal(err)
+	}
+	if appended = cs.met.RowsAppended.Load() - appended; appended < 2*scanRange {
+		t.Fatalf("the burst appended %d rows, want at least %d for two scan ranges", appended, 2*scanRange)
+	}
+	before := cs.met.Snapshot()
+	syncAsOneWalk(t, cs, s, all, at)
+	if d := cs.met.Snapshot().Sub(before); d.SyncsIncremental != 1 || d.SyncScanned != appended {
+		t.Fatalf("the burst's Sync: incremental=%d scanned=%d, want 1 and the %d rows it appended", d.SyncsIncremental, d.SyncScanned, appended)
+	}
+}
+
+// syncAsOneWalk syncs cs at at and fails unless every cube's live rows are
+// those oneRangeSync gives, in its order, and the cells of the Definition
+// 2 oracle of facts, the MO of every fact inserted into cs.
+func syncAsOneWalk(t *testing.T, cs *CubeSet, s *spec.Spec, facts *mdm.MO, at caltime.Day) {
+	t.Helper()
+	rows := func() int64 { return cs.met.RowsAppended.Load() + cs.met.RowsMerged.Load() }
 	want := oneRangeSync(t, cs, at)
 	before := rows()
 	moved, err := cs.Sync(at)
@@ -62,7 +94,7 @@ func TestSyncRangesKeepRowOrder(t *testing.T) {
 		t.Fatalf("a sync that moved %d rows and deleted %d facts appended or merged %d", moved, cs.DeletedFacts(), got)
 	}
 	oracle := map[string]rangeRow{}
-	red, err := core.ReduceInterpreted(s, obj.MO, at)
+	red, err := core.ReduceInterpreted(s, facts, at)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,8 @@ func flush64(t *testing.T, w *Warehouse, obj *workload.ClickObject) obs.MetricsS
 // base cubes: on a synchronized warehouse of 20 k+ live rows a same-day
 // group commit scans no more rows than it carries, a late single-fact
 // Load scans exactly its own row, a later day of the same month is still
-// delta-only, and a month-boundary advance — the router's verdicts
+// delta-only, so is a same-day bulk load of more than a quarter of the
+// bottom cube's rows, and a month-boundary advance — the router's verdicts
 // change — scans every touched cube as before.
 func TestSyncScansOnlyTheDelta(t *testing.T) {
 	w, obj := openDeltaGateWarehouse(t)
@@ -103,6 +104,28 @@ func TestSyncScansOnlyTheDelta(t *testing.T) {
 	if d := w.Metrics().Sub(before); d.Syncs != 1 || d.SyncsIncremental != 1 || d.SyncScanned != 1 || d.RowsFolded != 1 {
 		t.Fatalf("late single-fact Load: syncs=%d incremental=%d scanned=%d folded=%d, want 1/1/1/1",
 			d.Syncs, d.SyncsIncremental, d.SyncScanned, d.RowsFolded)
+	}
+
+	// A same-day bulk load of more than a quarter of the bottom cube's rows
+	// scans exactly the rows it appended (April and May stay at the bottom).
+	live := int64(w.Cubes().Cubes()[0].Rows())
+	before = w.Metrics()
+	if err := w.LoadBatch(func(load func([]mdm.ValueID, []float64) error) error {
+		for day := caltime.Date(2000, 5, 1); day <= today; day++ {
+			dv, _ := obj.Time.DayValue(day)
+			for _, u := range urls {
+				if err := load([]mdm.ValueID{dv, u}, []float64{1, 3, 1, 2}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if d := w.Metrics().Sub(before); d.SyncsIncremental != 1 || d.RowsAppended < 1024 || 4*d.RowsAppended <= live || d.SyncScanned != d.RowsAppended {
+		t.Fatalf("same-day bulk load beside %d bottom rows: incremental=%d appended=%d scanned=%d, want 1, over a quarter, as many",
+			live, d.SyncsIncremental, d.RowsAppended, d.SyncScanned)
 	}
 
 	// The next day of the same month pins the same masks.

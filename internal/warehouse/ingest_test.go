@@ -39,10 +39,11 @@ func TestLoadBatchEmptyPublishesNothing(t *testing.T) {
 
 // TestLoadBatchBadRowPublishesNothing: the batch goes into the working
 // side row by row, and a row that fails validation still publishes
-// nothing — whether it has the wrong shape (even when the callback drops
-// the error), sits above the bottom granularity or the callback itself
-// gives up half way. The warehouse answers and counts as before, the two
-// sides stay level, and the next good batch goes through.
+// nothing — whether it has the wrong shape or a value past its dimension
+// (even when the callback drops the error), sits above the bottom
+// granularity or the callback itself gives up half way. The warehouse
+// answers and counts as before, the working side is rebuilt level with
+// the published one, and the next good batch goes through.
 func TestLoadBatchBadRowPublishesNothing(t *testing.T) {
 	w, obj := openClickWarehouse(t)
 	start := caltime.Date(2000, 1, 1)
@@ -69,6 +70,7 @@ func TestLoadBatchBadRowPublishesNothing(t *testing.T) {
 		{name: "short refs, error dropped", bad: row{refs[5][:1], meas[5]}, drop: true},
 		{name: "long measures", bad: row{refs[5], append(append([]float64(nil), meas[5]...), 1)}, drop: true},
 		{name: "month-level value", bad: row{[]mdm.ValueID{month, refs[5][1]}, meas[5]}},
+		{name: "value id past the dimension, error dropped", bad: row{[]mdm.ValueID{refs[5][0], mdm.ValueID(obj.Schema.Dims[1].NumValues())}, meas[5]}, drop: true},
 		{name: "callback error", bad: row{refs[5], meas[5]}, fail: boom},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -365,10 +365,12 @@ func (w *Warehouse) Spec() *spec.Spec {
 	return s.cubes.Spec()
 }
 
-// Cubes returns the published subcube realization, for inspection.
-// The returned cube set is the live read side: treat it as read-only,
-// and use the Warehouse methods for anything that mutates — mutating it
-// directly races with lock-free readers.
+// Cubes returns the published subcube realization, for inspection. It
+// is not pinned: the next commit levels this side in place (LevelFrom)
+// to make it the working side, so the result may only be read until that
+// commit begins, and a read that overlaps a commit races with the writer.
+// Mutating it races with lock-free readers at any time. To read beside a
+// writer, use the pinned methods: Materialize, Stats and Metrics.
 func (w *Warehouse) Cubes() *subcube.CubeSet { return w.cur.Load().cubes }
 
 // Now returns the warehouse clock.
@@ -509,12 +511,11 @@ func (w *Warehouse) LoadBatch(rows func(load func(refs []mdm.ValueID, meas []flo
 	// yields them, each checked once, by InsertBatch: arity, value ids,
 	// bottom granularity. A batch that fails there — a refused row, even
 	// one whose error the callback drops, an error from the callback, or a
-	// panic in it — has written only the working side, and its own
-	// journals take those rows back out (CubeSet.RevertTo); only when they
-	// cannot is the side rebuilt from a clone of the published one.
+	// panic in it — has written only the working side, which is rebuilt
+	// from a clone of the published one, as after every failed op.
 	inserted := false
 	defer func() {
-		if !inserted && !w.working.RevertTo(w.cur.Load().cubes) {
+		if !inserted {
 			w.rebuildWorkingLocked()
 		}
 	}()

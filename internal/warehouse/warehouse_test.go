@@ -366,9 +366,9 @@ func TestQueryWithApproaches(t *testing.T) {
 }
 
 // TestRefusedLoadKeepsWorkingSide: a fact the schema refuses is refused
-// before the commit, so neither Load nor LoadBatch answers it by
-// re-cloning the working side, nothing is published, and the next good
-// Load commits.
+// before the commit, so Load does not answer it by re-cloning the working
+// side, nothing is published, and the next good Load commits. (A refused
+// LoadBatch rebuilds it: TestLoadBatchBadRowPublishesNothing.)
 func TestRefusedLoadKeepsWorkingSide(t *testing.T) {
 	w, obj := openClickWarehouse(t)
 	if err := w.AdvanceTo(caltime.Date(2000, 6, 1)); err != nil {
@@ -386,16 +386,6 @@ func TestRefusedLoadKeepsWorkingSide(t *testing.T) {
 	}
 	if err := w.Load(good, meas[:1]); err == nil {
 		t.Fatal("Load took a fact with too few measures")
-	}
-	err = w.LoadBatch(func(load func([]mdm.ValueID, []float64) error) error {
-		if err := load(good, meas); err != nil {
-			return err
-		}
-		_ = load(bad, meas) // a callback that drops the error still fails the batch
-		return nil
-	})
-	if err == nil {
-		t.Fatal("LoadBatch took a batch with a bad row")
 	}
 	if w.working != working {
 		t.Error("a refused fact replaced the working side")
