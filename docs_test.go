@@ -183,3 +183,18 @@ func TestDocsCiteLiveNames(t *testing.T) {
 		}
 	}
 }
+
+// designMaxLines caps DESIGN.md: it describes the tree as it stands, so a
+// mechanism's section is rewritten when the mechanism changes, not grown.
+const designMaxLines = 900
+
+// TestDesignWithinCap fails when DESIGN.md runs past designMaxLines.
+func TestDesignWithinCap(t *testing.T) {
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(text), "\n"); n > designMaxLines {
+		t.Errorf("DESIGN.md has %d lines, at most %d allowed", n, designMaxLines)
+	}
+}

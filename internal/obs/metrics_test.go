@@ -62,7 +62,7 @@ func TestMetricsReportGolden(t *testing.T) {
   ingest late facts         130
   ingest rejected           131
   ingest pending            132
-  compaction latency        n=40 mean=1.48ms p50<1.48ms p95<2.96ms max=5.92ms
+  compaction latency        n=40 mean=1.48ms p50≤1.48ms p95≤2.96ms max=5.92ms
 synchronization:
   clock advances            104
   sync rounds               105
@@ -78,7 +78,7 @@ synchronization:
   router cache hits         115
   program probes            116
   program bitset bytes      117
-  sync latency              n=38 mean=1.41ms p50<1.41ms p95<2.81ms max=5.62ms
+  sync latency              n=38 mean=1.41ms p50≤1.41ms p95≤2.81ms max=5.62ms
 snapshots:
   publishes                 133
   drain waits               134
@@ -96,7 +96,7 @@ queries:
   view misses               125
   view builds               126
   view bytes                127
-  query latency             n=39 mean=1.44ms p50<1.44ms p95<2.89ms max=5.77ms
+  query latency             n=39 mean=1.44ms p50≤1.44ms p95≤2.89ms max=5.77ms
 storage:
   subcubes                  145
   live rows                 141

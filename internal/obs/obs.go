@@ -42,14 +42,22 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// histBuckets is the number of exponential latency buckets: bucket i
-// counts observations with duration < 2^i microseconds, so the range
-// runs from 1µs to ~34s with the last bucket catching everything above.
-const histBuckets = 26
+// The latency buckets are linear within each power of two of
+// microseconds: below 2^subBits µs there is one bucket per microsecond,
+// and each octave [2^k, 2^(k+1)) µs above it is split into 2^subBits
+// equal sub-buckets, so a bucket's upper bound is at most 1/32 (3.125 %)
+// above any duration in it. The range runs to 2^maxOctave µs (≈ 34 s),
+// and the last bucket catches everything above.
+const (
+	subBits     = 5
+	subBuckets  = 1 << subBits
+	maxOctave   = 25
+	histBuckets = (maxOctave - subBits + 1) * subBuckets
+)
 
-// Histogram is a fixed-bucket latency histogram with power-of-two
-// microsecond bucket bounds. Observing is two atomic adds and one
-// atomic increment; no allocation, no locks.
+// Histogram is a fixed-bucket latency histogram with log-linear
+// microsecond bucket bounds. Observing is atomic adds only; no
+// allocation, no locks.
 type Histogram struct {
 	count   atomic.Int64
 	sumNano atomic.Int64
@@ -73,20 +81,29 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketFor(d)].Add(1)
 }
 
-// bucketFor maps a duration to its bucket: the number of bits in the
-// microsecond value, capped at the last bucket.
+// bucketFor maps a duration to its bucket: the microsecond value itself
+// below 2^subBits, otherwise its octave and the next subBits bits below
+// the leading one, capped at the last bucket.
 func bucketFor(d time.Duration) int {
 	us := uint64(d / time.Microsecond)
-	b := bits.Len64(us)
-	if b >= histBuckets {
+	if us < subBuckets {
+		return int(us)
+	}
+	k := bits.Len64(us) - 1 // us is in [2^k, 2^(k+1))
+	if k >= maxOctave {
 		return histBuckets - 1
 	}
-	return b
+	return (k-subBits+1)*subBuckets + int(us>>uint(k-subBits)&(subBuckets-1))
 }
 
 // bucketBound returns the exclusive upper bound of bucket i.
 func bucketBound(i int) time.Duration {
-	return time.Duration(1<<uint(i)) * time.Microsecond
+	if i < subBuckets {
+		return time.Duration(i+1) * time.Microsecond
+	}
+	shift := uint(i/subBuckets - 1) // the octave k less subBits
+	lo := uint64(subBuckets+i%subBuckets) << shift
+	return time.Duration(lo+1<<shift) * time.Microsecond
 }
 
 // Count returns the number of observations.
@@ -107,9 +124,10 @@ func (h *Histogram) Mean() time.Duration {
 	return time.Duration(h.sumNano.Load() / n)
 }
 
-// Quantile returns an upper bound for the q-quantile (0 < q <= 1) from
-// the bucket bounds: the bound of the first bucket whose cumulative
-// count reaches q of the total. Returns 0 when empty.
+// Quantile returns an upper bound for the q-quantile (0 < q <= 1): the
+// upper bound of the first bucket whose cumulative count reaches q of the
+// total, capped by the observed maximum. At or above 2^subBits µs it is
+// at most 3.125 % above the exact quantile. Returns 0 when empty.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	total := h.count.Load()
 	if total == 0 {
@@ -120,15 +138,10 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		need = 1
 	}
 	var cum int64
-	for i := 0; i < histBuckets; i++ {
+	for i := 0; i < histBuckets-1; i++ {
 		cum += h.buckets[i].Load()
 		if cum >= need {
-			// The bucket bound is an upper estimate; the observed max
-			// is a tighter one when the quantile lands in the top bucket.
-			if b := bucketBound(i); i < histBuckets-1 && b < h.Max() {
-				return b
-			}
-			return h.Max()
+			return min(bucketBound(i), h.Max())
 		}
 	}
 	return h.Max()
@@ -165,7 +178,7 @@ func (s HistogramSnapshot) String() string {
 	if s.Count == 0 {
 		return "n=0"
 	}
-	return fmt.Sprintf("n=%d mean=%s p50<%s p95<%s max=%s",
+	return fmt.Sprintf("n=%d mean=%s p50≤%s p95≤%s max=%s",
 		s.Count, fmtDur(s.Mean), fmtDur(s.P50), fmtDur(s.P95), fmtDur(s.Max))
 }
 

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -85,11 +88,11 @@ func TestHistogramConcurrent(t *testing.T) {
 	if h.Mean() != wantSum/time.Duration(n) {
 		t.Fatalf("Mean: got %v", h.Mean())
 	}
-	// The true median is ~8000µs; the bucket bound must cover it without
-	// exceeding the next power of two.
+	// The true median is 7999µs; the sub-bucket bound must cover it
+	// within 1/32.
 	p50 := h.Quantile(0.5)
-	if p50 < 8*time.Millisecond || p50 > 16384*time.Microsecond {
-		t.Fatalf("P50 bound %v outside [8ms, 16.384ms]", p50)
+	if p50 < 7999*time.Microsecond || p50 > 7999*time.Microsecond*33/32 {
+		t.Fatalf("P50 bound %v outside [7.999ms, 7.999ms·33/32]", p50)
 	}
 	if h.Quantile(1) != wantMax {
 		t.Fatalf("Quantile(1): got %v, want max %v", h.Quantile(1), wantMax)
@@ -98,15 +101,37 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
-	if got := bucketFor(0); got != 0 {
-		t.Fatalf("bucketFor(0) = %d", got)
+	for _, c := range []struct {
+		d    time.Duration
+		want int
+	}{
+		{0, 0},
+		{time.Microsecond, 1},
+		{31*time.Microsecond + 999, 31},
+		{32 * time.Microsecond, 32},    // first sub-bucket of octave 5
+		{63 * time.Microsecond, 63},    // last sub-bucket of octave 5
+		{64 * time.Microsecond, 64},    // octave 6: sub-buckets 2µs wide
+		{65 * time.Microsecond, 64},    // ... so 65µs shares 64µs's
+		{1024 * time.Microsecond, 192}, // octave 10
+		{time.Hour, histBuckets - 1},   // beyond the last bound: the overflow bucket
+	} {
+		if got := bucketFor(c.d); got != c.want {
+			t.Errorf("bucketFor(%v) = %d, want %d", c.d, got, c.want)
+		}
 	}
-	if got := bucketFor(time.Microsecond); got != 1 {
-		t.Fatalf("bucketFor(1µs) = %d", got)
-	}
-	// Durations beyond the last bound land in the overflow bucket.
-	if got := bucketFor(time.Hour); got != histBuckets-1 {
-		t.Fatalf("bucketFor(1h) = %d, want %d", got, histBuckets-1)
+	// The buckets tile the range: each bound opens the next bucket, and
+	// no bucket is wider than 1/32 of its lower bound (1µs below 32µs).
+	for i := 0; i < histBuckets-1; i++ {
+		b := bucketBound(i)
+		if bucketFor(b-1) != i || bucketFor(b) != i+1 {
+			t.Fatalf("bound %v of bucket %d: bucketFor(b-1ns) = %d, bucketFor(b) = %d", b, i, bucketFor(b-1), bucketFor(b))
+		}
+		if i > 0 {
+			lo := bucketBound(i - 1)
+			if w := b - lo; w > time.Microsecond && w > lo/subBuckets {
+				t.Fatalf("bucket %d [%v, %v) is wider than 1/%d of its lower bound", i, lo, b, subBuckets)
+			}
+		}
 	}
 	h.Observe(-time.Second) // clamped, not a panic
 	if h.Count() != 1 || h.Sum() != 0 {
@@ -114,6 +139,44 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if s := h.Snapshot(); s.Count != 1 {
 		t.Fatalf("Snapshot count = %d", s.Count)
+	}
+}
+
+// TestHistogramQuantileError holds every reported p50, p95 and p99 of
+// seeded uniform and log-normal latency samples within +3.2 % of the
+// exact sample quantile (the sample of rank ⌈q·n⌉), never below it.
+func TestHistogramQuantileError(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range []struct {
+		name string
+		draw func() time.Duration
+	}{
+		{"uniform", func() time.Duration {
+			return 50*time.Microsecond + time.Duration(rng.Int63n(int64(50*time.Millisecond)))
+		}},
+		{"lognormal", func() time.Duration {
+			return time.Duration(float64(time.Millisecond) * math.Exp(rng.NormFloat64()))
+		}},
+	} {
+		for seed := 0; seed < 5; seed++ {
+			var h Histogram
+			xs := make([]time.Duration, 1+rng.Intn(20000))
+			for i := range xs {
+				xs[i] = c.draw()
+				h.Observe(xs[i])
+			}
+			sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+			for _, q := range []float64{0.50, 0.95, 0.99} {
+				exact := xs[int(math.Ceil(q*float64(len(xs))))-1]
+				if exact < subBuckets*time.Microsecond {
+					continue // below 32µs the bound is within 1µs, not 3.2 %
+				}
+				if got := h.Quantile(q); got < exact || float64(got) > 1.032*float64(exact) {
+					t.Errorf("%s #%d (n=%d): p%.0f = %v, exact %v (ratio %.4f)",
+						c.name, seed, len(xs), q*100, got, exact, float64(got)/float64(exact))
+				}
+			}
+		}
 	}
 }
 
