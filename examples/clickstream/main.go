@@ -9,6 +9,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"dimred"
 )
@@ -96,9 +98,10 @@ func main() {
 	}
 	fmt.Printf("α[Time.month, URL.domain] (availability):\n%s\n", agg.Dump())
 
-	// Provenance: why is fact_1's data at quarter level?
-	for nf, prov := range res.Prov {
-		for i, a := range prov.Responsible {
+	// Provenance: why is fact_1's data at quarter level? Res.Prov is a
+	// map, so walk it in fact order to print the same text every run.
+	for _, nf := range slices.Sorted(maps.Keys(res.Prov)) {
+		for i, a := range res.Prov[nf].Responsible {
 			if a != nil {
 				fmt.Printf("%s: dimension %s aggregated by action %s\n",
 					red.Name(nf), env.Schema.Dims[i].Name(), a.Name())
