@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dimred/internal/caltime"
+	"dimred/internal/core"
 	"dimred/internal/mdm"
 	"dimred/internal/spec"
 	"dimred/internal/workload"
@@ -29,61 +30,218 @@ func canonAgg(mo *mdm.MO) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestTwoStepAggregationDistributive validates the claim underpinning
-// the Figure 8 evaluation plan: because the default aggregate functions
-// are distributive, aggregating first to an intermediate granularity and
-// then to the target equals aggregating directly — for every
-// intermediate level between bottom and target.
-func TestTwoStepAggregationDistributive(t *testing.T) {
-	obj, err := workload.BuildClickMO(workload.ClickConfig{
-		Seed: 21, Start: caltime.Date(2000, 3, 1), Days: 60,
-		ClicksPerDay: 40, Domains: 7, URLsPerDomain: 4,
+// granularities lists every granularity of schema, the first dimension's
+// category varying slowest.
+func granularities(schema *mdm.Schema) []mdm.Granularity {
+	out := []mdm.Granularity{nil}
+	for _, d := range schema.Dims {
+		var next []mdm.Granularity
+		for _, g := range out {
+			for c := 0; c < d.NumCategories(); c++ {
+				next = append(next, append(g[:len(g):len(g)], mdm.CategoryID(c)))
+			}
+		}
+		out = next
+	}
+	return out
+}
+
+// lawClicks generates a click stream over a schema that carries one
+// measure of every default aggregate kind (COUNT reads base counts), and
+// returns its environment and the stream at the bottom granularity.
+func lawClicks(t testing.TB, cfg workload.ClickConfig) (*spec.Env, *mdm.MO) {
+	t.Helper()
+	obj, err := workload.BuildClickMO(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, err := mdm.NewSchema("Click", obj.Schema.Dims, []mdm.Measure{
+		{Name: "dwell", Agg: mdm.AggSum},
+		{Name: "n", Agg: mdm.AggCount},
+		{Name: "fastest", Agg: mdm.AggMin},
+		{Name: "largest", Agg: mdm.AggMax},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	schema := obj.Schema
-	target, err := schema.ParseGranularity([]string{"Time.quarter", "URL.domain_grp"})
+	env, err := spec.NewEnv(schema, "Time", obj.Time)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Aggregate(obj.MO, target, Availability)
-	if err != nil {
-		t.Fatal(err)
+	mo := mdm.NewMO(schema)
+	for f := 0; f < obj.MO.Len(); f++ {
+		m := obj.MO.Measures(mdm.FactID(f))
+		if _, err := mo.AddFact(obj.MO.Refs(mdm.FactID(f)), []float64{m[1], 0, m[2], m[3]}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	intermediates := [][]string{
-		{"Time.day", "URL.domain"},
-		{"Time.month", "URL.url"},
-		{"Time.month", "URL.domain"},
-		{"Time.quarter", "URL.domain"},
-		{"Time.month", "URL.domain_grp"},
+	return env, mo
+}
+
+// lawSpecs are accepted click specifications whose reductions store facts
+// at mixed granularities: a delete, the benchmark's month and quarter
+// pair, that pair under an action that folds the URL dimension to its
+// top, and a week action, which month does not nest.
+var lawSpecs = [][]string{
+	{`aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`,
+		`delete where Time.quarter <= NOW - 4 quarters`},
+	{`aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`,
+		`aggregate [Time.quarter, URL.domain_grp] where Time.quarter <= NOW - 4 quarters`},
+	{`aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`,
+		`aggregate [Time.quarter, URL.domain_grp] where Time.quarter <= NOW - 4 quarters`,
+		`aggregate [Time.year, URL.TOP] where Time.year <= NOW - 1 years`},
+	{`aggregate [Time.week, URL.domain] where Time.week <= NOW - 8 weeks`},
+}
+
+// TestTwoStepAggregationDistributive states the law behind the Figure 8
+// evaluation plan and every view answer: aggregating first to g1 and then
+// to g2 equals aggregating directly to g2, for every g1 <=_g g2, measures
+// and base counts alike. Under availability it holds on the bottom-level
+// click stream and on its Definition 2 reductions, which store facts at
+// mixed granularities: a fact above g1 stays where it is in the first
+// step, and the second does to it what the direct fold does. Strict and
+// Disaggregated are the stated exceptions (a strict first step drops a
+// fact the direct fold keeps; a disaggregated one splits what it cannot
+// join again), so neither may serve from a view (Query.ViewEligible,
+// which admits no LUB or predicate either); each must break the law on
+// some pair here, or the inputs were not mixed.
+func TestTwoStepAggregationDistributive(t *testing.T) {
+	start := caltime.Date(1999, 1, 1)
+	env, clicks := lawClicks(t, workload.ClickConfig{
+		Seed: 21, Start: start, Days: 600, ClicksPerDay: 2, Domains: 7, URLsPerDomain: 3,
+	})
+	type input struct {
+		what string
+		mo   *mdm.MO
 	}
-	for _, refs := range intermediates {
-		mid, err := schema.ParseGranularity(refs)
+	var inputs []input
+	at := start + 560
+	for i, srcs := range lawSpecs {
+		actions := make([]*spec.Action, len(srcs))
+		for j, src := range srcs {
+			actions[j] = spec.MustCompileString(fmt.Sprint("a", j), src, env)
+		}
+		sp, err := spec.New(env, actions...)
+		if err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+		red, err := core.Reduce(sp, clicks, at)
 		if err != nil {
 			t.Fatal(err)
 		}
-		step1, err := Aggregate(obj.MO, mid, Availability)
+		what, levels := fmt.Sprintf("spec %d reduced at %v", i, at), map[string]bool{}
+		for f := 0; f < red.MO.Len(); f++ {
+			levels[env.Schema.GranString(red.MO.Gran(mdm.FactID(f)))] = true
+		}
+		if len(levels) < 2 {
+			t.Fatalf("%s stores facts at %d granularities, want a mixture", what, len(levels))
+		}
+		inputs = append(inputs, input{what, red.MO})
+	}
+	inputs = append(inputs, input{"the bottom-level stream", clicks})
+	grans := granularities(env.Schema)
+	broken := map[AggApproach]bool{}
+	for _, in := range inputs {
+		for _, kind := range []AggApproach{Availability, Strict, Disaggregated} {
+			if broken[kind] {
+				continue // an exception needs one counterexample
+			}
+			direct := make([]string, len(grans))
+			for i, g2 := range grans {
+				d, err := Aggregate(in.mo, g2, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				direct[i] = d.DumpCells()
+			}
+		pairs:
+			for _, g1 := range grans {
+				step1, err := Aggregate(in.mo, g1, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, g2 := range grans {
+					if !spec.RollupReachableSchema(env.Schema, g1, g2) {
+						continue
+					}
+					step2, err := Aggregate(step1, g2, kind)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if step2.DumpCells() == direct[i] {
+						continue
+					}
+					if kind != Availability {
+						broken[kind] = true
+						break pairs
+					}
+					t.Errorf("%s: %s via %s differs from direct:\n%s\nvs\n%s", in.what, env.Schema.GranString(g2),
+						env.Schema.GranString(g1), step2.DumpCells(), direct[i])
+				}
+			}
+		}
+	}
+	for _, kind := range []AggApproach{Strict, Disaggregated} {
+		if !broken[kind] {
+			t.Errorf("%v folds in two steps as in one on every input and pair", kind)
+		}
+	}
+}
+
+// FuzzAvailabilityTwoStep: availability folds in two steps as in one on
+// any MO, not only on a reduction's. The input picks g1 and a g2 that g1
+// rolls up to, then up to 64 facts four bytes each: a value of either
+// click dimension at any of its categories, a measure and a base count.
+// A longer input is skipped, so the minimizer does not stall the run.
+func FuzzAvailabilityTwoStep(f *testing.F) {
+	env, _ := lawClicks(f, workload.ClickConfig{
+		Seed: 3, Start: caltime.Date(1999, 11, 20), Days: 90, ClicksPerDay: 2, Domains: 4, URLsPerDomain: 2,
+	})
+	schema := env.Schema
+	grans := granularities(schema)
+	f.Add([]byte{0, 5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{7, 1, 200, 3, 40, 1, 90, 3, 41, 2, 250, 1, 7, 3})
+	f.Add([]byte{13, 2, 17, 0, 9, 9, 18, 1, 9, 9, 60, 2, 9, 9, 61, 3, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 2+4*64 {
+			return
+		}
+		g1 := grans[int(data[0])%len(grans)]
+		var above []mdm.Granularity
+		for _, g := range grans {
+			if schema.GranLE(g1, g) {
+				above = append(above, g)
+			}
+		}
+		g2 := above[int(data[1])%len(above)]
+		mo := mdm.NewMO(schema)
+		for b := data[2:]; len(b) >= 4; b = b[4:] {
+			refs := []mdm.ValueID{
+				mdm.ValueID(int(b[0]) % schema.Dims[0].NumValues()),
+				mdm.ValueID(int(b[1]) % schema.Dims[1].NumValues()),
+			}
+			v := float64(b[2])
+			if _, err := mo.AddFactAt(refs, []float64{v, 0, v, -v}, 1+int64(b[3]%4), ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step1, err := Aggregate(mo, g1, Availability)
 		if err != nil {
 			t.Fatal(err)
 		}
-		step2, err := Aggregate(step1, target, Availability)
+		step2, err := Aggregate(step1, g2, Availability)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if canonAgg(step2) != canonAgg(direct) {
-			t.Errorf("two-step via %v differs from direct:\n%s\nvs\n%s",
-				refs, canonAgg(step2), canonAgg(direct))
+		direct, err := Aggregate(mo, g2, Availability)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The materialized-view planner serves α[target] from a view
-		// α[mid] whenever mid <=_g target; byte equality of the
-		// canonical cell dump (measures and base counts) is exactly the
-		// soundness condition it relies on.
 		if step2.DumpCells() != direct.DumpCells() {
-			t.Errorf("two-step via %v changes base counts:\n%s\nvs\n%s",
-				refs, step2.DumpCells(), direct.DumpCells())
+			t.Errorf("%s via %s differs from direct:\n%s\nvs\n%s", schema.GranString(g2), schema.GranString(g1),
+				step2.DumpCells(), direct.DumpCells())
 		}
-	}
+	})
 }
 
 // TestAggregateWeightedExpectedValues checks the weighted pipeline: a

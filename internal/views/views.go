@@ -4,8 +4,9 @@
 // facts at the specification's granularities; every query still folds
 // them up to its requested Group_high level. Because the default
 // aggregate functions are distributive (Definition 6, tested by
-// TestTwoStepAggregationDistributive), the two-step fold α[G_q](α[G](O))
-// equals the direct α[G_q](O) whenever G <=_g G_q — so a view
+// TestTwoStepAggregationDistributive), the two-step availability fold
+// α[G_q](α[G](O)) equals the direct α[G_q](O) whenever G <=_g G_q, even
+// when O holds facts the reduction stored above G — so a view
 // materialized once at G answers every query at or above G exactly, for
 // a fraction of the scan, and a query at G itself is the view as stored.
 //
@@ -60,9 +61,10 @@ func (c Config) withDefaults() Config {
 }
 
 // View is one materialized rollup: the full warehouse content
-// aggregated to a single granularity. Every fact of a built view sits
-// at (or below) the view granularity — Build rejects mixtures — so any
-// query at a level the granularity rolls up to folds it exactly.
+// aggregated to a single granularity G under availability, α[G](O). A
+// fact the reduction already stored above G stays where it is, so the
+// view of a reduced warehouse holds mixed granularities; availability
+// folds such a view exactly to any level G rolls up to, as it folds O.
 type View struct {
 	gran  mdm.Granularity
 	key   string
@@ -140,11 +142,10 @@ func (s *Set) Views() []*View { return s.views }
 // whether cs was synchronized at t.
 //
 // Candidates are built in selection order; one whose actual size would
-// overflow the byte budget is dropped (the estimate undershot), as is
-// one whose availability aggregation had to keep a fact above the view
-// granularity (e.g. a week-level view over month-folded rows): such a
-// mixed view is not the pure distributive fold α[G](O), so reuse at
-// coarser levels is no longer covered by the Definition 6 argument.
+// overflow the byte budget is dropped (the estimate undershot). A view
+// is α[G](O) under availability whatever granularities the reduced
+// facts sit at: folding it to a coarser target equals folding O there
+// (TestTwoStepAggregationDistributive states the law on reduced input).
 // Per-view failures never fail the build — the query path falls back to
 // the base subcubes — and met counts each materialized view in
 // ViewBuilds. A build is not a user query: each view is evaluated through
@@ -164,9 +165,6 @@ func Build(env *spec.Env, cs *subcube.CubeSet, cands []Candidate, t caltime.Day,
 			Agg:    query.Availability,
 		}, t)
 		if err != nil {
-			continue
-		}
-		if !uniformAt(env.Schema, mo, cand.Gran) {
 			continue
 		}
 		bytes := int64(mo.Len()) * layout.RowBytes()
@@ -193,17 +191,6 @@ func Build(env *spec.Env, cs *subcube.CubeSet, cands []Candidate, t caltime.Day,
 		return set.views[i].key < set.views[j].key
 	})
 	return set
-}
-
-// uniformAt reports whether every fact of mo sits at or below g — the
-// precondition for the view to be the pure distributive fold α[g](O).
-func uniformAt(schema *mdm.Schema, mo *mdm.MO, g mdm.Granularity) bool {
-	for f := 0; f < mo.Len(); f++ {
-		if !schema.GranLE(mo.Gran(mdm.FactID(f)), g) {
-			return false
-		}
-	}
-	return true
 }
 
 // Serving returns the view a query at target reads, and whether it is

@@ -1,6 +1,7 @@
 package views
 
 import (
+	"fmt"
 	"testing"
 
 	"dimred/internal/caltime"
@@ -205,22 +206,84 @@ func TestBuildRespectsByteBudget(t *testing.T) {
 	}
 }
 
-func TestBuildSkipsMixedGranularityViews(t *testing.T) {
+// granularities lists every granularity of schema, the first dimension's
+// category varying slowest.
+func granularities(schema *mdm.Schema) []mdm.Granularity {
+	out := []mdm.Granularity{nil}
+	for _, d := range schema.Dims {
+		var next []mdm.Granularity
+		for _, g := range out {
+			for c := 0; c < d.NumCategories(); c++ {
+				next = append(next, append(g[:len(g):len(g)], mdm.CategoryID(c)))
+			}
+		}
+		out = next
+	}
+	return out
+}
+
+// TestMixedViewsServeAsTheBasePath: the paper fixture, synchronized where
+// a1/a2 have folded facts to month and quarter, gets a view at each of its
+// granularities, some of which therefore hold rows above their own
+// granularity. Each view serves every view-eligible query whose target its
+// granularity rolls up to and no other, as stored at its own granularity
+// and folded above it, and every answer equals the base path's cell for
+// cell, with base counts.
+func TestMixedViewsServeAsTheBasePath(t *testing.T) {
 	env, cs := paperCubes(t)
-	// Sync far in the future: a1/a2 fold the paper facts up to month and
-	// quarter, so a week-level view would have to keep folded rows above
-	// its own granularity — not the pure distributive fold — and must be
-	// rejected.
-	at := caltime.Date(2001, 6, 1)
-	if _, err := cs.Sync(at); err != nil {
-		t.Fatal(err)
-	}
-	met := obs.NewMetrics()
-	set := Build(env, cs, []Candidate{candOf(t, env, "Time.week", "URL.url")}, at, Config{}, met)
-	if set != nil {
-		t.Fatalf("mixed-granularity view was materialized: %d views", set.Len())
-	}
-	if met.ViewBuilds.Load() != 0 {
-		t.Fatalf("ViewBuilds = %d for a skipped view", met.ViewBuilds.Load())
+	grans := granularities(env.Schema)
+	for _, at := range []caltime.Day{caltime.Date(2000, 12, 1), caltime.Date(2001, 6, 1)} {
+		if _, err := cs.Sync(at); err != nil {
+			t.Fatal(err)
+		}
+		gen := cs.Spec().Generation()
+		mixed, folds := 0, 0
+		for _, g1 := range grans {
+			set := Build(env, cs, []Candidate{{Key: spec.EncodeGran(g1), Gran: g1}}, at, Config{}, obs.NewMetrics())
+			if set.Len() != 1 {
+				t.Fatalf("%v: built %d views at %s, want 1", at, set.Len(), env.Schema.GranString(g1))
+			}
+			mo, isMixed := set.Views()[0].MO(), false
+			for f := 0; f < mo.Len(); f++ {
+				isMixed = isMixed || !env.Schema.GranLE(mo.Gran(mdm.FactID(f)), g1)
+			}
+			if isMixed {
+				mixed++
+			}
+			for _, g2 := range grans {
+				for _, agg := range []query.AggApproach{query.Availability, query.Strict, query.LUB, query.Disaggregated} {
+					q := subcube.Query{Target: g2, Sel: query.Conservative, Agg: agg}
+					if !q.ViewEligible() {
+						continue
+					}
+					what := fmt.Sprintf("%v: view at %s, %v target %s", at, env.Schema.GranString(g1), agg, env.Schema.GranString(g2))
+					served, _, exact := set.Serve(env.Schema, q, at, gen)
+					if reach := spec.RollupReachableSchema(env.Schema, g1, g2); (served != nil) != reach {
+						t.Errorf("%s: served %v, but the view rolls up to the target: %v", what, served != nil, reach)
+						continue
+					}
+					if served == nil {
+						continue
+					}
+					if exact != env.Schema.GranEq(g1, g2) {
+						t.Errorf("%s: served as stored: %v", what, exact)
+					}
+					if isMixed && !exact {
+						folds++
+					}
+					base, err := cs.Evaluate(q, at)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if served.DumpCells() != base.DumpCells() {
+						t.Errorf("%s: the view answer\n%s\nthe base path\n%s", what, served.DumpCells(), base.DumpCells())
+					}
+				}
+			}
+		}
+		if mixed == 0 || folds == 0 {
+			t.Fatalf("%v: %d mixed views, %d folded answers from them: the fixture reduced nothing", at, mixed, folds)
+		}
+		t.Logf("%v: %d of %d views mixed, %d folds from them", at, mixed, len(grans), folds)
 	}
 }

@@ -67,10 +67,12 @@ var recloneArms = []struct {
 }
 
 // batteryQuery is one battery entry: a query text and its parse under
-// the approaches the entry asks it with.
+// the approaches the entry asks it with. A rare entry is asked on every
+// third step only.
 type batteryQuery struct {
-	src string
-	q   subcube.Query
+	src  string
+	q    subcube.Query
+	rare bool
 }
 
 // modelBattery is the query battery asked at every step: the
@@ -79,13 +81,17 @@ type batteryQuery struct {
 // take the base path whether or not a view answered the default form.
 // The next step asks the quarter shape by its text under the default
 // approaches first, after LUB last: a plan QueryWith wrote its approaches
-// into would answer it with LUB's raised target.
+// into would answer it with LUB's raised target. The year × TOP shape,
+// above two of the view shapes, is rare: its shape counts so seldom that
+// under EnableViews' cap of one view the selector prefers year ×
+// domain_grp once the cubes hold more rows than that view, and the year
+// × TOP answer is that view folded.
 func modelBattery(env *spec.Env) []batteryQuery {
 	var out []batteryQuery
 	with := func(src string, sel query.Approach, agg query.AggApproach) {
 		q := subcube.MustParseQuery(src, env)
 		q.Sel, q.Agg = sel, agg
-		out = append(out, batteryQuery{src, q})
+		out = append(out, batteryQuery{src: src, q: q})
 	}
 	for _, src := range append(viewShapeQueries[:len(viewShapeQueries):len(viewShapeQueries)],
 		`aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`) {
@@ -97,6 +103,8 @@ func modelBattery(env *spec.Env) []batteryQuery {
 		with(quarter, query.Conservative, agg)
 	}
 	with(`aggregate [Time.quarter, URL.domain_grp] where Time.month <= NOW - 1 months`, query.Weighted, query.Availability)
+	with(`aggregate [Time.year, URL.TOP]`, query.Conservative, query.Availability)
+	out[len(out)-1].rare = true
 	return out
 }
 
@@ -152,7 +160,8 @@ var modelOps = []struct {
 	{"Sync", (*harness).sync},
 	{"InsertActions", (*harness).insertActions},
 	{"DeleteActions", (*harness).deleteActions},
-	{"EnableViews", func(h *harness, _ *byteSource) { h.must(h.w.EnableViews(views.Config{})) }},
+	// EnableViews caps the views at one or at the default.
+	{"EnableViews", func(h *harness, src *byteSource) { h.must(h.w.EnableViews(views.Config{MaxViews: src.Intn(2)})) }},
 	{"RefreshViews", func(h *harness, _ *byteSource) { h.must(h.w.RefreshViews()) }},
 	{"DisableViews", func(h *harness, _ *byteSource) { h.w.DisableViews(); h.noViews = true }},
 	{"Save", (*harness).save},
@@ -541,6 +550,9 @@ func (h *harness) check() {
 		stored = h.reduce(h.history, h.now)
 	}
 	for i, b := range h.battery {
+		if b.rare && h.step%3 != 0 {
+			continue
+		}
 		got, tr, err := w.QueryAtTraced(b.q, h.now)
 		h.must(err)
 		want, err := algebra(stored, b.q, h.now)
@@ -625,7 +637,7 @@ func TestWarehouseMatchesModel(t *testing.T) {
 					m := h.w.Metrics()
 					for what, n := range map[string]int64{
 						"IngestLate": m.IngestLate, "SyncsIncremental": m.SyncsIncremental,
-						"ViewHits": m.ViewHits, "exact view hits": m.ViewHits - m.ViewFolds,
+						"ViewHits": m.ViewHits, "exact view hits": m.ViewHits - m.ViewFolds, "ancestor view hits": m.ViewFolds,
 						"FactsDeleted": m.FactsDeleted, "refused DeleteActions": h.refused,
 						"unsynchronized answers": h.unsynced, "SnapshotReclones": m.SnapshotReclones,
 					} {
