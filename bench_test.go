@@ -97,11 +97,16 @@ func BenchmarkAdhocQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkViewAnswer measures both branches of views.Answer on a view
+// BenchmarkViewAnswer measures the branches of views.Set.Answer on a view
 // set the size of the repo benchmark's dashboard_read: a target a view is
 // materialized at, which is returned as stored, and a target above the
 // only view that reaches it, which query.Aggregate folds (the per-cell
-// cost the ancestor branch still pays).
+// cost the ancestor branch still pays). Its predicated cases time the
+// same query twice, served (view) and through CubeSet.Evaluate (base): an
+// exact target with a URL.domain_grp predicate, which the view filters;
+// an ancestor target with a Time.month predicate, which it filters and
+// folds; and a Time.day predicate no view decides, whose view case is the
+// miss the base path then pays for.
 func BenchmarkViewAnswer(b *testing.B) {
 	obj, err := workload.BuildClickMO(workload.ClickConfig{
 		Seed: 2, Start: caltime.Date(2000, 1, 1), Days: 270,
@@ -141,6 +146,7 @@ func BenchmarkViewAnswer(b *testing.B) {
 		{Key: spec.EncodeGran(monthDomain), Gran: monthDomain},
 		{Key: spec.EncodeGran(quarterGroup), Gran: quarterGroup},
 	}, at, views.Config{}, obs.NewMetrics())
+	monthGroup := gran("Time.month", "URL.domain_grp")
 	for _, tc := range []struct {
 		name         string
 		target       mdm.Granularity
@@ -149,7 +155,7 @@ func BenchmarkViewAnswer(b *testing.B) {
 	}{
 		{"exact/887cells", monthDomain, true, 887, 887},
 		{"exact/9cells", quarterGroup, true, 9, 9},
-		{"ancestor/887→27cells", gran("Time.month", "URL.domain_grp"), false, 887, 27},
+		{"ancestor/887→27cells", monthGroup, false, 887, 27},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			q := subcube.Query{Target: tc.target, Sel: query.Conservative, Agg: query.Availability}
@@ -163,6 +169,39 @@ func BenchmarkViewAnswer(b *testing.B) {
 				mo, ok := set.Answer(env.Schema, q, at, sp.Generation())
 				if !ok || mo.Len() != tc.result {
 					b.Fatalf("served %v, %d cells", ok, mo.Len())
+				}
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name   string
+		target mdm.Granularity
+		pred   string
+		served bool
+	}{
+		{"pred-exact/domain_grp", monthDomain, `URL.domain_grp = ".com"`, true},
+		{"pred-ancestor/month", monthGroup, `Time.month <= 2000/6`, true},
+		{"pred-undecided/day", monthDomain, `Time.day <= 2000/6/15`, false},
+	} {
+		q := subcube.Query{Pred: query.MustParsePred(tc.pred, env), Target: tc.target, Sel: query.Conservative, Agg: query.Availability}
+		base, err := cs.Evaluate(q, at)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name+"/view", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mo, ok := set.Answer(env.Schema, q, at, sp.Generation())
+				if ok != tc.served || ok && mo.Len() != base.Len() {
+					b.Fatalf("served %v, want %v with %d cells", ok, tc.served, base.Len())
+				}
+			}
+		})
+		b.Run(tc.name+"/base", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cs.Evaluate(q, at); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

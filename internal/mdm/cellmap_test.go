@@ -237,8 +237,16 @@ func TestCellMapMatchesNaiveMap(t *testing.T) {
 	}
 }
 
+// cellMapFuzzOps bounds a fuzzed op stream. One run op (three bytes)
+// puts 1 024 cells, which grows the table past 1 024 slots, and every
+// corner stream fits (the longest is 158 bytes), so the bound keeps the
+// large-table regime and the fast single-cell seeds, while an input long
+// enough to run dozens of run ops, and stall the minimizer, is skipped.
+const cellMapFuzzOps = 160
+
 // FuzzCellMap drives the same interpreter from fuzzed bytes: the first
-// picks the cell length, the rest is the op stream.
+// picks the cell length, the rest is the op stream (at most
+// cellMapFuzzOps bytes).
 func FuzzCellMap(f *testing.F) {
 	for _, ops := range cellMapCorners() {
 		for j := range cellMapDims {
@@ -246,6 +254,9 @@ func FuzzCellMap(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, dims byte, ops []byte) {
+		if len(ops) > cellMapFuzzOps {
+			return
+		}
 		runCellMapOps(t, cellMapDims[int(dims)%len(cellMapDims)], ops, 256)
 	})
 }

@@ -41,7 +41,7 @@ type Trace struct {
 	At          string // the evaluation time, rendered by the caller
 	Synced      bool   // whether the cube set was synchronized at query time
 	View        string // shape key of the materialized view that served the query; empty on the base path
-	ViewStored  bool   // the view sits at the query's granularity and was returned as stored, not folded
+	ViewStored  bool   // the view sits at the query's granularity and was returned as stored (filtered, under a predicate), not folded
 	Cubes       []CubeTrace
 	Stages      []Stage
 	ResultCells int // cells in the final result

@@ -102,9 +102,10 @@ var lawSpecs = [][]string{
 // step, and the second does to it what the direct fold does. Strict and
 // Disaggregated are the stated exceptions (a strict first step drops a
 // fact the direct fold keeps; a disaggregated one splits what it cannot
-// join again), so neither may serve from a view (Query.ViewEligible,
-// which admits no LUB or predicate either); each must break the law on
-// some pair here, or the inputs were not mixed.
+// join again), so neither may serve from a view (views.Set.Serve, which
+// admits no LUB either, and a predicate only under law L1 —
+// TestSelectionCommutesWithRollUp); each must break the law on some pair
+// here, or the inputs were not mixed.
 func TestTwoStepAggregationDistributive(t *testing.T) {
 	start := caltime.Date(1999, 1, 1)
 	env, clicks := lawClicks(t, workload.ClickConfig{

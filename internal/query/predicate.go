@@ -255,6 +255,40 @@ func (p *Predicate) TimeBounds(t caltime.Day) (lo, hi caltime.Day, bounded bool)
 	return spec.TimeHull(p.disjuncts, t)
 }
 
+// DecidedAt reports whether granularity g decides the predicate: every
+// atom tests, in its dimension, a category that g's category rolls up to
+// (constant atoms and NOW-relative time atoms included). A fact then gets,
+// under every approach, the verdict of its availability roll-up to g, so
+// selection commutes with that roll-up — law L1, which
+// TestSelectionCommutesWithRollUp states. One exception: an = or !=
+// atom compares drill-down sets for equality, so a fact at a category
+// beside the atom's (a week under a month atom), which availability may
+// roll into a single value at g, would change its verdict; such an atom
+// is decided only when its category is comparable with every category
+// of its dimension.
+func (p *Predicate) DecidedAt(g mdm.Granularity) bool {
+	for _, dj := range p.disjuncts {
+		for _, a := range dj {
+			if a.Dim < 0 {
+				continue
+			}
+			d := p.env.Schema.Dims[a.Dim]
+			if !d.CatLE(g[a.Dim], a.Cat) {
+				return false
+			}
+			if a.Op != expr.OpEQ && a.Op != expr.OpNE {
+				continue
+			}
+			for c := range d.NumCategories() {
+				if !d.CatComparable(mdm.CategoryID(c), a.Cat) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
 // Selector is selection under one approach (Definition 5), bound to a
 // predicate and a query time, answering one cell at a time. Like the
 // Prepared it embeds, it is NOT safe for concurrent use: each goroutine
@@ -303,7 +337,7 @@ func Select(mo *mdm.MO, p *Predicate, t caltime.Day, approach Approach) (*mdm.MO
 	if approach == Weighted {
 		return nil, fmt.Errorf("query: Select: the weighted approach needs per-fact certainty weights; use SelectWeighted with AggregateWeighted")
 	}
-	out, err := selectFacts(mo, p.Selector(t, approach))
+	out, err := Filter(mo, p.Selector(t, approach))
 	if err != nil {
 		return nil, fmt.Errorf("query: Select: %w", err)
 	}
@@ -315,15 +349,17 @@ func Select(mo *mdm.MO, p *Predicate, t caltime.Day, approach Approach) (*mdm.MO
 // with the result MO's fact ids.
 func SelectWeighted(mo *mdm.MO, p *Predicate, t caltime.Day) (*mdm.MO, []float64, error) {
 	sel := p.Selector(t, Weighted)
-	out, err := selectFacts(mo, sel)
+	out, err := Filter(mo, sel)
 	if err != nil {
 		return nil, nil, fmt.Errorf("query: SelectWeighted: %w", err)
 	}
 	return out, sel.Weights, nil
 }
 
-// selectFacts copies the facts of mo that sel keeps into a new MO.
-func selectFacts(mo *mdm.MO, sel *Selector) (*mdm.MO, error) {
+// Filter copies the facts of mo that sel keeps into a new MO, names and
+// base counts included; under the weighted approach sel.Weights then
+// aligns with the result's fact ids.
+func Filter(mo *mdm.MO, sel *Selector) (*mdm.MO, error) {
 	out := mdm.NewMO(mo.Schema())
 	out.SetFloors(mo.Floors())
 	var cell []mdm.ValueID

@@ -50,13 +50,13 @@ func ParseQuery(src string, env *spec.Env) (Query, error) {
 	return Query{Pred: pred, Target: target, Sel: query.Conservative, Agg: query.Availability}, nil
 }
 
-// ViewEligible reports whether the query may be answered from a
-// materialized rollup view: no selection predicate (predicate
-// evaluation is granularity-sensitive — the conservative, liberal and
-// weighted approaches disagree exactly on rows a view has pre-folded
-// away) and the paper's default availability aggregation (the other
-// approaches derive their effective target or per-row weights from the
-// base fact set, which a pre-rolled view no longer exposes).
+// ViewEligible reports whether the query is a shape the view selector
+// learns from: no selection predicate and the paper's default
+// availability aggregation (the other approaches derive their effective
+// target or per-row weights from the base fact set, which a pre-rolled
+// view no longer exposes). Serving admits more: views.Set.Serve also
+// answers a predicate that the serving view's granularity decides
+// (query.Predicate.DecidedAt), but such a read records no shape.
 func (q Query) ViewEligible() bool {
 	return q.Pred == nil && q.Agg == query.Availability
 }

@@ -9,6 +9,8 @@
 // when O holds facts the reduction stored above G — so a view
 // materialized once at G answers every query at or above G exactly, for
 // a fraction of the scan, and a query at G itself is the view as stored.
+// A query whose predicate G decides is answered from the view filtered
+// first: selection commutes with roll-up there (law L1).
 //
 // A greedy selector picks which granularities to materialize by
 // observed benefit: query-shape frequencies from the obs trace times
@@ -200,7 +202,7 @@ func Build(env *spec.Env, cs *subcube.CubeSet, cands []Candidate, t caltime.Day,
 // the rows folded), otherwise nil. The exact lookup comes first because
 // row order alone does not find it: a finer view with as many rows sorts
 // beside the exact one, and folding it reproduces, cell for cell, what
-// the exact view already holds. Freshness is Answer's check, not this
+// the exact view already holds. Freshness is Serve's check, not this
 // one's.
 func (s *Set) Serving(schema *mdm.Schema, target mdm.Granularity) (v *View, exact bool) {
 	if s == nil || len(target) != schema.NumDims() {
@@ -219,47 +221,76 @@ func (s *Set) Serving(schema *mdm.Schema, target mdm.Granularity) (v *View, exac
 	return nil, false
 }
 
-// Answer tries to answer q from the set: it must have been built at
-// exactly clock t under specification generation gen (staleness is never
-// observable — a stale set is skipped, not served), and some view's
-// granularity must roll up to the query target (Serving). A view at
-// exactly the target is the answer as stored — aggregating it again
-// would map every fact onto its own cell and re-derive the names, base
-// counts and COUNT measures it already carries — so the caller gets a
-// borrow of it (mdm.MO.Borrow): it reads the view's columns, which no one
-// writes once the set is published, and copies them only if the caller
-// writes the answer, so the answer is the caller's to modify, as a folded
-// one is, and the view stays frozen inside the snapshot other readers
-// share. Only a target strictly above the serving view is folded, by
-// query.Aggregate. The caller has already checked q.ViewEligible; an
-// aggregation error reports a miss so the base path recomputes (and
-// surfaces the real error, if any).
+// Answer is Serve without the serving view's key and exactness, for
+// callers that need only the answer (bench/'s traced view path).
 func (s *Set) Answer(schema *mdm.Schema, q subcube.Query, t caltime.Day, gen uint64) (*mdm.MO, bool) {
 	mo, _, _ := s.Serve(schema, q, t, gen)
 	return mo, mo != nil
 }
 
-// Serve is Answer that also reports what its one Serving lookup found:
-// the key of the view that served q ("" on a miss, when mo is nil) and
-// whether that view sits at exactly the target. It hands out the key
-// rather than the *View: everything a caller takes away from it is safe
-// to write, as the borrowed answer copies the view's columns first, while
-// a write through a *View would reach the published view itself. Serve
-// reads only the set and its views, never a cube set: gen is the caller's
-// record of its cube set's generation, so a caller that has not pinned
-// that cube set may still be served.
+// Serve tries to answer q from the set and reports what its one Serving
+// lookup found: the key of the view that served q ("" on a miss, when mo
+// is nil) and whether that view sits at exactly the target. The set must
+// have been built at exactly clock t under specification generation gen
+// (staleness is never observable — a stale set is skipped, not served),
+// q must aggregate under availability, and some view's granularity must
+// roll up to q's target (Serving). Strict, LUB and Disaggregated derive
+// their effective target or per-row shares from the base facts, which a
+// pre-rolled view no longer exposes.
+//
+// A predicate-free query at a view's exact granularity is the view as
+// stored — aggregating it again would map every fact onto its own cell
+// and re-derive the names, base counts and COUNT measures it already
+// carries — so the caller gets a borrow of it (mdm.MO.Borrow): it reads
+// the view's columns, which no one writes once the set is published, and
+// copies them only if the caller writes the answer. Only a target
+// strictly above the serving view is folded, by query.Aggregate.
+//
+// A predicate is served only when the serving view's granularity decides
+// it (query.Predicate.DecidedAt): the view's rows then pass through the
+// query's own query.Selector, which decides each one, a row the reduction
+// stored above the view's granularity included, as the base path decides
+// a stored row; the weighted approach scales the kept rows' sums by their
+// certainty (query.ScaleSums) before any fold. Selection commutes with
+// roll-up at a deciding granularity (law L1), so the answer is the base
+// path's. A filtered answer is a fresh MO, never the published view.
+//
+// Serve hands out the key rather than the *View: everything a caller
+// takes away from it is safe to write, while a write through a *View
+// would reach the published view itself. It reads only the set and its
+// views, never a cube set: gen is the caller's record of its cube set's
+// generation, so a caller that has not pinned that cube set may still be
+// served. An aggregation error reports a miss so the base path
+// recomputes (and surfaces the real error, if any).
 func (s *Set) Serve(schema *mdm.Schema, q subcube.Query, t caltime.Day, gen uint64) (mo *mdm.MO, view string, exact bool) {
-	if s == nil || s.builtAt != t || s.gen != gen {
+	if s == nil || s.builtAt != t || s.gen != gen || q.Agg != query.Availability {
 		return nil, "", false
 	}
 	v, exact := s.Serving(schema, q.Target)
 	if v == nil {
 		return nil, "", false
 	}
-	if exact {
+	if q.Pred == nil && exact {
 		return v.mo.Borrow(), v.key, true
 	}
-	mo, err := query.Aggregate(v.mo, q.Target, q.Agg)
+	mo = v.mo
+	if q.Pred != nil {
+		if !q.Pred.DecidedAt(v.gran) {
+			return nil, "", false
+		}
+		sel := q.Pred.Selector(t, q.Sel)
+		var err error
+		if mo, err = query.Filter(mo, sel); err != nil {
+			return nil, "", false
+		}
+		if q.Sel == query.Weighted {
+			query.ScaleSums(mo, sel.Weights)
+		}
+		if exact {
+			return mo, v.key, true
+		}
+	}
+	mo, err := query.Aggregate(mo, q.Target, q.Agg)
 	if err != nil {
 		return nil, "", false
 	}

@@ -2,6 +2,7 @@ package views
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"dimred/internal/caltime"
@@ -285,5 +286,118 @@ func TestMixedViewsServeAsTheBasePath(t *testing.T) {
 			t.Fatalf("%v: %d mixed views, %d folded answers from them: the fixture reduced nothing", at, mixed, folds)
 		}
 		t.Logf("%v: %d of %d views mixed, %d folds from them", at, mixed, len(grans), folds)
+	}
+}
+
+// sameCellsWithin describes the first difference between two answers by
+// cell, base counts exactly and measures within a relative 1e-9 (the
+// weighted approach scales each view row where the base path scales each
+// stored row, and sums in another order), or returns "".
+func sameCellsWithin(got, want *mdm.MO) string {
+	if got.Len() != want.Len() {
+		return fmt.Sprintf("%d cells, want %d", got.Len(), want.Len())
+	}
+	idx := make(map[string]mdm.FactID, got.Len())
+	for f := mdm.FactID(0); int(f) < got.Len(); f++ {
+		idx[got.CellString(f)] = f
+	}
+	for wf := mdm.FactID(0); int(wf) < want.Len(); wf++ {
+		gf, ok := idx[want.CellString(wf)]
+		if !ok || got.BaseCount(gf) != want.BaseCount(wf) {
+			return fmt.Sprintf("cell %s missing or with another base count", want.CellString(wf))
+		}
+		for j, v := range want.Measures(wf) {
+			if g := got.Measure(gf, j); math.Abs(g-v) > 1e-9*max(1, math.Abs(g), math.Abs(v)) {
+				return fmt.Sprintf("cell %s: measure %d = %v, want %v", want.CellString(wf), j, g, v)
+			}
+		}
+	}
+	return ""
+}
+
+// TestPredicatedViewsServeAsTheBasePath: on the reduced paper fixture of
+// TestMixedViewsServeAsTheBasePath, a view at each granularity serves a
+// predicated availability query exactly when the query's target is one
+// it rolls up to and its granularity decides the predicate
+// (query.Predicate.DecidedAt), under the conservative, liberal and
+// weighted approaches; every answer it serves equals CubeSet.Evaluate
+// cell for cell, with base counts, and a filtered answer is never the
+// published view itself.
+func TestPredicatedViewsServeAsTheBasePath(t *testing.T) {
+	env, cs := paperCubes(t)
+	url := env.Schema.Dims[1]
+	nameAt := func(cat string) string {
+		c, ok := url.CategoryByName(cat)
+		if !ok {
+			t.Fatalf("no URL.%s", cat)
+		}
+		return url.ValueName(url.ValuesIn(c)[0])
+	}
+	catalog := []string{
+		`Time.day <= 1999/12/4`,
+		`Time.week <= NOW - 52 weeks`,
+		`Time.month <= NOW - 12 months`,
+		`Time.month in {1999/12, 2000/1}`,
+		`Time.quarter = 1999Q4`,
+		`Time.year = 2000`,
+		fmt.Sprintf(`URL.url = %q`, nameAt("url")),
+		fmt.Sprintf(`URL.domain != %q`, nameAt("domain")),
+		`URL.domain_grp = ".com"`,
+		`URL.domain_grp = ".com" and Time.month <= NOW - 11 months`,
+		`Time.quarter <= NOW - 5 quarters or URL.domain_grp = ".edu"`,
+	}
+	grans := granularities(env.Schema)
+	for _, at := range []caltime.Day{caltime.Date(2000, 12, 1), caltime.Date(2001, 6, 1)} {
+		if _, err := cs.Sync(at); err != nil {
+			t.Fatal(err)
+		}
+		gen := cs.Spec().Generation()
+		exactHits, folds, refused := 0, 0, 0
+		for _, g1 := range grans {
+			set := Build(env, cs, []Candidate{{Key: spec.EncodeGran(g1), Gran: g1}}, at, Config{}, obs.NewMetrics())
+			if set.Len() != 1 {
+				t.Fatalf("%v: built %d views at %s, want 1", at, set.Len(), env.Schema.GranString(g1))
+			}
+			for _, src := range catalog {
+				pred := query.MustParsePred(src, env)
+				for _, sel := range []query.Approach{query.Conservative, query.Liberal, query.Weighted} {
+					for _, g2 := range grans {
+						if !spec.RollupReachableSchema(env.Schema, g1, g2) {
+							continue
+						}
+						q := subcube.Query{Pred: pred, Target: g2, Sel: sel, Agg: query.Availability}
+						what := fmt.Sprintf("%v: view at %s, %v %q to %s", at, env.Schema.GranString(g1), sel, src, env.Schema.GranString(g2))
+						served, _, exact := set.Serve(env.Schema, q, at, gen)
+						if decided := pred.DecidedAt(g1); (served != nil) != decided {
+							t.Errorf("%s: served %v, but the view decides the predicate: %v", what, served != nil, decided)
+							continue
+						}
+						if served == nil {
+							refused++
+							continue
+						}
+						if exact {
+							exactHits++
+						} else {
+							folds++
+						}
+						if served == set.Views()[0].MO() {
+							t.Fatalf("%s: the answer is the published view", what)
+						}
+						base, err := cs.Evaluate(q, at)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if d := sameCellsWithin(served, base); d != "" || sel != query.Weighted && served.DumpCells() != base.DumpCells() {
+							t.Errorf("%s: %s\nthe view answer\n%s\nthe base path\n%s", what, d, served.DumpCells(), base.DumpCells())
+						}
+					}
+				}
+			}
+		}
+		if exactHits == 0 || folds == 0 || refused == 0 {
+			t.Fatalf("%v: %d filtered exact hits, %d filtered folds, %d undecided: the catalog misses a branch", at, exactHits, folds, refused)
+		}
+		t.Logf("%v: %d filtered exact hits, %d filtered folds, %d undecided", at, exactHits, folds, refused)
 	}
 }

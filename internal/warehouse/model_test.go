@@ -76,16 +76,22 @@ type batteryQuery struct {
 }
 
 // modelBattery is the query battery asked at every step: the
-// view-servable shapes, a predicated shape, and the quarter shape under
-// every other approach — Liberal, Strict, Disaggregated, LUB and Weighted
-// take the base path whether or not a view answered the default form.
+// predicate-free view shapes, four predicated shapes, and the quarter
+// shape under every other approach — Strict, Disaggregated and LUB take
+// the base path whether or not a view answered the default form.
 // The next step asks the quarter shape by its text under the default
 // approaches first, after LUB last: a plan QueryWith wrote its approaches
 // into would answer it with LUB's raised target. The year × TOP shape,
 // above two of the view shapes, is rare: its shape counts so seldom that
 // under EnableViews' cap of one view the selector prefers year ×
 // domain_grp once the cubes hold more rows than that view, and the year
-// × TOP answer is that view folded.
+// × TOP answer is that view folded. The predicated shapes are filtered
+// from the view at their target when a selection holds it — year × TOP,
+// which every selection holds, year × domain_grp, which a default-cap one
+// holds beside it, and month × domain — and the TOP × TOP one is always a
+// year view filtered and folded. The .com shape is asked liberally and
+// weighted too: the churn stores rows at URL.TOP, which those approaches
+// keep where the conservative one drops them, from a view as from a cube.
 func modelBattery(env *spec.Env) []batteryQuery {
 	var out []batteryQuery
 	with := func(src string, sel query.Approach, agg query.AggApproach) {
@@ -93,8 +99,11 @@ func modelBattery(env *spec.Env) []batteryQuery {
 		q.Sel, q.Agg = sel, agg
 		out = append(out, batteryQuery{src: src, q: q})
 	}
+	const com = `aggregate [Time.year, URL.domain_grp] where URL.domain_grp = ".com"`
 	for _, src := range append(viewShapeQueries[:len(viewShapeQueries):len(viewShapeQueries)],
-		`aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`) {
+		`aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, com,
+		`aggregate [Time.year, URL.TOP] where Time.year <= NOW - 1 years`,
+		`aggregate [Time.TOP, URL.TOP] where Time.year <= NOW - 1 years`) {
 		with(src, query.Conservative, query.Availability)
 	}
 	const quarter = `aggregate [Time.quarter, URL.domain_grp]`
@@ -103,6 +112,8 @@ func modelBattery(env *spec.Env) []batteryQuery {
 		with(quarter, query.Conservative, agg)
 	}
 	with(`aggregate [Time.quarter, URL.domain_grp] where Time.month <= NOW - 1 months`, query.Weighted, query.Availability)
+	with(com, query.Liberal, query.Availability)
+	with(com, query.Weighted, query.Availability)
 	with(`aggregate [Time.year, URL.TOP]`, query.Conservative, query.Availability)
 	out[len(out)-1].rare = true
 	return out
@@ -191,6 +202,9 @@ type harness struct {
 	noViews bool // this step committed without a sync, so it published no views
 
 	refused, unsynced int64 // refused DeleteActions, unsynchronized answers
+	// Traced view hits on predicated battery queries, at the serving
+	// view's own granularity and folded above it.
+	predExact, predFolds int64
 }
 
 func newHarness(t testing.TB, name string, reclone func(applied, left int) bool) *harness {
@@ -563,6 +577,13 @@ func (h *harness) check() {
 		if !tr.Synced {
 			h.unsynced++
 		}
+		if b.q.Pred != nil && tr.View != "" {
+			if tr.ViewStored {
+				h.predExact++
+			} else {
+				h.predFolds++
+			}
+		}
 		got, err = b.byText(w)
 		h.must(err)
 		if d := diffAnswers(got, want); d != "" {
@@ -623,25 +644,36 @@ func diffAnswers(got, want *mdm.MO) string {
 // TestWarehouseMatchesModel runs every seed under every copy rule, the
 // arms side by side, and holds the warehouse to the model after each
 // step. Over its seeds each arm must reach every path below, and reclone
-// exactly when the rule is not forced off.
+// exactly when the rule is not forced off; the view paths that hang on
+// which views a seed's selections hold — folded hits, and predicated hits
+// at and above the serving view — must each be reached in perSeedMin of
+// its seeds, not in one alone.
 func TestWarehouseMatchesModel(t *testing.T) {
+	const perSeedMin = 3
+	perSeed := map[string]bool{"ancestor view hits": true, "predicated exact view hits": true, "predicated folded view hits": true}
 	cov := make([]map[string]int64, len(recloneArms))
+	seeds := make([]map[string]int, len(recloneArms))
 	t.Run("arms", func(t *testing.T) {
 		for i, arm := range recloneArms {
 			t.Run(arm.name, func(t *testing.T) {
 				t.Parallel()
-				cov[i] = map[string]int64{}
+				cov[i], seeds[i] = map[string]int64{}, map[string]int{}
 				for seed := int64(1); seed <= modelSeeds; seed++ {
 					h := newHarness(t, fmt.Sprintf("%s seed %d", arm.name, seed), arm.reclone)
 					h.run(&byteSource{modelInput(seed)}, modelSteps)
 					m := h.w.Metrics()
+					t.Logf("seed %d: %d folded view hits; traced predicated hits: %d folded, %d exact", seed, m.ViewFolds, h.predFolds, h.predExact)
 					for what, n := range map[string]int64{
 						"IngestLate": m.IngestLate, "SyncsIncremental": m.SyncsIncremental,
 						"ViewHits": m.ViewHits, "exact view hits": m.ViewHits - m.ViewFolds, "ancestor view hits": m.ViewFolds,
+						"predicated exact view hits": h.predExact, "predicated folded view hits": h.predFolds,
 						"FactsDeleted": m.FactsDeleted, "refused DeleteActions": h.refused,
 						"unsynchronized answers": h.unsynced, "SnapshotReclones": m.SnapshotReclones,
 					} {
 						cov[i][what] += n
+						if n > 0 {
+							seeds[i][what]++
+						}
 					}
 				}
 			})
@@ -649,6 +681,12 @@ func TestWarehouseMatchesModel(t *testing.T) {
 	})
 	for i, arm := range recloneArms {
 		for what, n := range cov[i] {
+			if perSeed[what] {
+				if seeds[i][what] < perSeedMin {
+					t.Errorf("the %s arm: %s in %d of %d seeds, want at least %d", arm.name, what, seeds[i][what], modelSeeds, perSeedMin)
+				}
+				continue
+			}
 			if (n == 0) != (arm.name == "never" && what == "SnapshotReclones") {
 				t.Errorf("the %s arm: %s = %d over its seeds", arm.name, what, n)
 			}

@@ -196,9 +196,10 @@ func TestStressSnapshotAtomicity(t *testing.T) {
 // enable/refresh/disable, with the rollup-view lattice live. Readers
 // re-check the snapshot atomicity invariants on view-servable shapes:
 // totals advance in whole batches and never go backwards. They ask in
-// three ways: a prepared query at the published clock, a query text
-// through its plan, and a text strictly above the one materialized view,
-// which a hit folds. A view serving a stale generation or build clock
+// five ways: a prepared query at the published clock, a query text
+// through its plan, a text strictly above the one materialized view,
+// which a hit folds, and predicated forms of the two texts, which a hit
+// filters and filters then folds. A view serving a stale generation or build clock
 // would answer with a pre-batch total after a newer one was observed,
 // breaking monotonicity. A view answer pins nothing, so under -race this
 // also checks that it needs only the publish edge: everything it reads
@@ -241,6 +242,11 @@ func TestStressViewsNeverServeStale(t *testing.T) {
 		text = `aggregate [Time.quarter, URL.domain_grp]`
 		// Strictly above text's shape: served by folding its view.
 		above = `aggregate [Time.year, URL.TOP]`
+		// Predicated forms of the two, which text's view decides: every
+		// URL is a .com one, so the view filtered keeps every row, and the
+		// totals below hold for them as for the predicate-free forms.
+		textCom  = `aggregate [Time.quarter, URL.domain_grp] where URL.domain_grp = ".com"`
+		aboveCom = `aggregate [Time.year, URL.TOP] where URL.domain_grp = ".com"`
 	)
 	q := subcube.MustParseQuery(text, env)
 	// Seed the shape trace so every refresh has a view to build. The
@@ -259,6 +265,8 @@ func TestStressViewsNeverServeStale(t *testing.T) {
 		func() (*mdm.MO, error) { return w.QueryAt(q, w.Now()) },
 		func() (*mdm.MO, error) { return w.Query(text) },
 		func() (*mdm.MO, error) { return w.Query(above) },
+		func() (*mdm.MO, error) { return w.Query(textCom) },
+		func() (*mdm.MO, error) { return w.Query(aboveCom) },
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -344,5 +352,14 @@ func TestStressViewsNeverServeStale(t *testing.T) {
 	}
 	if m.ViewFolds == 0 || m.ViewHits == m.ViewFolds {
 		t.Errorf("storm served hits=%d folds=%d, want both exact hits and folds", m.ViewHits, m.ViewFolds)
+	}
+	for _, src := range []string{textCom, aboveCom} {
+		before := w.Metrics()
+		if _, err := w.Query(src); err != nil {
+			t.Fatal(err)
+		}
+		if d := w.Metrics().Sub(before); d.ViewHits != 1 || d.Queries != 0 {
+			t.Errorf("%q after the storm: %d view hits, %d evaluations; want it view-served", src, d.ViewHits, d.Queries)
+		}
 	}
 }

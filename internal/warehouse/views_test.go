@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"maps"
 	"testing"
 
 	"dimred/internal/caltime"
@@ -283,10 +284,9 @@ func TestViewsInvalidatedByMutationAndClock(t *testing.T) {
 }
 
 func TestViewServingAllApproachesFallBack(t *testing.T) {
-	// Non-availability aggregation and predicated queries are never
-	// view-eligible: they fall back to the base path and still agree
-	// with it trivially; here we pin that they are not even counted as
-	// view traffic.
+	// Non-availability aggregation is never view-served: it falls back to
+	// the base path and is not even counted as view traffic. A predicate
+	// the serving view decides is served, and answers as the base path.
 	w, _ := openViewWarehouse(t)
 	env := w.Env()
 	q := subcube.MustParseQuery(viewShapeQueries[1], env)
@@ -298,17 +298,85 @@ func TestViewServingAllApproachesFallBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pq := subcube.MustParseQuery(
-		`aggregate [Time.quarter, URL.domain] where URL.domain_grp = ".com"`, env)
-	if _, err := w.QueryAt(pq, w.Now()); err != nil {
-		t.Fatal(err)
-	}
 	d := w.Metrics().Sub(before)
 	if d.ViewHits != 0 || d.ViewMisses != 0 {
 		t.Fatalf("ineligible queries touched view counters: hits=%d misses=%d", d.ViewHits, d.ViewMisses)
 	}
-	if d.Queries != 4 {
-		t.Fatalf("base path ran %d evaluations, want 4", d.Queries)
+	if d.Queries != 3 {
+		t.Fatalf("base path ran %d evaluations, want 3", d.Queries)
+	}
+	pq := subcube.MustParseQuery(
+		`aggregate [Time.quarter, URL.domain] where URL.domain_grp = ".com"`, env)
+	before = w.Metrics()
+	served, err := w.QueryAt(pq, w.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := w.Metrics().Sub(before); d.ViewHits != 1 || d.ViewFolds != 0 || d.ViewMisses != 0 || d.Queries != 0 {
+		t.Fatalf("a predicate the quarter × domain view decides: hits=%d folds=%d misses=%d evaluations=%d, want one exact hit",
+			d.ViewHits, d.ViewFolds, d.ViewMisses, d.Queries)
+	}
+	base, err := w.Cubes().Evaluate(pq, w.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.DumpCells() != base.DumpCells() {
+		t.Fatalf("the served predicated answer\n%s\nthe base path\n%s", served.DumpCells(), base.DumpCells())
+	}
+}
+
+// TestPredicatedViewHit: a predicated read the serving view decides is
+// answered from it — exactly, filtered, or filtered and folded — with no
+// cube-set evaluation and no shape recorded, and counts one view hit
+// (and one fold when folded); a traced hit names its view and one
+// views.Answer stage. A predicate no view decides takes the base path and
+// counts nothing, hit or miss. Every answer equals the views-off one.
+func TestPredicatedViewHit(t *testing.T) {
+	w, _ := openViewWarehouse(t)
+	for _, tc := range []struct {
+		src           string
+		served, exact bool
+	}{
+		{`aggregate [Time.month, URL.domain] where URL.domain_grp = ".com"`, true, true},
+		{`aggregate [Time.year, URL.domain] where Time.quarter <= NOW - 1 quarters`, true, false},
+		{`aggregate [Time.month, URL.domain] where Time.day <= 2000/2/15`, false, false},
+	} {
+		shapes := w.shapes.Counts()
+		before := w.Metrics()
+		mo, tr, err := w.QueryTraced(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := w.Metrics().Sub(before)
+		if got := w.shapes.Counts(); !maps.Equal(got, shapes) {
+			t.Errorf("%q recorded a shape: %v, was %v", tc.src, got, shapes)
+		}
+		if d.ViewMisses != 0 {
+			t.Errorf("%q counted %d view misses", tc.src, d.ViewMisses)
+		}
+		if !tc.served {
+			if d.ViewHits != 0 || d.Queries != 1 || tr.View != "" {
+				t.Errorf("%q: hits=%d evaluations=%d view %q, want the base path", tc.src, d.ViewHits, d.Queries, tr.View)
+			}
+		} else {
+			folds := int64(0)
+			if !tc.exact {
+				folds = 1
+			}
+			if d.ViewHits != 1 || d.ViewFolds != folds || d.Queries != 0 {
+				t.Errorf("%q: hits=%d folds=%d evaluations=%d, want a hit with %d folds and no evaluation", tc.src, d.ViewHits, d.ViewFolds, d.Queries, folds)
+			}
+			if tr.View == "" || tr.ViewStored != tc.exact || len(tr.Stages) != 1 || tr.Stages[0].Name != "views.Answer" || len(tr.Cubes) != 0 {
+				t.Errorf("%q: trace does not report a view hit:\n%s", tc.src, tr)
+			}
+		}
+		base, err := w.Cubes().Evaluate(subcube.MustParseQuery(tc.src, w.Env()), w.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mo.DumpCells() != base.DumpCells() {
+			t.Errorf("%q: answered\n%s\nthe base path\n%s", tc.src, mo.DumpCells(), base.DumpCells())
+		}
 	}
 }
 

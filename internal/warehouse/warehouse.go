@@ -681,34 +681,39 @@ func (w *Warehouse) query(q subcube.Query, shape *obs.Counter, at *caltime.Day, 
 	return s.cubes.EvaluateTraced(q, t, tr)
 }
 
-// viewEligible reports whether views may answer q: a view-eligible query
-// (subcube.Query.ViewEligible) whose target names every dimension.
+// viewEligible reports whether q is a shape the view selector learns
+// from: a view-eligible query (subcube.Query.ViewEligible) whose target
+// names every dimension.
 func (w *Warehouse) viewEligible(q subcube.Query) bool {
 	return q.ViewEligible() && len(q.Target) == w.env.Schema.NumDims()
 }
 
-// viewAnswer tries to answer q from the snapshot's materialized views:
-// the view at the target's granularity as stored, else the smallest
-// view that rolls up to it, folded — provided the set was built at
-// exactly the evaluation clock under the snapshot's spec generation (a
-// stale view is skipped, not served — the base subcubes answer instead).
-// It reads only s's own fields and its view set, never s.cubes: s is not
-// pinned, and its cube set may be levelled once it retires. Every
-// view-eligible query records its shape into the selector's trace, hit or
-// miss; misses are counted only while a view set is published, so a
-// views-off warehouse pays one atomic add and nothing else. ViewFolds
-// counts the hits that had to fold, so hits - folds says how often the
-// selector had materialized the very shape asked. A hit fills tr (when
-// non-nil) with the serving view, a single "views.Answer" stage and no
-// cube entries: no subcube was scanned.
+// viewAnswer tries to answer q from the snapshot's materialized views
+// (views.Set.Serve): the view at the target's granularity, else the
+// smallest view that rolls up to it, folded, and filtered first when the
+// view decides q's predicate — provided the set was built at exactly the
+// evaluation clock under the snapshot's spec generation (a stale view is
+// skipped, not served — the base subcubes answer instead). It reads only
+// s's own fields and its view set, never s.cubes: s is not pinned, and
+// its cube set may be levelled once it retires. Every view-eligible query
+// records its shape into the selector's trace, hit or miss; misses are
+// counted only while a view set is published, so a views-off warehouse
+// pays one atomic add and nothing else. Any other query may still be
+// served, but records no shape and counts no miss: the selector learns
+// from predicate-free traffic only, so hits over misses stays its picks
+// against what it learned. ViewFolds counts the hits that had to fold, so
+// hits - folds says how often the selector had materialized the very
+// shape asked. A hit fills tr (when non-nil) with the serving view, a
+// single "views.Answer" stage and no cube entries: no subcube was
+// scanned.
 func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, shape *obs.Counter, at *caltime.Day, tr *obs.Trace) (*mdm.MO, bool) {
-	if !w.viewEligible(q) {
-		return nil, false
-	}
-	if shape != nil {
-		shape.Inc()
-	} else {
-		w.shapes.Record(spec.EncodeGran(q.Target))
+	eligible := w.viewEligible(q)
+	if eligible {
+		if shape != nil {
+			shape.Inc()
+		} else {
+			w.shapes.Record(spec.EncodeGran(q.Target))
+		}
 	}
 	if s.views == nil {
 		return nil, false
@@ -723,7 +728,9 @@ func (w *Warehouse) viewAnswer(s *snapshot, q subcube.Query, shape *obs.Counter,
 	}
 	mo, view, stored := s.views.Serve(w.env.Schema, q, t, s.gen)
 	if mo == nil {
-		w.met.ViewMisses.Inc()
+		if eligible {
+			w.met.ViewMisses.Inc()
+		}
 		return nil, false
 	}
 	w.met.ViewHits.Inc()
