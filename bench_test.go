@@ -159,7 +159,7 @@ func BenchmarkViewAnswer(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			q := subcube.Query{Target: tc.target, Sel: query.Conservative, Agg: query.Availability}
-			v, exact := set.Serving(env.Schema, tc.target)
+			v, exact := set.Serving(env.Schema, tc.target, nil)
 			if v == nil || exact != tc.exact || v.Rows() != tc.rows {
 				b.Fatalf("the fixture no longer serves this case as named: view %v, exact %v", v, exact)
 			}

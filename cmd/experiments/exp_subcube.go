@@ -191,7 +191,7 @@ func runE15(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintln(w, "query at 2001/1/20 with cubes last synchronized at 2000/10/20")
-	fmt.Fprintln(w, "(un-synchronized evaluation through per-cube parent views, Figure 9):")
+	fmt.Fprintln(w, "(un-synchronized evaluation: each cube's rows rolled up to their current level, Figure 9):")
 	fmt.Fprint(w, stale.Dump())
 	if _, err := cs.Sync(at); err != nil {
 		return err

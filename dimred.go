@@ -273,10 +273,11 @@ type (
 	// ViewConfig budgets the materialized rollup-view lattice
 	// (Warehouse.EnableViews): MaxBytes caps the modeled bytes the view
 	// set may retain, MaxViews its cardinality; the zero value applies
-	// the package defaults. Views answer predicate-free availability
-	// queries from the smallest fresh materialized ancestor and are
-	// invalidated, never served stale, across loads, clock advances and
-	// specification updates.
+	// the package defaults. Views answer availability queries from the
+	// fresh view at the target, else the smallest fresh materialized
+	// ancestor — under a predicate, of the views whose granularity decides
+	// it — and are invalidated, never served stale, across loads, clock
+	// advances and specification updates.
 	ViewConfig = views.Config
 	// IngestConfig tunes the streaming-ingest compactor
 	// (Warehouse.StartIngest): MinBatch is its group-commit threshold;

@@ -13,7 +13,7 @@ type CubeTrace struct {
 	Cube        int    // cube id (0 is the bottom cube)
 	Granularity string // the cube's fixed granularity
 	Pruned      bool   // skipped entirely by the zone map
-	RowsScanned int    // rows visited in the cube (and its parents, un-synced)
+	RowsScanned int    // rows visited in the cube
 	RowsKept    int    // rows surviving the predicate
 	Duration    time.Duration
 }
@@ -41,7 +41,7 @@ type Trace struct {
 	At          string // the evaluation time, rendered by the caller
 	Synced      bool   // whether the cube set was synchronized at query time
 	View        string // shape key of the materialized view that served the query; empty on the base path
-	ViewStored  bool   // the view sits at the query's granularity and was returned as stored (filtered, under a predicate), not folded
+	ViewStored  bool   // the view sits at the query's granularity and was not folded: returned as stored, or filtered under a predicate
 	Cubes       []CubeTrace
 	Stages      []Stage
 	ResultCells int // cells in the final result
@@ -112,7 +112,7 @@ func (t *Trace) String() string {
 	if t.View != "" {
 		how := "folded to the target"
 		if t.ViewStored {
-			how = "served as stored"
+			how = "served at the target granularity"
 		}
 		fmt.Fprintf(&b, "  view %s %s\n", t.View, how)
 	}

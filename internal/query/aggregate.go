@@ -205,10 +205,12 @@ func Aggregate(mo *mdm.MO, target mdm.Granularity, approach AggApproach) (*mdm.M
 	}
 	var rolled []map[mdm.ValueID]rollUp
 
+	// One group key for every fact: addTo copies it into a new group, and
+	// the key map keeps no slice.
+	cell := make([]mdm.ValueID, len(schema.Dims))
 	for f := 0; f < mo.Len(); f++ {
 		fid := mdm.FactID(f)
 		gran := mo.Gran(fid)
-		cell := make([]mdm.ValueID, len(schema.Dims))
 		above := false // some dimension is above the requested level
 		ok := true
 		for i, d := range schema.Dims {

@@ -69,11 +69,12 @@ func TestCellIndexPackedRouting(t *testing.T) {
 	}
 }
 
-// TestViewOfEvalAllocationProfile guards the hoisted scratch in the
-// unsynchronized query view: building a cube view probes the compiled
-// router without per-row allocations beyond the view MO itself. It is
-// a smoke check that the eval seam stays on the compiled path.
-func TestViewOfEvalAllocationProfile(t *testing.T) {
+// TestRollUpRowsEvalAllocationProfile guards the hoisted scratch in the
+// unsynchronized query: rolling a cube's rows up to their levels probes
+// the compiled router without per-row allocations beyond the part MO
+// itself. It is a smoke check that the eval seam stays on the compiled
+// path.
+func TestRollUpRowsEvalAllocationProfile(t *testing.T) {
 	obj, env := syncTestObj(t, 32)
 	s := syncTestSpec(t, env)
 	cs, err := New(s)
@@ -88,15 +89,15 @@ func TestViewOfEvalAllocationProfile(t *testing.T) {
 		t.Fatal("default cell evaluator is not on the compiled path")
 	}
 	mo := mdm.NewMO(cs.env.Schema)
-	scanned, err := cs.viewOf(cs.cubes[0], &eval, mo, nil)
+	scanned, err := cs.rollUpRows(cs.cubes[0], &eval, mo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if scanned == 0 {
-		t.Fatal("view scanned no rows")
+		t.Fatal("the stale read scanned no rows")
 	}
 	if eval.probes == 0 {
-		t.Fatal("view did not count router probes")
+		t.Fatal("the stale read did not count router probes")
 	}
 }
 
@@ -105,7 +106,7 @@ func TestViewOfEvalAllocationProfile(t *testing.T) {
 // with hundreds of cells between them. Merged by cell key, the combine
 // allocates the result's columns and its key map as they grow and the
 // names in one string — nothing per fact — and the whole query takes
-// about ten allocations per result cell, all in the per-cube select and
+// about eight allocations per result cell, all in the per-cube select and
 // fold; copying each subresult fact into a union MO and aggregating that
 // once more cost fourteen more.
 func TestCombineAllocations(t *testing.T) {
@@ -152,10 +153,10 @@ func TestCombineAllocations(t *testing.T) {
 // cheaply as a synchronized one: on TestCombineAllocations' fixture, a
 // predicated query 21 days after the last sync allocates at most 1.1×
 // what it allocates at the sync, under the conservative and the weighted
-// approach. Each cell of a stale cube's view is selected as it first
-// appears, and the weights scale the view in place; building the whole
-// view, copying the selected cells out of it and copying them again to
-// scale them cost about 1.4×.
+// approach. Each cell of a stale cube's rolled-up rows is selected as it
+// first appears, and the weights scale the part in place; building the
+// whole part, copying the selected cells out of it and copying them again
+// to scale them cost about 1.4×.
 func TestStaleQueryAllocations(t *testing.T) {
 	obj, env := syncTestObj(t, 33)
 	at := caltime.Date(2000, 5, 20)

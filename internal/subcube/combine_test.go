@@ -141,8 +141,7 @@ func combineEqualsUnion(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Queried at the sync day the set is synchronized; three weeks on
-		// (inside one significant period) every cube answers through its
-		// view over its parents.
+		// every cube answers with its own rows rolled up to their levels.
 		for _, at := range []caltime.Day{syncAt, syncAt + 21} {
 			for _, refs := range targets {
 				target, err := schema.ParseGranularity(refs)

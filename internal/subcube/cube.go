@@ -3,11 +3,12 @@
 // set is transformed into disjoint actions grouped by identical target
 // granularity, each group backed by one physical subcube (a fact table
 // at a fixed granularity), plus one subcube at the bottom granularity
-// that receives all new data. As NOW advances, synchronization migrates
-// rows along the parent→child DAG, aggregating them into coarser
-// subcubes; queries evaluate per subcube — in parallel — and combine the
-// disjoint subresults with one final distributive aggregation, in both
-// the synchronized and the un-synchronized state (Section 7.3).
+// that receives all new data. As NOW advances, synchronization moves
+// each row to the subcube of its current aggregation level, aggregating
+// it into a coarser subcube; queries evaluate per subcube — in parallel —
+// and combine the disjoint subresults with one final distributive
+// aggregation, in both the synchronized and the un-synchronized state
+// (Section 7.3).
 package subcube
 
 import (
@@ -38,7 +39,6 @@ type Cube struct {
 	actions []*spec.Action // actions targeting this granularity (empty for the bottom cube)
 	store   *storage.Store
 	index   *mdm.CellMap[storage.RowID] // cell -> live row
-	parents []*Cube
 
 	dayLo, dayHi caltime.Day
 	hasRange     bool
@@ -64,9 +64,6 @@ func (c *Cube) Gran() mdm.Granularity { return c.gran }
 // Actions returns the actions whose target granularity this cube
 // realizes. The bottom cube has none.
 func (c *Cube) Actions() []*spec.Action { return c.actions }
-
-// Parents returns the cubes data migrates into this cube from.
-func (c *Cube) Parents() []*Cube { return c.parents }
 
 // Rows returns the number of live rows.
 func (c *Cube) Rows() int { return c.store.Live() }
@@ -173,13 +170,6 @@ func (cs *CubeSet) Clone() *CubeSet {
 		}
 		c2.cubes = append(c2.cubes, nc)
 	}
-	// Parent edges point at the clone's cubes; IDs are positions, so the
-	// remap is a direct lookup.
-	for i, c := range cs.cubes {
-		for _, p := range c.parents {
-			c2.cubes[i].parents = append(c2.cubes[i].parents, c2.cubes[p.id])
-		}
-	}
 	return c2
 }
 
@@ -260,7 +250,6 @@ func New(sp *spec.Spec) (*CubeSet, error) {
 		}
 		c.actions = append(c.actions, a)
 	}
-	cs.computeDAG()
 	return cs, nil
 }
 
@@ -276,26 +265,24 @@ func (cs *CubeSet) cubeAt(level mdm.Granularity) *Cube {
 	return nil
 }
 
-// computeDAG derives the parent→child edges of Section 7.1: the bottom
-// cube is a parent of every other cube (new and late-arriving data can
-// migrate from it directly), and a non-bottom cube p is a parent of c
-// when an action of p is dominated by an action of c whose predicates
-// can select common cells at some time.
-func (cs *CubeSet) computeDAG() {
-	for _, c := range cs.cubes {
-		c.parents = nil
+// parents returns cube c's parents in the parent→child DAG of Section
+// 7.1: the bottom cube is a parent of every other cube (new and
+// late-arriving data can migrate from it directly), and a non-bottom cube
+// p is a parent of c when an action of p is dominated by an action of c
+// whose predicates can select common cells at some time. Sync and the
+// queries route each row by its own level and never read the edges, so
+// they are derived on each call, for Describe.
+func (cs *CubeSet) parents(c *Cube) []*Cube {
+	if c.id == 0 {
+		return nil
 	}
-	for _, c := range cs.cubes[1:] {
-		c.parents = append(c.parents, cs.cubes[0])
-		for _, p := range cs.cubes[1:] {
-			if p == c || !cs.env.Schema.GranLE(p.gran, c.gran) {
-				continue
-			}
-			if cs.cubesLinked(p, c) {
-				c.parents = append(c.parents, p)
-			}
+	out := []*Cube{cs.cubes[0]}
+	for _, p := range cs.cubes[1:] {
+		if p != c && cs.env.Schema.GranLE(p.gran, c.gran) && cs.cubesLinked(p, c) {
+			out = append(out, p)
 		}
 	}
+	return out
 }
 
 // cubesLinked reports whether rows can migrate directly from p to c: an
@@ -481,7 +468,7 @@ func (cs *CubeSet) mergeInto(c *Cube, refs []mdm.ValueID, meas []float64, base i
 
 // cellEval evaluates DeletedBy/AggLevel per cell through either the
 // compiled router or the interpreted specification, behind one seam so
-// Sync, Late and viewOf need a single implementation each. It counts
+// Sync, Late and rollUpRows need a single implementation each. It counts
 // router probes locally; callers publish the count with one atomic add.
 type cellEval struct {
 	router *specexec.Router // nil selects the interpreted path
@@ -995,9 +982,9 @@ func (c *Cube) AppendTo(mo *mdm.MO, keep func(cell []mdm.ValueID) bool) (scanned
 }
 
 // Describe renders the cube layout with the disjoint-action view of
-// Section 7.1: each cube's granularity, its actions, and the
-// higher-target actions its predicate excludes (the negated conjuncts of
-// Eq. 41-44); the bottom cube excludes every action.
+// Section 7.1: each cube's granularity, its parents in the DAG, its
+// actions, and the higher-target actions its predicate excludes (the
+// negated conjuncts of Eq. 41-44); the bottom cube excludes every action.
 func (cs *CubeSet) Describe() string {
 	var b strings.Builder
 	for _, c := range cs.cubes {
@@ -1006,7 +993,7 @@ func (cs *CubeSet) Describe() string {
 			b.WriteString(" [bottom]")
 		}
 		var parents []string
-		for _, p := range c.parents {
+		for _, p := range cs.parents(c) {
 			parents = append(parents, fmt.Sprintf("K%d", p.id))
 		}
 		sort.Strings(parents)

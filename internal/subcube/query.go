@@ -72,12 +72,12 @@ func MustParseQuery(src string, env *spec.Env) Query {
 
 // Evaluate runs the query at time t following Section 7.3: each subcube
 // is evaluated independently and in parallel; when the cube set is not
-// synchronized at t, each subcube's input is first replaced by its
-// synchronized view α[G_i]σ[P_i](K_i ∪ parents(K_i)) — the rows, from
-// the cube and its parent cubes, whose current aggregation level is G_i,
-// rolled up to G_i. Either way one query.Selector per cube selects its
-// cells, and the disjoint subresults are combined by one final
-// distributive aggregation to the target granularity (query.Combine).
+// synchronized at t, each subcube's input is first its own rows as a
+// Sync at t would leave them — the deleted ones dropped, the rest rolled
+// up to their current aggregation level (rollUpRows) — at any staleness.
+// Either way one query.Selector per cube selects its cells, and the
+// disjoint subresults are combined by one final distributive aggregation
+// to the target granularity (query.Combine).
 func (cs *CubeSet) Evaluate(q Query, t caltime.Day) (*mdm.MO, error) {
 	return cs.EvaluateTraced(q, t, nil)
 }
@@ -176,15 +176,15 @@ func (cs *CubeSet) evaluateCubes(q Query, t caltime.Day, tr *obs.Trace) ([]*mdm.
 	// Zone-map pruning: a cube whose day-range hull cannot intersect the
 	// predicate's time bounds contributes nothing (sound for every
 	// approach — the hull covers all drill-down days of every row).
-	// Pruning applies only in the synchronized state; a stale cube may
-	// still feed rows into other cubes' views.
+	// Pruning applies only in the synchronized state: a stale row may roll
+	// up into a cell whose days reach the predicate's bounds.
 	var predLo, predHi caltime.Day
 	pruneByTime := false
 	if synced && q.Pred != nil {
 		predLo, predHi, pruneByTime = q.Pred.TimeBounds(t)
 	}
 
-	// Unsynchronized queries rebuild each cube's view per row; compile
+	// Unsynchronized queries roll each row up to its level; compile
 	// the specification once and share the day-pinned router across the
 	// per-cube goroutines (each carries its own probe counter).
 	var baseEval cellEval
@@ -228,7 +228,7 @@ func (cs *CubeSet) evaluateCubes(q Query, t caltime.Day, tr *obs.Trace) ([]*mdm.
 				scanned, err = c.AppendTo(mo, keep)
 			} else {
 				e := &cellEval{router: baseEval.router, sp: baseEval.sp, t: baseEval.t}
-				scanned, err = cs.viewOf(c, e, mo, keep)
+				scanned, err = cs.rollUpRows(c, e, mo, keep)
 				perCube[i].probes = e.probes
 			}
 			perCube[i].scanned, perCube[i].kept = int64(scanned), int64(mo.Len())
@@ -266,67 +266,55 @@ func (cs *CubeSet) evaluateCubes(q Query, t caltime.Day, tr *obs.Trace) ([]*mdm.
 	return subresults, tot, nil
 }
 
-// viewOf appends to mo the synchronized view of cube c at the evaluator's
-// day, built from c and its parent cubes: the rows whose current
-// aggregation level equals c's granularity, rolled up to it and merged by
-// cell. keep (nil keeps all) is asked about a rolled-up cell before the
-// cell's first row is added, and a refused row is skipped: selection
-// commutes with roll-up, so equal cells get equal verdicts and this is
-// the view selected. scanned reports the rows visited across the cube
-// and its parents. The per-row up/meas scratch is hoisted:
-// MO.AddFactAt copies its inputs.
-func (cs *CubeSet) viewOf(c *Cube, e *cellEval, mo *mdm.MO, keep func([]mdm.ValueID) bool) (scanned int, err error) {
+// rollUpRows appends to mo cube c's live rows as a Sync at the
+// evaluator's day would leave them: a row a deletion selects is dropped,
+// every other row is rolled up to its current aggregation level and
+// merged by cell. Sync moves each row to its level's cube in one step,
+// wherever the row lies, and the default aggregates are distributive, so
+// the cubes' parts together are the synchronized cube set's rows, split
+// by the cube they lie in rather than the one they would move to. keep
+// (nil keeps all) is asked about a rolled-up cell before the cell's first
+// row is added, and a refused row is skipped: selection commutes with
+// roll-up, so equal cells get equal verdicts and this is the part
+// selected. scanned reports the rows visited. The per-row scratch is
+// hoisted: MO.AddFactAt copies its inputs.
+func (cs *CubeSet) rollUpRows(c *Cube, e *cellEval, mo *mdm.MO, keep func([]mdm.ValueID) bool) (scanned int, err error) {
 	schema := cs.env.Schema
 	held := mdm.NewCellMap[mdm.FactID](schema.NumDims())
-
-	sources := append([]*Cube{c}, c.parents...)
 	cell := make([]mdm.ValueID, schema.NumDims())
 	level := make(mdm.Granularity, schema.NumDims())
 	var up []mdm.ValueID
 	meas := make([]float64, len(schema.Measures))
-	for _, src := range sources {
-		var failed error
-		src.store.Scan(func(r storage.RowID) bool {
-			scanned++
-			src.store.Refs(r, cell)
-			if e.deletedBy(cell) != nil {
-				return true // already past its deletion time
-			}
-			e.aggLevelInto(cell, level, nil)
-			if !schema.GranEq(level, c.gran) {
-				return true
-			}
-			if up, failed = schema.RollUp(up[:0], cell, level); failed != nil {
-				failed = fmt.Errorf("subcube: view: %w", failed)
-				return false
-			}
-			if fid, ok := held.Get(up); ok {
-				for j, m := range schema.Measures {
-					merged := m.Agg.Merge(mo.Measure(fid, j), src.store.Measure(r, j))
-					mo.SetMeasure(fid, j, merged)
-				}
-				mo.AddBaseCount(fid, src.store.Base(r))
-				return true
-			}
-			if keep != nil && !keep(up) {
-				return true
-			}
-			for j := range meas {
-				meas[j] = src.store.Measure(r, j)
-			}
-			fid, err := mo.AddFactAt(up, meas, src.store.Base(r), "")
-			if err != nil {
-				failed = err
-				return false
-			}
-			held.Put(up, fid)
-			return true
-		})
-		if failed != nil {
-			// Report the rows actually visited even on failure, so the
-			// RowsScanned counter and per-cube traces stay truthful.
-			return scanned, failed
+	c.store.Scan(func(r storage.RowID) bool {
+		scanned++
+		c.store.Refs(r, cell)
+		if e.deletedBy(cell) != nil {
+			return true // already past its deletion time
 		}
-	}
-	return scanned, nil
+		e.aggLevelInto(cell, level, nil)
+		if up, err = schema.RollUp(up[:0], cell, level); err != nil {
+			err = fmt.Errorf("subcube: stale read: %w", err)
+			return false
+		}
+		if fid, ok := held.Get(up); ok {
+			for j, m := range schema.Measures {
+				mo.SetMeasure(fid, j, m.Agg.Merge(mo.Measure(fid, j), c.store.Measure(r, j)))
+			}
+			mo.AddBaseCount(fid, c.store.Base(r))
+			return true
+		}
+		if keep != nil && !keep(up) {
+			return true
+		}
+		for j := range meas {
+			meas[j] = c.store.Measure(r, j)
+		}
+		var fid mdm.FactID
+		if fid, err = mo.AddFactAt(up, meas, c.store.Base(r), ""); err != nil {
+			return false
+		}
+		held.Put(up, fid)
+		return true
+	})
+	return scanned, err
 }

@@ -110,14 +110,18 @@ func TestRandomizedEquivalence(t *testing.T) {
 	}
 }
 
-// TestRandomizedStaleQueryEquivalence checks that un-synchronized
-// evaluation matches synchronized evaluation under a generated stream,
-// when the staleness is within one significant period (the paper's
-// one-generation assumption).
+// TestRandomizedStaleQueryEquivalence is the stale law: under a
+// generated stream, evaluating a query at t on a cube set last
+// synchronized earlier equals synchronizing at t and then evaluating, at
+// any staleness — here 1, 3, 6, 12, 24 and 36 months. It runs every
+// selection and aggregation approach, on the compiled and the interpreted
+// evaluator, over a two-level specification and a three-level windowed
+// one whose month-cube rows reach the year cube once the staleness
+// passes a year, in one step, as a Sync moves them.
 func TestRandomizedStaleQueryEquivalence(t *testing.T) {
 	obj, err := workload.BuildClickMO(workload.ClickConfig{
 		Seed: 77, Start: caltime.Date(2000, 1, 1),
-		Days: 240, ClicksPerDay: 20, Domains: 6, URLsPerDomain: 3,
+		Days: 500, ClicksPerDay: 6, Domains: 6, URLsPerDomain: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,44 +130,73 @@ func TestRandomizedStaleQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := spec.New(env,
-		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`, env),
-		spec.MustCompileString("q", `aggregate [Time.quarter, URL.domain_grp] where Time.quarter <= NOW - 2 quarters`, env))
-	if err != nil {
-		t.Fatal(err)
+	specs := [][]string{
+		{
+			`aggregate [Time.month, URL.domain] where Time.month <= NOW - 2 months`,
+			`aggregate [Time.quarter, URL.domain_grp] where Time.quarter <= NOW - 2 quarters`,
+		},
+		{
+			`aggregate [Time.month, URL.domain] where NOW - 9 months < Time.month and Time.month <= NOW - 2 months`,
+			`aggregate [Time.quarter, URL.domain] where NOW - 8 quarters < Time.quarter and Time.quarter <= NOW - 3 quarters`,
+			`aggregate [Time.year, URL.domain] where Time.year <= NOW - 2 years`,
+		},
 	}
-	q := MustParseQuery(`aggregate [Time.month, URL.domain_grp]`, env)
-	for _, step := range []struct {
-		syncAt, queryAt caltime.Day
-	}{
-		{caltime.Date(2000, 6, 15), caltime.Date(2000, 7, 10)},
-		{caltime.Date(2000, 9, 1), caltime.Date(2000, 9, 25)},
-		{caltime.Date(2001, 1, 5), caltime.Date(2001, 2, 2)},
-	} {
-		cs, err := New(s)
+	queries := []string{
+		`aggregate [Time.year, URL.TOP]`,
+		`aggregate [Time.month, URL.domain_grp]`,
+		`aggregate [Time.month, URL.domain_grp] where 2000/2/10 <= Time.day and URL.domain_grp = ".com"`,
+	}
+	sels := []query.Approach{query.Conservative, query.Liberal, query.Weighted}
+	aggs := []query.AggApproach{query.Availability, query.Strict, query.LUB, query.Disaggregated}
+	syncAt := caltime.Date(2001, 5, 15)
+	for si, srcs := range specs {
+		var actions []*spec.Action
+		for i, src := range srcs {
+			actions = append(actions, spec.MustCompileString(fmt.Sprintf("a%d", i), src, env))
+		}
+		s, err := spec.New(env, actions...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cs.InsertMO(obj.MO); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cs.Sync(step.syncAt); err != nil {
-			t.Fatal(err)
-		}
-		stale, err := cs.Evaluate(q, step.queryAt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cs.Sync(step.queryAt); err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := cs.Evaluate(q, step.queryAt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if canon(stale) != canon(fresh) {
-			t.Errorf("stale/fresh divergence for sync=%v query=%v:\nstale:\n%s\nfresh:\n%s",
-				step.syncAt, step.queryAt, canon(stale), canon(fresh))
+		for _, interpret := range []bool{false, true} {
+			synced, err := New(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			synced.SetInterpreted(interpret)
+			if err := synced.InsertMO(obj.MO); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := synced.Sync(syncAt); err != nil {
+				t.Fatal(err)
+			}
+			for _, months := range []int64{1, 3, 6, 12, 24, 36} {
+				at := caltime.AddSpan(syncAt, caltime.Span{N: months, Unit: caltime.UnitMonth})
+				fresh := synced.Clone()
+				if _, err := fresh.Sync(at); err != nil {
+					t.Fatal(err)
+				}
+				for _, qsrc := range queries {
+					q := MustParseQuery(qsrc, env)
+					for _, sel := range sels {
+						if q.Pred == nil && sel != query.Conservative {
+							continue // selection is the identity
+						}
+						for _, agg := range aggs {
+							q.Sel, q.Agg = sel, agg
+							got, err := synced.Evaluate(q, at)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want, err := fresh.Evaluate(q, at)
+							if err != nil {
+								t.Fatal(err)
+							}
+							approxEqualMO(t, fmt.Sprintf("spec %d, interpreted=%v, %d months stale, %q %v/%v", si, interpret, months, qsrc, sel, agg), got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -74,7 +74,7 @@ func TestE12DisjointLayoutAndDAG(t *testing.T) {
 	// of both a1' and a3, while a1' is the parent of a2."
 	parentIDs := func(c *Cube) []int {
 		var ids []int
-		for _, p := range c.Parents() {
+		for _, p := range cs.parents(c) {
 			ids = append(ids, p.ID())
 		}
 		sort.Ints(ids)

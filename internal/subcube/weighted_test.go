@@ -151,8 +151,8 @@ func TestWeightedQueryMatchesOracle(t *testing.T) {
 			approxEqualMO(t, "synced", synced, want)
 
 			// Unsynchronized (last sync in the same significant period):
-			// each cube's view is rebuilt per row, selecting each cell
-			// as it first appears with its certainty weight.
+			// each cube's rows are rolled up to their levels, selecting
+			// each cell as it first appears with its certainty weight.
 			cs2, err := New(s)
 			if err != nil {
 				t.Fatal(err)
@@ -231,7 +231,7 @@ func TestWeightedBetweenBounds(t *testing.T) {
 }
 
 // TestWeightedTraceCountsKept checks the trace/metric plumbing on the
-// weighted path, on fresh cubes (the scan) and stale ones (the view)
+// weighted path, on fresh cubes (the scan) and stale ones (the roll-up)
 // alike: a Selector's weights line up with the facts it kept, each lies
 // in (0, 1], and the trace reports the same rows scanned and kept.
 func TestWeightedTraceCountsKept(t *testing.T) {
@@ -263,7 +263,7 @@ func TestWeightedTraceCountsKept(t *testing.T) {
 			if tr.Synced {
 				scanned, err = c.AppendTo(mo, sel.Keep)
 			} else {
-				scanned, err = cs.viewOf(c, &eval, mo, sel.Keep)
+				scanned, err = cs.rollUpRows(c, &eval, mo, sel.Keep)
 			}
 			if err != nil {
 				t.Fatal(err)

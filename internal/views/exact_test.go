@@ -130,7 +130,7 @@ func TestExactHitEqualsFold(t *testing.T) {
 		if served == v.MO() {
 			t.Fatalf("%s: the answer is the view's own MO, not a copy", what)
 		}
-		if sv, exact := set.Serving(env.Schema, v.Gran()); sv != v || !exact {
+		if sv, exact := set.Serving(env.Schema, v.Gran(), nil); sv != v || !exact {
 			t.Errorf("%s: Serving = view %s, exact %v", what, sv.Key(), exact)
 		}
 		sameAnswer(t, env, what, served, foldOf(t, v, v.Gran()))
@@ -149,7 +149,7 @@ func TestExactHitEqualsFold(t *testing.T) {
 				break
 			}
 		}
-		if sv, exact := set.Serving(env.Schema, target); sv != smallest || exact {
+		if sv, exact := set.Serving(env.Schema, target, nil); sv != smallest || exact {
 			t.Fatalf("%s: Serving = view %s, exact %v, want the smallest ancestor %s, folded", what, sv.Key(), exact, smallest.Key())
 		}
 		served, ok := set.Answer(env.Schema, queryAt(target), at, gen)
@@ -188,7 +188,7 @@ func TestExactHitEqualsFold(t *testing.T) {
 	if vs := setT.Views(); setT.Len() != 2 || vs[0].Key() != quarter.Key || vs[0].Rows() != vs[1].Rows() {
 		t.Fatalf("the tie case needs the quarter view first among two of equal rows, got %d views", setT.Len())
 	}
-	if sv, exact := setT.Serving(envT.Schema, year.Gran); !exact || sv.Key() != year.Key {
+	if sv, exact := setT.Serving(envT.Schema, year.Gran, nil); !exact || sv.Key() != year.Key {
 		t.Errorf("year target served by view %s (exact %v) with the year view %s materialized", sv.Key(), exact, year.Key)
 	}
 	served, ok = setT.Answer(envT.Schema, queryAt(year.Gran), atT, csT.Spec().Generation())

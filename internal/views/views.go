@@ -195,30 +195,33 @@ func Build(env *spec.Env, cs *subcube.CubeSet, cands []Candidate, t caltime.Day,
 	return set
 }
 
-// Serving returns the view a query at target reads, and whether it is
-// materialized at exactly that granularity: the exact view when the set
-// has one, otherwise the smallest view that rolls up to the target (the
-// views are sorted smallest-first, so the first eligible one minimizes
-// the rows folded), otherwise nil. The exact lookup comes first because
-// row order alone does not find it: a finer view with as many rows sorts
-// beside the exact one, and folding it reproduces, cell for cell, what
-// the exact view already holds. Freshness is Serve's check, not this
-// one's.
-func (s *Set) Serving(schema *mdm.Schema, target mdm.Granularity) (v *View, exact bool) {
+// Serving returns the view a query at target under pred (nil for none)
+// reads, and whether it is materialized at exactly that granularity: of
+// the views that decide pred (query.Predicate.DecidedAt), the exact view
+// when the set has one, otherwise the smallest that rolls up to the
+// target (the views are sorted smallest-first, so the first eligible one
+// minimizes the rows folded), otherwise nil. The exact view is preferred
+// because row order alone does not find it: a finer view with as many
+// rows sorts beside the exact one, and folding it reproduces, cell for
+// cell, what the exact view already holds. Freshness is Serve's check,
+// not this one's.
+func (s *Set) Serving(schema *mdm.Schema, target mdm.Granularity, pred *query.Predicate) (v *View, exact bool) {
 	if s == nil || len(target) != schema.NumDims() {
 		return nil, false
 	}
+	var smallest *View
 	for _, v := range s.views {
+		if pred != nil && !pred.DecidedAt(v.gran) {
+			continue
+		}
 		if schema.GranEq(v.gran, target) {
 			return v, true
 		}
-	}
-	for _, v := range s.views {
-		if spec.RollupReachableSchema(schema, v.gran, target) {
-			return v, false
+		if smallest == nil && spec.RollupReachableSchema(schema, v.gran, target) {
+			smallest = v
 		}
 	}
-	return nil, false
+	return smallest, false
 }
 
 // Answer is Serve without the serving view's key and exactness, for
@@ -234,7 +237,7 @@ func (s *Set) Answer(schema *mdm.Schema, q subcube.Query, t caltime.Day, gen uin
 // have been built at exactly clock t under specification generation gen
 // (staleness is never observable — a stale set is skipped, not served),
 // q must aggregate under availability, and some view's granularity must
-// roll up to q's target (Serving). Strict, LUB and Disaggregated derive
+// roll up to q's target and decide q's predicate (Serving). Strict, LUB and Disaggregated derive
 // their effective target or per-row shares from the base facts, which a
 // pre-rolled view no longer exposes.
 //
@@ -246,8 +249,8 @@ func (s *Set) Answer(schema *mdm.Schema, q subcube.Query, t caltime.Day, gen uin
 // copies them only if the caller writes the answer. Only a target
 // strictly above the serving view is folded, by query.Aggregate.
 //
-// A predicate is served only when the serving view's granularity decides
-// it (query.Predicate.DecidedAt): the view's rows then pass through the
+// A predicate is served only from a view whose granularity decides it
+// (query.Predicate.DecidedAt): the view's rows then pass through the
 // query's own query.Selector, which decides each one, a row the reduction
 // stored above the view's granularity included, as the base path decides
 // a stored row; the weighted approach scales the kept rows' sums by their
@@ -266,7 +269,7 @@ func (s *Set) Serve(schema *mdm.Schema, q subcube.Query, t caltime.Day, gen uint
 	if s == nil || s.builtAt != t || s.gen != gen || q.Agg != query.Availability {
 		return nil, "", false
 	}
-	v, exact := s.Serving(schema, q.Target)
+	v, exact := s.Serving(schema, q.Target, q.Pred)
 	if v == nil {
 		return nil, "", false
 	}
@@ -275,9 +278,6 @@ func (s *Set) Serve(schema *mdm.Schema, q subcube.Query, t caltime.Day, gen uint
 	}
 	mo = v.mo
 	if q.Pred != nil {
-		if !q.Pred.DecidedAt(v.gran) {
-			return nil, "", false
-		}
 		sel := q.Pred.Selector(t, q.Sel)
 		var err error
 		if mo, err = query.Filter(mo, sel); err != nil {

@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"maps"
+	"strings"
 	"testing"
 
 	"dimred/internal/caltime"
@@ -369,6 +370,13 @@ func TestPredicatedViewHit(t *testing.T) {
 			if tr.View == "" || tr.ViewStored != tc.exact || len(tr.Stages) != 1 || tr.Stages[0].Name != "views.Answer" || len(tr.Cubes) != 0 {
 				t.Errorf("%q: trace does not report a view hit:\n%s", tc.src, tr)
 			}
+			how := "folded to the target"
+			if tc.exact {
+				how = "served at the target granularity"
+			}
+			if line := "view " + tr.View + " " + how + "\n"; !strings.Contains(tr.String(), line) {
+				t.Errorf("%q: the rendered trace lacks %q:\n%s", tc.src, line, tr)
+			}
 		}
 		base, err := w.Cubes().Evaluate(subcube.MustParseQuery(tc.src, w.Env()), w.Now())
 		if err != nil {
@@ -377,6 +385,54 @@ func TestPredicatedViewHit(t *testing.T) {
 		if mo.DumpCells() != base.DumpCells() {
 			t.Errorf("%q: answered\n%s\nthe base path\n%s", tc.src, mo.DumpCells(), base.DumpCells())
 		}
+	}
+}
+
+// TestPredicatedReadSkipsAnUndecidingView: of a two-view set, the
+// smallest view that rolls up to a predicated read's target does not
+// decide its predicate, and a larger one does. The larger view serves the
+// read, folded to the target, as one view hit with no shape recorded, and
+// the answer equals the base path's.
+func TestPredicatedReadSkipsAnUndecidingView(t *testing.T) {
+	w, obj := openClickWarehouse(t)
+	start := caltime.Date(2000, 1, 1)
+	if err := w.AdvanceTo(start); err != nil {
+		t.Fatal(err)
+	}
+	loadStream(t, w, obj, workload.ClickConfig{Seed: 11, Start: start, Days: 120, ClicksPerDay: 40, Domains: 6, URLsPerDomain: 4})
+	for _, src := range []string{`aggregate [Time.quarter, URL.domain_grp]`, `aggregate [Time.month, URL.domain]`} {
+		if _, err := w.Query(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.EnableViews(views.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	const src = `aggregate [Time.year, URL.domain_grp] where Time.month <= 2000/2`
+	q := subcube.MustParseQuery(src, w.Env())
+	set := w.cur.Load().views.Views()
+	if len(set) != 2 || q.Pred.DecidedAt(set[0].Gran()) || !q.Pred.DecidedAt(set[1].Gran()) {
+		t.Fatalf("want two views, the smaller not deciding %q and the larger deciding it; have %d", src, len(set))
+	}
+	shapes := w.shapes.Counts()
+	before := w.Metrics()
+	mo, tr, err := w.QueryTraced(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := w.Metrics().Sub(before)
+	if d.ViewHits != 1 || d.ViewFolds != 1 || d.ViewMisses != 0 || d.Queries != 0 || tr.View != set[1].Key() {
+		t.Errorf("hits=%d folds=%d misses=%d evaluations=%d view %q; want one folded hit from %q", d.ViewHits, d.ViewFolds, d.ViewMisses, d.Queries, tr.View, set[1].Key())
+	}
+	if got := w.shapes.Counts(); !maps.Equal(got, shapes) {
+		t.Errorf("recorded a shape: %v, was %v", got, shapes)
+	}
+	base, err := w.Cubes().Evaluate(q, w.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mo.Len() == 0 || mo.DumpCells() != base.DumpCells() {
+		t.Errorf("answered\n%s\nthe base path\n%s", mo.DumpCells(), base.DumpCells())
 	}
 }
 

@@ -382,9 +382,12 @@ func (w *Warehouse) Now() caltime.Day { return w.cur.Load().now }
 // passes or data is bulk-loaded, and it suffices to synchronize on every
 // bulk load and "at least once per significant time period, the
 // second-lowest granularity at which the NOW-variable is used in an
-// action" — then a fact is never more than one parent-child generation
-// out of place, which the un-synchronized query strategy relies on. A
-// clock-only advance republishes the snapshot so queries evaluate NOW
+// action" — then the stored reduction is never more than one significant
+// period behind the clock: the storage it saves, the reduced region Late
+// checks a fact against, and the views, rebuilt only by a
+// sync-carrying commit, follow the clock that closely. A query needs no
+// schedule: an un-synchronized cube set answers as a synchronized one
+// would at any staleness (subcube.CubeSet.Evaluate). A clock-only advance republishes the snapshot so queries evaluate NOW
 // at the new clock; one that leaves the clock where it is publishes
 // nothing. Views carry over a clock-only advance unchanged: their build
 // clock now disagrees with the snapshot's, so the freshness rule skips

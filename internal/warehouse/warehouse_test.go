@@ -303,6 +303,55 @@ func TestNowRelativeQueryPredicates(t *testing.T) {
 	}
 }
 
+// TestStaleQueryAtMatchesAdvance: QueryAt a day years past the last
+// synchronization answers what AdvanceTo that day and a query then do,
+// although no schedule kept the cubes within a period of it. Under a
+// month window, a quarter window and a year action, month-cube rows reach
+// the year level two years on; each counts there, every one of 5 000
+// clicks.
+func TestStaleQueryAtMatchesAdvance(t *testing.T) {
+	obj, env := clickEnv(t)
+	w, err := Open(env,
+		spec.MustCompileString("m", `aggregate [Time.month, URL.domain] where NOW - 9 months < Time.month and Time.month <= NOW - 2 months`, env),
+		spec.MustCompileString("q", `aggregate [Time.quarter, URL.domain] where NOW - 8 quarters < Time.quarter and Time.quarter <= NOW - 3 quarters`, env),
+		spec.MustCompileString("y", `aggregate [Time.year, URL.domain] where Time.year <= NOW - 2 years`, env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := caltime.Date(2000, 1, 1)
+	if err := w.AdvanceTo(start); err != nil {
+		t.Fatal(err)
+	}
+	loadStream(t, w, obj, workload.ClickConfig{Seed: 3, Start: start, Days: 500, ClicksPerDay: 10, Domains: 6, URLsPerDomain: 3})
+	if err := w.AdvanceTo(caltime.Date(2001, 5, 15)); err != nil {
+		t.Fatal(err)
+	}
+	assertSyncedAtClock(t, w, "AdvanceTo")
+	q := subcube.MustParseQuery(`aggregate [Time.year, URL.TOP]`, env)
+	at := caltime.Date(2003, 5, 15)
+	stale, err := w.QueryAt(q, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AdvanceTo(at); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := w.QueryAt(q, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clicks := func(mo *mdm.MO) (n float64) {
+		j := mo.Schema().MeasureIndex("Number_of")
+		for f := 0; f < mo.Len(); f++ {
+			n += mo.Measure(mdm.FactID(f), j)
+		}
+		return n
+	}
+	if clicks(fresh) != 5000 || stale.DumpCells() != fresh.DumpCells() {
+		t.Errorf("QueryAt %s counted %v clicks:\n%s\nafter AdvanceTo, %v:\n%s", at, clicks(stale), stale.DumpCells(), clicks(fresh), fresh.DumpCells())
+	}
+}
+
 func TestWarehouseQueryErrors(t *testing.T) {
 	w, _ := openClickWarehouse(t)
 	if _, err := w.Query(`garbage`); err == nil {

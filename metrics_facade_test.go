@@ -175,7 +175,7 @@ func TestViewHitsSayWhatTheyDid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.View == "" || !tr.ViewStored || !strings.Contains(tr.String(), "view "+tr.View+" served as stored") {
+	if tr.View == "" || !tr.ViewStored || !strings.Contains(tr.String(), "view "+tr.View+" served at the target granularity") {
 		t.Errorf("exact hit not reported as stored:\n%s", tr)
 	}
 	view := tr.View
